@@ -16,6 +16,7 @@ mediator-setting baseline demonstrates).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from scipy import stats
@@ -83,7 +84,7 @@ def _collect_ciphertext_fragments(body, fragments: list[bytes]) -> None:
                 body.to_bytes((body.bit_length() + 7) // 8, "big")
             )
         return
-    if isinstance(body, dict):
+    if isinstance(body, Mapping):  # dicts and hybrid key encapsulations
         for key, value in body.items():
             _collect_ciphertext_fragments(key, fragments)
             _collect_ciphertext_fragments(value, fragments)

@@ -11,6 +11,7 @@ material that should never be there.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 from typing import Any, Iterator
 
 from repro.mediation.network import Message, PartyView
@@ -33,7 +34,7 @@ def iter_byte_material(body: Any) -> Iterator[bytes]:
     if isinstance(body, int):
         yield body.to_bytes(max(1, (body.bit_length() + 7) // 8), "big")
         return
-    if isinstance(body, dict):
+    if isinstance(body, Mapping):  # dicts and hybrid key encapsulations
         for key, value in body.items():
             yield from iter_byte_material(key)
             yield from iter_byte_material(value)

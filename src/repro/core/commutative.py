@@ -29,12 +29,16 @@ that optimization (benchmark A3 measures the traffic it saves).
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import operator
 import random
 import secrets
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.assembly import combine_tuple_sets
+from repro.core.encapsulation import recipient_digest, source_session
 from repro.core.federation import Federation
 from repro.core.joinkeys import (
     JoinKey,
@@ -118,11 +122,6 @@ def _key_digest(key: comm.CommutativeKey) -> bytes:
     ).digest()[:12]
 
 
-def _recipient_digest(client_keys) -> bytes:
-    fingerprints = sorted(hybrid.key_fingerprint(key) for key in client_keys)
-    return hashlib.sha256(b"".join(fingerprints)).digest()[:16]
-
-
 def _cached_key(
     cache: IndexCache | None,
     relation_name: str,
@@ -162,18 +161,17 @@ def _prepare_source(
 ) -> tuple[_SourceState, list[TaggedMessage]]:
     """Listing 3 steps 1-3 at one datasource.
 
-    With an index cache, the key, the per-value tags ``f_e(h(a))`` and
-    the hybrid tuple-set ciphertexts all persist across the query series
-    (amortization per arXiv 2103.05792); only values not seen before —
-    or entries dropped by a mutation/rotation — are recomputed, as one
-    engine batch.
+    With an index cache, the key, the per-value tags ``f_e(h(a))``, the
+    hybrid session and the tuple-set ciphertexts all persist across the
+    query series (amortization per arXiv 2103.05792); only values not
+    seen before — or entries dropped by a mutation/rotation — are
+    recomputed, as one engine batch.
     """
     engine = engine or get_engine()
     if config.verify_group and not group.verify():
         raise ProtocolError("announced commutative group failed verification")
     key = _cached_key(cache, relation.name, group)
     key_digest = _key_digest(key) if cache is not None else b""
-    recipients = _recipient_digest(client_keys) if cache is not None else b""
     grouped = group_by_key(relation, join_attributes)
     join_keys = list(grouped)
 
@@ -212,18 +210,42 @@ def _prepare_source(
                     serialize_int(tag),
                 )
 
-    # Tuple-set ciphertexts: keyed by recipient set + plaintext content.
-    # Hardened runs wrap every tuple-set encoding to one uniform length
-    # before anything downstream (cache slots, ciphertext bodies) can see
-    # the per-value size; the client unwraps after decryption.
+    # Tuple-set ciphertexts.  Hardened runs wrap every tuple-set encoding
+    # to one uniform length before anything downstream (cache slots,
+    # ciphertext bodies) can see the per-value size; the client unwraps
+    # after decryption.
     encoded_sets = [encode_rows(grouped[join_key]) for join_key in join_keys]
     if hardening is not None:
         encoded_sets, _ = hardening.wrap_uniform(encoded_sets)
+        # The one exception to "one encapsulation per sender and epoch":
+        # the mediator pads the hardened result channel with dummy pairs
+        # it encrypts itself, and it cannot reference a session whose key
+        # it does not hold.  So that its dummies stay indistinguishable
+        # from the sources' tuple sets, every ciphertext on this channel
+        # carries an encapsulation of its own (docs/security.md), and the
+        # cache stores whole ciphertexts, bound to the recipient set.
+        binding = recipient_digest(client_keys) if cache is not None else b""
+        to_blob: Callable[[hybrid.HybridCiphertext], bytes] = serialize_hybrid
+        from_blob: Callable[[bytes], hybrid.HybridCiphertext] = deserialize_hybrid
+
+        def encrypt_sets(encoded: list[bytes]) -> list[hybrid.HybridCiphertext]:
+            return [hybrid.encrypt(client_keys, item) for item in encoded]
+    else:
+        # Everything else shares the source's session; the cache stores
+        # bare DEM bodies, bound to the session's encapsulation.
+        session = source_session(cache, relation.name, client_keys)
+        binding = session.encapsulation.digest()
+        to_blob = operator.attrgetter("body")
+        from_blob = functools.partial(hybrid.HybridCiphertext, session.encapsulation)
+
+        def encrypt_sets(encoded: list[bytes]) -> list[hybrid.HybridCiphertext]:
+            return engine.batch_hybrid_encrypt(session, encoded)
+
     ciphertexts: list[hybrid.HybridCiphertext | None] = [None] * len(join_keys)
     pending_sets: list[int] = []
     if cache is not None:
         set_slots = [
-            b"tupct:" + recipients + encode_key(join_key)
+            b"tupct:" + binding + encode_key(join_key)
             + hashlib.sha256(encoded).digest()[:16]
             for join_key, encoded in zip(join_keys, encoded_sets)
         ]
@@ -231,7 +253,7 @@ def _prepare_source(
             blob = cache.get(relation.name, KIND_COMM_TUPLES, slot)
             if blob is not None:
                 try:
-                    ciphertexts[position] = deserialize_hybrid(blob)
+                    ciphertexts[position] = from_blob(blob)
                     continue
                 except StorageError:
                     cache.decode_failure(KIND_COMM_TUPLES)
@@ -239,9 +261,7 @@ def _prepare_source(
     else:
         pending_sets = list(range(len(join_keys)))
     if pending_sets:
-        fresh = engine.batch_hybrid_encrypt(
-            client_keys, [encoded_sets[position] for position in pending_sets]
-        )
+        fresh = encrypt_sets([encoded_sets[position] for position in pending_sets])
         for position, ciphertext in zip(pending_sets, fresh):
             ciphertexts[position] = ciphertext
             if cache is not None:
@@ -249,7 +269,7 @@ def _prepare_source(
                     relation.name,
                     KIND_COMM_TUPLES,
                     set_slots[position],
-                    serialize_hybrid(ciphertext),
+                    to_blob(ciphertext),
                 )
 
     tuple_ciphertexts = dict(zip(join_keys, ciphertexts))

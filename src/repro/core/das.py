@@ -34,11 +34,11 @@ three are implemented:
 
 from __future__ import annotations
 
-import hashlib
 import random
 import secrets
 from dataclasses import dataclass, field
 
+from repro.core.encapsulation import source_session
 from repro.core.federation import Federation
 from repro.core.request import RequestPhaseOutcome
 from repro.core.result import MediationResult
@@ -50,7 +50,6 @@ from repro.errors import ProtocolError, StorageError
 from repro.mediation.credentials import public_keys_of
 from repro.relational import partition as partitioning
 from repro.relational.conditions import (
-    AttributeComparison,
     Comparison,
     Condition,
     conjunction,
@@ -67,11 +66,7 @@ from repro.storage.base import (
     StorageBackend,
     relation_fingerprint,
 )
-from repro.storage.serialize import (
-    deserialize_hybrid,
-    serialize_hybrid,
-    serialize_int,
-)
+from repro.storage.serialize import serialize_int
 
 #: Query-translator placements (Section 3.1 "settings").
 CLIENT_SETTING = "client"
@@ -188,13 +183,6 @@ def _mixed_split(schema: Schema, config: DASConfig) -> tuple[list[int], list[int
     return sensitive_positions, plain_positions
 
 
-def _recipient_digest(client_keys) -> bytes:
-    """Digest of the recipient key set — part of every etuple cache key,
-    so ciphertexts are never served to a different credential set."""
-    fingerprints = sorted(hybrid.key_fingerprint(key) for key in client_keys)
-    return hashlib.sha256(b"".join(fingerprints)).digest()[:16]
-
-
 def _encrypt_source(
     source_name: str,
     relation: Relation,
@@ -207,14 +195,19 @@ def _encrypt_source(
 ) -> _SourceState:
     """Steps 1-2 at one datasource.
 
-    With an index cache attached, the partition index table and the
-    per-row hybrid etuples persist across queries (keyed by row content
-    and recipient key set, under the source's key epoch), so a repeated
-    join on an unchanged relation skips the dominant per-row hybrid
-    encryption entirely.  Note the amortization trade-off inherited from
-    caching: the index table's salted identifiers repeat across the
-    series, so the mediator can correlate buckets *between* queries of
-    one epoch (see docs/storage.md).
+    Every ciphertext this source emits — real etuples, hardened dummies
+    and the encrypted index table — is a DEM body under the source's one
+    hybrid session (:func:`~repro.core.encapsulation.source_session`),
+    so the client unwraps one session key per source.
+
+    With an index cache attached, the partition index table, the session
+    and the per-row etuple bodies persist across queries (bodies keyed by
+    row content and the session's encapsulation digest, under the
+    source's key epoch), so a repeated join on an unchanged relation
+    skips the per-row encryption entirely.  Note the amortization
+    trade-off inherited from caching: the index table's salted
+    identifiers repeat across the series, so the mediator can correlate
+    buckets *between* queries of one epoch (see docs/storage.md).
     """
     engine = engine or get_engine()
     if attribute in config.mixed_plaintext_attributes:
@@ -222,7 +215,8 @@ def _encrypt_source(
             "the join attribute must remain sensitive in the mixed DAS model"
         )
     content = relation_fingerprint(relation) if cache is not None else b""
-    recipients = _recipient_digest(client_keys) if cache is not None else b""
+    session = source_session(cache, relation.name, client_keys)
+    session_tag = session.encapsulation.digest()
     table_tag = (
         f"{config.strategy}:{config.buckets}:{attribute}".encode()
     )
@@ -270,35 +264,30 @@ def _encrypt_source(
     etuples: list[hybrid.HybridCiphertext | None] = [None] * len(rows)
     pending: list[int] = []
     if cache is not None:
-        for position, encoded in enumerate(encoded_rows):
-            blob = cache.get(
-                relation.name,
-                KIND_DAS_TUPLE,
-                b"etuple:" + recipients + position_tag + b":" + encoded,
-            )
-            if blob is not None:
-                try:
-                    etuples[position] = deserialize_hybrid(blob)
-                    continue
-                except StorageError:
-                    cache.decode_failure(KIND_DAS_TUPLE)
-            pending.append(position)
+        slots = [
+            b"etuple:" + session_tag + position_tag + b":" + encoded
+            for encoded in encoded_rows
+        ]
+        for position, slot in enumerate(slots):
+            body = cache.get(relation.name, KIND_DAS_TUPLE, slot)
+            if body is None:
+                pending.append(position)
+            else:
+                etuples[position] = hybrid.HybridCiphertext(
+                    session.encapsulation, body
+                )
     else:
         pending = list(range(len(rows)))
 
     if pending:
         fresh = engine.batch_hybrid_encrypt(
-            client_keys, [encoded_rows[position] for position in pending]
+            session, [encoded_rows[position] for position in pending]
         )
         for position, etuple in zip(pending, fresh):
             etuples[position] = etuple
             if cache is not None:
                 cache.put(
-                    relation.name,
-                    KIND_DAS_TUPLE,
-                    b"etuple:" + recipients + position_tag + b":"
-                    + encoded_rows[position],
-                    serialize_hybrid(etuple),
+                    relation.name, KIND_DAS_TUPLE, slots[position], etuple.body
                 )
 
     encrypted_rows = [
@@ -315,7 +304,9 @@ def _encrypt_source(
         # per-bucket frequency shape the mediator observes is a constant
         # of |domactive| and the config.  Dummies are freshly encrypted
         # (never cached — identical ciphertexts would fingerprint them)
-        # and the padded relation is shuffled so position carries nothing.
+        # under the same session as the real rows (a second encapsulation
+        # would fingerprint them just as well), and the padded relation
+        # is shuffled so position carries nothing.
         multiplicities: dict = {}
         for row in rows:
             value = relation.value(row, attribute)
@@ -342,7 +333,7 @@ def _encrypt_source(
             )
         if total_dummies:
             dummy_ciphertexts = engine.batch_hybrid_encrypt(
-                client_keys,
+                session,
                 [hardening.dummy(row_target) for _ in range(total_dummies)],
             )
             cursor = 0
@@ -361,7 +352,7 @@ def _encrypt_source(
     table_bytes = index_table.to_bytes()
     if hardening is not None:
         table_bytes = hardening.wrap_table(table_bytes)
-    encrypted_index_table = hybrid.encrypt(client_keys, table_bytes)
+    encrypted_index_table = session.encrypt(table_bytes)
     return _SourceState(
         index_table=index_table,
         encrypted_relation=encrypted_relation,
@@ -518,11 +509,6 @@ def _client_postprocess(
     of pairs dropped because at least one side was a hardened dummy.
     """
     attribute = join_attributes[0]
-    condition = AttributeComparison(
-        f"{schema_1.relation_name}.{attribute}",
-        "=",
-        f"{schema_2.relation_name}.{attribute}",
-    )
     left_names = set(schema_1.names())
     extra_positions = [
         schema_2.position(n) for n in schema_2.names() if n not in left_names
@@ -563,7 +549,6 @@ def _client_postprocess(
             rows.append(row_1 + tuple(row_2[i] for i in extra_positions))
         else:
             false_positives += 1
-    del condition  # kept above for documentation symmetry with Cond_S
     return Relation(result_schema, rows), false_positives, dummy_pairs
 
 

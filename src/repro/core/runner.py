@@ -102,6 +102,10 @@ def run_join_query(
         if session_id is not None
         else contextlib.nullcontext()
     )
+    # The transcript of a federation that answers a series of queries
+    # keeps growing; this run's observables cover this run's messages.
+    transcript = federation.network.transcript
+    run_starts_after = transcript[-1].sequence if transcript else 0
     phase = "request"
     try:
         with scope, deadline(deadline_seconds), tracing.span(
@@ -128,7 +132,9 @@ def run_join_query(
             )
             result.artifacts["join_rows_before_postprocessing"] = join_rows
             result.artifacts["crypto"] = crypto_context(engine)
-            result.artifacts["observables"] = observables_artifact(result)
+            result.artifacts["observables"] = observables_artifact(
+                result, run_starts_after
+            )
             storage_stats = _collect_storage_stats(federation)
             if storage_stats is not None:
                 result.artifacts["storage_cache"] = storage_stats

@@ -34,7 +34,11 @@ the faithful baseline of ``benchmarks/bench_parallel_crypto.py``.
 Batch results are defined to be *exactly* what mapping the scalar
 primitive over the inputs produces — byte-identical values and identical
 primitive counts — regardless of the execution mode; the equivalence
-tests in ``tests/crypto/test_engine.py`` enforce this contract.
+tests in ``tests/crypto/test_engine.py`` enforce this contract.  The one
+deliberate difference: a hybrid batch is *one session* (Section 2's
+"newly generated symmetric session key" per transferred partial result),
+so it wraps one key per recipient and unwraps once per distinct
+encapsulation where the scalar loop pays one RSA operation per item.
 """
 
 from __future__ import annotations
@@ -47,10 +51,10 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.crypto import backend as _backend
-from repro.crypto import commutative, hybrid, instrumentation, paillier
+from repro.crypto import commutative, hybrid, instrumentation, paillier, symmetric
 from repro.crypto.homomorphic import AdditiveHomomorphicScheme, PaillierScheme
 from repro.crypto.polynomial import EncryptedPolynomial
-from repro.errors import ParameterError
+from repro.errors import DecryptionError, ParameterError
 from repro.telemetry import tracing
 from repro.telemetry.tracing import Span, SpanContext, Tracer
 
@@ -252,13 +256,19 @@ def _unit_poly_eval(shared: EncryptedPolynomial, job: tuple) -> Any:
 
 
 def _unit_hybrid_encrypt(shared: tuple, plaintext: bytes) -> Any:
-    public_keys, associated_data = shared
-    return hybrid.encrypt(public_keys, plaintext, associated_data)
+    session, associated_data = shared
+    return session.encrypt(plaintext, associated_data)
 
 
-def _unit_hybrid_decrypt(shared: tuple, ciphertext: Any) -> bytes:
-    private_key, associated_data, use_crt = shared
-    return hybrid.decrypt(private_key, ciphertext, associated_data, use_crt)
+def _unit_hybrid_unwrap(shared: tuple, encapsulation: Any) -> Any:
+    private_key, use_crt = shared
+    return hybrid.unwrap(private_key, encapsulation, use_crt)
+
+
+def _unit_hybrid_decrypt(associated_data: bytes, job: tuple) -> bytes:
+    session_key, body = job
+    instrumentation.record("hybrid.decrypt")
+    return symmetric.decrypt(session_key, body, associated_data)
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +536,10 @@ class CryptoEngine:
         shared: Any,
         items: Sequence,
         chunk_fn: "Callable[[Any, list], list] | None" = None,
+        name: str | None = None,
     ) -> list:
         items = list(items)
-        name = unit.__name__.replace("_unit_", "", 1)
+        name = name or unit.__name__.replace("_unit_", "", 1)
         party = self._ambient_party()
         backend = self.backend
         with tracing.span(
@@ -718,23 +729,68 @@ class CryptoEngine:
 
     def batch_hybrid_encrypt(
         self,
-        public_keys: Sequence,
+        recipients: "hybrid.Session | Sequence",
         plaintexts: Sequence[bytes],
         associated_data: bytes = b"",
     ) -> list[hybrid.HybridCiphertext]:
-        """Batch hybrid (KEM/DEM) encryption of independent payloads."""
-        shared = (tuple(public_keys), associated_data)
-        return self._run(_unit_hybrid_encrypt, shared, plaintexts)
+        """Batch hybrid (KEM/DEM) encryption of independent payloads.
+
+        ``recipients`` is the open :class:`~repro.crypto.hybrid.Session`
+        to continue, or the public keys to open a fresh one for.  Either
+        way the batch shares one encapsulation: the session key is
+        wrapped once, and every item is a DEM body with its own nonce.
+        """
+        session = (
+            recipients
+            if isinstance(recipients, hybrid.Session)
+            else hybrid.new_session(recipients)
+        )
+        return self._run(
+            _unit_hybrid_encrypt, (session, associated_data), plaintexts
+        )
 
     def batch_hybrid_decrypt(
         self,
         private_key: Any,
         ciphertexts: Sequence[hybrid.HybridCiphertext],
         associated_data: bytes = b"",
+        session_keys: hybrid.SessionKeyMemo | None = None,
     ) -> list[bytes]:
-        """Batch hybrid decryption under one private key."""
-        shared = (private_key, associated_data, not self.legacy)
-        return self._run(_unit_hybrid_decrypt, shared, ciphertexts)
+        """Batch hybrid decryption under one private key.
+
+        The private-key operation runs once per *distinct* encapsulation
+        in the batch, the DEM once per item.  ``session_keys`` is the
+        caller's memo, if it keeps one: hits skip the private-key
+        operation altogether, misses are added.
+        """
+        fp = hybrid.key_fingerprint(private_key.public_key())
+        distinct: dict[bytes, hybrid.Encapsulation] = {}
+        for ciphertext in ciphertexts:
+            wrapped = ciphertext.wrapped_keys.get(fp)
+            if wrapped is None:
+                raise DecryptionError("no session key wrapped for this private key")
+            distinct.setdefault(wrapped, ciphertext.wrapped_keys)
+        keys: dict[bytes, symmetric.SessionKey | None] = {
+            wrapped: None if session_keys is None else session_keys.get(wrapped)
+            for wrapped in distinct
+        }
+        missing = [wrapped for wrapped, key in keys.items() if key is None]
+        if missing:
+            fresh = self._run(
+                _unit_hybrid_unwrap,
+                (private_key, not self.legacy),
+                [distinct[wrapped] for wrapped in missing],
+                name="hybrid_decrypt",
+            )
+            for wrapped, key in zip(missing, fresh):
+                keys[wrapped] = key
+                if session_keys is not None:
+                    session_keys[wrapped] = key
+        jobs = [
+            (keys[ciphertext.wrapped_keys[fp]], ciphertext.body)
+            for ciphertext in ciphertexts
+        ]
+        return self._run(_unit_hybrid_decrypt, associated_data, jobs)
 
     def map_batch(self, func: Callable, argument_tuples: Sequence[tuple]) -> list:
         """Generic batch: ``[func(*args) for args in argument_tuples]``.

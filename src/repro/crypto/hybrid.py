@@ -5,22 +5,36 @@ scheme; that is, the information is encrypted with a newly generated
 symmetric session key and the session key is encrypted with the public
 keys of the client."*
 
-The construction here is KEM/DEM: a fresh 64-byte session key encrypts the
-payload with ChaCha20+HMAC (:mod:`repro.crypto.symmetric`) and is wrapped
-under each client public key with RSA-OAEP.  A credential may present
-several public keys; the session key is wrapped once per key, keyed by key
-fingerprint, so the client can unwrap with whichever private key matches.
+"This information" is a transferred partial result, so the newly
+generated key is one per *transfer*, not one per tuple.  The construction
+is KEM/DEM with the two halves kept apart:
+
+* a :class:`Session` is one fresh session key together with its
+  :class:`Encapsulation` — the key wrapped under each client public key
+  with RSA-OAEP, keyed by key fingerprint, so the client can unwrap with
+  whichever private key matches (a credential may present several);
+* every :class:`HybridCiphertext` the session emits is a ChaCha20+HMAC
+  body (:mod:`repro.crypto.symmetric`) with its own random nonce that
+  *references* the session's encapsulation.
+
+A source therefore pays one public-key operation per delivery (or per
+key epoch, when its storage persists the session) and the client one
+private-key operation per distinct encapsulation, however many tuples
+travel.  :func:`encrypt` is the one-ciphertext session.
 """
 
 from __future__ import annotations
 
+import hashlib
+import threading
+from collections import OrderedDict
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from repro.crypto import instrumentation, rsa, symmetric
 from repro.crypto.hashes import fingerprint
 from repro.crypto.numtheory import int_to_bytes
-from repro.errors import DecryptionError
+from repro.errors import DecryptionError, ParameterError
 
 
 def key_fingerprint(public_key: rsa.RSAPublicKey) -> bytes:
@@ -29,17 +43,152 @@ def key_fingerprint(public_key: rsa.RSAPublicKey) -> bytes:
     return fingerprint(material)
 
 
-@dataclass(frozen=True)
-class HybridCiphertext:
-    """Session key wrapped per recipient key, plus the DEM body."""
+class Encapsulation(Mapping[bytes, bytes]):
+    """One session key wrapped per recipient: key fingerprint -> OAEP blob.
 
-    wrapped_keys: Mapping[bytes, bytes]  # key fingerprint -> OAEP blob
-    body: bytes
+    Immutable.  All ciphertexts of a session hold the *same* object,
+    which is what lets the wire codec intern it (sent in full once per
+    envelope, as a 5-byte reference thereafter) and the size estimator
+    count it once per message body.
+    """
+
+    __slots__ = ("_wrapped", "_digest")
+
+    def __init__(self, wrapped: Mapping[bytes, bytes]) -> None:
+        self._wrapped = dict(wrapped)
+        if not all(
+            isinstance(part, bytes)
+            for item in self._wrapped.items()
+            for part in item
+        ):
+            raise ParameterError("an encapsulation maps bytes to bytes")
+        material = hashlib.sha256()
+        for fp in sorted(self._wrapped):
+            for part in (fp, self._wrapped[fp]):
+                material.update(len(part).to_bytes(4, "big") + part)
+        self._digest = material.digest()[:16]
+
+    def __getitem__(self, fp: bytes) -> bytes:
+        return self._wrapped[fp]
+
+    def __iter__(self) -> Iterator[bytes]:
+        return iter(self._wrapped)
+
+    def __len__(self) -> int:
+        return len(self._wrapped)
+
+    def __repr__(self) -> str:
+        return f"Encapsulation({self._digest.hex()}, recipients={len(self)})"
+
+    def digest(self) -> bytes:
+        """16-byte identifier of this encapsulation.
+
+        Cache slots holding DEM bodies embed it, so a body is only ever
+        served next to the encapsulation it was encrypted under.
+        """
+        return self._digest
 
     def size_bytes(self) -> int:
-        """Total serialized size (what travels over the message bus)."""
-        wrapped = sum(len(k) + len(v) for k, v in self.wrapped_keys.items())
-        return wrapped + len(self.body)
+        return sum(len(fp) + len(blob) for fp, blob in self._wrapped.items())
+
+
+@dataclass(frozen=True)
+class HybridCiphertext:
+    """A DEM body plus (a reference to) its session's encapsulation."""
+
+    wrapped_keys: Encapsulation
+    body: bytes
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.wrapped_keys, Encapsulation):
+            object.__setattr__(
+                self, "wrapped_keys", Encapsulation(self.wrapped_keys)
+            )
+
+    def size_bytes(self) -> int:
+        """Serialized size of this ciphertext travelling alone.
+
+        :func:`repro.mediation.sizing.estimate_size` counts an
+        encapsulation shared by many ciphertexts once per message body.
+        """
+        return self.wrapped_keys.size_bytes() + len(self.body)
+
+
+@dataclass(frozen=True)
+class Session:
+    """Sender half of one key encapsulation: the key and its wraps."""
+
+    key: symmetric.SessionKey
+    encapsulation: Encapsulation
+
+    def encrypt(
+        self, plaintext: bytes, associated_data: bytes = b""
+    ) -> HybridCiphertext:
+        """One more ciphertext of this session (fresh nonce, shared wrap)."""
+        instrumentation.record("hybrid.encrypt")
+        body = symmetric.encrypt(self.key, plaintext, associated_data)
+        return HybridCiphertext(self.encapsulation, body)
+
+
+def new_session(public_keys: Iterable[rsa.RSAPublicKey]) -> Session:
+    """Generate a session key and wrap it for the holder of any listed key."""
+    keys = list(public_keys)
+    if not keys:
+        raise DecryptionError("hybrid encryption requires at least one key")
+    master = symmetric.generate_key()
+    wrapped = {key_fingerprint(key): rsa.oaep_encrypt(key, master) for key in keys}
+    return Session(symmetric.SessionKey(master), Encapsulation(wrapped))
+
+
+class SessionKeyMemo:
+    """Receiver-side memo: wrapped blob -> unwrapped session key.
+
+    A source's index table, its rows and — with storage — every later
+    query of the epoch reference one encapsulation; remembering the last
+    few unwrapped keys makes that one private-key operation in total.
+    Small, LRU-bounded (a long-lived client must not accumulate key
+    material) and thread-safe (concurrent sessions share one client).
+    """
+
+    def __init__(self, capacity: int = 8) -> None:
+        self._capacity = capacity
+        self._keys: OrderedDict[bytes, symmetric.SessionKey] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, wrapped: bytes) -> symmetric.SessionKey | None:
+        with self._lock:
+            key = self._keys.get(wrapped)
+            if key is not None:
+                self._keys.move_to_end(wrapped)
+            return key
+
+    def __setitem__(self, wrapped: bytes, key: symmetric.SessionKey) -> None:
+        with self._lock:
+            self._keys[wrapped] = key
+            self._keys.move_to_end(wrapped)
+            while len(self._keys) > self._capacity:
+                self._keys.popitem(last=False)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._keys)
+
+
+def unwrap(
+    private_key: rsa.RSAPrivateKey,
+    encapsulation: Encapsulation,
+    use_crt: bool = True,
+) -> symmetric.SessionKey:
+    """Recover the session key with ``private_key`` — the one private-key
+    operation all ciphertexts of a session share."""
+    wrapped = encapsulation.get(key_fingerprint(private_key.public_key()))
+    if wrapped is None:
+        raise DecryptionError("no session key wrapped for this private key")
+    master = rsa.oaep_decrypt(private_key, wrapped, use_crt)
+    try:
+        return symmetric.SessionKey(master)
+    except ParameterError as exc:
+        raise DecryptionError("encapsulation does not hold a session key") from exc
 
 
 def encrypt(
@@ -47,17 +196,8 @@ def encrypt(
     plaintext: bytes,
     associated_data: bytes = b"",
 ) -> HybridCiphertext:
-    """Hybrid-encrypt ``plaintext`` to the holder of any listed key."""
-    keys = list(public_keys)
-    if not keys:
-        raise DecryptionError("hybrid encryption requires at least one key")
-    instrumentation.record("hybrid.encrypt")
-    session_key = symmetric.generate_key()
-    body = symmetric.encrypt(session_key, plaintext, associated_data)
-    wrapped = {
-        key_fingerprint(key): rsa.oaep_encrypt(key, session_key) for key in keys
-    }
-    return HybridCiphertext(wrapped_keys=wrapped, body=body)
+    """Hybrid-encrypt ``plaintext`` alone: a session of one ciphertext."""
+    return new_session(public_keys).encrypt(plaintext, associated_data)
 
 
 def decrypt(
@@ -68,11 +208,7 @@ def decrypt(
 ) -> bytes:
     """Unwrap the session key with ``private_key`` and decrypt the body."""
     instrumentation.record("hybrid.decrypt")
-    fp = key_fingerprint(private_key.public_key())
-    wrapped = ciphertext.wrapped_keys.get(fp)
-    if wrapped is None:
-        raise DecryptionError("no session key wrapped for this private key")
-    session_key = rsa.oaep_decrypt(private_key, wrapped, use_crt)
+    session_key = unwrap(private_key, ciphertext.wrapped_keys, use_crt)
     return symmetric.decrypt(session_key, ciphertext.body, associated_data)
 
 

@@ -10,7 +10,9 @@ is detected before decryption output is released.
 Key layout: a 32-byte master session key is expanded (HKDF-style, with
 distinct labels) into a 32-byte ChaCha20 key and a 32-byte MAC key, so the
 two primitives never share key material while the wrapped key stays small
-enough for RSA-OAEP key encapsulation at 1024-bit moduli.
+enough for RSA-OAEP key encapsulation at 1024-bit moduli.  The expansion
+runs once per :class:`SessionKey`, not once per ciphertext: a session
+that encrypts a whole partial result derives its sub-keys a single time.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import hashlib
 import hmac
 import secrets
 import struct
+from dataclasses import dataclass, field
 
 from repro.crypto import instrumentation
 from repro.errors import DecryptionError, IntegrityError, ParameterError
@@ -92,42 +95,64 @@ def generate_key() -> bytes:
     return secrets.token_bytes(KEY_BYTES)
 
 
-def _split_key(key: bytes) -> tuple[bytes, bytes]:
-    """Derive independent cipher and MAC subkeys from the master key."""
-    if len(key) != KEY_BYTES:
-        raise ParameterError(f"session key must be {KEY_BYTES} bytes")
-    cipher_key = hmac.new(key, b"repro/dem/cipher", hashlib.sha256).digest()
-    mac_key = hmac.new(key, b"repro/dem/mac", hashlib.sha256).digest()
-    return cipher_key, mac_key
+@dataclass(frozen=True)
+class SessionKey:
+    """A master session key with its cipher and MAC sub-keys derived once.
+
+    The fields are excluded from ``repr`` so key material cannot reach a
+    log record or span attribute through string formatting.
+    """
+
+    master: bytes = field(repr=False)
+    cipher_key: bytes = field(init=False, repr=False)
+    mac_key: bytes = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if len(self.master) != KEY_BYTES:
+            raise ParameterError(f"session key must be {KEY_BYTES} bytes")
+        object.__setattr__(self, "cipher_key", self._expand(b"repro/dem/cipher"))
+        object.__setattr__(self, "mac_key", self._expand(b"repro/dem/mac"))
+
+    def _expand(self, label: bytes) -> bytes:
+        return hmac.new(self.master, label, hashlib.sha256).digest()
 
 
-def encrypt(key: bytes, plaintext: bytes, associated_data: bytes = b"") -> bytes:
+def _session_key(key: SessionKey | bytes) -> SessionKey:
+    """A bare master key is a one-ciphertext session."""
+    return key if isinstance(key, SessionKey) else SessionKey(key)
+
+
+def encrypt(
+    key: SessionKey | bytes, plaintext: bytes, associated_data: bytes = b""
+) -> bytes:
     """Authenticated encryption; output is ``nonce || ciphertext || tag``.
 
     ``associated_data`` is authenticated but not encrypted (used by the
     protocols to bind ciphertexts to message headers).
     """
-    cipher_key, mac_key = _split_key(key)
+    key = _session_key(key)
     instrumentation.record("symmetric.encrypt")
     nonce = secrets.token_bytes(NONCE_BYTES)
-    body = chacha20_xor(cipher_key, nonce, plaintext)
-    tag = _mac(mac_key, nonce, body, associated_data)
+    body = chacha20_xor(key.cipher_key, nonce, plaintext)
+    tag = _mac(key.mac_key, nonce, body, associated_data)
     return nonce + body + tag
 
 
-def decrypt(key: bytes, ciphertext: bytes, associated_data: bytes = b"") -> bytes:
+def decrypt(
+    key: SessionKey | bytes, ciphertext: bytes, associated_data: bytes = b""
+) -> bytes:
     """Inverse of :func:`encrypt`; raises :class:`IntegrityError` on tamper."""
-    cipher_key, mac_key = _split_key(key)
+    key = _session_key(key)
     instrumentation.record("symmetric.decrypt")
     if len(ciphertext) < NONCE_BYTES + TAG_BYTES:
         raise DecryptionError("ciphertext too short")
     nonce = ciphertext[:NONCE_BYTES]
     body = ciphertext[NONCE_BYTES:-TAG_BYTES]
     tag = ciphertext[-TAG_BYTES:]
-    expected = _mac(mac_key, nonce, body, associated_data)
+    expected = _mac(key.mac_key, nonce, body, associated_data)
     if not hmac.compare_digest(tag, expected):
         raise IntegrityError("MAC verification failed")
-    return chacha20_xor(cipher_key, nonce, body)
+    return chacha20_xor(key.cipher_key, nonce, body)
 
 
 def _mac(mac_key: bytes, nonce: bytes, body: bytes, associated_data: bytes) -> bytes:

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.crypto import hybrid, rsa
+from repro.crypto import rsa
 from repro.crypto.engine import CryptoEngine, get_engine
 from repro.crypto.homomorphic import AdditiveHomomorphicScheme, PaillierScheme
-from repro.crypto.hybrid import HybridCiphertext, key_fingerprint
+from repro.crypto.hybrid import HybridCiphertext, SessionKeyMemo, key_fingerprint
 from repro.errors import CredentialError, DecryptionError
 from repro.mediation.ca import CertificationAuthority
 from repro.mediation.credentials import Credential, IdentityCertificate, Property
@@ -36,19 +36,18 @@ class Client:
     rsa_keys: dict[bytes, rsa.RSAPrivateKey] = field(default_factory=dict)
     homomorphic_scheme: AdditiveHomomorphicScheme | None = None
     homomorphic_key: Any = None
+    _session_keys: SessionKeyMemo = field(
+        default_factory=SessionKeyMemo, repr=False, compare=False
+    )
 
     # -- hybrid decryption -------------------------------------------------
 
     def decrypt_hybrid(
         self, ciphertext: HybridCiphertext, associated_data: bytes = b""
     ) -> bytes:
-        """Unwrap with whichever private key matches the ciphertext."""
-        for fingerprint, private_key in self.rsa_keys.items():
-            if fingerprint in ciphertext.wrapped_keys:
-                return hybrid.decrypt(private_key, ciphertext, associated_data)
-        raise DecryptionError(
-            f"client {self.name} holds no key for this hybrid ciphertext"
-        )
+        """Unwrap with whichever private key matches the ciphertext —
+        the one-item case of :meth:`decrypt_hybrid_many`."""
+        return self.decrypt_hybrid_many([ciphertext], associated_data)[0]
 
     def decrypt_hybrid_many(
         self,
@@ -60,7 +59,9 @@ class Client:
 
         Ciphertexts are grouped by the private key that unwraps them so
         each group decrypts in one engine batch; the result list keeps
-        the input order.
+        the input order.  Session keys unwrapped along the way are
+        remembered (:class:`SessionKeyMemo`), so ciphertexts of a session
+        seen before cost no private-key operation.
         """
         with tracing.span(
             "decrypt_hybrid_many", self.name,
@@ -95,6 +96,7 @@ class Client:
                 private_key,
                 [ciphertexts[i] for i in positions],
                 associated_data,
+                session_keys=self._session_keys,
             )
             for position, plaintext in zip(positions, decrypted):
                 plaintexts[position] = plaintext

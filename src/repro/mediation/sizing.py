@@ -8,7 +8,9 @@ and a small per-message envelope overhead is added by the bus.
 
 Estimates are exact for byte strings and integer ciphertexts (big-endian
 length) and within an envelope constant for composites — sufficient for
-the comparative shapes the paper discusses.
+the comparative shapes the paper discusses.  A key encapsulation shared
+by many hybrid ciphertexts counts once per message body, which is what
+the wire codec's interning table makes true on TCP.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ def _int_size(value: int) -> int:
 
 def estimate_size(body: Any) -> int:
     """Approximate serialized size of a message body in bytes."""
+    return _estimate(body, set())
+
+
+def _estimate(body: Any, seen: set[int]) -> int:
+    """``seen`` holds the ids of the encapsulations already counted."""
     if body is None:
         return 0
     if isinstance(body, bool):
@@ -41,7 +48,11 @@ def estimate_size(body: Any) -> int:
     if isinstance(body, str):
         return len(body.encode("utf-8"))
     if isinstance(body, HybridCiphertext):
-        return body.size_bytes()
+        encapsulation = body.wrapped_keys
+        if id(encapsulation) in seen:
+            return len(body.body)
+        seen.add(id(encapsulation))
+        return encapsulation.size_bytes() + len(body.body)
     if isinstance(body, PaillierCiphertext):
         return _int_size(body.public_key.n_squared)
     if isinstance(body, ElGamalCiphertext):
@@ -56,14 +67,14 @@ def estimate_size(body: Any) -> int:
         return len(encode_relation(body))
     if isinstance(body, dict):
         return sum(
-            estimate_size(key) + estimate_size(value)
+            _estimate(key, seen) + _estimate(value, seen)
             for key, value in body.items()
         )
     if isinstance(body, (list, tuple, set, frozenset)):
-        return sum(estimate_size(item) for item in body)
+        return sum(_estimate(item, seen) for item in body)
     if dataclasses.is_dataclass(body) and not isinstance(body, type):
         return sum(
-            estimate_size(getattr(body, field.name))
+            _estimate(getattr(body, field.name), seen)
             for field in dataclasses.fields(body)
         )
     if hasattr(body, "size_bytes"):

@@ -19,6 +19,7 @@ from repro.storage.base import (
     KIND_COMM_TUPLES,
     KIND_DAS_INDEX,
     KIND_DAS_TUPLE,
+    KIND_HYBRID_SESSION,
     KIND_PM_COEFFS,
     CacheStats,
     IndexCache,
@@ -62,6 +63,7 @@ __all__ = [
     "KIND_COMM_TUPLES",
     "KIND_DAS_INDEX",
     "KIND_DAS_TUPLE",
+    "KIND_HYBRID_SESSION",
     "KIND_PM_COEFFS",
     "CacheStats",
     "FaultyStorage",

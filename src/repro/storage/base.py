@@ -9,9 +9,10 @@ that persists
 * **relation rows** — the authoritative, schema-typed data of each
   datasource (and the mediator's registry state where relevant),
 * **encrypted-index caches** — per-``(namespace, relation)`` key/value
-  entries holding commutative tags and double-encryptions, hybrid tuple
-  ciphertexts, DAS index tables and encrypted tuples, and Paillier
-  polynomial coefficients, all keyed by a **key epoch**.
+  entries holding commutative tags and double-encryptions, the source's
+  hybrid session and the tuple ciphertext bodies encrypted under it, DAS
+  index tables, and Paillier polynomial coefficients, all keyed by a
+  **key epoch**.
 
 Cache semantics:
 
@@ -53,6 +54,7 @@ KIND_COMM_TUPLES = "comm_tuples"
 KIND_DAS_INDEX = "das_index"
 KIND_DAS_TUPLE = "das_tuple"
 KIND_PM_COEFFS = "pm_coeffs"
+KIND_HYBRID_SESSION = "hybrid_session"
 
 CACHE_HITS_METRIC = "repro_storage_cache_hits_total"
 CACHE_MISSES_METRIC = "repro_storage_cache_misses_total"

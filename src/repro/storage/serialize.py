@@ -1,9 +1,13 @@
 """Binary serialization for cached ciphertext artifacts.
 
-The index caches persist three kinds of ciphertext material:
+The index caches persist four kinds of material:
 
-* :class:`~repro.crypto.hybrid.HybridCiphertext` values (commutative
-  tuple-set ciphertexts and DAS encrypted tuples),
+* a source's per-epoch :class:`~repro.crypto.hybrid.Session` (session
+  key + encapsulation) — the DEM bodies encrypted under it are stored
+  raw, next to it, and are meaningless without it,
+* whole :class:`~repro.crypto.hybrid.HybridCiphertext` values, where
+  every ciphertext carries an encapsulation of its own (the hardened
+  commutative tuple sets),
 * large integers (commutative tags/double-encryptions and SRA exponents),
 * integer lists (Paillier-encrypted polynomial coefficients).
 
@@ -14,12 +18,14 @@ that only fails later inside a protocol step.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from repro.crypto.hybrid import HybridCiphertext
-from repro.errors import StorageError
+from repro.crypto.hybrid import Encapsulation, HybridCiphertext, Session
+from repro.crypto.symmetric import SessionKey
+from repro.errors import ParameterError, StorageError
 
 _MAGIC_HYBRID = b"SHC1"
+_MAGIC_SESSION = b"SHS1"
 _MAGIC_INTS = b"SIL1"
 
 
@@ -37,32 +43,68 @@ def _unpack_chunk(data: bytes, offset: int) -> tuple[bytes, int]:
     return data[offset : offset + length], offset + length
 
 
+def _pack_wrapped(wrapped_keys: Mapping[bytes, bytes]) -> list[bytes]:
+    parts = [len(wrapped_keys).to_bytes(4, "big")]
+    # Sort by fingerprint so equal encapsulations serialize identically.
+    for fp in sorted(wrapped_keys):
+        parts.append(_pack_chunk(fp))
+        parts.append(_pack_chunk(wrapped_keys[fp]))
+    return parts
+
+
+def _unpack_wrapped(data: bytes, offset: int) -> tuple[dict[bytes, bytes], int]:
+    if offset + 4 > len(data):
+        raise StorageError("truncated storage blob: missing recipient count")
+    count = int.from_bytes(data[offset : offset + 4], "big")
+    offset += 4
+    wrapped: dict[bytes, bytes] = {}
+    for _ in range(count):
+        fp, offset = _unpack_chunk(data, offset)
+        wrapped[fp], offset = _unpack_chunk(data, offset)
+    return wrapped, offset
+
+
 def serialize_hybrid(ciphertext: HybridCiphertext) -> bytes:
     """Encode a hybrid ciphertext (wrapped keys + DEM body)."""
-    parts = [_MAGIC_HYBRID, len(ciphertext.wrapped_keys).to_bytes(4, "big")]
-    # Sort by fingerprint so equal ciphertexts serialize identically.
-    for fp in sorted(ciphertext.wrapped_keys):
-        parts.append(_pack_chunk(fp))
-        parts.append(_pack_chunk(ciphertext.wrapped_keys[fp]))
+    parts = [_MAGIC_HYBRID, *_pack_wrapped(ciphertext.wrapped_keys)]
     parts.append(_pack_chunk(ciphertext.body))
     return b"".join(parts)
 
 
 def deserialize_hybrid(data: bytes) -> HybridCiphertext:
     """Decode a blob produced by :func:`serialize_hybrid`."""
-    if len(data) < 8 or data[:4] != _MAGIC_HYBRID:
+    if data[:4] != _MAGIC_HYBRID:
         raise StorageError("not a serialized hybrid ciphertext")
-    count = int.from_bytes(data[4:8], "big")
-    offset = 8
-    wrapped: dict[bytes, bytes] = {}
-    for _ in range(count):
-        fp, offset = _unpack_chunk(data, offset)
-        blob, offset = _unpack_chunk(data, offset)
-        wrapped[fp] = blob
+    wrapped, offset = _unpack_wrapped(data, 4)
     body, offset = _unpack_chunk(data, offset)
     if offset != len(data):
         raise StorageError("trailing bytes after hybrid ciphertext")
-    return HybridCiphertext(wrapped_keys=wrapped, body=body)
+    return HybridCiphertext(Encapsulation(wrapped), body)
+
+
+def serialize_session(session: Session) -> bytes:
+    """Encode a sender-side session (master key + encapsulation).
+
+    Secret key material: it belongs in the owning source's store only,
+    beside the SRA exponent (``docs/storage.md``).
+    """
+    parts = [_MAGIC_SESSION, _pack_chunk(session.key.master)]
+    parts.extend(_pack_wrapped(session.encapsulation))
+    return b"".join(parts)
+
+
+def deserialize_session(data: bytes) -> Session:
+    """Decode a blob produced by :func:`serialize_session`."""
+    if data[:4] != _MAGIC_SESSION:
+        raise StorageError("not a serialized hybrid session")
+    master, offset = _unpack_chunk(data, 4)
+    wrapped, offset = _unpack_wrapped(data, offset)
+    if offset != len(data):
+        raise StorageError("trailing bytes after hybrid session")
+    try:
+        return Session(SessionKey(master), Encapsulation(wrapped))
+    except ParameterError as exc:
+        raise StorageError(f"malformed hybrid session: {exc}") from exc
 
 
 def serialize_int(value: int) -> bytes:

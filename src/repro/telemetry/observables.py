@@ -304,9 +304,18 @@ def _party_latencies(timings: Iterable[Any], party: str) -> dict[str, dict[str, 
     return buckets
 
 
+def _since(messages: Iterable[Any], after_sequence: int) -> list[Any]:
+    """The messages of one run on a long-lived transport, in order."""
+    return sorted(
+        (m for m in messages if m.sequence > after_sequence),
+        key=lambda m: m.sequence,
+    )
+
+
 def network_observer_trace(
     transport: Any, protocol: str,
     aliases: Mapping[str, str] | None = None,
+    after_sequence: int = 0,
 ) -> ObservableTrace:
     """The passive wire observer: every message's framing, no bodies."""
     trace = ObservableTrace(
@@ -314,7 +323,9 @@ def network_observer_trace(
         protocol=protocol,
         transport=type(transport).__name__,
     )
-    for position, message in enumerate(transport.transcript):
+    for position, message in enumerate(
+        _since(transport.transcript, after_sequence)
+    ):
         trace.messages.append(
             _observed(message, position, "wire", False, aliases)
         )
@@ -325,6 +336,7 @@ def party_trace(
     transport: Any, party: str, adversary: str, protocol: str,
     timings: Iterable[Any] = (),
     aliases: Mapping[str, str] | None = None,
+    after_sequence: int = 0,
 ) -> ObservableTrace:
     """A semi-honest party's trace: its own view plus ciphertext structure."""
     trace = ObservableTrace(
@@ -333,7 +345,9 @@ def party_trace(
         transport=type(transport).__name__,
     )
     view = transport.view(party)
-    for position, message in enumerate(view.observed_messages()):
+    for position, message in enumerate(
+        _since(view.sent + view.received, after_sequence)
+    ):
         direction = "sent" if message.sender == party else "received"
         trace.messages.append(
             _observed(message, position, direction, True, aliases)
@@ -347,13 +361,17 @@ def party_trace(
 
 
 def adversary_traces(result: Any, *, roles: Mapping[str, Any] | None = None,
+                     after_sequence: int = 0,
                      ) -> dict[str, ObservableTrace]:
     """One :class:`ObservableTrace` per adversary, from a finished run.
 
     ``result`` is a :class:`~repro.core.result.MediationResult`; the
     adversary set is the network observer, the mediator, and every
     datasource.  Identical for bus and TCP runs — both record the full
-    transcript in the driving process.
+    transcript in the driving process.  ``after_sequence`` restricts the
+    traces to messages sent after that transcript sequence number: a
+    federation that answers a series of queries keeps one growing
+    transcript, and a run's trace is about that run.
     """
     protocol = result.protocol.split("[", 1)[0]
     transport = result.network
@@ -366,16 +384,18 @@ def adversary_traces(result: Any, *, roles: Mapping[str, Any] | None = None,
     # from *is* part of the traffic shape.
     aliases = {resolved["client"]: "client", resolved["mediator"]: "mediator"}
     traces = {
-        "network": network_observer_trace(transport, protocol, aliases),
+        "network": network_observer_trace(
+            transport, protocol, aliases, after_sequence
+        ),
         "mediator": party_trace(
             transport, resolved["mediator"], "mediator", protocol, timings,
-            aliases,
+            aliases, after_sequence,
         ),
     }
     for source in resolved["sources"]:
         traces[f"datasource:{source}"] = party_trace(
             transport, source, f"datasource:{source}", protocol, timings,
-            aliases,
+            aliases, after_sequence,
         )
     return traces
 
@@ -410,10 +430,10 @@ def network_trace_from_records(
     return trace
 
 
-def observables_artifact(result: Any) -> dict[str, Any]:
+def observables_artifact(result: Any, after_sequence: int = 0) -> dict[str, Any]:
     """Per-adversary summaries for ``result.artifacts["observables"]``."""
     try:
-        traces = adversary_traces(result)
+        traces = adversary_traces(result, after_sequence=after_sequence)
     except ProtocolError:
         # A transcript without a recognizable mediator (partial run,
         # exotic topology) simply yields no observable summary.

@@ -39,12 +39,14 @@ Value tags::
 
 **Extensions** cover the domain types (hybrid/Paillier/ElGamal/EC
 ciphertexts, index tables, DAS relations, credentials, ...).  Public
-keys, groups, and curves are **interned**: the first occurrence in a
-stream is encoded in full and appended to an interning table that both
-encoder and decoder maintain in stream order; later occurrences encode
-as a 5-byte ``ref``.  A message carrying a thousand Paillier ciphertexts
-therefore ships the public modulus once, not a thousand times — this is
-what keeps actual wire bytes close to the structural estimates of
+keys, groups, curves and hybrid key encapsulations are **interned**: the
+first occurrence in a stream is encoded in full and appended to an
+interning table that both encoder and decoder maintain in stream order;
+later occurrences encode as a 5-byte ``ref``.  A message carrying a
+thousand Paillier ciphertexts therefore ships the public modulus once,
+not a thousand times, and an encrypted relation ships its source's
+wrapped session key once, not once per tuple — this is what keeps
+actual wire bytes close to the structural estimates of
 :func:`repro.mediation.sizing.estimate_size`.
 
 The registry is populated lazily on first use so that importing the
@@ -172,7 +174,7 @@ def _bootstrap() -> None:
     from repro.crypto.ec import Curve, Point
     from repro.crypto.ecelgamal import ECElGamalCiphertext, ECElGamalPublicKey
     from repro.crypto.elgamal import ElGamalCiphertext, ElGamalPublicKey
-    from repro.crypto.hybrid import HybridCiphertext
+    from repro.crypto.hybrid import Encapsulation, HybridCiphertext
     from repro.crypto.paillier import PaillierCiphertext, PaillierPublicKey
     from repro.crypto.rsa import RSAPublicKey
     from repro.mediation.credentials import Credential
@@ -181,9 +183,16 @@ def _bootstrap() -> None:
     from repro.relational.relation import Relation
 
     _register(
+        "hybrid-kem",
+        Encapsulation,
+        lambda e: (dict(e),),
+        lambda t: Encapsulation(t[0]),
+        shareable=True,
+    )
+    _register(
         "hybrid-ct",
         HybridCiphertext,
-        lambda c: (dict(c.wrapped_keys), c.body),
+        lambda c: (c.wrapped_keys, c.body),
         lambda t: HybridCiphertext(wrapped_keys=t[0], body=t[1]),
     )
     _register(

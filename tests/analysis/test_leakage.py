@@ -159,6 +159,80 @@ class TestPlaintextConfidentiality:
         assert len(leaks) > 0
 
 
+class TestSessionKeySecrecy:
+    """A source's per-epoch hybrid session key lives in that source's
+    own store (next to its SRA exponent) and reaches no other sink."""
+
+    @pytest.mark.parametrize("protocol", ["das", "commutative"])
+    def test_session_key_reaches_no_sink_but_its_own_slot(
+        self, ca, client, string_workload, tmp_path, caplog, protocol
+    ):
+        import logging
+        import sqlite3
+
+        from repro import Federation
+        from repro.core.encapsulation import recipient_digest
+        from repro.mediation.access_control import allow_all
+        from repro.relational.encoding import encode_row
+        from repro.storage import KIND_HYBRID_SESSION, IndexCache, SQLiteBackend
+        from repro.storage.serialize import deserialize_session
+        from repro.telemetry import MetricsRegistry, Tracer, use_metrics, use_tracer
+        from repro.transport import codec
+
+        path = str(tmp_path / "secrecy.db")
+        backend = SQLiteBackend(path)
+        try:
+            federation = Federation(ca=ca, storage=backend)
+            relations = {
+                "S1": string_workload.relation_1, "S2": string_workload.relation_2
+            }
+            for source, relation in relations.items():
+                federation.add_source(source, [(relation, allow_all())])
+            federation.attach_client(client)
+            tracer, registry = Tracer(), MetricsRegistry()
+            with caplog.at_level(logging.DEBUG), use_tracer(tracer), \
+                    use_metrics(registry):
+                result = run_join_query(federation, STRING_QUERY, protocol=protocol)
+
+            slot = b"session:" + recipient_digest(client.credential_public_keys())
+            secrets = []
+            for source, relation in relations.items():
+                blob = IndexCache(backend, source).get(
+                    relation.name, KIND_HYBRID_SESSION, slot
+                )
+                key = deserialize_session(blob).key
+                secrets += [key.master, key.cipher_key, key.mac_key]
+            cached = sqlite3.connect(path).execute(
+                "select kind, value from index_cache"
+            ).fetchall()
+        finally:
+            backend.close()
+
+        other_values = b"\x00".join(
+            value for kind, value in cached if kind != KIND_HYBRID_SESSION
+        )
+        sinks = {
+            "send bodies": b"\x00".join(
+                codec.encode_value(message.body)
+                for message in result.network.transcript
+            ),
+            "span attributes": repr(
+                [span.to_dict() for span in tracer.spans]
+            ).encode(),
+            "metric labels": repr(registry.snapshot()).encode(),
+            "log records": caplog.text.encode(),
+            "other cache values": other_values,
+        }
+        for sink, material in sinks.items():
+            for secret in secrets:
+                for form in (secret, secret.hex().encode(), repr(secret).encode()):
+                    assert form not in material, sink
+        # And, as before, ciphertext is all the cache holds of the rows.
+        for relation in relations.values():
+            for row in relation:
+                assert encode_row(row) not in other_values
+
+
 class TestRendering:
     def test_table1_renders_all_rows(self, das_result, commutative_result, pm_result):
         text = table1([analyze(r) for r in (das_result, commutative_result, pm_result)])

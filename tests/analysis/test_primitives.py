@@ -98,9 +98,13 @@ class TestBaselineExclusion:
 
     def test_das_baseline_has_hybrid_encrypts(self, results, workload):
         baseline = baseline_operations(results["das"].primitive_counter)
-        # One hybrid encryption per tuple plus one per index table.
+        # One hybrid ciphertext per tuple plus one per index table...
         expected = len(workload.relation_1) + len(workload.relation_2) + 2
         assert baseline["hybrid.encrypt"] == expected
+        # ...all of a source's under one session: one key wrap per source,
+        # one unwrap per source at the client.
+        assert baseline["rsa.encrypt"] == 2
+        assert baseline["rsa.decrypt"] == 2
 
 
 class TestRendering:

@@ -87,6 +87,67 @@ class TestGracefulDegradation:
         assert warm.artifacts["storage_cache"]["errors"] > 0
 
 
+@pytest.mark.parametrize("protocol", ["das", "commutative"])
+class TestSessionSlot:
+    """The per-epoch hybrid session slot is load-bearing for every
+    cached ciphertext body: losing or corrupting it must cost a cold
+    fill, never pair a body with the wrong key."""
+
+    def warm(self, ca, client, workload, protocol):
+        inner = MemoryBackend()
+        assert_correct(build(ca, client, workload, inner), protocol)
+        return inner
+
+    def test_missing_session_slot_degrades_to_a_cold_fill(
+        self, ca, client, workload, protocol
+    ):
+        inner = self.warm(ca, client, workload, protocol)
+        # S1's first cache read of a delivery is its session slot.
+        storage = FaultyStorage(
+            inner,
+            FaultInjector(
+                FaultPlan(
+                    seed=1,
+                    rules=(
+                        FaultRule(
+                            action="drop", kind="storage:cache_get",
+                            sender="S1", occurrence=1,
+                        ),
+                    ),
+                )
+            ),
+        )
+        federation = build(ca, client, workload, storage)
+        before = inner.cache_size("S1")
+        assert_correct(federation, protocol)
+        # Fresh session, so every ciphertext body of S1 was re-filed
+        # under a new encapsulation digest next to the orphaned ones.
+        assert inner.cache_size("S1") > before
+        assert_correct(federation, protocol)
+
+    def test_corrupt_session_slot_degrades_to_a_cold_fill(
+        self, ca, client, workload, protocol
+    ):
+        from repro.core.encapsulation import recipient_digest
+        from repro.storage import KIND_HYBRID_SESSION, IndexCache
+
+        inner = self.warm(ca, client, workload, protocol)
+        slot = b"session:" + recipient_digest(client.credential_public_keys())
+        relation = workload.relation_1.name
+        assert inner.cache_get("S1", relation, KIND_HYBRID_SESSION, slot)
+        # Well-sealed, but not a session: the decode failure path.
+        IndexCache(inner, "S1").put(
+            relation, KIND_HYBRID_SESSION, slot, b"SHS1 not a session"
+        )
+        federation = build(ca, client, workload, inner)
+        refilled = assert_correct(federation, protocol).artifacts["storage_cache"]
+        assert refilled["errors"] == 1
+        assert refilled["misses"] > 0
+        # The replacement session was persisted: the next query is warm.
+        warm = assert_correct(federation, protocol).artifacts["storage_cache"]
+        assert (warm["errors"], warm["misses"]) == (1, refilled["misses"])
+
+
 class TestDelay:
     def test_slow_storage_is_only_slow(self, ca, client, workload):
         storage = faulty(

@@ -122,6 +122,60 @@ class TestHardenedEnvelopeOverTcp:
         assert document["transport"] == "tcp"
 
 
+class TestHardenedEnvelopeWithStorage:
+    """The persisted per-epoch hybrid session and the body-only cache
+    slots must not open a channel: hardened distances stay zero with a
+    store attached, on the cold fill and on the warm repeat."""
+
+    @pytest.mark.parametrize(
+        "kind, transport", [("memory", "bus"), ("sqlite", "bus"), ("sqlite", "tcp")]
+    )
+    def test_cold_and_warm_distances_within_envelope(
+        self, ca, client, tmp_path, kind, transport
+    ):
+        from repro import Federation
+        from repro.mediation.access_control import allow_all
+        from repro.relational.encoding import encode_relation
+        from repro.storage import MemoryBackend, SQLiteBackend
+
+        # One store per workload: base and adjacent must not invalidate
+        # each other, and the second audit must find the first one's
+        # entries.
+        stores: dict[bytes, object] = {}
+
+        def factory(workload, network):
+            content = encode_relation(workload.relation_1) + encode_relation(
+                workload.relation_2
+            )
+            if content not in stores:
+                stores[content] = (
+                    MemoryBackend() if kind == "memory"
+                    else SQLiteBackend(str(tmp_path / f"audit-{len(stores)}.db"))
+                )
+            federation = Federation(
+                ca=ca, network=network, storage=stores[content]
+            )
+            federation.add_source("S1", [(workload.relation_1, allow_all())])
+            federation.add_source("S2", [(workload.relation_2, allow_all())])
+            federation.attach_client(client)
+            return federation
+
+        config = AuditConfig(
+            spec=spec_with_seed(SEEDS[0]),
+            transport=transport,
+            hardened=True,
+        )
+        try:
+            for temperature in ("cold", "warm"):
+                document = differential_audit(config, federation_factory=factory)
+                breaches = envelope_breaches(document, HARDENED_GATE_RULES)
+                assert breaches == [], (temperature, breaches)
+            assert all(store.cache_size() > 0 for store in stores.values())
+        finally:
+            for store in stores.values():
+                store.close()
+
+
 class TestHardenedCanary:
     @pytest.fixture(scope="class")
     def canary_document(self, ca, client):

@@ -60,7 +60,8 @@ class TestPresets:
 class TestProtocolRankingUnderModels:
     def test_latency_shifts_the_balance(self, ca, client, workload):
         """On a LAN bytes dominate; at very high latency the *message
-        count* dominates, and DAS (8 messages) beats PM (16+)."""
+        count* dominates, and DAS (8 messages) beats PM (16+) and the
+        commutative protocol (12)."""
         from repro import Federation, run_join_query
         from repro.mediation.access_control import allow_all
 
@@ -75,19 +76,23 @@ class TestProtocolRankingUnderModels:
             )
 
         das = run("das")
+        commutative = run("commutative")
         pm = run("private-matching")
         satellite = NetworkCostModel(
             "satellite", latency_seconds=10.0,
             bandwidth_bytes_per_second=1e9,
         )
         assert satellite.transcript_cost(das.network) < (
-            satellite.transcript_cost(pm.network)
-        )
+            satellite.transcript_cost(commutative.network)
+        ) < satellite.transcript_cost(pm.network)
         # With pure bandwidth costs the ranking flips for this workload:
-        # DAS ships the big cross-bucket superset.
+        # DAS ships the cross-bucket superset, the commutative protocol
+        # only the tuple sets.  (PM's Paillier ciphertexts stay the
+        # largest: since a source wraps one session key per delivery
+        # instead of one per etuple, DAS no longer out-weighs them.)
         bulk = NetworkCostModel(
             "bulk", latency_seconds=0.0, bandwidth_bytes_per_second=1e3
         )
         assert bulk.transcript_cost(das.network) > (
-            bulk.transcript_cost(pm.network)
+            bulk.transcript_cost(commutative.network)
         )

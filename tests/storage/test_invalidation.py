@@ -16,6 +16,8 @@ from repro.mediation.access_control import allow_all
 from repro.relational.encoding import encode_relation
 from repro.storage import MemoryBackend, SQLiteBackend
 
+from tests.hardening.test_encapsulation import das_encapsulations
+
 QUERY = "select * from R1 natural join R2"
 
 
@@ -134,6 +136,33 @@ class TestKeyRotation:
         # ...and is served again on the next run.
         warm = run_and_check(federation)
         assert warm.artifacts["storage_cache"]["hits"] > 0
+
+    def test_rotation_retires_the_hybrid_session(self, federation):
+        """The per-epoch session (and with it every cached ciphertext
+        body) is replaced by a rotation: new encapsulation digest, the
+        old bodies miss, nothing errors."""
+
+        def encapsulations(result):
+            found = das_encapsulations(result)
+            assert all(len(digests) == 1 for digests in found.values())
+            return found
+
+        cold_result = run_and_check(federation, "das")
+        cold = encapsulations(cold_result)
+        misses = cold_result.artifacts["storage_cache"]["misses"]
+        warm_result = run_and_check(federation, "das")
+        assert encapsulations(warm_result) == cold
+        assert warm_result.artifacts["storage_cache"]["misses"] == misses
+
+        federation.source("S1").rotate_keys()
+        s1_stats = federation.source("S1").index_cache().stats
+        hits = s1_stats.hits
+        rotated_result = run_and_check(federation, "das")
+        rotated = encapsulations(rotated_result)
+        assert rotated["S1"] != cold["S1"]
+        assert rotated["S2"] == cold["S2"]
+        assert s1_stats.hits == hits  # no stale body was served
+        assert rotated_result.artifacts["storage_cache"]["errors"] == 0
 
     def test_rotation_without_storage_is_a_noop(self, ca, client, workload):
         federation = Federation(ca=ca)

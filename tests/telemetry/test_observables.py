@@ -118,6 +118,29 @@ class TestAdversaryTraces:
         assert set(artifact) >= {"network", "mediator"}
         assert artifact["network"]["messages"] > 0
 
+    def test_artifact_covers_the_run_not_the_federations_history(
+        self, ca, client, workload
+    ):
+        """A federation answering a series of queries keeps one growing
+        transcript; each result's observables describe that run alone
+        (and cost the same to compute whatever came before)."""
+        from repro import Federation
+        from repro.mediation.access_control import allow_all
+
+        federation = Federation(ca=ca)
+        federation.add_source("S1", [(workload.relation_1, allow_all())])
+        federation.add_source("S2", [(workload.relation_2, allow_all())])
+        federation.attach_client(client)
+        results = [
+            run_join_query(federation, QUERY, protocol="das") for _ in range(3)
+        ]
+        first, *later = (result.artifacts["observables"] for result in results)
+        for artifact in later:
+            assert artifact == first
+        # The full history stays available to whoever asks for it.
+        history = adversary_traces(results[-1])["network"]
+        assert len(history.messages) == 3 * first["network"]["messages"]
+
     def test_detect_roles_rejects_empty_transcript(self):
         class Silent:
             def parties(self):

@@ -164,6 +164,28 @@ class TestDomainExtensions:
         roundtrip(ServerQuery(pairs=((1, 2), (3, 4))))
         roundtrip(ServerResult(pairs=((row, row),)))
 
+    def test_shared_encapsulation_travels_once(self, rsa_key):
+        session = hybrid.new_session([rsa_key.public_key()])
+        relation = EncryptedRelation(
+            source="S1",
+            relation_name="R1",
+            rows=tuple(
+                EncryptedTuple(session.encrypt(b"row-%d" % i), index_value=i)
+                for i in range(50)
+            ),
+        )
+        encoded = codec.encode_value(relation)
+        # 50 rows, one wrapped key: references after the first occurrence.
+        assert len(encoded) < 50 * hybrid.wrapped_key_size(rsa_key.public_key())
+        decoded = codec.decode_value(encoded)
+        assert decoded == relation
+        assert len({id(row.etuple.wrapped_keys) for row in decoded.rows}) == 1
+
+    def test_distinct_encapsulations_stay_distinct(self, rsa_key):
+        keys = [rsa_key.public_key()]
+        decoded = roundtrip([hybrid.encrypt(keys, b"x") for _ in range(3)])
+        assert len({ct.wrapped_keys.digest() for ct in decoded}) == 3
+
     def test_tagged_messages(self, rsa_key):
         keys = [rsa_key.public_key()]
         roundtrip(

@@ -13,14 +13,20 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.hybrid import Encapsulation, HybridCiphertext
 from repro.errors import CodecError, FrameCodecError, ValueCodecError
 from repro.transport import codec
+
+_SHARED = Encapsulation({b"f" * 16: b"w" * 128})
+#: One interned encapsulation, then two references to it.
+SHARED_CIPHERTEXTS = [HybridCiphertext(_SHARED, b"body-%d" % i) for i in range(3)]
 
 #: Representative payload trees the protocols actually ship.
 SAMPLES = [
     {"tags": [b"\x01" * 16, b"\x02" * 16], "count": 2},
     (1, "S1", "mediator", "kind", {"n": 1 << 256}),
     [None, True, -5, 3.25, "unicode ❤", frozenset({("role", "analyst")})],
+    SHARED_CIPHERTEXTS,
 ]
 
 #: A valid envelope encoding used as the corruption target.
@@ -99,6 +105,38 @@ class TestCorruption:
         payload = bytes([0x0C, min(len(data), 255)]) + data
         with pytest.raises(CodecError):
             codec.decode_value(payload)
+
+
+class TestInterningReferences:
+    def test_dangling_reference_is_rejected(self):
+        encoded = codec.encode_value(SHARED_CIPHERTEXTS)
+        # Cut the first ciphertext (the only full encapsulation) out of
+        # the list: the remaining references point at nothing.
+        first = codec.encode_value(SHARED_CIPHERTEXTS[0])
+        position = encoded.index(first)
+        dangling = (
+            encoded[:1] + struct.pack(">I", 2)
+            + encoded[position + len(first):]
+        )
+        with pytest.raises(ValueCodecError, match="dangling"):
+            codec.decode_value(dangling)
+
+    @given(
+        position=st.integers(min_value=0),
+        mask=st.integers(min_value=1, max_value=255),
+    )
+    @settings(max_examples=300)
+    def test_corrupted_shared_stream_is_total(self, position, mask):
+        corrupted = bytearray(codec.encode_value(SHARED_CIPHERTEXTS))
+        corrupted[position % len(corrupted)] ^= mask
+        decode_is_total(codec.decode_value, bytes(corrupted))
+
+    def test_ciphertext_without_an_encapsulation_is_rejected(self):
+        forged = codec.encode_value(SHARED_CIPHERTEXTS[0]).replace(
+            codec.encode_value(_SHARED), codec.encode_value(7)
+        )
+        with pytest.raises(ValueCodecError, match="hybrid-ct"):
+            codec.decode_value(forged)
 
 
 class TestOversized:
