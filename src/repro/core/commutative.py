@@ -227,9 +227,9 @@ def _prepare_source(
         binding = recipient_digest(client_keys) if cache is not None else b""
         to_blob: Callable[[hybrid.HybridCiphertext], bytes] = serialize_hybrid
         from_blob: Callable[[bytes], hybrid.HybridCiphertext] = deserialize_hybrid
-
-        def encrypt_sets(encoded: list[bytes]) -> list[hybrid.HybridCiphertext]:
-            return [hybrid.encrypt(client_keys, item) for item in encoded]
+        encrypt_sets: Callable[
+            [list[bytes]], list[hybrid.HybridCiphertext]
+        ] = functools.partial(engine.batch_hybrid_encrypt_alone, client_keys)
     else:
         # Everything else shares the source's session; the cache stores
         # bare DEM bodies, bound to the session's encapsulation.
@@ -237,9 +237,7 @@ def _prepare_source(
         binding = session.encapsulation.digest()
         to_blob = operator.attrgetter("body")
         from_blob = functools.partial(hybrid.HybridCiphertext, session.encapsulation)
-
-        def encrypt_sets(encoded: list[bytes]) -> list[hybrid.HybridCiphertext]:
-            return engine.batch_hybrid_encrypt(session, encoded)
+        encrypt_sets = functools.partial(engine.batch_hybrid_encrypt, session)
 
     ciphertexts: list[hybrid.HybridCiphertext | None] = [None] * len(join_keys)
     pending_sets: list[int] = []

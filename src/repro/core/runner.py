@@ -104,8 +104,7 @@ def run_join_query(
     )
     # The transcript of a federation that answers a series of queries
     # keeps growing; this run's observables cover this run's messages.
-    transcript = federation.network.transcript
-    run_starts_after = transcript[-1].sequence if transcript else 0
+    messages_before = len(federation.network.transcript)
     phase = "request"
     try:
         with scope, deadline(deadline_seconds), tracing.span(
@@ -133,7 +132,7 @@ def run_join_query(
             result.artifacts["join_rows_before_postprocessing"] = join_rows
             result.artifacts["crypto"] = crypto_context(engine)
             result.artifacts["observables"] = observables_artifact(
-                result, run_starts_after
+                result, federation.network.transcript[messages_before:]
             )
             storage_stats = _collect_storage_stats(federation)
             if storage_stats is not None:

@@ -255,9 +255,17 @@ def _unit_poly_eval(shared: EncryptedPolynomial, job: tuple) -> Any:
     return shared.masked_evaluate(x, mask, payload)
 
 
-def _unit_hybrid_encrypt(shared: tuple, plaintext: bytes) -> Any:
-    session, associated_data = shared
-    return session.encrypt(plaintext, associated_data)
+def _unit_hybrid_encrypt(shared: tuple, plaintext: bytes) -> bytes:
+    # Returns the DEM body alone: the caller attaches its own
+    # encapsulation object, which a pool worker's copy would not be.
+    session_key, associated_data = shared
+    instrumentation.record("hybrid.encrypt")
+    return symmetric.encrypt(session_key, plaintext, associated_data)
+
+
+def _unit_hybrid_encrypt_alone(shared: tuple, plaintext: bytes) -> Any:
+    public_keys, associated_data = shared
+    return hybrid.encrypt(public_keys, plaintext, associated_data)
 
 
 def _unit_hybrid_unwrap(shared: tuple, encapsulation: Any) -> Any:
@@ -729,24 +737,42 @@ class CryptoEngine:
 
     def batch_hybrid_encrypt(
         self,
-        recipients: "hybrid.Session | Sequence",
+        session: hybrid.Session,
         plaintexts: Sequence[bytes],
         associated_data: bytes = b"",
     ) -> list[hybrid.HybridCiphertext]:
         """Batch hybrid (KEM/DEM) encryption of independent payloads.
 
-        ``recipients`` is the open :class:`~repro.crypto.hybrid.Session`
-        to continue, or the public keys to open a fresh one for.  Either
-        way the batch shares one encapsulation: the session key is
-        wrapped once, and every item is a DEM body with its own nonce.
+        Continues ``session`` (open one with
+        :func:`~repro.crypto.hybrid.new_session`): every item is a DEM
+        body with its own nonce, and all of them hold the session's one
+        :class:`~repro.crypto.hybrid.Encapsulation` object — in pooled
+        mode too, where only the bodies come back from the workers.
         """
-        session = (
-            recipients
-            if isinstance(recipients, hybrid.Session)
-            else hybrid.new_session(recipients)
+        bodies = self._run(
+            _unit_hybrid_encrypt, (session.key, associated_data), plaintexts
         )
+        return [
+            hybrid.HybridCiphertext(session.encapsulation, body)
+            for body in bodies
+        ]
+
+    def batch_hybrid_encrypt_alone(
+        self,
+        public_keys: Sequence,
+        plaintexts: Sequence[bytes],
+        associated_data: bytes = b"",
+    ) -> list[hybrid.HybridCiphertext]:
+        """:func:`~repro.crypto.hybrid.encrypt` per item: a session each.
+
+        For the one channel whose ciphertexts must not be linkable by
+        encapsulation (hardened commutative results, docs/security.md).
+        """
         return self._run(
-            _unit_hybrid_encrypt, (session, associated_data), plaintexts
+            _unit_hybrid_encrypt_alone,
+            (list(public_keys), associated_data),
+            plaintexts,
+            name="hybrid_encrypt",
         )
 
     def batch_hybrid_decrypt(

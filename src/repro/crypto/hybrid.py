@@ -92,6 +92,14 @@ class Encapsulation(Mapping[bytes, bytes]):
         return sum(len(fp) + len(blob) for fp, blob in self._wrapped.items())
 
 
+#: Header of one serialized ciphertext, as the wire codec lays it out:
+#: the ``hybrid-ct`` type tag (11 bytes), the field and body length
+#: prefixes (5 + 5) and the 5-byte reference to its encapsulation.  A
+#: ciphertext without a wrapped key of its own is small enough for the
+#: header to matter, so size accounting includes it.
+CIPHERTEXT_HEADER_BYTES = 26
+
+
 @dataclass(frozen=True)
 class HybridCiphertext:
     """A DEM body plus (a reference to) its session's encapsulation."""
@@ -101,9 +109,7 @@ class HybridCiphertext:
 
     def __post_init__(self) -> None:
         if not isinstance(self.wrapped_keys, Encapsulation):
-            object.__setattr__(
-                self, "wrapped_keys", Encapsulation(self.wrapped_keys)
-            )
+            raise ParameterError("a hybrid ciphertext holds an Encapsulation")
 
     def size_bytes(self) -> int:
         """Serialized size of this ciphertext travelling alone.
@@ -111,7 +117,11 @@ class HybridCiphertext:
         :func:`repro.mediation.sizing.estimate_size` counts an
         encapsulation shared by many ciphertexts once per message body.
         """
-        return self.wrapped_keys.size_bytes() + len(self.body)
+        return (
+            self.wrapped_keys.size_bytes()
+            + CIPHERTEXT_HEADER_BYTES
+            + len(self.body)
+        )
 
 
 @dataclass(frozen=True)

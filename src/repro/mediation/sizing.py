@@ -10,7 +10,9 @@ Estimates are exact for byte strings and integer ciphertexts (big-endian
 length) and within an envelope constant for composites — sufficient for
 the comparative shapes the paper discusses.  A key encapsulation shared
 by many hybrid ciphertexts counts once per message body, which is what
-the wire codec's interning table makes true on TCP.
+the wire codec's interning table makes true on TCP; every ciphertext
+counts its own header besides
+(:data:`repro.crypto.hybrid.CIPHERTEXT_HEADER_BYTES`).
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ def _estimate(body: Any, seen: set[int]) -> int:
     if isinstance(body, HybridCiphertext):
         encapsulation = body.wrapped_keys
         if id(encapsulation) in seen:
-            return len(body.body)
+            return body.size_bytes() - encapsulation.size_bytes()
         seen.add(id(encapsulation))
-        return encapsulation.size_bytes() + len(body.body)
+        return body.size_bytes()
     if isinstance(body, PaillierCiphertext):
         return _int_size(body.public_key.n_squared)
     if isinstance(body, ElGamalCiphertext):

@@ -34,7 +34,7 @@ deterministic artifact unless explicitly requested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import ProtocolError
 from repro.telemetry.metrics import DEFAULT_SECONDS_BUCKETS
@@ -304,28 +304,15 @@ def _party_latencies(timings: Iterable[Any], party: str) -> dict[str, dict[str, 
     return buckets
 
 
-def _since(messages: Iterable[Any], after_sequence: int) -> list[Any]:
-    """The messages of one run on a long-lived transport, in order."""
-    return sorted(
-        (m for m in messages if m.sequence > after_sequence),
-        key=lambda m: m.sequence,
-    )
-
-
 def network_observer_trace(
-    transport: Any, protocol: str,
+    messages: Iterable[Any], protocol: str, transport: str,
     aliases: Mapping[str, str] | None = None,
-    after_sequence: int = 0,
 ) -> ObservableTrace:
     """The passive wire observer: every message's framing, no bodies."""
     trace = ObservableTrace(
-        adversary="network",
-        protocol=protocol,
-        transport=type(transport).__name__,
+        adversary="network", protocol=protocol, transport=transport
     )
-    for position, message in enumerate(
-        _since(transport.transcript, after_sequence)
-    ):
+    for position, message in enumerate(messages):
         trace.messages.append(
             _observed(message, position, "wire", False, aliases)
         )
@@ -333,21 +320,23 @@ def network_observer_trace(
 
 
 def party_trace(
-    transport: Any, party: str, adversary: str, protocol: str,
+    messages: Iterable[Any], party: str, adversary: str, protocol: str,
+    transport: str,
     timings: Iterable[Any] = (),
     aliases: Mapping[str, str] | None = None,
-    after_sequence: int = 0,
 ) -> ObservableTrace:
-    """A semi-honest party's trace: its own view plus ciphertext structure."""
+    """A semi-honest party's trace: its own view plus ciphertext structure.
+
+    The view is what ``party`` sent or received among ``messages``.
+    """
     trace = ObservableTrace(
-        adversary=adversary,
-        protocol=protocol,
-        transport=type(transport).__name__,
+        adversary=adversary, protocol=protocol, transport=transport
     )
-    view = transport.view(party)
-    for position, message in enumerate(
-        _since(view.sent + view.received, after_sequence)
-    ):
+    view = sorted(
+        (m for m in messages if party in (m.sender, m.receiver)),
+        key=lambda m: m.sequence,
+    )
+    for position, message in enumerate(view):
         direction = "sent" if message.sender == party else "received"
         trace.messages.append(
             _observed(message, position, direction, True, aliases)
@@ -361,22 +350,25 @@ def party_trace(
 
 
 def adversary_traces(result: Any, *, roles: Mapping[str, Any] | None = None,
-                     after_sequence: int = 0,
+                     messages: Sequence[Any] | None = None,
                      ) -> dict[str, ObservableTrace]:
     """One :class:`ObservableTrace` per adversary, from a finished run.
 
     ``result`` is a :class:`~repro.core.result.MediationResult`; the
     adversary set is the network observer, the mediator, and every
     datasource.  Identical for bus and TCP runs — both record the full
-    transcript in the driving process.  ``after_sequence`` restricts the
-    traces to messages sent after that transcript sequence number: a
-    federation that answers a series of queries keeps one growing
-    transcript, and a run's trace is about that run.
+    transcript in the driving process.  ``messages`` is the part of that
+    transcript to trace (default: all of it): a federation that answers
+    a series of queries keeps one growing transcript, and the runner
+    passes the slice the run added.
     """
     protocol = result.protocol.split("[", 1)[0]
-    transport = result.network
+    network = result.network
+    transport = type(network).__name__
+    if messages is None:
+        messages = network.transcript
     timings = getattr(result, "timings", ())
-    resolved = dict(roles) if roles is not None else detect_roles(transport)
+    resolved = dict(roles) if roles is not None else detect_roles(network)
     # Deployment-chosen party names are presentation, not observable
     # structure: canonicalize the client and mediator so traces (and the
     # committed leakage baseline) compare across differently-named
@@ -385,17 +377,17 @@ def adversary_traces(result: Any, *, roles: Mapping[str, Any] | None = None,
     aliases = {resolved["client"]: "client", resolved["mediator"]: "mediator"}
     traces = {
         "network": network_observer_trace(
-            transport, protocol, aliases, after_sequence
+            messages, protocol, transport, aliases
         ),
         "mediator": party_trace(
-            transport, resolved["mediator"], "mediator", protocol, timings,
-            aliases, after_sequence,
+            messages, resolved["mediator"], "mediator", protocol, transport,
+            timings, aliases,
         ),
     }
     for source in resolved["sources"]:
         traces[f"datasource:{source}"] = party_trace(
-            transport, source, f"datasource:{source}", protocol, timings,
-            aliases, after_sequence,
+            messages, source, f"datasource:{source}", protocol, transport,
+            timings, aliases,
         )
     return traces
 
@@ -430,10 +422,12 @@ def network_trace_from_records(
     return trace
 
 
-def observables_artifact(result: Any, after_sequence: int = 0) -> dict[str, Any]:
+def observables_artifact(
+    result: Any, messages: Sequence[Any] | None = None
+) -> dict[str, Any]:
     """Per-adversary summaries for ``result.artifacts["observables"]``."""
     try:
-        traces = adversary_traces(result, after_sequence=after_sequence)
+        traces = adversary_traces(result, messages=messages)
     except ProtocolError:
         # A transcript without a recognizable mediator (partial run,
         # exotic topology) simply yields no observable summary.

@@ -27,6 +27,7 @@ from repro.crypto.engine import (
 from repro.crypto.polynomial import encrypt_polynomial, evaluate, from_roots
 from repro.errors import ParameterError
 from repro.mediation.ca import verify_credential
+from repro.mediation.sizing import estimate_size
 
 
 @pytest.fixture(scope="module")
@@ -305,9 +306,9 @@ class TestBatchHybrid:
         plaintexts = [b"payload-%d" % i for i in range(6)]
         for engine in all_engines:
             ciphertexts, counts = counted(
-                engine.batch_hybrid_encrypt,
-                [rsa_key.public_key()],
-                plaintexts,
+                lambda: engine.batch_hybrid_encrypt(
+                    hybrid.new_session([rsa_key.public_key()]), plaintexts
+                )
             )
             assert [
                 hybrid.decrypt(rsa_key, c) for c in ciphertexts
@@ -317,9 +318,42 @@ class TestBatchHybrid:
             # recipient key, however many items share it.
             assert counts["rsa.encrypt"] == 1
 
+    def test_encrypt_shares_the_sessions_encapsulation(self, all_engines, rsa_key):
+        """Every execution mode returns ciphertexts holding the session's
+        own encapsulation object — pool workers ship bodies only — so
+        the codec and the size estimate count it once."""
+        plaintexts = [b"payload-%d" % i for i in range(16)]
+        sizes = set()
+        for engine in all_engines:
+            session = hybrid.new_session([rsa_key.public_key()])
+            ciphertexts = engine.batch_hybrid_encrypt(session, plaintexts)
+            assert all(
+                c.wrapped_keys is session.encapsulation for c in ciphertexts
+            ), engine.mode
+            sizes.add(estimate_size(ciphertexts))
+        assert len(sizes) == 1
+
+    def test_encrypt_alone_wraps_a_key_per_item(self, all_engines, rsa_key):
+        plaintexts = [b"payload-%d" % i for i in range(6)]
+        for engine in all_engines:
+            ciphertexts, counts = counted(
+                engine.batch_hybrid_encrypt_alone,
+                [rsa_key.public_key()],
+                plaintexts,
+            )
+            assert [
+                hybrid.decrypt(rsa_key, c) for c in ciphertexts
+            ] == plaintexts, engine.mode
+            assert counts["hybrid.encrypt"] == len(plaintexts)
+            assert counts["rsa.encrypt"] == len(plaintexts)
+            digests = {c.wrapped_keys.digest() for c in ciphertexts}
+            assert len(digests) == len(plaintexts), engine.mode
+
     def test_associated_data_is_bound(self, serial, rsa_key):
         [ciphertext] = serial.batch_hybrid_encrypt(
-            [rsa_key.public_key()], [b"x"], associated_data=b"context"
+            hybrid.new_session([rsa_key.public_key()]),
+            [b"x"],
+            associated_data=b"context",
         )
         assert serial.batch_hybrid_decrypt(
             rsa_key, [ciphertext], associated_data=b"context"

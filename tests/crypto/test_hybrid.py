@@ -113,7 +113,9 @@ class TestSharedSession:
         engine = CryptoEngine(workers=0)
         plaintexts = [b"row-%d" % i for i in range(self.COUNT)]
         with instrumentation.count_primitives() as counter:
-            ciphertexts = engine.batch_hybrid_encrypt([key.public_key()], plaintexts)
+            ciphertexts = engine.batch_hybrid_encrypt(
+                hybrid.new_session([key.public_key()]), plaintexts
+            )
             assert engine.batch_hybrid_decrypt(key, ciphertexts) == plaintexts
         assert counter.counts["rsa.encrypt"] == 1
         assert counter.counts["rsa.decrypt"] == 1
@@ -170,7 +172,9 @@ class TestSessionKeyMemo:
     def test_a_remembered_session_costs_no_private_operation(self, key):
         engine = CryptoEngine(workers=0)
         memo = hybrid.SessionKeyMemo()
-        ciphertexts = engine.batch_hybrid_encrypt([key.public_key()], [b"x", b"y"])
+        ciphertexts = engine.batch_hybrid_encrypt(
+            hybrid.new_session([key.public_key()]), [b"x", b"y"]
+        )
         with instrumentation.count_primitives() as counter:
             for _ in range(3):
                 assert engine.batch_hybrid_decrypt(

@@ -58,10 +58,17 @@ class TestPresets:
 
 
 class TestProtocolRankingUnderModels:
-    def test_latency_shifts_the_balance(self, ca, client, workload):
+    def test_latency_shifts_the_balance(self, ca, client, skewed_workload):
         """On a LAN bytes dominate; at very high latency the *message
-        count* dominates, and DAS (8 messages) beats PM (16+) and the
-        commutative protocol (12)."""
+        count* dominates, and DAS (8 messages) beats PM (16+).
+
+        The workload has several rows per join value: DAS's bucket
+        cross-product grows with their product, PM's Paillier traffic
+        only with the domain sizes.  (With one row per value PM is the
+        heavier one, since a source wraps one session key per delivery
+        and not one per etuple.)
+        """
+        workload = skewed_workload
         from repro import Federation, run_join_query
         from repro.mediation.access_control import allow_all
 
@@ -76,23 +83,19 @@ class TestProtocolRankingUnderModels:
             )
 
         das = run("das")
-        commutative = run("commutative")
         pm = run("private-matching")
         satellite = NetworkCostModel(
             "satellite", latency_seconds=10.0,
             bandwidth_bytes_per_second=1e9,
         )
         assert satellite.transcript_cost(das.network) < (
-            satellite.transcript_cost(commutative.network)
-        ) < satellite.transcript_cost(pm.network)
+            satellite.transcript_cost(pm.network)
+        )
         # With pure bandwidth costs the ranking flips for this workload:
-        # DAS ships the cross-bucket superset, the commutative protocol
-        # only the tuple sets.  (PM's Paillier ciphertexts stay the
-        # largest: since a source wraps one session key per delivery
-        # instead of one per etuple, DAS no longer out-weighs them.)
+        # DAS ships the big cross-bucket superset.
         bulk = NetworkCostModel(
             "bulk", latency_seconds=0.0, bandwidth_bytes_per_second=1e3
         )
         assert bulk.transcript_cost(das.network) > (
-            bulk.transcript_cost(commutative.network)
+            bulk.transcript_cost(pm.network)
         )

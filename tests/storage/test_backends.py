@@ -253,10 +253,12 @@ class TestSerializers:
         assert deserialize_int_list(serialize_int_list([])) == []
 
     def test_hybrid_round_trip(self):
-        from repro.crypto.hybrid import HybridCiphertext
+        from repro.crypto.hybrid import Encapsulation, HybridCiphertext
 
         ciphertext = HybridCiphertext(
-            wrapped_keys={b"fp2": b"wrapped2", b"fp1": b"wrapped1"},
+            wrapped_keys=Encapsulation(
+                {b"fp2": b"wrapped2", b"fp1": b"wrapped1"}
+            ),
             body=b"\x00\x01payload",
         )
         restored = deserialize_hybrid(serialize_hybrid(ciphertext))
@@ -265,10 +267,12 @@ class TestSerializers:
 
     @pytest.mark.parametrize("mutate", ["truncate", "flip", "extend"])
     def test_corrupt_blobs_rejected(self, mutate):
-        from repro.crypto.hybrid import HybridCiphertext
+        from repro.crypto.hybrid import Encapsulation, HybridCiphertext
 
         blob = serialize_hybrid(
-            HybridCiphertext(wrapped_keys={b"fp": b"w"}, body=b"body")
+            HybridCiphertext(
+                wrapped_keys=Encapsulation({b"fp": b"w"}), body=b"body"
+            )
         )
         if mutate == "truncate":
             corrupt = blob[: len(blob) // 2]

@@ -181,6 +181,23 @@ class TestDomainExtensions:
         assert decoded == relation
         assert len({id(row.etuple.wrapped_keys) for row in decoded.rows}) == 1
 
+    def test_size_estimate_charges_the_ciphertext_header(self, rsa_key):
+        """One more ciphertext of a session costs its body plus
+        ``CIPHERTEXT_HEADER_BYTES`` on the wire, and the same in the
+        bus's structural estimate."""
+        from repro.mediation.sizing import estimate_size
+
+        session = hybrid.new_session([rsa_key.public_key()])
+        ciphertexts = [session.encrypt(b"row-%d" % i) for i in range(3)]
+        extra = len(ciphertexts[2].body) + hybrid.CIPHERTEXT_HEADER_BYTES
+        assert (
+            codec.encoded_size(ciphertexts)
+            - codec.encoded_size(ciphertexts[:2])
+        ) == extra
+        assert (
+            estimate_size(ciphertexts) - estimate_size(ciphertexts[:2])
+        ) == extra
+
     def test_distinct_encapsulations_stay_distinct(self, rsa_key):
         keys = [rsa_key.public_key()]
         decoded = roundtrip([hybrid.encrypt(keys, b"x") for _ in range(3)])

@@ -7,12 +7,9 @@ the two accountings for every message kind the three protocols produce:
 
 * the structural estimate is a **lower bound** on the codec encoding
   (the codec only adds tags and length prefixes, it never compresses);
-* the encoding exceeds the estimate by at most **80% plus 256 bytes**
+* the encoding exceeds the estimate by at most **40% plus 256 bytes**
   (the additive term absorbs small control messages whose fixed framing
-  dominates the payload; the ratio was 40% while every hybrid ciphertext
-  carried ~144 bytes of wrapped key of its own — with one shared
-  encapsulation per source a small etuple is ~40 payload bytes inside
-  ~50 bytes of extension tags, so ``das_server_result`` sits at 1.7x);
+  dominates the payload);
 * the real per-message envelope overhead (frame header + sequence +
   routing strings) stays within **16 bytes** of ``ENVELOPE_BYTES``.
 
@@ -32,7 +29,7 @@ QUERY = "select * from R1 natural join R2"
 PROTOCOLS = ["das", "commutative", "private-matching"]
 
 #: Documented drift bound: estimate <= actual <= RATIO*estimate + SLACK.
-RATIO = 1.8
+RATIO = 1.4
 SLACK = 256
 #: ENVELOPE_BYTES must sit within this distance of real frame overhead.
 ENVELOPE_TOLERANCE = 16
