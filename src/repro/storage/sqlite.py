@@ -141,6 +141,15 @@ class SQLiteBackend(StorageBackend):
                 path, check_same_thread=False, isolation_level=None
             )
             self._connection.execute("PRAGMA journal_mode=WAL")
+            # Every cache_put is its own commit.  At the default FULL each
+            # of them fsyncs the WAL — some 330 per cold DAS delivery, a
+            # wait that follows the disk's load, not the CPU's.  NORMAL
+            # syncs at checkpoints only: a process crash loses nothing, a
+            # power cut may lose the last commits (regenerable cache
+            # entries, or a relation the next start stores again) but
+            # never corrupts the file.  bump_key_epoch, the one write that
+            # nothing regenerates, syncs its own commit.
+            self._connection.execute("PRAGMA synchronous=NORMAL")
             for statement in _DDL:
                 self._connection.execute(statement)
         except sqlite3.Error as exc:
@@ -348,15 +357,29 @@ class SQLiteBackend(StorageBackend):
     def bump_key_epoch(self, namespace: str) -> int:
         with self._lock:
             epoch = self._epoch_locked(namespace) + 1
-            self._execute(
-                "INSERT INTO meta_epochs (namespace, epoch) VALUES (?, ?) "
-                "ON CONFLICT (namespace) DO UPDATE SET epoch = excluded.epoch",
-                (namespace, epoch),
-            )
-            self._execute(
-                "DELETE FROM index_cache WHERE namespace = ? AND epoch != ?",
-                (namespace, epoch),
-            )
+            # A rotation retires key material and must not come undone by
+            # a power cut: this one commit is synced to disk.
+            self._execute("PRAGMA synchronous=FULL")
+            try:
+                self._execute("BEGIN")
+                try:
+                    self._execute(
+                        "INSERT INTO meta_epochs (namespace, epoch) "
+                        "VALUES (?, ?) ON CONFLICT (namespace) "
+                        "DO UPDATE SET epoch = excluded.epoch",
+                        (namespace, epoch),
+                    )
+                    self._execute(
+                        "DELETE FROM index_cache "
+                        "WHERE namespace = ? AND epoch != ?",
+                        (namespace, epoch),
+                    )
+                    self._execute("COMMIT")
+                except Exception:
+                    self._execute("ROLLBACK")
+                    raise
+            finally:
+                self._execute("PRAGMA synchronous=NORMAL")
             return epoch
 
     # -- cache -----------------------------------------------------------

@@ -5,8 +5,14 @@ here is parameterized over both so the SQLite implementation can never
 drift from it.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.errors import StorageError
 from repro.relational.algebra import select
 from repro.relational.conditions import Comparison
@@ -210,6 +216,51 @@ class TestSQLitePersistence:
             assert second.key_epoch("S2") == 1
         finally:
             second.close()
+
+    def test_commits_survive_a_killed_process(self, tmp_path):
+        # The store syncs at WAL checkpoints, not at every commit; what a
+        # process committed must still be there when it dies unclosed.
+        path = str(tmp_path / "store.db")
+        writer = (
+            "import os, sys\n"
+            "from repro.storage.sqlite import SQLiteBackend\n"
+            "backend = SQLiteBackend(sys.argv[1])\n"
+            "for i in range(50):\n"
+            "    backend.cache_put('S1', 'R', 'das_tuple', b'k%d' % i, b'v' * 3000)\n"
+            "backend.bump_key_epoch('S2')\n"
+            "os._exit(9)\n"
+        )
+        source = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", writer, path],
+            env={**os.environ, "PYTHONPATH": source},
+        )
+        assert done.returncode == 9
+
+        survivor = SQLiteBackend(path)
+        try:
+            assert survivor.cache_size("S1") == 50
+            assert survivor.cache_get("S1", "R", "das_tuple", b"k49") == b"v" * 3000
+            assert survivor.key_epoch("S2") == 1
+        finally:
+            survivor.close()
+
+    def test_only_a_rotation_is_synced_at_commit(self, tmp_path):
+        backend = SQLiteBackend(str(tmp_path / "store.db"))
+        try:
+            pragma = backend._connection.execute
+            assert pragma("PRAGMA journal_mode").fetchone()[0] == "wal"
+            assert pragma("PRAGMA synchronous").fetchone()[0] == 1  # NORMAL
+            statements: list[str] = []
+            backend._connection.set_trace_callback(statements.append)
+            backend.cache_put("S1", "R", "comm_tag", b"k", b"v")
+            assert not any("synchronous" in sql for sql in statements)
+            backend.bump_key_epoch("S1")
+            modes = [sql for sql in statements if "synchronous" in sql]
+            assert modes == ["PRAGMA synchronous=FULL", "PRAGMA synchronous=NORMAL"]
+            assert pragma("PRAGMA synchronous").fetchone()[0] == 1
+        finally:
+            backend.close()
 
     def test_in_memory_database_is_not_persistent(self):
         backend = SQLiteBackend(":memory:")
