@@ -9,13 +9,12 @@
 #                                      # cleanup + log dump on failure is
 #                                      # installed on EXIT automatically
 #
-# For fleets that need per-party flags (crypto backends, shards), start
-# each endpoint with serve_party and wait on the ports explicitly:
+# For trios that need per-party flags (crypto backends), start each
+# endpoint with serve_party and wait on the ports explicitly:
 #
-#     serve_party mediator-1 mediator --shard 1/2 --port 7411
-#     serve_party router     router   --port 7401 \
-#         --shard-endpoint 127.0.0.1:7411
-#     serve_wait 7411 7401
+#     serve_party mediator mediator --crypto-backend gmpy2
+#     serve_party S1 source --party S1 --crypto-backend python
+#     serve_wait 7401 7402
 #
 # Readiness is real, not a sleep: serve_wait retries a HELLO frame
 # against every port until the endpoint answers with a well-formed
@@ -49,12 +48,6 @@ serve_party() {
   shift
   python -m repro serve "$@" > "serve-$logname.log" 2>&1 &
   _SERVE_PIDS+=("$!")
-}
-
-# serve_pid LOGNAME-INDEX — pid of the Nth serve_party call (0-based),
-# for chaos legs that signal a specific endpoint.
-serve_pid() {
-  echo "${_SERVE_PIDS[$1]}"
 }
 
 # serve_trio [EXTRA_ARGS...] — the standard demo fleet on the

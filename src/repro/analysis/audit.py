@@ -117,10 +117,9 @@ class AuditConfig:
     hardened: bool = False
 
     def __post_init__(self) -> None:
-        if self.transport not in ("bus", "tcp", "cluster"):
+        if self.transport not in ("bus", "tcp"):
             raise ParameterError(
-                f"transport must be 'bus', 'tcp', or 'cluster', "
-                f"got {self.transport!r}"
+                f"transport must be 'bus' or 'tcp', got {self.transport!r}"
             )
         unknown = set(self.protocols) - set(AUDIT_PROTOCOLS)
         if unknown:
@@ -284,14 +283,6 @@ def _make_transport(config: AuditConfig) -> Any:
         from repro.transport.tcp import TcpTransport
 
         carrier: Any = TcpTransport()
-    elif config.transport == "cluster":
-        # Routed carrier: a 2-shard mediator fleet behind the session-
-        # affine router.  The audit distances must match the plain tcp
-        # carrier exactly — the router is leakage-neutral by
-        # construction (docs/security.md).
-        from repro.cluster import ClusterTransport
-
-        carrier = ClusterTransport(shards=2)
     else:
         from repro.mediation.network import Network
 

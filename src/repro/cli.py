@@ -472,74 +472,11 @@ def _command_query(args) -> int:
     return 0
 
 
-def _parse_shard(spec: str | None) -> tuple[int, int] | None:
-    """``K/N`` -> (index, total); validates 1 <= K <= N."""
-    if spec is None:
-        return None
-    try:
-        index, total = (int(part) for part in spec.split("/", 1))
-    except ValueError:
-        raise SystemExit(f"invalid --shard {spec!r}; expected K/N")
-    if not 1 <= index <= total:
-        raise SystemExit(f"invalid --shard {spec!r}; need 1 <= K <= N")
-    return index, total
-
-
-def _command_serve_router(args) -> int:
-    """``repro serve router``: the session-affine shard router."""
-    from repro.cluster import ShardRouter
-
-    party = args.party or "mediator"
-    port = args.port if args.port is not None else DEFAULT_PORTS.get(party, 0)
-    configure_logging(args.log_level or "info")
-    log = party_logger(f"{party}.router")
-    if not args.shard_endpoint:
-        raise SystemExit(
-            "serve router needs at least one --shard-endpoint HOST:PORT"
-        )
-    shards: dict[str, tuple[str, int]] = {}
-    for index, spec in enumerate(args.shard_endpoint, start=1):
-        try:
-            shard_host, shard_port = spec.rsplit(":", 1)
-            shards[f"{party}-{index}"] = (shard_host, int(shard_port))
-        except ValueError:
-            raise SystemExit(
-                f"invalid --shard-endpoint {spec!r}; expected HOST:PORT"
-            )
-    router = ShardRouter(shards, party=party, host=args.host, port=port)
-
-    async def _serve() -> None:
-        bound_host, bound_port = await router.start()
-        log.info(
-            "shard router for party %r listening on %s:%d (%d shards: %s)",
-            party, bound_host, bound_port, len(shards),
-            ", ".join(
-                f"{label}={host}:{endpoint_port}"
-                for label, (host, endpoint_port) in sorted(shards.items())
-            ),
-        )
-        await router.serve_forever()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        stats = router.stats()
-        log.info(
-            "%d sessions routed, bye", stats.get("sessions_routed", 0)
-        )
-    return 0
-
-
 def _command_serve(args) -> int:
-    if args.role == "router":
-        return _command_serve_router(args)
     party = args.party or DEFAULT_PARTY_OF_ROLE.get(args.role, "client")
     port = args.port if args.port is not None else DEFAULT_PORTS.get(party, 0)
-    shard = _parse_shard(getattr(args, "shard", None))
     configure_logging(args.log_level or "info")
-    log = party_logger(
-        party if shard is None else f"{party}[{shard[0]}/{shard[1]}]"
-    )
+    log = party_logger(party)
     # Open (and thereby validate) the backend before the endpoint binds:
     # a bad spec or unwritable path fails fast instead of surfacing as
     # query-time errors.  The SQLite file is created here, so restarted
@@ -559,6 +496,17 @@ def _command_serve(args) -> int:
     )
 
     async def _serve() -> None:
+        # SIGTERM is a clean stop: it cancels this task, the same way
+        # asyncio.run delivers Ctrl-C.  Installed before the endpoint
+        # announces itself, so a supervisor may signal on that line.
+        serving = asyncio.current_task()
+        assert serving is not None
+        try:
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, serving.cancel
+            )
+        except (NotImplementedError, RuntimeError):
+            pass  # platform without signal handler support
         host, bound_port = await server.start()
         log.info(
             "%s endpoint for party %r listening on %s:%d",
@@ -578,53 +526,16 @@ def _command_serve(args) -> int:
                 "metrics exposition at http://%s:%d/metrics",
                 scrape_host, scrape_port,
             )
-        # SIGTERM begins a graceful drain (docs/cluster.md): the
-        # endpoint answers BUSY to new sessions, finishes in-flight
-        # ones, and exits 0 once they close (or --drain-grace expires).
-        loop = asyncio.get_running_loop()
-        draining = asyncio.Event()
         try:
-            loop.add_signal_handler(signal.SIGTERM, draining.set)
-        except (NotImplementedError, RuntimeError):
-            pass  # platform without signal handler support
-        serve_task = asyncio.ensure_future(server.serve_forever())
-        drain_task = asyncio.ensure_future(draining.wait())
-        try:
-            done, _pending = await asyncio.wait(
-                {serve_task, drain_task},
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            if drain_task in done:
-                server.drain()
-                log.info(
-                    "SIGTERM: draining, refusing new sessions "
-                    "(%d in flight)", server.active_sessions(),
-                )
-                deadline = loop.time() + args.drain_grace
-                while server.active_sessions() and loop.time() < deadline:
-                    await asyncio.sleep(0.1)
-                leftover = server.active_sessions()
-                if leftover:
-                    log.warning(
-                        "drain grace of %.1fs expired with %d sessions "
-                        "still live", args.drain_grace, leftover,
-                    )
-                log.info(
-                    "drained; %d messages received, bye",
-                    len(server.records),
-                )
-            else:
-                await serve_task  # propagate listener failures
+            await server.serve_forever()
         finally:
-            for task in (serve_task, drain_task):
-                task.cancel()
             await server.stop()
             if scrape is not None:
                 await scrape.stop()
 
     try:
         asyncio.run(_serve())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         log.info("%d messages received, bye", len(server.records))
     finally:
         if storage is not None:
@@ -640,7 +551,6 @@ def _command_loadgen(args) -> int:
         queries_per_session=args.queries,
         concurrency=args.concurrency,
         protocol=args.protocol,
-        ack_delay=args.ack_delay,
         max_sessions=args.max_sessions,
         domain=args.domain,
         overlap=args.overlap,
@@ -649,9 +559,6 @@ def _command_loadgen(args) -> int:
         rsa_bits=args.rsa_bits,
         paillier_bits=args.paillier_bits,
         storage_spec=args.storage,
-        cluster=args.cluster,
-        shards=args.shards,
-        shard_max_workers=args.shard_max_workers,
     )
     endpoints = _parse_endpoints(args.endpoint) if args.remote else None
     report = run_load(config, endpoints=endpoints)
@@ -764,10 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
              "and emit the repro-leakage/1 artifact (docs/observability.md)",
     )
     audit.add_argument(
-        "--transport", choices=("bus", "tcp", "cluster"), default="bus",
+        "--transport", choices=("bus", "tcp"), default="bus",
         help="with --differential: carrier to observe (tcp hosts a local "
-             "endpoint trio in-process; cluster routes the mediator "
-             "through a 2-shard fleet to prove router leakage-neutrality)",
+             "endpoint trio in-process)",
     )
     audit.add_argument(
         "--out", default=None, metavar="PATH",
@@ -850,9 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run one party's TCP endpoint for the distributed demo"
     )
     serve.add_argument(
-        "role", choices=("mediator", "source", "client", "router"),
-        help="which party role this endpoint plays (router fronts a "
-             "sharded mediator fleet, see docs/cluster.md)",
+        "role", choices=("mediator", "source", "client"),
+        help="which party role this endpoint plays",
     )
     serve.add_argument(
         "--party", default=None,
@@ -862,23 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=None,
         help="listening port (default: the party's well-known demo port)",
-    )
-    serve.add_argument(
-        "--shard", default=None, metavar="K/N",
-        help="run as shard K of an N-shard fleet behind a router "
-             "(label '{party}-K'; affects logging only — placement is "
-             "the router's job)",
-    )
-    serve.add_argument(
-        "--shard-endpoint", action="append", default=[],
-        metavar="HOST:PORT",
-        help="with role 'router': a mediator shard endpoint, in shard "
-             "order (repeatable; shard k gets label '{party}-k')",
-    )
-    serve.add_argument(
-        "--drain-grace", type=float, default=30.0, metavar="SECONDS",
-        help="on SIGTERM: refuse new sessions and wait up to this long "
-             "for in-flight sessions to finish before exiting",
     )
     serve.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
@@ -915,11 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--protocol", choices=sorted(PROTOCOLS), default="commutative"
     )
     loadgen.add_argument(
-        "--ack-delay", type=float, default=0.0, metavar="SECONDS",
-        help="simulated link round-trip per message at the in-process "
-             "trio's endpoints (ignored with --remote)",
-    )
-    loadgen.add_argument(
         "--max-sessions", type=int, default=64,
         help="session capacity of the in-process trio (BUSY above it)",
     )
@@ -927,21 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--remote", action="store_true",
         help="drive running `repro serve` endpoints instead of hosting "
              "the trio in-process",
-    )
-    loadgen.add_argument(
-        "--cluster", action="store_true",
-        help="host the mediator as a sharded fleet behind a session-"
-             "affine router (in-process; with --remote, report router "
-             "per-shard stats when the mediator endpoint is a router)",
-    )
-    loadgen.add_argument(
-        "--shards", type=int, default=2,
-        help="with --cluster: number of mediator shards (default: 2)",
-    )
-    loadgen.add_argument(
-        "--shard-max-workers", type=int, default=None, metavar="N",
-        help="with --cluster: per-shard worker slots (default: the "
-             "server default; 1 models a fully serialized shard)",
     )
     loadgen.add_argument(
         "--endpoint", action="append", default=[], metavar="PARTY=HOST:PORT",

@@ -12,20 +12,17 @@ Two topologies:
 
 * **in-process trio** (the default): :func:`run_load` hosts the three
   endpoints itself on ephemeral loopback ports, so one command measures
-  the whole stack.  ``ack_delay`` simulates a link round-trip at the
-  endpoints — the latency concurrent sessions are expected to overlap.
+  the whole stack.
 * **remote trio**: pass ``endpoints`` pointing at ``repro serve``
   processes and the generator only runs the client side.
 
 Setup (key generation, TCP handshakes, federation wiring) happens
 *before* the clock starts; the measured window covers query execution
 only, so sequential (``concurrency=1``) and concurrent runs of the same
-config are directly comparable — their ratio is the concurrency
-speedup ``benchmarks/bench_concurrent_sessions.py`` gates on.
+config are directly comparable.
 
-Used by the ``repro loadgen`` CLI command and the concurrency
-benchmark; the JSON form (:meth:`LoadReport.to_dict`) feeds the CI
-perf-regression gate (``scripts/check_perf_regression.py``).
+Used by the ``repro loadgen`` CLI command; the JSON form is
+:meth:`LoadReport.to_dict`.
 """
 
 from __future__ import annotations
@@ -34,10 +31,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
-
-if TYPE_CHECKING:
-    from repro.cluster import LocalCluster
+from typing import Any, Mapping
 
 from repro.core.federation import Federation
 from repro.core.runner import PROTOCOLS, crypto_context, run_join_query
@@ -71,10 +65,6 @@ class LoadgenConfig:
     #: (= ``sessions``), ``1`` is the sequential baseline.
     concurrency: int | None = None
     protocol: str = "commutative"
-    #: Simulated link round-trip applied per message at locally hosted
-    #: endpoints — the latency concurrent sessions overlap.  Ignored
-    #: for a remote trio.
-    ack_delay: float = 0.0
     #: Session capacity of locally hosted endpoints (BUSY above it).
     max_sessions: int = DEFAULT_MAX_SESSIONS
     #: Synthetic workload shape (see :mod:`repro.relational.datagen`).
@@ -84,26 +74,13 @@ class LoadgenConfig:
     seed: int = 2007
     rsa_bits: int = 1024
     paillier_bits: int = 1024
-    #: Acknowledgement budget per message.  Concurrent sessions queue
-    #: behind each other's ``ack_delay`` at the endpoint, so this must
-    #: cover ``sessions * ack_delay`` with headroom.
+    #: Acknowledgement budget per message.
     io_timeout: float = 60.0
     #: Storage backend spec (``"memory"`` or ``"sqlite:PATH"``); one
     #: backend is shared by all sessions, so a series of queries over
     #: the same relations amortizes its encrypted indexes across the
     #: whole load run.  ``None`` disables storage (the legacy shape).
     storage_spec: str | None = None
-    #: Cluster mode: host ``shards`` mediator shard endpoints behind a
-    #: session-affine :class:`~repro.cluster.router.ShardRouter` instead
-    #: of a single mediator endpoint (``docs/cluster.md``).  With
-    #: ``endpoints`` given, the mediator endpoint is assumed to *be* a
-    #: router and per-shard stats are fetched from it (STATS frame).
-    cluster: bool = False
-    shards: int = 2
-    #: Worker slots per mediator shard in cluster mode (``None`` keeps
-    #: the server default); the knob the scaling benchmark uses to
-    #: model per-shard service capacity.
-    shard_max_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.sessions < 1:
@@ -112,8 +89,6 @@ class LoadgenConfig:
             raise ProtocolError("loadgen needs at least one query per session")
         if self.concurrency is not None and self.concurrency < 1:
             raise ProtocolError("loadgen concurrency must be >= 1")
-        if self.shards < 1:
-            raise ProtocolError("loadgen needs at least one shard")
         if self.protocol not in PROTOCOLS:
             raise ProtocolError(
                 f"unknown protocol {self.protocol!r}; "
@@ -145,7 +120,6 @@ class LoadReport:
     sessions: int
     queries_per_session: int
     concurrency: int
-    ack_delay: float
     #: Wall-clock of the measured window (setup excluded).
     wall_seconds: float
     outcomes: list[QueryOutcome] = field(default_factory=list)
@@ -159,11 +133,6 @@ class LoadReport:
     #: Crypto self-description: bigint backend, engine mode, workers —
     #: makes the JSON report comparable across hosts and backends.
     crypto: dict[str, Any] | None = None
-    #: Cluster evidence when the load ran against a sharded mediator
-    #: fleet (None otherwise): shard count, the router's
-    #: ``repro-router/1`` stats document, and — for an in-process
-    #: fleet — data messages recorded per shard.
-    cluster: dict[str, Any] | None = None
 
     # -- derived metrics ---------------------------------------------------
 
@@ -197,12 +166,11 @@ class LoadReport:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "schema": "repro-loadgen/1",
+            "schema": "repro-loadgen/2",
             "protocol": self.protocol,
             "sessions": self.sessions,
             "queries_per_session": self.queries_per_session,
             "concurrency": self.concurrency,
-            "ack_delay": self.ack_delay,
             "wall_seconds": self.wall_seconds,
             "completed": len(self.completed),
             "failed": len(self.failed),
@@ -214,7 +182,6 @@ class LoadReport:
             "stitching": self.stitching,
             "storage": self.storage,
             "crypto": self.crypto,
-            "cluster": self.cluster,
             "outcomes": [
                 {
                     "session": outcome.session,
@@ -232,9 +199,8 @@ class LoadReport:
         """Human-readable summary table."""
         lines = [
             f"loadgen: {self.sessions} sessions x "
-            f"{self.queries_per_session} queries, protocol "
-            f"{self.protocol}, concurrency {self.concurrency}, "
-            f"ack_delay {self.ack_delay * 1000:.0f}ms",
+            f"{self.queries_per_session} queries, concurrency "
+            f"{self.concurrency}, protocol {self.protocol}",
             f"  wall       {self.wall_seconds:8.3f} s",
             f"  completed  {len(self.completed):5d}   failed {len(self.failed)}",
             f"  throughput {self.throughput:8.2f} queries/s",
@@ -250,17 +216,6 @@ class LoadReport:
             lines.append(
                 f"  stitching  {len(self.stitching)} sessions, "
                 f"{spans} client spans, {endpoint} endpoint spans"
-            )
-        if self.cluster is not None:
-            router = self.cluster.get("router") or {}
-            shard_bits = ", ".join(
-                f"{shard['label']}={shard['sessions']}s/{shard['frames']}f"
-                f"{'+' + str(shard['busy_redirects']) + 'busy' if shard['busy_redirects'] else ''}"
-                for shard in router.get("shards", [])
-            )
-            lines.append(
-                f"  cluster    {self.cluster['shards']} shards"
-                + (f": {shard_bits}" if shard_bits else "")
             )
         if self.crypto is not None:
             lines.append(
@@ -300,7 +255,7 @@ def run_load(
     """Drive the configured load and measure it.
 
     With ``endpoints=None`` the serve trio is hosted in-process (with
-    ``config.ack_delay`` and ``config.max_sessions`` applied); otherwise
+    ``config.max_sessions`` applied); otherwise
     the mapping must name listening ``mediator``/``S1``/``S2``
     endpoints, typically ``repro serve`` processes.
     """
@@ -325,35 +280,14 @@ def run_load(
     )
     retry = RetryPolicy(io_timeout=config.io_timeout)
     hub: TcpTransport | None = None
-    cluster: "LocalCluster | None" = None
-    remote_router = config.cluster and endpoints is not None
     workers: list[_Worker] = []
     tracer = Tracer(service="loadgen")
     storage = storage_from_spec(config.storage_spec)
     try:
-        if endpoints is None and config.cluster:
-            from repro.cluster import LocalCluster
-
-            shard_options: dict[str, Any] = {
-                "ack_delay": config.ack_delay,
-                "max_sessions": config.max_sessions,
-            }
-            if config.shard_max_workers is not None:
-                shard_options["max_workers"] = config.shard_max_workers
-            cluster = LocalCluster(
-                config.shards,
-                sources=TRIO[1:],
-                shard_options=shard_options,
-                source_options={"max_sessions": config.max_sessions},
-            )
-            endpoints = dict(cluster.endpoints)
-        elif endpoints is None:
+        if endpoints is None:
             hub = TcpTransport(
                 retry=retry,
-                server_options={
-                    "ack_delay": config.ack_delay,
-                    "max_sessions": config.max_sessions,
-                },
+                server_options={"max_sessions": config.max_sessions},
             )
             for party in TRIO:
                 hub.register(party)
@@ -390,20 +324,11 @@ def run_load(
             sessions=config.sessions,
             queries_per_session=config.queries_per_session,
             concurrency=config.effective_concurrency,
-            ack_delay=config.ack_delay,
             wall_seconds=wall_seconds,
             outcomes=[outcome for outcomes in per_worker for outcome in outcomes],
         )
-        report.stitching = _stitch(tracer, workers, hub, cluster)
+        report.stitching = _stitch(tracer, workers, hub)
         report.crypto = crypto_context()
-        if cluster is not None:
-            report.cluster = {
-                "shards": config.shards,
-                "router": cluster.stats(),
-                "per_shard_records": cluster.shard_records(),
-            }
-        elif remote_router:
-            report.cluster = _remote_cluster_stats(endpoints)
         if storage is not None:
             totals = {"hits": 0, "misses": 0, "puts": 0, "errors": 0}
             for worker in workers:
@@ -421,8 +346,6 @@ def run_load(
             worker.transport.close()
         if hub is not None:
             hub.close()
-        if cluster is not None:
-            cluster.close()
         if storage is not None:
             storage.close()
 
@@ -462,31 +385,14 @@ def _run_worker(worker: _Worker, config: LoadgenConfig) -> list[QueryOutcome]:
     return outcomes
 
 
-def _remote_cluster_stats(
-    endpoints: Mapping[str, tuple[str, int]],
-) -> dict[str, Any] | None:
-    """Per-shard stats from a remote router's STATS frame, if it is one."""
-    from repro.cluster import fetch_router_stats
-    from repro.errors import NetworkError
-
-    host, port = endpoints[TRIO[0]]
-    try:
-        stats = fetch_router_stats(host, port)
-    except NetworkError:
-        # The mediator endpoint is a plain (unsharded) serve process.
-        return None
-    return {"shards": len(stats.get("shards", [])), "router": stats}
-
-
 def _stitch(
     tracer: Tracer,
     workers: list[_Worker],
     hub: TcpTransport | None,
-    cluster: "LocalCluster | None" = None,
 ) -> dict[str, dict[str, int]]:
     """Per-session trace evidence: client spans, distinct traces, and —
-    for an in-process trio or cluster — the ``recv:`` spans each
-    endpoint (every shard included) keyed under the same session id."""
+    for an in-process trio — the ``recv:`` spans each endpoint keyed
+    under the same session id."""
     stitching: dict[str, dict[str, int]] = {}
     snapshots = []
     if hub is not None:
@@ -494,8 +400,6 @@ def _stitch(
             server = hub.local_server(party)
             if server is not None:
                 snapshots.append(server.telemetry_snapshot())
-    if cluster is not None:
-        snapshots.extend(cluster.telemetry_snapshots())
     for worker in workers:
         session_id = worker.session_id
         spans = [

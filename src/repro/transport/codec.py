@@ -85,13 +85,11 @@ TELEMETRY = 0x07       # request the endpoint's spans and metrics
 TELEMETRY_DATA = 0x08  # response to TELEMETRY
 SESSION = 0x09         # session lifecycle control (open / close)
 BUSY = 0x0A    # endpoint at session capacity: back off and retry
-STATS = 0x0B           # request a shard router's routing statistics
-STATS_DATA = 0x0C      # response to STATS
 ERROR = 0x7F   # remote failure report
 
 _FRAME_TYPES = {
     DATA, ACK, HELLO, OK, FETCH, VIEW,
-    TELEMETRY, TELEMETRY_DATA, SESSION, BUSY, STATS, STATS_DATA, ERROR,
+    TELEMETRY, TELEMETRY_DATA, SESSION, BUSY, ERROR,
 }
 
 # -- value tags ---------------------------------------------------------------
@@ -692,144 +690,6 @@ def _validated_envelope(
     if not isinstance(session_id, str) or not session_id:
         raise ValueCodecError("malformed envelope session id")
     return envelope
-
-
-class _Skimmer:
-    """Structural skim of an encoded envelope: routing fields only.
-
-    The shard router must read an envelope's addressing slots —
-    sequence, sender, receiver, kind, trace, request id, session id —
-    without paying for (or depending on) the body: protocol bodies are
-    the expensive part of a frame and decoding them would drag the
-    whole extension registry (and thus the crypto stack) into the
-    router process.  The skimmer decodes only scalar slots and *skips*
-    everything else by walking tags and lengths; it never touches the
-    extension registry.
-    """
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._offset = 0
-        self._depth = 0
-
-    # -- read helpers (mirrors _Decoder) ----------------------------------
-
-    def _take(self, count: int) -> bytes:
-        end = self._offset + count
-        if end > len(self._data):
-            raise ValueCodecError("truncated value encoding")
-        chunk = self._data[self._offset:end]
-        self._offset = end
-        return chunk
-
-    def _u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
-
-    def _count(self, per_item_bytes: int = 1) -> int:
-        count = self._u32()
-        remaining = len(self._data) - self._offset
-        if count * per_item_bytes > remaining:
-            raise ValueCodecError(
-                f"container claims {count} elements but only {remaining} "
-                f"bytes remain"
-            )
-        return count
-
-    def _skip(self) -> None:
-        """Skip one encoded value without materializing it."""
-        self._depth += 1
-        if self._depth > MAX_VALUE_DEPTH:
-            raise ValueCodecError(
-                f"value tree deeper than {MAX_VALUE_DEPTH} levels"
-            )
-        try:
-            tag = self._take(1)[0]
-            if tag in (_T_NONE, _T_TRUE, _T_FALSE):
-                return
-            if tag in (_T_INT, _T_BYTES, _T_STR):
-                self._take(self._u32())
-            elif tag == _T_FLOAT:
-                self._take(8)
-            elif tag in (_T_LIST, _T_TUPLE, _T_SET, _T_FROZENSET):
-                for _ in range(self._count()):
-                    self._skip()
-            elif tag == _T_DICT:
-                for _ in range(self._count(per_item_bytes=2)):
-                    self._skip()
-                    self._skip()
-            elif tag == _T_EXT:
-                self._take(self._take(1)[0])  # extension name
-                self._skip()                  # packed payload
-            elif tag == _T_REF:
-                self._take(4)
-            else:
-                raise ValueCodecError(f"unknown value tag 0x{tag:02x}")
-        finally:
-            self._depth -= 1
-
-    def _scalar(self) -> Any:
-        """Decode one routing-slot value: None, int, str, or a tuple of
-        those (the trace pair).  Anything else is a malformed slot."""
-        tag = self._take(1)[0]
-        if tag == _T_NONE:
-            return None
-        if tag == _T_INT:
-            return int.from_bytes(self._take(self._u32()), "big", signed=True)
-        if tag == _T_STR:
-            try:
-                return self._take(self._u32()).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueCodecError(f"malformed UTF-8 string: {exc}") from exc
-        if tag == _T_TUPLE:
-            return tuple(self._scalar() for _ in range(self._count()))
-        raise ValueCodecError(
-            f"unexpected tag 0x{tag:02x} in an envelope routing slot"
-        )
-
-    def peek(self) -> tuple:
-        """The envelope tuple with the body slot replaced by ``None``."""
-        tag = self._take(1)[0]
-        if tag != _T_TUPLE:
-            raise ValueCodecError("malformed message envelope")
-        count = self._count()
-        if count not in (5, 6, 7, 8):
-            raise ValueCodecError("malformed message envelope")
-        slots: list[Any] = []
-        for index in range(count):
-            if index == 4:
-                self._skip()       # the body — never decoded
-                slots.append(None)
-            else:
-                slots.append(self._scalar())
-        if self._offset != len(self._data):
-            raise ValueCodecError(
-                f"{len(self._data) - self._offset} trailing bytes after value"
-            )
-        return tuple(slots)
-
-
-def peek_envelope(
-    data: bytes,
-) -> tuple[
-    int, str, str, str, None,
-    tuple[str, str] | None, str | None, str | None,
-]:
-    """Routing fields of an encoded envelope, without decoding the body.
-
-    Same 8-tuple as :func:`decode_envelope` — ``(sequence, sender,
-    receiver, kind, body, trace, request_id, session_id)`` — except the
-    body slot is always ``None``.  The body bytes are length-skipped,
-    never decoded, so peeking is cheap on arbitrarily large protocol
-    payloads and works without the domain extension registry (the shard
-    router routes frames it cannot — and must not — interpret).
-    """
-    try:
-        envelope = _Skimmer(data).peek()
-    except CodecError:
-        raise
-    except Exception as exc:
-        raise ValueCodecError(f"undecodable value stream: {exc}") from exc
-    return _validated_envelope(envelope)
 
 
 # -- framing ------------------------------------------------------------------

@@ -30,8 +30,8 @@ session's view of the traffic, its request-id dedupe window, its
 ``recv:`` span attribution — in a :class:`~repro.session.SessionRegistry`
 with LRU + TTL eviction, so one client's queries are invisible to
 another's and abandoned sessions cannot leak memory.  Distinct sessions
-execute in parallel on the endpoint's worker pool (``max_workers``
-slots) while a per-session lock serializes steps *within* each session.
+interleave on the endpoint's event loop while a per-session lock
+serializes steps *within* each session.
 When ``max_sessions`` live sessions exist, the first message of any new
 session is answered with a ``BUSY`` frame — the client transport backs
 off under its retry policy and surfaces
@@ -93,8 +93,6 @@ DEDUPE_WINDOW = 4096
 
 #: Live sessions an endpoint admits before answering BUSY.
 DEFAULT_MAX_SESSIONS = 64
-#: Data messages processed concurrently across sessions.
-DEFAULT_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -126,15 +124,9 @@ class PartyServer:
         on_message: Callable[[RemoteRecord], None] | None = None,
         max_sessions: int = DEFAULT_MAX_SESSIONS,
         session_ttl: float | None = DEFAULT_SESSION_TTL,
-        max_workers: int = DEFAULT_MAX_WORKERS,
-        ack_delay: float = 0.0,
     ) -> None:
         if max_sessions < 1:
             raise ValueError(f"max_sessions must be >= 1, got {max_sessions}")
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if ack_delay < 0:
-            raise ValueError(f"ack_delay must be >= 0, got {ack_delay}")
         self.party = party
         self.host = host
         self.port = port
@@ -158,15 +150,6 @@ class PartyServer:
             lock_factory=asyncio.Lock,
             on_evict=self._session_ended,
         )
-        #: Bounds concurrent DATA processing across sessions.
-        self._worker_slots = asyncio.Semaphore(max_workers)
-        #: Draining endpoints finish in-flight sessions but answer BUSY
-        #: to any *new* session — the graceful half of shard removal.
-        self._draining = False
-        #: Simulated per-message service latency (models the link RTT a
-        #: distributed deployment would pay); concurrent sessions
-        #: overlap it, sequential clients pay it serially.
-        self.ack_delay = ack_delay
 
     # -- lifecycle --------------------------------------------------------
 
@@ -203,32 +186,6 @@ class PartyServer:
         assert self._server is not None
         async with self._server:
             await self._server.serve_forever()
-
-    # -- draining ----------------------------------------------------------
-
-    def drain(self) -> None:
-        """Stop admitting new sessions; in-flight sessions finish.
-
-        The graceful half of shard removal (see ``docs/cluster.md``):
-        a draining endpoint answers the first message of any *new*
-        session with BUSY — upstream routers fail the session over to a
-        live shard — while known live sessions (and legacy session-less
-        traffic) proceed untouched.  Once :meth:`active_sessions`
-        reaches zero the process can exit without failing anyone.
-        """
-        self._draining = True
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def active_sessions(self) -> int:
-        """Live sessions excluding the legacy slot — what a draining
-        endpoint waits on before shutting down."""
-        return sum(
-            1 for session_id in self.sessions.ids()
-            if session_id != LEGACY_SESSION
-        )
 
     # -- connection handling ----------------------------------------------
 
@@ -315,13 +272,27 @@ class PartyServer:
                 codec.encode_value({"error": f"undecodable envelope: {exc}"}),
             )
             return False
+        if receiver != self.party:
+            # Rejected before admission: a stray frame must not open a
+            # session slot or be answered BUSY.
+            await codec.write_frame(
+                writer,
+                codec.ERROR,
+                codec.encode_value(
+                    {
+                        "error": (
+                            f"misdelivered message for {receiver!r} at "
+                            f"endpoint {self.party!r}"
+                        )
+                    }
+                ),
+            )
+            return False
         session = self._admit(session_id)
         if session is None:
             await self._busy(writer)
             return False
-        # Session lock first, worker slot second: a queued same-session
-        # message waits on its session without pinning a worker slot.
-        async with session.lock, self._worker_slots:
+        async with session.lock:
             acked: dict[str, dict] = session.state.setdefault("acked", {})
             if request_id is not None and request_id in acked:
                 # Idempotent re-delivery: the sender retried a message
@@ -339,23 +310,6 @@ class PartyServer:
                     writer, codec.ACK, codec.encode_value(acked[request_id])
                 )
                 return False
-            if receiver != self.party:
-                await codec.write_frame(
-                    writer,
-                    codec.ERROR,
-                    codec.encode_value(
-                        {
-                            "error": (
-                                f"misdelivered message for {receiver!r} at "
-                                f"endpoint {self.party!r}"
-                            )
-                        }
-                    ),
-                )
-                return False
-            if self.ack_delay:
-                # Simulated link/service latency: sessions overlap it.
-                await asyncio.sleep(self.ack_delay)
             record = RemoteRecord(
                 sequence=sequence,
                 sender=sender,
@@ -392,8 +346,9 @@ class PartyServer:
         """
         if session_id is None:
             session_id = LEGACY_SESSION
-        elif session_id not in self.sessions and (
-            self._draining or len(self.sessions) >= self.max_sessions
+        elif (
+            session_id not in self.sessions
+            and len(self.sessions) >= self.max_sessions
         ):
             return None
         opened = session_id not in self.sessions
@@ -421,7 +376,6 @@ class PartyServer:
                     "party": self.party,
                     "sessions": len(self.sessions),
                     "max_sessions": self.max_sessions,
-                    "draining": self._draining,
                 }
             ),
         )
@@ -463,10 +417,9 @@ class PartyServer:
 
     def _session_ended(self, session: Session, reason: str) -> None:
         """Registry eviction hook: count how each session ended."""
-        event = "closed" if reason == "closed" else reason
         self.registry.counter(
             ENDPOINT_SESSIONS_METRIC,
-            {"party": self.party, "event": event},
+            {"party": self.party, "event": reason},
             help_text="Session lifecycle events at a party endpoint",
         ).inc()
 

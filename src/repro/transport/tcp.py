@@ -129,7 +129,7 @@ class TcpTransport(Transport):
         self._endpoints: dict[str, tuple[str, int]] = dict(endpoints or {})
         self._host = host
         #: Keyword arguments applied to every locally hosted
-        #: :class:`PartyServer` (``max_sessions``, ``ack_delay``, ...).
+        #: :class:`PartyServer` (``max_sessions``, ``session_ttl``, ...).
         self._server_options = dict(server_options or {})
         self._servers: dict[str, PartyServer] = {}
         #: Idle persistent connections per peer, most recently used

@@ -86,8 +86,9 @@ class TestAdjacentWorkload:
 
 class TestAuditConfig:
     def test_rejects_unknown_transport(self):
-        with pytest.raises(ParameterError):
-            AuditConfig(transport="carrier-pigeon")
+        for transport in ("carrier-pigeon", "cluster"):
+            with pytest.raises(ParameterError):
+                AuditConfig(transport=transport)
 
     def test_rejects_unknown_protocol(self):
         with pytest.raises(ParameterError):

@@ -62,7 +62,7 @@ def build_federation(ca, client, workload, network=None) -> Federation:
 @pytest.fixture
 def trio_hub():
     """One shared serve trio hosted in-process; yields (hub, endpoints)."""
-    hub = TcpTransport(retry=POLICY, server_options={"ack_delay": 0.002})
+    hub = TcpTransport(retry=POLICY)
     for party in TRIO:
         hub.register(party)
     endpoints = {party: hub.endpoint_of(party) for party in TRIO}

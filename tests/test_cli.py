@@ -1,9 +1,15 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
 
 import pytest
 
+import repro
 from repro.cli import main
 
 FAST_WORKLOAD = ["--domain", "4", "--overlap", "2", "--rows-per-value", "1"]
@@ -117,7 +123,7 @@ class TestLoadgen:
         assert "p95" in out
         with open(json_out, encoding="utf-8") as handle:
             report = json.load(handle)
-        assert report["schema"] == "repro-loadgen/1"
+        assert report["schema"] == "repro-loadgen/2"
         assert report["completed"] == 2
         assert report["failed"] == 0
         assert report["consistent_results"] is True
@@ -130,3 +136,36 @@ class TestLoadgen:
             "--protocol", "das", *FAST,
         ]) == 0
         assert "concurrency 1," in capsys.readouterr().out
+
+
+class TestServe:
+    def test_sigterm_is_a_clean_stop(self, tmp_path):
+        database = tmp_path / "mediator.db"
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "mediator",
+                "--port", "0", "--storage", f"sqlite:{database}",
+            ],
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": source_root},
+        )
+        watchdog = threading.Timer(60, process.kill)
+        watchdog.start()
+        try:
+            for line in process.stderr:
+                if "listening on" in line:
+                    break
+            else:
+                pytest.fail("serve exited before it was listening")
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=5) == 0
+            assert "0 messages received, bye" in process.stderr.read()
+            # A closed SQLite store checkpoints and removes its WAL.
+            assert database.exists()
+            assert not database.with_name("mediator.db-wal").exists()
+        finally:
+            watchdog.cancel()
+            process.kill()
+            process.wait()

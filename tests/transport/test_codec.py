@@ -280,6 +280,8 @@ class TestEnvelopeAndFraming:
             b"SM\x01\x63\x00\x00\x00\x00",  # unknown frame type
             b"SM\x01\x01\xff\xff\xff\xff",  # absurd length
             b"short",
+            b"SM\x01\x0b\x00\x00\x00\x00",  # retired STATS
+            b"SM\x01\x0c\x00\x00\x00\x00",  # retired STATS reply
         ],
     )
     def test_bad_frame_headers_rejected(self, header):

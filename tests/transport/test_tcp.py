@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.transport import RetryPolicy, TcpTransport, codec
+from repro.transport.server import ENDPOINT_SESSIONS_METRIC
 
 
 def _recv_exactly(sock: socket.socket, count: int) -> bytes:
@@ -168,15 +169,22 @@ class TestFaults:
 
     def test_misdelivered_message_reported_by_endpoint(self, transport):
         # Talk to the raw endpoint (past the handshake) and address a
-        # message to the wrong party: the endpoint must answer ERROR.
+        # message to the wrong party: the endpoint must answer ERROR,
+        # and a session id on the stray envelope must not open a session.
         transport.register("mediator")
         host, port = transport.endpoint_of("mediator")
-        payload = codec.encode_envelope(1, "x", "NOT-mediator", "kind", None)
-        with socket.create_connection((host, port)) as raw:
-            raw.sendall(codec.build_frame(codec.DATA, payload))
-            header = _recv_exactly(raw, codec.FRAME_HEADER_BYTES)
-            frame_type, length = codec.parse_frame_header(header)
-            body = codec.decode_value(_recv_exactly(raw, length))
-        assert frame_type == codec.ERROR
-        assert "misdelivered" in body["error"]
-        assert transport.remote_view("mediator") == []
+        server = transport.local_server("mediator")
+        for session_id in (None, "stray"):
+            payload = codec.encode_envelope(
+                1, "x", "NOT-mediator", "kind", None, session_id=session_id
+            )
+            with socket.create_connection((host, port)) as raw:
+                raw.sendall(codec.build_frame(codec.DATA, payload))
+                header = _recv_exactly(raw, codec.FRAME_HEADER_BYTES)
+                frame_type, length = codec.parse_frame_header(header)
+                body = codec.decode_value(_recv_exactly(raw, length))
+            assert frame_type == codec.ERROR
+            assert "misdelivered" in body["error"]
+            assert "stray" not in server.sessions
+            assert ENDPOINT_SESSIONS_METRIC not in server.registry.snapshot()
+            assert transport.remote_view("mediator") == []
