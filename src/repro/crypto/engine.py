@@ -39,6 +39,10 @@ deliberate difference: a hybrid batch is *one session* (Section 2's
 "newly generated symmetric session key" per transferred partial result),
 so it wraps one key per recipient and unwraps once per distinct
 encapsulation where the scalar loop pays one RSA operation per item.
+Only that RSA leg is a pool candidate: the DEM bodies of a hybrid batch
+go through :mod:`repro.crypto.symmetric`'s batch kernel in the calling
+process in every mode, which costs less than shipping them to a worker
+and keeps session keys out of pickles.
 """
 
 from __future__ import annotations
@@ -255,14 +259,6 @@ def _unit_poly_eval(shared: EncryptedPolynomial, job: tuple) -> Any:
     return shared.masked_evaluate(x, mask, payload)
 
 
-def _unit_hybrid_encrypt(shared: tuple, plaintext: bytes) -> bytes:
-    # Returns the DEM body alone: the caller attaches its own
-    # encapsulation object, which a pool worker's copy would not be.
-    session_key, associated_data = shared
-    instrumentation.record("hybrid.encrypt")
-    return symmetric.encrypt(session_key, plaintext, associated_data)
-
-
 def _unit_hybrid_encrypt_alone(shared: tuple, plaintext: bytes) -> Any:
     public_keys, associated_data = shared
     return hybrid.encrypt(public_keys, plaintext, associated_data)
@@ -271,12 +267,6 @@ def _unit_hybrid_encrypt_alone(shared: tuple, plaintext: bytes) -> Any:
 def _unit_hybrid_unwrap(shared: tuple, encapsulation: Any) -> Any:
     private_key, use_crt = shared
     return hybrid.unwrap(private_key, encapsulation, use_crt)
-
-
-def _unit_hybrid_decrypt(associated_data: bytes, job: tuple) -> bytes:
-    session_key, body = job
-    instrumentation.record("hybrid.decrypt")
-    return symmetric.decrypt(session_key, body, associated_data)
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +538,8 @@ class CryptoEngine:
     ) -> list:
         items = list(items)
         name = name or unit.__name__.replace("_unit_", "", 1)
-        party = self._ambient_party()
         backend = self.backend
-        with tracing.span(
-            f"crypto:{name}", party,
-            kind="crypto", items=len(items), mode=self.mode,
-            backend=backend.name,
-        ) as batch_span:
+        with self._batch_span(name, len(items)) as batch_span:
             if not self._use_pool(len(items)):
                 with _backend.use_backend(backend):
                     if chunk_fn is not None and not self.legacy:
@@ -565,7 +550,7 @@ class CryptoEngine:
                 trace = {
                     "trace_id": batch_span.trace_id,
                     "span_id": batch_span.span_id,
-                    "party": party,
+                    "party": batch_span.party,
                 }
             pool = self._ensure_pool()
             chunk = max(
@@ -595,6 +580,14 @@ class CryptoEngine:
                         Span.from_dict(record) for record in span_records
                     )
             return results
+
+    def _batch_span(self, name: str, items: int) -> Any:
+        """The ``crypto:{name}`` span every batch runs under."""
+        return tracing.span(
+            f"crypto:{name}", self._ambient_party(),
+            kind="crypto", items=items, mode=self.mode,
+            backend=self.backend.name,
+        )
 
     @staticmethod
     def _ambient_party() -> str:
@@ -746,12 +739,18 @@ class CryptoEngine:
         Continues ``session`` (open one with
         :func:`~repro.crypto.hybrid.new_session`): every item is a DEM
         body with its own nonce, and all of them hold the session's one
-        :class:`~repro.crypto.hybrid.Encapsulation` object — in pooled
-        mode too, where only the bodies come back from the workers.
+        :class:`~repro.crypto.hybrid.Encapsulation` object.  The DEM runs
+        in the calling process in every mode: its batch kernel
+        (:func:`~repro.crypto.symmetric.encrypt_many`) finishes a
+        delivery in less time than a pool takes to receive it, and the
+        session key never leaves this process.
         """
-        bodies = self._run(
-            _unit_hybrid_encrypt, (session.key, associated_data), plaintexts
-        )
+        plaintexts = list(plaintexts)
+        with self._batch_span("hybrid_encrypt", len(plaintexts)):
+            instrumentation.record("hybrid.encrypt", len(plaintexts))
+            bodies = symmetric.encrypt_many(
+                session.key, plaintexts, associated_data
+            )
         return [
             hybrid.HybridCiphertext(session.encapsulation, body)
             for body in bodies
@@ -785,9 +784,11 @@ class CryptoEngine:
         """Batch hybrid decryption under one private key.
 
         The private-key operation runs once per *distinct* encapsulation
-        in the batch, the DEM once per item.  ``session_keys`` is the
-        caller's memo, if it keeps one: hits skip the private-key
-        operation altogether, misses are added.
+        in the batch (pooled, when the engine is), the DEM once per item
+        in the calling process (:func:`~repro.crypto.symmetric.
+        decrypt_many`: no plaintext unless every item authenticates).
+        ``session_keys`` is the caller's memo, if it keeps one: hits skip
+        the private-key operation altogether, misses are added.
         """
         fp = hybrid.key_fingerprint(private_key.public_key())
         distinct: dict[bytes, hybrid.Encapsulation] = {}
@@ -812,11 +813,13 @@ class CryptoEngine:
                 keys[wrapped] = key
                 if session_keys is not None:
                     session_keys[wrapped] = key
-        jobs = [
-            (keys[ciphertext.wrapped_keys[fp]], ciphertext.body)
-            for ciphertext in ciphertexts
-        ]
-        return self._run(_unit_hybrid_decrypt, associated_data, jobs)
+        with self._batch_span("hybrid_decrypt", len(ciphertexts)):
+            instrumentation.record("hybrid.decrypt", len(ciphertexts))
+            return symmetric.decrypt_many(
+                [keys[ciphertext.wrapped_keys[fp]] for ciphertext in ciphertexts],
+                [ciphertext.body for ciphertext in ciphertexts],
+                associated_data,
+            )
 
     def map_batch(self, func: Callable, argument_tuples: Sequence[tuple]) -> list:
         """Generic batch: ``[func(*args) for args in argument_tuples]``.

@@ -75,7 +75,13 @@ class PrimitiveCounter:
 
 def record(operation: str, amount: int = 1) -> None:
     """Report ``amount`` invocations of ``operation`` to active counters
-    and to the installed metrics registry (if any)."""
+    and to the installed metrics registry (if any).
+
+    A batch reports its size in one call; an empty batch reports nothing,
+    so it leaves no zero-valued entry behind.
+    """
+    if not amount:
+        return
     for counter in _stack():
         counter.record(operation, amount)
     registry = _metrics.get_registry()

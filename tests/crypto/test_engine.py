@@ -320,8 +320,9 @@ class TestBatchHybrid:
 
     def test_encrypt_shares_the_sessions_encapsulation(self, all_engines, rsa_key):
         """Every execution mode returns ciphertexts holding the session's
-        own encapsulation object — pool workers ship bodies only — so
-        the codec and the size estimate count it once."""
+        own encapsulation object — the DEM runs in the calling process,
+        whatever the mode — so the codec and the size estimate count it
+        once."""
         plaintexts = [b"payload-%d" % i for i in range(16)]
         sizes = set()
         for engine in all_engines:

@@ -8,13 +8,20 @@ must be invisible except for wall-clock time.  The legacy engine
 (Euler-criterion membership, Carmichael decryption, no CRT) is included
 as a third leg: the algorithmic fast paths must not change results or
 operation counts either.
+
+The DEM half of a hybrid batch is the same code in all three: it runs in
+the calling process through the batch kernel of ``crypto.symmetric``,
+never in the pool, and batching must not change what the primitive
+counters record.
 """
 
 import pytest
 
 from repro import CommutativeConfig, DASConfig, PMConfig, run_join_query
+from repro.crypto import hybrid, instrumentation
 from repro.crypto.engine import CryptoEngine
 from repro.relational.algebra import natural_join
+from repro.telemetry import Tracer, use_tracer
 
 QUERY = "select * from R1 natural join R2"
 
@@ -75,3 +82,49 @@ def test_pooled_engine_reuse_across_protocols(engines, make_federation, workload
         assert result.global_result == natural_join(
             workload.relation_1, workload.relation_2
         )
+
+
+def test_hybrid_batches_are_the_same_in_every_mode(engines, rsa_key):
+    """Equal primitive counts, the session's one encapsulation object,
+    output any mode can decrypt, and a DEM that never enters the pool."""
+    plaintexts = [b"row-%d" % i * i for i in range(16)]
+    produced = {}
+    for mode, engine in engines.items():
+        session = hybrid.new_session([rsa_key.public_key()])
+        tracer = Tracer()
+        with use_tracer(tracer), instrumentation.count_primitives() as counter:
+            ciphertexts = engine.batch_hybrid_encrypt(session, plaintexts)
+        assert dict(counter.counts) == {
+            "hybrid.encrypt": len(plaintexts),
+            "symmetric.encrypt": len(plaintexts),
+        }, mode
+        assert all(c.wrapped_keys is session.encapsulation for c in ciphertexts), mode
+        (batch,) = tracer.find("crypto:hybrid_encrypt")
+        assert batch.attributes["items"] == len(plaintexts)
+        assert tracer.find("crypto:chunk") == [], mode
+        produced[mode] = ciphertexts
+
+    for producer, ciphertexts in produced.items():
+        for consumer, engine in engines.items():
+            tracer = Tracer()
+            with use_tracer(tracer), instrumentation.count_primitives() as counter:
+                decrypted = engine.batch_hybrid_decrypt(rsa_key, ciphertexts)
+            assert decrypted == plaintexts, (producer, consumer)
+            assert dict(counter.counts) == {
+                "rsa.decrypt": 1,
+                "hybrid.decrypt": len(plaintexts),
+                "symmetric.decrypt": len(plaintexts),
+            }, (producer, consumer)
+            # Two spans of one name: the RSA unwrap of the batch's single
+            # encapsulation, which the pooled engine does hand to a
+            # worker, and the DEM over all items, which no engine does.
+            unwrap, dem = sorted(
+                tracer.find("crypto:hybrid_decrypt"),
+                key=lambda span: span.attributes["items"],
+            )
+            assert (unwrap.attributes["items"], dem.attributes["items"]) == (
+                1, len(plaintexts),
+            )
+            chunks = tracer.find("crypto:chunk")
+            assert all(chunk.parent_id == unwrap.span_id for chunk in chunks)
+            assert bool(chunks) == (consumer == "pooled"), consumer
