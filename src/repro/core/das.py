@@ -36,7 +36,9 @@ from __future__ import annotations
 
 import random
 import secrets
+import struct
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.core.encapsulation import source_session
 from repro.core.federation import Federation
@@ -145,6 +147,53 @@ class ServerResult:
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+    def row_tables(
+        self,
+    ) -> tuple[list[EncryptedTuple], list[EncryptedTuple], bytes]:
+        """R_C as the two tables of distinct rows plus a position table.
+
+        A selected row typically appears in many pairs, so this — not
+        the pair list — is what goes on the wire and what the size
+        estimate counts: each distinct row (by identity, in order of
+        first appearance) once per side, and one packed array of
+        big-endian ``u32`` ``(i, j)`` row positions, 8 bytes per pair.
+        """
+        rows_1, positions_1 = _distinct([pair[0] for pair in self.pairs])
+        rows_2, positions_2 = _distinct([pair[1] for pair in self.pairs])
+        flat = list(chain.from_iterable(zip(positions_1, positions_2)))
+        return rows_1, rows_2, struct.pack(f">{len(flat)}I", *flat)
+
+    @classmethod
+    def from_row_tables(
+        cls,
+        rows_1: list[EncryptedTuple],
+        rows_2: list[EncryptedTuple],
+        positions: bytes,
+    ) -> "ServerResult":
+        """Inverse of :meth:`row_tables`; pairs share the row objects."""
+        if len(positions) % 8:
+            raise ProtocolError(
+                "server-result position table is not whole (i, j) pairs"
+            )
+        flat = struct.unpack(f">{len(positions) // 4}I", positions)
+        return cls(
+            pairs=tuple(
+                zip(
+                    map(rows_1.__getitem__, flat[0::2]),
+                    map(rows_2.__getitem__, flat[1::2]),
+                )
+            )
+        )
+
+
+def _distinct(rows: list) -> tuple[list, list[int]]:
+    """The distinct objects of ``rows`` by identity, in order of first
+    appearance, and each row's position among them."""
+    ids = list(map(id, rows))
+    distinct = dict(zip(ids, rows))
+    numbers = dict(zip(distinct, range(len(distinct))))
+    return list(distinct.values()), list(map(numbers.__getitem__, ids))
 
 
 @dataclass

@@ -12,8 +12,9 @@ retry) is exercised against real socket misbehaviour:
 
 * ``delay``     — hold the frame before forwarding,
 * ``drop``      — swallow the frame (the sender's ack wait times out),
-* ``corrupt``   — flip payload bytes in flight (the endpoint answers
-  ``ERROR: undecodable envelope``),
+* ``corrupt``   — flip a payload byte in flight (wherever it lands, the
+  envelope fails its CRC and the endpoint answers ``ERROR: undecodable
+  envelope``),
 * ``duplicate`` — forward the frame twice (the endpoint dedupes; the
   extra ACK is skipped as stale by the sender),
 * ``truncate``  — forward a partial frame, then reset both sides,
@@ -38,7 +39,7 @@ from repro.errors import NetworkError
 from repro.faults.injector import FaultInjector
 from repro.transport import codec
 
-#: Deterministic corruption mask applied to in-flight payload bytes.
+#: Deterministic corruption mask applied to one in-flight payload byte.
 _CORRUPTION_MASK = 0x5A
 
 
@@ -98,12 +99,8 @@ class ChaosProxy:
             listener.close()
         with self._lock:
             doomed = list(self._sockets)
-            self._sockets.clear()
         for sock in doomed:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - already gone
-                pass
+            self._discard(sock)
         for thread in self._threads:
             if thread is threading.current_thread():
                 continue  # a crash rule stops the proxy from inside
@@ -206,24 +203,24 @@ class ChaosProxy:
 
     @staticmethod
     def _peek(payload: bytes) -> tuple[str, str, str, str | None] | None:
-        """(sender, receiver, kind, session) of a DATA payload, if decodable."""
+        """(sender, receiver, kind, session) of a DATA payload's header,
+        if it parses; the body is relayed unread."""
         try:
-            (
-                _, sender, receiver, kind, _, _, _, session,
-            ) = codec.decode_envelope(payload)
+            header = codec.decode_header(payload)
         except Exception:
             return None
-        return sender, receiver, kind, session
+        return header.sender, header.receiver, header.kind, header.session_id
 
     @staticmethod
     def _corrupted(frame: bytes) -> bytes:
-        """Flip a few payload bytes; header (and so framing) stays valid."""
-        body = bytearray(frame[codec.FRAME_HEADER_BYTES:])
-        if not body:
-            return frame
-        for position in {len(body) // 3, len(body) // 2, (2 * len(body)) // 3}:
-            body[position] ^= _CORRUPTION_MASK
-        return frame[: codec.FRAME_HEADER_BYTES] + bytes(body)
+        """Flip the middle payload byte; the frame header (and so the
+        framing) stays valid."""
+        garbled = bytearray(frame)
+        if len(garbled) > codec.FRAME_HEADER_BYTES:
+            garbled[(codec.FRAME_HEADER_BYTES + len(garbled)) // 2] ^= (
+                _CORRUPTION_MASK
+            )
+        return bytes(garbled)
 
     def _interruptible_sleep(self, seconds: float) -> None:
         waited = 0.0
@@ -286,6 +283,12 @@ class ChaosProxy:
     def _discard(self, sock: socket.socket) -> None:
         with self._lock:
             self._sockets.discard(sock)
+        try:
+            # close() alone does not wake a pump thread blocked in
+            # recv() on this socket; shutdown() does.
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never connected, or already gone
         try:
             sock.close()
         except OSError:  # pragma: no cover - already gone

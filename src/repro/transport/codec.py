@@ -7,46 +7,34 @@ credentials — must survive a real wire.  This module defines:
 * a **value codec**: a recursive, type-tagged binary encoding of the
   payload trees the protocols exchange (primitives, containers, and a
   registry of domain extension types),
-* an **envelope codec**: the ``(sequence, sender, receiver, kind, body)``
-  tuple every transmitted message is wrapped in, optionally extended
-  with a sixth ``(trace_id, span_id)`` element carrying distributed
-  trace context (see ``docs/observability.md``), a seventh
-  ``request_id`` string that endpoints deduplicate re-deliveries on
-  (see ``docs/robustness.md``), and an eighth ``session_id`` string
-  that endpoints key per-session protocol state by (see
-  ``docs/transport.md``),
+* an **envelope codec**: one ``struct``-parsed header — flags,
+  sequence, routing strings, the optional trace context
+  (``docs/observability.md``), request id (``docs/robustness.md``) and
+  session id selected by flag bits, a CRC-32 — followed by the encoded
+  body as an opaque tail, so an endpoint routes, checks, records and
+  acknowledges a message from :func:`decode_header` alone,
 * **framing**: an 8-byte frame header (magic, version, frame type,
   payload length) plus asyncio stream helpers.
 
-Wire format (all integers big-endian)::
+``docs/transport.md`` holds the wire format as one table.  In short
+(all integers big-endian)::
 
-    frame   := magic(2) version(1) type(1) length(4) payload(length)
-    payload := value                      -- one encoded value tree
-    value   := tag(1) tag-specific-body
-
-Value tags::
-
-    0x00 None            0x01 False           0x02 True
-    0x03 int    u32 length + signed big-endian two's complement
-    0x04 float  IEEE-754 double (8 bytes)
-    0x05 bytes  u32 length + raw
-    0x06 str    u32 length + UTF-8
-    0x07 list   u32 count + values       0x08 tuple  (same body)
-    0x09 dict   u32 count + key/value value pairs
-    0x0A set    u32 count + values       0x0B frozenset (same body)
-    0x0C ext    u8 name length + ASCII name + packed value
-    0x0D ref    u32 index into the stream's interning table
+    frame    := magic(2) version(1) type(1) length(4) payload(length)
+    envelope := flags(1) sequence(8) text*  crc32(4)  value
+    text     := u16 length + UTF-8
+    value    := tag(1) tag-specific-body
 
 **Extensions** cover the domain types (hybrid/Paillier/ElGamal/EC
 ciphertexts, index tables, DAS relations, credentials, ...).  Public
 keys, groups, curves and hybrid key encapsulations are **interned**: the
-first occurrence in a stream is encoded in full and appended to an
-interning table that both encoder and decoder maintain in stream order;
-later occurrences encode as a 5-byte ``ref``.  A message carrying a
-thousand Paillier ciphertexts therefore ships the public modulus once,
-not a thousand times, and an encrypted relation ships its source's
-wrapped session key once, not once per tuple — this is what keeps
-actual wire bytes close to the structural estimates of
+first occurrence in a stream is encoded in full and, once complete,
+appended to an interning table that encoder and decoder maintain in the
+same order; later occurrences encode as a 5-byte ``ref``.  A thousand
+Paillier ciphertexts ship their modulus once, an encrypted relation its
+source's wrapped session key once, and a DAS server result each distinct
+row once, next to one packed table of row positions
+(:meth:`repro.core.das.ServerResult.row_tables`) — which keeps wire
+bytes close to the structural estimates of
 :func:`repro.mediation.sizing.estimate_size`.
 
 The registry is populated lazily on first use so that importing the
@@ -57,14 +45,15 @@ from __future__ import annotations
 
 import asyncio
 import struct
-from typing import Any, Callable
+import zlib
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import CodecError, FrameCodecError, ValueCodecError
 
 # -- framing constants --------------------------------------------------------
 
 MAGIC = b"SM"
-VERSION = 1
+VERSION = 2
 #: magic(2) + version(1) + frame type(1) + payload length(4).
 FRAME_HEADER_BYTES = 8
 #: Refuse frames above this size instead of exhausting memory.
@@ -113,24 +102,14 @@ _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
 
 
-class _Extension:
+class _Extension(NamedTuple):
     """One registered domain type: how to take it apart and rebuild it."""
 
-    __slots__ = ("name", "cls", "pack", "unpack", "shareable")
-
-    def __init__(
-        self,
-        name: str,
-        cls: type,
-        pack: Callable[[Any], Any],
-        unpack: Callable[[Any], Any],
-        shareable: bool = False,
-    ) -> None:
-        self.name = name
-        self.cls = cls
-        self.pack = pack
-        self.unpack = unpack
-        self.shareable = shareable
+    name: str
+    cls: type
+    pack: Callable[[Any], Any]
+    unpack: Callable[[Any], Any]
+    shareable: bool = False
 
 
 _BY_NAME: dict[str, _Extension] = {}
@@ -306,8 +285,8 @@ def _bootstrap() -> None:
     _register(
         "das-server-result",
         ServerResult,
-        lambda r: (r.pairs,),
-        lambda t: ServerResult(pairs=t[0]),
+        ServerResult.row_tables,
+        lambda t: ServerResult.from_row_tables(*t),
     )
     _register(
         "tagged-message",
@@ -330,7 +309,6 @@ class _Encoder:
         self._chunks: list[bytes] = []
         self._interned: dict[int, int] = {}  # id(obj) -> table index
         self._keepalive: list[Any] = []      # ids stay valid while we run
-        self._next_index = 0
 
     def encode(self, value: Any) -> bytes:
         self._value(value)
@@ -404,14 +382,16 @@ class _Encoder:
                 self._tag(_T_REF)
                 self._u32(index)
                 return
-            self._interned[id(value)] = self._next_index
-            self._keepalive.append(value)
-            self._next_index += 1
         name = extension.name.encode("ascii")
         self._tag(_T_EXT)
         self._chunks.append(bytes((len(name),)))
         self._chunks.append(name)
         self._value(extension.pack(value))
+        if extension.shareable:
+            # Numbered once complete, after any shareables nested inside
+            # it — the order in which the decoder can rebuild them.
+            self._interned[id(value)] = len(self._interned)
+            self._keepalive.append(value)
 
 
 def _canonical(items: Any) -> list:
@@ -592,6 +572,28 @@ def encoded_size(value: Any) -> int:
     return len(encode_value(value))
 
 
+# Envelope flag bits: which optional header fields are present.
+_F_TRACE = 0x01
+_F_REQUEST_ID = 0x02
+_F_SESSION_ID = 0x04
+_ENVELOPE_PREFIX = struct.Struct(">BQ")  # flags, sequence
+_U16 = struct.Struct(">H")
+
+
+class EnvelopeHeader(NamedTuple):
+    """Everything of an envelope but its body, as :func:`decode_header`
+    reads it; the encoded body is ``payload[body_offset:]``."""
+
+    sequence: int
+    sender: str
+    receiver: str
+    kind: str
+    trace: tuple[str, str] | None
+    request_id: str | None
+    session_id: str | None
+    body_offset: int
+
+
 def encode_envelope(
     sequence: int,
     sender: str,
@@ -611,23 +613,76 @@ def encode_envelope(
     ambiguous failure safe (see ``docs/robustness.md``).  ``session_id``
     names the client session the message belongs to; endpoints key all
     per-session protocol state (views, dedupe windows, telemetry) by it
-    (see ``docs/transport.md``).  Envelopes carrying none of the three
-    keep the historical 5-tuple wire shape byte-for-byte; each later
-    element forces the shape that includes it, with the skipped slots
-    explicitly ``None``.
+    (see ``docs/transport.md``).  Each optional field sets its flag bit
+    and is otherwise absent from the header; the CRC-32 covers every
+    other byte of the envelope, header and body.
     """
-    if session_id is not None:
-        return encode_value(
-            (sequence, sender, receiver, kind, body, trace, request_id,
-             session_id)
-        )
-    if request_id is not None:
-        return encode_value(
-            (sequence, sender, receiver, kind, body, trace, request_id)
-        )
-    if trace is None:
-        return encode_value((sequence, sender, receiver, kind, body))
-    return encode_value((sequence, sender, receiver, kind, body, trace))
+    flags = 0
+    texts = [sender, receiver, kind]
+    try:
+        if trace is not None:
+            flags |= _F_TRACE
+            trace_id, span_id = trace
+            texts += (trace_id, span_id)
+        if request_id is not None:
+            flags |= _F_REQUEST_ID
+            texts.append(request_id)
+        if session_id is not None:
+            flags |= _F_SESSION_ID
+            texts.append(session_id)
+        chunks = [_ENVELOPE_PREFIX.pack(flags, sequence)]
+        for text in texts:
+            raw = text.encode("utf-8")
+            chunks += (_U16.pack(len(raw)), raw)
+    except (struct.error, AttributeError, TypeError, ValueError) as exc:
+        raise ValueCodecError(f"unencodable envelope header: {exc}") from exc
+    head = b"".join(chunks)
+    tail = encode_value(body)
+    return head + _U32.pack(zlib.crc32(tail, zlib.crc32(head))) + tail
+
+
+def decode_header(data: bytes) -> EnvelopeHeader:
+    """Parse and checksum an envelope without decoding its body.
+
+    This is all an endpoint needs to route, record, deduplicate and
+    acknowledge a message; any byte flipped in flight — header or body —
+    fails the CRC here instead of depending on where it lands in the
+    value grammar.
+    """
+    try:
+        flags, sequence = _ENVELOPE_PREFIX.unpack_from(data)
+        if flags & ~(_F_TRACE | _F_REQUEST_ID | _F_SESSION_ID):
+            raise ValueCodecError(f"unknown envelope flags 0x{flags:02x}")
+        offset = _ENVELOPE_PREFIX.size
+        texts = []
+        for _ in range(
+            3 + 2 * bool(flags & _F_TRACE) + bool(flags & _F_REQUEST_ID)
+            + bool(flags & _F_SESSION_ID)
+        ):
+            end = offset + 2 + _U16.unpack_from(data, offset)[0]
+            if end > len(data):
+                raise ValueCodecError("truncated message envelope")
+            texts.append(data[offset + 2:end].decode("utf-8"))
+            offset = end
+        crc = _U32.unpack_from(data, offset)[0]
+    except (struct.error, UnicodeDecodeError, TypeError) as exc:
+        raise ValueCodecError(f"malformed message envelope: {exc}") from exc
+    view = memoryview(data)
+    if zlib.crc32(view[offset + 4:], zlib.crc32(view[:offset])) != crc:
+        raise ValueCodecError("message envelope fails its checksum")
+    sender, receiver, kind = texts[:3]
+    optional = iter(texts[3:])
+    trace = (next(optional), next(optional)) if flags & _F_TRACE else None
+    request_id = next(optional) if flags & _F_REQUEST_ID else None
+    session_id = next(optional) if flags & _F_SESSION_ID else None
+    if request_id == "":
+        raise ValueCodecError("malformed envelope request id")
+    if session_id == "":
+        raise ValueCodecError("malformed envelope session id")
+    return EnvelopeHeader(
+        sequence, sender, receiver, kind, trace, request_id, session_id,
+        offset + 4,
+    )
 
 
 def decode_envelope(
@@ -636,60 +691,16 @@ def decode_envelope(
     int, str, str, str, Any,
     tuple[str, str] | None, str | None, str | None,
 ]:
-    """Inverse of :func:`encode_envelope`, with shape validation.
+    """Inverse of :func:`encode_envelope`: header, checksum and body.
 
     Always returns an 8-tuple ``(sequence, sender, receiver, kind,
     body, trace, request_id, session_id)``; the trace context, request
     id, and session id are ``None`` when the envelope did not carry
     them.
     """
-    return _validated_envelope(decode_value(data))
-
-
-def _validated_envelope(
-    envelope: Any,
-) -> tuple[
-    int, str, str, str, Any,
-    tuple[str, str] | None, str | None, str | None,
-]:
-    """Shape-validate a decoded envelope tuple into the 8-tuple form."""
-    if (
-        not isinstance(envelope, tuple)
-        or len(envelope) not in (5, 6, 7, 8)
-        or not isinstance(envelope[0], int)
-        or not all(isinstance(part, str) for part in envelope[1:4])
-    ):
-        raise ValueCodecError("malformed message envelope")
-    if len(envelope) == 5:
-        return (*envelope, None, None, None)
-    trace = envelope[5]
-    if trace is not None and (
-        not isinstance(trace, tuple)
-        or len(trace) != 2
-        or not all(isinstance(part, str) for part in trace)
-    ):
-        raise ValueCodecError("malformed envelope trace context")
-    if len(envelope) == 6:
-        if trace is None:
-            # The 6-element shape always carries a real trace context.
-            raise ValueCodecError("malformed envelope trace context")
-        return (*envelope, None, None)
-    request_id = envelope[6]
-    if len(envelope) == 7:
-        # The 7-element shape always carries a real request id.
-        if not isinstance(request_id, str) or not request_id:
-            raise ValueCodecError("malformed envelope request id")
-        return (*envelope, None)
-    # 8-element shape: the request-id slot may be None, the session id
-    # is always a real identifier (it is what forced this shape).
-    if request_id is not None and (
-        not isinstance(request_id, str) or not request_id
-    ):
-        raise ValueCodecError("malformed envelope request id")
-    session_id = envelope[7]
-    if not isinstance(session_id, str) or not session_id:
-        raise ValueCodecError("malformed envelope session id")
-    return envelope
+    header = decode_header(data)
+    body = decode_value(data[header.body_offset:])
+    return (*header[:4], body, *header[4:7])
 
 
 # -- framing ------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The asyncio TCP endpoint one party listens on.
 
 A :class:`PartyServer` is the network face of one party (mediator,
-datasource, or client): it accepts framed connections, decodes every
-protocol message addressed to its party, records the party's **view** of
-the traffic (sequence, sender, kind, actual wire bytes — the same
+datasource, or client): it accepts framed connections, reads the header
+and verifies the checksum of every protocol message addressed to its
+party — never decoding the body — records the party's **view** of the
+traffic (sequence, sender, kind, actual wire bytes — the same
 observables the leakage analysis consumes), and acknowledges receipt so
 the sender can account actual bytes and detect dead peers.
 
@@ -24,8 +25,8 @@ Endpoints speak a tiny control protocol next to DATA frames:
   open refused for capacity is answered with ``BUSY`` instead.
 * misdelivered or malformed frames -> ``ERROR {error}``.
 
-**Sessions.**  Every envelope may carry a ``session_id`` (the 8th
-element); the endpoint keys all per-session protocol state — the
+**Sessions.**  Every envelope may carry a ``session_id``; the
+endpoint keys all per-session protocol state — the
 session's view of the traffic, its request-id dedupe window, its
 ``recv:`` span attribution — in a :class:`~repro.session.SessionRegistry`
 with LRU + TTL eviction, so one client's queries are invisible to
@@ -224,12 +225,11 @@ class PartyServer:
             return False
         if frame_type == codec.FETCH:
             session_id = self._requested_session(payload)
-            if session_id is None:
-                view = [asdict(record) for record in self.records]
-            else:
-                view = [
-                    asdict(record) for record in self.session_records(session_id)
-                ]
+            records = (
+                self.records if session_id is None
+                else self.session_records(session_id)
+            )
+            view = [asdict(record) for record in records]
             await codec.write_frame(writer, codec.VIEW, codec.encode_value(view))
             return False
         if frame_type == codec.TELEMETRY:
@@ -242,12 +242,14 @@ class PartyServer:
             return False
         if frame_type == codec.SESSION:
             return await self._session_control(payload, writer)
+        return await self._error(
+            writer, f"unexpected frame type 0x{frame_type:02x}"
+        )
+
+    async def _error(self, writer: asyncio.StreamWriter, text: str) -> bool:
+        """Answer ERROR and keep serving the connection."""
         await codec.write_frame(
-            writer,
-            codec.ERROR,
-            codec.encode_value(
-                {"error": f"unexpected frame type 0x{frame_type:02x}"}
-            ),
+            writer, codec.ERROR, codec.encode_value({"error": text})
         )
         return False
 
@@ -263,31 +265,20 @@ class PartyServer:
             writer.transport.abort()
             return True
         try:
-            sequence, sender, receiver, kind, _body, trace, request_id, \
-                session_id = codec.decode_envelope(payload)
-        except Exception as exc:  # malformed payload: report, keep serving
-            await codec.write_frame(
-                writer,
-                codec.ERROR,
-                codec.encode_value({"error": f"undecodable envelope: {exc}"}),
-            )
-            return False
+            # The header is all an endpoint acts on: the body stays an
+            # opaque, checksummed tail that only its consumer decodes.
+            sequence, sender, receiver, kind, trace, request_id, \
+                session_id, _ = codec.decode_header(payload)
+        except Exception as exc:  # malformed or garbled in flight
+            return await self._error(writer, f"undecodable envelope: {exc}")
         if receiver != self.party:
             # Rejected before admission: a stray frame must not open a
             # session slot or be answered BUSY.
-            await codec.write_frame(
+            return await self._error(
                 writer,
-                codec.ERROR,
-                codec.encode_value(
-                    {
-                        "error": (
-                            f"misdelivered message for {receiver!r} at "
-                            f"endpoint {self.party!r}"
-                        )
-                    }
-                ),
+                f"misdelivered message for {receiver!r} at endpoint "
+                f"{self.party!r}",
             )
-            return False
         session = self._admit(session_id)
         if session is None:
             await self._busy(writer)
@@ -393,12 +384,7 @@ class PartyServer:
             ) or not session_id:
                 raise ValueError(f"malformed session request {request!r}")
         except Exception as exc:
-            await codec.write_frame(
-                writer,
-                codec.ERROR,
-                codec.encode_value({"error": f"bad SESSION frame: {exc}"}),
-            )
-            return False
+            return await self._error(writer, f"bad SESSION frame: {exc}")
         if operation == "open":
             session = self._admit(session_id)
             if session is None:

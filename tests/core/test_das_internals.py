@@ -2,19 +2,24 @@
 
 import pytest
 
+from repro import Federation, run_join_query
 from repro.core.das import (
     DASConfig,
     EncryptedRelation,
     EncryptedTuple,
     ServerQuery,
+    ServerResult,
+    _client_postprocess,
     _evaluate_server_query,
     _mixed_split,
     _partition_domain,
 )
 from repro.crypto import hybrid
-from repro.errors import ProtocolError
+from repro.errors import CodecError, ProtocolError
+from repro.mediation.access_control import allow_all
 from repro.relational.encoding import encode_row
 from repro.relational.schema import schema
+from repro.transport import codec
 
 S = schema("R", k="int", a="string", b="string")
 
@@ -110,3 +115,106 @@ class TestServerQueryEvaluation:
         assert len(
             _evaluate_server_query(ServerQuery(pairs=()), left, right)
         ) == 0
+
+
+class TestServerResultRowTables:
+    """R_C travels as two tables of distinct rows plus (i, j) positions;
+    in memory it stays the pair list over shared row objects."""
+
+    @pytest.fixture(scope="class")
+    def delivered(self, ca, client, skewed_workload):
+        federation = Federation(ca=ca)
+        for name, relation in (
+            ("S1", skewed_workload.relation_1),
+            ("S2", skewed_workload.relation_2),
+        ):
+            federation.add_source(name, [(relation, allow_all())])
+        federation.attach_client(client)
+        result = run_join_query(
+            federation, "select * from R1 natural join R2", protocol="das"
+        )
+        (message,) = federation.network.messages_of_kind("das_server_result")
+        return result, message.body
+
+    @staticmethod
+    def distinct_ids(server_result, side):
+        return {id(pair[side]) for pair in server_result.pairs}
+
+    def test_tables_hold_each_row_once_and_positions_rebuild_the_pairs(
+        self, delivered
+    ):
+        _, live = delivered
+        rows_1, rows_2, positions = live.row_tables()
+        assert len(positions) == 8 * len(live.pairs)
+        assert len({id(row) for row in rows_1}) == len(rows_1)
+        assert {id(row) for row in rows_1} == self.distinct_ids(live, 0)
+        assert {id(row) for row in rows_2} == self.distinct_ids(live, 1)
+        # Every row repeats on this workload — the case the pair list
+        # used to pay for once per occurrence.
+        assert len(live.pairs) > 3 * max(len(rows_1), len(rows_2))
+        rebuilt = ServerResult.from_row_tables(rows_1, rows_2, positions)
+        assert all(
+            ours[0] is theirs[0] and ours[1] is theirs[1]
+            for ours, theirs in zip(rebuilt.pairs, live.pairs, strict=True)
+        )
+
+    def test_decoded_result_shares_rows_exactly_like_the_live_one(
+        self, delivered
+    ):
+        _, live = delivered
+        encoded = codec.encode_value(live)
+        decoded = codec.decode_value(encoded)
+        assert decoded == live
+        for side in (0, 1):
+            assert len(self.distinct_ids(decoded, side)) == len(
+                self.distinct_ids(live, side)
+            )
+        rows = len(self.distinct_ids(live, 0)) + len(self.distinct_ids(live, 1))
+        one_row = len(codec.encode_value(live.pairs[0][0]))
+        assert len(encoded) < rows * one_row + 8 * len(live.pairs) + 64
+
+    def test_postprocessing_a_decoded_result_decrypts_no_more_than_the_live_one(
+        self, delivered, client, skewed_workload, monkeypatch
+    ):
+        result, live = delivered
+        decrypted: list[int] = []
+        batch, single = client.decrypt_hybrid_many, client.decrypt_hybrid
+        monkeypatch.setattr(
+            client, "decrypt_hybrid_many",
+            lambda ciphertexts, **kwargs: (
+                decrypted.append(len(ciphertexts)),
+                batch(ciphertexts, **kwargs),
+            )[1],
+        )
+        monkeypatch.setattr(
+            client, "decrypt_hybrid",
+            lambda ciphertext: (decrypted.append(1), single(ciphertext))[1],
+        )
+        outcomes = []
+        for server_result in (live, codec.decode_value(codec.encode_value(live))):
+            decrypted.clear()
+            relation, false_positives, _ = _client_postprocess(
+                client,
+                server_result,
+                skewed_workload.relation_1.schema,
+                skewed_workload.relation_2.schema,
+                ("k",),
+                result.artifacts["config"],
+            )
+            outcomes.append((relation, false_positives, sum(decrypted)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == result.global_result
+        assert outcomes[0][2] == len(self.distinct_ids(live, 0)) + len(
+            self.distinct_ids(live, 1)
+        )
+
+    def test_malformed_tables_fail_typed(self, delivered):
+        _, live = delivered
+        rows_1, rows_2, positions = live.row_tables()
+        with pytest.raises(ProtocolError, match="position table"):
+            ServerResult.from_row_tables(rows_1, rows_2, positions[:-1])
+        # A position past the end of its table, through the codec.
+        encoded = codec.encode_value(live)
+        out_of_range = encoded[:-4] + (len(rows_2)).to_bytes(4, "big")
+        with pytest.raises(CodecError, match="das-server-result"):
+            codec.decode_value(out_of_range)

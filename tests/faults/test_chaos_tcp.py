@@ -25,7 +25,7 @@ from repro.faults import (
 )
 from repro.mediation.access_control import allow_all
 from repro.telemetry import Tracer, use_tracer, write_chrome_trace
-from repro.transport import TcpTransport
+from repro.transport import TcpTransport, codec
 
 from tests.faults.conftest import FAST
 
@@ -85,6 +85,56 @@ class TestProxyFaults:
         assert kinds == [("payload", 1), ("payload", 2)]
         assert [e.action for e in injector.event_log()] == [action]
 
+    def test_corrupt_is_caught_wherever_the_flip_lands(
+        self, threaded_endpoint, monkeypatch
+    ):
+        """Message k has byte k of its envelope flipped in flight, for
+        every k up to the envelope's length — flags, sequence, routing
+        strings, CRC, body.  Each is answered ERROR, retried once, and
+        recorded exactly once."""
+        endpoint = threaded_endpoint("S1")
+        pending: list[int] = []
+
+        def flip_pending_offset(frame: bytes) -> bytes:
+            if not pending:
+                return frame  # the retry goes through clean
+            garbled = bytearray(frame)
+            garbled[codec.FRAME_HEADER_BYTES + pending.pop()] ^= 0x5A
+            return bytes(garbled)
+
+        monkeypatch.setattr(
+            ChaosProxy, "_corrupted", staticmethod(flip_pending_offset)
+        )
+        injector = FaultInjector(FaultPlan(rules=(
+            FaultRule(action="corrupt", kind="probe", max_triggers=0),
+        )))
+        sends = 0
+        with ChaosProxy(endpoint.address, injector) as proxy:
+            transport = TcpTransport(
+                endpoints={"S1": (proxy.host, proxy.port)}, retry=FAST
+            )
+            try:
+                transport.register("client")
+                transport.register("S1")
+                envelope_bytes = 1
+                while sends < envelope_bytes:
+                    pending.append(sends)
+                    message = transport.send("client", "S1", "probe", {"n": 7})
+                    assert pending == []  # the flip really happened
+                    envelope_bytes = (
+                        message.size_bytes - codec.FRAME_HEADER_BYTES
+                    )
+                    sends += 1
+            finally:
+                transport.close()
+        assert sends > 60  # header + CRC + body of a small envelope
+        assert [r.sequence for r in endpoint.server.records] == list(
+            range(1, sends + 1)
+        )
+        # Two frames crossed the proxy per message: the garbled one and
+        # its one retry.
+        assert len(injector.event_log()) == 2 * sends
+
     def test_duplicates_do_not_desync_later_sends(self, threaded_endpoint):
         """Dedupe ACKs linger in the stream; the sender must skip the
         stale ones instead of mismatching them against later sends."""
@@ -139,8 +189,9 @@ class TestProxyFaults:
         must converge to the fault-free result."""
         endpoint = threaded_endpoint("mediator")
         # A commutative run sends five mediator-bound frames; the
-        # corrupt at #3 forces a retry, whose fresh observation (#4)
-        # trips the reset — so all three faults fire in one run.
+        # corrupt at #3 fails the envelope's CRC wherever the flip
+        # lands and forces a retry, whose fresh observation (#4) trips
+        # the reset — so all three faults fire in one run.
         injector = FaultInjector(FaultPlan(seed=11, rules=(
             FaultRule(action="duplicate", occurrence=2),
             FaultRule(action="corrupt", occurrence=3),

@@ -54,13 +54,18 @@ def build_federation(network=None) -> Federation:
 
 
 class TestEnvelopeTraceContext:
-    def test_untraced_envelope_keeps_legacy_wire_shape(self):
+    def test_untraced_envelope_carries_no_optional_fields(self):
         encoded = codec.encode_envelope(1, "a", "b", "kind", {"x": 1})
         assert codec.decode_envelope(encoded) == (
             1, "a", "b", "kind", {"x": 1}, None, None, None,
         )
-        # Byte-identical to a hand-built 5-tuple: old peers interoperate.
-        assert encoded == codec.encode_value((1, "a", "b", "kind", {"x": 1}))
+        # No flag bit set, and the trace context costs nothing when absent.
+        assert encoded[0] == 0
+        traced = codec.encode_envelope(
+            1, "a", "b", "kind", {"x": 1}, trace=("t" * 32, "s" * 16)
+        )
+        assert traced[0] == 0x01
+        assert len(traced) - len(encoded) == (2 + 32) + (2 + 16)
 
     def test_trace_context_rides_the_envelope(self):
         trace = ("t" * 32, "s" * 16)
@@ -74,9 +79,14 @@ class TestEnvelopeTraceContext:
     def test_malformed_trace_context_rejected(self):
         from repro.errors import EncodingError
 
-        bad = codec.encode_value((1, "a", "b", "k", None, ("only-one",)))
         with pytest.raises(EncodingError):
-            codec.decode_envelope(bad)
+            codec.encode_envelope(1, "a", "b", "k", None, trace=("only-one",))
+        # A trace flag over a header that ends before its span id.
+        traced = codec.encode_envelope(1, "a", "b", "k", None, trace=("t", "s"))
+        untraced = codec.encode_envelope(1, "a", "b", "k", None)
+        with pytest.raises(EncodingError):
+            codec.decode_envelope(b"\x01" + untraced[1:])
+        assert codec.decode_envelope(traced)[5] == ("t", "s")
 
 
 class TestDistributedTrace:

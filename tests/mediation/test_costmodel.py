@@ -60,13 +60,14 @@ class TestPresets:
 class TestProtocolRankingUnderModels:
     def test_latency_shifts_the_balance(self, ca, client, skewed_workload):
         """On a LAN bytes dominate; at very high latency the *message
-        count* dominates, and DAS (8 messages) beats PM (16+).
+        count* dominates, and DAS (8 messages) beats both others.
 
-        The workload has several rows per join value: DAS's bucket
-        cross-product grows with their product, PM's Paillier traffic
-        only with the domain sizes.  (With one row per value PM is the
-        heavier one, since a source wraps one session key per delivery
-        and not one per etuple.)
+        The workload has several rows per join value.  DAS's server
+        result ships each selected row once plus 8 bytes per pair of
+        the bucket cross-product, so it undercuts PM's Paillier traffic
+        even on bytes; the commutative protocol (12 messages of bare
+        group elements) is the one that is lighter than DAS on bytes and
+        heavier on round trips.
         """
         workload = skewed_workload
         from repro import Federation, run_join_query
@@ -83,19 +84,19 @@ class TestProtocolRankingUnderModels:
             )
 
         das = run("das")
+        commutative = run("commutative")
         pm = run("private-matching")
         satellite = NetworkCostModel(
             "satellite", latency_seconds=10.0,
             bandwidth_bytes_per_second=1e9,
         )
         assert satellite.transcript_cost(das.network) < (
-            satellite.transcript_cost(pm.network)
-        )
-        # With pure bandwidth costs the ranking flips for this workload:
-        # DAS ships the big cross-bucket superset.
+            satellite.transcript_cost(commutative.network)
+        ) < satellite.transcript_cost(pm.network)
+        # With pure bandwidth costs the first two swap places.
         bulk = NetworkCostModel(
             "bulk", latency_seconds=0.0, bandwidth_bytes_per_second=1e3
         )
-        assert bulk.transcript_cost(das.network) > (
-            bulk.transcript_cost(pm.network)
-        )
+        assert bulk.transcript_cost(commutative.network) < (
+            bulk.transcript_cost(das.network)
+        ) < bulk.transcript_cost(pm.network)

@@ -1,7 +1,11 @@
 """Unit tests for the binary wire codec: values, envelopes, framing."""
 
+import dataclasses
+import struct
+import zlib
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.commutative import TaggedMessage
 from repro.core.das import (
@@ -10,7 +14,9 @@ from repro.core.das import (
     ServerQuery,
     ServerResult,
 )
-from repro.crypto import hybrid
+from repro.crypto import ecelgamal, elgamal, hybrid
+from repro.crypto.commutative import CommutativeGroup
+from repro.crypto.ec import TINY, Point
 from repro.crypto.paillier import PaillierCiphertext, PaillierPublicKey
 from repro.errors import EncodingError, NetworkError
 from repro.relational.partition import IndexTable, Partition
@@ -23,6 +29,14 @@ def roundtrip(value):
     decoded = codec.decode_value(codec.encode_value(value))
     assert decoded == value
     return decoded
+
+
+def raw_envelope(flags, sequence, *texts, body=b"\x00"):
+    """An envelope laid out by hand from ``docs/transport.md``."""
+    head = struct.pack(">BQ", flags, sequence) + b"".join(
+        struct.pack(">H", len(text)) + text for text in texts
+    )
+    return head + struct.pack(">I", zlib.crc32(head + body)) + body
 
 
 class TestPrimitives:
@@ -219,6 +233,108 @@ class TestDomainExtensions:
         roundtrip(relation)
 
 
+# -- shareables nested in shareables -------------------------------------------
+#
+# An ElGamal public key holds its (shareable) group, an EC-ElGamal key its
+# (shareable) curve.  Encoder and decoder must number the interning table
+# in the same order, or the second reference in a stream resolves to the
+# wrong object — silently.
+
+GROUP = CommutativeGroup(p=278997584469130276002310604683966369823)
+OTHER_GROUP = CommutativeGroup(p=23)
+ELGAMAL = elgamal.generate_keypair(GROUP).public_key
+ELGAMAL_SAME_GROUP = elgamal.generate_keypair(GROUP).public_key
+ELGAMAL_OTHER_GROUP = elgamal.generate_keypair(OTHER_GROUP).public_key
+EC_KEY = ecelgamal.generate_keypair(TINY).public_key
+PAILLIER = PaillierPublicKey(n=3233 * 3127)
+ENCAPSULATION = hybrid.Encapsulation({b"f" * 16: b"w" * 32})
+SHAREABLES = [
+    GROUP, OTHER_GROUP, ELGAMAL, ELGAMAL_SAME_GROUP, ELGAMAL_OTHER_GROUP,
+    TINY, EC_KEY, PAILLIER, ENCAPSULATION,
+]
+SHAREABLE_TYPES = tuple({type(item) for item in SHAREABLES})
+CARRIERS = [
+    elgamal.encrypt(ELGAMAL, 4),
+    elgamal.encrypt(ELGAMAL, 9),
+    elgamal.encrypt(ELGAMAL_SAME_GROUP, 4),
+    elgamal.encrypt(ELGAMAL_OTHER_GROUP, 4),
+    ecelgamal.encrypt(EC_KEY, 4),
+    ecelgamal.encrypt(EC_KEY, 9),
+    PaillierCiphertext(value=5, public_key=PAILLIER),
+    hybrid.HybridCiphertext(ENCAPSULATION, b"body-1"),
+    hybrid.HybridCiphertext(ENCAPSULATION, b"body-2"),
+]
+
+
+def shareables_in(value):
+    """Every shareable instance of a value tree, in one fixed walk order."""
+    if isinstance(value, SHAREABLE_TYPES):
+        yield value
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from shareables_in(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from shareables_in(item)
+    elif isinstance(value, Point):
+        yield from shareables_in(value.curve)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from shareables_in(getattr(value, field.name))
+
+
+def assert_sharing_preserved(value, decoded):
+    original = [id(item) for item in shareables_in(value)]
+    rebuilt = [id(item) for item in shareables_in(decoded)]
+    assert len(original) == len(rebuilt)
+    # One decoded object per original object, and the same one each time.
+    assert len(set(zip(original, rebuilt))) == len(set(original))
+    assert len(set(original)) == len(set(rebuilt))
+
+
+class TestNestedShareables:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [ELGAMAL, ELGAMAL],
+            [ELGAMAL, GROUP],
+            [ELGAMAL, ELGAMAL_SAME_GROUP, GROUP, ELGAMAL],
+            CARRIERS[0:2],  # two ElGamal ciphertexts under one key
+            [EC_KEY, EC_KEY],
+            [EC_KEY, TINY],
+            [EC_KEY, CARRIERS[4], CARRIERS[5]],
+            CARRIERS[4:6],  # two EC-ElGamal ciphertexts under one key
+        ],
+        ids=[
+            "pub-pub", "pub-group", "two-keys-one-group", "elgamal-cts",
+            "ecpub-ecpub", "ecpub-curve", "ecpub-then-cts", "ecelgamal-cts",
+        ],
+    )
+    def test_references_resolve_to_the_object_they_named(self, value):
+        decoded = roundtrip(value)
+        assert [type(item) for item in decoded] == [type(item) for item in value]
+        assert_sharing_preserved(value, decoded)
+
+    @given(
+        st.recursive(
+            st.one_of(
+                st.sampled_from(SHAREABLES),
+                st.sampled_from(CARRIERS),
+                st.integers(min_value=0, max_value=255),
+            ),
+            lambda children: st.one_of(
+                st.lists(children, max_size=5),
+                st.tuples(children, children),
+                st.dictionaries(st.text(max_size=4), children, max_size=4),
+            ),
+            max_leaves=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_nestings_roundtrip_with_sharing(self, value):
+        assert_sharing_preserved(value, roundtrip(value))
+
+
 class TestEnvelopeAndFraming:
     def test_envelope_roundtrip(self):
         payload = codec.encode_envelope(3, "S1", "mediator", "kind", {"a": 1})
@@ -253,16 +369,42 @@ class TestEnvelopeAndFraming:
         )
 
     def test_malformed_session_id_rejected(self):
-        bad = codec.encode_value((1, "a", "b", "k", None, None, None, 7))
-        with pytest.raises(EncodingError, match="session"):
-            codec.decode_envelope(bad)
-        empty = codec.encode_value((1, "a", "b", "k", None, None, None, ""))
+        # The session flag promises a real identifier.
+        empty = raw_envelope(0x04, 1, b"a", b"b", b"k", b"")
         with pytest.raises(EncodingError, match="session"):
             codec.decode_envelope(empty)
+        with pytest.raises(EncodingError, match="request id"):
+            codec.decode_envelope(raw_envelope(0x02, 1, b"a", b"b", b"k", b""))
+        assert codec.decode_envelope(
+            raw_envelope(0x04, 1, b"a", b"b", b"k", b"s")
+        ) == (1, "a", "b", "k", None, None, None, "s")
 
     def test_malformed_envelope_rejected(self):
         with pytest.raises(EncodingError, match="envelope"):
             codec.decode_envelope(codec.encode_value(("not", "an", "envelope")))
+        with pytest.raises(EncodingError, match="envelope flags"):
+            codec.decode_envelope(raw_envelope(0x08, 1, b"a", b"b", b"k"))
+        with pytest.raises(EncodingError, match="envelope"):
+            codec.decode_envelope(raw_envelope(0x00, 1, b"a", b"\xff", b"k"))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"sequence": -1},
+            {"sequence": 1 << 64},
+            {"sender": "x" * 65536},
+            {"kind": None},
+            {"trace": ("only-one",)},
+            {"session_id": 7},
+        ],
+    )
+    def test_unencodable_header_fields_fail_typed(self, fields):
+        arguments = {
+            "sequence": 1, "sender": "a", "receiver": "b", "kind": "k",
+            "body": None, **fields,
+        }
+        with pytest.raises(EncodingError):
+            codec.encode_envelope(**arguments)
 
     def test_frame_roundtrip(self):
         frame = codec.build_frame(codec.DATA, b"payload")
@@ -275,13 +417,21 @@ class TestEnvelopeAndFraming:
     @pytest.mark.parametrize(
         "header",
         [
-            b"XX\x01\x01\x00\x00\x00\x00",  # bad magic
-            b"SM\x02\x01\x00\x00\x00\x00",  # unsupported version
-            b"SM\x01\x63\x00\x00\x00\x00",  # unknown frame type
-            b"SM\x01\x01\xff\xff\xff\xff",  # absurd length
+            b"XX\x02\x01\x00\x00\x00\x00",  # bad magic
+            b"SM\x03\x01\x00\x00\x00\x00",  # unsupported version
+            b"SM\x02\x63\x00\x00\x00\x00",  # unknown frame type
+            b"SM\x02\x01\xff\xff\xff\xff",  # absurd length
             b"short",
-            b"SM\x01\x0b\x00\x00\x00\x00",  # retired STATS
-            b"SM\x01\x0c\x00\x00\x00\x00",  # retired STATS reply
+            b"SM\x02\x0b\x00\x00\x00\x00",  # retired STATS
+            b"SM\x02\x0c\x00\x00\x00\x00",  # retired STATS reply
+            # Wire version 1 (tuple envelopes) is refused whole, whatever
+            # the rest of the header says.
+            b"SM\x01\x01\x00\x00\x00\x07",  # a well-formed v1 DATA header
+            b"XX\x01\x01\x00\x00\x00\x00",
+            b"SM\x01\x63\x00\x00\x00\x00",
+            b"SM\x01\x01\xff\xff\xff\xff",
+            b"SM\x01\x0b\x00\x00\x00\x00",
+            b"SM\x01\x0c\x00\x00\x00\x00",
         ],
     )
     def test_bad_frame_headers_rejected(self, header):

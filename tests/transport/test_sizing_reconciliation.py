@@ -17,12 +17,16 @@ If a codec or sizing change moves outside these bounds, either fix the
 regression or re-derive the documented tolerance — consciously.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import Federation, run_join_query
+from repro.core.das import DASConfig
 from repro.mediation.access_control import allow_all
 from repro.mediation.network import ENVELOPE_BYTES
 from repro.mediation.sizing import estimate_size
+from repro.relational.datagen import WorkloadSpec, generate
 from repro.transport import codec
 
 QUERY = "select * from R1 natural join R2"
@@ -105,3 +109,36 @@ def test_every_protocol_kind_is_covered(transcripts):
         "pm_side_table",
         "pm_side_tables",
     } <= kinds
+
+
+def test_high_multiplicity_server_result_is_counted_as_it_travels(ca, client):
+    """Every selected row sits in >= 10 pairs of R_C: the estimate and
+    the wire both count a row once and a pair as 8 bytes, so the drift
+    bounds hold where a per-pair accounting would be ~10x off."""
+    workload = generate(
+        WorkloadSpec(
+            domain_1=4, domain_2=4, overlap=4,
+            rows_per_value_1=5, rows_per_value_2=5,
+            payload_attributes=1, seed=17,
+        )
+    )
+    federation = Federation(ca=ca)
+    federation.add_source("S1", [(workload.relation_1, allow_all())])
+    federation.add_source("S2", [(workload.relation_2, allow_all())])
+    federation.attach_client(client)
+    run_join_query(
+        federation, QUERY, protocol="das", config=DASConfig(buckets=2)
+    )
+    (message,) = federation.network.messages_of_kind("das_server_result")
+    occurrences = Counter(
+        id(row) for pair in message.body.pairs for row in pair
+    )
+    assert min(occurrences.values()) >= 10
+    estimate = estimate_size(message.body)
+    actual = codec.encoded_size(message.body)
+    assert estimate <= actual <= RATIO * estimate + SLACK
+    distinct = {id(row): row for pair in message.body.pairs for row in pair}
+    # Rows once (each source's encapsulation once), 8 bytes per pair.
+    assert estimate == (
+        estimate_size(list(distinct.values())) + 8 * len(message.body.pairs)
+    )

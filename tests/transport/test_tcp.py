@@ -3,12 +3,15 @@
 import socket
 import threading
 import time
+import zlib
 
 import pytest
 
-from repro.errors import NetworkError
+from repro.errors import CodecError, NetworkError
 from repro.transport import RetryPolicy, TcpTransport, codec
 from repro.transport.server import ENDPOINT_SESSIONS_METRIC
+
+from tests.faults.conftest import ThreadedEndpoint
 
 
 def _recv_exactly(sock: socket.socket, count: int) -> bytes:
@@ -188,3 +191,92 @@ class TestFaults:
             assert "stray" not in server.sessions
             assert ENDPOINT_SESSIONS_METRIC not in server.registry.snapshot()
             assert transport.remote_view("mediator") == []
+
+
+class TestHeaderOnlyAcknowledgement:
+    """The endpoint acts on the header and the checksum; the body is
+    decoded once, by the sender, for the transcript."""
+
+    @pytest.fixture
+    def remote(self):
+        """A party on its own loop thread, so its work is tellable from
+        the transport's."""
+        endpoint = ThreadedEndpoint("S1")
+        carrier = TcpTransport(endpoints={"S1": endpoint.address}, retry=FAST)
+        carrier.register("client")
+        carrier.register("S1")
+        yield endpoint, carrier
+        carrier.close()
+        endpoint.close()
+
+    def test_endpoint_never_decodes_a_data_body(self, remote, monkeypatch):
+        endpoint, carrier = remote
+        calls: list[tuple[str, int, int]] = []
+        for name in ("decode_value", "decode_envelope"):
+            original = getattr(codec, name)
+
+            def counted(data, _name=name, _original=original):
+                calls.append((_name, threading.get_ident(), len(data)))
+                return _original(data)
+
+            monkeypatch.setattr(codec, name, counted)
+        body = [bytes([n]) * 1024 for n in range(128)]
+        message = carrier.send("client", "S1", "bulk", body)
+        assert message.size_bytes > 100_000 and message.body == body
+        assert [r.wire_bytes for r in endpoint.server.records] == [
+            message.size_bytes
+        ]
+        endpoint_thread = endpoint._thread.ident
+        assert [call for call in calls if call[1] == endpoint_thread] == []
+        # The one decode of the body is the sender's own, for the
+        # transcript; everything else decoded here is an ACK.
+        big = [call for call in calls if call[2] > 100_000]
+        assert [(name, thread) for name, thread, _ in big] == [
+            ("decode_envelope", threading.get_ident()),
+            ("decode_value", threading.get_ident()),
+        ]
+
+    def test_garbage_body_under_a_valid_crc_fails_at_the_sender(
+        self, remote, monkeypatch
+    ):
+        """The endpoint cannot tell (it never looks) and acknowledges;
+        the sender's own decode raises, typed, before anything is
+        recorded in the transcript."""
+        endpoint, carrier = remote
+        encode = codec.encode_envelope
+
+        def garbage_bodied(*args, **kwargs):
+            payload = encode(*args, **kwargs)
+            offset = codec.decode_header(payload).body_offset
+            head, tail = payload[:offset - 4], b"\xff not a value tree \xff"
+            return head + zlib.crc32(head + tail).to_bytes(4, "big") + tail
+
+        monkeypatch.setattr(codec, "encode_envelope", garbage_bodied)
+        started = time.perf_counter()
+        with pytest.raises(CodecError):
+            carrier.send("client", "S1", "poisoned", {"n": 1})
+        assert time.perf_counter() - started < FAST.io_timeout  # no retry, no hang
+        assert carrier.transcript == ()
+        assert carrier.view("S1").received == []
+        assert [r.kind for r in endpoint.server.records] == ["poisoned"]
+        monkeypatch.setattr(codec, "encode_envelope", encode)
+        assert carrier.send("client", "S1", "fine", {"n": 2}).body == {"n": 2}
+
+    def test_checksum_failure_is_answered_error(self, remote):
+        """A payload whose CRC does not verify gets the same ERROR frame
+        a structural failure gets, and records nothing."""
+        endpoint, carrier = remote
+        payload = bytearray(
+            codec.encode_envelope(1, "client", "S1", "kind", {"n": 1})
+        )
+        payload[-1] ^= 0x01  # still a perfectly well-formed value tree
+        with socket.create_connection(endpoint.address) as raw:
+            raw.sendall(codec.build_frame(codec.DATA, bytes(payload)))
+            frame_type, length = codec.parse_frame_header(
+                _recv_exactly(raw, codec.FRAME_HEADER_BYTES)
+            )
+            answer = codec.decode_value(_recv_exactly(raw, length))
+        assert frame_type == codec.ERROR
+        assert "undecodable envelope" in answer["error"]
+        assert "checksum" in answer["error"]
+        assert endpoint.server.records == []
