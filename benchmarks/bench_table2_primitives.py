@@ -5,7 +5,7 @@ the paper's terms; each assertion is one cell of Table 2.  The benchmark
 times the protocol run that produces the counters.
 
 Every run is executed through the telemetry ``MetricsRegistry`` with a
-legacy ``PrimitiveCounter`` installed at the same scope: both observe
+per-run ``PrimitiveCounter`` installed at the same scope: both observe
 the identical stream of ``record()`` calls, so their totals must agree
 exactly.  That parity assertion pins the registry-based accounting to
 the counter the original benchmarks were built on, and the registry
@@ -34,9 +34,9 @@ QUERY = "select * from R1 natural join R2"
 def run_with_registry(make_federation, workload, protocol):
     """One traced run; returns (result, registry) after asserting parity.
 
-    The registry and the legacy counter are installed at the same scope,
-    so ``registry.primitive_counts()`` must equal the counter's dict —
-    any drift means the shim stopped forwarding ``record()`` calls.
+    The registry and the counter are installed at the same scope, so
+    ``registry.primitive_counts()`` must equal the counter's dict — any
+    drift means ``record()`` stopped forwarding to the registry.
     """
     registry = MetricsRegistry()
     with use_metrics(registry), count_primitives() as counter:

@@ -132,19 +132,9 @@ def main(argv: list[str] | None = None) -> int:
         "--candidate", required=True, type=pathlib.Path,
         help="directory of freshly measured BENCH_*.json artifacts",
     )
-    parser.add_argument(
-        "--only", action="append", default=[], metavar="BENCH",
-        help="gate only these bench names (repeatable; default: every "
-             "baseline present)",
-    )
     args = parser.parse_args(argv)
 
     baselines = sorted(args.baseline.glob("BENCH_*.json"))
-    if args.only:
-        baselines = [
-            path for path in baselines
-            if path.stem.removeprefix("BENCH_") in args.only
-        ]
     if not baselines:
         print(f"no BENCH_*.json baselines under {args.baseline}", file=sys.stderr)
         return 2

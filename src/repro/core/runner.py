@@ -55,8 +55,8 @@ def run_join_query(
     efficient one"), or ``"private-matching"``.  ``config`` is the
     protocol's config dataclass (:class:`DASConfig`,
     :class:`CommutativeConfig`, or :class:`PMConfig`) or None for
-    defaults.  ``engine`` selects the crypto execution engine (serial,
-    pooled, or legacy); None uses the process-wide installed engine.
+    defaults.  ``engine`` selects the crypto execution engine (serial or
+    pooled); None uses the process-wide installed engine.
 
     Robustness knobs (see ``docs/robustness.md``):
 

@@ -114,8 +114,7 @@ class CryptoBackend:
         """Shared-base batch: ``[base^e mod modulus for e]``.
 
         The shape of ElGamal encryption (``g^r``, ``h^r``) and of any
-        fixed-generator workload; pairs with the engine's fixed-window
-        precomputation tables.
+        fixed-generator workload.
         """
         raise NotImplementedError
 

@@ -59,9 +59,8 @@ class CommutativeGroup:
 
         For a prime modulus the Jacobi symbol equals the Legendre
         symbol, so this is exact — and it costs a binary-GCD-style loop
-        instead of the full Euler-criterion exponentiation (an order of
-        magnitude cheaper at production group sizes; see
-        :func:`euler_contains` for the exponentiation-based reference).
+        instead of the full Euler-criterion exponentiation ``x^q = 1``
+        (an order of magnitude cheaper at production group sizes).
         """
         return 0 < x < self.p and jacobi(x, self.p) == 1
 
@@ -103,17 +102,6 @@ def generate_key(group: CommutativeGroup) -> CommutativeKey:
         e = 1 + secrets.randbelow(q - 1)
         if math.gcd(e, q) == 1:
             return CommutativeKey(group, e)
-
-
-def euler_contains(group: CommutativeGroup, x: int) -> bool:
-    """QR_p membership by the Euler criterion: ``x^q = 1 (mod p)``.
-
-    The pre-engine implementation of :meth:`CommutativeGroup.contains`,
-    kept as the independent reference the Jacobi-based test is
-    property-checked against, and as the faithful cost model for the
-    legacy benchmark baseline (one full exponentiation per test).
-    """
-    return 0 < x < group.p and powmod(x, group.q, group.p) == 1
 
 
 def apply(key: CommutativeKey, x: int) -> int:

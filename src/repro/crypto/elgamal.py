@@ -68,67 +68,15 @@ def _fresh_nonce(q: int) -> int:
     return 1 + secrets.randbelow(q - 1)
 
 
-@dataclass(frozen=True)
-class ElGamalPrecomputation:
-    """Fixed-base tables for the two per-encryption exponentiations.
-
-    Every ElGamal encryption computes ``g^r`` and ``h^r`` for the *same*
-    ``g`` and ``h``; :func:`precompute` builds windowed tables (see
-    :class:`repro.crypto.engine.FixedBaseTable`) that replace both full
-    ladders with a handful of modular multiplications.  The trade-off is
-    memory — roughly ``2 * 2^window * |p|^2 / (8 * window)`` bytes per
-    key — which is why tables are built explicitly, not on first use,
-    and why each build is checked against the ``REPRO_FIXED_BASE_MAX_MB``
-    budget: an over-budget table comes back as ``None`` (a counted
-    skip) and :func:`encrypt` falls back to the plain ladder.
-    """
-
-    public_key: ElGamalPublicKey
-    g_table: object
-    h_table: object
-
-
-def precompute(public_key: ElGamalPublicKey, window: int = 5) -> ElGamalPrecomputation:
-    """Build fixed-base tables for ``public_key``'s ``g`` and ``h``.
-
-    Tables that would exceed the fixed-base memory budget are skipped
-    (left as ``None``); the precomputation stays usable and encryption
-    silently degrades to plain exponentiation for the skipped base.
-    """
-    from repro.crypto.engine import FixedBaseTable
-
-    group = public_key.group
-    bits = group.q.bit_length()
-    return ElGamalPrecomputation(
-        public_key=public_key,
-        g_table=FixedBaseTable.build(public_key.g, group.p, bits, window),
-        h_table=FixedBaseTable.build(public_key.h, group.p, bits, window),
-    )
-
-
-def encrypt(
-    public_key: ElGamalPublicKey,
-    message: int,
-    precomputation: ElGamalPrecomputation | None = None,
-) -> ElGamalCiphertext:
+def encrypt(public_key: ElGamalPublicKey, message: int) -> ElGamalCiphertext:
     """Multiplicative ElGamal; ``message`` must be an element of QR_p."""
     group = public_key.group
     if not group.contains(message):
         raise EncryptionError("message is not in the QR_p message space")
-    if precomputation is not None and precomputation.public_key != public_key:
-        raise KeyError_("precomputation tables built for a different key")
     instrumentation.record("elgamal.encrypt")
     r = _fresh_nonce(group.q)
-    g_table = None if precomputation is None else precomputation.g_table
-    h_table = None if precomputation is None else precomputation.h_table
-    if g_table is None:
-        c1 = powmod(public_key.g, r, group.p)
-    else:
-        c1 = g_table.pow(r)
-    if h_table is None:
-        c2 = message * powmod(public_key.h, r, group.p) % group.p
-    else:
-        c2 = message * h_table.pow(r) % group.p
+    c1 = powmod(public_key.g, r, group.p)
+    c2 = message * powmod(public_key.h, r, group.p) % group.p
     return ElGamalCiphertext(c1, c2, public_key)
 
 

@@ -3,33 +3,28 @@
 Every delivery protocol of the paper bottlenecks on big-integer modular
 exponentiation — SRA double encryption (Listing 3), Paillier coefficient
 encryption and oblivious polynomial evaluation (Listing 4), hybrid key
-wrapping for DAS (Listing 2).  The protocol drivers originally executed
-those primitives one tuple at a time in Python loops; this module turns
-the loops into *batch* calls with three independent layers of speedup:
+wrapping for DAS (Listing 2).  The protocol drivers hand those loops to
+this module as *batch* calls, one per kind of call the listings make,
+and an engine runs a batch in one of two modes:
 
-1. **Algorithmic** (always on, also in serial mode): CRT-accelerated
-   Paillier decryption and RSA private-key operations, Jacobi-symbol QR
-   membership tests, fixed-base windowed exponentiation tables
-   (:class:`FixedBaseTable`) and precomputed Paillier nonce powers
-   (:class:`PaillierNonceCache`).
-2. **Parallelism**: a chunked :class:`~concurrent.futures.
-   ProcessPoolExecutor` fans a batch out over ``workers`` processes once
-   it reaches ``threshold`` items.  Workers count their primitive
-   invocations with a fresh :class:`~repro.crypto.instrumentation.
-   PrimitiveCounter` and the parent replays the totals into its own
-   installed counters, so the Table 2 conformance analyses observe
-   exactly the same counts with and without the pool.
-3. **Batching**: even in serial mode, batch calls hoist loop-invariant
-   work (key inversion, CRT parameter derivation, validation policy) out
-   of the per-item path.
+* **serial** — a loop in the calling process;
+* **pooled** — a chunked :class:`~concurrent.futures.
+  ProcessPoolExecutor` fans the batch out over ``workers`` processes
+  once it reaches ``threshold`` items.  Workers count their primitive
+  invocations with a fresh :class:`~repro.crypto.instrumentation.
+  PrimitiveCounter` and the parent replays the totals into its own
+  installed counters, so the Table 2 conformance analyses observe
+  exactly the same counts with and without the pool.
+
+Both modes call the same scalar primitives — the CRT forms of Paillier
+decryption and the RSA private-key operation, the Jacobi-symbol QR
+membership test on every commutative input — so there is one code path
+per private-key operation.
 
 The engine is selected per run: explicitly via the ``workers`` argument
-(wired to the CLI ``--workers`` flag), or via the environment variables
-``REPRO_CRYPTO_WORKERS`` / ``REPRO_CRYPTO_THRESHOLD``.  ``workers <= 1``
-means strictly serial execution in the calling process.  ``legacy=True``
-reproduces the pre-engine primitive choices (Euler-criterion membership,
-Carmichael decryption, full-exponent RSA, scalar loops) and exists as
-the faithful baseline of ``benchmarks/bench_parallel_crypto.py``.
+(wired to the CLI ``--workers`` flag), or via the environment variable
+``REPRO_CRYPTO_WORKERS``.  ``workers <= 1`` means strictly serial
+execution in the calling process.
 
 Batch results are defined to be *exactly* what mapping the scalar
 primitive over the inputs produces — byte-identical values and identical
@@ -49,14 +44,13 @@ from __future__ import annotations
 
 import math
 import os
-import secrets
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.crypto import backend as _backend
-from repro.crypto import commutative, hybrid, instrumentation, paillier, symmetric
-from repro.crypto.homomorphic import AdditiveHomomorphicScheme, PaillierScheme
+from repro.crypto import commutative, hybrid, instrumentation, symmetric
+from repro.crypto.homomorphic import AdditiveHomomorphicScheme
 from repro.crypto.polynomial import EncryptedPolynomial
 from repro.errors import DecryptionError, ParameterError
 from repro.telemetry import tracing
@@ -69,41 +63,15 @@ DEFAULT_THRESHOLD = 8
 #: Chunks submitted per worker; >1 smooths imbalance between chunks.
 _CHUNKS_PER_WORKER = 4
 
-#: Shared-base batches at least this large amortise building a
-#: per-batch :class:`FixedBaseTable` on the pure-Python backend.
-_FIXED_BASE_MIN_BATCH = 8
-
 _WORKERS_ENV = "REPRO_CRYPTO_WORKERS"
-_THRESHOLD_ENV = "REPRO_CRYPTO_THRESHOLD"
-
-#: Memory budget for fixed-base precomputation tables, in MiB.
-FIXED_BASE_BUDGET_ENV = "REPRO_FIXED_BASE_MAX_MB"
-
-#: Default fixed-base budget: generous for per-key tables (~200 KiB at
-#: 2048 bits) while refusing pathological window/bit combinations.
-DEFAULT_FIXED_BASE_MAX_MB = 64
-
-
-def fixed_base_budget_bytes() -> int:
-    """The fixed-base table budget from ``REPRO_FIXED_BASE_MAX_MB``."""
-    raw = os.environ.get(FIXED_BASE_BUDGET_ENV, "").strip()
-    if not raw:
-        return DEFAULT_FIXED_BASE_MAX_MB * 1024 * 1024
-    try:
-        megabytes = float(raw)
-    except ValueError:
-        raise ParameterError(
-            f"{FIXED_BASE_BUDGET_ENV} must be a number, got {raw!r}"
-        ) from None
-    if megabytes < 0:
-        raise ParameterError(f"{FIXED_BASE_BUDGET_ENV} must be non-negative")
-    return int(megabytes * 1024 * 1024)
 
 
 # ---------------------------------------------------------------------------
 # Worker-side units.  Each is a module-level function (picklable by
 # qualified name) of the form ``unit(shared, item) -> result`` where
-# ``shared`` carries the loop-invariant state.
+# ``shared`` carries the loop-invariant state.  A scalar primitive that
+# already has that shape (``commutative.apply``, ``hybrid.unwrap``) is
+# its own unit.
 # ---------------------------------------------------------------------------
 
 
@@ -113,7 +81,6 @@ def _run_chunk(
     chunk: list,
     trace: dict | None = None,
     backend_name: str | None = None,
-    chunk_fn: "Callable[[Any, list], list] | None" = None,
 ) -> tuple[list, dict[str, int], list[dict]]:
     """Execute ``unit`` over ``chunk`` in a worker, counting primitives.
 
@@ -126,16 +93,8 @@ def _run_chunk(
     ``backend_name`` pins the worker's bigint backend to the driver's
     (fresh pool processes would otherwise re-resolve from the
     environment, which can disagree with a programmatically installed
-    backend).  ``chunk_fn`` is an optional whole-chunk fast path
-    ``(shared, chunk) -> results`` that replaces the per-item loop —
-    used for batched exponentiation where the backend has list forms.
+    backend).
     """
-
-    def _execute() -> list:
-        if chunk_fn is not None:
-            return chunk_fn(shared, chunk)
-        return [unit(shared, item) for item in chunk]
-
     spans: list[dict] = []
     previous_backend = (
         None if backend_name is None else _backend.set_backend(backend_name)
@@ -143,7 +102,7 @@ def _run_chunk(
     try:
         with instrumentation.count_primitives() as counter:
             if trace is None:
-                results = _execute()
+                results = [unit(shared, item) for item in chunk]
             else:
                 worker_tracer = Tracer(trace_id=trace["trace_id"])
                 parent = SpanContext(
@@ -160,7 +119,7 @@ def _run_chunk(
                         "backend": _backend.active_backend().name,
                     },
                 ):
-                    results = _execute()
+                    results = [unit(shared, item) for item in chunk]
                 spans = [span.to_dict() for span in worker_tracer.spans]
     finally:
         if backend_name is not None:
@@ -172,85 +131,13 @@ def _unit_call(func: Callable, item: tuple) -> Any:
     return func(*item)
 
 
-def _unit_pow(shared: tuple[int, int], base: int) -> int:
-    exponent, modulus = shared
-    return _backend.active_backend().powmod(base, exponent, modulus)
-
-
-def _chunk_pow(shared: tuple[int, int], chunk: list) -> list[int]:
-    """Whole-chunk shared-exponent batch via the backend's list form."""
-    exponent, modulus = shared
-    return _backend.active_backend().powmod_base_list(chunk, exponent, modulus)
-
-
-def _unit_pow_shared_base(shared: tuple[int, int, int], exponent: int) -> int:
-    base, modulus, _ = shared
-    return _backend.active_backend().powmod(base, exponent, modulus)
-
-
-def _chunk_pow_shared_base(shared: tuple[int, int, int], chunk: list) -> list[int]:
-    """Whole-chunk shared-base batch.
-
-    The native backend exponentiates through its list form (pre-cast
-    ``mpz`` base/modulus, or gmpy2's C-level ``powmod_exp_list``); the
-    Python backend amortises a windowed :class:`FixedBaseTable` over the
-    chunk once it is large enough, subject to the fixed-base memory
-    budget (over-budget tables degrade to the plain ladder, counted as
-    a skip by :meth:`FixedBaseTable.build`).
-    """
-    base, modulus, max_exponent_bits = shared
-    backend = _backend.active_backend()
-    if backend.name != "python":
-        return backend.powmod_exp_list(base, chunk, modulus)
-    if len(chunk) >= _FIXED_BASE_MIN_BATCH:
-        table = FixedBaseTable.build(base, modulus, max_exponent_bits)
-        if table is not None:
-            return [table.pow(exponent) for exponent in chunk]
-    return [pow(base, exponent, modulus) for exponent in chunk]
-
-
-def _unit_commutative(shared: tuple, value: int) -> int:
-    exponent, group, record_op, check = shared
-    if check == "euler":
-        member = commutative.euler_contains(group, value)
-    elif check == "none":
-        member = 0 < value < group.p
-    else:
-        member = group.contains(value)
-    if not member:
-        raise ParameterError("input is not in the quadratic-residue domain")
-    instrumentation.record(record_op)
-    return _backend.active_backend().powmod(value, exponent, group.p)
-
-
-def _unit_paillier_encrypt(shared: Any, item: tuple) -> Any:
-    plaintext, randomness = item
-    return paillier.encrypt(shared, plaintext, randomness)
-
-
-def _unit_paillier_encrypt_nonce(shared: Any, item: tuple) -> Any:
-    plaintext, nonce_power = item
-    return paillier.encrypt_with_nonce_power(shared, plaintext, nonce_power)
-
-
-def _unit_paillier_decrypt(shared: tuple, ciphertext: Any) -> int:
-    private_key, flavour = shared
-    if flavour == "carmichael":
-        return paillier.decrypt_carmichael(private_key, ciphertext)
-    if flavour == "crt":
-        return paillier.decrypt_crt(private_key, ciphertext)
-    return paillier.decrypt(private_key, ciphertext)
-
-
 def _unit_scheme_encrypt(shared: tuple, plaintext: int) -> Any:
     scheme, public_key = shared
     return scheme.encrypt(public_key, plaintext)
 
 
 def _unit_scheme_decrypt(shared: tuple, ciphertext: Any) -> int:
-    scheme, private_key, flavour = shared
-    if flavour == "carmichael" and isinstance(scheme, PaillierScheme):
-        return paillier.decrypt_carmichael(private_key, ciphertext)
+    scheme, private_key = shared
     return scheme.decrypt(private_key, ciphertext)
 
 
@@ -262,171 +149,6 @@ def _unit_poly_eval(shared: EncryptedPolynomial, job: tuple) -> Any:
 def _unit_hybrid_encrypt_alone(shared: tuple, plaintext: bytes) -> Any:
     public_keys, associated_data = shared
     return hybrid.encrypt(public_keys, plaintext, associated_data)
-
-
-def _unit_hybrid_unwrap(shared: tuple, encapsulation: Any) -> Any:
-    private_key, use_crt = shared
-    return hybrid.unwrap(private_key, encapsulation, use_crt)
-
-
-# ---------------------------------------------------------------------------
-# Precomputation helpers (algorithmic speedups independent of the pool).
-# ---------------------------------------------------------------------------
-
-
-class FixedBaseTable:
-    """Windowed precomputation for repeated exponentiations of one base.
-
-    Stores ``rows[i][j] = base^(j * 2^(window * i)) mod modulus`` for
-    every window position ``i`` and digit ``j``; :meth:`pow` then costs
-    one modular multiplication per non-zero window digit instead of a
-    full square-and-multiply ladder — a 5-10x win at 2048-bit sizes once
-    the table cost (``ceil(bits/window) * 2^window`` multiplications,
-    ~``2^window * bits / window * |modulus|/8`` bytes of memory) has
-    amortised over a few exponentiations.
-
-    Memory is bounded: construction refuses tables whose
-    :meth:`estimate_size_bytes` exceeds the ``REPRO_FIXED_BASE_MAX_MB``
-    budget (default 64 MiB).  Callers that can degrade gracefully use
-    :meth:`build`, which turns the refusal into a counted skip and a
-    ``None`` table instead of an exception.
-    """
-
-    __slots__ = ("base", "modulus", "window", "max_exponent_bits", "_rows")
-
-    @staticmethod
-    def estimate_size_bytes(
-        modulus: int, max_exponent_bits: int, window: int = 5
-    ) -> int:
-        """Predicted :meth:`size_bytes` without building the table."""
-        entry = (modulus.bit_length() + 7) // 8
-        rows = math.ceil(max(1, max_exponent_bits) / max(1, window))
-        return rows * (1 << window) * entry
-
-    @classmethod
-    def build(
-        cls,
-        base: int,
-        modulus: int,
-        max_exponent_bits: int,
-        window: int = 5,
-    ) -> "FixedBaseTable | None":
-        """Budget-checked construction: ``None`` when over budget.
-
-        The skip is counted (``fixedbase.skip`` via the primitive
-        instrumentation, surfacing in
-        ``repro_crypto_primitive_ops_total``) so sizing problems are
-        observable instead of silent slowdowns.
-        """
-        estimate = cls.estimate_size_bytes(modulus, max_exponent_bits, window)
-        if estimate > fixed_base_budget_bytes():
-            instrumentation.record("fixedbase.skip")
-            return None
-        return cls(base, modulus, max_exponent_bits, window)
-
-    def __init__(
-        self,
-        base: int,
-        modulus: int,
-        max_exponent_bits: int,
-        window: int = 5,
-    ) -> None:
-        if modulus <= 1:
-            raise ParameterError("fixed-base modulus must exceed 1")
-        if not 1 <= window <= 16:
-            raise ParameterError("fixed-base window must be in [1, 16]")
-        if max_exponent_bits < 1:
-            raise ParameterError("max_exponent_bits must be positive")
-        estimate = self.estimate_size_bytes(modulus, max_exponent_bits, window)
-        budget = fixed_base_budget_bytes()
-        if estimate > budget:
-            raise ParameterError(
-                f"fixed-base table would need ~{estimate} bytes, over the "
-                f"{FIXED_BASE_BUDGET_ENV} budget of {budget} bytes"
-            )
-        self.base = base % modulus
-        self.modulus = modulus
-        self.window = window
-        self.max_exponent_bits = max_exponent_bits
-        radix = 1 << window
-        rows = []
-        running = self.base
-        for _ in range(math.ceil(max_exponent_bits / window)):
-            row = [1] * radix
-            for digit in range(1, radix):
-                row[digit] = row[digit - 1] * running % modulus
-            rows.append(row)
-            running = row[radix - 1] * running % modulus
-        self._rows = rows
-
-    def pow(self, exponent: int) -> int:
-        """``base^exponent mod modulus`` via the precomputed table."""
-        if exponent < 0:
-            raise ParameterError("fixed-base exponent must be non-negative")
-        if exponent.bit_length() > self.max_exponent_bits:
-            # Out-of-range exponents fall back to the generic ladder so
-            # the table stays a drop-in replacement for pow().
-            return pow(self.base, exponent, self.modulus)
-        result = 1
-        mask = (1 << self.window) - 1
-        position = 0
-        while exponent:
-            digit = exponent & mask
-            if digit:
-                result = result * self._rows[position][digit] % self.modulus
-            exponent >>= self.window
-            position += 1
-        return result
-
-    def size_bytes(self) -> int:
-        """Approximate memory footprint of the table."""
-        entry = (self.modulus.bit_length() + 7) // 8
-        return sum(len(row) for row in self._rows) * entry
-
-
-class PaillierNonceCache:
-    """Precomputed Paillier nonce powers ``r^n mod n^2`` (BPV-style).
-
-    The exponentiation ``r^n`` dominates Paillier encryption.  Following
-    Boyko-Peinado-Venkatesan, this cache draws a pool of random units
-    ``r_1..r_k`` once, precomputes their ``n``-th powers, and serves each
-    fresh nonce as the product of a random ``subset_size``-element
-    subset: ``r = prod r_i`` is again a unit and ``r^n = prod r_i^n``
-    costs ``subset_size - 1`` multiplications instead of a full
-    exponentiation.  The subset-product distribution is not uniform over
-    ``Z_n*`` (its entropy is ``log2 C(pool_size, subset_size)`` bits),
-    which is why the cache is *opt-in* — callers trade a quantified
-    randomness bound for throughput, as the performance docs discuss.
-    """
-
-    def __init__(
-        self,
-        public_key: paillier.PaillierPublicKey,
-        pool_size: int = 64,
-        subset_size: int = 8,
-    ) -> None:
-        if not 2 <= subset_size <= pool_size:
-            raise ParameterError("need 2 <= subset_size <= pool_size")
-        self.public_key = public_key
-        self.pool_size = pool_size
-        self.subset_size = subset_size
-        n = public_key.n
-        n_sq = public_key.n_squared
-        active = _backend.active_backend()
-        self._powers = [
-            active.powmod(paillier.random_unit(n), n, n_sq)
-            for _ in range(pool_size)
-        ]
-        self._sampler = secrets.SystemRandom()
-
-    def nonce_power(self) -> int:
-        """A fresh ``r^n mod n^2`` for an implicit random unit ``r``."""
-        instrumentation.record("random.paillier_nonce")
-        n_sq = self.public_key.n_squared
-        product = 1
-        for index in self._sampler.sample(range(self.pool_size), self.subset_size):
-            product = product * self._powers[index] % n_sq
-        return product
 
 
 # ---------------------------------------------------------------------------
@@ -447,30 +169,16 @@ def workers_from_env() -> int:
         ) from None
 
 
-def _threshold_from_env() -> int:
-    raw = os.environ.get(_THRESHOLD_ENV, "").strip()
-    if not raw:
-        return DEFAULT_THRESHOLD
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ParameterError(
-            f"{_THRESHOLD_ENV} must be an integer, got {raw!r}"
-        ) from None
-
-
 class CryptoEngine:
     """Dispatches crypto batches to a serial loop or a process pool.
 
     ``workers``: process count; ``None`` reads ``REPRO_CRYPTO_WORKERS``,
     and values ``<= 1`` stay serial.  ``threshold``: minimum batch size
-    before the pool engages.  ``legacy``: reproduce the pre-engine
-    primitive choices (serial loops, Euler-criterion membership,
-    Carmichael Paillier decryption, full-exponent RSA) — the baseline
-    leg of the parallel-crypto benchmark.  ``backend``: a bigint backend
-    (instance or ``auto``/``python``/``gmpy2`` selector) pinned for
-    every batch this engine runs, in the driver process and in pool
-    workers alike; ``None`` follows the process-wide installed backend
+    before the pool engages (``None``: :data:`DEFAULT_THRESHOLD`).
+    ``backend``: a bigint backend (instance or ``auto``/``python``/
+    ``gmpy2`` selector) pinned for every batch this engine runs, in the
+    driver process and in pool workers alike; ``None`` follows the
+    process-wide installed backend
     (:func:`repro.crypto.backend.active_backend`).
     """
 
@@ -478,14 +186,10 @@ class CryptoEngine:
         self,
         workers: int | None = None,
         threshold: int | None = None,
-        legacy: bool = False,
         backend: "_backend.CryptoBackend | str | None" = None,
     ) -> None:
         self.workers = workers_from_env() if workers is None else max(0, workers)
-        self.threshold = (
-            _threshold_from_env() if threshold is None else max(1, threshold)
-        )
-        self.legacy = legacy
+        self.threshold = DEFAULT_THRESHOLD if threshold is None else max(1, threshold)
         self._backend = None if backend is None else _backend.resolve_backend(backend)
         self._pool: ProcessPoolExecutor | None = None
 
@@ -493,8 +197,6 @@ class CryptoEngine:
 
     @property
     def mode(self) -> str:
-        if self.legacy:
-            return "legacy"
         return "pooled" if self.workers >= 2 else "serial"
 
     @property
@@ -526,24 +228,22 @@ class CryptoEngine:
     # -- dispatch -----------------------------------------------------------
 
     def _use_pool(self, size: int) -> bool:
-        return not self.legacy and self.workers >= 2 and size >= self.threshold
+        return self.workers >= 2 and size >= self.threshold
 
     def _run(
         self,
+        name: str,
         unit: Callable[[Any, Any], Any],
         shared: Any,
         items: Sequence,
-        chunk_fn: "Callable[[Any, list], list] | None" = None,
-        name: str | None = None,
     ) -> list:
+        """``[unit(shared, item) for item in items]`` under a
+        ``crypto:{name}`` span, in this process or over the pool."""
         items = list(items)
-        name = name or unit.__name__.replace("_unit_", "", 1)
         backend = self.backend
         with self._batch_span(name, len(items)) as batch_span:
             if not self._use_pool(len(items)):
                 with _backend.use_backend(backend):
-                    if chunk_fn is not None and not self.legacy:
-                        return chunk_fn(shared, items)
                     return [unit(shared, item) for item in items]
             trace = None
             if batch_span is not None:
@@ -559,7 +259,7 @@ class CryptoEngine:
             futures = [
                 pool.submit(
                     _run_chunk, unit, shared, items[start:start + chunk],
-                    trace, backend.name, chunk_fn,
+                    trace, backend.name,
                 )
                 for start in range(0, len(items), chunk)
             ]
@@ -597,104 +297,15 @@ class CryptoEngine:
 
     # -- batch APIs ---------------------------------------------------------
 
-    def batch_pow(
-        self, bases: Sequence[int], exponent: int, modulus: int
-    ) -> list[int]:
-        """``[pow(b, exponent, modulus) for b in bases]``, possibly pooled.
-
-        Shared-exponent batches run through the backend's list form
-        (:meth:`~repro.crypto.backend.CryptoBackend.powmod_base_list`),
-        which hoists the exponent/modulus casts out of the loop on the
-        native backend.
-        """
-        return self._run(_unit_pow, (exponent, modulus), bases, _chunk_pow)
-
-    def batch_pow_shared_base(
-        self, base: int, exponents: Sequence[int], modulus: int
-    ) -> list[int]:
-        """``[pow(base, e, modulus) for e in exponents]``, possibly pooled.
-
-        The shared-base dual of :meth:`batch_pow` — the shape of
-        fixed-generator workloads (``g^r`` floods).  The native backend
-        uses its list form; the Python backend amortises a windowed
-        fixed-base table over each chunk (within the
-        ``REPRO_FIXED_BASE_MAX_MB`` budget).
-        """
-        exponents = list(exponents)
-        max_bits = max((e.bit_length() for e in exponents), default=1)
-        shared = (base, modulus, max(1, max_bits))
-        return self._run(
-            _unit_pow_shared_base, shared, exponents, _chunk_pow_shared_base
-        )
-
     def batch_commutative_encrypt(
-        self,
-        key: commutative.CommutativeKey,
-        values: Sequence[int],
-        validate: bool = True,
+        self, key: commutative.CommutativeKey, values: Sequence[int]
     ) -> list[int]:
         """Batch of ``f_e(x)`` applications (Listing 3 tagging rounds).
 
-        ``validate=False`` skips the QR membership test for inputs whose
-        membership is guaranteed by construction (ideal-hash outputs,
-        tags from a previous round).
+        Every input is tested for QR_p membership — second-round inputs
+        are tags that arrived from the other source via the mediator.
         """
-        check = "euler" if self.legacy else ("jacobi" if validate else "none")
-        shared = (key.exponent, key.group, "commutative.encrypt", check)
-        return self._run(_unit_commutative, shared, values)
-
-    def batch_commutative_decrypt(
-        self,
-        key: commutative.CommutativeKey,
-        values: Sequence[int],
-        validate: bool = True,
-    ) -> list[int]:
-        """Batch of ``f_e^{-1}(y)``; the key inversion happens once."""
-        check = "euler" if self.legacy else ("jacobi" if validate else "none")
-        shared = (key.inverse().exponent, key.group, "commutative.decrypt", check)
-        return self._run(_unit_commutative, shared, values)
-
-    def batch_paillier_encrypt(
-        self,
-        public_key: paillier.PaillierPublicKey,
-        plaintexts: Sequence[int],
-        randomness: Sequence[int] | None = None,
-        nonce_cache: PaillierNonceCache | None = None,
-    ) -> list[paillier.PaillierCiphertext]:
-        """Batch Paillier encryption.
-
-        ``randomness`` fixes the per-item nonces (deterministic output,
-        used by the equivalence tests); ``nonce_cache`` trades uniform
-        nonces for precomputed ``r^n`` powers.  With neither, workers
-        draw fresh uniform nonces.
-        """
-        if randomness is not None and nonce_cache is not None:
-            raise ParameterError("pass either randomness or nonce_cache, not both")
-        if nonce_cache is not None:
-            if nonce_cache.public_key != public_key:
-                raise ParameterError("nonce cache built for a different key")
-            jobs = [(m, nonce_cache.nonce_power()) for m in plaintexts]
-            return self._run(_unit_paillier_encrypt_nonce, public_key, jobs)
-        if randomness is None:
-            jobs = [(m, None) for m in plaintexts]
-        else:
-            if len(randomness) != len(plaintexts):
-                raise ParameterError("randomness length must match plaintexts")
-            jobs = list(zip(plaintexts, randomness))
-        return self._run(_unit_paillier_encrypt, public_key, jobs)
-
-    def batch_paillier_decrypt(
-        self,
-        private_key: paillier.PaillierPrivateKey,
-        ciphertexts: Sequence[paillier.PaillierCiphertext],
-        flavour: str | None = None,
-    ) -> list[int]:
-        """Batch Paillier decryption (CRT when the key allows it)."""
-        if flavour is None:
-            flavour = "carmichael" if self.legacy else "auto"
-        if flavour not in ("auto", "crt", "carmichael"):
-            raise ParameterError(f"unknown decryption flavour {flavour!r}")
-        return self._run(_unit_paillier_decrypt, (private_key, flavour), ciphertexts)
+        return self._run("commutative", commutative.apply, key, values)
 
     def batch_scheme_encrypt(
         self,
@@ -703,7 +314,9 @@ class CryptoEngine:
         plaintexts: Sequence[int],
     ) -> list[Any]:
         """Batch encryption through a homomorphic scheme adapter."""
-        return self._run(_unit_scheme_encrypt, (scheme, public_key), plaintexts)
+        return self._run(
+            "scheme_encrypt", _unit_scheme_encrypt, (scheme, public_key), plaintexts
+        )
 
     def batch_scheme_decrypt(
         self,
@@ -712,9 +325,9 @@ class CryptoEngine:
         ciphertexts: Sequence[Any],
     ) -> list[int]:
         """Batch decryption through a homomorphic scheme adapter."""
-        flavour = "carmichael" if self.legacy else "auto"
-        shared = (scheme, private_key, flavour)
-        return self._run(_unit_scheme_decrypt, shared, ciphertexts)
+        return self._run(
+            "scheme_decrypt", _unit_scheme_decrypt, (scheme, private_key), ciphertexts
+        )
 
     def batch_poly_eval(
         self,
@@ -726,7 +339,7 @@ class CryptoEngine:
         ``jobs`` are ``(x, mask, payload)`` triples; masks are drawn by
         the caller so randomness stays in the protocol driver.
         """
-        return self._run(_unit_poly_eval, encrypted_polynomial, jobs)
+        return self._run("poly_eval", _unit_poly_eval, encrypted_polynomial, jobs)
 
     def batch_hybrid_encrypt(
         self,
@@ -768,10 +381,10 @@ class CryptoEngine:
         encapsulation (hardened commutative results, docs/security.md).
         """
         return self._run(
+            "hybrid_encrypt",
             _unit_hybrid_encrypt_alone,
             (list(public_keys), associated_data),
             plaintexts,
-            name="hybrid_encrypt",
         )
 
     def batch_hybrid_decrypt(
@@ -804,10 +417,10 @@ class CryptoEngine:
         missing = [wrapped for wrapped, key in keys.items() if key is None]
         if missing:
             fresh = self._run(
-                _unit_hybrid_unwrap,
-                (private_key, not self.legacy),
+                "hybrid_decrypt",
+                hybrid.unwrap,
+                private_key,
                 [distinct[wrapped] for wrapped in missing],
-                name="hybrid_decrypt",
             )
             for wrapped, key in zip(missing, fresh):
                 keys[wrapped] = key
@@ -827,7 +440,7 @@ class CryptoEngine:
         ``func`` must be a module-level (picklable) callable; used e.g.
         for batched credential signature verification.
         """
-        return self._run(_unit_call, func, argument_tuples)
+        return self._run("call", _unit_call, func, argument_tuples)
 
 
 # ---------------------------------------------------------------------------

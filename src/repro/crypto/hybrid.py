@@ -185,16 +185,14 @@ class SessionKeyMemo:
 
 
 def unwrap(
-    private_key: rsa.RSAPrivateKey,
-    encapsulation: Encapsulation,
-    use_crt: bool = True,
+    private_key: rsa.RSAPrivateKey, encapsulation: Encapsulation
 ) -> symmetric.SessionKey:
     """Recover the session key with ``private_key`` — the one private-key
     operation all ciphertexts of a session share."""
     wrapped = encapsulation.get(key_fingerprint(private_key.public_key()))
     if wrapped is None:
         raise DecryptionError("no session key wrapped for this private key")
-    master = rsa.oaep_decrypt(private_key, wrapped, use_crt)
+    master = rsa.oaep_decrypt(private_key, wrapped)
     try:
         return symmetric.SessionKey(master)
     except ParameterError as exc:
@@ -214,11 +212,10 @@ def decrypt(
     private_key: rsa.RSAPrivateKey,
     ciphertext: HybridCiphertext,
     associated_data: bytes = b"",
-    use_crt: bool = True,
 ) -> bytes:
     """Unwrap the session key with ``private_key`` and decrypt the body."""
     instrumentation.record("hybrid.decrypt")
-    session_key = unwrap(private_key, ciphertext.wrapped_keys, use_crt)
+    session_key = unwrap(private_key, ciphertext.wrapped_keys)
     return symmetric.decrypt(session_key, ciphertext.body, associated_data)
 
 

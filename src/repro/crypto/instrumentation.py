@@ -10,13 +10,15 @@ around a protocol run and read back exact operation counts.
 Counting is opt-in and costs one dictionary lookup per primitive call when
 no counter is installed.
 
-This module is now a thin compatibility shim over the unified telemetry
-layer: every recorded operation is *also* forwarded into the installed
-:class:`repro.telemetry.metrics.MetricsRegistry` (as the
-``repro_crypto_primitive_ops_total`` counter family), so Prometheus
-expositions and JSON snapshots carry exactly the totals the legacy
-counters observe.  The counter stack itself is unchanged — analyses and
-tests that consume :class:`PrimitiveCounter` keep working verbatim.
+A counter is per run, per thread and nestable: crypto-engine pool workers
+fill a fresh one per chunk and the driver replays its totals, and every
+:class:`~repro.core.result.MediationResult` carries the counter of
+its own run — scopes the process-wide
+:class:`repro.telemetry.metrics.MetricsRegistry` does not have.  Every
+recorded operation is *also* forwarded into the installed registry (as
+the ``repro_crypto_primitive_ops_total`` counter family), so Prometheus
+expositions and JSON snapshots carry exactly the totals the counters
+observe.
 """
 
 from __future__ import annotations

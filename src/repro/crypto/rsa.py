@@ -70,17 +70,12 @@ def _crt_exponents(d: int, p: int, q: int) -> tuple[int, int, int]:
     return d % (p - 1), d % (q - 1), modinv(q, p)
 
 
-def private_pow(private_key: RSAPrivateKey, value: int, use_crt: bool = True) -> int:
+def private_pow(private_key: RSAPrivateKey, value: int) -> int:
     """The private-key operation ``value^d mod n``.
 
-    By default runs in CRT form — two half-size exponentiations mod
-    ``p`` and ``q`` plus a Garner step, a 3-4x speedup over the direct
-    route.  ``use_crt=False`` forces the direct exponentiation (the
-    pre-engine behaviour, kept for the legacy benchmark baseline and as
-    an equivalence reference in tests).
+    Runs in CRT form — two half-size exponentiations mod ``p`` and ``q``
+    plus a Garner step, a 3-4x speedup over the direct route.
     """
-    if not use_crt:
-        return powmod(value, private_key.d, private_key.n)
     d_p, d_q, q_inv = _crt_exponents(private_key.d, private_key.p, private_key.q)
     m_p = powmod(value % private_key.p, d_p, private_key.p)
     m_q = powmod(value % private_key.q, d_q, private_key.q)
@@ -139,9 +134,7 @@ def oaep_encrypt(public_key: RSAPublicKey, message: bytes) -> bytes:
     return int_to_bytes(powmod(bytes_to_int(encoded), public_key.e, public_key.n), k)
 
 
-def oaep_decrypt(
-    private_key: RSAPrivateKey, ciphertext: bytes, use_crt: bool = True
-) -> bytes:
+def oaep_decrypt(private_key: RSAPrivateKey, ciphertext: bytes) -> bytes:
     """RSAES-OAEP decryption; raises :class:`DecryptionError` on failure."""
     instrumentation.record("rsa.decrypt")
     k = (private_key.n.bit_length() + 7) // 8
@@ -150,7 +143,7 @@ def oaep_decrypt(
     value = bytes_to_int(ciphertext)
     if value >= private_key.n:
         raise DecryptionError("ciphertext out of range")
-    encoded = int_to_bytes(private_pow(private_key, value, use_crt), k)
+    encoded = int_to_bytes(private_pow(private_key, value), k)
     first_byte, masked_seed = encoded[0], encoded[1:1 + _HASH_LEN]
     masked_db = encoded[1 + _HASH_LEN:]
     seed = _xor(masked_seed, _mgf1(masked_db, _HASH_LEN))
@@ -167,14 +160,17 @@ def oaep_decrypt(
     return rest[separator + 1:]
 
 
-def pss_sign(
-    private_key: RSAPrivateKey, message: bytes, use_crt: bool = True
-) -> bytes:
+def pss_sign(private_key: RSAPrivateKey, message: bytes) -> bytes:
     """RSASSA-PSS signature over ``message`` with SHA-256."""
     instrumentation.record("rsa.sign")
     k = (private_key.n.bit_length() + 7) // 8
     em_bits = private_key.n.bit_length() - 1
     em_len = (em_bits + 7) // 8
+    if em_len < 2 * _HASH_LEN + 2:
+        raise ParameterError(
+            f"a {private_key.n.bit_length()}-bit modulus is too short for "
+            f"PSS with a {_HASH_LEN}-byte digest and salt"
+        )
     message_hash = _HASH(message).digest()
     salt = secrets.token_bytes(_HASH_LEN)
     m_prime = b"\x00" * 8 + message_hash + salt
@@ -186,7 +182,7 @@ def pss_sign(
     clear_bits = 8 * em_len - em_bits
     masked_db = bytes([masked_db[0] & (0xFF >> clear_bits)]) + masked_db[1:]
     encoded = masked_db + h + b"\xbc"
-    return int_to_bytes(private_pow(private_key, bytes_to_int(encoded), use_crt), k)
+    return int_to_bytes(private_pow(private_key, bytes_to_int(encoded)), k)
 
 
 def pss_verify(public_key: RSAPublicKey, message: bytes, signature: bytes) -> bool:
@@ -200,14 +196,20 @@ def pss_verify(public_key: RSAPublicKey, message: bytes, signature: bytes) -> bo
         return False
     em_bits = public_key.n.bit_length() - 1
     em_len = (em_bits + 7) // 8
-    encoded = int_to_bytes(powmod(value, public_key.e, public_key.n), em_len)
+    if em_len < 2 * _HASH_LEN + 2:
+        return False
+    recovered = powmod(value, public_key.e, public_key.n)
+    # An encoding of more than em_bits bits is invalid: it either does not
+    # fit em_len bytes at all (modulus length = 1 mod 8) or has one of the
+    # leftmost bits set that the signer cleared.
+    if recovered.bit_length() > em_bits:
+        return False
+    encoded = int_to_bytes(recovered, em_len)
     if encoded[-1] != 0xBC:
         return False
     masked_db = encoded[:em_len - _HASH_LEN - 1]
     h = encoded[em_len - _HASH_LEN - 1:-1]
     clear_bits = 8 * em_len - em_bits
-    if masked_db[0] >> (8 - clear_bits) if clear_bits else 0:
-        return False
     data_block = _xor(masked_db, _mgf1(h, em_len - _HASH_LEN - 1))
     data_block = bytes([data_block[0] & (0xFF >> clear_bits)]) + data_block[1:]
     separator = data_block.find(b"\x01")

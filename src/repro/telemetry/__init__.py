@@ -10,9 +10,9 @@ mechanisms with one coherent layer:
 * :mod:`repro.telemetry.metrics` — a :class:`MetricsRegistry` of
   counters/gauges/histograms absorbing primitive invocation counts
   (the Table 2 data), per-link message bytes, and step latencies.
-  :class:`repro.crypto.instrumentation.PrimitiveCounter`,
-  :func:`repro.core.timing.timed`, and the transport transcript remain
-  as compatibility surfaces feeding the same registry.
+  :class:`repro.crypto.instrumentation.PrimitiveCounter` (the per-run
+  counter a result carries), :func:`repro.core.timing.timed`, and the
+  transport transcript feed the same registry.
 * :mod:`repro.telemetry.exporters` — Chrome trace-event JSON (open in
   Perfetto), Prometheus text exposition, and JSON snapshots.
 * :mod:`repro.telemetry.logsetup` — structured per-party logging.

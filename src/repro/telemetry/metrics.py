@@ -5,7 +5,7 @@ behind a single API:
 
 * **primitive invocation counts** — :func:`repro.crypto.instrumentation.
   record` forwards every operation into
-  :data:`PRIMITIVE_OPS_METRIC` next to the legacy
+  :data:`PRIMITIVE_OPS_METRIC` next to the per-run
   :class:`~repro.crypto.instrumentation.PrimitiveCounter` stack, so the
   Table 2 totals are available as Prometheus counters with identical
   values,
@@ -240,7 +240,7 @@ class MetricsRegistry:
         with self._lock:
             return family.child(_label_key(labels))
 
-    # -- the instrumentation shim -----------------------------------------
+    # -- primitive invocation counts ---------------------------------------
 
     def record_primitive(self, operation: str, amount: int = 1) -> None:
         """Absorb one :func:`repro.crypto.instrumentation.record` call."""

@@ -49,6 +49,25 @@ def paillier_scheme() -> PaillierScheme:
     return PaillierScheme(PAILLIER_BITS)
 
 
+class FixedNoncePaillier(PaillierScheme):
+    """Paillier with the nonce a function of the plaintext: ciphertexts
+    comparable across engine modes and bigint backends."""
+
+    @staticmethod
+    def nonce(public_key: paillier.PaillierPublicKey, plaintext: int) -> int:
+        return (plaintext * 2 + 3) % public_key.n
+
+    def encrypt(self, public_key, plaintext):
+        return paillier.encrypt(
+            public_key, plaintext, self.nonce(public_key, plaintext)
+        )
+
+
+@pytest.fixture(scope="session")
+def fixed_nonce_paillier() -> FixedNoncePaillier:
+    return FixedNoncePaillier(PAILLIER_BITS)
+
+
 @pytest.fixture(scope="session")
 def comm_group():
     return groups.commutative_group(GROUP_BITS)

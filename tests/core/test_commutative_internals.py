@@ -11,8 +11,9 @@ from repro.core.commutative import (
 )
 from repro.crypto import commutative as comm
 from repro.crypto import groups
+from repro.crypto.engine import CryptoEngine
 from repro.crypto.hashes import IdealHash
-from repro.errors import ProtocolError
+from repro.errors import ParameterError, ProtocolError
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
 
@@ -84,6 +85,26 @@ class TestDoubleEncrypt:
         doubled = _double_encrypt(messages, other_key)
         original_tags = {m.tag for m in messages}
         assert all(m.tag not in original_tags for m in doubled)
+
+
+    @pytest.mark.parametrize(
+        "workers", [0, 2], ids=["serial", "pooled"]
+    )
+    def test_non_residue_tag_is_a_typed_error(
+        self, group, ideal_hash, rsa_key, workers
+    ):
+        """Second-round tags come from the other source via the mediator:
+        one outside QR_p fails the batch, whichever process tests it."""
+        _, messages = _prepare_source(
+            R, ("k",), group, ideal_hash, [rsa_key.public_key()],
+            CommutativeConfig(),
+        )
+        non_residue = next(x for x in range(2, 1000) if not group.contains(x))
+        messages[1] = TaggedMessage(tag=non_residue, payload=messages[1].payload)
+        with CryptoEngine(workers=workers, threshold=1) as engine:
+            assert engine.mode == ("pooled" if workers else "serial")
+            with pytest.raises(ParameterError):
+                _double_encrypt(messages, comm.generate_key(group), engine=engine)
 
 
 class TestShuffle:

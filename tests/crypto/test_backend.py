@@ -198,23 +198,16 @@ class TestEngineIntegration:
         with bk.use_backend(bk.resolve_backend("auto")):
             assert engine.backend_name == "python"
 
-    def test_batch_results_identical_across_backends(self):
+    def test_batch_results_identical_across_backends(self, comm_group):
+        from repro.crypto.commutative import CommutativeKey
         from repro.crypto.engine import CryptoEngine
 
-        modulus = 2**127 - 1
-        bases = list(range(2, 30))
-        exponents = [3, 9, 81, 6561, 2**100 + 7]
-        outputs = set()
-        shared_base_outputs = set()
-        for backend in every_backend():
-            engine = CryptoEngine(backend=backend)
-            outputs.add(tuple(engine.batch_pow(bases, 65537, modulus)))
-            shared_base_outputs.add(
-                tuple(engine.batch_pow_shared_base(5, exponents, modulus))
+        key = CommutativeKey(comm_group, exponent=65537)
+        residues = [pow(x, 2, comm_group.p) for x in range(2, 30)]
+        outputs = {
+            tuple(
+                CryptoEngine(backend=backend).batch_commutative_encrypt(key, residues)
             )
-        assert len(outputs) == 1
-        assert len(shared_base_outputs) == 1
-        assert outputs == {tuple(pow(b, 65537, modulus) for b in bases)}
-        assert shared_base_outputs == {
-            tuple(pow(5, e, modulus) for e in exponents)
+            for backend in every_backend()
         }
+        assert outputs == {tuple(pow(r, 65537, comm_group.p) for r in residues)}

@@ -2,8 +2,8 @@
 
 The engine's contract: every ``batch_*`` API returns exactly what
 mapping the scalar primitive over the inputs would — byte-identical
-values and identical primitive counts — in every execution mode
-(serial, pooled, legacy).  The pooled engine is forced onto tiny
+values and identical primitive counts — in both execution modes
+(serial, pooled).  The pooled engine is forced onto tiny
 inputs here (``workers=2, threshold=1``) so the process-pool path is
 exercised even though these batches would normally stay serial.
 """
@@ -15,15 +15,8 @@ import secrets
 import pytest
 
 from repro.crypto import commutative as comm
-from repro.crypto import groups, hybrid, instrumentation, paillier, rsa
-from repro.crypto.engine import (
-    CryptoEngine,
-    FixedBaseTable,
-    PaillierNonceCache,
-    get_engine,
-    set_engine,
-    use_engine,
-)
+from repro.crypto import hybrid, instrumentation, paillier
+from repro.crypto.engine import CryptoEngine, get_engine, set_engine, use_engine
 from repro.crypto.polynomial import encrypt_polynomial, evaluate, from_roots
 from repro.errors import ParameterError
 from repro.mediation.ca import verify_credential
@@ -43,13 +36,8 @@ def pooled():
 
 
 @pytest.fixture(scope="module")
-def legacy():
-    return CryptoEngine(workers=0, legacy=True)
-
-
-@pytest.fixture(scope="module")
-def all_engines(serial, pooled, legacy):
-    return [serial, pooled, legacy]
+def all_engines(serial, pooled):
+    return [serial, pooled]
 
 
 @pytest.fixture(scope="module")
@@ -65,20 +53,14 @@ def counted(callable_, *args, **kwargs):
 
 
 class TestDispatch:
-    def test_modes(self, serial, pooled, legacy):
+    def test_modes(self, serial, pooled):
         assert serial.mode == "serial"
         assert pooled.mode == "pooled"
-        assert legacy.mode == "legacy"
 
     def test_threshold_keeps_small_batches_serial(self):
         engine = CryptoEngine(workers=2, threshold=50)
         assert not engine._use_pool(49)
         assert engine._use_pool(50)
-        engine.close()
-
-    def test_legacy_never_pools(self):
-        engine = CryptoEngine(workers=4, threshold=1, legacy=True)
-        assert not engine._use_pool(1000)
         engine.close()
 
     def test_env_workers(self, monkeypatch):
@@ -99,18 +81,6 @@ class TestDispatch:
         set_engine(previous)
 
 
-class TestBatchPow:
-    def test_matches_builtin_pow(self, all_engines, comm_group):
-        bases = [comm_group.random_element() for _ in range(7)]
-        expected = [pow(b, 65537, comm_group.p) for b in bases]
-        for engine in all_engines:
-            assert engine.batch_pow(bases, 65537, comm_group.p) == expected
-
-    def test_empty_batch(self, serial, pooled):
-        assert serial.batch_pow([], 3, 97) == []
-        assert pooled.batch_pow([], 3, 97) == []
-
-
 class TestBatchCommutative:
     def test_encrypt_matches_scalar(self, all_engines, comm_group, comm_key):
         values = [comm_group.random_element() for _ in range(9)]
@@ -123,24 +93,7 @@ class TestBatchCommutative:
             )
             assert got == expected, engine.mode
             assert batch_counts == scalar_counts, engine.mode
-
-    def test_decrypt_inverts_encrypt(self, all_engines, comm_group, comm_key):
-        values = [comm_group.random_element() for _ in range(9)]
-        for engine in all_engines:
-            tags = engine.batch_commutative_encrypt(comm_key, values)
-            assert engine.batch_commutative_decrypt(comm_key, tags) == values
-
-    def test_decrypt_counts_match_scalar(self, serial, comm_group, comm_key):
-        values = [comm_group.random_element() for _ in range(4)]
-        tags = [comm.apply(comm_key, v) for v in values]
-        expected, scalar_counts = counted(
-            lambda: [comm.invert(comm_key, t) for t in tags]
-        )
-        got, batch_counts = counted(
-            serial.batch_commutative_decrypt, comm_key, tags
-        )
-        assert got == expected
-        assert batch_counts == scalar_counts
+            assert engine.batch_commutative_encrypt(comm_key, []) == []
 
     def test_validation_rejects_non_residues(self, all_engines, comm_group, comm_key):
         non_residue = next(
@@ -149,96 +102,6 @@ class TestBatchCommutative:
         for engine in all_engines:
             with pytest.raises(ParameterError):
                 engine.batch_commutative_encrypt(comm_key, [non_residue])
-
-    def test_skipping_validation_for_members(self, serial, comm_group, comm_key):
-        values = [comm_group.random_element() for _ in range(3)]
-        expected = [comm.apply(comm_key, v) for v in values]
-        assert (
-            serial.batch_commutative_encrypt(comm_key, values, validate=False)
-            == expected
-        )
-
-
-class TestBatchPaillier:
-    def test_encrypt_deterministic_with_randomness(self, all_engines, paillier_key):
-        pk = paillier_key.public_key
-        plaintexts = list(range(8))
-        randomness = [paillier.random_unit(pk.n) for _ in plaintexts]
-        expected, scalar_counts = counted(
-            lambda: [
-                paillier.encrypt(pk, m, r).value
-                for m, r in zip(plaintexts, randomness)
-            ]
-        )
-        for engine in all_engines:
-            got, batch_counts = counted(
-                engine.batch_paillier_encrypt, pk, plaintexts, randomness
-            )
-            assert [c.value for c in got] == expected, engine.mode
-            assert batch_counts == scalar_counts, engine.mode
-
-    def test_encrypt_fresh_randomness_roundtrips(self, all_engines, paillier_key):
-        pk = paillier_key.public_key
-        plaintexts = [secrets.randbelow(pk.n) for _ in range(6)]
-        for engine in all_engines:
-            ciphertexts, counts = counted(
-                engine.batch_paillier_encrypt, pk, plaintexts
-            )
-            assert [
-                paillier.decrypt(paillier_key, c) for c in ciphertexts
-            ] == plaintexts, engine.mode
-            assert counts["paillier.encrypt"] == len(plaintexts)
-            assert counts["random.paillier_nonce"] == len(plaintexts)
-
-    def test_decrypt_matches_scalar(self, all_engines, paillier_key):
-        pk = paillier_key.public_key
-        plaintexts = [secrets.randbelow(pk.n) for _ in range(6)]
-        ciphertexts = [paillier.encrypt(pk, m) for m in plaintexts]
-        expected, scalar_counts = counted(
-            lambda: [paillier.decrypt(paillier_key, c) for c in ciphertexts]
-        )
-        assert expected == plaintexts
-        for engine in all_engines:
-            got, batch_counts = counted(
-                engine.batch_paillier_decrypt, paillier_key, ciphertexts
-            )
-            assert got == expected, engine.mode
-            assert batch_counts == scalar_counts, engine.mode
-
-    def test_decrypt_flavours_agree(self, serial, paillier_key):
-        pk = paillier_key.public_key
-        ciphertexts = [paillier.encrypt(pk, m) for m in (0, 1, pk.n - 1)]
-        crt = serial.batch_paillier_decrypt(paillier_key, ciphertexts, "crt")
-        textbook = serial.batch_paillier_decrypt(
-            paillier_key, ciphertexts, "carmichael"
-        )
-        assert crt == textbook == [0, 1, pk.n - 1]
-
-    def test_unknown_flavour_rejected(self, serial, paillier_key):
-        with pytest.raises(ParameterError):
-            serial.batch_paillier_decrypt(paillier_key, [], "quantum")
-
-    def test_nonce_cache_roundtrips(self, serial, pooled, paillier_key):
-        pk = paillier_key.public_key
-        cache = PaillierNonceCache(pk, pool_size=16, subset_size=4)
-        plaintexts = list(range(10))
-        for engine in (serial, pooled):
-            ciphertexts, counts = counted(
-                engine.batch_paillier_encrypt,
-                pk,
-                plaintexts,
-                nonce_cache=cache,
-            )
-            assert [
-                paillier.decrypt(paillier_key, c) for c in ciphertexts
-            ] == plaintexts
-            assert counts["random.paillier_nonce"] == len(plaintexts)
-
-    def test_nonce_cache_excludes_randomness(self, serial, paillier_key):
-        pk = paillier_key.public_key
-        cache = PaillierNonceCache(pk, pool_size=8, subset_size=2)
-        with pytest.raises(ParameterError):
-            serial.batch_paillier_encrypt(pk, [1], randomness=[2], nonce_cache=cache)
 
 
 class TestBatchScheme:
@@ -256,6 +119,58 @@ class TestBatchScheme:
                 )
                 == plaintexts
             ), engine.mode
+
+
+class TestBatchPaillier:
+    """The Paillier legs of ``batch_scheme_encrypt`` / ``_decrypt``."""
+
+    def test_encrypt_deterministic_with_randomness(
+        self, all_engines, paillier_key, fixed_nonce_paillier
+    ):
+        scheme, pk = fixed_nonce_paillier, paillier_key.public_key
+        plaintexts = list(range(8))
+        expected, scalar_counts = counted(
+            lambda: [
+                paillier.encrypt(pk, m, scheme.nonce(pk, m)).value
+                for m in plaintexts
+            ]
+        )
+        for engine in all_engines:
+            got, batch_counts = counted(
+                engine.batch_scheme_encrypt, scheme, pk, plaintexts
+            )
+            assert [c.value for c in got] == expected, engine.mode
+            assert batch_counts == scalar_counts, engine.mode
+
+    def test_encrypt_fresh_randomness_roundtrips(
+        self, all_engines, paillier_key, paillier_scheme
+    ):
+        pk = paillier_key.public_key
+        plaintexts = [secrets.randbelow(pk.n) for _ in range(6)]
+        for engine in all_engines:
+            ciphertexts, counts = counted(
+                engine.batch_scheme_encrypt, paillier_scheme, pk, plaintexts
+            )
+            assert [
+                paillier.decrypt(paillier_key, c) for c in ciphertexts
+            ] == plaintexts, engine.mode
+            assert counts["paillier.encrypt"] == len(plaintexts)
+            assert counts["random.paillier_nonce"] == len(plaintexts)
+
+    def test_decrypt_matches_scalar(self, all_engines, paillier_key, paillier_scheme):
+        pk = paillier_key.public_key
+        plaintexts = [0, 1, pk.n - 1] + [secrets.randbelow(pk.n) for _ in range(5)]
+        ciphertexts = [paillier.encrypt(pk, m) for m in plaintexts]
+        expected, scalar_counts = counted(
+            lambda: [paillier.decrypt(paillier_key, c) for c in ciphertexts]
+        )
+        assert expected == plaintexts
+        for engine in all_engines:
+            got, batch_counts = counted(
+                engine.batch_scheme_decrypt, paillier_scheme, paillier_key, ciphertexts
+            )
+            assert got == expected, engine.mode
+            assert batch_counts == scalar_counts, engine.mode
 
 
 class TestBatchPolyEval:
@@ -369,39 +284,6 @@ class TestMapBatch:
         ] * 3
         for engine in all_engines:
             assert all(engine.map_batch(verify_credential, jobs)), engine.mode
-
-
-class TestFixedBaseTable:
-    def test_matches_builtin_pow(self, comm_group):
-        table = FixedBaseTable(3, comm_group.p, 192)
-        for _ in range(25):
-            exponent = secrets.randbelow(1 << 192)
-            assert table.pow(exponent) == pow(3, exponent, comm_group.p)
-
-    def test_edge_exponents(self, comm_group):
-        table = FixedBaseTable(5, comm_group.p, 64, window=4)
-        assert table.pow(0) == 1
-        assert table.pow(1) == 5
-        assert table.pow((1 << 64) - 1) == pow(5, (1 << 64) - 1, comm_group.p)
-
-    def test_oversized_exponent_falls_back(self, comm_group):
-        table = FixedBaseTable(7, comm_group.p, 32)
-        exponent = 1 << 100
-        assert table.pow(exponent) == pow(7, exponent, comm_group.p)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ParameterError):
-            FixedBaseTable(2, 1, 10)
-        with pytest.raises(ParameterError):
-            FixedBaseTable(2, 97, 10, window=0)
-        with pytest.raises(ParameterError):
-            FixedBaseTable(2, 97, 0)
-        with pytest.raises(ParameterError):
-            FixedBaseTable(2, 97, 10).pow(-1)
-
-    def test_size_accounting(self):
-        table = FixedBaseTable(2, groups.safe_prime(64), 64, window=4)
-        assert table.size_bytes() > 0
 
 
 class TestPooledCounterAggregation:

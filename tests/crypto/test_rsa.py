@@ -103,3 +103,103 @@ class TestPSS:
     def test_verify_never_raises_on_garbage(self, key):
         garbage = b"\xff" * key.public_key().modulus_bytes
         assert rsa.pss_verify(key.public_key(), b"m", garbage) in (True, False)
+
+
+class TestPSSEncodingBounds:
+    """emLen = ceil((modBits - 1) / 8) is one byte shorter than the
+    modulus when modBits = 1 (mod 8), and must hold two digests."""
+
+    @pytest.fixture(scope="class")
+    def key_1025(self):
+        return rsa.generate_keypair(1025)
+
+    def test_round_trip_when_encoding_is_shorter_than_modulus(self, key_1025):
+        signature = rsa.pss_sign(key_1025, b"document")
+        assert len(signature) == 129
+        assert rsa.pss_verify(key_1025.public_key(), b"document", signature)
+
+    def test_encoding_wider_than_em_bits_is_rejected_not_raised(self, key_1025):
+        public = key_1025.public_key()
+        # (n - 1)^e = n - 1 for odd e: all 1025 bits set in the recovered
+        # encoding, one more than emLen = 128 bytes can hold.
+        signature = (public.n - 1).to_bytes(public.modulus_bytes, "big")
+        assert rsa.pss_verify(public, b"m", signature) is False
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_verify_returns_a_bool_for_arbitrary_input(self, key, key_1025, data):
+        for private_key in (key, key_1025):
+            public = private_key.public_key()
+            k = public.modulus_bytes
+            value = data.draw(
+                st.integers(0, public.n - 1) | st.integers(public.n, 256**k - 1)
+            )
+            assert rsa.pss_verify(public, b"m", value.to_bytes(k, "big")) is False
+
+    @pytest.mark.parametrize("bits", [512, 521])
+    def test_modulus_too_short_for_two_digests_cannot_sign(self, bits):
+        short = rsa.generate_keypair(bits)
+        with pytest.raises(ParameterError):
+            rsa.pss_sign(short, b"document")
+        garbage = b"\x01" * short.public_key().modulus_bytes
+        assert rsa.pss_verify(short.public_key(), b"document", garbage) is False
+
+    def test_shortest_signing_modulus(self):
+        shortest = rsa.generate_keypair(522)
+        signature = rsa.pss_sign(shortest, b"document")
+        assert rsa.pss_verify(shortest.public_key(), b"document", signature)
+
+
+class TestIndependentOracles:
+    """The CRT private-key operation against the textbook exponentiation,
+    and both paddings against ``cryptography`` — which is no dependency
+    of this project: the cross-checks run where it is installed (here
+    and in CI's native-crypto job) and skip elsewhere."""
+
+    @given(st.integers(min_value=0))
+    @settings(max_examples=25, deadline=None)
+    def test_private_pow_is_value_to_the_d(self, key, raw):
+        value = raw % key.n
+        assert rsa.private_pow(key, value) == pow(value, key.d, key.n)
+
+    @pytest.fixture(scope="class")
+    def reference(self, key):
+        pytest.importorskip("cryptography")
+        from cryptography.hazmat.primitives import hashes
+        from cryptography.hazmat.primitives.asymmetric import padding
+        from cryptography.hazmat.primitives.asymmetric import rsa as reference_rsa
+
+        private_key = reference_rsa.RSAPrivateNumbers(
+            p=key.p,
+            q=key.q,
+            d=key.d,
+            dmp1=key.d % (key.p - 1),
+            dmq1=key.d % (key.q - 1),
+            iqmp=pow(key.q, -1, key.p),
+            public_numbers=reference_rsa.RSAPublicNumbers(key.e, key.n),
+        ).private_key()
+        sha256 = hashes.SHA256()
+        oaep = padding.OAEP(padding.MGF1(sha256), sha256, label=None)
+        pss = padding.PSS(padding.MGF1(sha256), salt_length=32)
+        return private_key, oaep, pss, sha256
+
+    @pytest.mark.parametrize("message", [b"", b"session key", b"m" * 62])
+    def test_oaep_interoperates(self, key, reference, message):
+        reference_key, oaep, _, _ = reference
+        assert reference_key.decrypt(
+            rsa.oaep_encrypt(key.public_key(), message), oaep
+        ) == message
+        assert rsa.oaep_decrypt(
+            key, reference_key.public_key().encrypt(message, oaep)
+        ) == message
+
+    @pytest.mark.parametrize("message", [b"", b"credential", b"m" * 500])
+    def test_pss_interoperates(self, key, reference, message):
+        reference_key, _, pss, sha256 = reference
+        # verify() raises InvalidSignature on a mismatch.
+        reference_key.public_key().verify(
+            rsa.pss_sign(key, message), message, pss, sha256
+        )
+        assert rsa.pss_verify(
+            key.public_key(), message, reference_key.sign(message, pss, sha256)
+        )

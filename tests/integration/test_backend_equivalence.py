@@ -73,25 +73,28 @@ class TestDeterministicBitIdentity:
         outputs = set()
         for name in BACKENDS:
             with bk.use_backend(name):
-                outputs.add(rsa.private_pow(rsa_key, value, use_crt=True))
-                outputs.add(rsa.private_pow(rsa_key, value, use_crt=False))
-        assert len(outputs) == 1
+                outputs.add(rsa.private_pow(rsa_key, value))
+        assert outputs == {pow(value, rsa_key.d, rsa_key.n)}
 
-    def test_engine_batches(self, paillier_key):
+    def test_engine_batches(self, paillier_key, fixed_nonce_paillier):
+        scheme = fixed_nonce_paillier
         public = paillier_key.public_key
         plaintexts = list(range(16))
-        randomness = [(i * 2 + 3) % public.n for i in range(16)]
         batch_values = set()
         for name in BACKENDS:
             engine = CryptoEngine(backend=name)
-            ciphertexts = engine.batch_paillier_encrypt(
-                public, plaintexts, randomness=randomness
-            )
+            ciphertexts = engine.batch_scheme_encrypt(scheme, public, plaintexts)
             batch_values.add(tuple(c.value for c in ciphertexts))
-            assert engine.batch_paillier_decrypt(
-                paillier_key, ciphertexts
+            assert engine.batch_scheme_decrypt(
+                scheme, paillier_key, ciphertexts
             ) == plaintexts
-        assert len(batch_values) == 1
+        n, n_sq = public.n, public.n_squared
+        assert batch_values == {
+            tuple(
+                (1 + m * n) * pow(scheme.nonce(public, m), n, n_sq) % n_sq
+                for m in plaintexts
+            )
+        }
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)

@@ -171,11 +171,13 @@ class TestPoolWorkerSpans:
         try:
             with use_tracer(tracer), use_engine(engine):
                 with tracer.span("step", "S1"):
-                    engine.batch_pow([2, 3, 4, 5], 65537, (1 << 61) - 1)
+                    engine.map_batch(
+                        pow, [(base, 65537, (1 << 61) - 1) for base in (2, 3, 4, 5)]
+                    )
         finally:
             engine.close()
         (step,) = tracer.find("step")
-        batches = [s for s in tracer.spans if s.name == "crypto:pow"]
+        batches = [s for s in tracer.spans if s.name == "crypto:call"]
         assert len(batches) == 1
         batch = batches[0]
         assert batch.parent_id == step.span_id
@@ -192,9 +194,9 @@ class TestPoolWorkerSpans:
         tracer = Tracer()
         engine = CryptoEngine(workers=0)
         with use_tracer(tracer), use_engine(engine):
-            engine.batch_pow([2, 3], 3, 97)
+            engine.map_batch(pow, [(2, 3, 97), (3, 3, 97)])
         assert tracer.find("crypto:chunk") == []
-        (batch,) = tracer.find("crypto:pow")
+        (batch,) = tracer.find("crypto:call")
         assert batch.attributes["mode"] == "serial"
 
     def test_pool_counts_unchanged_by_tracing(self):
