@@ -143,14 +143,14 @@ def _analyze_commutative(result: MediationResult) -> LeakageReport:
 def _analyze_private_matching(result: MediationResult) -> LeakageReport:
     report = LeakageReport(protocol=result.protocol)
     mediator = _mediator_view(result)
-    # Degree of each polynomial = number of coefficients - 1.
+    # Degree of each polynomial = number of (low) coefficients shipped.
     for message in mediator.received:
         if message.kind == "pm_encrypted_coefficients" and message.sender != (
             _client_view(result).party
         ):
             report.mediator_learns[
                 f"|domactive@{message.sender}|"
-            ] = len(message.body) - 1
+            ] = len(message.body)
     client = _client_view(result)
     for message in client.received:
         if message.kind == "pm_evaluations":

@@ -6,7 +6,8 @@ The PM protocol (after Freedman, Nissim, Pinkas [12], adapted to the MMM):
    distributed with his credentials (Section 5.1).
 2./3. Each source S_i builds the polynomial ``P_i`` whose roots are the
    elements of ``domactive(R_i.A_join)``, encrypts the coefficients under
-   the client's public key, and sends them to the mediator.
+   the client's public key (all but the leading one, the public
+   constant (-1)^n), and sends them to the mediator.
 4. The mediator forwards each encrypted polynomial to the *opposite*
    source.
 5./6. For each own value a with fresh random r, S_i computes
@@ -82,14 +83,15 @@ def _cached_encrypt_polynomial(
 
     Paillier ciphertexts are plain integers bound to the public key, so
     the encrypted coefficient vector persists as an integer list keyed
-    by (public-key fingerprint, coefficient digest).  Schemes with
-    non-integer ciphertexts (EC-ElGamal points) skip the cache.
+    by (public-key fingerprint, digest of the coefficients the blob
+    holds: all but the public leading one).  Schemes with non-integer
+    ciphertexts (EC-ElGamal points) skip the cache.
     """
     cacheable = cache is not None and isinstance(scheme, PaillierScheme)
     slot = b""
     if cacheable:
         digest = hashlib.sha256()
-        for coefficient in plain_coefficients:
+        for coefficient in plain_coefficients[:-1]:
             digest.update(coefficient.to_bytes(
                 (coefficient.bit_length() + 7) // 8 or 1, "big"))
             digest.update(b"/")
@@ -102,7 +104,7 @@ def _cached_encrypt_polynomial(
         if blob is not None:
             try:
                 values = deserialize_int_list(blob)
-                if len(values) != len(plain_coefficients):
+                if len(values) != len(plain_coefficients) - 1:
                     raise StorageError("cached coefficient count mismatch")
                 return EncryptedPolynomial(
                     scheme=scheme,

@@ -162,12 +162,14 @@ class PythonBackend(CryptoBackend):
         a %= n
         result = 1
         while a:
-            while a % 2 == 0:
-                a //= 2
-                if n % 8 in (3, 5):
-                    result = -result
+            # (2/n)^shift: all factors of two leave in one shift, and
+            # only an odd count of them can flip the sign.
+            shift = (a & -a).bit_length() - 1
+            a >>= shift
+            if shift & 1 and n & 7 in (3, 5):
+                result = -result
             a, n = n, a
-            if a % 4 == 3 and n % 4 == 3:
+            if a & 3 == 3 and n & 3 == 3:
                 result = -result
             a %= n
         return result if n == 1 else 0

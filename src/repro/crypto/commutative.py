@@ -9,14 +9,16 @@ secrecy property making ``f_e(y)`` indistinguishable from random.  The
 reference construction (Agrawal et al. [1]) is exponentiation in the
 group of quadratic residues modulo a *safe prime* ``p = 2q + 1``:
 
-    f_e(x) = x^e mod p,    x in QR_p,    gcd(e, q) = 1.
+    f_e(x) = x^e mod p,    x in QR_p,    1 <= e < q.
 
-* QR_p has prime order ``q``, so every exponent coprime to ``q`` is a
-  bijection on it, with inverse exponent ``e^-1 mod q``.
+* QR_p has prime order ``q``, so every such exponent is a bijection on
+  it, with inverse exponent ``e^-1 mod q``.
 * Commutativity: ``(x^e1)^e2 = (x^e2)^e1``.
 * Secrecy rests on the Decisional Diffie-Hellman assumption in QR_p,
   which is exactly why inputs are first hashed into the group by the
-  ideal hash of :class:`repro.crypto.hashes.IdealHash`.
+  ideal hash of :class:`repro.crypto.hashes.IdealHash` — and, since
+  generated exponents are short (:func:`exponent_bits`), on discrete
+  logarithms staying hard for exponents of that width.
 """
 
 from __future__ import annotations
@@ -93,15 +95,25 @@ class CommutativeKey:
         return CommutativeKey(self.group, modinv(self.exponent, self.group.q))
 
 
+def exponent_bits(group: CommutativeGroup) -> int:
+    """Width ``k`` of a freshly drawn exponent: ``max(256, |p| // 8)``.
+
+    No listing ever inverts ``f_e``, so the exponent need not span the
+    group order: a ``k``-bit one costs ``k`` squarings instead of
+    ``|q|``, against a generic attack (Pollard lambda) of ``2^(k/2)``
+    group operations.  Never below the short-exponent widths of RFC 7919;
+    groups of up to 257 bits keep the full range ``[1, q)``.
+    docs/security.md states the assumption this rests on.
+    """
+    return max(256, group.p.bit_length() // 8)
+
+
 def generate_key(group: CommutativeGroup) -> CommutativeKey:
-    """Fresh uniformly random key for ``group``."""
+    """Fresh key for ``group``: ``e`` uniform in ``[1, min(q, 2^k))``."""
     instrumentation.record("commutative.keygen")
     instrumentation.record("random.commutative_key")
-    q = group.q
-    while True:
-        e = 1 + secrets.randbelow(q - 1)
-        if math.gcd(e, q) == 1:
-            return CommutativeKey(group, e)
+    bound = min(group.q, 1 << exponent_bits(group))
+    return CommutativeKey(group, 1 + secrets.randbelow(bound - 1))
 
 
 def apply(key: CommutativeKey, x: int) -> int:

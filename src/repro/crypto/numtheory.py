@@ -134,6 +134,40 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     return (r1 * m2 * modinv(m2, m1) + r2 * m1 * modinv(m1, m2)) % n
 
 
+def factor_from_lambda_multiple(n: int, multiple: int) -> tuple[int, int]:
+    """Factor ``n = p * q`` given a positive multiple of ``lambda(n)``.
+
+    The square-root-of-unity walk of SP 800-56B App. C: write the
+    multiple as ``2^s * t`` with ``t`` odd; for a base ``a`` the chain
+    ``a^t, a^2t, ...`` reaches 1 within ``s`` squarings, and the element
+    before the first 1 is a square root of unity that is non-trivial —
+    and so shares a factor with ``n`` — for at least half of all bases.
+    The bases are the small primes, so the result is a function of the
+    inputs.  Returns ``(p, q)`` with ``p < q``; raises
+    :class:`ParameterError` when ``multiple`` is not a multiple of
+    ``lambda(n)`` or no base splits ``n`` (``n`` not a product of two
+    distinct odd primes).
+    """
+    if n < 15 or n % 2 == 0 or multiple <= 0 or multiple % 2:
+        raise ParameterError("need an odd composite n and an even positive multiple")
+    s = (multiple & -multiple).bit_length() - 1
+    t = multiple >> s
+    for base in _SMALL_PRIMES:
+        if n % base == 0 and n > base:
+            return base, n // base
+        x = powmod(base, t, n)
+        for _ in range(s):
+            if x == 1:
+                break
+            previous, x = x, x * x % n
+            if x == 1 and previous != n - 1:
+                p = math.gcd(previous - 1, n)
+                return min(p, n // p), max(p, n // p)
+        if x != 1:
+            raise ParameterError("not a multiple of lambda(n)")
+    raise ParameterError("n does not split: not a product of two odd primes")
+
+
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a / n) for odd ``n > 0``; returns -1, 0, or 1."""
     if n <= 0 or n % 2 == 0:

@@ -10,18 +10,12 @@ which the paper instantiates with Paillier [20].  We implement the
 textbook scheme with ``g = n + 1`` (so that ``g^m = 1 + m*n mod n^2``,
 avoiding one exponentiation).
 
-Decryption comes in two flavours:
-
-* :func:`decrypt_carmichael` — the textbook route via the Carmichael
-  function, one exponentiation with a ``|n|``-bit exponent mod ``n^2``;
-* :func:`decrypt_crt` — the standard CRT acceleration: work modulo
-  ``p^2`` and ``q^2`` with half-size exponents and recombine, roughly a
-  3-4x speedup at production key sizes.
-
-:func:`decrypt` dispatches to the CRT path whenever the private key
-retains its prime factorisation (keys generated by this module always
-do; keys deserialized from older snapshots may not, and silently fall
-back to the Carmichael route).
+Decryption is the standard CRT form — work modulo ``p^2`` and ``q^2``
+with half-size exponents and recombine — on every key: a private key
+always carries the factorisation of ``n``, and a serialized snapshot
+that lacks it has it recovered at load (:mod:`repro.crypto.
+serialization`).  The textbook ``L(c^lambda mod n^2) * mu mod n`` is the
+oracle the tests compare against.
 
 Plaintext space is ``Z_n``; homomorphic operations reduce modulo ``n``.
 """
@@ -59,24 +53,15 @@ class PaillierPublicKey:
 
 @dataclass(frozen=True)
 class PaillierPrivateKey:
-    """Private key: ``lambda = lcm(p-1, q-1)`` and ``mu = lambda^-1 mod n``.
-
-    ``p`` and ``q`` (the factorisation of ``n``) enable CRT-accelerated
-    decryption.  They default to 0 so that key material constructed
-    before the CRT upgrade — ``PaillierPrivateKey(public_key, lam, mu)``
-    — still deserializes and decrypts (via the Carmichael route).
+    """Private key: the factorisation ``n = p * q``, with ``lambda =
+    lcm(p-1, q-1)`` and ``mu = lambda^-1 mod n`` of the textbook scheme.
     """
 
     public_key: PaillierPublicKey
     lam: int
     mu: int
-    p: int = 0
-    q: int = 0
-
-    @property
-    def has_factorisation(self) -> bool:
-        """True when the key can use CRT decryption."""
-        return bool(self.p and self.q)
+    p: int
+    q: int
 
 
 @dataclass(frozen=True)
@@ -164,30 +149,6 @@ def _checked_value(
     return value
 
 
-def decrypt(private_key: PaillierPrivateKey, ciphertext: PaillierCiphertext) -> int:
-    """Decrypt to the plaintext in ``[0, n)``.
-
-    Dispatches to the CRT route when the key carries its factorisation
-    and to the Carmichael route otherwise; both record the same
-    ``paillier.decrypt`` primitive event.
-    """
-    if private_key.has_factorisation:
-        return decrypt_crt(private_key, ciphertext)
-    return decrypt_carmichael(private_key, ciphertext)
-
-
-def decrypt_carmichael(
-    private_key: PaillierPrivateKey, ciphertext: PaillierCiphertext
-) -> int:
-    """Textbook decryption: ``L(c^lambda mod n^2) * mu mod n``."""
-    public = private_key.public_key
-    n = public.n
-    value = _checked_value(private_key, ciphertext)
-    instrumentation.record("paillier.decrypt")
-    u = powmod(value, private_key.lam, public.n_squared)
-    return _big_l(u, n) * private_key.mu % n
-
-
 @lru_cache(maxsize=64)
 def _crt_parameters(n: int, p: int, q: int) -> tuple[int, int, int, int, int]:
     """Per-key CRT constants: ``(p^2, q^2, hp, hq, q^-1 mod p)``.
@@ -203,18 +164,14 @@ def _crt_parameters(n: int, p: int, q: int) -> tuple[int, int, int, int, int]:
     return p_squared, q_squared, hp, hq, modinv(q, p)
 
 
-def decrypt_crt(
-    private_key: PaillierPrivateKey, ciphertext: PaillierCiphertext
-) -> int:
-    """CRT decryption: half-size exponentiations mod ``p^2`` and ``q^2``.
+def decrypt(private_key: PaillierPrivateKey, ciphertext: PaillierCiphertext) -> int:
+    """Decrypt to the plaintext in ``[0, n)``.
 
-    ``m_p = L_p(c^(p-1) mod p^2) * hp mod p`` (and symmetrically mod
-    ``q``), recombined with the usual Garner step.  Produces exactly the
-    same plaintext as :func:`decrypt_carmichael` for every valid
-    ciphertext.
+    CRT form: ``m_p = L_p(c^(p-1) mod p^2) * hp mod p`` (and
+    symmetrically mod ``q``), recombined with the usual Garner step —
+    two half-size exponentiations where the textbook route pays one
+    with a ``|n|``-bit exponent mod ``n^2``.
     """
-    if not private_key.has_factorisation:
-        raise ParameterError("private key lacks p/q; cannot use CRT decryption")
     value = _checked_value(private_key, ciphertext)
     instrumentation.record("paillier.decrypt")
     p, q = private_key.p, private_key.q

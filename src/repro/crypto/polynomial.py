@@ -8,12 +8,14 @@ monic-up-to-sign polynomial
 
 encrypt the coefficients c_k under an additively homomorphic scheme, and
 let the sender compute E(r * P(a') + payload) for each of its own values
-a' — without ever seeing P in the clear.  This module provides:
+a' — without ever seeing P in the clear.  The leading coefficient c_n is
+the public constant (-1)^n (FNP's own remark), so only c_0 .. c_{n-1}
+are encrypted and shipped.  This module provides:
 
 * :func:`from_roots` — expand the product form into coefficients mod n,
 * :func:`evaluate` — plaintext Horner evaluation (for tests),
-* :class:`EncryptedPolynomial` — coefficient-wise encryption plus the
-  homomorphic Horner evaluation used by the datasources.
+* :class:`EncryptedPolynomial` — encryptions of the n low coefficients
+  plus the homomorphic Horner evaluation used by the datasources.
 """
 
 from __future__ import annotations
@@ -66,9 +68,10 @@ def degree(coefficients: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class EncryptedPolynomial:
-    """Homomorphic encryptions of a polynomial's coefficients.
+    """Homomorphic encryptions of a polynomial's low coefficients.
 
-    ``coefficients[k]`` is ``E(c_k)``; the plaintext modulus is
+    ``coefficients[k]`` is ``E(c_k)`` for ``k < n``; the leading
+    ``c_n = (-1)^n`` is implied.  The plaintext modulus is
     ``scheme.plaintext_bound(public_key)``.  The *degree is public* —
     the paper's Table 1 records precisely this leakage: the mediator
     learns |domactive(R_i.A_join)| from the number of coefficients.
@@ -80,19 +83,25 @@ class EncryptedPolynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.coefficients)
 
     def evaluate(self, x: int) -> Any:
         """Homomorphic Horner: returns ``E(P(x))`` for plaintext ``x``.
 
-        acc = E(c_d); acc = x * acc (+) E(c_{k}) going down — only the
-        two homomorphic operations the paper demands are used.
+        acc = E(c_{n-1}) (+) c_n * x; acc = x * acc (+) E(c_k) going
+        down — only the homomorphic operations the paper demands are
+        used.  Degree 0 is the constant 1 (an empty root set): a fresh
+        encryption of it.
         """
         instrumentation.record("homomorphic.poly_evaluate")
         modulus = self.scheme.plaintext_bound(self.public_key)
         x %= modulus
+        if not self.coefficients:
+            return self.scheme.encrypt(self.public_key, 1)
         iterator = reversed(self.coefficients)
-        accumulator = next(iterator)
+        accumulator = self.scheme.add_plain(
+            next(iterator), (-1) ** self.degree * x % modulus
+        )
         for encrypted_coefficient in iterator:
             accumulator = self.scheme.scalar_multiply(accumulator, x)
             accumulator = self.scheme.add(accumulator, encrypted_coefficient)
@@ -118,20 +127,22 @@ def encrypt_polynomial(
     coefficients: Sequence[int],
     engine: Any = None,
 ) -> EncryptedPolynomial:
-    """Encrypt each coefficient of a plaintext polynomial.
+    """Encrypt the low coefficients of a :func:`from_roots` polynomial.
 
-    ``engine`` is an optional :class:`repro.crypto.engine.CryptoEngine`;
-    when given, the coefficients encrypt as one (possibly parallel)
-    batch instead of a scalar loop.
+    The leading coefficient must be the ``(-1)^n`` that
+    :meth:`EncryptedPolynomial.evaluate` assumes; it is checked, not
+    encrypted.  ``engine`` is an optional :class:`repro.crypto.engine.
+    CryptoEngine`; when given, the coefficients encrypt as one (possibly
+    parallel) batch instead of a scalar loop.
     """
+    *low, leading = coefficients
+    if leading != (-1) ** len(low) % scheme.plaintext_bound(public_key):
+        raise ParameterError("polynomial is not of the form prod (a_i - x)")
     instrumentation.record("homomorphic.encrypt_polynomial")
     if engine is None:
         encrypted = tuple(
-            scheme.encrypt(public_key, coefficient)
-            for coefficient in coefficients
+            scheme.encrypt(public_key, coefficient) for coefficient in low
         )
     else:
-        encrypted = tuple(
-            engine.batch_scheme_encrypt(scheme, public_key, coefficients)
-        )
+        encrypted = tuple(engine.batch_scheme_encrypt(scheme, public_key, low))
     return EncryptedPolynomial(scheme, public_key, encrypted)

@@ -10,10 +10,12 @@ type tags so a blob cannot be deserialized as the wrong kind of key.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from repro.crypto import paillier, rsa
-from repro.errors import EncodingError
+from repro.crypto.numtheory import factor_from_lambda_multiple
+from repro.errors import EncodingError, ParameterError
 from repro.mediation.credentials import Credential
 
 
@@ -81,16 +83,29 @@ def paillier_private_to_dict(
         "n": str(key.public_key.n),
         "lam": str(key.lam),
         "mu": str(key.mu),
+        "p": str(key.p),
+        "q": str(key.q),
     }
 
 
 def paillier_private_from_dict(
     payload: dict[str, Any]
 ) -> paillier.PaillierPrivateKey:
+    """Rebuild a private key; a snapshot holding only ``(n, lam, mu)``
+    has its factorisation recovered from ``lam``, once, here."""
     _require_kind(payload, "paillier-private")
-    public = paillier.PaillierPublicKey(n=int(payload["n"]))
+    n, lam, mu = int(payload["n"]), int(payload["lam"]), int(payload["mu"])
+    if "p" in payload:
+        p, q = int(payload["p"]), int(payload["q"])
+    else:
+        try:
+            p, q = factor_from_lambda_multiple(n, lam)
+        except ParameterError as exc:
+            raise EncodingError(f"Paillier lam does not factor n: {exc}") from exc
+    if p * q != n or math.lcm(p - 1, q - 1) != lam or lam * mu % n != 1:
+        raise EncodingError("inconsistent Paillier private key material")
     return paillier.PaillierPrivateKey(
-        public_key=public, lam=int(payload["lam"]), mu=int(payload["mu"])
+        public_key=paillier.PaillierPublicKey(n=n), lam=lam, mu=mu, p=p, q=q
     )
 
 

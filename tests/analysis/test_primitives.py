@@ -78,12 +78,50 @@ class TestOperationCounts:
         profile = primitive_profile(results["private-matching"])
         n = len(workload.relation_1.active_domain("k"))
         m = len(workload.relation_2.active_domain("k"))
-        # n+1 coefficients of P1 plus m+1 of P2.
-        assert profile.operations["paillier.encrypt"] == n + m + 2
+        # The n low coefficients of P1 plus the m of P2: the leading
+        # (-1)^n is public and never encrypted.
+        assert profile.operations["paillier.encrypt"] == n + m
 
     def test_das_collision_free_hash_per_partition(self, results):
         profile = primitive_profile(results["das"])
         assert profile.operations.get("hash.collision_free", 0) >= 2
+
+
+@pytest.mark.parametrize("domain", [4, 8, 16])
+class TestClosedForms:
+    """Primitive counts as formulas of n = m = |domactive|, at three
+    sizes: counts do not depend on key size, so the linear (commutative)
+    and quadratic (private matching) shapes pinned here at test keys are
+    the ones the 2048-bit benchmark pays for."""
+
+    @pytest.fixture
+    def run(self, make_federation, domain):
+        from repro.relational.datagen import WorkloadSpec, generate
+
+        workload = generate(
+            WorkloadSpec(
+                domain_1=domain, domain_2=domain, overlap=domain // 2,
+                rows_per_value_1=2, rows_per_value_2=2, seed=domain,
+            )
+        )
+        return lambda protocol: run_join_query(
+            make_federation(workload), QUERY, protocol=protocol
+        ).primitive_counter.counts
+
+    def test_commutative_is_linear(self, run, domain):
+        n = m = domain
+        assert run("commutative")["commutative.encrypt"] == 2 * (n + m)
+
+    def test_private_matching_is_quadratic(self, run, domain):
+        n = m = domain
+        counts = run("private-matching")
+        # The n low coefficients of each polynomial: the leading one is
+        # the public (-1)^n.
+        assert counts["paillier.encrypt"] == n + m
+        # Per evaluation n - 1 Horner steps and one mask, m evaluations
+        # of P1 and n of P2.
+        assert counts["paillier.scalar_multiply"] == 2 * n * m
+        assert counts["paillier.decrypt"] == n + m
 
 
 class TestBaselineExclusion:

@@ -83,6 +83,62 @@ class TestCorrectness:
         assert result.global_result == natural_join(r1, r2)
 
 
+class TestDegenerateDomains:
+    """An empty active domain is the degree-0 polynomial (no coefficient
+    is shipped, every evaluation is masked garbage); one value is degree
+    1, whose Horner is the leading plaintext addition alone."""
+
+    @pytest.mark.parametrize("carrier", ["bus", "tcp"])
+    @pytest.mark.parametrize("hardened", [False, True])
+    @pytest.mark.parametrize(
+        "rows_1, rows_2",
+        [
+            ([], [(1, "b1")]),
+            ([(1, "a1")], []),
+            ([], []),
+            ([(1, "a1")], [(1, "b1"), (1, "b2"), (2, "b3")]),
+            ([(1, "a1"), (3, "a3")], [(3, "b3")]),
+        ],
+    )
+    def test_matches_plaintext_join(
+        self, ca, client, rows_1, rows_2, hardened, carrier
+    ):
+        from repro import Federation
+        from repro.mediation.access_control import allow_all
+        from repro.relational.relation import Relation
+        from repro.relational.schema import schema
+        from repro.transport import TcpTransport
+
+        r1 = Relation(schema("R1", k="int", a="string"), rows_1)
+        r2 = Relation(schema("R2", k="int", b="string"), rows_2)
+        network = TcpTransport() if carrier == "tcp" else None
+        try:
+            federation = (
+                Federation(ca=ca) if network is None
+                else Federation(ca=ca, network=network)
+            )
+            federation.add_source("S1", [(r1, allow_all())])
+            federation.add_source("S2", [(r2, allow_all())])
+            federation.attach_client(client)
+            result = run_join_query(
+                federation, QUERY, protocol="private-matching",
+                hardening=True if hardened else None,
+            )
+        finally:
+            if network is not None:
+                network.close()
+        assert result.global_result == natural_join(r1, r2)
+        assert result.artifacts["polynomial_degrees"] == {
+            "S1": len({row[0] for row in rows_1}),
+            "S2": len({row[0] for row in rows_2}),
+        }
+        shipped = [
+            len(m.body) for m in result.network.transcript
+            if m.kind == "pm_encrypted_coefficients" and m.receiver == "mediator"
+        ]
+        assert shipped == list(result.artifacts["polynomial_degrees"].values())
+
+
 class TestRequirements:
     def test_client_without_homomorphic_key_rejected(
         self, ca, make_federation, workload

@@ -76,6 +76,62 @@ class TestKeys:
         assert key.inverse().exponent * key.exponent % group.q == 1
 
 
+class TestShortExponents:
+    """``generate_key`` draws ``max(256, |p| // 8)``-bit exponents; the
+    512-bit group (|q| = 511) is the smallest shipped one where that is
+    narrower than the group order."""
+
+    @pytest.fixture(scope="class")
+    def wide_group(self):
+        return groups.commutative_group(512)
+
+    #: RFC 7919 Appendix A: short-exponent widths of its safe-prime groups.
+    RFC7919_WIDTHS = {2048: 225, 3072: 275, 4096: 325, 8192: 400}
+
+    @pytest.mark.parametrize(
+        "bits, expected",
+        [(64, 256), (257, 256), (512, 256), (2048, 256), (3072, 384),
+         (4096, 512), (8192, 1024)],
+    )
+    def test_width_is_a_formula_of_the_group(self, bits, expected):
+        # Only |p| enters the rule, so any modulus of the right shape does.
+        shaped = comm.CommutativeGroup((1 << (bits - 1)) | 3)
+        assert comm.exponent_bits(shaped) == expected
+        assert expected >= self.RFC7919_WIDTHS.get(bits, 0)
+
+    @given(st.binary(min_size=1, max_size=64))
+    @settings(max_examples=25, deadline=None)
+    def test_short_keys_commute_and_invert(self, wide_group, data):
+        k1, k2 = comm.generate_key(wide_group), comm.generate_key(wide_group)
+        for key in (k1, k2):
+            assert 1 <= key.exponent < wide_group.q
+            assert key.exponent.bit_length() <= comm.exponent_bits(wide_group) == 256
+        x = IdealHash(wide_group.p)(data)
+        doubled = comm.apply(k1, comm.apply(k2, x))
+        assert doubled == comm.apply(k2, comm.apply(k1, x))
+        assert comm.invert(k1, comm.apply(k1, x)) == x
+        assert comm.invert(k2, comm.invert(k1, doubled)) == x
+
+    def test_short_key_is_injective_on_sample(self, wide_group):
+        key = comm.generate_key(wide_group)
+        inputs = {wide_group.random_element() for _ in range(50)}
+        assert len({comm.apply(key, x) for x in inputs}) == len(inputs)
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_small_groups_keep_the_full_range(self, bits):
+        # |q| <= 255 < 256: the bound is q itself, so draws fill [1, q).
+        small = groups.commutative_group(bits)
+        widths = {comm.generate_key(small).exponent.bit_length() for _ in range(64)}
+        assert max(widths) > small.q.bit_length() - 4
+
+    def test_full_width_exponent_still_a_valid_key(self, wide_group):
+        # Exponents persisted before short keys (a comm_key cache slot)
+        # stay usable: any 1 <= e < q is a key, with a working inverse.
+        key = comm.CommutativeKey(wide_group, wide_group.q - 2)
+        x = wide_group.random_element()
+        assert comm.invert(key, comm.apply(key, x)) == x
+
+
 class TestCipher:
     def test_apply_invert_round_trip(self, group, ideal_hash):
         key = comm.generate_key(group)

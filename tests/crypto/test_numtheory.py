@@ -1,5 +1,7 @@
 """Unit and property tests for repro.crypto.numtheory."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -93,6 +95,57 @@ class TestModularArithmetic:
         assert nt.crt_pair(x % m1, m1, x % m2, m2) == x
 
 
+class TestFactorFromLambdaMultiple:
+    @pytest.mark.parametrize("bits", [256, 512, 1024])
+    def test_recovers_generated_paillier_factors(self, bits):
+        from repro.crypto import paillier
+
+        key = paillier.generate_keypair(bits)
+        expected = tuple(sorted((key.p, key.q)))
+        n = key.public_key.n
+        assert nt.factor_from_lambda_multiple(n, key.lam) == expected
+        # Any multiple does, phi(n) among them.
+        assert nt.factor_from_lambda_multiple(n, (key.p - 1) * (key.q - 1)) == expected
+        assert nt.factor_from_lambda_multiple(n, 6 * key.lam) == expected
+
+    def test_shared_factors_in_p_minus_1_and_q_minus_1(self):
+        # gcd(p-1, q-1) = 2 * 3 * 5 * 7 * 64: lambda(n) is far below
+        # phi(n) / 2 and p - 1, q - 1 carry a long run of factors of two.
+        step = 2 * 3 * 5 * 7 * 64
+        found = []
+        k = (1 << 100) // step
+        while len(found) < 2:
+            k += 1
+            if nt.is_probable_prime(step * k + 1):
+                found.append(step * k + 1)
+        p, q = found
+        assert math.gcd(p - 1, q - 1) % step == 0
+        assert nt.factor_from_lambda_multiple(p * q, nt.lcm(p - 1, q - 1)) == (p, q)
+
+    def test_small_prime_factor(self):
+        assert nt.factor_from_lambda_multiple(7 * 104729, nt.lcm(6, 104728)) == (7, 104729)
+
+    def test_not_a_multiple_of_lambda(self):
+        p, q = 104729, 2**31 - 1
+        lam = nt.lcm(p - 1, q - 1)
+        with pytest.raises(ParameterError, match="not a multiple"):
+            nt.factor_from_lambda_multiple(p * q, lam + 2)
+        with pytest.raises(ParameterError, match="not a multiple"):
+            nt.factor_from_lambda_multiple(p * q, lam // 2 * 2 - 2)
+
+    @pytest.mark.parametrize("n, multiple", [(104729 * 2, 4), (35, 0), (35, 11), (9, 6)])
+    def test_malformed_arguments(self, n, multiple):
+        with pytest.raises(ParameterError):
+            nt.factor_from_lambda_multiple(n, multiple)
+
+    def test_prime_power_does_not_split(self):
+        # lambda(p^2) = p (p - 1), but every square root of unity modulo
+        # a prime power is trivial: no base can split it.
+        p = 104729
+        with pytest.raises(ParameterError, match="does not split"):
+            nt.factor_from_lambda_multiple(p * p, p * (p - 1))
+
+
 class TestJacobiAndResidues:
     def test_jacobi_matches_euler_for_primes(self):
         p = 103
@@ -132,6 +185,25 @@ class TestJacobiAndResidues:
             a = nt.random_in_range(1, p)
             euler = nt.is_quadratic_residue(a, p)
             assert nt.jacobi(a, p) == (1 if euler else -1)
+
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=1, max_value=2**256),
+        st.sampled_from([(103, 7919), (23, 104729), (2**61 - 1, 2**127 - 1)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_jacobi_strips_any_power_of_two_and_is_multiplicative(
+        self, twos, odd, primes
+    ):
+        # Composite moduli and long runs of trailing zero bits: the
+        # symbol over p*q is the product of the two Euler criteria.
+        p, q = primes
+        a = odd << twos
+        euler = [
+            0 if a % r == 0 else (1 if pow(a, (r - 1) // 2, r) == 1 else -1)
+            for r in (p, q)
+        ]
+        assert nt.jacobi(a, p * q) == euler[0] * euler[1]
 
     @pytest.mark.parametrize("p", [23, 103, 104729])
     def test_sqrt_mod_prime(self, p):

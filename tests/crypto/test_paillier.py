@@ -1,9 +1,13 @@
 """Tests for the Paillier cryptosystem and its homomorphic laws."""
 
+import json
+import pathlib
+import secrets
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import paillier
+from repro.crypto import paillier, serialization
 from repro.errors import DecryptionError, EncryptionError, KeyError_, ParameterError
 
 
@@ -104,26 +108,47 @@ class TestHomomorphicLaws:
         assert paillier.decrypt(key, ct) == 37
 
 
+def carmichael_oracle(key, ciphertext):
+    """Textbook decryption, ``L(c^lambda mod n^2) * mu mod n``: the
+    independent route :func:`paillier.decrypt` (CRT) is checked against."""
+    n = key.public_key.n
+    return (pow(ciphertext.value, key.lam, n * n) - 1) // n * key.mu % n
+
+
+def chained_operations(pk, a, b, gamma):
+    """One ciphertext through every homomorphic operation; encrypts
+    ``-((a + b) * gamma + b) mod n``."""
+    return paillier.rerandomize(
+        paillier.negate(
+            paillier.add_plain(
+                paillier.scalar_multiply(
+                    paillier.add(paillier.encrypt(pk, a), paillier.encrypt(pk, b)),
+                    gamma,
+                ),
+                b,
+            )
+        )
+    )
+
+
 class TestCRTDecryption:
-    """CRT decryption (engine fast path) must agree with Carmichael."""
+    """CRT decryption (the one route) must agree with Carmichael."""
 
     def test_keypair_retains_factorisation(self, key):
-        assert key.has_factorisation
+        assert 1 < key.p < key.public_key.n
         assert key.p * key.q == key.public_key.n
 
     def test_roundtrip_edge_values(self, key, pk):
         for m in [0, 1, 2, pk.n - 1]:
             ct = paillier.encrypt(pk, m)
-            assert paillier.decrypt_crt(key, ct) == m
-            assert paillier.decrypt_carmichael(key, ct) == m
+            assert paillier.decrypt(key, ct) == m
+            assert carmichael_oracle(key, ct) == m
 
     @given(st.integers(min_value=0))
     @settings(max_examples=40, deadline=None)
     def test_crt_matches_carmichael(self, key, pk, raw):
         ct = paillier.encrypt(pk, raw % pk.n)
-        assert paillier.decrypt_crt(key, ct) == paillier.decrypt_carmichael(
-            key, ct
-        )
+        assert paillier.decrypt(key, ct) == carmichael_oracle(key, ct)
 
     @given(st.integers(min_value=0, max_value=10**12),
            st.integers(min_value=0, max_value=10**12),
@@ -132,39 +157,28 @@ class TestCRTDecryption:
     def test_crt_matches_carmichael_after_homomorphic_ops(
         self, key, pk, a, b, gamma
     ):
-        ct = paillier.rerandomize(
-            paillier.negate(
-                paillier.add_plain(
-                    paillier.scalar_multiply(
-                        paillier.add(
-                            paillier.encrypt(pk, a), paillier.encrypt(pk, b)
-                        ),
-                        gamma,
-                    ),
-                    b,
-                )
-            )
-        )
-        crt = paillier.decrypt_crt(key, ct)
-        assert crt == paillier.decrypt_carmichael(key, ct)
+        ct = chained_operations(pk, a, b, gamma)
+        crt = paillier.decrypt(key, ct)
+        assert crt == carmichael_oracle(key, ct)
         assert crt == (-((a + b) * gamma + b)) % pk.n
 
-    def test_dispatch_prefers_crt_when_factors_known(self, key, pk):
-        # decrypt() auto-dispatches; both paths must agree with it.
-        ct = paillier.encrypt(pk, 12345)
-        assert paillier.decrypt(key, ct) == 12345
-
-    def test_legacy_key_without_factors_still_decrypts(self, key, pk):
-        # Backward compatibility: keys built the pre-CRT way (no p, q)
-        # fall back to the Carmichael path transparently.
-        legacy = paillier.PaillierPrivateKey(
-            public_key=pk, lam=key.lam, mu=key.mu
-        )
-        assert not legacy.has_factorisation
-        ct = paillier.encrypt(pk, 777)
-        assert paillier.decrypt(legacy, ct) == 777
-        with pytest.raises(ParameterError):
-            paillier.decrypt_crt(legacy, ct)
+    def test_legacy_key_without_factors_still_decrypts(self):
+        # The layered benchmark's committed key snapshot holds only
+        # (n, lam, mu): loading it recovers p and q, so even that key
+        # decrypts by CRT.  Read-only: the fixture is benchmark contract.
+        fixture = pathlib.Path(__file__).parents[2] / "benchmarks/layers/keys_2048.json"
+        snapshot = json.loads(fixture.read_text())["client_paillier"]
+        assert "p" not in snapshot and "q" not in snapshot
+        legacy = serialization.paillier_private_from_dict(snapshot)
+        pk = legacy.public_key
+        assert legacy.p * legacy.q == pk.n == int(snapshot["n"])
+        for m in [0, secrets.randbelow(pk.n), pk.n - 1]:
+            ct = paillier.encrypt(pk, m)
+            assert paillier.decrypt(legacy, ct) == m == carmichael_oracle(legacy, ct)
+        a, b, gamma = secrets.randbelow(10**12), secrets.randbelow(10**12), 65537
+        ct = chained_operations(pk, a, b, gamma)
+        assert paillier.decrypt(legacy, ct) == carmichael_oracle(legacy, ct)
+        assert paillier.decrypt(legacy, ct) == (-((a + b) * gamma + b)) % pk.n
 
 
 class TestRerandomization:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto import paillier, polynomial
 from repro.crypto.homomorphic import PaillierScheme
+from repro.crypto.instrumentation import count_primitives
 from repro.errors import ParameterError
 
 
@@ -86,6 +87,41 @@ class TestEncryptedPolynomial:
         coefficients = polynomial.from_roots([1, 2, 3, 4], key.public_key.n)
         encrypted = polynomial.encrypt_polynomial(scheme, key.public_key, coefficients)
         assert encrypted.degree == 4
+        # ... as the count of shipped ciphertexts: the leading (-1)^n is
+        # public and only the four low coefficients are encrypted.
+        assert len(encrypted.coefficients) == 4
+
+    @given(st.lists(st.integers(min_value=0, max_value=10**9),
+                    max_size=5, unique=True),
+           st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=30, deadline=None)
+    def test_every_degree_and_sign_matches_plaintext(self, key, scheme, roots, x):
+        # Degree 0 (no roots, P = 1), odd and even leading signs alike.
+        n = key.public_key.n
+        coefficients = polynomial.from_roots(roots, n)
+        encrypted = polynomial.encrypt_polynomial(scheme, key.public_key, coefficients)
+        assert len(encrypted.coefficients) == encrypted.degree == len(roots)
+        value = polynomial.evaluate(coefficients, x, n)
+        assert paillier.decrypt(key, encrypted.evaluate(x)) == value
+        masked = encrypted.masked_evaluate(x, mask=987654321, payload=424242)
+        assert paillier.decrypt(key, masked) == (987654321 * value + 424242) % n
+
+    def test_horner_spends_one_multiplication_per_low_coefficient(self, key, scheme):
+        encrypted = polynomial.encrypt_polynomial(
+            scheme, key.public_key, polynomial.from_roots([3, 5, 8, 13], key.public_key.n)
+        )
+        with count_primitives() as counter:
+            encrypted.masked_evaluate(5, mask=7, payload=1)
+        # Three Horner steps (the leading one is a plaintext addition)
+        # and the mask.
+        assert counter.counts["paillier.scalar_multiply"] == 4
+        assert counter.counts["paillier.encrypt"] == 0
+
+    def test_foreign_leading_coefficient_rejected(self, key, scheme):
+        coefficients = polynomial.from_roots([1, 2], key.public_key.n)
+        coefficients[-1] = 2
+        with pytest.raises(ParameterError):
+            polynomial.encrypt_polynomial(scheme, key.public_key, coefficients)
 
     def test_masked_evaluate_at_root_yields_payload(self, key, scheme):
         n = key.public_key.n

@@ -49,6 +49,37 @@ class TestPaillier:
         ct = paillier.encrypt(restored.public_key, 42)
         assert paillier.decrypt(restored, ct) == 42
 
+    def test_round_trip_keeps_factorisation(self, paillier_key):
+        payload = serialization.paillier_private_to_dict(paillier_key)
+        assert {payload["p"], payload["q"]} == {
+            str(paillier_key.p), str(paillier_key.q)
+        }
+        assert serialization.paillier_private_from_dict(payload) == paillier_key
+
+    def test_snapshot_without_factors_recovers_them(self, paillier_key):
+        payload = serialization.paillier_private_to_dict(paillier_key)
+        del payload["p"], payload["q"]
+        restored = serialization.paillier_private_from_dict(payload)
+        assert {restored.p, restored.q} == {paillier_key.p, paillier_key.q}
+        ct = paillier.encrypt(restored.public_key, 42)
+        assert paillier.decrypt(restored, ct) == 42
+
+    @pytest.mark.parametrize("keep_factors", [True, False])
+    @pytest.mark.parametrize("field", ["lam", "mu", "n"])
+    def test_inconsistent_material_rejected(self, paillier_key, field, keep_factors):
+        payload = serialization.paillier_private_to_dict(paillier_key)
+        if not keep_factors:
+            del payload["p"], payload["q"]
+        payload[field] = str(int(payload[field]) + 2)
+        with pytest.raises(EncodingError):
+            serialization.paillier_private_from_dict(payload)
+
+    def test_swapped_in_factors_rejected(self, paillier_key):
+        payload = serialization.paillier_private_to_dict(paillier_key)
+        payload["p"], payload["q"] = "1", payload["n"]
+        with pytest.raises(EncodingError):
+            serialization.paillier_private_from_dict(payload)
+
     def test_public_round_trip(self, paillier_key):
         public = paillier_key.public_key
         restored = serialization.paillier_public_from_dict(

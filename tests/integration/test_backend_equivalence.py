@@ -62,9 +62,6 @@ class TestDeterministicBitIdentity:
                 ciphertext = paillier.encrypt(public, 42, randomness)
                 ciphertexts.add(ciphertext.value)
                 plaintexts.add(paillier.decrypt(paillier_key, ciphertext))
-                plaintexts.add(
-                    paillier.decrypt_carmichael(paillier_key, ciphertext)
-                )
         assert len(ciphertexts) == 1
         assert plaintexts == {42}
 

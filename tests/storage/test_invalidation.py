@@ -168,3 +168,86 @@ class TestKeyRotation:
         federation = Federation(ca=ca)
         federation.add_source("S1", [(workload.relation_1, allow_all())])
         assert federation.source("S1").rotate_keys() == 0
+
+
+class TestStoreWrittenByAnOlderCheckout:
+    """Entries a store may already hold from before the leading PM
+    coefficient stopped being encrypted and commutative exponents became
+    short: the former must miss, the latter must keep working."""
+
+    def test_pm_blob_with_leading_coefficient_is_a_plain_miss(
+        self, federation, workload
+    ):
+        import hashlib
+
+        from repro.core.private_matching import (
+            _build_polynomial,
+            hybrid_fingerprint,
+        )
+        from repro.storage.base import KIND_PM_COEFFS
+        from repro.storage.serialize import serialize_int_list
+
+        client = federation.require_client()
+        scheme, public_key = client.homomorphic_scheme, client.homomorphic_public_key
+        plain, _ = _build_polynomial(
+            workload.relation_1, ("k",), scheme, public_key, 48
+        )
+        # The slot and blob of the previous layout: digest over, and
+        # ciphertexts of, all n + 1 coefficients.
+        digest = hashlib.sha256()
+        for coefficient in plain:
+            digest.update(coefficient.to_bytes(
+                (coefficient.bit_length() + 7) // 8 or 1, "big"))
+            digest.update(b"/")
+        old_slot = b"pmcoef:" + hybrid_fingerprint(public_key) + digest.digest()[:16]
+        old_blob = serialize_int_list(
+            [scheme.encrypt(public_key, c).value for c in plain]
+        )
+        cache = federation.source("S1").index_cache()
+        cache.put("R1", KIND_PM_COEFFS, old_slot, old_blob)
+
+        result = run_and_check(federation, protocol="private-matching")
+        stats = result.artifacts["storage_cache"]
+        assert stats["errors"] == 0
+        n = len(workload.relation_1.active_domain("k"))
+        assert result.artifacts["polynomial_degrees"]["S1"] == n == len(plain) - 1
+        assert cache.get("R1", KIND_PM_COEFFS, old_slot) == old_blob  # untouched
+        # The entry written in its place serves the next query.
+        warm = run_and_check(federation, protocol="private-matching")
+        assert warm.artifacts["storage_cache"]["errors"] == 0
+        assert warm.artifacts["storage_cache"]["hits"] > stats["hits"]
+
+    def test_full_width_exponent_in_comm_key_slot_is_used(
+        self, federation, workload
+    ):
+        from repro import CommutativeConfig
+        from repro.core.commutative import _key_digest
+        from repro.core.joinkeys import encode_key
+        from repro.crypto import commutative as comm
+        from repro.crypto import groups
+        from repro.storage.base import KIND_COMM_KEY, KIND_COMM_TAG
+        from repro.storage.serialize import serialize_int
+
+        # 512 bits: generate_key would draw 256, the stored one has 511.
+        group = groups.commutative_group(512)
+        stored = comm.CommutativeKey(group, group.q - 2)
+        assert stored.exponent.bit_length() > comm.exponent_bits(group)
+        slot = b"key:" + serialize_int(group.p)[:16]
+        cache = federation.source("S1").index_cache()
+        cache.put("R1", KIND_COMM_KEY, slot, serialize_int(stored.exponent))
+
+        result = run_join_query(
+            federation, QUERY, protocol="commutative",
+            config=CommutativeConfig(group_bits=512),
+        )
+        reference = reference_join(federation, QUERY)
+        assert encode_relation(result.global_result) == encode_relation(reference)
+        assert result.artifacts["storage_cache"]["errors"] == 0
+        # Loaded, not regenerated: the slot is unchanged and S1's tags
+        # were computed (and cached) under that exponent.
+        assert cache.get("R1", KIND_COMM_KEY, slot) == serialize_int(stored.exponent)
+        value = workload.relation_1.active_domain("k")[0]
+        assert cache.get(
+            "R1", KIND_COMM_TAG,
+            b"tag:" + _key_digest(stored) + encode_key((value,)),
+        ) is not None

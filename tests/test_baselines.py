@@ -117,7 +117,8 @@ class TestFNPPrivateMatching:
         ]
         # Degree (= chooser set size) is visible; nothing else is sent
         # from chooser to sender beyond the public key.
-        assert len(coefficient_messages[0].body) == 3  # degree 2 + 1
+        # The leading coefficient is the public (-1)^n and is not sent.
+        assert len(coefficient_messages[0].body) == 2  # degree 2
 
     def test_unmatched_payloads_unrecoverable(self, scheme):
         result = two_party_private_matching(
