@@ -23,9 +23,11 @@ material — the confidentiality claim all three protocols share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.analysis.views import view_material
+from repro.core.das import ServerResult
 from repro.core.result import MediationResult
 from repro.errors import ProtocolError
 from repro.mediation.network import PartyView
@@ -93,24 +95,38 @@ def _analyze_das(result: MediationResult) -> LeakageReport:
     mediator = _mediator_view(result)
     # |R_i|: the encrypted relations are tuple-wise, so the mediator
     # counts rows directly.
+    sizes = []
     for message in mediator.received:
         if message.kind == "das_encrypted_partial_result":
             relation = message.body["relation"]
             report.mediator_learns[f"|{relation.relation_name}|"] = len(relation)
-    # |R_C|: the mediator computed and sent the server result itself.
-    for message in mediator.sent:
-        if message.kind == "das_server_result":
-            report.mediator_learns["|R_C|"] = len(message.body)
+            sizes.append(len(relation))
+    # |R_C|: the mediator computed the server result itself.  Unhardened
+    # it enumerates R_C's pairs in one message; hardened it forwards the
+    # two padded relations (a list of rows per frame) whose cross product
+    # R_C is, so the size is implied by what it already holds.
+    shipped = [m.body for m in mediator.sent if m.kind == "das_server_result"]
+    enumerated = all(isinstance(body, ServerResult) for body in shipped)
+    report.mediator_learns["|R_C|"] = (
+        sum(map(len, shipped)) if enumerated else math.prod(sizes)
+    )
     client = _client_view(result)
+    report.client_learns["superset_rows_received"] = sum(
+        len(m.body) for m in client.received if m.kind == "das_server_result"
+    )
     for message in client.received:
-        if message.kind == "das_server_result":
-            report.client_learns["superset_rows_received"] = len(message.body)
         if message.kind == "das_encrypted_index_tables":
             report.client_learns["index_tables_received"] = len(message.body)
     report.client_learns["exact_result_rows"] = len(result.global_result)
     report.notes.append(
         "|R_C| is an upper bound of the global result size; the client "
         "post-processes the superset with q_C"
+    )
+    report.notes.append(
+        "|R_C| is enumerated: the mediator ships its pairs"
+        if enumerated
+        else "|R_C| = |R1^S| * |R2^S| is implied, not enumerated: the "
+        "mediator forwards each padded relation once and the client joins them"
     )
     return report
 

@@ -51,6 +51,7 @@ from repro.crypto.instrumentation import count_primitives
 from repro.errors import ProtocolError, StorageError
 from repro.mediation.credentials import public_keys_of
 from repro.relational import partition as partitioning
+from repro.relational.algebra import natural_join
 from repro.relational.conditions import (
     Comparison,
     Condition,
@@ -305,7 +306,7 @@ def _encrypt_source(
     ]
     # Hardened runs wrap every row encoding to one uniform length before
     # it can influence cache slots or ciphertext bodies; the client
-    # unwraps (and discards dummies) in _row_decryptor.
+    # unwraps (and discards dummies) in _client_hash_join.
     row_target = 0
     if hardening is not None:
         encoded_rows, row_target = hardening.wrap_uniform(encoded_rows)
@@ -470,9 +471,9 @@ def _server_pairs(
     """The q_S index pairs: overlap-driven, or all pairs when hardened.
 
     The overlap count is data-dependent (it tracks which buckets share
-    values), so hardened translators request the full B_1 x B_2 grid —
-    the server result becomes the entire padded cross product, whose
-    size (B_1 * bound_1) * (B_2 * bound_2) is an adjacency invariant.
+    values), so hardened translators request the full B_1 x B_2 grid:
+    R_C is the entire padded cross product, which the mediator answers
+    by forwarding its two factors (see :func:`run_das_delivery`).
     """
     if hardening is None:
         return tuple(table_1.overlapping_pairs(table_2))
@@ -487,29 +488,22 @@ def _row_decryptor(
     client,
     schema: Schema,
     config: DASConfig,
-    encrypted_tuples: list[EncryptedTuple] | None = None,
+    encrypted_tuples: list[EncryptedTuple],
     engine: CryptoEngine | None = None,
-    hardening=None,
 ):
     """Build a per-schema decryptor that reassembles mixed-model rows.
 
-    When ``encrypted_tuples`` is given, their distinct etuples are
-    decrypted up front as one engine batch and the per-tuple decryptor
-    becomes a cache lookup (a selected tuple typically appears in many
-    server-result pairs, so the cache also deduplicates work).
+    The distinct etuples among ``encrypted_tuples`` are decrypted up
+    front as one engine batch and the per-tuple decryptor is a lookup (a
+    selected tuple typically appears in many server-result pairs).
     """
     sensitive_positions, plain_positions = _mixed_split(schema, config)
     sensitive_schema = Schema(
         schema.relation_name,
         [schema.attributes[i] for i in sensitive_positions],
     )
-    cache: dict[int, Row] = {}
 
-    def merge(encrypted: EncryptedTuple, plaintext: bytes) -> Row | None:
-        if hardening is not None:
-            plaintext = hardening.unwrap(plaintext)
-            if plaintext is None:
-                return None  # dummy etuple: discard, never a result row
+    def merge(encrypted: EncryptedTuple, plaintext: bytes) -> Row:
         sensitive_part = decode_row(plaintext, sensitive_schema)
         merged: list = [None] * len(schema)
         for value, position in zip(sensitive_part, sensitive_positions):
@@ -518,27 +512,15 @@ def _row_decryptor(
             merged[position] = value
         return tuple(merged)
 
-    if encrypted_tuples:
-        distinct: dict[int, EncryptedTuple] = {}
-        for encrypted in encrypted_tuples:
-            distinct.setdefault(id(encrypted), encrypted)
-        plaintexts = client.decrypt_hybrid_many(
-            [encrypted.etuple for encrypted in distinct.values()], engine=engine
-        )
-        for (cache_key, encrypted), plaintext in zip(
-            distinct.items(), plaintexts
-        ):
-            cache[cache_key] = merge(encrypted, plaintext)
-
-    def decrypt_row(encrypted: EncryptedTuple) -> Row:
-        cache_key = id(encrypted)
-        if cache_key not in cache:
-            cache[cache_key] = merge(
-                encrypted, client.decrypt_hybrid(encrypted.etuple)
-            )
-        return cache[cache_key]
-
-    return decrypt_row
+    distinct = {id(encrypted): encrypted for encrypted in encrypted_tuples}
+    plaintexts = client.decrypt_hybrid_many(
+        [encrypted.etuple for encrypted in distinct.values()], engine=engine
+    )
+    rows = {
+        key: merge(encrypted, plaintext)
+        for (key, encrypted), plaintext in zip(distinct.items(), plaintexts)
+    }
+    return lambda encrypted: rows[id(encrypted)]
 
 
 def _client_postprocess(
@@ -549,13 +531,11 @@ def _client_postprocess(
     join_attributes: tuple[str, ...],
     config: DASConfig,
     engine: CryptoEngine | None = None,
-    hardening=None,
-) -> tuple[Relation, int, int]:
+) -> tuple[Relation, int]:
     """Step 7 at the client: decrypt R_C, apply q_C, build the result.
 
-    Returns the global result, the number of false positives the client
-    had to discard (the DAS post-processing overhead, E7), and the number
-    of pairs dropped because at least one side was a hardened dummy.
+    Returns the global result and the number of false positives the
+    client had to discard (the DAS post-processing overhead, E7).
     """
     attribute = join_attributes[0]
     left_names = set(schema_1.names())
@@ -566,39 +546,61 @@ def _client_postprocess(
         schema_2, f"{schema_1.relation_name}_join_{schema_2.relation_name}"
     )
     decrypt_1 = _row_decryptor(
-        client,
-        schema_1,
-        config,
-        [pair[0] for pair in server_result.pairs],
-        engine,
-        hardening=hardening,
+        client, schema_1, config, [pair[0] for pair in server_result.pairs], engine
     )
     decrypt_2 = _row_decryptor(
-        client,
-        schema_2,
-        config,
-        [pair[1] for pair in server_result.pairs],
-        engine,
-        hardening=hardening,
+        client, schema_2, config, [pair[1] for pair in server_result.pairs], engine
     )
 
     rows: list[Row] = []
     false_positives = 0
-    dummy_pairs = 0
     position_1 = schema_1.position(attribute)
     position_2 = schema_2.position(attribute)
     for encrypted_1, encrypted_2 in server_result.pairs:
         row_1 = decrypt_1(encrypted_1)
         row_2 = decrypt_2(encrypted_2)
-        if row_1 is None or row_2 is None:
-            dummy_pairs += 1
-            continue
         # q_C = sigma_{R1.A = R2.A}: the real equality on plaintexts.
         if row_1[position_1] == row_2[position_2]:
             rows.append(row_1 + tuple(row_2[i] for i in extra_positions))
         else:
             false_positives += 1
-    return Relation(result_schema, rows), false_positives, dummy_pairs
+    return Relation(result_schema, rows), false_positives
+
+
+def _client_hash_join(
+    client,
+    tables: tuple[tuple[EncryptedTuple, ...], tuple[EncryptedTuple, ...]],
+    schemas: tuple[Schema, Schema],
+    attribute: str,
+    engine: CryptoEngine | None,
+    hardening,
+) -> tuple[Relation, int, int]:
+    """Step 7 under hardening: q_C as a hash join of the forwarded tables.
+
+    R_C is the whole padded cross product, which its two factors imply
+    without anyone enumerating it: each etuple is decrypted once, dummies
+    are discarded, and the real rows meet in the relational hash join.
+    Returns the global result, the real rows that joined nothing (this
+    delivery's false positives) and the number of dummies discarded.
+    """
+    real = []
+    for schema, table in zip(schemas, tables):
+        plaintexts = client.decrypt_hybrid_many(
+            [encrypted.etuple for encrypted in table], engine=engine
+        )
+        payloads = map(hardening.unwrap, plaintexts)  # None flags a dummy
+        rows = [decode_row(p, schema) for p in payloads if p is not None]
+        real.append(Relation(schema, rows))
+    common = set(real[0].active_domain(attribute)).intersection(
+        real[1].active_domain(attribute)
+    )
+    unmatched = sum(
+        relation.value(row, attribute) not in common
+        for relation in real
+        for row in relation
+    )
+    dummies = sum(map(len, tables)) - sum(map(len, real))
+    return natural_join(*real), unmatched, dummies
 
 
 def run_das_delivery(
@@ -773,45 +775,42 @@ def run_das_delivery(
                     )
                 )
 
-        # Step 6: mediator evaluates q_S over the encrypted relations.
-        with timed(result, mediator_name, "evaluate_server_query"):
-            server_result = _evaluate_server_query(
-                server_query,
-                states[source_1].encrypted_relation,
-                states[source_2].encrypted_relation,
-                backend=federation.mediator.storage,
-            )
+        relation_1 = states[source_1].encrypted_relation
+        relation_2 = states[source_2].encrypted_relation
         if hardening is not None:
-            # Fixed-size frames: the padded cross product streams to the
-            # client in chunks whose count is a pure function of the
-            # (invariant) bound — no dummy top-up needed, the relation
-            # padding already fixed |R_C|.
-            hardening.cover.deliver_chunks(
-                network,
-                mediator_name,
-                client.name,
-                "das_server_result",
-                list(server_result.pairs),
-                bound=len(server_result.pairs),
-                wrap_body=lambda chunk: ServerResult(pairs=tuple(chunk)),
-            )
+            # Steps 6-7 under hardening.  q_S names the whole grid, so
+            # R_C = R1^S x R2^S is a pure function of its two factors:
+            # the mediator forwards each padded relation once, in frames
+            # whose count follows from the (invariant) padded row count,
+            # and nothing of size |R1^S| * |R2^S| is built anywhere.
+            for relation in (relation_1, relation_2):
+                hardening.cover.deliver_chunks(
+                    network, mediator_name, client.name,
+                    "das_server_result", relation.rows, bound=len(relation),
+                )
+            shipped = len(relation_1) + len(relation_2)
+            with timed(result, client.name, "decrypt_and_postprocess"):
+                global_result, false_positives, dummy_rows = _client_hash_join(
+                    client, (relation_1.rows, relation_2.rows),
+                    (schema_1, schema_2), attribute, engine, hardening,
+                )
         else:
+            # Step 6: mediator evaluates q_S over the encrypted relations.
+            with timed(result, mediator_name, "evaluate_server_query"):
+                server_result = _evaluate_server_query(
+                    server_query, relation_1, relation_2,
+                    backend=federation.mediator.storage,
+                )
             network.send(
                 mediator_name, client.name, "das_server_result", server_result
             )
-
-        # Step 7: client decrypts and applies q_C.
-        with timed(result, client.name, "decrypt_and_postprocess"):
-            global_result, false_positives, dummy_pairs = _client_postprocess(
-                client,
-                server_result,
-                schema_1,
-                schema_2,
-                outcome.join_attributes,
-                config,
-                engine,
-                hardening=hardening,
-            )
+            shipped = len(server_result)
+            # Step 7: client decrypts and applies q_C.
+            with timed(result, client.name, "decrypt_and_postprocess"):
+                global_result, false_positives = _client_postprocess(
+                    client, server_result, schema_1, schema_2,
+                    outcome.join_attributes, config, engine,
+                )
 
     result.global_result = global_result
     result.artifacts.update(
@@ -821,7 +820,8 @@ def run_das_delivery(
                 source_2: states[source_2].index_table,
             },
             "server_query_pairs": len(server_query.pairs),
-            "server_result_size": len(server_result),
+            # What the mediator ships: pairs of R_C, or rows when hardened.
+            "server_result_size": shipped,
             "false_positives": false_positives,
             "cond_s": str(
                 server_query.condition(
@@ -833,7 +833,7 @@ def run_das_delivery(
         }
     )
     if hardening is not None:
-        result.artifacts["dummy_pairs_discarded"] = dummy_pairs
+        result.artifacts["dummy_rows_discarded"] = dummy_rows
     if config.setting == SOURCE_SETTING:
         # The distinguishing leakage of this setting: the translating
         # source learned the opposite source's index table.

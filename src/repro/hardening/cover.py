@@ -57,7 +57,6 @@ class CoverTraffic:
         items: Sequence[Any],
         bound: int,
         dummy_factory: Callable[[], Any] | None = None,
-        wrap_body: Callable[[list[Any]], Any] | None = None,
         shuffle: bool = False,
     ) -> list[Any]:
         """Send ``items`` as ``schedule(bound)`` frames of ``kind``.
@@ -65,10 +64,9 @@ class CoverTraffic:
         ``items`` is topped up to exactly ``bound`` elements with
         ``dummy_factory()`` products, optionally shuffled (protocol
         randomness — dummy positions must not leak), and partitioned
-        into frames of at most ``batch_size`` elements each.  Every
-        frame body is ``wrap_body(chunk)`` (default: a plain list).
-        Returns the padded item list, in delivery order, for the local
-        continuation of the protocol.
+        into frames of at most ``batch_size`` elements each; a frame
+        body is a plain list.  Returns the padded item list, in delivery
+        order, for the local continuation of the protocol.
         """
         real = list(items)
         if len(real) > bound:
@@ -86,7 +84,6 @@ class CoverTraffic:
         padded = real + dummies
         if shuffle:
             random.SystemRandom().shuffle(padded)
-        wrap = wrap_body or (lambda chunk: list(chunk))
         batch = self._hardening.policy.batch_size
         frames = self.schedule(bound)
         stats = self._hardening.stats
@@ -95,5 +92,5 @@ class CoverTraffic:
             chunk = padded[position * batch:(position + 1) * batch]
             if chunk and all(id(item) in dummy_ids for item in chunk):
                 stats.dummy_frames += 1
-            network.send(sender, receiver, kind, wrap(chunk))
+            network.send(sender, receiver, kind, chunk)
         return padded

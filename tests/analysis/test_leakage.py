@@ -71,6 +71,43 @@ class TestDASRow:
         assert report.client_learns["index_tables_received"] == 2
 
 
+class TestHardenedDASRowCountsEveryFrame:
+    """A hardened result travels in several ``das_server_result`` frames;
+    the Table 1 cells are sums over them, never the last frame's size
+    (with batch 64 on the 24/24 shape that read |R_C| = 64)."""
+
+    @pytest.fixture(scope="class")
+    def hardened(self, make_federation_module, workload):
+        from repro.hardening import PaddingPolicy
+
+        federation = make_federation_module(workload)
+        result = run_join_query(
+            federation, QUERY, protocol="das",
+            hardening=PaddingPolicy(batch_size=2),
+        )
+        return result, federation.network
+
+    def test_cells_sum_over_result_frames(self, hardened):
+        result, network = hardened
+        report = analyze(result)
+        padded = [
+            len(message.body["relation"])
+            for message in network.messages_of_kind("das_encrypted_partial_result")
+        ]
+        frames = [len(m.body) for m in network.messages_of_kind("das_server_result")]
+        # At least two frames per relation, so a last-frame reading is wrong.
+        assert all(rows > 2 for rows in padded) and max(frames) == 2
+        assert report.client_learns["superset_rows_received"] == sum(padded)
+        assert sum(padded) == sum(frames) == result.artifacts["server_result_size"]
+        assert report.mediator_learns["|R_C|"] == padded[0] * padded[1]
+        assert any("implied" in note for note in report.notes)
+
+    def test_unhardened_result_is_enumerated(self, das_result):
+        report = analyze(das_result)
+        assert any("enumerated" in note for note in report.notes)
+        assert not any("implied" in note for note in report.notes)
+
+
 class TestCommutativeRow:
     """Table 1, row 2: client gets only the exact result; the mediator
     learns |domactive| and the intersection size."""

@@ -193,7 +193,7 @@ class TestServerResultRowTables:
         outcomes = []
         for server_result in (live, codec.decode_value(codec.encode_value(live))):
             decrypted.clear()
-            relation, false_positives, _ = _client_postprocess(
+            relation, false_positives = _client_postprocess(
                 client,
                 server_result,
                 skewed_workload.relation_1.schema,

@@ -16,6 +16,7 @@ except where a third party must mint look-alikes.
 import pytest
 
 from repro import Federation, run_join_query
+from repro.hardening import PaddingPolicy
 from repro.mediation.access_control import allow_all
 from repro.storage import SQLiteBackend
 
@@ -68,17 +69,25 @@ class TestHardenedDasSharesOneEncapsulationPerSource:
     def test_server_result_frames_reference_only_the_two_sources(
         self, ca, client, skewed_workload
     ):
+        """Every forwarded etuple references its own source's single
+        encapsulation, and dummies look like real rows: one encapsulation
+        and one body length per frame, whatever the frame holds."""
         result = run_join_query(
             build(ca, client, skewed_workload), QUERY,
-            protocol="das", hardening=True,
+            protocol="das", hardening=PaddingPolicy(batch_size=8),
         )
+        assert result.artifacts["dummy_rows_discarded"] > 0
         sources = das_encapsulations(result)
         frames = result.network.messages_of_kind("das_server_result")
-        assert len(frames) > 1
+        assert len(frames) > 2
+        owners = []
         for frame in frames:
-            for left, right in frame.body.pairs:
-                assert left.etuple.wrapped_keys.digest() in sources["S1"]
-                assert right.etuple.wrapped_keys.digest() in sources["S2"]
+            digests = {row.etuple.wrapped_keys.digest() for row in frame.body}
+            assert len({len(row.etuple.body) for row in frame.body}) == 1
+            (owner,) = [name for name in sources if sources[name] == digests]
+            owners.append(owner)
+        # S1's table first, then S2's: frames never mix the two.
+        assert owners == sorted(owners) and set(owners) == {"S1", "S2"}
 
 
 class TestHardenedCommutativeResultChannelIsPerCiphertext:

@@ -1,13 +1,11 @@
 """Hardened ``das_server_result`` frames weigh the same on adjacent inputs.
 
-Since the server result travels as two tables of distinct rows plus a
-position table, a frame's size depends on how many *distinct* rows its
-chunk of the padded cross product touches.  That count — like the pair
-count — must be a function of the adjacency invariants alone, or the
-row-table encoding would have opened a size channel the pair list did
-not have.  The only bytes allowed to differ are the minimal-width
-encodings of the salted 64-bit index identifiers, which are random per
-run and independent of the data.
+The mediator forwards each padded encrypted relation once, a frame of at
+most ``batch_size`` etuples at a time.  The number of frames, the rows
+in each and each frame's encoded size must be functions of the adjacency
+invariants alone.  The only bytes allowed to differ are the
+minimal-width encodings of the salted 64-bit index identifiers, which
+are random per run and independent of the data.
 """
 
 from hypothesis import given, settings
@@ -15,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro import Federation, run_join_query
 from repro.analysis.audit import adjacent_workload
+from repro.hardening import PaddingPolicy
 from repro.mediation.access_control import allow_all
 from repro.relational.datagen import WorkloadSpec, generate
 from repro.transport import codec
@@ -32,29 +31,25 @@ specs = st.builds(
 )
 
 
-def chunk_profile(ca, client, workload) -> list[tuple[int, int, int, int]]:
-    """Per result frame: distinct rows per side, position-table bytes,
-    and the encoded size net of the index identifiers' own widths."""
+def chunk_profile(ca, client, workload) -> list[tuple[int, int]]:
+    """Per result frame: its rows, and its encoded size net of the index
+    identifiers' own widths."""
     federation = Federation(ca=ca)
     federation.add_source("S1", [(workload.relation_1, allow_all())])
     federation.add_source("S2", [(workload.relation_2, allow_all())])
     federation.attach_client(client)
-    run_join_query(federation, QUERY, protocol="das", hardening=True)
-    profile = []
-    for message in federation.network.messages_of_kind("das_server_result"):
-        rows_1, rows_2, positions = message.body.row_tables()
-        identifier_bytes = sum(
-            codec.encoded_size(row.index_value) for row in rows_1 + rows_2
+    # Small frames, so most specs need several per relation.
+    run_join_query(
+        federation, QUERY, protocol="das", hardening=PaddingPolicy(batch_size=8)
+    )
+    return [
+        (
+            len(message.body),
+            codec.encoded_size(message.body)
+            - sum(codec.encoded_size(row.index_value) for row in message.body),
         )
-        profile.append(
-            (
-                len(rows_1),
-                len(rows_2),
-                len(positions),
-                codec.encoded_size(message.body) - identifier_bytes,
-            )
-        )
-    return profile
+        for message in federation.network.messages_of_kind("das_server_result")
+    ]
 
 
 @given(spec=specs)
@@ -64,4 +59,8 @@ def test_chunk_sizes_identical_across_adjacent_workloads(ca, client, spec):
     adjacent, _ = adjacent_workload(base)
     profile = chunk_profile(ca, client, base)
     assert profile == chunk_profile(ca, client, adjacent)
-    assert sum(pairs for _, _, pairs, _ in profile) > 0
+    # Every row of both relations travels, in full frames but the last.
+    assert sum(rows for rows, _ in profile) >= len(base.relation_1) + len(
+        base.relation_2
+    )
+    assert all(1 <= rows <= 8 for rows, _ in profile)
