@@ -13,8 +13,9 @@ The workload is skewed the way real federations are: wide relations
 tuples to decrypt warm), so the cacheable crypto dominates the cold run
 and the irreducible result decryption dominates the warm runs.  The
 commutative protocol — the paper's flagship — must clear 3x warm; DAS
-is measured alongside as context (its warm floor is the per-etuple
-result handling, which caching cannot remove).
+is measured alongside as context (it caches only the session and the
+index table, so warm saves it the partitioning, the RSA wrap and the
+client's unwrap; etuples are re-encrypted every query by design).
 
 Every run is checked against the plaintext reference join, and the warm
 runs must be byte-identical to the cold one — the cache is an

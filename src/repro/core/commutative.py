@@ -35,14 +35,13 @@ import operator
 import random
 import secrets
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from repro.core.assembly import combine_tuple_sets
 from repro.core.encapsulation import recipient_digest, source_session
 from repro.core.federation import Federation
 from repro.core.joinkeys import (
     JoinKey,
-    active_key_domain,
     encode_key,
     group_by_key,
     key_of,
@@ -113,13 +112,63 @@ class _SourceState:
 def _key_digest(key: comm.CommutativeKey) -> bytes:
     """Short binding digest of a commutative key (group + exponent).
 
-    Cached tags and double-encryptions embed this digest in their cache
-    keys, so entries computed under one key can never be served for
-    another — a replaced key simply misses instead of mismatching.
+    It keys the MAC every tag, tuple-set and double-encryption slot is
+    filed under (:func:`_slot`), so entries computed under one key can
+    never be served for another — a replaced key simply misses instead
+    of mismatching.
     """
     return hashlib.sha256(
         serialize_int(key.group.p) + b"/" + serialize_int(key.exponent)
     ).digest()[:12]
+
+
+def _slot(prefix: bytes, key_digest: bytes, material: bytes) -> bytes:
+    """Cache key of the artifact derived from ``material`` under a key.
+
+    ``material`` (a join-value encoding, a tuple-set encoding, an
+    incoming tag) enters only as a 16-byte MAC under the key's digest, so
+    no cache key carries plaintext and none matches under another key.
+    """
+    return prefix + hashlib.blake2b(
+        material, digest_size=16, key=key_digest
+    ).digest()
+
+
+def _amortized(
+    cache: IndexCache | None,
+    relation_name: str,
+    kind: str,
+    count: int,
+    slot_of: Callable[[int], bytes],
+    from_blob: Callable[[bytes], Any],
+    to_blob: Callable[[Any], bytes],
+    compute: Callable[[list[int]], list],
+) -> list:
+    """``count`` artifacts of one kind, amortized across the query series.
+
+    Every position the cache holds is read back (one batched read for
+    all of them); the rest — misses, unreadable or undecodable entries,
+    or everything when there is no cache — are computed as one
+    ``compute(positions)`` batch and filed for the next query.
+    """
+    values: list = [None] * count
+    slots: list[bytes] = []
+    if cache is not None:
+        slots = [slot_of(position) for position in range(count)]
+        blobs = cache.get_many(relation_name, kind, slots)
+        for position, blob in enumerate(blobs):
+            if blob is not None:
+                try:
+                    values[position] = from_blob(blob)
+                except StorageError:
+                    cache.decode_failure(kind)
+    pending = [position for position in range(count) if values[position] is None]
+    if pending:
+        for position, value in zip(pending, compute(pending)):
+            values[position] = value
+            if cache is not None:
+                cache.put(relation_name, kind, slots[position], to_blob(value))
+    return values
 
 
 def _cached_key(
@@ -175,40 +224,16 @@ def _prepare_source(
     grouped = group_by_key(relation, join_attributes)
     join_keys = list(grouped)
 
-    # Tags: serve cache hits, batch-compute the misses under the key.
-    tags: list[int | None] = [None] * len(join_keys)
-    pending_tags: list[int] = []
-    if cache is not None:
-        for position, join_key in enumerate(join_keys):
-            blob = cache.get(
-                relation.name,
-                KIND_COMM_TAG,
-                b"tag:" + key_digest + encode_key(join_key),
-            )
-            if blob is not None:
-                try:
-                    tags[position] = deserialize_int(blob)
-                    continue
-                except StorageError:
-                    cache.decode_failure(KIND_COMM_TAG)
-            pending_tags.append(position)
-    else:
-        pending_tags = list(range(len(join_keys)))
-    if pending_tags:
-        hashed = [
-            ideal_hash(encode_key(join_keys[position]))
-            for position in pending_tags
-        ]
-        fresh_tags = engine.batch_commutative_encrypt(key, hashed)
-        for position, tag in zip(pending_tags, fresh_tags):
-            tags[position] = tag
-            if cache is not None:
-                cache.put(
-                    relation.name,
-                    KIND_COMM_TAG,
-                    b"tag:" + key_digest + encode_key(join_keys[position]),
-                    serialize_int(tag),
-                )
+    # Tags f_e(h(a)), one per active join value.
+    encoded_keys = [encode_key(join_key) for join_key in join_keys]
+    tags = _amortized(
+        cache, relation.name, KIND_COMM_TAG, len(join_keys),
+        lambda position: _slot(b"tag:", key_digest, encoded_keys[position]),
+        deserialize_int, serialize_int,
+        lambda pending: engine.batch_commutative_encrypt(
+            key, [ideal_hash(encoded_keys[position]) for position in pending]
+        ),
+    )
 
     # Tuple-set ciphertexts.  Hardened runs wrap every tuple-set encoding
     # to one uniform length before anything downstream (cache slots,
@@ -239,36 +264,17 @@ def _prepare_source(
         from_blob = functools.partial(hybrid.HybridCiphertext, session.encapsulation)
         encrypt_sets = functools.partial(engine.batch_hybrid_encrypt, session)
 
-    ciphertexts: list[hybrid.HybridCiphertext | None] = [None] * len(join_keys)
-    pending_sets: list[int] = []
-    if cache is not None:
-        set_slots = [
-            b"tupct:" + binding + encode_key(join_key)
-            + hashlib.sha256(encoded).digest()[:16]
-            for join_key, encoded in zip(join_keys, encoded_sets)
-        ]
-        for position, slot in enumerate(set_slots):
-            blob = cache.get(relation.name, KIND_COMM_TUPLES, slot)
-            if blob is not None:
-                try:
-                    ciphertexts[position] = from_blob(blob)
-                    continue
-                except StorageError:
-                    cache.decode_failure(KIND_COMM_TUPLES)
-            pending_sets.append(position)
-    else:
-        pending_sets = list(range(len(join_keys)))
-    if pending_sets:
-        fresh = encrypt_sets([encoded_sets[position] for position in pending_sets])
-        for position, ciphertext in zip(pending_sets, fresh):
-            ciphertexts[position] = ciphertext
-            if cache is not None:
-                cache.put(
-                    relation.name,
-                    KIND_COMM_TUPLES,
-                    set_slots[position],
-                    to_blob(ciphertext),
-                )
+    ciphertexts = _amortized(
+        cache, relation.name, KIND_COMM_TUPLES, len(join_keys),
+        lambda position: _slot(
+            b"tupct:" + binding, key_digest,
+            encoded_keys[position] + encoded_sets[position],
+        ),
+        from_blob, to_blob,
+        lambda pending: encrypt_sets(
+            [encoded_sets[position] for position in pending]
+        ),
+    )
 
     tuple_ciphertexts = dict(zip(join_keys, ciphertexts))
     messages = [
@@ -293,37 +299,16 @@ def _double_encrypt(
     """
     engine = engine or get_engine()
     key_digest = _key_digest(key) if cache is not None else b""
-    doubled: list[int | None] = [None] * len(messages)
-    pending: list[int] = []
-    if cache is not None:
-        for position, message in enumerate(messages):
-            blob = cache.get(
-                relation_name,
-                KIND_COMM_DOUBLE,
-                b"double:" + key_digest + serialize_int(message.tag),
-            )
-            if blob is not None:
-                try:
-                    doubled[position] = deserialize_int(blob)
-                    continue
-                except StorageError:
-                    cache.decode_failure(KIND_COMM_DOUBLE)
-            pending.append(position)
-    else:
-        pending = list(range(len(messages)))
-    if pending:
-        fresh = engine.batch_commutative_encrypt(
+    doubled = _amortized(
+        cache, relation_name, KIND_COMM_DOUBLE, len(messages),
+        lambda position: _slot(
+            b"double:", key_digest, serialize_int(messages[position].tag)
+        ),
+        deserialize_int, serialize_int,
+        lambda pending: engine.batch_commutative_encrypt(
             key, [messages[position].tag for position in pending]
-        )
-        for position, tag in zip(pending, fresh):
-            doubled[position] = tag
-            if cache is not None:
-                cache.put(
-                    relation_name,
-                    KIND_COMM_DOUBLE,
-                    b"double:" + key_digest + serialize_int(messages[position].tag),
-                    serialize_int(tag),
-                )
+        ),
+    )
     return _shuffled(
         [
             TaggedMessage(tag=tag, payload=message.payload)
@@ -529,9 +514,10 @@ def run_commutative_delivery(
     result.global_result = global_result
     result.artifacts.update(
         {
+            # M_i carries one message per active join value.
             "active_domain_sizes": {
-                source_1: len(active_key_domain(relation_1, outcome.join_attributes)),
-                source_2: len(active_key_domain(relation_2, outcome.join_attributes)),
+                source_1: len(message_sets[source_1]),
+                source_2: len(message_sets[source_2]),
             },
             "intersection_size": len(result_messages),
             "id_table_entries": len(id_table),

@@ -45,7 +45,7 @@ from repro.core.federation import Federation
 from repro.core.request import RequestPhaseOutcome
 from repro.core.result import MediationResult
 from repro.core.timing import timed
-from repro.crypto import hybrid
+from repro.crypto import hybrid, symmetric
 from repro.crypto.engine import CryptoEngine, get_engine
 from repro.crypto.instrumentation import count_primitives
 from repro.errors import ProtocolError, StorageError
@@ -64,7 +64,6 @@ from repro.relational.relation import Relation, Row
 from repro.relational.schema import Schema
 from repro.storage.base import (
     KIND_DAS_INDEX,
-    KIND_DAS_TUPLE,
     IndexCache,
     StorageBackend,
     relation_fingerprint,
@@ -250,38 +249,40 @@ def _encrypt_source(
     hybrid session (:func:`~repro.core.encapsulation.source_session`),
     so the client unwraps one session key per source.
 
-    With an index cache attached, the partition index table, the session
-    and the per-row etuple bodies persist across queries (bodies keyed by
-    row content and the session's encapsulation digest, under the
-    source's key epoch), so a repeated join on an unchanged relation
-    skips the per-row encryption entirely.  Note the amortization
-    trade-off inherited from caching: the index table's salted
-    identifiers repeat across the series, so the mediator can correlate
-    buckets *between* queries of one epoch (see docs/storage.md).
+    With an index cache attached, the session and the partition index
+    table (encrypted under it) persist across queries under the source's
+    key epoch, so a repeated join skips the partitioning and the RSA wrap
+    (and the client its unwrap).  The etuples are re-encrypted every
+    time: a DEM body costs no more to produce than to read back, and a
+    stored one would be byte-repeatable.  Note the amortization trade-off inherited from
+    caching: the index table's salted identifiers repeat across the
+    series, so the mediator can correlate buckets *between* queries of
+    one epoch (see docs/storage.md).
     """
     engine = engine or get_engine()
     if attribute in config.mixed_plaintext_attributes:
         raise ProtocolError(
             "the join attribute must remain sensitive in the mixed DAS model"
         )
-    content = relation_fingerprint(relation) if cache is not None else b""
     session = source_session(cache, relation.name, client_keys)
-    session_tag = session.encapsulation.digest()
-    table_tag = (
-        f"{config.strategy}:{config.buckets}:{attribute}".encode()
-    )
 
     index_table: IndexTable | None = None
     if cache is not None:
-        blob = cache.get(
-            relation.name, KIND_DAS_INDEX, b"itable:" + content + table_tag
+        # The table names every partition's values, so it is filed as
+        # what the source emits anyway: a DEM body under the session.
+        table_slot = (
+            b"itable:" + session.encapsulation.digest()
+            + relation_fingerprint(relation)
+            + f"{config.strategy}:{config.buckets}:{attribute}".encode()
         )
+        blob = cache.get(relation.name, KIND_DAS_INDEX, table_slot)
         if blob is not None:
             try:
-                index_table = IndexTable.from_bytes(blob)
+                index_table = IndexTable.from_bytes(
+                    symmetric.decrypt(session.key, blob)
+                )
             except Exception:
                 cache.decode_failure(KIND_DAS_INDEX)
-                index_table = None
     if index_table is None:
         active_domain = relation.active_domain(attribute)
         partitions = _partition_domain(config, active_domain, attribute)
@@ -294,51 +295,22 @@ def _encrypt_source(
             cache.put(
                 relation.name,
                 KIND_DAS_INDEX,
-                b"itable:" + content + table_tag,
-                index_table.to_bytes(),
+                table_slot,
+                symmetric.encrypt(session.key, index_table.to_bytes()),
             )
 
     sensitive_positions, plain_positions = _mixed_split(relation.schema, config)
-    position_tag = ",".join(map(str, sensitive_positions)).encode()
     rows = list(relation)
     encoded_rows = [
         encode_row(tuple(row[i] for i in sensitive_positions)) for row in rows
     ]
     # Hardened runs wrap every row encoding to one uniform length before
-    # it can influence cache slots or ciphertext bodies; the client
-    # unwraps (and discards dummies) in _client_hash_join.
+    # it can influence a ciphertext body; the client unwraps (and
+    # discards dummies) in _client_hash_join.
     row_target = 0
     if hardening is not None:
         encoded_rows, row_target = hardening.wrap_uniform(encoded_rows)
-
-    etuples: list[hybrid.HybridCiphertext | None] = [None] * len(rows)
-    pending: list[int] = []
-    if cache is not None:
-        slots = [
-            b"etuple:" + session_tag + position_tag + b":" + encoded
-            for encoded in encoded_rows
-        ]
-        for position, slot in enumerate(slots):
-            body = cache.get(relation.name, KIND_DAS_TUPLE, slot)
-            if body is None:
-                pending.append(position)
-            else:
-                etuples[position] = hybrid.HybridCiphertext(
-                    session.encapsulation, body
-                )
-    else:
-        pending = list(range(len(rows)))
-
-    if pending:
-        fresh = engine.batch_hybrid_encrypt(
-            session, [encoded_rows[position] for position in pending]
-        )
-        for position, etuple in zip(pending, fresh):
-            etuples[position] = etuple
-            if cache is not None:
-                cache.put(
-                    relation.name, KIND_DAS_TUPLE, slots[position], etuple.body
-                )
+    etuples = engine.batch_hybrid_encrypt(session, encoded_rows)
 
     encrypted_rows = [
         EncryptedTuple(
@@ -352,11 +324,10 @@ def _encrypt_source(
         # Bucket padding: top every bucket up to the adjacency-invariant
         # bound max_multiplicity * (values per partition), so the
         # per-bucket frequency shape the mediator observes is a constant
-        # of |domactive| and the config.  Dummies are freshly encrypted
-        # (never cached — identical ciphertexts would fingerprint them)
-        # under the same session as the real rows (a second encapsulation
-        # would fingerprint them just as well), and the padded relation
-        # is shuffled so position carries nothing.
+        # of |domactive| and the config.  Dummies are encrypted under the
+        # same session as the real rows (a second encapsulation would
+        # fingerprint them), and the padded relation is shuffled so
+        # position carries nothing.
         multiplicities: dict = {}
         for row in rows:
             value = relation.value(row, attribute)

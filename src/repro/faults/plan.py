@@ -33,7 +33,8 @@ action         transport (FaultyTransport)  proxy (ChaosProxy)
 The ``storage`` site (:class:`~repro.storage.faulty.FaultyStorage`)
 observes backend operations instead of messages — sender and receiver
 are both the namespace, and ``kind`` is ``storage:<operation>`` (e.g.
-``storage:cache_get``).  Supported actions: ``delay`` (slow I/O),
+``storage:cache_get``; a batched read is one such observation, however
+many keys it asks for).  Supported actions: ``delay`` (slow I/O),
 ``drop`` (operation raises StorageError), ``corrupt`` (cache reads
 return flipped bytes, which the deserializers reject).  Index-cache
 failures degrade to recomputation; row loads are hard failures.

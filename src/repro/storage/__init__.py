@@ -18,7 +18,6 @@ from repro.storage.base import (
     KIND_COMM_TAG,
     KIND_COMM_TUPLES,
     KIND_DAS_INDEX,
-    KIND_DAS_TUPLE,
     KIND_HYBRID_SESSION,
     KIND_PM_COEFFS,
     CacheStats,
@@ -62,7 +61,6 @@ __all__ = [
     "KIND_COMM_TAG",
     "KIND_COMM_TUPLES",
     "KIND_DAS_INDEX",
-    "KIND_DAS_TUPLE",
     "KIND_HYBRID_SESSION",
     "KIND_PM_COEFFS",
     "CacheStats",

@@ -10,9 +10,11 @@ that persists
   datasource (and the mediator's registry state where relevant),
 * **encrypted-index caches** — per-``(namespace, relation)`` key/value
   entries holding commutative tags and double-encryptions, the source's
-  hybrid session and the tuple ciphertext bodies encrypted under it, DAS
-  index tables, and Paillier polynomial coefficients, all keyed by a
-  **key epoch**.
+  hybrid session and the commutative tuple-set bodies encrypted under
+  it, DAS index tables, and Paillier polynomial coefficients, all keyed
+  by a **key epoch**.  An entry is kept only where reading it back is
+  cheaper than recomputing it: a DAS etuple is one DEM pass, so it is
+  re-encrypted per query and never stored.
 
 Cache semantics:
 
@@ -52,7 +54,6 @@ KIND_COMM_TAG = "comm_tag"
 KIND_COMM_DOUBLE = "comm_double"
 KIND_COMM_TUPLES = "comm_tuples"
 KIND_DAS_INDEX = "das_index"
-KIND_DAS_TUPLE = "das_tuple"
 KIND_PM_COEFFS = "pm_coeffs"
 KIND_HYBRID_SESSION = "hybrid_session"
 
@@ -186,6 +187,13 @@ class StorageBackend(abc.ABC):
         """Value stored for ``key`` at the *current* epoch, else None."""
 
     @abc.abstractmethod
+    def cache_get_many(
+        self, namespace: str, relation: str, kind: str, keys: Sequence[bytes]
+    ) -> list[bytes | None]:
+        """:meth:`cache_get` of every key, in order, as one read: all
+        values come from the same epoch and a failure fails the batch."""
+
+    @abc.abstractmethod
     def cache_put(
         self, namespace: str, relation: str, kind: str, key: bytes, value: bytes
     ) -> None:
@@ -230,6 +238,11 @@ def _unseal(data: bytes) -> bytes | None:
     return value
 
 
+#: What a read the backend failed stands as: shorter than any seal, so it
+#: counts as an error and reads as a miss like any other broken value.
+_UNREADABLE = b""
+
+
 @dataclass
 class IndexCache:
     """Soft-failure cache facade bound to one backend namespace.
@@ -259,9 +272,24 @@ class IndexCache:
         try:
             sealed = self.backend.cache_get(self.namespace, relation, kind, key)
         except StorageError:
-            self.stats.errors += 1
-            self._count(CACHE_ERRORS_METRIC, kind)
-            return None
+            sealed = _UNREADABLE
+        return self._unsealed(kind, sealed)
+
+    def get_many(
+        self, relation: str, kind: str, keys: Sequence[bytes]
+    ) -> list[bytes | None]:
+        """:meth:`get` of every key as one backend read, counted key for
+        key; a backend error makes each key of the batch one error."""
+        try:
+            batch = self.backend.cache_get_many(
+                self.namespace, relation, kind, keys
+            )
+        except StorageError:
+            batch = [_UNREADABLE] * len(keys)
+        return [self._unsealed(kind, sealed) for sealed in batch]
+
+    def _unsealed(self, kind: str, sealed: bytes | None) -> bytes | None:
+        """Count one read by its outcome; the value if its seal holds."""
         if sealed is None:
             self.stats.misses += 1
             self._count(CACHE_MISSES_METRIC, kind)
@@ -270,9 +298,9 @@ class IndexCache:
         if value is None:  # corrupted at rest: recompute, don't trust it
             self.stats.errors += 1
             self._count(CACHE_ERRORS_METRIC, kind)
-            return None
-        self.stats.hits += 1
-        self._count(CACHE_HITS_METRIC, kind)
+        else:
+            self.stats.hits += 1
+            self._count(CACHE_HITS_METRIC, kind)
         return value
 
     def put(self, relation: str, kind: str, key: bytes, value: bytes) -> None:

@@ -12,6 +12,10 @@ namespace the operation targets).  Fired rules enact:
   prefixed deserializers then reject them); for any other operation it
   behaves like ``drop``.
 
+A batched cache read (``cache_get_many``) is one ``storage:cache_get``
+observation: a fired ``drop`` fails the whole batch and a fired
+``corrupt`` flips every value it returns.
+
 Because the protocols reach caches only through
 :class:`~repro.storage.base.IndexCache` (which converts StorageError
 into a counted miss), injected cache faults degrade queries to
@@ -129,6 +133,17 @@ class FaultyStorage(StorageBackend):
         if action == "corrupt":
             return _corrupt(value)
         return value
+
+    def cache_get_many(
+        self, namespace: str, relation: str, kind: str, keys: Sequence[bytes]
+    ) -> list[bytes | None]:
+        action = self._observe("cache_get", namespace)
+        if action == "drop":
+            raise StorageError("injected storage fault (drop) during cache_get")
+        values = self.inner.cache_get_many(namespace, relation, kind, keys)
+        if action == "corrupt":
+            return [_corrupt(value) for value in values]
+        return values
 
     def cache_put(
         self, namespace: str, relation: str, kind: str, key: bytes, value: bytes

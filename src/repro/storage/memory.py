@@ -127,6 +127,19 @@ class MemoryBackend(StorageBackend):
                 return None
             return value
 
+    def cache_get_many(
+        self, namespace: str, relation: str, kind: str, keys: Sequence[bytes]
+    ) -> list[bytes | None]:
+        with self._lock:
+            epoch = self._epochs.get(namespace, 0)
+            entries = [
+                self._cache.get((namespace, relation, kind, key)) for key in keys
+            ]
+        return [
+            entry[1] if entry is not None and entry[0] == epoch else None
+            for entry in entries
+        ]
+
     def cache_put(
         self, namespace: str, relation: str, kind: str, key: bytes, value: bytes
     ) -> None:

@@ -43,6 +43,10 @@ _COLUMN_TYPES = {
     AttributeType.STRING: "TEXT",
 }
 
+#: Keys per ``IN (...)`` list of a batched cache read — with the four
+#: scope parameters, under the 999 host parameters of older SQLite builds.
+_KEYS_PER_STATEMENT = 500
+
 _DDL = (
     """
     CREATE TABLE IF NOT EXISTS meta_relations (
@@ -142,13 +146,13 @@ class SQLiteBackend(StorageBackend):
             )
             self._connection.execute("PRAGMA journal_mode=WAL")
             # Every cache_put is its own commit.  At the default FULL each
-            # of them fsyncs the WAL — some 330 per cold DAS delivery, a
-            # wait that follows the disk's load, not the CPU's.  NORMAL
-            # syncs at checkpoints only: a process crash loses nothing, a
-            # power cut may lose the last commits (regenerable cache
-            # entries, or a relation the next start stores again) but
-            # never corrupts the file.  bump_key_epoch, the one write that
-            # nothing regenerates, syncs its own commit.
+            # of them fsyncs the WAL — three per join value and source in a
+            # cold commutative fill — a wait that follows the disk's load,
+            # not the CPU's.  NORMAL syncs at checkpoints only: a process
+            # crash loses nothing, a power cut may lose the last commits
+            # (regenerable cache entries, or a relation the next start
+            # stores again) but never corrupts the file.  bump_key_epoch,
+            # the one write that nothing regenerates, syncs its own commit.
             self._connection.execute("PRAGMA synchronous=NORMAL")
             for statement in _DDL:
                 self._connection.execute(statement)
@@ -395,6 +399,24 @@ class SQLiteBackend(StorageBackend):
                 (namespace, relation, kind, key, epoch),
             ).fetchone()
         return bytes(row[0]) if row is not None else None
+
+    def cache_get_many(
+        self, namespace: str, relation: str, kind: str, keys: Sequence[bytes]
+    ) -> list[bytes | None]:
+        found: dict[bytes, bytes] = {}
+        with self._lock:
+            epoch = self._epoch_locked(namespace)
+            for start in range(0, len(keys), _KEYS_PER_STATEMENT):
+                chunk = keys[start : start + _KEYS_PER_STATEMENT]
+                found.update(
+                    self._execute(
+                        "SELECT key, value FROM index_cache WHERE namespace = ? "
+                        "AND relation = ? AND kind = ? AND epoch = ? AND key IN "
+                        f"({', '.join('?' * len(chunk))})",
+                        (namespace, relation, kind, epoch, *chunk),
+                    )
+                )
+        return [found.get(key) for key in keys]
 
     def cache_put(
         self, namespace: str, relation: str, kind: str, key: bytes, value: bytes

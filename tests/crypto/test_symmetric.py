@@ -323,10 +323,11 @@ class TestHmacSha256KnownAnswers:
 
 
 class TestCiphertextsOfThePreviousImplementation:
-    """A ``das_tuple`` body persisted in SQLite by an older build must
-    still be served after the upgrade: ciphertexts written at the parent
-    commit (fixed master key, 0 to 1 000 bytes, with and without
-    associated data) decrypt under the new kernel."""
+    """The DEM ciphertext layout is pinned: a body persisted by an older
+    build (a cached ``comm_tuples`` or ``das_index`` entry, a recorded
+    transcript) must still open.  Ciphertexts written by the kernel the
+    lane-packed one replaced (fixed master key, 0 to 1 000 bytes, with
+    and without associated data) decrypt under the current one."""
 
     MASTER = bytes.fromhex(PARENT_FIXTURE["master_key"])
 

@@ -89,20 +89,42 @@ class TestGracefulDegradation:
 
 @pytest.mark.parametrize("protocol", ["das", "commutative"])
 class TestSessionSlot:
-    """The per-epoch hybrid session slot is load-bearing for every
-    cached ciphertext body: losing or corrupting it must cost a cold
-    fill, never pair a body with the wrong key."""
+    """The per-epoch hybrid session slot is what a warm delivery's
+    ciphertext bodies hang on: losing or corrupting it must cost a fresh
+    encapsulation and a cold fill of what was filed under the old one,
+    never pair a body with the wrong key.  That is every tuple set for
+    commutative; DAS files no etuples, so there it is the one index
+    table."""
+
+    #: Which of S1's cache reads in a delivery is its session slot:
+    #: DAS reads it first; commutative reads its key and its tags before.
+    SESSION_READ = {"das": 1, "commutative": 3}
 
     def warm(self, ca, client, workload, protocol):
         inner = MemoryBackend()
         assert_correct(build(ca, client, workload, inner), protocol)
         return inner
 
+    @staticmethod
+    def session_slot(client):
+        from repro.core.encapsulation import recipient_digest
+
+        return b"session:" + recipient_digest(client.credential_public_keys())
+
+    def encapsulation_digest(self, inner, client, workload):
+        from repro.storage import KIND_HYBRID_SESSION, IndexCache
+        from repro.storage.serialize import deserialize_session
+
+        blob = IndexCache(inner, "S1").get(
+            workload.relation_1.name, KIND_HYBRID_SESSION,
+            self.session_slot(client),
+        )
+        return deserialize_session(blob).encapsulation.digest()
+
     def test_missing_session_slot_degrades_to_a_cold_fill(
         self, ca, client, workload, protocol
     ):
         inner = self.warm(ca, client, workload, protocol)
-        # S1's first cache read of a delivery is its session slot.
         storage = FaultyStorage(
             inner,
             FaultInjector(
@@ -111,38 +133,44 @@ class TestSessionSlot:
                     rules=(
                         FaultRule(
                             action="drop", kind="storage:cache_get",
-                            sender="S1", occurrence=1,
+                            sender="S1",
+                            occurrence=self.SESSION_READ[protocol],
                         ),
                     ),
                 )
             ),
         )
         federation = build(ca, client, workload, storage)
-        before = inner.cache_size("S1")
+        size = inner.cache_size("S1")
+        digest = self.encapsulation_digest(inner, client, workload)
         assert_correct(federation, protocol)
-        # Fresh session, so every ciphertext body of S1 was re-filed
-        # under a new encapsulation digest next to the orphaned ones.
-        assert inner.cache_size("S1") > before
+        # A fresh session replaced the unreadable one, and what hangs on
+        # it was re-filed under its digest next to the orphans: DAS's
+        # index table, commutative's tuple sets.
+        assert self.encapsulation_digest(inner, client, workload) != digest
+        refiled = inner.cache_size("S1") - size
+        assert (refiled == 1) if protocol == "das" else (refiled > 1)
         assert_correct(federation, protocol)
 
     def test_corrupt_session_slot_degrades_to_a_cold_fill(
         self, ca, client, workload, protocol
     ):
-        from repro.core.encapsulation import recipient_digest
         from repro.storage import KIND_HYBRID_SESSION, IndexCache
 
         inner = self.warm(ca, client, workload, protocol)
-        slot = b"session:" + recipient_digest(client.credential_public_keys())
         relation = workload.relation_1.name
-        assert inner.cache_get("S1", relation, KIND_HYBRID_SESSION, slot)
+        digest = self.encapsulation_digest(inner, client, workload)
         # Well-sealed, but not a session: the decode failure path.
         IndexCache(inner, "S1").put(
-            relation, KIND_HYBRID_SESSION, slot, b"SHS1 not a session"
+            relation, KIND_HYBRID_SESSION, self.session_slot(client),
+            b"SHS1 not a session",
         )
         federation = build(ca, client, workload, inner)
         refilled = assert_correct(federation, protocol).artifacts["storage_cache"]
         assert refilled["errors"] == 1
-        assert refilled["misses"] > 0
+        assert self.encapsulation_digest(inner, client, workload) != digest
+        misses = refilled["misses"]
+        assert (misses == 1) if protocol == "das" else (misses > 1)
         # The replacement session was persisted: the next query is warm.
         warm = assert_correct(federation, protocol).artifacts["storage_cache"]
         assert (warm["errors"], warm["misses"]) == (1, refilled["misses"])

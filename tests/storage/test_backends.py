@@ -226,7 +226,7 @@ class TestSQLitePersistence:
             "from repro.storage.sqlite import SQLiteBackend\n"
             "backend = SQLiteBackend(sys.argv[1])\n"
             "for i in range(50):\n"
-            "    backend.cache_put('S1', 'R', 'das_tuple', b'k%d' % i, b'v' * 3000)\n"
+            "    backend.cache_put('S1', 'R', 'comm_tuples', b'k%d' % i, b'v' * 3000)\n"
             "backend.bump_key_epoch('S2')\n"
             "os._exit(9)\n"
         )
@@ -240,7 +240,7 @@ class TestSQLitePersistence:
         survivor = SQLiteBackend(path)
         try:
             assert survivor.cache_size("S1") == 50
-            assert survivor.cache_get("S1", "R", "das_tuple", b"k49") == b"v" * 3000
+            assert survivor.cache_get("S1", "R", "comm_tuples", b"k49") == b"v" * 3000
             assert survivor.key_epoch("S2") == 1
         finally:
             survivor.close()
