@@ -102,9 +102,8 @@ class CryptoBackend:
         """Shared-exponent batch: ``[b^exponent mod modulus for b]``.
 
         The shape of SRA commutative encryption (one key exponent over
-        many tags) and the Paillier nonce term ``r^n`` (one public
-        exponent over many nonces).  Backends hoist the loop-invariant
-        operands out of the per-item path.
+        many tags).  Backends hoist the loop-invariant operands out of
+        the per-item path.
         """
         raise NotImplementedError
 

@@ -7,8 +7,16 @@ public-key scheme ``E`` with
 * ``gamma, E(a)    ->  E(gamma * a)``   (scalar multiplication),
 
 which the paper instantiates with Paillier [20].  We implement the
-textbook scheme with ``g = n + 1`` (so that ``g^m = 1 + m*n mod n^2``,
-avoiding one exponentiation).
+scheme with ``g = n + 1`` (so that ``g^m = 1 + m*n mod n^2``, avoiding
+one exponentiation).
+
+The nonce is the Damgard–Jurik–Nielsen form ``h_n^s mod n^2``: ``h_n =
+(-x^2 mod n)^n mod n^2`` is fixed per key, ``s`` is fresh and
+``ceil(|n|/2)`` bits long, and ``h_n^s`` is read off a per-key
+fixed-base table built once per process — a few hundred
+multiplications where the textbook ``r^n`` pays ``|n|`` squarings.  It
+is the one encryption path; the assumption it adds to DCR is stated in
+``docs/security.md``.
 
 Decryption is the standard CRT form — work modulo ``p^2`` and ``q^2``
 with half-size exponents and recombine — on every key: a private key
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.crypto import instrumentation
-from repro.crypto.numtheory import generate_prime, lcm, modinv, powmod
+from repro.crypto.numtheory import generate_prime, lcm, modinv, powmod, random_coprime
 from repro.errors import DecryptionError, EncryptionError, KeyError_, ParameterError
 
 
@@ -113,12 +121,14 @@ def _big_l(u: int, n: int) -> int:
     return (u - 1) // n
 
 
-def encrypt(
-    public_key: PaillierPublicKey, plaintext: int, randomness: int | None = None
-) -> PaillierCiphertext:
-    """Encrypt ``plaintext`` in ``Z_n``; fresh randomness unless given.
+def encrypt(public_key: PaillierPublicKey, plaintext: int) -> PaillierCiphertext:
+    """Encrypt ``plaintext`` in ``Z_n`` under a fresh nonce.
 
-    ``c = (1 + m*n) * r^n  mod n^2`` with ``r`` uniform in ``Z_n*``.
+    ``c = (1 + m*n) * h_n^s  mod n^2`` with ``s`` uniform in
+    ``[0, 2^ceil(|n|/2))`` — the Damgard–Jurik–Nielsen nonce: ``h_n`` is
+    a fixed ``n``-th residue of the key (:func:`_nonce_table`), so the
+    nonce is a fixed-base product over a precomputed table instead of a
+    full-width ``r^n`` exponentiation.
     """
     n = public_key.n
     if not 0 <= plaintext < n:
@@ -126,14 +136,70 @@ def encrypt(
             f"plaintext {plaintext} outside message space [0, {n})"
         )
     instrumentation.record("paillier.encrypt")
+    instrumentation.record("random.paillier_nonce")
     n_sq = public_key.n_squared
-    if randomness is None:
-        instrumentation.record("random.paillier_nonce")
-        randomness = _random_unit(n)
-    elif not 0 < randomness < n or math.gcd(randomness, n) != 1:
-        raise EncryptionError("randomness must be a unit in Z_n")
-    value = (1 + plaintext * n) % n_sq * powmod(randomness, n, n_sq) % n_sq
+    nonce = _fixed_base_power(
+        _nonce_table(n), secrets.randbits(_nonce_bits(n)), n_sq
+    )
+    value = (1 + plaintext * n) % n_sq * nonce % n_sq
     return PaillierCiphertext(value, public_key)
+
+
+def _nonce_bits(n: int) -> int:
+    """Length of the nonce exponent ``s``: ``ceil(|n| / 2)`` bits."""
+    return (n.bit_length() + 1) // 2
+
+
+#: Window of the fixed-base table: ``2^w - 1`` buckets, ``ceil(k / w)``
+#: entries for a ``k``-bit exponent.
+_WINDOW = 5
+_DIGIT_MASK = (1 << _WINDOW) - 1
+
+
+@lru_cache(maxsize=64)
+def _nonce_table(n: int) -> tuple[int, ...]:
+    """Per-key table ``h_n^(2^(w*i)) mod n^2`` for ``i < ceil(k / w)``.
+
+    ``h_n = (-x^2 mod n)^n mod n^2`` for a fresh unit ``x`` (DJN's
+    generator), so every nonce is an ``n``-th residue and decryption is
+    unchanged.  Built once per key and process (pool workers build their
+    own): one ``|n|``-bit exponentiation plus about ``k`` squarings,
+    ~100 KB at 2048 bits; never serialized, so keys, wire and cache
+    layouts do not change.
+    """
+    n_squared = n * n
+    x = random_coprime(n)
+    power = powmod(n - x * x % n, n, n_squared)
+    table = [power]
+    for _ in range(-(-_nonce_bits(n) // _WINDOW) - 1):
+        for _ in range(_WINDOW):
+            power = power * power % n_squared
+        table.append(power)
+    return tuple(table)
+
+
+def _fixed_base_power(table: tuple[int, ...], exponent: int, modulus: int) -> int:
+    """``table[0]^exponent mod modulus`` by Yao's fixed-base method.
+
+    Write ``exponent`` in base ``2^w`` with digits ``d_i``; bucket ``j``
+    collects the product of ``table[i]`` over ``d_i = j``, and
+    ``prod_j bucket_j^j`` is accumulated with two running products —
+    one multiplication per nonzero digit plus at most ``2 * (2^w - 1)``,
+    no squarings.  ``exponent`` must be below ``2^(w * len(table))``.
+    """
+    buckets = [1] * (_DIGIT_MASK + 1)
+    for entry in table:
+        digit = exponent & _DIGIT_MASK
+        if digit:
+            buckets[digit] = buckets[digit] * entry % modulus
+        exponent >>= _WINDOW
+    result = running = 1
+    for bucket in reversed(buckets[1:]):
+        if bucket != 1:
+            running = running * bucket % modulus
+        if running != 1:
+            result = result * running % modulus
+    return result
 
 
 def _checked_value(
@@ -217,31 +283,3 @@ def scalar_multiply(a: PaillierCiphertext, scalar: int) -> PaillierCiphertext:
 def negate(a: PaillierCiphertext) -> PaillierCiphertext:
     """Homomorphic negation: ``-E(x) = E(n - x)``."""
     return scalar_multiply(a, a.public_key.n - 1)
-
-
-def rerandomize(a: PaillierCiphertext) -> PaillierCiphertext:
-    """Fresh randomness on an existing ciphertext (same plaintext).
-
-    ``c * r^n`` for fresh ``r`` makes the output statistically unlinkable
-    to the input — the datasources use this so the mediator cannot match
-    forwarded ciphertexts by value.
-    """
-    instrumentation.record("paillier.rerandomize")
-    instrumentation.record("random.paillier_nonce")
-    n = a.public_key.n
-    n_sq = a.public_key.n_squared
-    r = _random_unit(n)
-    return PaillierCiphertext(a.value * powmod(r, n, n_sq) % n_sq, a.public_key)
-
-
-def encrypt_zero(public_key: PaillierPublicKey) -> PaillierCiphertext:
-    """A fresh encryption of zero (useful as a homomorphic accumulator)."""
-    return encrypt(public_key, 0)
-
-
-def _random_unit(n: int) -> int:
-    """Uniform random element of ``Z_n*``."""
-    while True:
-        r = 1 + secrets.randbelow(n - 1)
-        if math.gcd(r, n) == 1:
-            return r

@@ -13,6 +13,7 @@ import pytest
 from repro import CertificationAuthority, Federation, setup_client
 from repro.crypto import groups, paillier, rsa
 from repro.crypto.homomorphic import PaillierScheme
+from repro.crypto.numtheory import powmod
 from repro.mediation.access_control import allow_all
 from repro.mediation.client import Client
 from repro.relational.datagen import (
@@ -50,16 +51,22 @@ def paillier_scheme() -> PaillierScheme:
 
 
 class FixedNoncePaillier(PaillierScheme):
-    """Paillier with the nonce a function of the plaintext: ciphertexts
-    comparable across engine modes and bigint backends."""
+    """Textbook Paillier, ``(1 + m*n) * r^n mod n^2``, with the nonce ``r``
+    a function of the plaintext: ciphertexts comparable across engine
+    modes and bigint backends.  ``paillier.encrypt`` has no pinned-nonce
+    route, so the nonce term is built here, through the backend's
+    ``powmod``, and the plaintext added to it homomorphically."""
 
     @staticmethod
     def nonce(public_key: paillier.PaillierPublicKey, plaintext: int) -> int:
         return (plaintext * 2 + 3) % public_key.n
 
     def encrypt(self, public_key, plaintext):
-        return paillier.encrypt(
-            public_key, plaintext, self.nonce(public_key, plaintext)
+        nonce_term = powmod(
+            self.nonce(public_key, plaintext), public_key.n, public_key.n_squared
+        )
+        return paillier.add_plain(
+            paillier.PaillierCiphertext(nonce_term, public_key), plaintext
         )
 
 

@@ -3,17 +3,29 @@
 import json
 import pathlib
 import secrets
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import paillier, serialization
+from repro.crypto.instrumentation import count_primitives
 from repro.errors import DecryptionError, EncryptionError, KeyError_, ParameterError
+
+#: The layered benchmark's committed keys (read-only: benchmark contract).
+FIXTURE_KEYS = pathlib.Path(__file__).parents[2] / "benchmarks/layers/keys_2048.json"
 
 
 @pytest.fixture(scope="module")
 def key():
     return paillier.generate_keypair(256)
+
+
+@pytest.fixture(scope="module")
+def fixture_key():
+    """The 2048-bit key ``pm_cold_bus`` runs on."""
+    snapshot = json.loads(FIXTURE_KEYS.read_text())["client_paillier"]
+    return serialization.paillier_private_from_dict(snapshot)
 
 
 @pytest.fixture(scope="module")
@@ -34,16 +46,6 @@ class TestBasics:
 
     def test_probabilistic(self, pk):
         assert paillier.encrypt(pk, 7).value != paillier.encrypt(pk, 7).value
-
-    def test_explicit_randomness_deterministic(self, key, pk):
-        c1 = paillier.encrypt(pk, 7, randomness=12345)
-        c2 = paillier.encrypt(pk, 7, randomness=12345)
-        assert c1.value == c2.value
-        assert paillier.decrypt(key, c1) == 7
-
-    def test_bad_randomness_rejected(self, pk):
-        with pytest.raises(EncryptionError):
-            paillier.encrypt(pk, 7, randomness=0)
 
     def test_keygen_too_small(self):
         with pytest.raises(ParameterError):
@@ -104,7 +106,7 @@ class TestHomomorphicLaws:
             paillier.add(paillier.encrypt(pk, 1), paillier.encrypt(other, 1))
 
     def test_encrypt_zero_is_identity(self, key, pk):
-        ct = paillier.add(paillier.encrypt(pk, 37), paillier.encrypt_zero(pk))
+        ct = paillier.add(paillier.encrypt(pk, 37), paillier.encrypt(pk, 0))
         assert paillier.decrypt(key, ct) == 37
 
 
@@ -118,15 +120,13 @@ def carmichael_oracle(key, ciphertext):
 def chained_operations(pk, a, b, gamma):
     """One ciphertext through every homomorphic operation; encrypts
     ``-((a + b) * gamma + b) mod n``."""
-    return paillier.rerandomize(
-        paillier.negate(
-            paillier.add_plain(
-                paillier.scalar_multiply(
-                    paillier.add(paillier.encrypt(pk, a), paillier.encrypt(pk, b)),
-                    gamma,
-                ),
-                b,
-            )
+    return paillier.negate(
+        paillier.add_plain(
+            paillier.scalar_multiply(
+                paillier.add(paillier.encrypt(pk, a), paillier.encrypt(pk, b)),
+                gamma,
+            ),
+            b,
         )
     )
 
@@ -166,8 +166,7 @@ class TestCRTDecryption:
         # The layered benchmark's committed key snapshot holds only
         # (n, lam, mu): loading it recovers p and q, so even that key
         # decrypts by CRT.  Read-only: the fixture is benchmark contract.
-        fixture = pathlib.Path(__file__).parents[2] / "benchmarks/layers/keys_2048.json"
-        snapshot = json.loads(fixture.read_text())["client_paillier"]
+        snapshot = json.loads(FIXTURE_KEYS.read_text())["client_paillier"]
         assert "p" not in snapshot and "q" not in snapshot
         legacy = serialization.paillier_private_from_dict(snapshot)
         pk = legacy.public_key
@@ -181,14 +180,59 @@ class TestCRTDecryption:
         assert paillier.decrypt(legacy, ct) == (-((a + b) * gamma + b)) % pk.n
 
 
-class TestRerandomization:
-    def test_preserves_plaintext_changes_ciphertext(self, key, pk):
-        original = paillier.encrypt(pk, 99)
-        refreshed = paillier.rerandomize(original)
-        assert refreshed.value != original.value
-        assert paillier.decrypt(key, refreshed) == 99
+class TestFixedBaseNonce:
+    """The one nonce path: ``h_n^s`` for a ``ceil(|n|/2)``-bit ``s``, read
+    off a per-key fixed-base table.  (``TestCRTDecryption`` decrypts these
+    ciphertexts against the Carmichael oracle on both key sizes.)"""
 
-    def test_unlinkable_values(self, pk):
-        base = paillier.encrypt(pk, 1)
-        seen = {paillier.rerandomize(base).value for _ in range(10)}
-        assert len(seen) == 10
+    @pytest.mark.parametrize("which", ["256-bit", "fixture"])
+    def test_fixed_base_product_equals_pow(self, request, which):
+        private = request.getfixturevalue("key" if which == "256-bit" else "fixture_key")
+        n = private.public_key.n
+        n_sq, bits = n * n, paillier._nonce_bits(n)
+        table = paillier._nonce_table(n)
+        assert len(table) == -(-bits // paillier._WINDOW)
+        h = table[0]
+        randoms = [secrets.randbits(bits) for _ in range(5 if which == "256-bit" else 2)]
+        for s in [0, 1, 2**bits - 1, *randoms]:
+            assert paillier._fixed_base_power(table, s, n_sq) == pow(h, s, n_sq), s
+
+    @pytest.mark.parametrize("bits", [256, 257])
+    def test_exponent_has_ceil_half_modulus_bits(self, monkeypatch, bits):
+        private = paillier.generate_keypair(bits)
+        n = private.public_key.n
+        h = paillier._nonce_table(n)[0]
+        draws = []
+
+        def randbits(k):
+            draws.append((k, secrets.randbits(k)))
+            return draws[-1][1]
+
+        monkeypatch.setattr(paillier, "secrets", SimpleNamespace(randbits=randbits))
+        ciphertext = paillier.encrypt(private.public_key, 99)
+        assert [k for k, _ in draws] == [(bits + 1) // 2]
+        s = draws[0][1]
+        assert ciphertext.value == (1 + 99 * n) * pow(h, s, n * n) % (n * n)
+
+    def test_two_keys_get_independent_tables(self, key):
+        other = paillier.generate_keypair(256)
+        mine, theirs = (paillier._nonce_table(k.public_key.n) for k in (key, other))
+        assert paillier._nonce_table(key.public_key.n) is mine  # built once
+        assert not set(mine) & set(theirs)
+        for private, table in ((key, mine), (other, theirs)):
+            n_sq = private.public_key.n_squared
+            assert all(
+                entry == pow(table[0], 1 << (paillier._WINDOW * i), n_sq)
+                for i, entry in enumerate(table)
+            )
+            ciphertext = paillier.encrypt(private.public_key, 1234)
+            assert paillier.decrypt(private, ciphertext) == 1234
+
+    def test_encryptions_of_one_plaintext_are_distinct(self):
+        # A fresh key, so the table build happens inside the count too.
+        private = paillier.generate_keypair(256)
+        with count_primitives() as counter:
+            values = {paillier.encrypt(private.public_key, 7).value for _ in range(50)}
+        assert len(values) == 50
+        assert counter.counts["paillier.encrypt"] == 50
+        assert counter.counts["random.paillier_nonce"] == 50

@@ -53,13 +53,12 @@ class TestDeterministicBitIdentity:
                 outputs.add(tag)
         assert len(outputs) == 1
 
-    def test_paillier_fixed_randomness(self, paillier_key):
+    def test_paillier_fixed_randomness(self, paillier_key, fixed_nonce_paillier):
         public = paillier_key.public_key
-        randomness = 0x1234567 % public.n
         ciphertexts, plaintexts = set(), set()
         for name in BACKENDS:
             with bk.use_backend(name):
-                ciphertext = paillier.encrypt(public, 42, randomness)
+                ciphertext = fixed_nonce_paillier.encrypt(public, 42)
                 ciphertexts.add(ciphertext.value)
                 plaintexts.add(paillier.decrypt(paillier_key, ciphertext))
         assert len(ciphertexts) == 1
