@@ -1,10 +1,8 @@
 """A4 — Cryptographic parameter scaling.
 
 How each protocol's primitive costs scale with its security parameter:
-the SRA group modulus for the commutative cipher, the Paillier modulus
-for private matching, plus a Paillier-vs-EC-ElGamal comparison of the
-homomorphic interface (the paper names both as candidate schemes [10],
-[20]; EC-ElGamal's discrete-log decoding restricts its message space).
+the SRA group modulus for the commutative cipher and the Paillier
+modulus for private matching.
 """
 
 import time
@@ -14,9 +12,7 @@ from conftest import write_report
 
 from repro.crypto import commutative as comm
 from repro.crypto import groups, paillier
-from repro.crypto.ec import TINY
 from repro.crypto.hashes import IdealHash
-from repro.crypto.homomorphic import ECElGamalScheme, PaillierScheme
 
 GROUP_BITS = (128, 256, 512)
 PAILLIER_BITS = (256, 512, 1024)
@@ -74,29 +70,3 @@ def test_keysize_report():
     assert commutative_times[-1] > commutative_times[0]
     assert paillier_times[-1] > paillier_times[0]
     write_report("ablation_keysizes.txt", "\n".join(lines))
-
-
-class TestHomomorphicSchemeComparison:
-    """Paillier vs EC-ElGamal behind the same interface."""
-
-    def test_paillier_has_vastly_larger_message_space(self):
-        paillier_scheme = PaillierScheme(512)
-        ec_scheme = ECElGamalScheme(TINY, dlog_bound=1 << 12)
-        p_key = paillier_scheme.generate_keypair()
-        e_key = ec_scheme.generate_keypair()
-        p_bound = paillier_scheme.plaintext_bound(
-            paillier_scheme.public_key(p_key)
-        )
-        e_bound = ec_scheme.plaintext_bound(ec_scheme.public_key(e_key))
-        # This gap is why the protocols default to Paillier: session-key
-        # payloads need hundreds of bits, EC-ElGamal decodes only small
-        # discrete logs (13 bits here vs 512).
-        assert p_bound.bit_length() > 20 * e_bound.bit_length()
-
-    def test_ec_elgamal_homomorphic_on_small_space(self, benchmark):
-        scheme = ECElGamalScheme(TINY, dlog_bound=2000)
-        key = scheme.generate_keypair()
-        pk = scheme.public_key(key)
-        ct = scheme.add(scheme.encrypt(pk, 700), scheme.encrypt(pk, 300))
-        assert scheme.decrypt(key, ct) == 1000
-        benchmark(scheme.encrypt, pk, 123)

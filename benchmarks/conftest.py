@@ -16,7 +16,6 @@ import pathlib
 import pytest
 
 from repro import CertificationAuthority, Federation, setup_client
-from repro.crypto.backend import active_backend, available_backends
 from repro.mediation.access_control import allow_all
 from repro.mediation.client import Client, default_homomorphic_scheme
 from repro.relational.datagen import Workload, WorkloadSpec, generate
@@ -102,20 +101,13 @@ def write_bench_json(
     plus a relative ``tolerance``).  Only host-independent metrics
     (ratios, counts) should be gated; absolute timings are context.
     """
-    merged_context = {
-        # Every bench artifact names the arithmetic that produced it —
-        # a python-backend number is not comparable to a native one.
-        "crypto_backend": active_backend().name,
-        "crypto_backends_available": list(available_backends()),
-    }
-    merged_context.update(context or {})
     document = {
         "schema": "repro-bench/1",
         "bench": bench,
         "smoke": smoke_mode(),
         "metrics": metrics,
         "gate": gate,
-        "context": merged_context,
+        "context": context or {},
     }
     OUT_DIR.mkdir(exist_ok=True)
     path = OUT_DIR / f"BENCH_{bench}.json"

@@ -9,11 +9,11 @@
 #                                      # cleanup + log dump on failure is
 #                                      # installed on EXIT automatically
 #
-# For trios that need per-party flags (crypto backends), start each
-# endpoint with serve_party and wait on the ports explicitly:
+# For trios that need per-party flags (storage), start each endpoint
+# with serve_party and wait on the ports explicitly:
 #
-#     serve_party mediator mediator --crypto-backend gmpy2
-#     serve_party S1 source --party S1 --crypto-backend python
+#     serve_party mediator mediator
+#     serve_party S1 source --party S1 --storage sqlite:s1.db
 #     serve_wait 7401 7402
 #
 # Readiness is real, not a sleep: serve_wait retries a HELLO frame

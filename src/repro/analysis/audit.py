@@ -410,8 +410,6 @@ def differential_audit(
                 "adjacent": adjacent_trace.summary(),
             }
         protocols_document[protocol] = {"adversaries": adversaries}
-    from repro.crypto.backend import active_backend
-
     return {
         "schema": LEAKAGE_SCHEMA,
         "bench": "leakage_audit",
@@ -427,7 +425,6 @@ def differential_audit(
         "protocols": protocols_document,
         "gate": default_gate(protocols_document, hardened=config.hardened),
         "context": {
-            "crypto_backend": active_backend().name,
             "rsa_bits": config.rsa_bits,
             "paillier_bits": config.paillier_bits,
         },

@@ -16,8 +16,7 @@ operation names to the paper's categories:
 
 * ``hash.*``                        -> *hashfunction*
 * ``commutative.*``                 -> *commutative encryption*
-* ``paillier.* / elgamal.* /
-  ecelgamal.* / homomorphic.*``     -> *homomorphic encryption*
+* ``paillier.* / homomorphic.*``    -> *homomorphic encryption*
 * ``random.pm_mask``                -> *random numbers* (the masking
   values r_l of Equation (1); session keys and encryption nonces belong
   to the baseline hybrid machinery and are excluded, as are the
@@ -38,8 +37,6 @@ BASELINE_PREFIXES = (
     "hybrid.",
     "random.session_key",
     "random.paillier_nonce",
-    "random.elgamal_nonce",
-    "random.ecelgamal_nonce",
     "random.commutative_key",
 )
 
@@ -47,12 +44,7 @@ BASELINE_PREFIXES = (
 CATEGORY_PREFIXES: dict[str, tuple[str, ...]] = {
     "hashfunction": ("hash.",),
     "commutative encryption": ("commutative.",),
-    "homomorphic encryption": (
-        "paillier.",
-        "elgamal.",
-        "ecelgamal.",
-        "homomorphic.",
-    ),
+    "homomorphic encryption": ("paillier.", "homomorphic."),
     "random numbers": ("random.pm_mask",),
 }
 

@@ -21,7 +21,7 @@ from typing import Any, Mapping
 
 from repro.core.joinkeys import JoinKey, int_to_key, key_to_int
 from repro.core.payload import decode_payload, encode_payload
-from repro.crypto.homomorphic import AdditiveHomomorphicScheme
+from repro.crypto.homomorphic import PaillierScheme
 from repro.crypto.polynomial import encrypt_polynomial, from_roots
 from repro.mediation.network import Network
 
@@ -41,7 +41,7 @@ class PrivateMatchingResult:
 
 
 def two_party_private_matching(
-    scheme: AdditiveHomomorphicScheme,
+    scheme: PaillierScheme,
     chooser_keys: set[JoinKey],
     sender_payloads: Mapping[JoinKey, bytes | None],
     max_key_bytes: int = 48,

@@ -41,13 +41,7 @@ from repro import (
 from repro.analysis import analyze, compare, primitive_profile, render, table1, table2
 from repro.analysis.export import export_run_json
 from repro.core.runner import PROTOCOLS
-from repro.crypto.backend import (
-    BACKEND_CHOICES,
-    record_backend_info,
-    set_backend,
-)
 from repro.crypto.engine import CryptoEngine, set_engine
-from repro.errors import ParameterError
 from repro.faults import FaultInjector, FaultPlan, FaultyTransport
 from repro.mediation.access_control import allow_all
 from repro.mediation.network import Network
@@ -139,16 +133,6 @@ def _add_crypto_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--batch-threshold", type=int, default=None,
         help="minimum batch size before crypto work fans out to the pool",
-    )
-    _add_backend_argument(parser)
-
-
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--crypto-backend", choices=BACKEND_CHOICES, default=None,
-        help="bigint backend: gmpy2 (native GMP), python (stdlib), or "
-        "auto = gmpy2 when importable (default: the "
-        "REPRO_CRYPTO_BACKEND environment variable, else auto)",
     )
 
 
@@ -778,7 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("debug", "info", "warning", "error"),
         help="endpoint log verbosity (default: info)",
     )
-    _add_backend_argument(serve)
     _add_storage_arguments(serve)
     serve.set_defaults(handler=_command_serve)
 
@@ -866,39 +849,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Install the bigint backend first: engine construction, key
-    # generation, and telemetry all observe it.  An explicit request for
-    # an unavailable backend (gmpy2 without the module) fails fast here.
-    backend_spec = getattr(args, "crypto_backend", None)
-    previous_backend = None
-    if backend_spec is not None:
-        try:
-            previous_backend = set_backend(backend_spec)
-        except ParameterError as exc:
-            raise SystemExit(str(exc))
-    try:
-        with _telemetry_session(args):
-            # Name the active backend in the run's metric exposition
-            # (no-op when no registry is installed).
-            record_backend_info()
-            # Install the crypto engine for subcommands exposing the
-            # tuning knobs (serve/workload have no crypto arguments).
-            if getattr(args, "workers", None) is not None or getattr(
-                args, "batch_threshold", None
-            ) is not None:
-                engine = CryptoEngine(
-                    workers=args.workers, threshold=args.batch_threshold
-                )
-                previous = set_engine(engine)
-                try:
-                    return args.handler(args)
-                finally:
-                    engine.close()
-                    set_engine(previous)
-            return args.handler(args)
-    finally:
-        if backend_spec is not None:
-            set_backend(previous_backend)
+    with _telemetry_session(args):
+        # Install the crypto engine for subcommands exposing the
+        # tuning knobs (serve/workload have no crypto arguments).
+        if getattr(args, "workers", None) is not None or getattr(
+            args, "batch_threshold", None
+        ) is not None:
+            engine = CryptoEngine(
+                workers=args.workers, threshold=args.batch_threshold
+            )
+            previous = set_engine(engine)
+            try:
+                return args.handler(args)
+            finally:
+                engine.close()
+                set_engine(previous)
+        return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

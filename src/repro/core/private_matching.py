@@ -31,7 +31,6 @@ import hashlib
 import random
 import secrets
 from dataclasses import dataclass
-from typing import Any
 
 from repro.core.assembly import combine_tuple_sets
 from repro.core.federation import Federation
@@ -53,9 +52,9 @@ from repro.core.result import MediationResult
 from repro.core.timing import timed
 from repro.crypto import hybrid
 from repro.crypto.engine import CryptoEngine, get_engine
-from repro.crypto.homomorphic import AdditiveHomomorphicScheme, PaillierScheme
+from repro.crypto.homomorphic import PaillierScheme
 from repro.crypto.instrumentation import count_primitives, record
-from repro.crypto.paillier import PaillierCiphertext
+from repro.crypto.paillier import PaillierCiphertext, PaillierPublicKey
 from repro.crypto.polynomial import (
     EncryptedPolynomial,
     encrypt_polynomial,
@@ -72,8 +71,8 @@ SESSION_KEY_MODE = "session_key"
 
 
 def _cached_encrypt_polynomial(
-    scheme: AdditiveHomomorphicScheme,
-    public_key: Any,
+    scheme: PaillierScheme,
+    public_key: PaillierPublicKey,
     plain_coefficients: list[int],
     cache: IndexCache | None,
     relation_name: str,
@@ -84,12 +83,10 @@ def _cached_encrypt_polynomial(
     Paillier ciphertexts are plain integers bound to the public key, so
     the encrypted coefficient vector persists as an integer list keyed
     by (public-key fingerprint, digest of the coefficients the blob
-    holds: all but the public leading one).  Schemes with non-integer
-    ciphertexts (EC-ElGamal points) skip the cache.
+    holds: all but the public leading one).
     """
-    cacheable = cache is not None and isinstance(scheme, PaillierScheme)
     slot = b""
-    if cacheable:
+    if cache is not None:
         digest = hashlib.sha256()
         for coefficient in plain_coefficients[:-1]:
             digest.update(coefficient.to_bytes(
@@ -119,7 +116,7 @@ def _cached_encrypt_polynomial(
     encrypted = encrypt_polynomial(
         scheme, public_key, plain_coefficients, engine=engine
     )
-    if cacheable:
+    if cache is not None:
         cache.put(
             relation_name,
             KIND_PM_COEFFS,
@@ -131,11 +128,9 @@ def _cached_encrypt_polynomial(
     return encrypted
 
 
-def hybrid_fingerprint(public_key: Any) -> bytes:
+def hybrid_fingerprint(public_key: PaillierPublicKey) -> bytes:
     """Stable fingerprint of a Paillier public key (by modulus)."""
-    n = getattr(public_key, "n", None)
-    if n is None:
-        return b"\x00" * 16
+    n = public_key.n
     return hashlib.sha256(
         b"paillier/" + n.to_bytes((n.bit_length() + 7) // 8, "big")
     ).digest()[:16]
@@ -166,8 +161,8 @@ class _SourceState:
 def _build_polynomial(
     relation: Relation,
     join_attributes: tuple[str, ...],
-    scheme: AdditiveHomomorphicScheme,
-    public_key: Any,
+    scheme: PaillierScheme,
+    public_key: PaillierPublicKey,
     max_key_bytes: int,
 ) -> tuple[list[int], _SourceState]:
     """Listing 4 steps 2/3 at one source: coefficients of P_i."""
@@ -193,11 +188,11 @@ def _evaluate_for_source(
     state: _SourceState,
     encrypted_polynomial: EncryptedPolynomial,
     config: PMConfig,
-    scheme: AdditiveHomomorphicScheme,
-    public_key: Any,
+    scheme: PaillierScheme,
+    public_key: PaillierPublicKey,
     engine: CryptoEngine | None = None,
     hardening=None,
-) -> list[Any]:
+) -> list[PaillierCiphertext]:
     """Listing 4 steps 5/6: E(r * P_other(a) + (a || payload)) per value."""
     engine = engine or get_engine()
     modulus = scheme.plaintext_bound(public_key)
@@ -240,7 +235,7 @@ def _evaluate_for_source(
 
 def _client_decrypt_side(
     client,
-    evaluations: list[Any],
+    evaluations: list[PaillierCiphertext],
     side_table: dict[bytes, bytes],
     schema,
     config: PMConfig,
@@ -371,7 +366,7 @@ def run_private_matching_delivery(
         )
 
         # Steps 5/6: oblivious evaluations at both sources.
-        evaluations: dict[str, list[Any]] = {}
+        evaluations: dict[str, list[PaillierCiphertext]] = {}
         for source_name, opposite in ((source_1, source_2), (source_2, source_1)):
             with timed(result, source_name, "evaluate_polynomial"):
                 evaluations[source_name] = _evaluate_for_source(

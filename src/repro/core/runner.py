@@ -151,14 +151,13 @@ def crypto_context(engine: CryptoEngine | None = None) -> dict[str, Any]:
     """Self-description of the crypto configuration a run executed under.
 
     Recorded in ``result.artifacts["crypto"]`` so audit records, bench
-    JSON, and load reports name the bigint backend and engine mode that
-    produced their numbers.
+    JSON, and load reports name the engine mode that produced their
+    numbers.
     """
     from repro.crypto.engine import get_engine
 
     active = engine if engine is not None else get_engine()
     return {
-        "backend": active.backend_name,
         "engine_mode": active.mode,
         "workers": active.workers,
     }

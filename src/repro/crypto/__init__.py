@@ -9,11 +9,9 @@ from scratch on top of the Python standard library:
 * :mod:`~repro.crypto.rsa` — RSA-OAEP encryption and RSA-PSS signatures
 * :mod:`~repro.crypto.hybrid` — the paper's hybrid encrypt/decrypt
 * :mod:`~repro.crypto.paillier` — additively homomorphic Paillier
-* :mod:`~repro.crypto.elgamal` — multiplicative/exponential ElGamal
-* :mod:`~repro.crypto.ec` / :mod:`~repro.crypto.ecelgamal` — EC variant
 * :mod:`~repro.crypto.commutative` — SRA commutative encryption over QR_p
 * :mod:`~repro.crypto.polynomial` — oblivious polynomial evaluation
-* :mod:`~repro.crypto.homomorphic` — scheme-agnostic homomorphic interface
+* :mod:`~repro.crypto.homomorphic` — the Paillier adapter Listing 4 uses
 * :mod:`~repro.crypto.instrumentation` — primitive-usage audit (Table 2)
 * :mod:`~repro.crypto.groups` — precomputed safe-prime parameters
 """

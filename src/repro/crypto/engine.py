@@ -50,7 +50,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.crypto import backend as _backend
 from repro.crypto import commutative, hybrid, instrumentation, symmetric
-from repro.crypto.homomorphic import AdditiveHomomorphicScheme
+from repro.crypto.homomorphic import PaillierScheme
 from repro.crypto.polynomial import EncryptedPolynomial
 from repro.errors import DecryptionError, ParameterError
 from repro.telemetry import tracing
@@ -80,7 +80,6 @@ def _run_chunk(
     shared: Any,
     chunk: list,
     trace: dict | None = None,
-    backend_name: str | None = None,
 ) -> tuple[list, dict[str, int], list[dict]]:
     """Execute ``unit`` over ``chunk`` in a worker, counting primitives.
 
@@ -89,41 +88,28 @@ def _run_chunk(
     span under that parent and ships it back for the driver's tracer to
     adopt — pool workers thereby appear in the distributed trace exactly
     like remote endpoints do.
-
-    ``backend_name`` pins the worker's bigint backend to the driver's
-    (fresh pool processes would otherwise re-resolve from the
-    environment, which can disagree with a programmatically installed
-    backend).
     """
     spans: list[dict] = []
-    previous_backend = (
-        None if backend_name is None else _backend.set_backend(backend_name)
-    )
-    try:
-        with instrumentation.count_primitives() as counter:
-            if trace is None:
+    with instrumentation.count_primitives() as counter:
+        if trace is None:
+            results = [unit(shared, item) for item in chunk]
+        else:
+            worker_tracer = Tracer(trace_id=trace["trace_id"])
+            parent = SpanContext(
+                trace_id=trace["trace_id"], span_id=trace["span_id"]
+            )
+            with worker_tracer.span(
+                "crypto:chunk",
+                trace["party"],
+                parent=parent,
+                attributes={
+                    "kind": "crypto",
+                    "items": len(chunk),
+                    "pid": os.getpid(),
+                },
+            ):
                 results = [unit(shared, item) for item in chunk]
-            else:
-                worker_tracer = Tracer(trace_id=trace["trace_id"])
-                parent = SpanContext(
-                    trace_id=trace["trace_id"], span_id=trace["span_id"]
-                )
-                with worker_tracer.span(
-                    "crypto:chunk",
-                    trace["party"],
-                    parent=parent,
-                    attributes={
-                        "kind": "crypto",
-                        "items": len(chunk),
-                        "pid": os.getpid(),
-                        "backend": _backend.active_backend().name,
-                    },
-                ):
-                    results = [unit(shared, item) for item in chunk]
-                spans = [span.to_dict() for span in worker_tracer.spans]
-    finally:
-        if backend_name is not None:
-            _backend.set_backend(previous_backend)
+            spans = [span.to_dict() for span in worker_tracer.spans]
     return results, dict(counter.counts), spans
 
 
@@ -175,22 +161,20 @@ class CryptoEngine:
     ``workers``: process count; ``None`` reads ``REPRO_CRYPTO_WORKERS``,
     and values ``<= 1`` stay serial.  ``threshold``: minimum batch size
     before the pool engages (``None``: :data:`DEFAULT_THRESHOLD`).
-    ``backend``: a bigint backend (instance or ``auto``/``python``/
-    ``gmpy2`` selector) pinned for every batch this engine runs, in the
-    driver process and in pool workers alike; ``None`` follows the
-    process-wide installed backend
-    (:func:`repro.crypto.backend.active_backend`).
+    ``backend``: ``"python"`` or a :class:`~repro.crypto.backend.
+    PythonBackend`, the one bigint arithmetic; anything else raises
+    :class:`~repro.errors.ParameterError`.
     """
 
     def __init__(
         self,
         workers: int | None = None,
         threshold: int | None = None,
-        backend: "_backend.CryptoBackend | str | None" = None,
+        backend: "_backend.PythonBackend | str" = "python",
     ) -> None:
         self.workers = workers_from_env() if workers is None else max(0, workers)
         self.threshold = DEFAULT_THRESHOLD if threshold is None else max(1, threshold)
-        self._backend = None if backend is None else _backend.resolve_backend(backend)
+        self.backend_name = _backend.as_backend(backend).name
         self._pool: ProcessPoolExecutor | None = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -198,15 +182,6 @@ class CryptoEngine:
     @property
     def mode(self) -> str:
         return "pooled" if self.workers >= 2 else "serial"
-
-    @property
-    def backend(self) -> _backend.CryptoBackend:
-        """The bigint backend this engine's batches run under."""
-        return self._backend if self._backend is not None else _backend.active_backend()
-
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
@@ -240,11 +215,9 @@ class CryptoEngine:
         """``[unit(shared, item) for item in items]`` under a
         ``crypto:{name}`` span, in this process or over the pool."""
         items = list(items)
-        backend = self.backend
         with self._batch_span(name, len(items)) as batch_span:
             if not self._use_pool(len(items)):
-                with _backend.use_backend(backend):
-                    return [unit(shared, item) for item in items]
+                return [unit(shared, item) for item in items]
             trace = None
             if batch_span is not None:
                 trace = {
@@ -258,8 +231,7 @@ class CryptoEngine:
             )
             futures = [
                 pool.submit(
-                    _run_chunk, unit, shared, items[start:start + chunk],
-                    trace, backend.name,
+                    _run_chunk, unit, shared, items[start:start + chunk], trace
                 )
                 for start in range(0, len(items), chunk)
             ]
@@ -286,7 +258,6 @@ class CryptoEngine:
         return tracing.span(
             f"crypto:{name}", self._ambient_party(),
             kind="crypto", items=items, mode=self.mode,
-            backend=self.backend.name,
         )
 
     @staticmethod
@@ -309,7 +280,7 @@ class CryptoEngine:
 
     def batch_scheme_encrypt(
         self,
-        scheme: AdditiveHomomorphicScheme,
+        scheme: PaillierScheme,
         public_key: Any,
         plaintexts: Sequence[int],
     ) -> list[Any]:
@@ -320,7 +291,7 @@ class CryptoEngine:
 
     def batch_scheme_decrypt(
         self,
-        scheme: AdditiveHomomorphicScheme,
+        scheme: PaillierScheme,
         private_key: Any,
         ciphertexts: Sequence[Any],
     ) -> list[int]:

@@ -1,14 +1,11 @@
-"""A uniform interface over the additively homomorphic cryptosystems.
+"""The additively homomorphic scheme of Listing 4, behind one adapter.
 
 Section 5 of the paper states its requirements abstractly — a
 semantically secure public-key scheme with homomorphic addition and
-scalar multiplication — and names Paillier and (EC-)ElGamal as
-instantiations.  This module captures that abstraction so the
-private-matching protocol is written once and runs over any conforming
-scheme; the comparison benchmarks then swap schemes to measure their
-relative cost.
-
-A scheme exposes::
+scalar multiplication — and the system instantiates it with Paillier,
+whose message space is large enough to carry a private-matching
+payload.  :class:`PaillierScheme` is the object the private-matching
+protocol, the crypto engine and the FNP baseline are written against::
 
     key = scheme.generate_keypair()
     ct  = scheme.encrypt(public_key, m)         # m in [0, plaintext_bound)
@@ -23,39 +20,11 @@ encode their payloads below it (see :mod:`repro.core.payload`).
 
 from __future__ import annotations
 
-from typing import Any, Protocol
-
-from repro.crypto import ecelgamal, paillier
-from repro.crypto.ec import Curve
-from repro.errors import DecryptionError
-
-
-class AdditiveHomomorphicScheme(Protocol):
-    """Structural interface implemented by the scheme adapters below."""
-
-    name: str
-
-    def generate_keypair(self) -> Any: ...
-
-    def public_key(self, private_key: Any) -> Any: ...
-
-    def plaintext_bound(self, public_key: Any) -> int: ...
-
-    def encrypt(self, public_key: Any, plaintext: int) -> Any: ...
-
-    def decrypt(self, private_key: Any, ciphertext: Any) -> int: ...
-
-    def add(self, a: Any, b: Any) -> Any: ...
-
-    def add_plain(self, a: Any, plaintext: int) -> Any: ...
-
-    def scalar_multiply(self, a: Any, scalar: int) -> Any: ...
-
-    def ciphertext_size_bytes(self, ciphertext: Any) -> int: ...
+from repro.crypto import paillier
 
 
 class PaillierScheme:
-    """Paillier adapter — the paper's (and our) default instantiation."""
+    """Paillier adapter — the paper's instantiation and the only one."""
 
     name = "paillier"
 
@@ -102,74 +71,3 @@ class PaillierScheme:
 
     def ciphertext_size_bytes(self, ciphertext: paillier.PaillierCiphertext) -> int:
         return (ciphertext.public_key.n_squared.bit_length() + 7) // 8
-
-
-class ECElGamalScheme:
-    """EC-ElGamal adapter.
-
-    Decryption needs a discrete-log bound, so the usable message space is
-    ``[0, dlog_bound]`` — tiny compared to Paillier.  The private-matching
-    protocol therefore only runs over it with the session-key payload
-    *disabled* and small join domains; exactly the limitation the paper's
-    choice of Paillier avoids, and what bench A4 demonstrates.
-    """
-
-    name = "ec-elgamal"
-
-    def __init__(self, curve: Curve, dlog_bound: int = 1 << 20) -> None:
-        self.curve = curve
-        self.dlog_bound = min(dlog_bound, curve.n - 1)
-
-    def generate_keypair(self) -> ecelgamal.ECElGamalPrivateKey:
-        return ecelgamal.generate_keypair(self.curve)
-
-    def public_key(
-        self, private_key: ecelgamal.ECElGamalPrivateKey
-    ) -> ecelgamal.ECElGamalPublicKey:
-        return private_key.public_key
-
-    def plaintext_bound(self, public_key: ecelgamal.ECElGamalPublicKey) -> int:
-        return self.dlog_bound + 1
-
-    def encrypt(
-        self, public_key: ecelgamal.ECElGamalPublicKey, plaintext: int
-    ) -> ecelgamal.ECElGamalCiphertext:
-        return ecelgamal.encrypt(public_key, plaintext)
-
-    def decrypt(
-        self,
-        private_key: ecelgamal.ECElGamalPrivateKey,
-        ciphertext: ecelgamal.ECElGamalCiphertext,
-    ) -> int:
-        try:
-            return ecelgamal.decrypt(private_key, ciphertext, self.dlog_bound)
-        except DecryptionError:
-            # The private-matching protocol relies on "decryption of a
-            # masked non-match yields a random value"; for EC-ElGamal a
-            # random plaintext usually exceeds the discrete-log bound.
-            # Surface it as an out-of-space sentinel the matcher rejects.
-            return self.dlog_bound + 1
-
-    def add(
-        self,
-        a: ecelgamal.ECElGamalCiphertext,
-        b: ecelgamal.ECElGamalCiphertext,
-    ) -> ecelgamal.ECElGamalCiphertext:
-        return ecelgamal.add(a, b)
-
-    def add_plain(
-        self, a: ecelgamal.ECElGamalCiphertext, plaintext: int
-    ) -> ecelgamal.ECElGamalCiphertext:
-        encrypted = ecelgamal.encrypt(a.public_key, plaintext)
-        return ecelgamal.add(a, encrypted)
-
-    def scalar_multiply(
-        self, a: ecelgamal.ECElGamalCiphertext, scalar: int
-    ) -> ecelgamal.ECElGamalCiphertext:
-        return ecelgamal.scalar_multiply(a, scalar)
-
-    def ciphertext_size_bytes(
-        self, ciphertext: ecelgamal.ECElGamalCiphertext
-    ) -> int:
-        coordinate = (self.curve.p.bit_length() + 7) // 8
-        return 4 * coordinate  # two affine points

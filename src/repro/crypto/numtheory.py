@@ -1,21 +1,20 @@
 """Number-theoretic building blocks.
 
 Everything in this module is deterministic given its inputs, with the
-exception of :func:`generate_prime` / :func:`generate_safe_prime`, which
-draw candidates from the system CSPRNG.  These functions underpin every
-cryptosystem in :mod:`repro.crypto`:
+exception of :func:`generate_prime` / :func:`generate_safe_prime` (which
+draw candidates from the system CSPRNG), Miller-Rabin's random bases and
+:func:`random_coprime`.  These functions underpin every cryptosystem in
+:mod:`repro.crypto`:
 
 * Miller-Rabin probabilistic primality testing,
 * prime and *safe prime* generation (p = 2q + 1 with q prime),
-* modular inverses, CRT recombination, Jacobi symbols,
-* Tonelli-Shanks square roots modulo a prime.
+* modular inverses, Jacobi symbols, factoring from a multiple of
+  lambda(n).
 
-The arithmetic itself (modular exponentiation, inversion, Jacobi
-symbols, primality) routes through the installed bigint backend
-(:mod:`repro.crypto.backend`), so every caller of :func:`powmod`,
-:func:`modinv`, :func:`jacobi`, or :func:`is_probable_prime` gains
-native-speed GMP arithmetic when the ``gmpy2`` backend is active —
-without changing results: backends are proven bit-identical.
+Modular exponentiation goes through :func:`powmod`, which dispatches to
+the installed :class:`~repro.crypto.backend.PythonBackend` at call time
+(see :mod:`repro.crypto.backend`); the inverse, the Jacobi symbol and
+Miller-Rabin are computed here directly.
 """
 
 from __future__ import annotations
@@ -26,7 +25,8 @@ import secrets
 from repro.crypto import backend as _backend
 from repro.errors import ParameterError
 
-# Small primes used for cheap trial division before Miller-Rabin.
+# Small primes used for cheap trial division before Miller-Rabin, and as
+# the deterministic bases of :func:`factor_from_lambda_multiple`.
 _SMALL_PRIMES: tuple[int, ...] = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
     67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
@@ -43,9 +43,7 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
     """``base^exponent mod modulus`` via the installed bigint backend.
 
     The single hot-path entry point for the whole crypto package —
-    commutative, Paillier, RSA, and ElGamal all exponentiate through
-    here, so selecting the gmpy2 backend accelerates every protocol at
-    once.
+    commutative, Paillier and RSA all exponentiate through here.
     """
     return _backend.active_backend().powmod(base, exponent, modulus)
 
@@ -53,12 +51,34 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
 def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     """Return True if ``n`` is prime with overwhelming probability.
 
-    The Python backend uses trial division by small primes followed by
-    ``rounds`` iterations of Miller-Rabin with random bases (exact for
-    ``n`` below the largest small prime squared); the native backend
-    uses gmpy2's BPSW + Miller-Rabin test.
+    Trial division by small primes followed by ``rounds`` iterations of
+    Miller-Rabin with random bases (exact for ``n`` below the largest
+    small prime squared).
     """
-    return _backend.active_backend().is_probable_prime(n, rounds)
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < _SMALL_PRIMES[-1] ** 2:
+        return True
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for _ in range(rounds):
+        a = 2 + secrets.randbelow(n - 3)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def generate_prime(bits: int, rounds: int = DEFAULT_MR_ROUNDS) -> int:
@@ -114,24 +134,15 @@ def modinv(a: int, m: int) -> int:
 
     Raises :class:`ParameterError` when ``gcd(a, m) != 1``.
     """
-    return _backend.active_backend().invert(a, m)
+    try:
+        return pow(a, -1, m)
+    except ValueError as exc:
+        raise ParameterError(f"{a} is not invertible modulo {m}") from exc
 
 
 def lcm(a: int, b: int) -> int:
     """Least common multiple (kept explicit for readability at call sites)."""
     return math.lcm(a, b)
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Solve ``x = r1 (mod m1), x = r2 (mod m2)`` for coprime moduli.
-
-    Returns the unique solution in ``[0, m1 * m2)``.
-    """
-    g = math.gcd(m1, m2)
-    if g != 1:
-        raise ParameterError("CRT moduli must be coprime")
-    n = m1 * m2
-    return (r1 * m2 * modinv(m2, m1) + r2 * m1 * modinv(m1, m2)) % n
 
 
 def factor_from_lambda_multiple(n: int, multiple: int) -> tuple[int, int]:
@@ -172,54 +183,20 @@ def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a / n) for odd ``n > 0``; returns -1, 0, or 1."""
     if n <= 0 or n % 2 == 0:
         raise ParameterError("Jacobi symbol requires odd positive n")
-    return _backend.active_backend().jacobi(a, n)
-
-
-def is_quadratic_residue(a: int, p: int) -> bool:
-    """True when ``a`` is a nonzero quadratic residue modulo prime ``p``."""
-    a %= p
-    if a == 0:
-        return False
-    return powmod(a, (p - 1) // 2, p) == 1
-
-
-def sqrt_mod_prime(a: int, p: int) -> int:
-    """Tonelli-Shanks: a square root of ``a`` modulo prime ``p``.
-
-    Returns the root ``r`` with ``r**2 = a (mod p)``; the other root is
-    ``p - r``.  Raises :class:`ParameterError` when ``a`` is a
-    non-residue.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if p == 2:
-        return a
-    if not is_quadratic_residue(a, p):
-        raise ParameterError(f"{a} is not a quadratic residue mod {p}")
-    if p % 4 == 3:
-        return powmod(a, (p + 1) // 4, p)
-
-    # Write p - 1 = q * 2^s with q odd.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    # Find a non-residue z.
-    z = 2
-    while is_quadratic_residue(z, p):
-        z += 1
-    m, c, t, r = s, powmod(z, q, p), powmod(a, q, p), powmod(a, (q + 1) // 2, p)
-    while t != 1:
-        # Find least i in (0, m) with t^(2^i) = 1.
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = powmod(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
+    a %= n
+    result = 1
+    while a:
+        # (2/n)^shift: all factors of two leave in one shift, and only
+        # an odd count of them can flip the sign.
+        shift = (a & -a).bit_length() - 1
+        a >>= shift
+        if shift & 1 and n & 7 in (3, 5):
+            result = -result
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 def int_to_bytes(value: int, length: int | None = None) -> bytes:
@@ -238,20 +215,6 @@ def int_to_bytes(value: int, length: int | None = None) -> bytes:
 def bytes_to_int(data: bytes) -> int:
     """Inverse of :func:`int_to_bytes`."""
     return int.from_bytes(data, "big")
-
-
-def random_below(n: int) -> int:
-    """Uniform random integer in ``[0, n)`` from the system CSPRNG."""
-    if n <= 0:
-        raise ParameterError("random_below requires a positive bound")
-    return secrets.randbelow(n)
-
-
-def random_in_range(low: int, high: int) -> int:
-    """Uniform random integer in ``[low, high)``."""
-    if high <= low:
-        raise ParameterError("empty range for random_in_range")
-    return low + secrets.randbelow(high - low)
 
 
 def random_coprime(n: int) -> int:

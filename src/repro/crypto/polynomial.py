@@ -6,9 +6,9 @@ monic-up-to-sign polynomial
 
     P(x) = (a_1 - x)(a_2 - x)...(a_n - x) = sum_k c_k x^k,
 
-encrypt the coefficients c_k under an additively homomorphic scheme, and
-let the sender compute E(r * P(a') + payload) for each of its own values
-a' — without ever seeing P in the clear.  The leading coefficient c_n is
+encrypt the coefficients c_k under an additively homomorphic scheme
+(Paillier), and let the sender compute E(r * P(a') + payload) for each
+of its own values a' — without ever seeing P in the clear.  The leading coefficient c_n is
 the public constant (-1)^n (FNP's own remark), so only c_0 .. c_{n-1}
 are encrypted and shipped.  This module provides:
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.crypto import instrumentation
-from repro.crypto.homomorphic import AdditiveHomomorphicScheme
+from repro.crypto.homomorphic import PaillierScheme
 from repro.errors import ParameterError
 
 
@@ -77,7 +77,7 @@ class EncryptedPolynomial:
     learns |domactive(R_i.A_join)| from the number of coefficients.
     """
 
-    scheme: AdditiveHomomorphicScheme
+    scheme: PaillierScheme
     public_key: Any
     coefficients: tuple[Any, ...]
 
@@ -122,7 +122,7 @@ class EncryptedPolynomial:
 
 
 def encrypt_polynomial(
-    scheme: AdditiveHomomorphicScheme,
+    scheme: PaillierScheme,
     public_key: Any,
     coefficients: Sequence[int],
     engine: Any = None,

@@ -130,8 +130,8 @@ class LoadReport:
     #: Aggregated index-cache statistics when the load ran over a
     #: storage backend (None otherwise).
     storage: dict[str, Any] | None = None
-    #: Crypto self-description: bigint backend, engine mode, workers —
-    #: makes the JSON report comparable across hosts and backends.
+    #: Crypto self-description: engine mode and workers — makes the
+    #: JSON report comparable across hosts.
     crypto: dict[str, Any] | None = None
 
     # -- derived metrics ---------------------------------------------------
@@ -219,8 +219,7 @@ class LoadReport:
             )
         if self.crypto is not None:
             lines.append(
-                f"  crypto     backend={self.crypto['backend']} "
-                f"mode={self.crypto['engine_mode']} "
+                f"  crypto     mode={self.crypto['engine_mode']} "
                 f"workers={self.crypto['workers']}"
             )
         if self.storage is not None:

@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 from repro.crypto import rsa
 from repro.crypto.engine import CryptoEngine, get_engine
-from repro.crypto.homomorphic import AdditiveHomomorphicScheme, PaillierScheme
+from repro.crypto.homomorphic import PaillierScheme
 from repro.crypto.hybrid import HybridCiphertext, SessionKeyMemo, key_fingerprint
 from repro.errors import CredentialError, DecryptionError
 from repro.mediation.ca import CertificationAuthority
@@ -34,7 +34,7 @@ class Client:
     credentials: list[Credential] = field(default_factory=list)
     identity_certificates: list[IdentityCertificate] = field(default_factory=list)
     rsa_keys: dict[bytes, rsa.RSAPrivateKey] = field(default_factory=dict)
-    homomorphic_scheme: AdditiveHomomorphicScheme | None = None
+    homomorphic_scheme: PaillierScheme | None = None
     homomorphic_key: Any = None
     _session_keys: SessionKeyMemo = field(
         default_factory=SessionKeyMemo, repr=False, compare=False
@@ -156,7 +156,7 @@ def setup_client(
     properties: set[Property],
     key_count: int = 1,
     rsa_bits: int = 1024,
-    homomorphic_scheme: AdditiveHomomorphicScheme | None = None,
+    homomorphic_scheme: PaillierScheme | None = None,
 ) -> Client:
     """The preparatory phase: generate keys, acquire credentials.
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
-from repro.crypto.ecelgamal import ECElGamalCiphertext
-from repro.crypto.elgamal import ElGamalCiphertext
 from repro.crypto.hybrid import HybridCiphertext
 from repro.crypto.paillier import PaillierCiphertext
 from repro.relational.partition import IndexTable
@@ -57,10 +55,6 @@ def _estimate(body: Any, seen: set[int]) -> int:
         return body.size_bytes()
     if isinstance(body, PaillierCiphertext):
         return _int_size(body.public_key.n_squared)
-    if isinstance(body, ElGamalCiphertext):
-        return 2 * _int_size(body.public_key.group.p)
-    if isinstance(body, ECElGamalCiphertext):
-        return 4 * _int_size(body.public_key.curve.p)
     if isinstance(body, IndexTable):
         return len(body.to_bytes())
     if isinstance(body, Relation):

@@ -24,12 +24,12 @@ credentials — must survive a real wire.  This module defines:
     text     := u16 length + UTF-8
     value    := tag(1) tag-specific-body
 
-**Extensions** cover the domain types (hybrid/Paillier/ElGamal/EC
-ciphertexts, index tables, DAS relations, credentials, ...).  Public
-keys, groups, curves and hybrid key encapsulations are **interned**: the
-first occurrence in a stream is encoded in full and, once complete,
-appended to an interning table that encoder and decoder maintain in the
-same order; later occurrences encode as a 5-byte ``ref``.  A thousand
+**Extensions** cover the domain types (hybrid and Paillier ciphertexts,
+index tables, DAS relations, credentials, ...), by name.  Public keys
+and hybrid key encapsulations are **interned**: the first occurrence in
+a stream is encoded in full and, once complete, appended to an
+interning table that encoder and decoder maintain in the same order;
+later occurrences encode as a 5-byte ``ref``.  A thousand
 Paillier ciphertexts ship their modulus once, an encrypted relation its
 source's wrapped session key once, and a DAS server result each distinct
 row once, next to one packed table of row positions
@@ -147,10 +147,6 @@ def _bootstrap() -> None:
         ServerQuery,
         ServerResult,
     )
-    from repro.crypto.commutative import CommutativeGroup
-    from repro.crypto.ec import Curve, Point
-    from repro.crypto.ecelgamal import ECElGamalCiphertext, ECElGamalPublicKey
-    from repro.crypto.elgamal import ElGamalCiphertext, ElGamalPublicKey
     from repro.crypto.hybrid import Encapsulation, HybridCiphertext
     from repro.crypto.paillier import PaillierCiphertext, PaillierPublicKey
     from repro.crypto.rsa import RSAPublicKey
@@ -191,54 +187,6 @@ def _bootstrap() -> None:
         PaillierCiphertext,
         lambda c: (c.value, c.public_key),
         lambda t: PaillierCiphertext(value=t[0], public_key=t[1]),
-    )
-    _register(
-        "qr-group",
-        CommutativeGroup,
-        lambda g: (g.p,),
-        lambda t: CommutativeGroup(p=t[0]),
-        shareable=True,
-    )
-    _register(
-        "elgamal-pub",
-        ElGamalPublicKey,
-        lambda k: (k.group, k.g, k.h),
-        lambda t: ElGamalPublicKey(group=t[0], g=t[1], h=t[2]),
-        shareable=True,
-    )
-    _register(
-        "elgamal-ct",
-        ElGamalCiphertext,
-        lambda c: (c.c1, c.c2, c.public_key),
-        lambda t: ElGamalCiphertext(c1=t[0], c2=t[1], public_key=t[2]),
-    )
-    _register(
-        "curve",
-        Curve,
-        lambda c: (c.name, c.p, c.a, c.b, c.gx, c.gy, c.n),
-        lambda t: Curve(
-            name=t[0], p=t[1], a=t[2], b=t[3], gx=t[4], gy=t[5], n=t[6]
-        ),
-        shareable=True,
-    )
-    _register(
-        "ec-point",
-        Point,
-        lambda p: (p.curve, p.x, p.y),
-        lambda t: Point(t[0], t[1], t[2]),
-    )
-    _register(
-        "ecelgamal-pub",
-        ECElGamalPublicKey,
-        lambda k: (k.curve, k.h),
-        lambda t: ECElGamalPublicKey(curve=t[0], h=t[1]),
-        shareable=True,
-    )
-    _register(
-        "ecelgamal-ct",
-        ECElGamalCiphertext,
-        lambda c: (c.c1, c.c2, c.public_key),
-        lambda t: ECElGamalCiphertext(c1=t[0], c2=t[1], public_key=t[2]),
     )
     _register(
         "credential",

@@ -53,9 +53,10 @@ def paillier_scheme() -> PaillierScheme:
 class FixedNoncePaillier(PaillierScheme):
     """Textbook Paillier, ``(1 + m*n) * r^n mod n^2``, with the nonce ``r``
     a function of the plaintext: ciphertexts comparable across engine
-    modes and bigint backends.  ``paillier.encrypt`` has no pinned-nonce
-    route, so the nonce term is built here, through the backend's
-    ``powmod``, and the plaintext added to it homomorphically."""
+    modes and against the closed form.  ``paillier.encrypt`` has no
+    pinned-nonce route, so the nonce term is built here, through the
+    installed backend's ``powmod``, and the plaintext added to it
+    homomorphically."""
 
     @staticmethod
     def nonce(public_key: paillier.PaillierPublicKey, plaintext: int) -> int:

@@ -1,14 +1,9 @@
-"""Property-based tests for numtheory, run against every backend.
-
-Each property is checked under each available bigint backend
-(pure Python always; gmpy2 when installed), so a backend cannot drift
-from the reference semantics without a test noticing:
+"""Property-based tests for numtheory against stdlib oracles.
 
 * Jacobi symbol agrees with the Euler criterion on primes,
-* Tonelli-Shanks roots square back to their argument,
-* CRT pair reconstruction is exact,
 * ``modinv(a, m) * a = 1 (mod m)`` whenever ``gcd(a, m) = 1``,
-* ``powmod`` agrees with the stdlib ``pow``.
+* ``powmod`` (through the installed backend) agrees with ``pow``,
+* Miller-Rabin agrees with trial division.
 """
 
 import math
@@ -16,17 +11,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import backend as bk
 from repro.crypto import numtheory as nt
 from repro.errors import ParameterError
 
-#: Primes of both residue classes mod 4 (3-mod-4 takes the fast
-#: square-root branch; 1-mod-4 the full Tonelli-Shanks loop).
+#: Primes of both residue classes mod 4.
 ODD_PRIMES = [103, 7919, 104729, 2**127 - 1]
-
-pytestmark = pytest.mark.parametrize(
-    "backend_name", bk.available_backends()
-)
 
 
 @given(
@@ -34,40 +23,13 @@ pytestmark = pytest.mark.parametrize(
     p=st.sampled_from(ODD_PRIMES),
 )
 @settings(max_examples=80, deadline=None)
-def test_jacobi_matches_euler_criterion(backend_name, a, p):
-    with bk.use_backend(backend_name):
-        a %= p
-        if a == 0:
-            assert nt.jacobi(a, p) == 0
-            return
-        euler = pow(a, (p - 1) // 2, p)
-        assert nt.jacobi(a, p) == (1 if euler == 1 else -1)
-
-
-@given(
-    a=st.integers(min_value=1, max_value=2**128),
-    p=st.sampled_from(ODD_PRIMES),
-)
-@settings(max_examples=80, deadline=None)
-def test_sqrt_mod_prime_roots_square_back(backend_name, a, p):
-    with bk.use_backend(backend_name):
-        square = a * a % p
-        root = nt.sqrt_mod_prime(square, p)
-        assert root * root % p == square
-        # The other root is the negation; both must square back too.
-        assert (p - root) * (p - root) % p == square
-
-
-@given(
-    x=st.integers(min_value=0, max_value=2**128),
-    moduli=st.sampled_from([(7, 11), (101, 103), (7919, 104729)]),
-)
-@settings(max_examples=80, deadline=None)
-def test_crt_pair_reconstructs(backend_name, x, moduli):
-    with bk.use_backend(backend_name):
-        m1, m2 = moduli
-        x %= m1 * m2
-        assert nt.crt_pair(x % m1, m1, x % m2, m2) == x
+def test_jacobi_matches_euler_criterion(a, p):
+    a %= p
+    if a == 0:
+        assert nt.jacobi(a, p) == 0
+        return
+    euler = pow(a, (p - 1) // 2, p)
+    assert nt.jacobi(a, p) == (1 if euler == 1 else -1)
 
 
 @given(
@@ -75,13 +37,12 @@ def test_crt_pair_reconstructs(backend_name, x, moduli):
     m=st.sampled_from([9, 35, 101, 104729, 2**127 - 1, 3 * (2**89 - 1)]),
 )
 @settings(max_examples=100, deadline=None)
-def test_modinv_times_a_is_one(backend_name, a, m):
-    with bk.use_backend(backend_name):
-        if math.gcd(a, m) != 1:
-            with pytest.raises(ParameterError):
-                nt.modinv(a, m)
-            return
-        assert nt.modinv(a, m) * a % m == 1
+def test_modinv_times_a_is_one(a, m):
+    if math.gcd(a, m) != 1:
+        with pytest.raises(ParameterError):
+            nt.modinv(a, m)
+        return
+    assert nt.modinv(a, m) * a % m == 1
 
 
 @given(
@@ -90,16 +51,14 @@ def test_modinv_times_a_is_one(backend_name, a, m):
     modulus=st.sampled_from([2, 97, 104729, 2**127 - 1, 2**255 - 19]),
 )
 @settings(max_examples=100, deadline=None)
-def test_powmod_matches_stdlib_pow(backend_name, base, exponent, modulus):
-    with bk.use_backend(backend_name):
-        result = nt.powmod(base, exponent, modulus)
-        assert result == pow(base, exponent, modulus)
-        assert type(result) is int
+def test_powmod_matches_stdlib_pow(base, exponent, modulus):
+    result = nt.powmod(base, exponent, modulus)
+    assert result == pow(base, exponent, modulus)
+    assert type(result) is int
 
 
 @given(n=st.integers(min_value=0, max_value=100_000))
 @settings(max_examples=60, deadline=None)
-def test_primality_matches_trial_division(backend_name, n):
-    with bk.use_backend(backend_name):
-        by_trial = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-        assert nt.is_probable_prime(n) == by_trial
+def test_primality_matches_trial_division(n):
+    by_trial = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    assert nt.is_probable_prime(n) == by_trial

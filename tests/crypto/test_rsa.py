@@ -153,8 +153,8 @@ class TestPSSEncodingBounds:
 class TestIndependentOracles:
     """The CRT private-key operation against the textbook exponentiation,
     and both paddings against ``cryptography`` — which is no dependency
-    of this project: the cross-checks run where it is installed (here
-    and in CI's native-crypto job) and skip elsewhere."""
+    of this project: the cross-checks run where it is installed (CI's
+    tier-1 job installs it) and skip elsewhere."""
 
     @given(st.integers(min_value=0))
     @settings(max_examples=25, deadline=None)

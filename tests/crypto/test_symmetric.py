@@ -267,7 +267,7 @@ class TestKernelAgainstOracle:
     def test_against_the_cryptography_package(self):
         """A third, independent implementation (OpenSSL's).  The package
         is no dependency of this project: the check runs where it happens
-        to be installed (CI's native-crypto job installs it) and skips
+        to be installed (CI's tier-1 job installs it) and skips
         elsewhere."""
         pytest.importorskip("cryptography")
         from cryptography.hazmat.primitives.ciphers import Cipher, algorithms

@@ -11,7 +11,7 @@ import asyncio
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.crypto.hybrid import Encapsulation, HybridCiphertext
 from repro.errors import CodecError, FrameCodecError, ValueCodecError
@@ -101,9 +101,10 @@ class TestCorruption:
         assert all(isinstance(part, str) for part in (sender, receiver, kind))
 
     @given(data=st.binary(min_size=1, max_size=64))
+    @example(data=b"elgamal-ct")  # a retired extension name
     def test_unknown_extension_names_are_rejected_not_imported(self, data):
         payload = bytes([0x0C, min(len(data), 255)]) + data
-        with pytest.raises(CodecError):
+        with pytest.raises(ValueCodecError):
             codec.decode_value(payload)
 
 
