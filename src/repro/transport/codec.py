@@ -46,6 +46,8 @@ from __future__ import annotations
 import asyncio
 import struct
 import zlib
+from itertools import chain
+from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
 from repro.errors import CodecError, FrameCodecError, ValueCodecError
@@ -100,6 +102,14 @@ _T_REF = 0x0D
 
 _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
+#: A tag and the u32 after it (a length, a count or an interning index).
+_HEAD = struct.Struct(">BI").pack
+_U32_AT = _U32.unpack_from
+
+_CONTAINER_TAGS = {
+    list: _T_LIST, tuple: _T_TUPLE, dict: _T_DICT,
+    set: _T_SET, frozenset: _T_FROZENSET,
+}
 
 
 class _Extension(NamedTuple):
@@ -110,9 +120,13 @@ class _Extension(NamedTuple):
     pack: Callable[[Any], Any]
     unpack: Callable[[Any], Any]
     shareable: bool = False
+    #: ``EXT``, the name's length and the ASCII name: what every full
+    #: occurrence of the type starts with on the wire.
+    header: bytes = b""
 
 
-_BY_NAME: dict[str, _Extension] = {}
+#: Keyed by the raw ASCII name, as the decoder reads it off the wire.
+_BY_NAME: dict[bytes, _Extension] = {}
 _BY_CLS: dict[type, _Extension] = {}
 _BOOTSTRAPPED = False
 
@@ -124,8 +138,11 @@ def _register(
     unpack: Callable[[Any], Any],
     shareable: bool = False,
 ) -> None:
-    extension = _Extension(name, cls, pack, unpack, shareable)
-    _BY_NAME[name] = extension
+    raw = name.encode("ascii")
+    extension = _Extension(
+        name, cls, pack, unpack, shareable, bytes((_T_EXT, len(raw))) + raw
+    )
+    _BY_NAME[raw] = extension
     _BY_CLS[cls] = extension
 
 
@@ -155,82 +172,78 @@ def _bootstrap() -> None:
     from repro.relational.partition import IndexTable, Partition
     from repro.relational.relation import Relation
 
+    # A type's packed value is the tuple of its constructor's positional
+    # arguments (``attrgetter`` builds it in C), except where noted.
     _register(
         "hybrid-kem",
         Encapsulation,
         lambda e: (dict(e),),
-        lambda t: Encapsulation(t[0]),
+        lambda t: Encapsulation(*t),
         shareable=True,
     )
     _register(
         "hybrid-ct",
         HybridCiphertext,
-        lambda c: (c.wrapped_keys, c.body),
-        lambda t: HybridCiphertext(wrapped_keys=t[0], body=t[1]),
+        attrgetter("wrapped_keys", "body"),
+        lambda t: HybridCiphertext(*t),
     )
     _register(
         "rsa-pub",
         RSAPublicKey,
-        lambda k: (k.n, k.e),
-        lambda t: RSAPublicKey(n=t[0], e=t[1]),
+        attrgetter("n", "e"),
+        lambda t: RSAPublicKey(*t),
         shareable=True,
     )
     _register(
         "paillier-pub",
         PaillierPublicKey,
         lambda k: (k.n,),
-        lambda t: PaillierPublicKey(n=t[0]),
+        lambda t: PaillierPublicKey(*t),
         shareable=True,
     )
     _register(
         "paillier-ct",
         PaillierCiphertext,
-        lambda c: (c.value, c.public_key),
-        lambda t: PaillierCiphertext(value=t[0], public_key=t[1]),
+        attrgetter("value", "public_key"),
+        lambda t: PaillierCiphertext(*t),
     )
     _register(
         "credential",
         Credential,
-        lambda c: (c.properties, c.public_key, c.issuer, c.signature),
-        lambda t: Credential(
-            properties=t[0], public_key=t[1], issuer=t[2], signature=t[3]
-        ),
+        attrgetter("properties", "public_key", "issuer", "signature"),
+        lambda t: Credential(*t),
     )
     _register(
         "partition",
         Partition,
-        lambda p: (p.values, p.bounds),
-        lambda t: Partition(values=t[0], bounds=t[1]),
+        attrgetter("values", "bounds"),
+        lambda t: Partition(*t),
     )
     _register(
         "index-table",
         IndexTable,
-        lambda i: (i.attribute, i.entries, i.salt),
-        lambda t: IndexTable(attribute=t[0], entries=t[1], salt=t[2]),
+        attrgetter("attribute", "entries", "salt"),
+        lambda t: IndexTable(*t),
     )
     _register(
         "das-tuple",
         EncryptedTuple,
-        lambda e: (e.etuple, e.index_value, e.plain_values),
-        lambda t: EncryptedTuple(
-            etuple=t[0], index_value=t[1], plain_values=t[2]
-        ),
+        attrgetter("etuple", "index_value", "plain_values"),
+        lambda t: EncryptedTuple(*t),
     )
     _register(
         "das-relation",
         EncryptedRelation,
-        lambda r: (r.source, r.relation_name, r.rows),
-        lambda t: EncryptedRelation(
-            source=t[0], relation_name=t[1], rows=t[2]
-        ),
+        attrgetter("source", "relation_name", "rows"),
+        lambda t: EncryptedRelation(*t),
     )
     _register(
         "das-server-query",
         ServerQuery,
         lambda q: (q.pairs,),
-        lambda t: ServerQuery(pairs=t[0]),
+        lambda t: ServerQuery(*t),
     )
-    _register(
+    _register(  # distinct rows once, then a packed position table
         "das-server-result",
         ServerResult,
         ServerResult.row_tables,
@@ -239,107 +252,10 @@ def _bootstrap() -> None:
     _register(
         "tagged-message",
         TaggedMessage,
-        lambda m: (m.tag, m.payload),
-        lambda t: TaggedMessage(tag=t[0], payload=t[1]),
+        attrgetter("tag", "payload"),
+        lambda t: TaggedMessage(*t),
     )
-    _register(
-        "relation",
-        Relation,
-        lambda r: encode_relation(r),
-        lambda data: decode_relation(data),
-    )
-
-
-class _Encoder:
-    """One encoding pass; owns the stream's interning table."""
-
-    def __init__(self) -> None:
-        self._chunks: list[bytes] = []
-        self._interned: dict[int, int] = {}  # id(obj) -> table index
-        self._keepalive: list[Any] = []      # ids stay valid while we run
-
-    def encode(self, value: Any) -> bytes:
-        self._value(value)
-        return b"".join(self._chunks)
-
-    # -- emit helpers -----------------------------------------------------
-
-    def _tag(self, tag: int) -> None:
-        self._chunks.append(bytes((tag,)))
-
-    def _u32(self, value: int) -> None:
-        self._chunks.append(_U32.pack(value))
-
-    def _sized(self, tag: int, data: bytes) -> None:
-        self._tag(tag)
-        self._u32(len(data))
-        self._chunks.append(data)
-
-    def _items(self, tag: int, items: Any, count: int) -> None:
-        self._tag(tag)
-        self._u32(count)
-        for item in items:
-            self._value(item)
-
-    # -- dispatch ---------------------------------------------------------
-
-    def _value(self, value: Any) -> None:
-        if value is None:
-            self._tag(_T_NONE)
-        elif value is True:
-            self._tag(_T_TRUE)
-        elif value is False:
-            self._tag(_T_FALSE)
-        elif type(value) is int:
-            length = (value.bit_length() + 8) // 8  # room for the sign bit
-            self._sized(_T_INT, value.to_bytes(max(1, length), "big", signed=True))
-        elif type(value) is float:
-            self._tag(_T_FLOAT)
-            self._chunks.append(_F64.pack(value))
-        elif isinstance(value, (bytes, bytearray)):
-            self._sized(_T_BYTES, bytes(value))
-        elif type(value) is str:
-            self._sized(_T_STR, value.encode("utf-8"))
-        elif type(value) is list:
-            self._items(_T_LIST, value, len(value))
-        elif type(value) is tuple:
-            self._items(_T_TUPLE, value, len(value))
-        elif type(value) is dict:
-            self._tag(_T_DICT)
-            self._u32(len(value))
-            for key, item in value.items():
-                self._value(key)
-                self._value(item)
-        elif type(value) is set:
-            self._items(_T_SET, _canonical(value), len(value))
-        elif type(value) is frozenset:
-            self._items(_T_FROZENSET, _canonical(value), len(value))
-        else:
-            self._extension(value)
-
-    def _extension(self, value: Any) -> None:
-        _bootstrap()
-        extension = _BY_CLS.get(type(value))
-        if extension is None:
-            raise ValueCodecError(
-                f"no wire encoding registered for {type(value).__name__}"
-            )
-        if extension.shareable:
-            index = self._interned.get(id(value))
-            if index is not None:
-                self._tag(_T_REF)
-                self._u32(index)
-                return
-        name = extension.name.encode("ascii")
-        self._tag(_T_EXT)
-        self._chunks.append(bytes((len(name),)))
-        self._chunks.append(name)
-        self._value(extension.pack(value))
-        if extension.shareable:
-            # Numbered once complete, after any shareables nested inside
-            # it — the order in which the decoder can rebuild them.
-            self._interned[id(value)] = len(self._interned)
-            self._keepalive.append(value)
+    _register("relation", Relation, encode_relation, decode_relation)  # bytes
 
 
 def _canonical(items: Any) -> list:
@@ -347,157 +263,218 @@ def _canonical(items: Any) -> list:
     return sorted(items, key=lambda item: (type(item).__name__, repr(item)))
 
 
-class _Decoder:
-    """One decoding pass over a complete buffer.
+def _too_deep() -> ValueCodecError:
+    return ValueCodecError(f"value tree deeper than {MAX_VALUE_DEPTH} levels")
 
-    Hardened against adversarial input: every structural implausibility
-    (truncation, impossible container counts, over-deep nesting, a
-    domain constructor choking on a malformed payload) raises
-    :class:`~repro.errors.ValueCodecError` — never a hang, an
-    ``assert``, or a raw :class:`RecursionError`.
-    """
 
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._offset = 0
-        self._depth = 0
-        self._interned: list[Any] = []
+# -- the encoding kernel -------------------------------------------------------
+#
+# One recursive call per container or extension; ints, bytes, strings,
+# the singletons and interning references are written inline in the
+# loop of the container that holds them.  ``depth`` counts as the
+# decoder does (the root is level 1, an extension's packed value one
+# level below it), so the encoder refuses exactly the trees its decoder
+# would.
 
-    def decode(self) -> Any:
-        value = self._value()
-        if self._offset != len(self._data):
+
+def _write(
+    values: Any, out: bytearray, interned: dict[int, int], keep: list, depth: int
+) -> None:
+    """Append the encodings of ``values``, each ``depth`` levels deep."""
+    for value in values:
+        kind = type(value)
+        if kind is int:
+            raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
+            out += _HEAD(_T_INT, len(raw))
+            out += raw
+        elif kind is bytes:
+            out += _HEAD(_T_BYTES, len(value))
+            out += value
+        elif kind is str:
+            raw = value.encode("utf-8")
+            out += _HEAD(_T_STR, len(raw))
+            out += raw
+        elif kind in _CONTAINER_TAGS:
+            tag = _CONTAINER_TAGS[kind]
+            out += _HEAD(tag, len(value))
+            if value:
+                if depth >= MAX_VALUE_DEPTH:
+                    raise _too_deep()
+                if tag == _T_DICT:
+                    value = chain.from_iterable(value.items())
+                elif tag >= _T_SET:  # a set or a frozenset
+                    value = _canonical(value)
+                _write(value, out, interned, keep, depth + 1)
+        elif value is None:
+            out.append(_T_NONE)
+        elif value is True:
+            out.append(_T_TRUE)
+        elif value is False:
+            out.append(_T_FALSE)
+        elif kind is float:
+            out.append(_T_FLOAT)
+            out += _F64.pack(value)
+        elif kind in _BY_CLS:
+            extension = _BY_CLS[kind]
+            if extension.shareable:
+                index = interned.get(id(value))
+                if index is not None:
+                    out += _HEAD(_T_REF, index)
+                    continue
+            if depth >= MAX_VALUE_DEPTH:
+                raise _too_deep()
+            out += extension.header
+            packed = extension.pack(value)
+            if type(packed) is tuple:  # written here: one call less
+                out += _HEAD(_T_TUPLE, len(packed))
+                if packed and depth + 1 >= MAX_VALUE_DEPTH:
+                    raise _too_deep()
+                _write(packed, out, interned, keep, depth + 2)
+            else:
+                _write((packed,), out, interned, keep, depth + 1)
+            if extension.shareable:
+                # Numbered once complete, after any shareables nested
+                # inside it — the order in which the decoder rebuilds them.
+                interned[id(value)] = len(interned)
+                keep.append(value)  # its id stays unique while we run
+        elif isinstance(value, (bytes, bytearray)):
+            out += _HEAD(_T_BYTES, len(value))
+            out += value
+        else:
             raise ValueCodecError(
-                f"{len(self._data) - self._offset} trailing bytes after value"
+                f"no wire encoding registered for {kind.__name__}"
             )
-        return value
 
-    # -- read helpers -----------------------------------------------------
 
-    def _take(self, count: int) -> bytes:
-        end = self._offset + count
-        if end > len(self._data):
-            raise ValueCodecError("truncated value encoding")
-        chunk = self._data[self._offset:end]
-        self._offset = end
-        return chunk
+# -- the decoding kernel -------------------------------------------------------
+#
+# The mirror image: one walk of offsets over one ``bytes`` object, one
+# recursive call per container or extension.  A read past the end
+# surfaces as IndexError / struct.error, which :func:`decode_value` turns
+# into "truncated"; every other rejection is raised where it is found.
 
-    def _u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
 
-    def _count(self, per_item_bytes: int = 1) -> int:
-        """A container count, sanity-checked against the bytes left.
-
-        Every encoded element costs at least one tag byte, so a count
-        exceeding the remaining buffer is a corrupt or adversarial
-        length — reject it before allocating anything.
-        """
-        count = self._u32()
-        remaining = len(self._data) - self._offset
-        if count * per_item_bytes > remaining:
-            raise ValueCodecError(
-                f"container claims {count} elements but only {remaining} "
-                f"bytes remain"
-            )
-        return count
-
-    # -- dispatch ---------------------------------------------------------
-
-    def _value(self) -> Any:
-        self._depth += 1
-        if self._depth > MAX_VALUE_DEPTH:
-            raise ValueCodecError(
-                f"value tree deeper than {MAX_VALUE_DEPTH} levels"
-            )
-        try:
-            return self._dispatch()
-        finally:
-            self._depth -= 1
-
-    def _dispatch(self) -> Any:
-        tag = self._take(1)[0]
-        if tag == _T_NONE:
-            return None
-        if tag == _T_TRUE:
-            return True
-        if tag == _T_FALSE:
-            return False
-        if tag == _T_INT:
-            return int.from_bytes(self._take(self._u32()), "big", signed=True)
-        if tag == _T_FLOAT:
-            return _F64.unpack(self._take(8))[0]
-        if tag == _T_BYTES:
-            return self._take(self._u32())
-        if tag == _T_STR:
-            try:
-                return self._take(self._u32()).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueCodecError(f"malformed UTF-8 string: {exc}") from exc
-        if tag == _T_LIST:
-            return [self._value() for _ in range(self._count())]
-        if tag == _T_TUPLE:
-            return tuple(self._value() for _ in range(self._count()))
-        if tag == _T_DICT:
-            count = self._count(per_item_bytes=2)
-            result = {}
-            try:
-                for _ in range(count):
-                    key = self._value()
-                    result[key] = self._value()
-            except TypeError as exc:  # unhashable decoded key
-                raise ValueCodecError(f"unhashable dict key: {exc}") from exc
-            return result
-        if tag == _T_SET:
-            try:
-                return {self._value() for _ in range(self._count())}
-            except TypeError as exc:
-                raise ValueCodecError(f"unhashable set element: {exc}") from exc
-        if tag == _T_FROZENSET:
-            try:
-                return frozenset(
-                    self._value() for _ in range(self._count())
-                )
-            except TypeError as exc:
-                raise ValueCodecError(f"unhashable set element: {exc}") from exc
-        if tag == _T_EXT:
-            return self._ext()
-        if tag == _T_REF:
-            index = self._u32()
-            if index >= len(self._interned):
+def _read(
+    data: bytes, pos: int, count: int, depth: int, interned: list
+) -> tuple[list, int]:
+    """Decode ``count`` consecutive values, each ``depth`` levels deep,
+    from ``data[pos:]``; returns them and the offset after the last."""
+    values: list = []
+    append = values.append
+    end = len(data)
+    for _ in range(count):
+        tag = data[pos]
+        if tag == _T_INT or tag == _T_BYTES or tag == _T_STR:
+            start = pos + 5
+            pos = start + _U32_AT(data, pos + 1)[0]
+            if pos > end:
+                raise ValueCodecError("truncated value encoding")
+            if tag == _T_INT:
+                append(int.from_bytes(data[start:pos], "big", signed=True))
+            elif tag == _T_BYTES:
+                append(data[start:pos])
+            else:
+                try:
+                    append(data[start:pos].decode("utf-8"))
+                except UnicodeDecodeError as exc:
+                    raise ValueCodecError(f"malformed UTF-8 string: {exc}") from exc
+        elif tag == _T_REF:
+            index = _U32_AT(data, pos + 1)[0]
+            pos += 5
+            if index >= len(interned):
                 raise ValueCodecError(f"dangling interning reference {index}")
-            return self._interned[index]
-        raise ValueCodecError(f"unknown value tag 0x{tag:02x}")
+            append(interned[index])
+        elif tag == _T_EXT:
+            start = pos + 2
+            pos = start + data[pos + 1]
+            extension = _BY_NAME.get(data[start:pos])
+            if extension is None:
+                raise ValueCodecError(
+                    f"unknown wire extension {data[start:pos]!r}"
+                )
+            if depth >= MAX_VALUE_DEPTH:
+                raise _too_deep()
+            if data[pos] == _T_TUPLE:  # read here: one call less
+                size = _U32_AT(data, pos + 1)[0]
+                pos += 5
+                if size > end - pos:
+                    raise _implausible(size, end - pos)
+                if size and depth + 1 >= MAX_VALUE_DEPTH:
+                    raise _too_deep()
+                items, pos = _read(data, pos, size, depth + 2, interned)
+                packed: Any = tuple(items)
+            else:
+                items, pos = _read(data, pos, 1, depth + 1, interned)
+                packed = items[0]
+            try:
+                value = extension.unpack(packed)
+            except CodecError:
+                raise
+            except Exception as exc:
+                # A domain constructor rejecting a malformed payload is a
+                # codec failure at this boundary, not a caller bug.
+                raise ValueCodecError(
+                    f"malformed {extension.name!r} extension payload: {exc}"
+                ) from exc
+            if extension.shareable:
+                interned.append(value)
+            append(value)
+        elif _T_LIST <= tag <= _T_FROZENSET:
+            size = _U32_AT(data, pos + 1)[0]
+            pos += 5
+            # Every element costs at least one tag byte (a dict entry
+            # two): a larger count is a lie, refused before allocating.
+            width = 2 * size if tag == _T_DICT else size
+            if width > end - pos:
+                raise _implausible(size, end - pos)
+            if size and depth >= MAX_VALUE_DEPTH:
+                raise _too_deep()
+            items, pos = _read(data, pos, width, depth + 1, interned)
+            if tag == _T_LIST:
+                append(items)
+            elif tag == _T_TUPLE:
+                append(tuple(items))
+            else:
+                try:
+                    if tag == _T_DICT:
+                        pairs = iter(items)
+                        append(dict(zip(pairs, pairs)))
+                    else:
+                        append((set if tag == _T_SET else frozenset)(items))
+                except TypeError as exc:
+                    raise ValueCodecError(
+                        f"unhashable dict key or set element: {exc}"
+                    ) from exc
+        elif tag <= _T_TRUE:
+            pos += 1
+            append(None if tag == _T_NONE else tag == _T_TRUE)
+        elif tag == _T_FLOAT:
+            append(_F64.unpack_from(data, pos + 1)[0])
+            pos += 9
+        else:
+            raise ValueCodecError(f"unknown value tag 0x{tag:02x}")
+    return values, pos
 
-    def _ext(self) -> Any:
-        _bootstrap()
-        name_length = self._take(1)[0]
-        try:
-            name = self._take(name_length).decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise ValueCodecError(f"malformed extension name: {exc}") from exc
-        extension = _BY_NAME.get(name)
-        if extension is None:
-            raise ValueCodecError(f"unknown wire extension {name!r}")
-        packed = self._value()
-        try:
-            value = extension.unpack(packed)
-        except CodecError:
-            raise
-        except Exception as exc:
-            # A domain constructor rejecting a malformed payload is a
-            # codec failure at this boundary, not a caller bug.
-            raise ValueCodecError(
-                f"malformed {name!r} extension payload: {exc}"
-            ) from exc
-        if extension.shareable:
-            self._interned.append(value)
-        return value
+
+def _implausible(count: int, remaining: int) -> ValueCodecError:
+    return ValueCodecError(
+        f"container claims {count} elements but only {remaining} bytes remain"
+    )
 
 
 # -- public value/envelope API -----------------------------------------------
 
 def encode_value(value: Any) -> bytes:
-    """Encode one payload tree to bytes."""
-    return _Encoder().encode(value)
+    """Encode one payload tree to bytes.
+
+    A tree nested deeper than :data:`MAX_VALUE_DEPTH` levels — which
+    :func:`decode_value` would refuse — is refused here, with a
+    :class:`~repro.errors.ValueCodecError`, before anything is sent.
+    """
+    _bootstrap()
+    out = bytearray()
+    _write((value,), out, {}, [], 1)
+    return bytes(out)
 
 
 def decode_value(data: bytes) -> Any:
@@ -507,12 +484,18 @@ def decode_value(data: bytes) -> Any:
     surprises escaping domain-type constructors — surfaces as a
     :class:`~repro.errors.CodecError` subclass.
     """
+    _bootstrap()
     try:
-        return _Decoder(data).decode()
+        values, offset = _read(data, 0, 1, 1, [])
     except CodecError:
         raise
+    except (IndexError, struct.error) as exc:
+        raise ValueCodecError("truncated value encoding") from exc
     except Exception as exc:
         raise ValueCodecError(f"undecodable value stream: {exc}") from exc
+    if offset != len(data):
+        raise ValueCodecError(f"{len(data) - offset} trailing bytes after value")
+    return values[0]
 
 
 def encoded_size(value: Any) -> int:

@@ -48,10 +48,13 @@ Concurrency (see ``docs/transport.md``):
   the budget is exhausted.  Sessions are closed at the endpoints on
   :meth:`TcpTransport.close`.
 
-The message body a receiver-side protocol step consumes is the
-**decoded** round-trip of the encoded frame, never the sender's live
-object — a serialization gap cannot hide behind in-process object
-sharing.
+The body the **transcript** records is the decoded round trip of the
+encoded frame, not the sender's live object, so a body the codec cannot
+carry fails the send.  The protocol steps themselves still continue
+with their own objects: the drivers in :mod:`repro.core` run every
+party in one process, and only the DAS source setting reads a body back
+from the transcript.  Receivers that consume the decoded body are
+party-resident execution (ROADMAP item 1).
 """
 
 from __future__ import annotations

@@ -22,9 +22,13 @@ from repro.relational.relation import Relation
 from repro.relational.schema import schema
 from repro.transport import codec
 
+from tests.transport import reference_codec as reference
+
 
 def roundtrip(value):
-    decoded = codec.decode_value(codec.encode_value(value))
+    encoded = codec.encode_value(value)
+    assert encoded == reference.encode_value(value)  # the same v2 bytes
+    decoded = codec.decode_value(encoded)
     assert decoded == value
     return decoded
 
@@ -298,7 +302,7 @@ def nested_extensions():
         codec._register(*extension)
     yield
     for name, cls, *_ in _NESTED_EXTENSIONS:
-        del codec._BY_NAME[name], codec._BY_CLS[cls]
+        del codec._BY_NAME[name.encode("ascii")], codec._BY_CLS[cls]
 
 
 def shareables_in(value):

@@ -7,7 +7,7 @@ import zlib
 
 import pytest
 
-from repro.errors import CodecError, NetworkError
+from repro.errors import CodecError, NetworkError, ValueCodecError
 from repro.transport import RetryPolicy, TcpTransport, codec
 from repro.transport.server import ENDPOINT_SESSIONS_METRIC
 
@@ -93,6 +93,19 @@ class TestDelivery:
         message = transport.send("a", "b", "kind", body)
         assert message.body == body
         assert message.body is not body  # went through the codec
+
+    def test_body_too_deep_to_decode_is_refused_before_delivery(self, transport):
+        """A body the receiver could never decode is refused by the
+        encoder: no frame is delivered or acknowledged."""
+        transport.register("a")
+        transport.register("b")
+        body: list = []
+        for _ in range(codec.MAX_VALUE_DEPTH):  # 65 levels
+            body = [body]
+        with pytest.raises(ValueCodecError, match="deeper than"):
+            transport.send("a", "b", "kind", body)
+        assert transport.remote_view("b") == []
+        assert transport.transcript == ()
 
     def test_unknown_parties_rejected_without_io(self, transport):
         transport.register("a")
