@@ -8,7 +8,7 @@ The final test turns the table into a *measured envelope*: it runs the
 differential audit (adjacent workloads, per-adversary observable
 distances — :mod:`repro.analysis.audit`) and writes the deterministic
 ``repro-leakage/1`` artifact gated in CI by
-``scripts/check_leakage_regression.py`` against the committed
+``scripts/check_regression.py`` against the committed
 ``benchmarks/baselines/BENCH_leakage_audit.json``.
 """
 
@@ -166,12 +166,12 @@ def test_differential_leakage_audit(benchmark, ca, client):
     )
 
     # Canary: the same audit through the size-leaking transport must
-    # breach the gate the honest document declares (shared machinery of
-    # scripts/check_leakage_regression.py).
+    # breach the gate the honest document declares (the comparison of
+    # scripts/check_regression.py).
     sys.path.insert(
         0, str(pathlib.Path(__file__).resolve().parent.parent / "scripts")
     )
-    from check_leakage_regression import compare as leakage_compare
+    from check_regression import compare as leakage_compare
 
     canary_doc = differential_audit(
         AuditConfig(spec=CANONICAL_AUDIT_SPEC, canary=True),

@@ -81,7 +81,7 @@ def smoke_mode() -> bool:
     """CI smoke mode: trimmed runs, relaxed local assertions.
 
     The CI perf gate sets ``REPRO_BENCH_SMOKE=1`` and relies on the
-    committed-baseline comparison (``scripts/check_perf_regression.py``)
+    committed-baseline comparison (``scripts/check_regression.py``)
     rather than this process's hard thresholds.
     """
     return bool(os.environ.get("REPRO_BENCH_SMOKE"))

@@ -14,7 +14,7 @@ literature ("Information Flows in Encrypted Databases", arXiv
    distance metrics (:func:`trace_distances`), and
 4. emits a deterministic ``repro-leakage/1`` JSON document whose
    ``gate`` section makes today's distances a CI-enforceable envelope
-   (``scripts/check_leakage_regression.py``).
+   (``scripts/check_regression.py``).
 
 Determinism: workloads are seeded and all size observations are
 power-of-two buckets, so the document is byte-identical across runs of

@@ -61,7 +61,7 @@ DELIVERY_FLOWS: dict[str, list[tuple[str, str, str]]] = {
 }
 
 #: Kinds that only appear in certain configurations and may interleave.
-OPTIONAL_KINDS = {"pm_side_table", "pm_side_tables"}
+OPTIONAL_KINDS = {"pm_side_table", "pm_side_tables", "commutative_dummies"}
 
 
 @dataclass

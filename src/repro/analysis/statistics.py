@@ -31,6 +31,7 @@ CIPHERTEXT_KINDS = {
     "das_encrypted_index_tables",
     "das_server_result",
     "commutative_m_set",
+    "commutative_dummies",
     "commutative_exchange",
     "commutative_double",
     "commutative_result",

@@ -12,8 +12,6 @@ Commands:
   in-process or over TCP against running ``serve`` endpoints.
 * ``serve``    — run one party's TCP endpoint (mediator, source, or
   client) for the distributed demo.
-* ``loadgen``  — drive N concurrent client sessions against one serve
-  trio (in-process by default) and report throughput and tail latency.
 * ``telemetry`` — fetch a running endpoint's spans and metrics.
 * ``workload`` — generate a synthetic workload as two CSV files.
 
@@ -527,38 +525,6 @@ def _command_serve(args) -> int:
     return 0
 
 
-def _command_loadgen(args) -> int:
-    from repro.loadgen import LoadgenConfig, run_load
-
-    config = LoadgenConfig(
-        sessions=args.sessions,
-        queries_per_session=args.queries,
-        concurrency=args.concurrency,
-        protocol=args.protocol,
-        max_sessions=args.max_sessions,
-        domain=args.domain,
-        overlap=args.overlap,
-        rows_per_value=args.rows_per_value,
-        seed=args.seed,
-        rsa_bits=args.rsa_bits,
-        paillier_bits=args.paillier_bits,
-        storage_spec=args.storage,
-    )
-    endpoints = _parse_endpoints(args.endpoint) if args.remote else None
-    report = run_load(config, endpoints=endpoints)
-    print(report.render())
-    if args.json_out:
-        import json
-
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"report written to {args.json_out}", file=sys.stderr)
-    if report.failed or not report.consistent:
-        return 2
-    return 0
-
-
 def _command_telemetry(args) -> int:
     """Print a running endpoint's telemetry (TELEMETRY/TELEMETRY_DATA)."""
     snapshot = fetch_telemetry(args.host, args.port, timeout=args.timeout)
@@ -764,50 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_storage_arguments(serve)
     serve.set_defaults(handler=_command_serve)
-
-    loadgen = commands.add_parser(
-        "loadgen",
-        help="drive N concurrent client sessions against one serve trio",
-    )
-    loadgen.add_argument(
-        "--sessions", type=int, default=8,
-        help="number of concurrent client sessions (default: 8)",
-    )
-    loadgen.add_argument(
-        "--queries", type=int, default=1,
-        help="queries each session runs back to back (default: 1)",
-    )
-    loadgen.add_argument(
-        "--concurrency", type=int, default=None,
-        help="worker threads (default: one per session; 1 = sequential "
-             "baseline)",
-    )
-    loadgen.add_argument(
-        "--protocol", choices=sorted(PROTOCOLS), default="commutative"
-    )
-    loadgen.add_argument(
-        "--max-sessions", type=int, default=64,
-        help="session capacity of the in-process trio (BUSY above it)",
-    )
-    loadgen.add_argument(
-        "--remote", action="store_true",
-        help="drive running `repro serve` endpoints instead of hosting "
-             "the trio in-process",
-    )
-    loadgen.add_argument(
-        "--endpoint", action="append", default=[], metavar="PARTY=HOST:PORT",
-        help="with --remote: TCP endpoint of a party (repeatable; "
-             "defaults to the well-known demo ports)",
-    )
-    loadgen.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="write the full load report as JSON here",
-    )
-    _add_workload_arguments(loadgen)
-    _add_crypto_arguments(loadgen)
-    _add_storage_arguments(loadgen)
-    _add_telemetry_arguments(loadgen)
-    loadgen.set_defaults(handler=_command_loadgen)
 
     telemetry = commands.add_parser(
         "telemetry", help="fetch a running endpoint's spans and metrics"

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.assembly import combine_tuple_sets
-from repro.core.encapsulation import recipient_digest, source_session
+from repro.core.encapsulation import source_session
 from repro.core.federation import Federation
 from repro.core.joinkeys import (
     JoinKey,
@@ -50,7 +50,7 @@ from repro.core.request import RequestPhaseOutcome
 from repro.core.result import MediationResult
 from repro.core.timing import timed
 from repro.crypto import commutative as comm
-from repro.crypto import groups, hybrid, symmetric
+from repro.crypto import groups, hybrid
 from repro.crypto.engine import CryptoEngine, get_engine
 from repro.crypto.hashes import IdealHash
 from repro.crypto.instrumentation import count_primitives
@@ -65,12 +65,7 @@ from repro.storage.base import (
     KIND_COMM_TUPLES,
     IndexCache,
 )
-from repro.storage.serialize import (
-    deserialize_hybrid,
-    deserialize_int,
-    serialize_hybrid,
-    serialize_int,
-)
+from repro.storage.serialize import deserialize_int, serialize_int
 
 _ID_BYTES = 8
 
@@ -107,6 +102,8 @@ def _shuffled(items: list) -> list:
 class _SourceState:
     key: comm.CommutativeKey
     tuple_ciphertexts: dict[JoinKey, hybrid.HybridCiphertext]
+    #: Hardened runs only: dummy tuple sets for the mediator's padding.
+    dummies: list[hybrid.HybridCiphertext]
 
 
 def _key_digest(key: comm.CommutativeKey) -> bytes:
@@ -214,7 +211,8 @@ def _prepare_source(
     hybrid session and the tuple-set ciphertexts all persist across the
     query series (amortization per arXiv 2103.05792); only values not
     seen before — or entries dropped by a mutation/rotation — are
-    recomputed, as one engine batch.
+    recomputed, as one engine batch.  Hardened runs also mint the
+    source's dummy tuple sets (``_SourceState.dummies``), never cached.
     """
     engine = engine or get_engine()
     if config.verify_group and not group.verify():
@@ -235,53 +233,45 @@ def _prepare_source(
         ),
     )
 
-    # Tuple-set ciphertexts.  Hardened runs wrap every tuple-set encoding
-    # to one uniform length before anything downstream (cache slots,
-    # ciphertext bodies) can see the per-value size; the client unwraps
-    # after decryption.
+    # Tuple-set ciphertexts, all under the source's epoch session; the
+    # cache stores bare DEM bodies, bound to the session's encapsulation.
+    # Hardened runs wrap every tuple-set encoding to one uniform length
+    # before anything downstream (cache slots, ciphertext bodies) can see
+    # the per-value size; the client unwraps after decryption.
     encoded_sets = [encode_rows(grouped[join_key]) for join_key in join_keys]
     if hardening is not None:
-        encoded_sets, _ = hardening.wrap_uniform(encoded_sets)
-        # The one exception to "one encapsulation per sender and epoch":
-        # the mediator pads the hardened result channel with dummy pairs
-        # it encrypts itself, and it cannot reference a session whose key
-        # it does not hold.  So that its dummies stay indistinguishable
-        # from the sources' tuple sets, every ciphertext on this channel
-        # carries an encapsulation of its own (docs/security.md), and the
-        # cache stores whole ciphertexts, bound to the recipient set.
-        binding = recipient_digest(client_keys) if cache is not None else b""
-        to_blob: Callable[[hybrid.HybridCiphertext], bytes] = serialize_hybrid
-        from_blob: Callable[[bytes], hybrid.HybridCiphertext] = deserialize_hybrid
-        encrypt_sets: Callable[
-            [list[bytes]], list[hybrid.HybridCiphertext]
-        ] = functools.partial(engine.batch_hybrid_encrypt_alone, client_keys)
-    else:
-        # Everything else shares the source's session; the cache stores
-        # bare DEM bodies, bound to the session's encapsulation.
-        session = source_session(cache, relation.name, client_keys)
-        binding = session.encapsulation.digest()
-        to_blob = operator.attrgetter("body")
-        from_blob = functools.partial(hybrid.HybridCiphertext, session.encapsulation)
-        encrypt_sets = functools.partial(engine.batch_hybrid_encrypt, session)
-
+        encoded_sets, target = hardening.wrap_uniform(encoded_sets)
+    session = source_session(cache, relation.name, client_keys)
+    binding = session.encapsulation.digest()
     ciphertexts = _amortized(
         cache, relation.name, KIND_COMM_TUPLES, len(join_keys),
         lambda position: _slot(
             b"tupct:" + binding, key_digest,
             encoded_keys[position] + encoded_sets[position],
         ),
-        from_blob, to_blob,
-        lambda pending: encrypt_sets(
-            [encoded_sets[position] for position in pending]
+        functools.partial(hybrid.HybridCiphertext, session.encapsulation),
+        operator.attrgetter("body"),
+        lambda pending: engine.batch_hybrid_encrypt(
+            session, [encoded_sets[position] for position in pending]
         ),
     )
+    dummies: list[hybrid.HybridCiphertext] = []
+    if hardening is not None:
+        # |M_i| dummies of the uniform length, under the same session as
+        # the real tuple sets (a second encapsulation would mark them):
+        # the mediator pads the result channel from these and never
+        # encrypts.  |M_i| is public after round 1, so the count is an
+        # adjacency invariant.
+        dummies = engine.batch_hybrid_encrypt(
+            session, [hardening.dummy(target) for _ in join_keys]
+        )
 
     tuple_ciphertexts = dict(zip(join_keys, ciphertexts))
     messages = [
         TaggedMessage(tag=tag, payload=ciphertext)
         for tag, ciphertext in zip(tags, ciphertexts)
     ]
-    return _SourceState(key, tuple_ciphertexts), _shuffled(messages)
+    return _SourceState(key, tuple_ciphertexts, dummies), _shuffled(messages)
 
 
 def _double_encrypt(
@@ -382,6 +372,11 @@ def run_commutative_delivery(
             states[source_name] = state
             message_sets[source_name] = messages
             network.send(source_name, mediator_name, "commutative_m_set", messages)
+            if hardening is not None:
+                network.send(
+                    source_name, mediator_name, "commutative_dummies",
+                    state.dummies,
+                )
 
         # Step 4: the mediator exchanges the message sets (optionally
         # substituting ID tokens for the payloads, footnote 1).
@@ -446,19 +441,9 @@ def run_commutative_delivery(
             # The intersection size is the mediator's headline leak (Table
             # 1 row "number of values in common").  Pad the result channel
             # to min(|M_1|, |M_2|) — active-domain sizes are adjacency
-            # invariants — with dummy pairs whose ciphertext bodies match
-            # the (uniform) per-source body lengths, shuffled so dummy
+            # invariants — by pairing S1's dummies with S2's: same session,
+            # same body length as the real tuple sets, shuffled so dummy
             # positions carry no signal, delivered as fixed-size frames.
-            overhead = symmetric.ciphertext_overhead()
-
-            def dummy_pair():
-                body_1 = len(message_sets[source_1][0].payload.body)
-                body_2 = len(message_sets[source_2][0].payload.body)
-                return (
-                    hybrid.encrypt(client_keys, hardening.dummy(body_1 - overhead)),
-                    hybrid.encrypt(client_keys, hardening.dummy(body_2 - overhead)),
-                )
-
             delivered = hardening.cover.deliver_chunks(
                 network,
                 mediator_name,
@@ -468,7 +453,9 @@ def run_commutative_delivery(
                 bound=min(
                     len(message_sets[source_1]), len(message_sets[source_2])
                 ),
-                dummy_factory=dummy_pair,
+                dummies=list(
+                    zip(states[source_1].dummies, states[source_2].dummies)
+                ),
                 shuffle=True,
             )
         else:

@@ -132,11 +132,6 @@ def _unit_poly_eval(shared: EncryptedPolynomial, job: tuple) -> Any:
     return shared.masked_evaluate(x, mask, payload)
 
 
-def _unit_hybrid_encrypt_alone(shared: tuple, plaintext: bytes) -> Any:
-    public_keys, associated_data = shared
-    return hybrid.encrypt(public_keys, plaintext, associated_data)
-
-
 # ---------------------------------------------------------------------------
 # The engine.
 # ---------------------------------------------------------------------------
@@ -339,24 +334,6 @@ class CryptoEngine:
             hybrid.HybridCiphertext(session.encapsulation, body)
             for body in bodies
         ]
-
-    def batch_hybrid_encrypt_alone(
-        self,
-        public_keys: Sequence,
-        plaintexts: Sequence[bytes],
-        associated_data: bytes = b"",
-    ) -> list[hybrid.HybridCiphertext]:
-        """:func:`~repro.crypto.hybrid.encrypt` per item: a session each.
-
-        For the one channel whose ciphertexts must not be linkable by
-        encapsulation (hardened commutative results, docs/security.md).
-        """
-        return self._run(
-            "hybrid_encrypt",
-            _unit_hybrid_encrypt_alone,
-            (list(public_keys), associated_data),
-            plaintexts,
-        )
 
     def batch_hybrid_decrypt(
         self,

@@ -22,7 +22,7 @@ positions, which never move).
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ProtocolError
 
@@ -56,17 +56,17 @@ class CoverTraffic:
         kind: str,
         items: Sequence[Any],
         bound: int,
-        dummy_factory: Callable[[], Any] | None = None,
+        dummies: Sequence[Any] = (),
         shuffle: bool = False,
     ) -> list[Any]:
         """Send ``items`` as ``schedule(bound)`` frames of ``kind``.
 
-        ``items`` is topped up to exactly ``bound`` elements with
-        ``dummy_factory()`` products, optionally shuffled (protocol
-        randomness — dummy positions must not leak), and partitioned
-        into frames of at most ``batch_size`` elements each; a frame
-        body is a plain list.  Returns the padded item list, in delivery
-        order, for the local continuation of the protocol.
+        ``items`` is topped up to exactly ``bound`` elements from the
+        front of ``dummies``, optionally shuffled (protocol randomness —
+        dummy positions must not leak), and partitioned into frames of
+        at most ``batch_size`` elements each; a frame body is a plain
+        list.  Returns the padded item list, in delivery order, for the
+        local continuation of the protocol.
         """
         real = list(items)
         if len(real) > bound:
@@ -75,13 +75,14 @@ class CoverTraffic:
                 f"bound {bound} — the bound must dominate every workload"
             )
         shortfall = bound - len(real)
-        if shortfall and dummy_factory is None:
+        if shortfall > len(dummies):
             raise ProtocolError(
-                f"{kind}: {shortfall} dummy items needed but no factory given"
+                f"{kind}: {shortfall} dummy items needed but only "
+                f"{len(dummies)} given"
             )
-        dummies = [dummy_factory() for _ in range(shortfall)]
-        dummy_ids = {id(item) for item in dummies}
-        padded = real + dummies
+        filler = list(dummies[:shortfall])
+        dummy_ids = {id(item) for item in filler}
+        padded = real + filler
         if shuffle:
             random.SystemRandom().shuffle(padded)
         batch = self._hardening.policy.batch_size

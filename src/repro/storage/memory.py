@@ -27,9 +27,10 @@ class MemoryBackend(StorageBackend):
     persistent = False
 
     def __init__(self) -> None:
-        # One lock serializes every operation: concurrent loadgen
-        # sessions share a single backend, and unguarded iteration over
-        # ``_cache`` (invalidate, epoch bump) would race with puts.
+        # One lock serializes every operation: the concurrent sessions of
+        # one serve process share a single backend, and unguarded
+        # iteration over ``_cache`` (invalidate, epoch bump) would race
+        # with puts.
         self._lock = threading.Lock()
         # namespace -> relation name -> (Relation, fingerprint)
         self._relations: dict[str, dict[str, tuple[Relation, bytes]]] = {}

@@ -1,13 +1,10 @@
 """Binary serialization for cached ciphertext artifacts.
 
-The index caches persist four kinds of material:
+The index caches persist three kinds of material:
 
 * a source's per-epoch :class:`~repro.crypto.hybrid.Session` (session
   key + encapsulation) — the DEM bodies encrypted under it are stored
   raw, next to it, and are meaningless without it,
-* whole :class:`~repro.crypto.hybrid.HybridCiphertext` values, where
-  every ciphertext carries an encapsulation of its own (the hardened
-  commutative tuple sets),
 * large integers (commutative tags/double-encryptions and SRA exponents),
 * integer lists (Paillier-encrypted polynomial coefficients).
 
@@ -20,11 +17,10 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from repro.crypto.hybrid import Encapsulation, HybridCiphertext, Session
+from repro.crypto.hybrid import Encapsulation, Session
 from repro.crypto.symmetric import SessionKey
 from repro.errors import ParameterError, StorageError
 
-_MAGIC_HYBRID = b"SHC1"
 _MAGIC_SESSION = b"SHS1"
 _MAGIC_INTS = b"SIL1"
 
@@ -62,24 +58,6 @@ def _unpack_wrapped(data: bytes, offset: int) -> tuple[dict[bytes, bytes], int]:
         fp, offset = _unpack_chunk(data, offset)
         wrapped[fp], offset = _unpack_chunk(data, offset)
     return wrapped, offset
-
-
-def serialize_hybrid(ciphertext: HybridCiphertext) -> bytes:
-    """Encode a hybrid ciphertext (wrapped keys + DEM body)."""
-    parts = [_MAGIC_HYBRID, *_pack_wrapped(ciphertext.wrapped_keys)]
-    parts.append(_pack_chunk(ciphertext.body))
-    return b"".join(parts)
-
-
-def deserialize_hybrid(data: bytes) -> HybridCiphertext:
-    """Decode a blob produced by :func:`serialize_hybrid`."""
-    if data[:4] != _MAGIC_HYBRID:
-        raise StorageError("not a serialized hybrid ciphertext")
-    wrapped, offset = _unpack_wrapped(data, 4)
-    body, offset = _unpack_chunk(data, offset)
-    if offset != len(data):
-        raise StorageError("trailing bytes after hybrid ciphertext")
-    return HybridCiphertext(Encapsulation(wrapped), body)
 
 
 def serialize_session(session: Session) -> bytes:

@@ -18,8 +18,9 @@ query runs as a three-way equi-join over temp tables (see
 over non-qualifying rows.
 
 A single connection guarded by a lock serves all namespaces; the
-``loadgen`` concurrency model (many sessions, one process) is supported
-by ``check_same_thread=False`` plus our own mutex.
+concurrent sessions of one ``serve`` process (many sessions, one
+backend) are supported by ``check_same_thread=False`` plus our own
+mutex.
 """
 
 from __future__ import annotations

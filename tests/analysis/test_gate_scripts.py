@@ -1,9 +1,9 @@
-"""Unit tests for the CI gate scripts' tolerance arithmetic and errors.
+"""Unit tests for the CI gate script's tolerance arithmetic and errors.
 
-``scripts/check_perf_regression.py`` and
-``scripts/check_leakage_regression.py`` are the last line of defence in
-CI; a malformed artifact must produce a clear :class:`GateError` (exit
-code 2), never a bare ``KeyError`` traceback, and the bound arithmetic
+``scripts/check_regression.py`` is the last line of defence in CI, for
+``repro-bench/1`` and ``repro-leakage/1`` baselines alike; a malformed
+artifact must produce a clear :class:`GateError` (exit code 2), never a
+bare ``KeyError`` traceback, and the bound arithmetic
 (``baseline * (1 ± tolerance) ± slack``) must be exact in both
 directions.
 """
@@ -16,14 +16,13 @@ import pytest
 SCRIPTS = pathlib.Path(__file__).resolve().parents[2] / "scripts"
 sys.path.insert(0, str(SCRIPTS))
 
-import check_leakage_regression as leakage  # noqa: E402
-import check_perf_regression as perf  # noqa: E402
-from check_perf_regression import GateError, check_metric  # noqa: E402
+import check_regression as regression  # noqa: E402
+from check_regression import GateError, check_metric  # noqa: E402
 
 
 def leakage_doc(transport="bus", hardened=False, distance=0.0, gate=None):
     return {
-        "schema": leakage.SCHEMA,
+        "schema": regression.LEAKAGE,
         "transport": transport,
         "hardened": hardened,
         "workload": {"spec": {"seed": 7}},
@@ -69,40 +68,43 @@ class TestCheckMetricArithmetic:
 
 class TestPerfCompareDiagnostics:
     BASE = {
+        "schema": regression.BENCH,
         "gate": {"ratio": {"direction": "max", "tolerance": 0.1}},
         "metrics": {"ratio": 2.0},
     }
 
     def test_missing_gate_in_baseline_is_gate_error(self):
         with pytest.raises(GateError, match="missing 'gate'"):
-            perf.compare({"metrics": {}}, {"metrics": {}})
+            regression.compare(
+                {"schema": regression.BENCH, "metrics": {}}, {"metrics": {}}
+            )
 
     def test_missing_metrics_in_candidate_is_gate_error(self):
         with pytest.raises(GateError, match="missing 'metrics'"):
-            perf.compare(self.BASE, {"bench": "x"})
+            regression.compare(self.BASE, {"bench": "x"})
 
     def test_non_numeric_gated_value_is_gate_error(self):
         candidate = {"metrics": {"ratio": "fast"}}
         with pytest.raises(GateError, match="not numeric"):
-            perf.compare(self.BASE, candidate)
+            regression.compare(self.BASE, candidate)
 
     def test_gated_metric_missing_from_candidate_fails_not_raises(self):
-        passed, lines = perf.compare(self.BASE, {"metrics": {}})
+        passed, lines = regression.compare(self.BASE, {"metrics": {}})
         assert not passed
         assert any("missing from candidate" in line for line in lines)
 
     def test_within_tolerance_passes(self):
-        passed, _ = perf.compare(self.BASE, {"metrics": {"ratio": 2.2}})
+        passed, _ = regression.compare(self.BASE, {"metrics": {"ratio": 2.2}})
         assert passed
 
 
 class TestLeakageCompare:
     def test_matching_documents_pass(self):
-        passed, _ = leakage.compare(leakage_doc(), leakage_doc())
+        passed, _ = regression.compare(leakage_doc(), leakage_doc())
         assert passed
 
     def test_distance_above_slack_fails(self):
-        passed, lines = leakage.compare(
+        passed, lines = regression.compare(
             leakage_doc(), leakage_doc(distance=0.02)
         )
         assert not passed
@@ -110,18 +112,18 @@ class TestLeakageCompare:
 
     def test_transport_mismatch_is_gate_error(self):
         with pytest.raises(GateError, match="transport mismatch"):
-            leakage.compare(leakage_doc("bus"), leakage_doc("tcp"))
+            regression.compare(leakage_doc("bus"), leakage_doc("tcp"))
 
     def test_any_transport_baseline_gates_both_carriers(self):
         for transport in ("bus", "tcp"):
-            passed, _ = leakage.compare(
+            passed, _ = regression.compare(
                 leakage_doc("any"), leakage_doc(transport)
             )
             assert passed, transport
 
     def test_hardened_flag_mismatch_is_gate_error(self):
         with pytest.raises(GateError, match="hardened-flag mismatch"):
-            leakage.compare(
+            regression.compare(
                 leakage_doc(hardened=True), leakage_doc(hardened=False)
             )
 
@@ -129,12 +131,12 @@ class TestLeakageCompare:
         document = leakage_doc()
         del document["protocols"]
         with pytest.raises(GateError, match="missing 'protocols'"):
-            leakage.flatten_distances(document)
+            regression.flatten_distances(document)
 
     def test_gated_distance_missing_from_candidate_fails(self):
         candidate = leakage_doc()
         candidate["protocols"]["das"]["adversaries"] = {}
-        passed, lines = leakage.compare(leakage_doc(), candidate)
+        passed, lines = regression.compare(leakage_doc(), candidate)
         assert not passed
         assert any("missing from candidate" in line for line in lines)
 
@@ -142,7 +144,7 @@ class TestLeakageCompare:
         candidate = leakage_doc()
         candidate["workload"] = {"spec": {"seed": 8}}
         with pytest.raises(GateError, match="workload mismatch"):
-            leakage.compare(leakage_doc(), candidate)
+            regression.compare(leakage_doc(), candidate)
 
 
 class TestLeakageMain:
@@ -158,11 +160,11 @@ class TestLeakageMain:
         breach = self.write(
             tmp_path, "cand.json", leakage_doc(distance=0.5)
         )
-        assert leakage.main(
+        assert regression.main(
             ["--baseline", str(baseline), "--candidate", str(breach),
              "--expect-fail"]
         ) == 0
-        assert leakage.main(
+        assert regression.main(
             ["--baseline", str(baseline), "--candidate", str(baseline),
              "--expect-fail"]
         ) == 1
@@ -171,7 +173,31 @@ class TestLeakageMain:
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         good = self.write(tmp_path, "good.json", leakage_doc())
-        assert leakage.main(
+        assert regression.main(
             ["--baseline", str(bad), "--candidate", str(good)]
         ) == 2
         assert "unreadable" in capsys.readouterr().err
+
+
+class TestDirectoryMode:
+    def test_judges_bench_baselines_and_skips_leakage_ones(self, tmp_path):
+        import json
+
+        baselines, candidates = tmp_path / "base", tmp_path / "out"
+        baselines.mkdir()
+        candidates.mkdir()
+        bench = {
+            **TestPerfCompareDiagnostics.BASE, "bench": "x",
+        }
+        (baselines / "BENCH_x.json").write_text(json.dumps(bench))
+        # No candidate of its own: the directory mode must not ask.
+        (baselines / "BENCH_leakage.json").write_text(json.dumps(
+            {**leakage_doc(), "bench": "leakage_audit"}
+        ))
+        argv = ["--baseline", str(baselines), "--candidate", str(candidates)]
+        assert regression.main(argv) == 1  # BENCH_x candidate missing
+        for ratio, verdict in ((2.1, 0), (2.5, 1)):
+            (candidates / "BENCH_x.json").write_text(
+                json.dumps({**bench, "metrics": {"ratio": ratio}})
+            )
+            assert regression.main(argv) == verdict, ratio

@@ -246,22 +246,6 @@ class TestBatchHybrid:
             sizes.add(estimate_size(ciphertexts))
         assert len(sizes) == 1
 
-    def test_encrypt_alone_wraps_a_key_per_item(self, all_engines, rsa_key):
-        plaintexts = [b"payload-%d" % i for i in range(6)]
-        for engine in all_engines:
-            ciphertexts, counts = counted(
-                engine.batch_hybrid_encrypt_alone,
-                [rsa_key.public_key()],
-                plaintexts,
-            )
-            assert [
-                hybrid.decrypt(rsa_key, c) for c in ciphertexts
-            ] == plaintexts, engine.mode
-            assert counts["hybrid.encrypt"] == len(plaintexts)
-            assert counts["rsa.encrypt"] == len(plaintexts)
-            digests = {c.wrapped_keys.digest() for c in ciphertexts}
-            assert len(digests) == len(plaintexts), engine.mode
-
     def test_associated_data_is_bound(self, serial, rsa_key):
         [ciphertext] = serial.batch_hybrid_encrypt(
             hybrid.new_session([rsa_key.public_key()]),

@@ -54,7 +54,7 @@ def audit_factory(ca, client):
 def envelope_breaches(document: dict, rules: dict) -> list[str]:
     """Gated distances of ``document`` violating the hardened ``rules``.
 
-    Mirrors the arithmetic of ``scripts/check_perf_regression.py`` with
+    Mirrors the arithmetic of ``scripts/check_regression.py`` with
     a zero baseline: a metric passes iff ``value <= tolerance * 0 +
     slack`` — i.e. TV distances at most epsilon, deltas exactly zero.
     """

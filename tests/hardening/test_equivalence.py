@@ -116,8 +116,12 @@ class TestDummiesNeverReachTheClient:
                 result.artifacts["dummy_rows_discarded"]
                 == result.artifacts["hardening"]["dummy_items_total"]
             )
-        else:
-            assert result.artifacts["dummy_pairs_discarded"] >= 0
+        else:  # |M_i| minted per source, the shortfall to min |M_i| used
+            sizes = result.artifacts["active_domain_sizes"].values()
+            assert result.artifacts["hardening"]["dummy_items_total"] == sum(sizes)
+            assert result.artifacts["dummy_pairs_discarded"] == (
+                min(sizes) - result.artifacts["intersection_size"]
+            ) > 0
         assert encode_relation(result.global_result) == expected
 
     def test_unhardened_run_has_no_hardening_artifact(

@@ -50,12 +50,6 @@ class ScalarMap(CryptoEngine):
     def batch_hybrid_encrypt(self, session, plaintexts, associated_data=b""):
         return [session.encrypt(plaintext, associated_data) for plaintext in plaintexts]
 
-    def batch_hybrid_encrypt_alone(self, public_keys, plaintexts, associated_data=b""):
-        return [
-            hybrid.encrypt(public_keys, plaintext, associated_data)
-            for plaintext in plaintexts
-        ]
-
     def batch_hybrid_decrypt(
         self, private_key, ciphertexts, associated_data=b"", session_keys=None
     ):
@@ -76,7 +70,7 @@ def test_scalar_map_covers_every_batch_api():
     assert batch_apis == {
         name for name in vars(ScalarMap) if not name.startswith("__")
     }
-    assert len(batch_apis) == 8
+    assert len(batch_apis) == 7
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,8 @@ import sys
 import pytest
 
 import repro
+from repro.crypto.hybrid import Encapsulation, Session
+from repro.crypto.symmetric import SessionKey
 from repro.errors import StorageError
 from repro.relational.algebra import select
 from repro.relational.conditions import Comparison
@@ -24,12 +26,12 @@ from repro.storage import (
     storage_from_spec,
 )
 from repro.storage.serialize import (
-    deserialize_hybrid,
     deserialize_int,
     deserialize_int_list,
-    serialize_hybrid,
+    deserialize_session,
     serialize_int,
     serialize_int_list,
+    serialize_session,
 )
 
 SCHEMA = Schema(
@@ -303,27 +305,19 @@ class TestSerializers:
         assert deserialize_int_list(serialize_int_list(values)) == values
         assert deserialize_int_list(serialize_int_list([])) == []
 
-    def test_hybrid_round_trip(self):
-        from repro.crypto.hybrid import Encapsulation, HybridCiphertext
-
-        ciphertext = HybridCiphertext(
-            wrapped_keys=Encapsulation(
-                {b"fp2": b"wrapped2", b"fp1": b"wrapped1"}
-            ),
-            body=b"\x00\x01payload",
+    def test_session_round_trip(self):
+        session = Session(
+            SessionKey(bytes(range(32))),
+            Encapsulation({b"fp2": b"wrapped2", b"fp1": b"wrapped1"}),
         )
-        restored = deserialize_hybrid(serialize_hybrid(ciphertext))
-        assert dict(restored.wrapped_keys) == dict(ciphertext.wrapped_keys)
-        assert restored.body == ciphertext.body
+        restored = deserialize_session(serialize_session(session))
+        assert restored.key.master == session.key.master
+        assert restored.encapsulation.digest() == session.encapsulation.digest()
 
     @pytest.mark.parametrize("mutate", ["truncate", "flip", "extend"])
     def test_corrupt_blobs_rejected(self, mutate):
-        from repro.crypto.hybrid import Encapsulation, HybridCiphertext
-
-        blob = serialize_hybrid(
-            HybridCiphertext(
-                wrapped_keys=Encapsulation({b"fp": b"w"}), body=b"body"
-            )
+        blob = serialize_session(
+            Session(SessionKey(bytes(32)), Encapsulation({b"fp": b"w"}))
         )
         if mutate == "truncate":
             corrupt = blob[: len(blob) // 2]
@@ -332,7 +326,7 @@ class TestSerializers:
         else:
             corrupt = blob + b"trailing"
         with pytest.raises(StorageError):
-            deserialize_hybrid(corrupt)
+            deserialize_session(corrupt)
 
     def test_corrupt_int_list_rejected(self):
         blob = serialize_int_list([1, 2, 3])

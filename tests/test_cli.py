@@ -110,34 +110,6 @@ class TestWorkloadAndQuery:
             main([])
 
 
-class TestLoadgen:
-    def test_inprocess_load_reports_and_writes_json(self, tmp_path, capsys):
-        json_out = str(tmp_path / "load.json")
-        assert main([
-            "loadgen", "--sessions", "2", "--queries", "1",
-            "--protocol", "commutative", *FAST,
-            "--json-out", json_out,
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "throughput" in out
-        assert "p95" in out
-        with open(json_out, encoding="utf-8") as handle:
-            report = json.load(handle)
-        assert report["schema"] == "repro-loadgen/2"
-        assert report["completed"] == 2
-        assert report["failed"] == 0
-        assert report["consistent_results"] is True
-        assert report["sessions"] == 2
-        assert len(report["outcomes"]) == 2
-
-    def test_sequential_baseline_via_concurrency_one(self, capsys):
-        assert main([
-            "loadgen", "--sessions", "2", "--concurrency", "1",
-            "--protocol", "das", *FAST,
-        ]) == 0
-        assert "concurrency 1," in capsys.readouterr().out
-
-
 class TestServe:
     def test_sigterm_is_a_clean_stop(self, tmp_path):
         database = tmp_path / "mediator.db"
