@@ -48,7 +48,7 @@ from repro.core.timing import timed
 from repro.crypto import hybrid, symmetric
 from repro.crypto.engine import CryptoEngine, get_engine
 from repro.crypto.instrumentation import count_primitives
-from repro.errors import ProtocolError, StorageError
+from repro.errors import ProtocolError
 from repro.mediation.credentials import public_keys_of
 from repro.relational import partition as partitioning
 from repro.relational.algebra import natural_join
@@ -62,13 +62,7 @@ from repro.relational.encoding import decode_row, encode_row
 from repro.relational.partition import IndexTable
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Schema
-from repro.storage.base import (
-    KIND_DAS_INDEX,
-    IndexCache,
-    StorageBackend,
-    relation_fingerprint,
-)
-from repro.storage.serialize import serialize_int
+from repro.storage.base import KIND_DAS_INDEX, IndexCache, relation_fingerprint
 
 #: Query-translator placements (Section 3.1 "settings").
 CLIENT_SETTING = "client"
@@ -385,40 +379,20 @@ def _evaluate_server_query(
     query: ServerQuery,
     relation_1: EncryptedRelation,
     relation_2: EncryptedRelation,
-    backend: StorageBackend | None = None,
 ) -> ServerResult:
     """Step 6 at the mediator: sigma_CondS(R1^S x R2^S), hash-grouped.
 
     Operationally equivalent to evaluating the Cond_S disjunction over
     the cross product, but grouped by index value so cost is output- not
-    product-sized.  With a storage backend attached the bucket-membership
-    join is pushed down into the engine (a SQL equi-join on SQLite); a
-    failing backend degrades to the in-process path.
+    product-sized.  A pair q_S names twice is one disjunct, so each
+    ``(row_1, row_2)`` comes back once.
     """
-    if backend is not None:
-        try:
-            positions = backend.bucket_join(
-                [serialize_int(row.index_value) for row in relation_1.rows],
-                [serialize_int(row.index_value) for row in relation_2.rows],
-                [
-                    (serialize_int(index_1), serialize_int(index_2))
-                    for index_1, index_2 in query.pairs
-                ],
-            )
-            return ServerResult(
-                pairs=tuple(
-                    (relation_1.rows[i], relation_2.rows[j])
-                    for i, j in positions
-                )
-            )
-        except StorageError:
-            pass
     by_index_2: dict[int, list[EncryptedTuple]] = {}
     for row in relation_2.rows:
         by_index_2.setdefault(row.index_value, []).append(row)
-    wanted: dict[int, list[int]] = {}
+    wanted: dict[int, dict[int, None]] = {}
     for index_1, index_2 in query.pairs:
-        wanted.setdefault(index_1, []).append(index_2)
+        wanted.setdefault(index_1, {})[index_2] = None
     pairs = []
     for row_1 in relation_1.rows:
         for index_2 in wanted.get(row_1.index_value, ()):
@@ -769,8 +743,7 @@ def run_das_delivery(
             # Step 6: mediator evaluates q_S over the encrypted relations.
             with timed(result, mediator_name, "evaluate_server_query"):
                 server_result = _evaluate_server_query(
-                    server_query, relation_1, relation_2,
-                    backend=federation.mediator.storage,
+                    server_query, relation_1, relation_2
                 )
             network.send(
                 mediator_name, client.name, "das_server_result", server_result

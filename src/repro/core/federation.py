@@ -38,9 +38,10 @@ class Federation:
     sources: dict[str, DataSource] = field(default_factory=dict)
     client: Client | None = None
     #: Optional shared storage backend (see :mod:`repro.storage`): every
-    #: contracted source persists its relations in it (namespaced by
-    #: source name) and amortizes encrypted indexes across queries; the
-    #: mediator pushes the DAS server query down into it.
+    #: contracted source keeps its key epoch, its relations' content
+    #: fingerprints and its encrypted-index cache in it (namespaced by
+    #: source name).  Sources still answer from their own relations, and
+    #: the mediator never touches it.
     storage: StorageBackend | None = None
     #: Federation-wide default for the leakage-hardened oblivious mode:
     #: a :class:`~repro.hardening.PaddingPolicy` here makes every run
@@ -49,15 +50,12 @@ class Federation:
 
     def __post_init__(self) -> None:
         self.network.register(self.mediator.name)
-        if self.storage is not None:
-            self.mediator.storage = self.storage
 
     # -- wiring -------------------------------------------------------------
 
     def attach_storage(self, backend: StorageBackend) -> None:
-        """Bind a storage backend to the mediator and every source."""
+        """Bind a storage backend to every source."""
         self.storage = backend
-        self.mediator.storage = backend
         for source in self.sources.values():
             source.attach_storage(backend)
 

@@ -37,7 +37,8 @@ are both the namespace, and ``kind`` is ``storage:<operation>`` (e.g.
 many keys it asks for).  Supported actions: ``delay`` (slow I/O),
 ``drop`` (operation raises StorageError), ``corrupt`` (cache reads
 return flipped bytes, which the deserializers reject).  Index-cache
-failures degrade to recomputation; row loads are hard failures.
+reads and writes degrade to recomputation; a failed ``store_relation``
+or ``bump_key_epoch`` is a hard failure.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from repro.crypto import rsa
 from repro.crypto.engine import CryptoEngine, get_engine
-from repro.errors import AccessDenied, CredentialError, QueryError, StorageError
+from repro.errors import AccessDenied, CredentialError, QueryError
 from repro.mediation.access_control import AccessPolicy, allow_all
 from repro.mediation.ca import verify_credential
 from repro.mediation.credentials import Credential
@@ -51,11 +51,12 @@ class DataSource:
     sessions: SessionRegistry = field(
         default_factory=lambda: SessionRegistry(capacity=256), repr=False
     )
-    #: Optional storage backend.  When set, relations persist in the
-    #: backend (selection pushdown executes there) and the protocols
-    #: amortize encrypted-index material across queries via
-    #: :meth:`index_cache`.  ``None`` keeps the original pure in-memory
-    #: data plane.
+    #: Optional storage backend.  When set, the protocols amortize
+    #: encrypted-index material across queries via :meth:`index_cache`,
+    #: under this source's key epoch; the backend records each
+    #: relation's content fingerprint, never its rows, which the source
+    #: keeps in :attr:`relations` and answers from.  ``None`` recomputes
+    #: every index per query.
     storage: StorageBackend | None = field(default=None, repr=False)
     _index_cache: IndexCache | None = field(default=None, repr=False)
 
@@ -84,7 +85,7 @@ class DataSource:
         }
         self.relevant_property_names = self.relevant_property_names | names
         if self.storage is not None:
-            # Persisting identical content is a no-op that keeps the
+            # Recording an unchanged fingerprint is a no-op that keeps the
             # encrypted-index caches warm across process restarts;
             # changed content invalidates them (see StorageBackend).
             self.storage.store_relation(self.name, relation)
@@ -92,7 +93,8 @@ class DataSource:
     # -- storage ----------------------------------------------------------
 
     def attach_storage(self, backend: StorageBackend) -> None:
-        """Bind a storage backend and persist the current relations."""
+        """Bind a storage backend and record the current relations'
+        fingerprints."""
         self.storage = backend
         self._index_cache = None
         for relation in self.relations.values():
@@ -226,25 +228,7 @@ class DataSource:
                 )
             valid = self.check_credentials(credentials)
             policy = self.policies[query.relation_name]
-            # Selection pushdown: the WHERE clause executes inside the
-            # storage backend (compiled to SQL on SQLite).  Access rules
-            # are row filters, so policy and selection commute — the
-            # policy then runs over the (usually much smaller) selected
-            # rows.  A failing backend degrades to the in-memory path.
-            selected: Relation | None = None
-            if self.storage is not None:
-                try:
-                    selected = self.storage.select(
-                        self.name, query.relation_name, query.condition
-                    )
-                except StorageError:
-                    cache = self.index_cache()
-                    if cache is not None:
-                        cache.stats.errors += 1
-                    selected = None
             try:
-                if selected is not None:
-                    return policy.evaluate(selected, valid)
                 permitted = policy.evaluate(
                     self.relations[query.relation_name], valid
                 )

@@ -24,7 +24,6 @@ from repro.relational import sql
 from repro.relational.algebra import AlgebraNode, Join, PartialQuery
 from repro.relational.schema import Schema
 from repro.session import SessionRegistry, current_session_id
-from repro.storage.base import StorageBackend
 from repro.telemetry import tracing
 
 
@@ -61,11 +60,6 @@ class Mediator:
     sessions: SessionRegistry = field(
         default_factory=lambda: SessionRegistry(capacity=256)
     )
-    #: Optional storage backend: when set, the DAS server query
-    #: (``sigma_CondS`` over bucket index values) executes inside the
-    #: backend (as SQL on SQLite) instead of a Python loop.  The
-    #: mediator still only ever touches ciphertexts and index values.
-    storage: "StorageBackend | None" = field(default=None, repr=False)
 
     def register_source(self, source_name: str, *schemas: Schema,
                         property_names: frozenset[str] = frozenset()) -> None:

@@ -243,116 +243,3 @@ def _mirror(op: str) -> str:
 def parse(sql: str) -> algebra.AlgebraNode:
     """Parse a SQL query into an algebra tree (the SQL2Algebra entry point)."""
     return _Parser(tokenize(sql)).parse_query()
-
-
-# ---------------------------------------------------------------------------
-# Pushdown compiler: condition ASTs -> parameterized SQL
-# ---------------------------------------------------------------------------
-#
-# The inverse direction of SQL2Algebra: the storage backends execute the
-# mediator's server query *inside* the engine, so the symbolic
-# conditions (selection pushdown WHERE clauses and the DAS
-# bucket-membership predicate Cond_S) must compile back into SQL.
-# Everything is parameterized — attribute names resolve to fixed
-# ``c<position>`` column identifiers and all literals travel as bind
-# parameters, so no value ever reaches the SQL text.
-
-from repro.relational.conditions import (  # noqa: E402
-    And,
-    FalseCondition,
-    Or,
-    TrueCondition,
-)
-from repro.relational.schema import Schema  # noqa: E402
-
-
-@dataclass(frozen=True)
-class CompiledSQL:
-    """A SQL fragment plus its positional bind parameters."""
-
-    text: str
-    parameters: tuple[Value, ...]
-
-
-def _sql_literal(value: Value) -> Value:
-    # Bool columns persist as INTEGER 0/1; comparisons must match.
-    if isinstance(value, bool):
-        return int(value)
-    return value
-
-
-def column_name(schema: Schema, attribute: str) -> str:
-    """The physical column for an attribute: ``c<position>``.
-
-    Positions come from the schema (which accepts qualified names), so
-    attribute identifiers never appear in SQL text — the compiler is
-    immune to identifier injection by construction.
-    """
-    return f"c{schema.position(attribute)}"
-
-
-def compile_condition(condition: Condition, schema: Schema) -> CompiledSQL:
-    """Compile a condition AST into a parameterized SQL boolean expression."""
-    if isinstance(condition, TrueCondition):
-        return CompiledSQL("1", ())
-    if isinstance(condition, FalseCondition):
-        return CompiledSQL("0", ())
-    if isinstance(condition, Comparison):
-        return CompiledSQL(
-            f"{column_name(schema, condition.attribute)} {condition.op} ?",
-            (_sql_literal(condition.value),),
-        )
-    if isinstance(condition, AttributeComparison):
-        left = column_name(schema, condition.left)
-        right = column_name(schema, condition.right)
-        return CompiledSQL(f"{left} {condition.op} {right}", ())
-    if isinstance(condition, (And, Or)):
-        connective = " AND " if isinstance(condition, And) else " OR "
-        parts = [compile_condition(clause, schema) for clause in condition.clauses]
-        text = "(" + connective.join(part.text for part in parts) + ")"
-        parameters = tuple(p for part in parts for p in part.parameters)
-        return CompiledSQL(text, parameters)
-    if isinstance(condition, Not):
-        inner = compile_condition(condition.clause, schema)
-        return CompiledSQL(f"NOT ({inner.text})", inner.parameters)
-    raise QueryError(
-        f"cannot compile condition node {type(condition).__name__} to SQL"
-    )
-
-
-def compile_select(
-    table: str, schema: Schema, condition: Condition | None
-) -> CompiledSQL:
-    """``SELECT c0..cN FROM <table> [WHERE ...]`` for one stored relation."""
-    columns = ", ".join(f"c{i}" for i in range(len(schema.attributes)))
-    if condition is None:
-        return CompiledSQL(f"SELECT {columns} FROM {table}", ())
-    where = compile_condition(condition, schema)
-    return CompiledSQL(
-        f"SELECT {columns} FROM {table} WHERE {where.text}", where.parameters
-    )
-
-
-def compile_bucket_join(
-    left_table: str, right_table: str, pairs_table: str
-) -> CompiledSQL:
-    """The DAS server query ``sigma_CondS(R1S x R2S)`` as a SQL join.
-
-    All three operands are (pos INTEGER, val BLOB) tables; Cond_S — a
-    disjunction of index-value pairs — becomes an equi-join against the
-    pairs table instead of an O(|Cond_S|) OR chain, which is both faster
-    and keeps the statement size independent of the bucket count.
-    """
-    return CompiledSQL(
-        "SELECT DISTINCT l.pos, r.pos "
-        f"FROM {left_table} AS l "
-        f"JOIN {pairs_table} AS p ON l.val = p.lval "
-        f"JOIN {right_table} AS r ON r.val = p.rval "
-        "ORDER BY l.pos, r.pos",
-        (),
-    )
-
-
-def partial_queries(tree: algebra.AlgebraNode) -> list[algebra.PartialQuery]:
-    """The partial-query leaves the mediator dispatches to datasources."""
-    return tree.leaves()

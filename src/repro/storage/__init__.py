@@ -1,9 +1,11 @@
-"""Persistent encrypted storage engine (rows + amortized index caches).
+"""Key epochs, content fingerprints and the amortized encrypted-index cache.
 
-See :mod:`repro.storage.base` for the backend contract and cache
-semantics, :mod:`repro.storage.memory` / :mod:`repro.storage.sqlite`
-for the two shipped backends, and ``docs/storage.md`` for the design
-notes (schema, pushdown, leakage of data at rest).
+Sources answer queries from their own relations; the store holds no
+copy of their rows.  See :mod:`repro.storage.base` for the backend
+contract and cache semantics, :mod:`repro.storage.memory` /
+:mod:`repro.storage.sqlite` for the two shipped backends, and
+``docs/storage.md`` for the design notes (schema, cache keys, what the
+store holds at rest).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.storage.sqlite import SQLiteBackend
 def storage_from_spec(spec: str | None) -> StorageBackend | None:
     """Build a backend from a CLI-style spec.
 
-    * ``None`` / ``""`` — no storage (the pre-storage data plane),
+    * ``None`` / ``""`` — no storage (every query recomputes its indexes),
     * ``"memory"`` — in-process :class:`MemoryBackend`,
     * ``"sqlite:PATH"`` — durable :class:`SQLiteBackend` at ``PATH``
       (``sqlite::memory:`` gives a private, non-persistent database).

@@ -1,20 +1,24 @@
 """Storage backend contract and the amortized index-cache layer.
 
-The paper's data plane keeps every relation in Python memory and re-pays
-the dominant crypto cost (encrypting join attributes) on every query.
-Following "Equi-Joins over Encrypted Data for Series of Queries"
-(arXiv 2103.05792), this module introduces a pluggable storage engine
-that persists
+The paper re-pays the dominant crypto cost (encrypting join attributes)
+on every query.  Following "Equi-Joins over Encrypted Data for Series of
+Queries" (arXiv 2103.05792), a datasource can keep its encrypted-index
+artifacts in a pluggable store and amortize them across a series.  The
+source's relation stays where the source holds it — the store keeps no
+copy of its rows — and the store holds
 
-* **relation rows** — the authoritative, schema-typed data of each
-  datasource (and the mediator's registry state where relevant),
+* **key epochs** — a per-namespace counter; a rotation makes every
+  entry written earlier stale,
+* **content fingerprints** — one digest per stored relation, so changed
+  content invalidates the relation's cache entries even across
+  restarts,
 * **encrypted-index caches** — per-``(namespace, relation)`` key/value
   entries holding commutative tags and double-encryptions, the source's
   hybrid session and the commutative tuple-set bodies encrypted under
-  it, DAS index tables, and Paillier polynomial coefficients, all keyed
-  by a **key epoch**.  An entry is kept only where reading it back is
-  cheaper than recomputing it: a DAS etuple is one DEM pass, so it is
-  re-encrypted per query and never stored.
+  it, DAS index tables, and Paillier polynomial coefficients.  An entry
+  is kept only where reading it back is cheaper than recomputing it: a
+  DAS etuple is one DEM pass, so it is re-encrypted per query and never
+  stored.
 
 Cache semantics:
 
@@ -28,10 +32,6 @@ Cache semantics:
   :class:`~repro.errors.StorageError` into a miss (counted as an
   ``error``), so protocols degrade to recomputing the index instead of
   failing the query when the cache store is unavailable.
-
-Backends implement the small abstract surface below.  The SQLite schema
-is deliberately vanilla (typed row tables plus one key/value cache
-table) so a Postgres backend can implement the same contract later.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ from __future__ import annotations
 import abc
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import StorageError
-from repro.relational.conditions import Condition
 from repro.relational.encoding import encode_relation
-from repro.relational.relation import Relation, Row
+from repro.relational.relation import Relation
 from repro.telemetry import tracing
 from repro.telemetry.metrics import get_registry
 
@@ -97,16 +96,9 @@ class CacheStats:
         self.errors += other.errors
 
 
-@dataclass(frozen=True)
-class StoredRelation:
-    """A persisted relation plus its stored content fingerprint."""
-
-    relation: Relation
-    fingerprint: bytes
-
-
 class StorageBackend(abc.ABC):
-    """Abstract persistent store for rows and encrypted-index caches.
+    """Abstract store for key epochs, content fingerprints and
+    encrypted-index caches.
 
     ``namespace`` is the owning party (datasource name); all methods are
     namespace-scoped so one backend instance can serve a whole
@@ -115,56 +107,18 @@ class StorageBackend(abc.ABC):
 
     #: Short backend identifier ("memory", "sqlite").
     kind: str = "abstract"
-    #: Whether data survives process exit.
-    persistent: bool = False
 
-    # -- rows (authoritative data plane) --------------------------------
+    # -- content fingerprints -------------------------------------------
 
     @abc.abstractmethod
     def store_relation(self, namespace: str, relation: Relation) -> bool:
-        """Persist ``relation`` under ``namespace``.
+        """Record the content fingerprint of ``relation`` under
+        ``namespace``; the rows themselves are not stored.
 
-        Returns ``True`` if the stored content *changed* (new relation,
-        or rows differ from what was persisted) — in which case the
+        Returns ``True`` if the content *changed* (new relation, or rows
+        differ from the recorded fingerprint) — in which case the
         backend has already invalidated the relation's cache entries.
         Storing identical content is a no-op that keeps caches warm.
-        """
-
-    @abc.abstractmethod
-    def load_relation(self, namespace: str, name: str) -> Relation | None:
-        """Load a persisted relation, or ``None`` if absent."""
-
-    @abc.abstractmethod
-    def relation_names(self, namespace: str) -> list[str]:
-        """Names of relations persisted under ``namespace``, sorted."""
-
-    @abc.abstractmethod
-    def select(
-        self, namespace: str, name: str, condition: Condition | None
-    ) -> Relation:
-        """Evaluate ``sigma_condition(relation)`` inside the backend.
-
-        This is the pushdown entry point: the SQLite backend compiles
-        the condition to a WHERE clause; the memory backend falls back
-        to the Python evaluator.  Raises StorageError if the relation is
-        not stored.
-        """
-
-    # -- server-query pushdown ------------------------------------------
-
-    @abc.abstractmethod
-    def bucket_join(
-        self,
-        left_values: Sequence[bytes],
-        right_values: Sequence[bytes],
-        pairs: Iterable[tuple[bytes, bytes]],
-    ) -> list[tuple[int, int]]:
-        """Positions ``(i, j)`` with ``(left_values[i], right_values[j])``
-        matching some ``(lv, rv)`` pair — the DAS server query
-        ``sigma_CondS(R1S x R2S)`` over bucket index values.
-
-        The result is sorted by ``(i, j)``, so all backends agree on the
-        transcript ordering.
         """
 
     # -- key epochs ------------------------------------------------------

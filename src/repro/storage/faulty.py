@@ -25,11 +25,10 @@ recomputing indexes — ``tests/faults`` asserts exactly that.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import StorageError
 from repro.faults.injector import FaultInjector
-from repro.relational.conditions import Condition
 from repro.relational.relation import Relation
 from repro.storage.base import StorageBackend
 
@@ -51,7 +50,6 @@ class FaultyStorage(StorageBackend):
         self.inner = inner
         self.injector = injector
         self.kind = inner.kind
-        self.persistent = inner.persistent
 
     def _observe(self, operation: str, namespace: str) -> str | None:
         """Report the operation; returns the enacted action (or None).
@@ -82,34 +80,11 @@ class FaultyStorage(StorageBackend):
                 f"injected storage fault ({action}) during {operation}"
             )
 
-    # -- rows ------------------------------------------------------------
+    # -- content fingerprints -------------------------------------------
 
     def store_relation(self, namespace: str, relation: Relation) -> bool:
         self._gate("store_relation", namespace)
         return self.inner.store_relation(namespace, relation)
-
-    def load_relation(self, namespace: str, name: str) -> Relation | None:
-        self._gate("load_relation", namespace)
-        return self.inner.load_relation(namespace, name)
-
-    def relation_names(self, namespace: str) -> list[str]:
-        self._gate("relation_names", namespace)
-        return self.inner.relation_names(namespace)
-
-    def select(
-        self, namespace: str, name: str, condition: Condition | None
-    ) -> Relation:
-        self._gate("select", namespace)
-        return self.inner.select(namespace, name, condition)
-
-    def bucket_join(
-        self,
-        left_values: Sequence[bytes],
-        right_values: Sequence[bytes],
-        pairs: Iterable[tuple[bytes, bytes]],
-    ) -> list[tuple[int, int]]:
-        self._gate("bucket_join", "mediator")
-        return self.inner.bucket_join(left_values, right_values, pairs)
 
     # -- key epochs ------------------------------------------------------
 

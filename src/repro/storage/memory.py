@@ -11,11 +11,8 @@ amortization across a query series.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.errors import StorageError
-from repro.relational.algebra import select as relational_select
-from repro.relational.conditions import Condition
 from repro.relational.relation import Relation
 from repro.storage.base import StorageBackend, relation_fingerprint
 
@@ -24,7 +21,6 @@ class MemoryBackend(StorageBackend):
     """Dictionary-backed backend; the reference implementation."""
 
     kind = "memory"
-    persistent = False
 
     def __init__(self) -> None:
         # One lock serializes every operation: the concurrent sessions of
@@ -32,68 +28,25 @@ class MemoryBackend(StorageBackend):
         # iteration over ``_cache`` (invalidate, epoch bump) would race
         # with puts.
         self._lock = threading.Lock()
-        # namespace -> relation name -> (Relation, fingerprint)
-        self._relations: dict[str, dict[str, tuple[Relation, bytes]]] = {}
+        # (namespace, relation name) -> content fingerprint
+        self._fingerprints: dict[tuple[str, str], bytes] = {}
         # namespace -> epoch
         self._epochs: dict[str, int] = {}
         # (namespace, relation, kind, key) -> (epoch, value)
         self._cache: dict[tuple[str, str, str, bytes], tuple[int, bytes]] = {}
 
-    # -- rows ------------------------------------------------------------
+    # -- content fingerprints -------------------------------------------
 
     def store_relation(self, namespace: str, relation: Relation) -> bool:
         digest = relation_fingerprint(relation)
         with self._lock:
-            bucket = self._relations.setdefault(namespace, {})
-            existing = bucket.get(relation.name)
-            if existing is not None and existing[1] == digest:
+            existing = self._fingerprints.get((namespace, relation.name))
+            if existing == digest:
                 return False
-            bucket[relation.name] = (relation, digest)
+            self._fingerprints[(namespace, relation.name)] = digest
             if existing is not None:
                 self._invalidate_locked(namespace, relation.name)
             return True
-
-    def load_relation(self, namespace: str, name: str) -> Relation | None:
-        with self._lock:
-            entry = self._relations.get(namespace, {}).get(name)
-        return entry[0] if entry is not None else None
-
-    def relation_names(self, namespace: str) -> list[str]:
-        with self._lock:
-            return sorted(self._relations.get(namespace, {}))
-
-    def select(
-        self, namespace: str, name: str, condition: Condition | None
-    ) -> Relation:
-        relation = self.load_relation(namespace, name)
-        if relation is None:
-            raise StorageError(
-                f"relation {name!r} not stored under namespace {namespace!r}"
-            )
-        if condition is None:
-            return relation
-        return relational_select(relation, condition)
-
-    # -- server-query pushdown ------------------------------------------
-
-    def bucket_join(
-        self,
-        left_values: Sequence[bytes],
-        right_values: Sequence[bytes],
-        pairs: Iterable[tuple[bytes, bytes]],
-    ) -> list[tuple[int, int]]:
-        left_groups: dict[bytes, list[int]] = {}
-        for position, value in enumerate(left_values):
-            left_groups.setdefault(value, []).append(position)
-        right_groups: dict[bytes, list[int]] = {}
-        for position, value in enumerate(right_values):
-            right_groups.setdefault(value, []).append(position)
-        matches: set[tuple[int, int]] = set()
-        for left_value, right_value in pairs:
-            for i in left_groups.get(left_value, ()):
-                for j in right_groups.get(right_value, ()):
-                    matches.add((i, j))
-        return sorted(matches)
 
     # -- key epochs ------------------------------------------------------
 

@@ -110,6 +110,19 @@ class TestServerQueryEvaluation:
         )
         assert len(result) == 2 + 4
 
+    def test_repeated_pair_comes_back_once(self, encrypted):
+        left, right = encrypted
+        once = _evaluate_server_query(
+            ServerQuery(pairs=((10, 200), (20, 200))), left, right
+        )
+        repeated = _evaluate_server_query(
+            ServerQuery(pairs=((10, 200), (20, 200), (10, 200))), left, right
+        )
+        assert len(once) == 2 * 2 + 1 * 2
+        assert repeated.pairs == once.pairs
+        distinct = {(id(row_1), id(row_2)) for row_1, row_2 in repeated.pairs}
+        assert len(distinct) == len(repeated)
+
     def test_no_pairs_no_output(self, encrypted):
         left, right = encrypted
         assert len(

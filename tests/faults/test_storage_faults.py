@@ -11,7 +11,6 @@ import pytest
 
 from repro import Federation, run_join_query
 from repro.core.runner import reference_join
-from repro.errors import StorageError
 from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.mediation.access_control import allow_all
 from repro.relational.encoding import encode_relation
@@ -208,18 +207,6 @@ class TestDelay:
 
 
 class TestHardFailures:
-    def test_row_loads_are_not_soft(self):
-        """Row-plane operations stay hard errors — only the cache is
-        allowed to degrade."""
-        storage = faulty(FaultRule(action="drop", kind="storage:select"))
-        from repro.relational.relation import Relation
-        from repro.relational.schema import Attribute, AttributeType, Schema
-
-        schema = Schema("R", (Attribute("k", AttributeType.INT),))
-        storage.store_relation("S1", Relation(schema, [(1,)]))
-        with pytest.raises(StorageError):
-            storage.select("S1", "R", None)
-
     def test_faulty_wrapper_describes_itself(self):
         storage = faulty()
         assert storage.describe().startswith("faulty(")

@@ -117,7 +117,7 @@ class TestParserErrors:
 class TestPartialQueries:
     def test_leaves_returned(self):
         tree = sql.parse("select * from R1 natural join R2")
-        leaves = sql.partial_queries(tree)
+        leaves = tree.leaves()
         assert [leaf.sql for leaf in leaves] == [
             "select * from R1",
             "select * from R2",
