@@ -640,7 +640,9 @@ def run_das_delivery(
                     table_2_bytes = state.index_table.to_bytes()
                     if hardening is not None:
                         table_2_bytes = hardening.wrap_table(table_2_bytes)
-                    table_body = hybrid.encrypt([translator_key], table_2_bytes)
+                    table_body = encrypted_table_2 = hybrid.encrypt(
+                        [translator_key], table_2_bytes
+                    )
                 else:
                     table_body = None  # S1 keeps its own table locally
             else:
@@ -659,11 +661,6 @@ def run_das_delivery(
         if config.setting == SOURCE_SETTING:
             # The mediator forwards S2's encrypted table to the
             # translating source, which builds the server query.
-            encrypted_table_2 = [
-                m.body["index_table"]
-                for m in network.messages_of_kind("das_encrypted_partial_result")
-                if m.sender == source_2
-            ][0]
             network.send(
                 mediator_name,
                 source_1,

@@ -48,13 +48,15 @@ Concurrency (see ``docs/transport.md``):
   the budget is exhausted.  Sessions are closed at the endpoints on
   :meth:`TcpTransport.close`.
 
-The body the **transcript** records is the decoded round trip of the
-encoded frame, not the sender's live object, so a body the codec cannot
-carry fails the send.  The protocol steps themselves still continue
-with their own objects: the drivers in :mod:`repro.core` run every
-party in one process, and only the DAS source setting reads a body back
-from the transcript.  Receivers that consume the decoded body are
-party-resident execution (ROADMAP item 1).
+The body the **transcript** records is the object the sender encoded,
+exactly as on the in-process bus; ``size_bytes`` is the length of the
+frame.  A body the codec cannot carry (an unregistered type, a tree
+deeper than :data:`~repro.transport.codec.MAX_VALUE_DEPTH`) fails in
+the encoder, before any frame is sent.  No process decodes a DATA body:
+the endpoint acts on the envelope header and CRC, and the drivers in
+:mod:`repro.core` run every party in one process with their own
+objects.  A receiving handler that consumes the decoded body arrives
+with party-resident execution (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -225,11 +227,10 @@ class TcpTransport(Transport):
             self._run(
                 self._deliver(receiver, frame, sequence, current_deadline())
             )
-            # The recorded body is the decoded wire payload: whatever the
-            # receiver could reconstruct is what the transcript carries.
-            decoded_body = codec.decode_envelope(payload)[4]
+            # The transcript records the body that was encoded, as the bus
+            # does; the message is serialized once and never decoded here.
             message = self._record(
-                sequence, sender, receiver, kind, decoded_body, len(frame)
+                sequence, sender, receiver, kind, body, len(frame)
             )
             if span is not None:
                 span.attributes["size_bytes"] = message.size_bytes

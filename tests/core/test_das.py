@@ -133,6 +133,38 @@ class TestCorrectness:
         assert result.global_result == expected
 
 
+@pytest.mark.parametrize("carrier", ["bus", "tcp"])
+def test_source_setting_answers_a_series_of_queries(ca, client, workload, carrier):
+    """One federation answers three source-setting queries with a key
+    rotation between them; the translator must be handed *this* query's
+    index table, not the first one the transcript holds."""
+    from repro import Federation
+    from repro.mediation.access_control import allow_all
+    from repro.mediation.network import Network
+    from repro.storage import MemoryBackend
+    from repro.transport import RetryPolicy, TcpTransport
+
+    network = (
+        TcpTransport(retry=RetryPolicy(io_timeout=30.0))
+        if carrier == "tcp" else Network()
+    )
+    federation = Federation(ca=ca, network=network, storage=MemoryBackend())
+    try:
+        federation.add_source("S1", [(workload.relation_1, allow_all())])
+        federation.add_source("S2", [(workload.relation_2, allow_all())])
+        federation.attach_client(client)
+        config = DASConfig(setting="source", buckets=4)
+        for query in range(3):
+            if query:
+                for source in ("S1", "S2"):
+                    federation.source(source).rotate_keys()
+            result = run_join_query(federation, QUERY, protocol="das", config=config)
+            assert len(result.global_result) > 0
+            assert result.global_result == reference_join(federation, QUERY)
+    finally:
+        federation.network.close()
+
+
 class TestSupersetSemantics:
     def test_server_result_is_superset(self, make_federation, workload, expected):
         result = run_join_query(
