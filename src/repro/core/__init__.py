@@ -4,15 +4,16 @@
 * :mod:`~repro.core.das` — DAS delivery (Listing 2)
 * :mod:`~repro.core.commutative` — commutative delivery (Listing 3)
 * :mod:`~repro.core.private_matching` — private matching (Listing 4)
+* :mod:`~repro.core.steps` — the one delivery loop over their step tables
 * :mod:`~repro.core.runner` — end-to-end orchestration
 * :mod:`~repro.core.federation` — federation wiring
 * :mod:`~repro.core.hierarchy` — mediator hierarchies (Section 8)
 """
 
-from repro.core.commutative import CommutativeConfig, run_commutative_delivery
-from repro.core.das import DASConfig, run_das_delivery
+from repro.core.commutative import CommutativeConfig
+from repro.core.das import DASConfig
 from repro.core.federation import Federation
-from repro.core.private_matching import PMConfig, run_private_matching_delivery
+from repro.core.private_matching import PMConfig
 from repro.core.request import run_request_phase
 from repro.core.result import MediationResult, RunFailure
 from repro.core.runner import PROTOCOLS, reference_join, run_join_query
@@ -26,9 +27,6 @@ __all__ = [
     "PROTOCOLS",
     "RunFailure",
     "reference_join",
-    "run_commutative_delivery",
-    "run_das_delivery",
     "run_join_query",
-    "run_private_matching_delivery",
     "run_request_phase",
 ]

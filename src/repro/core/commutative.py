@@ -35,6 +35,7 @@ import operator
 import random
 import secrets
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable
 
 from repro.core.assembly import combine_tuple_sets
@@ -48,14 +49,24 @@ from repro.core.joinkeys import (
 )
 from repro.core.request import RequestPhaseOutcome
 from repro.core.result import MediationResult
-from repro.core.timing import timed
+from repro.core.steps import (
+    CLIENT,
+    DONE,
+    MEDIATOR,
+    SOURCE,
+    START,
+    Outbound,
+    Parties,
+    Step,
+    collect,
+    states,
+)
+from repro.core.steps import seat as seat_parties
 from repro.crypto import commutative as comm
 from repro.crypto import groups, hybrid
 from repro.crypto.engine import CryptoEngine, get_engine
 from repro.crypto.hashes import IdealHash
-from repro.crypto.instrumentation import count_primitives
 from repro.errors import ProtocolError, StorageError
-from repro.mediation.credentials import public_keys_of
 from repro.relational.encoding import decode_rows, encode_rows
 from repro.relational.relation import Relation
 from repro.storage.base import (
@@ -307,210 +318,186 @@ def _double_encrypt(
     )
 
 
-def run_commutative_delivery(
-    federation: Federation,
-    outcome: RequestPhaseOutcome,
-    config: CommutativeConfig | None = None,
-    engine: CryptoEngine | None = None,
-    hardening=None,
-) -> MediationResult:
-    """Execute the commutative delivery phase (Listing 3) over the bus."""
-    config = config or CommutativeConfig()
-    engine = engine or get_engine()
-    client = federation.require_client()
-    mediator_name = federation.mediator.name
-    network = federation.network
-    source_1, source_2 = outcome.source_names
-    relation_1 = outcome.partial_results[source_1]
-    relation_2 = outcome.partial_results[source_2]
+# -- Listing 3 as a step table ----------------------------------------------
 
-    result = MediationResult(
-        protocol="commutative" + ("[ids]" if config.use_tuple_ids else ""),
-        query=outcome.query,
-        global_result=Relation(relation_1.schema, []),
-        network=network,
-        primitive_counter=None,
+
+def _announce(mediator, sender: str, body: None) -> Outbound:
+    """The shared group and hash ("both datasources use the same ideal
+    hash function")."""
+    modulus = groups.commutative_group(mediator.config.group_bits).p
+    return [
+        (source, "commutative_setup",
+         {"modulus": modulus, "hash_tag": IdealHash(modulus).tag})
+        for source in mediator.sources
+    ]
+
+
+def _round_1(source, sender: str, body: dict) -> Outbound:
+    """Steps 1-3: S_i sends M_i (and, hardened, its dummy tuple sets)."""
+    group = comm.CommutativeGroup(body["modulus"])
+    state, messages = _prepare_source(
+        source.relation, source.join_attributes, group,
+        IdealHash(group.p, body["hash_tag"]), source.client_keys,
+        source.config, source.engine, cache=source.cache,
+        hardening=source.hardening,
     )
+    source.key = state.key
+    outbound = [(sender, "commutative_m_set", messages)]
+    if source.hardening is not None:
+        outbound.append((sender, "commutative_dummies", state.dummies))
+    return outbound
 
-    with count_primitives() as counter:
-        result.primitive_counter = counter
-        client_keys = public_keys_of(
-            outcome.forwarded_credentials[source_1]
-            + outcome.forwarded_credentials[source_2]
-        )
-        # The mediator announces the shared group and hash parameters; the
-        # paper assumes "both datasources use the same ideal hash function".
-        group = groups.commutative_group(config.group_bits)
-        ideal_hash = IdealHash(group.p)
-        for source_name in (source_1, source_2):
-            network.send(
-                mediator_name,
-                source_name,
-                "commutative_setup",
-                {"modulus": group.p, "hash_tag": ideal_hash.tag},
-            )
 
-        # Steps 1-3: each source builds and sends its message set M_i.
-        states: dict[str, _SourceState] = {}
-        message_sets: dict[str, list[TaggedMessage]] = {}
-        for source_name, relation in (
-            (source_1, relation_1),
-            (source_2, relation_2),
-        ):
-            with timed(result, source_name, "hash_encrypt_round1"):
-                state, messages = _prepare_source(
-                    relation,
-                    outcome.join_attributes,
-                    group,
-                    ideal_hash,
-                    client_keys,
-                    config,
-                    engine,
-                    cache=federation.source(source_name).index_cache(),
-                    hardening=hardening,
-                )
-            states[source_name] = state
-            message_sets[source_name] = messages
-            network.send(source_name, mediator_name, "commutative_m_set", messages)
-            if hardening is not None:
-                network.send(
-                    source_name, mediator_name, "commutative_dummies",
-                    state.dummies,
-                )
+def _keep_dummies(mediator, sender: str, dummies: dict) -> Outbound:
+    mediator.dummies = dummies
+    return []
 
-        # Step 4: the mediator exchanges the message sets (optionally
-        # substituting ID tokens for the payloads, footnote 1).
-        id_table: dict[bytes, hybrid.HybridCiphertext] = {}
 
-        def outbound(messages: list[TaggedMessage]) -> list[TaggedMessage]:
-            if not config.use_tuple_ids:
-                return messages
-            substituted = []
-            for message in messages:
-                token = secrets.token_bytes(_ID_BYTES)
-                while token in id_table:
-                    token = secrets.token_bytes(_ID_BYTES)
-                id_table[token] = message.payload
-                substituted.append(TaggedMessage(tag=message.tag, payload=token))
-            return substituted
+def _exchange(mediator, sender: str, message_sets: dict) -> Outbound:
+    """Step 4: each source gets the other's set — S1 first, as it
+    computes first — with ID tokens for the payloads under footnote 1."""
+    mediator.message_sets = message_sets
+    mediator.id_table = {}
+    (source_1, set_1), (source_2, set_2) = message_sets.items()
+    to_2, to_1 = _substitute_ids(mediator, set_1), _substitute_ids(mediator, set_2)
+    return [
+        (source_1, "commutative_exchange", to_1),
+        (source_2, "commutative_exchange", to_2),
+    ]
 
-        forwarded_to_2 = outbound(message_sets[source_1])
-        forwarded_to_1 = outbound(message_sets[source_2])
-        network.send(mediator_name, source_2, "commutative_exchange", forwarded_to_2)
-        network.send(mediator_name, source_1, "commutative_exchange", forwarded_to_1)
 
-        # Steps 5-6: sources double-encrypt and return.
-        with timed(result, source_1, "double_encrypt"):
-            response_1 = _double_encrypt(
-                forwarded_to_1,
-                states[source_1].key,
-                engine,
-                cache=federation.source(source_1).index_cache(),
-                relation_name=relation_1.name,
-            )
-        network.send(source_1, mediator_name, "commutative_double", response_1)
-        with timed(result, source_2, "double_encrypt"):
-            response_2 = _double_encrypt(
-                forwarded_to_2,
-                states[source_2].key,
-                engine,
-                cache=federation.source(source_2).index_cache(),
-                relation_name=relation_2.name,
-            )
-        network.send(source_2, mediator_name, "commutative_double", response_2)
+def _substitute_ids(mediator, messages: list[TaggedMessage]) -> list[TaggedMessage]:
+    if not mediator.config.use_tuple_ids:
+        return messages
+    substituted = []
+    for message in messages:
+        token = secrets.token_bytes(_ID_BYTES)
+        while token in mediator.id_table:
+            token = secrets.token_bytes(_ID_BYTES)
+        mediator.id_table[token] = message.payload
+        substituted.append(TaggedMessage(tag=message.tag, payload=token))
+    return substituted
 
-        # Step 7: the mediator matches identical first components.
-        def resolve(payload):
-            if config.use_tuple_ids:
-                if payload not in id_table:
-                    raise ProtocolError("datasource returned an unknown ID token")
-                return id_table[payload]
-            return payload
 
-        with timed(result, mediator_name, "match"):
-            # response_1 tags derive from M_2, so payloads are Tup_2 sets;
-            # response_2 payloads are Tup_1 sets.
-            tup_2_by_tag = {m.tag: resolve(m.payload) for m in response_1}
-            result_messages = []
-            for message in response_2:
-                if message.tag in tup_2_by_tag:
-                    result_messages.append(
-                        (resolve(message.payload), tup_2_by_tag[message.tag])
-                    )
+def _round_2(source, sender: str, body: list) -> Outbound:
+    """Steps 5-6: S_i applies its own key on top and returns the set."""
+    doubled = _double_encrypt(
+        body, source.key, source.engine, cache=source.cache,
+        relation_name=source.relation.name,
+    )
+    return [(sender, "commutative_double", doubled)]
+
+
+def _resolve(mediator, payload):
+    if not mediator.config.use_tuple_ids:
+        return payload
+    if payload not in mediator.id_table:
+        raise ProtocolError("datasource returned an unknown ID token")
+    return mediator.id_table[payload]
+
+
+def _match(mediator, sender: str, responses: dict) -> Outbound:
+    """Step 7: match identical first components; pairs to the client."""
+    # S1's responses derive from M_2, so their payloads are Tup_2 sets;
+    # S2's payloads are Tup_1 sets.
+    response_1, response_2 = responses.values()
+    tup_2_by_tag = {m.tag: _resolve(mediator, m.payload) for m in response_1}
+    mediator.matched = [
+        (_resolve(mediator, m.payload), tup_2_by_tag[m.tag])
+        for m in response_2
+        if m.tag in tup_2_by_tag
+    ]
+    if mediator.hardening is None:
+        return [(mediator.client, "commutative_result", mediator.matched)]
+    # The intersection size is the mediator's headline leak (Table 1 row
+    # "number of values in common").  Pad the result channel to
+    # min(|M_1|, |M_2|) — active-domain sizes are adjacency invariants —
+    # by pairing S1's dummies with S2's: same session, same body length
+    # as the real tuple sets, shuffled so dummy positions carry no
+    # signal, delivered as fixed-size frames.
+    frames = mediator.hardening.cover.deliver_chunks(
+        "commutative_result", mediator.matched,
+        bound=min(map(len, mediator.message_sets.values())),
+        dummies=list(zip(*mediator.dummies.values())),
+        shuffle=True,
+    )
+    return [(mediator.client, "commutative_result", frame) for frame in frames]
+
+
+def _decrypt_and_combine(client, sender: str, body: None) -> Outbound:
+    """Step 8: the client decrypts the pairs and builds the result."""
+    delivered = list(chain.from_iterable(client.inbox))
+    hardening = client.hardening
+    plaintexts_1 = client.client.decrypt_hybrid_many(
+        [pair[0] for pair in delivered], engine=client.engine
+    )
+    plaintexts_2 = client.client.decrypt_hybrid_many(
+        [pair[1] for pair in delivered], engine=client.engine
+    )
+    schema_1, schema_2 = client.schemas
+    client.dummy_pairs = 0
+    matched = []
+    for plaintext_1, plaintext_2 in zip(plaintexts_1, plaintexts_2):
         if hardening is not None:
-            # The intersection size is the mediator's headline leak (Table
-            # 1 row "number of values in common").  Pad the result channel
-            # to min(|M_1|, |M_2|) — active-domain sizes are adjacency
-            # invariants — by pairing S1's dummies with S2's: same session,
-            # same body length as the real tuple sets, shuffled so dummy
-            # positions carry no signal, delivered as fixed-size frames.
-            delivered = hardening.cover.deliver_chunks(
-                network,
-                mediator_name,
-                client.name,
-                "commutative_result",
-                result_messages,
-                bound=min(
-                    len(message_sets[source_1]), len(message_sets[source_2])
-                ),
-                dummies=list(
-                    zip(states[source_1].dummies, states[source_2].dummies)
-                ),
-                shuffle=True,
-            )
-        else:
-            network.send(
-                mediator_name, client.name, "commutative_result", result_messages
-            )
-            delivered = result_messages
+            plaintext_1 = hardening.unwrap(plaintext_1)
+            plaintext_2 = hardening.unwrap(plaintext_2)
+            if plaintext_1 is None and plaintext_2 is None:
+                client.dummy_pairs += 1
+                continue
+            if plaintext_1 is None or plaintext_2 is None:
+                raise ProtocolError(
+                    "commutative result pair mixes a real tuple set "
+                    "with a dummy"
+                )
+        rows_1 = decode_rows(plaintext_1, schema_1)
+        rows_2 = decode_rows(plaintext_2, schema_2)
+        probe = Relation(schema_1, rows_1)
+        join_key = key_of(probe, rows_1[0], client.join_attributes)
+        matched.append((join_key, rows_1, rows_2))
+    client.global_result = combine_tuple_sets(
+        schema_1, schema_2, client.join_attributes, matched
+    )
+    return []
 
-        # Step 8: the client decrypts and constructs the global result.
-        dummy_pairs = 0
-        with timed(result, client.name, "decrypt_and_combine"):
-            plaintexts_1 = client.decrypt_hybrid_many(
-                [pair[0] for pair in delivered], engine=engine
-            )
-            plaintexts_2 = client.decrypt_hybrid_many(
-                [pair[1] for pair in delivered], engine=engine
-            )
-            matched = []
-            for plaintext_1, plaintext_2 in zip(plaintexts_1, plaintexts_2):
-                if hardening is not None:
-                    plaintext_1 = hardening.unwrap(plaintext_1)
-                    plaintext_2 = hardening.unwrap(plaintext_2)
-                    if plaintext_1 is None and plaintext_2 is None:
-                        dummy_pairs += 1
-                        continue
-                    if plaintext_1 is None or plaintext_2 is None:
-                        raise ProtocolError(
-                            "commutative result pair mixes a real tuple set "
-                            "with a dummy"
-                        )
-                rows_1 = decode_rows(plaintext_1, relation_1.schema)
-                rows_2 = decode_rows(plaintext_2, relation_2.schema)
-                probe = Relation(relation_1.schema, rows_1)
-                join_key = key_of(probe, rows_1[0], outcome.join_attributes)
-                matched.append((join_key, rows_1, rows_2))
-            global_result = combine_tuple_sets(
-                relation_1.schema,
-                relation_2.schema,
-                outcome.join_attributes,
-                matched,
-            )
 
-    result.global_result = global_result
+TABLE = {
+    (MEDIATOR, START): Step(_announce),
+    (SOURCE, "commutative_setup"): Step(_round_1, "hash_encrypt_round1"),
+    (MEDIATOR, "commutative_m_set"): Step(_exchange, gather=True),
+    (MEDIATOR, "commutative_dummies"): Step(_keep_dummies, gather=True),
+    (SOURCE, "commutative_exchange"): Step(_round_2, "double_encrypt"),
+    (MEDIATOR, "commutative_double"): Step(_match, "match", gather=True),
+    (CLIENT, "commutative_result"): Step(collect),
+    (CLIENT, DONE): Step(_decrypt_and_combine, "decrypt_and_combine"),
+}
+
+
+def seat(
+    federation: Federation, outcome: RequestPhaseOutcome,
+    config: CommutativeConfig, engine: CryptoEngine, hardening=None,
+) -> tuple[dict, Parties]:
+    """Listing 3's table and each party's own state."""
+    return TABLE, seat_parties(federation, outcome, config, engine, hardening)
+
+
+def report(
+    result: MediationResult, parties: Parties, config: CommutativeConfig
+) -> None:
+    """Global result and artifacts, from the parties' final states."""
+    *_, mediator, client = states(parties)
+    result.protocol = "commutative" + ("[ids]" if config.use_tuple_ids else "")
+    result.global_result = client.global_result
     result.artifacts.update(
         {
             # M_i carries one message per active join value.
             "active_domain_sizes": {
-                source_1: len(message_sets[source_1]),
-                source_2: len(message_sets[source_2]),
+                name: len(messages)
+                for name, messages in mediator.message_sets.items()
             },
-            "intersection_size": len(result_messages),
-            "id_table_entries": len(id_table),
+            "intersection_size": len(mediator.matched),
+            "id_table_entries": len(mediator.id_table),
             "config": config,
         }
     )
-    if hardening is not None:
-        result.artifacts["dummy_pairs_discarded"] = dummy_pairs
-    return result
+    if client.hardening is not None:
+        result.artifacts["dummy_pairs_discarded"] = client.dummy_pairs

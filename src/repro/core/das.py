@@ -37,19 +37,29 @@ from __future__ import annotations
 import random
 import secrets
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 from repro.core.encapsulation import source_session
 from repro.core.federation import Federation
 from repro.core.request import RequestPhaseOutcome
 from repro.core.result import MediationResult
-from repro.core.timing import timed
+from repro.core.steps import (
+    CLIENT,
+    DONE,
+    MEDIATOR,
+    SOURCE,
+    START,
+    Outbound,
+    Parties,
+    Step,
+    collect,
+    states,
+)
+from repro.core.steps import seat as seat_parties
 from repro.crypto import hybrid, symmetric
 from repro.crypto.engine import CryptoEngine, get_engine
-from repro.crypto.instrumentation import count_primitives
 from repro.errors import ProtocolError
-from repro.mediation.credentials import public_keys_of
 from repro.relational import partition as partitioning
 from repro.relational.algebra import natural_join
 from repro.relational.conditions import (
@@ -190,16 +200,6 @@ def _distinct(rows: list) -> tuple[list, list[int]]:
     return list(distinct.values()), list(map(numbers.__getitem__, ids))
 
 
-@dataclass
-class _SourceState:
-    """Transient per-source state during the delivery phase."""
-
-    index_table: IndexTable
-    encrypted_relation: EncryptedRelation
-    encrypted_index_table: hybrid.HybridCiphertext | None = None
-    plain_rows: dict[int, Row] = field(default_factory=dict)
-
-
 def _partition_domain(
     config: DASConfig, active_domain: tuple, attribute: str
 ) -> list[partitioning.Partition]:
@@ -213,7 +213,7 @@ def _partition_domain(
 def _mixed_split(schema: Schema, config: DASConfig) -> tuple[list[int], list[int]]:
     """(sensitive positions, plaintext positions) for the mixed model."""
     # Names not in this schema belong to the other relation; validation
-    # of completely unknown names happens once in run_das_delivery.
+    # of completely unknown names happens once in seat().
     plaintext = set(config.mixed_plaintext_attributes) & set(schema.names())
     sensitive_positions = [
         i for i, a in enumerate(schema.attributes) if a.name not in plaintext
@@ -235,8 +235,9 @@ def _encrypt_source(
     engine: CryptoEngine | None = None,
     cache: IndexCache | None = None,
     hardening=None,
-) -> _SourceState:
-    """Steps 1-2 at one datasource.
+) -> tuple[IndexTable, EncryptedRelation, hybrid.HybridCiphertext]:
+    """Steps 1-2 at one datasource: its index table, ``R_i^S`` and the
+    index table encrypted for the client.
 
     Every ciphertext this source emits — real etuples, hardened dummies
     and the encrypted index table — is a DEM body under the source's one
@@ -367,12 +368,7 @@ def _encrypt_source(
     table_bytes = index_table.to_bytes()
     if hardening is not None:
         table_bytes = hardening.wrap_table(table_bytes)
-    encrypted_index_table = session.encrypt(table_bytes)
-    return _SourceState(
-        index_table=index_table,
-        encrypted_relation=encrypted_relation,
-        encrypted_index_table=encrypted_index_table,
-    )
+    return index_table, encrypted_relation, session.encrypt(table_bytes)
 
 
 def _evaluate_server_query(
@@ -418,7 +414,7 @@ def _server_pairs(
     The overlap count is data-dependent (it tracks which buckets share
     values), so hardened translators request the full B_1 x B_2 grid:
     R_C is the entire padded cross product, which the mediator answers
-    by forwarding its two factors (see :func:`run_das_delivery`).
+    by forwarding its two factors (see :func:`_forward_relations`).
     """
     if hardening is None:
         return tuple(table_1.overlapping_pairs(table_2))
@@ -514,7 +510,7 @@ def _client_postprocess(
 
 def _client_hash_join(
     client,
-    tables: tuple[tuple[EncryptedTuple, ...], tuple[EncryptedTuple, ...]],
+    rows: list[EncryptedTuple],
     schemas: tuple[Schema, Schema],
     attribute: str,
     engine: CryptoEngine | None,
@@ -525,17 +521,37 @@ def _client_hash_join(
     R_C is the whole padded cross product, which its two factors imply
     without anyone enumerating it: each etuple is decrypted once, dummies
     are discarded, and the real rows meet in the relational hash join.
-    Returns the global result, the real rows that joined nothing (this
-    delivery's false positives) and the number of dummies discarded.
+    ``rows`` is every etuple received, S1's frames first.  Each etuple
+    of a source, real or dummy, references that source's one
+    encapsulation, so grouping by encapsulation in order of first
+    appearance recovers the two tables from the frames alone.  A side
+    with no rows arrives as one empty frame: nothing joins, and every
+    real row is unmatched.  Returns the global result, the real rows
+    that joined nothing (this delivery's false positives) and the number
+    of dummies discarded.
     """
-    real = []
-    for schema, table in zip(schemas, tables):
-        plaintexts = client.decrypt_hybrid_many(
-            [encrypted.etuple for encrypted in table], engine=engine
+    tables: dict[bytes, list[EncryptedTuple]] = {}
+    for row in rows:
+        tables.setdefault(row.etuple.wrapped_keys.digest(), []).append(row)
+    if len(tables) > 2:
+        raise ProtocolError(
+            "hardened server result references more than two sessions"
         )
-        payloads = map(hardening.unwrap, plaintexts)  # None flags a dummy
-        rows = [decode_row(p, schema) for p in payloads if p is not None]
-        real.append(Relation(schema, rows))
+    payloads = [  # None flags a dummy
+        list(map(hardening.unwrap, client.decrypt_hybrid_many(
+            [encrypted.etuple for encrypted in table], engine=engine
+        )))
+        for table in tables.values()
+    ]
+    if len(tables) < 2:
+        # Relations are sets: count the distinct real payloads.
+        real_rows = {p for side in payloads for p in side if p is not None}
+        empty = natural_join(*(Relation(schema, []) for schema in schemas))
+        return empty, len(real_rows), len(rows) - len(real_rows)
+    real = [
+        Relation(schema, [decode_row(p, schema) for p in side if p is not None])
+        for schema, side in zip(schemas, payloads)
+    ]
     common = set(real[0].active_domain(attribute)).intersection(
         real[1].active_domain(attribute)
     )
@@ -544,20 +560,183 @@ def _client_hash_join(
         for relation in real
         for row in relation
     )
-    dummies = sum(map(len, tables)) - sum(map(len, real))
-    return natural_join(*real), unmatched, dummies
+    return natural_join(*real), unmatched, len(rows) - sum(map(len, real))
 
 
-def run_das_delivery(
-    federation: Federation,
-    outcome: RequestPhaseOutcome,
-    config: DASConfig | None = None,
-    engine: CryptoEngine | None = None,
-    hardening=None,
-) -> MediationResult:
-    """Execute the DAS delivery phase (Listing 2) over the message bus."""
-    config = config or DASConfig()
-    engine = engine or get_engine()
+# -- Listing 2 as step tables, one per translator setting -------------------
+
+PARTIAL = "das_encrypted_partial_result"
+
+
+def _publish(source, table_for) -> Outbound:
+    """Steps 1-3: <R_i^S, the index table> to the mediator; the table
+    travels as ``table_for`` makes it from (index table, encrypted for
+    the client)."""
+    source.index_table, relation, encrypted = _encrypt_source(
+        source.name, source.relation, source.join_attributes[0],
+        source.config, source.client_keys, source.engine,
+        cache=source.cache, hardening=source.hardening,
+    )
+    table = table_for(source, encrypted)
+    return [(source.mediator, PARTIAL, {"relation": relation, "index_table": table})]
+
+
+def _publish_for_client(source, sender: str, body: None) -> Outbound:
+    return _publish(source, lambda source, encrypted: encrypted)
+
+
+def _publish_for_translator(source, sender: str, body: None) -> Outbound:
+    """Source setting: S2's table is encrypted for the translating S1,
+    which keeps its own."""
+    return _publish(source, _table_for_translator)
+
+
+def _table_for_translator(source, encrypted) -> hybrid.HybridCiphertext | None:
+    if source.translator_key is None:
+        return None
+    table_bytes = source.index_table.to_bytes()
+    if source.hardening is not None:
+        table_bytes = source.hardening.wrap_table(table_bytes)
+    return hybrid.encrypt([source.translator_key], table_bytes)
+
+
+def _publish_plain_table(source, sender: str, body: None) -> Outbound:
+    """Mediator setting (insecure baseline): the table in plaintext."""
+    return _publish(source, lambda source, encrypted: source.index_table)
+
+
+def _tables_to_client(mediator, sender: str, partials: dict) -> Outbound:
+    """Step 4: both encrypted index tables on to the client."""
+    mediator.partials = partials
+    tables = {name: body["index_table"] for name, body in partials.items()}
+    return [(mediator.client, "das_encrypted_index_tables", tables)]
+
+
+def _table_to_translator(mediator, sender: str, partials: dict) -> Outbound:
+    """Source setting: S2's encrypted table on to the translating S1."""
+    mediator.partials = partials
+    (source_1, _), (_, partial_2) = partials.items()
+    table = partial_2["index_table"]
+    return [(source_1, "das_index_table_for_translator", table)]
+
+
+def _translate_at_client(client, sender: str, tables: dict) -> Outbound:
+    """Step 5: decrypt both tables and translate q into q_S."""
+    table_1, table_2 = (
+        _table_from_plaintext(client.client.decrypt_hybrid(table), client.hardening)
+        for table in tables.values()
+    )
+    pairs = _server_pairs(table_1, table_2, client.hardening)
+    return [(sender, "das_server_query", ServerQuery(pairs=pairs))]
+
+
+def _translate_at_source(source, sender: str, table) -> Outbound:
+    """Source setting: S1 opens S2's table and translates q itself."""
+    table_2 = _table_from_plaintext(
+        hybrid.decrypt(source.private_key, table), source.hardening
+    )
+    pairs = _server_pairs(source.index_table, table_2, source.hardening)
+    return [(sender, "das_server_query", ServerQuery(pairs=pairs))]
+
+
+def _translate_at_mediator(mediator, sender: str, partials: dict) -> Outbound:
+    """Mediator setting: the mediator translates q itself, unsent."""
+    mediator.partials = partials
+    table_1, table_2 = (body["index_table"] for body in partials.values())
+    query = ServerQuery(pairs=tuple(table_1.overlapping_pairs(table_2)))
+    return [(mediator.name, "das_server_query", query)]
+
+
+def _evaluate(mediator, sender: str, query: ServerQuery) -> Outbound:
+    """Step 6: R_C = sigma_CondS(R1^S x R2^S) back to the client."""
+    mediator.server_query = query
+    relations = [body["relation"] for body in mediator.partials.values()]
+    server_result = _evaluate_server_query(query, *relations)
+    mediator.shipped = len(server_result)
+    return [(mediator.client, "das_server_result", server_result)]
+
+
+def _forward_relations(mediator, sender: str, query: ServerQuery) -> Outbound:
+    """Steps 6-7 under hardening.  q_S names the whole grid, so R_C =
+    R1^S x R2^S is a pure function of its two factors: the mediator
+    forwards each padded relation once, in frames whose count follows
+    from the (invariant) padded row count, and nothing of size
+    |R1^S| * |R2^S| is built anywhere."""
+    mediator.server_query = query
+    relations = [body["relation"] for body in mediator.partials.values()]
+    mediator.shipped = sum(map(len, relations))
+    return [
+        (mediator.client, "das_server_result", frame)
+        for relation in relations
+        for frame in mediator.hardening.cover.deliver_chunks(
+            "das_server_result", relation.rows, bound=len(relation)
+        )
+    ]
+
+
+def _postprocess(client, sender: str, body: None) -> Outbound:
+    """Step 7: decrypt R_C and apply q_C."""
+    (server_result,) = client.inbox
+    client.global_result, client.false_positives = _client_postprocess(
+        client.client, server_result, *client.schemas,
+        client.join_attributes, client.config, client.engine,
+    )
+    return []
+
+
+def _hash_join(client, sender: str, body: None) -> Outbound:
+    client.global_result, client.false_positives, client.dummy_rows = (
+        _client_hash_join(
+            client.client, list(chain.from_iterable(client.inbox)),
+            client.schemas, client.join_attributes[0], client.engine,
+            client.hardening,
+        )
+    )
+    return []
+
+
+_STEP_6_7 = {
+    (MEDIATOR, "das_server_query"): Step(_evaluate, "evaluate_server_query"),
+    (CLIENT, "das_server_result"): Step(collect),
+    (CLIENT, DONE): Step(_postprocess, "decrypt_and_postprocess"),
+}
+TABLES = {
+    CLIENT_SETTING: {
+        (SOURCE, START): Step(_publish_for_client, "partition_and_encrypt"),
+        (MEDIATOR, PARTIAL): Step(_tables_to_client, gather=True),
+        (CLIENT, "das_encrypted_index_tables"): Step(
+            _translate_at_client, "translate_query"
+        ),
+        **_STEP_6_7,
+    },
+    SOURCE_SETTING: {
+        (SOURCE, START): Step(_publish_for_translator, "partition_and_encrypt"),
+        (MEDIATOR, PARTIAL): Step(_table_to_translator, gather=True),
+        (SOURCE, "das_index_table_for_translator"): Step(
+            _translate_at_source, "translate_query"
+        ),
+        **_STEP_6_7,
+    },
+    MEDIATOR_SETTING: {
+        (SOURCE, START): Step(_publish_plain_table, "partition_and_encrypt"),
+        (MEDIATOR, PARTIAL): Step(
+            _translate_at_mediator, "translate_query", gather=True
+        ),
+        **_STEP_6_7,
+    },
+}
+#: Steps 6-7 of a hardened run (the mediator setting refuses hardening).
+HARDENED = {
+    (MEDIATOR, "das_server_query"): Step(_forward_relations),
+    (CLIENT, DONE): Step(_hash_join, "decrypt_and_postprocess"),
+}
+
+
+def seat(
+    federation: Federation, outcome: RequestPhaseOutcome,
+    config: DASConfig, engine: CryptoEngine, hardening=None,
+) -> tuple[dict, Parties]:
+    """Listing 2's table for ``config.setting`` and each party's state."""
     if hardening is not None:
         if config.strategy == "equi_width":
             raise ProtocolError(
@@ -580,203 +759,49 @@ def run_das_delivery(
             "use the commutative or private-matching protocol for "
             "composite join keys"
         )
-    client = federation.require_client()
-    mediator_name = federation.mediator.name
-    network = federation.network
-    attribute = outcome.join_attributes[0]
-    source_1, source_2 = outcome.source_names
-    schema_1 = outcome.schema_of(source_1)
-    schema_2 = outcome.schema_of(source_2)
-    unknown_mixed = set(config.mixed_plaintext_attributes) - (
-        set(schema_1.names()) | set(schema_2.names())
-    )
+    names = {n for name in outcome.source_names for n in outcome.schema_of(name).names()}
+    unknown_mixed = set(config.mixed_plaintext_attributes) - names
     if unknown_mixed:
         raise ProtocolError(
             f"unknown mixed-model attributes: {sorted(unknown_mixed)}"
         )
+    parties = seat_parties(federation, outcome, config, engine, hardening)
+    if config.setting == SOURCE_SETTING:
+        # S1 translates: S2 encrypts its table for S1's public key.
+        source_1, source_2, *_ = states(parties)
+        translator = federation.source(source_1.name)
+        source_2.translator_key = translator.ensure_keypair()
+        source_1.private_key, source_1.translator_key = translator.private_key(), None
+    table = TABLES[config.setting]
+    return (table if hardening is None else {**table, **HARDENED}), parties
 
-    result = MediationResult(
-        protocol=f"das[{config.setting}]",
-        query=outcome.query,
-        global_result=Relation(schema_1, []),  # placeholder, set below
-        network=network,
-        primitive_counter=None,  # set below
-    )
 
-    with count_primitives() as counter:
-        result.primitive_counter = counter
-        client_keys = public_keys_of(
-            outcome.forwarded_credentials[source_1]
-            + outcome.forwarded_credentials[source_2]
-        )
-
-        # The source setting makes source_1 the translator; it needs a
-        # keypair so the opposite table can be encrypted for it.
-        translator_key = None
-        if config.setting == SOURCE_SETTING:
-            translator_key = federation.source(source_1).ensure_keypair()
-
-        # Steps 1-3: sources partition, encrypt, and send to the mediator.
-        states: dict[str, _SourceState] = {}
-        for source_name in (source_1, source_2):
-            with timed(result, source_name, "partition_and_encrypt"):
-                state = _encrypt_source(
-                    source_name,
-                    outcome.partial_results[source_name],
-                    attribute,
-                    config,
-                    client_keys,
-                    engine,
-                    cache=federation.source(source_name).index_cache(),
-                    hardening=hardening,
-                )
-            states[source_name] = state
-            if config.setting == CLIENT_SETTING:
-                table_body = state.encrypted_index_table
-            elif config.setting == SOURCE_SETTING:
-                if source_name == source_2:
-                    # Encrypted for the *translating source*, not the
-                    # client: only S1 can open it.
-                    table_2_bytes = state.index_table.to_bytes()
-                    if hardening is not None:
-                        table_2_bytes = hardening.wrap_table(table_2_bytes)
-                    table_body = encrypted_table_2 = hybrid.encrypt(
-                        [translator_key], table_2_bytes
-                    )
-                else:
-                    table_body = None  # S1 keeps its own table locally
-            else:
-                # Mediator setting (insecure baseline): plaintext table.
-                table_body = state.index_table
-            network.send(
-                source_name,
-                mediator_name,
-                "das_encrypted_partial_result",
-                {
-                    "relation": state.encrypted_relation,
-                    "index_table": table_body,
-                },
-            )
-
-        if config.setting == SOURCE_SETTING:
-            # The mediator forwards S2's encrypted table to the
-            # translating source, which builds the server query.
-            network.send(
-                mediator_name,
-                source_1,
-                "das_index_table_for_translator",
-                encrypted_table_2,
-            )
-            with timed(result, source_1, "translate_query"):
-                table_2 = _table_from_plaintext(
-                    hybrid.decrypt(
-                        federation.source(source_1).private_key(),
-                        encrypted_table_2,
-                    ),
-                    hardening,
-                )
-                server_query = ServerQuery(
-                    pairs=_server_pairs(
-                        states[source_1].index_table, table_2, hardening
-                    )
-                )
-            network.send(source_1, mediator_name, "das_server_query", server_query)
-        elif config.setting == CLIENT_SETTING:
-            # Step 4: mediator forwards both encrypted index tables.
-            network.send(
-                mediator_name,
-                client.name,
-                "das_encrypted_index_tables",
-                {
-                    source_1: states[source_1].encrypted_index_table,
-                    source_2: states[source_2].encrypted_index_table,
-                },
-            )
-            # Step 5: client decrypts the tables and translates q.
-            with timed(result, client.name, "translate_query"):
-                table_1 = _table_from_plaintext(
-                    client.decrypt_hybrid(states[source_1].encrypted_index_table),
-                    hardening,
-                )
-                table_2 = _table_from_plaintext(
-                    client.decrypt_hybrid(states[source_2].encrypted_index_table),
-                    hardening,
-                )
-                server_query = ServerQuery(
-                    pairs=_server_pairs(table_1, table_2, hardening)
-                )
-            network.send(client.name, mediator_name, "das_server_query", server_query)
-        else:
-            # Mediator setting: the mediator translates q itself.
-            with timed(result, mediator_name, "translate_query"):
-                server_query = ServerQuery(
-                    pairs=tuple(
-                        states[source_1].index_table.overlapping_pairs(
-                            states[source_2].index_table
-                        )
-                    )
-                )
-
-        relation_1 = states[source_1].encrypted_relation
-        relation_2 = states[source_2].encrypted_relation
-        if hardening is not None:
-            # Steps 6-7 under hardening.  q_S names the whole grid, so
-            # R_C = R1^S x R2^S is a pure function of its two factors:
-            # the mediator forwards each padded relation once, in frames
-            # whose count follows from the (invariant) padded row count,
-            # and nothing of size |R1^S| * |R2^S| is built anywhere.
-            for relation in (relation_1, relation_2):
-                hardening.cover.deliver_chunks(
-                    network, mediator_name, client.name,
-                    "das_server_result", relation.rows, bound=len(relation),
-                )
-            shipped = len(relation_1) + len(relation_2)
-            with timed(result, client.name, "decrypt_and_postprocess"):
-                global_result, false_positives, dummy_rows = _client_hash_join(
-                    client, (relation_1.rows, relation_2.rows),
-                    (schema_1, schema_2), attribute, engine, hardening,
-                )
-        else:
-            # Step 6: mediator evaluates q_S over the encrypted relations.
-            with timed(result, mediator_name, "evaluate_server_query"):
-                server_result = _evaluate_server_query(
-                    server_query, relation_1, relation_2
-                )
-            network.send(
-                mediator_name, client.name, "das_server_result", server_result
-            )
-            shipped = len(server_result)
-            # Step 7: client decrypts and applies q_C.
-            with timed(result, client.name, "decrypt_and_postprocess"):
-                global_result, false_positives = _client_postprocess(
-                    client, server_result, schema_1, schema_2,
-                    outcome.join_attributes, config, engine,
-                )
-
-    result.global_result = global_result
+def report(result: MediationResult, parties: Parties, config: DASConfig) -> None:
+    """Global result and artifacts, from the parties' final states."""
+    source_1, source_2, mediator, client = states(parties)
+    schema_1, schema_2 = client.schemas
+    query = mediator.server_query
+    result.protocol = f"das[{config.setting}]"
+    result.global_result = client.global_result
     result.artifacts.update(
         {
             "index_tables": {
-                source_1: states[source_1].index_table,
-                source_2: states[source_2].index_table,
+                source.name: source.index_table for source in (source_1, source_2)
             },
-            "server_query_pairs": len(server_query.pairs),
+            "server_query_pairs": len(query.pairs),
             # What the mediator ships: pairs of R_C, or rows when hardened.
-            "server_result_size": shipped,
-            "false_positives": false_positives,
-            "cond_s": str(
-                server_query.condition(
-                    f"{schema_1.relation_name}S", f"{schema_2.relation_name}S",
-                    attribute,
-                )
-            ),
+            "server_result_size": mediator.shipped,
+            "false_positives": client.false_positives,
+            "cond_s": str(query.condition(
+                f"{schema_1.relation_name}S", f"{schema_2.relation_name}S",
+                client.join_attributes[0],
+            )),
             "config": config,
         }
     )
-    if hardening is not None:
-        result.artifacts["dummy_rows_discarded"] = dummy_rows
+    if client.hardening is not None:
+        result.artifacts["dummy_rows_discarded"] = client.dummy_rows
     if config.setting == SOURCE_SETTING:
         # The distinguishing leakage of this setting: the translating
         # source learned the opposite source's index table.
-        result.artifacts["translator_source"] = source_1
-    return result
+        result.artifacts["translator_source"] = source_1.name

@@ -49,11 +49,23 @@ from repro.core.payload import (
 )
 from repro.core.request import RequestPhaseOutcome
 from repro.core.result import MediationResult
-from repro.core.timing import timed
+from repro.core.steps import (
+    CLIENT,
+    DONE,
+    MEDIATOR,
+    SOURCE,
+    START,
+    Outbound,
+    Parties,
+    Step,
+    collect,
+    states,
+)
+from repro.core.steps import seat as seat_parties
 from repro.crypto import hybrid
 from repro.crypto.engine import CryptoEngine, get_engine
 from repro.crypto.homomorphic import PaillierScheme
-from repro.crypto.instrumentation import count_primitives, record
+from repro.crypto.instrumentation import record
 from repro.crypto.paillier import PaillierCiphertext, PaillierPublicKey
 from repro.crypto.polynomial import (
     EncryptedPolynomial,
@@ -271,16 +283,117 @@ def _client_decrypt_side(
     return recovered
 
 
-def run_private_matching_delivery(
-    federation: Federation,
-    outcome: RequestPhaseOutcome,
-    config: PMConfig | None = None,
-    engine: CryptoEngine | None = None,
-    hardening=None,
-) -> MediationResult:
-    """Execute the private-matching delivery phase (Listing 4)."""
-    config = config or PMConfig()
-    engine = engine or get_engine()
+# -- Listing 4 as a step table ----------------------------------------------
+
+
+def _distribute_key(client, sender: str, body: None) -> Outbound:
+    """Step 1: the public key, as an explicit message (the paper
+    distributes it with the credentials)."""
+    key = client.client.homomorphic_public_key
+    return [(client.mediator, "pm_homomorphic_key", key)]
+
+
+def _forward_key(mediator, sender: str, key) -> Outbound:
+    return [(name, "pm_homomorphic_key", key) for name in mediator.sources]
+
+
+def _encrypt_polynomial(source, sender: str, key) -> Outbound:
+    """Steps 2/3: S_i builds P_i and sends its encrypted coefficients."""
+    coefficients, source.prepared = _build_polynomial(
+        source.relation, source.join_attributes, source.scheme,
+        source.public_key, source.config.max_key_bytes,
+    )
+    source.polynomial = _cached_encrypt_polynomial(
+        source.scheme, source.public_key, coefficients, source.cache,
+        source.relation.name, source.engine,
+    )
+    coefficients = list(source.polynomial.coefficients)
+    return [(sender, "pm_encrypted_coefficients", coefficients)]
+
+
+def _forward_polynomials(mediator, sender: str, polynomials: dict) -> Outbound:
+    """Step 4: each polynomial to the opposite source — S1's input
+    first, as it computes first."""
+    (source_1, polynomial_1), (source_2, polynomial_2) = polynomials.items()
+    return [
+        (source_1, "pm_encrypted_coefficients", polynomial_2),
+        (source_2, "pm_encrypted_coefficients", polynomial_1),
+    ]
+
+
+def _evaluate(source, sender: str, coefficients: list) -> Outbound:
+    """Steps 5/6: E(r * P_other(a) + (a || payload)) per own value."""
+    polynomial = EncryptedPolynomial(
+        source.scheme, source.public_key, tuple(coefficients)
+    )
+    evaluations = _evaluate_for_source(
+        source.prepared, polynomial, source.config, source.scheme,
+        source.public_key, source.engine, hardening=source.hardening,
+    )
+    source.evaluations_sent = len(evaluations)
+    outbound = [(sender, "pm_evaluations", evaluations)]
+    if source.config.payload_mode == SESSION_KEY_MODE:
+        outbound.append((sender, "pm_side_table", source.prepared.side_table))
+    return outbound
+
+
+def _forward_evaluations(mediator, sender: str, evaluations: dict) -> Outbound:
+    """Step 7: the n + m values on to the client."""
+    return [(mediator.client, "pm_evaluations", evaluations)]
+
+
+def _forward_side_tables(mediator, sender: str, side_tables: dict) -> Outbound:
+    return [(mediator.client, "pm_side_tables", side_tables)]
+
+
+def _decrypt_and_match(client, sender: str, body: None) -> Outbound:
+    """Step 8: decrypt, keep the well-formed payloads, combine matches."""
+    evaluations, *side_tables = client.inbox
+    tables = side_tables[0] if side_tables else dict.fromkeys(evaluations, {})
+    recovered_1, recovered_2 = (
+        _client_decrypt_side(
+            client.client, evaluations[name], tables[name], schema,
+            client.config, client.engine, hardening=client.hardening,
+        )
+        for name, schema in zip(evaluations, client.schemas)
+    )
+    matched = [
+        (join_key, recovered_1[join_key], recovered_2[join_key])
+        for join_key in sorted(
+            set(recovered_1) & set(recovered_2),
+            key=lambda key: tuple((type(v).__name__, v) for v in key),
+        )
+    ]
+    client.recovered = (len(recovered_1), len(recovered_2))
+    client.matched = len(matched)
+    client.global_result = combine_tuple_sets(
+        *client.schemas, client.join_attributes, matched
+    )
+    return []
+
+
+TABLE = {
+    (CLIENT, START): Step(_distribute_key),
+    (MEDIATOR, "pm_homomorphic_key"): Step(_forward_key),
+    (SOURCE, "pm_homomorphic_key"): Step(_encrypt_polynomial, "build_polynomial"),
+    (MEDIATOR, "pm_encrypted_coefficients"): Step(
+        _forward_polynomials, gather=True
+    ),
+    (SOURCE, "pm_encrypted_coefficients"): Step(_evaluate, "evaluate_polynomial"),
+    (MEDIATOR, "pm_evaluations"): Step(_forward_evaluations, gather=True),
+    (MEDIATOR, "pm_side_table"): Step(_forward_side_tables, gather=True),
+    (CLIENT, "pm_evaluations"): Step(collect),
+    (CLIENT, "pm_side_tables"): Step(collect),
+    (CLIENT, DONE): Step(_decrypt_and_match, "decrypt_and_match"),
+}
+
+
+def seat(
+    federation: Federation, outcome: RequestPhaseOutcome,
+    config: PMConfig, engine: CryptoEngine, hardening=None,
+) -> tuple[dict, Parties]:
+    """Listing 4's table and each party's own state; the sources also
+    get the client's homomorphic public key."""
     if hardening is not None and config.payload_mode == INLINE_MODE:
         raise ProtocolError(
             "hardened mode requires the session-key payload mode: inline "
@@ -292,172 +405,29 @@ def run_private_matching_delivery(
             "the private-matching protocol requires the client to own a "
             "homomorphic key pair (see setup_client)"
         )
-    scheme = client.homomorphic_scheme
-    public_key = client.homomorphic_public_key
-    mediator_name = federation.mediator.name
-    network = federation.network
-    source_1, source_2 = outcome.source_names
-    relation_1 = outcome.partial_results[source_1]
-    relation_2 = outcome.partial_results[source_2]
+    parties = seat_parties(federation, outcome, config, engine, hardening)
+    for source in states(parties)[:2]:
+        source.scheme = client.homomorphic_scheme
+        source.public_key = client.homomorphic_public_key
+    return TABLE, parties
 
-    result = MediationResult(
-        protocol=f"private-matching[{config.payload_mode}]",
-        query=outcome.query,
-        global_result=Relation(relation_1.schema, []),
-        network=network,
-        primitive_counter=None,
-    )
 
-    with count_primitives() as counter:
-        result.primitive_counter = counter
-        # Step 1 (alteration to the preparatory/request phase): the
-        # client's homomorphic public key is distributed with the
-        # credentials — modelled as an explicit distribution message.
-        network.send(client.name, mediator_name, "pm_homomorphic_key", public_key)
-        for source_name in (source_1, source_2):
-            network.send(
-                mediator_name, source_name, "pm_homomorphic_key", public_key
-            )
-
-        # Steps 2/3: both sources build and encrypt their polynomials.
-        coefficients: dict[str, EncryptedPolynomial] = {}
-        states: dict[str, _SourceState] = {}
-        for source_name, relation in (
-            (source_1, relation_1),
-            (source_2, relation_2),
-        ):
-            with timed(result, source_name, "build_polynomial"):
-                plain_coefficients, state = _build_polynomial(
-                    relation,
-                    outcome.join_attributes,
-                    scheme,
-                    public_key,
-                    config.max_key_bytes,
-                )
-                encrypted = _cached_encrypt_polynomial(
-                    scheme,
-                    public_key,
-                    plain_coefficients,
-                    federation.source(source_name).index_cache(),
-                    relation.name,
-                    engine,
-                )
-            states[source_name] = state
-            coefficients[source_name] = encrypted
-            network.send(
-                source_name,
-                mediator_name,
-                "pm_encrypted_coefficients",
-                list(encrypted.coefficients),
-            )
-
-        # Step 4: mediator forwards to the opposite source.
-        network.send(
-            mediator_name,
-            source_2,
-            "pm_encrypted_coefficients",
-            list(coefficients[source_1].coefficients),
-        )
-        network.send(
-            mediator_name,
-            source_1,
-            "pm_encrypted_coefficients",
-            list(coefficients[source_2].coefficients),
-        )
-
-        # Steps 5/6: oblivious evaluations at both sources.
-        evaluations: dict[str, list[PaillierCiphertext]] = {}
-        for source_name, opposite in ((source_1, source_2), (source_2, source_1)):
-            with timed(result, source_name, "evaluate_polynomial"):
-                evaluations[source_name] = _evaluate_for_source(
-                    states[source_name],
-                    coefficients[opposite],
-                    config,
-                    scheme,
-                    public_key,
-                    engine,
-                    hardening=hardening,
-                )
-            network.send(
-                source_name, mediator_name, "pm_evaluations",
-                evaluations[source_name],
-            )
-            if config.payload_mode == SESSION_KEY_MODE:
-                network.send(
-                    source_name,
-                    mediator_name,
-                    "pm_side_table",
-                    states[source_name].side_table,
-                )
-
-        # Step 7: mediator sends the n + m values (and side tables) on.
-        network.send(
-            mediator_name,
-            client.name,
-            "pm_evaluations",
-            {
-                source_1: evaluations[source_1],
-                source_2: evaluations[source_2],
-            },
-        )
-        side_tables: dict[str, dict[bytes, bytes]] = {
-            source_1: states[source_1].side_table,
-            source_2: states[source_2].side_table,
-        }
-        if config.payload_mode == SESSION_KEY_MODE:
-            network.send(mediator_name, client.name, "pm_side_tables", side_tables)
-
-        # Step 8: client decrypts, matches, and combines.
-        with timed(result, client.name, "decrypt_and_match"):
-            recovered_1 = _client_decrypt_side(
-                client,
-                evaluations[source_1],
-                side_tables[source_1],
-                relation_1.schema,
-                config,
-                engine,
-                hardening=hardening,
-            )
-            recovered_2 = _client_decrypt_side(
-                client,
-                evaluations[source_2],
-                side_tables[source_2],
-                relation_2.schema,
-                config,
-                engine,
-                hardening=hardening,
-            )
-            matched = [
-                (join_key, recovered_1[join_key], recovered_2[join_key])
-                for join_key in sorted(
-                    set(recovered_1) & set(recovered_2),
-                    key=lambda key: tuple((type(v).__name__, v) for v in key),
-                )
-            ]
-            global_result = combine_tuple_sets(
-                relation_1.schema,
-                relation_2.schema,
-                outcome.join_attributes,
-                matched,
-            )
-
-    result.global_result = global_result
+def report(result: MediationResult, parties: Parties, config: PMConfig) -> None:
+    """Global result and artifacts, from the parties' final states."""
+    source_1, source_2, mediator, client = states(parties)
+    sources = dict(zip(mediator.sources, (source_1, source_2)))
+    result.protocol = f"private-matching[{config.payload_mode}]"
+    result.global_result = client.global_result
     result.artifacts.update(
         {
             "polynomial_degrees": {
-                source_1: coefficients[source_1].degree,
-                source_2: coefficients[source_2].degree,
+                name: source.polynomial.degree for name, source in sources.items()
             },
             "evaluations_sent": {
-                source_1: len(evaluations[source_1]),
-                source_2: len(evaluations[source_2]),
+                name: source.evaluations_sent for name, source in sources.items()
             },
-            "recovered_payloads": {
-                source_1: len(recovered_1),
-                source_2: len(recovered_2),
-            },
-            "matched_keys": len(matched),
+            "recovered_payloads": dict(zip(sources, client.recovered)),
+            "matched_keys": client.matched,
             "config": config,
         }
     )
-    return result

@@ -12,13 +12,13 @@ from __future__ import annotations
 import contextlib
 from typing import Any
 
-from repro.core.commutative import CommutativeConfig, run_commutative_delivery
-from repro.core.das import DASConfig, run_das_delivery
+from repro.core import commutative, das, private_matching
 from repro.core.federation import Federation
-from repro.core.private_matching import PMConfig, run_private_matching_delivery
 from repro.core.request import RequestPhaseOutcome, run_request_phase
 from repro.core.result import MediationResult, RunFailure
-from repro.crypto.engine import CryptoEngine
+from repro.core.steps import deliver
+from repro.crypto.engine import CryptoEngine, get_engine
+from repro.crypto.instrumentation import count_primitives
 from repro.deadline import deadline
 from repro.errors import ProtocolError, ReproError
 from repro.hardening import resolve_hardening
@@ -28,11 +28,18 @@ from repro.session import session_scope
 from repro.telemetry import tracing
 from repro.telemetry.observables import observables_artifact
 
-#: Protocol registry: name -> (delivery function, config class).
+#: Protocol registry: name -> the delivery phase as data — ``seat``
+#: (the step table and each party's state), ``report`` (result and
+#: artifacts from the final states) — and the config class.
 PROTOCOLS = {
-    "das": (run_das_delivery, DASConfig),
-    "commutative": (run_commutative_delivery, CommutativeConfig),
-    "private-matching": (run_private_matching_delivery, PMConfig),
+    "das": (das.seat, das.report, das.DASConfig),
+    "commutative": (
+        commutative.seat, commutative.report, commutative.CommutativeConfig
+    ),
+    "private-matching": (
+        private_matching.seat, private_matching.report,
+        private_matching.PMConfig,
+    ),
 }
 
 
@@ -85,7 +92,7 @@ def run_join_query(
         raise ProtocolError(
             f"unknown protocol {protocol!r}; choose from {sorted(PROTOCOLS)}"
         )
-    delivery, config_type = PROTOCOLS[protocol]
+    seat, report, config_type = PROTOCOLS[protocol]
     if config is not None and not isinstance(config, config_type):
         raise ProtocolError(
             f"protocol {protocol!r} expects a {config_type.__name__}, "
@@ -116,10 +123,19 @@ def run_join_query(
             with tracing.span(
                 "delivery", client_party, kind="phase", protocol=protocol
             ):
-                result = delivery(
-                    federation, outcome, config, engine=engine,
-                    hardening=context,
-                )
+                config = config or config_type()
+                result = MediationResult(
+                    protocol=protocol, query=query, global_result=None,
+                    network=federation.network, primitive_counter=None,
+                )  # report() sets the protocol label and the result
+                with count_primitives() as counter:
+                    result.primitive_counter = counter
+                    table, parties = seat(
+                        federation, outcome, config, engine or get_engine(),
+                        context,
+                    )
+                    deliver(table, parties, federation.network, result)
+                report(result, parties, config)
             # The protocols deliver the JOIN; remaining operators of the
             # global query (selection, projection) are the client's local
             # post-work.

@@ -50,23 +50,20 @@ class CoverTraffic:
 
     def deliver_chunks(
         self,
-        network: Any,
-        sender: str,
-        receiver: str,
         kind: str,
         items: Sequence[Any],
         bound: int,
         dummies: Sequence[Any] = (),
         shuffle: bool = False,
-    ) -> list[Any]:
-        """Send ``items`` as ``schedule(bound)`` frames of ``kind``.
+    ) -> list[list[Any]]:
+        """``items`` as the ``schedule(bound)`` frames of one ``kind``.
 
         ``items`` is topped up to exactly ``bound`` elements from the
         front of ``dummies``, optionally shuffled (protocol randomness —
         dummy positions must not leak), and partitioned into frames of
         at most ``batch_size`` elements each; a frame body is a plain
-        list.  Returns the padded item list, in delivery order, for the
-        local continuation of the protocol.
+        list.  Returns the frames in delivery order; the caller emits
+        each as one message of ``kind``.
         """
         real = list(items)
         if len(real) > bound:
@@ -86,12 +83,14 @@ class CoverTraffic:
         if shuffle:
             random.SystemRandom().shuffle(padded)
         batch = self._hardening.policy.batch_size
-        frames = self.schedule(bound)
         stats = self._hardening.stats
-        stats.frames += frames
-        for position in range(frames):
-            chunk = padded[position * batch:(position + 1) * batch]
-            if chunk and all(id(item) in dummy_ids for item in chunk):
-                stats.dummy_frames += 1
-            network.send(sender, receiver, kind, chunk)
-        return padded
+        frames = [
+            padded[position * batch:(position + 1) * batch]
+            for position in range(self.schedule(bound))
+        ]
+        stats.frames += len(frames)
+        stats.dummy_frames += sum(
+            bool(chunk) and all(id(item) in dummy_ids for item in chunk)
+            for chunk in frames
+        )
+        return frames

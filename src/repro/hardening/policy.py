@@ -129,7 +129,7 @@ class PaddingPolicy:
         one-value perturbation, so the padded occupancy histogram is
         identical for adjacent workloads.  ``equi_width`` places values
         by magnitude, which is *not* invariant — hardened DAS rejects it
-        (see :func:`repro.core.das.run_das_delivery`).
+        (see :func:`repro.core.das.seat`).
         """
         if domain_size == 0 or max_multiplicity == 0:
             return 0
@@ -160,9 +160,9 @@ class HardeningStats:
 class Hardening:
     """Per-run hardening context: policy, accounting, cover scheduler.
 
-    Protocol drivers receive one of these (built by
-    :func:`repro.core.runner.run_join_query`) and route every plaintext
-    that becomes adversary-visible ciphertext through it.
+    Every party of a delivery phase is seated with the same one (built
+    by :func:`repro.core.runner.run_join_query`) and routes every
+    plaintext that becomes adversary-visible ciphertext through it.
     """
 
     def __init__(self, policy: PaddingPolicy | None = None) -> None:

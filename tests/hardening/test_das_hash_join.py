@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import DASConfig, Federation, reference_join, run_join_query
 from repro.core import das
+from repro.crypto import hybrid
 from repro.errors import IntegrityError
 from repro.hardening import MARKER_DUMMY, PaddingPolicy
 from repro.mediation.access_control import allow_all
@@ -149,32 +150,79 @@ def test_hardened_das_equals_a_nested_loop_join_on_both_carriers(
     assert set(kinds[kinds.index("das_server_result"):]) == {"das_server_result"}
 
 
+class TamperingNetwork(Network):
+    """The bus, flipping one byte of one etuple body in transit: in the
+    first ``das_server_result`` frame holding a row of the victim kind
+    (real or dummy, told apart with the client's keys)."""
+
+    def __init__(self, client, victim: str) -> None:
+        super().__init__()
+        self.client = client
+        self.victim = victim
+        self.tampered = False
+
+    def send(self, sender, receiver, kind, body):
+        if kind == "das_server_result" and not self.tampered:
+            body = self.flip(body)
+        return super().send(sender, receiver, kind, body)
+
+    def flip(self, frame):
+        plaintexts = self.client.decrypt_hybrid_many([row.etuple for row in frame])
+        for position, plaintext in enumerate(plaintexts):
+            if (plaintext[0] == MARKER_DUMMY) == (self.victim == "dummy"):
+                row = frame[position]
+                body = bytearray(row.etuple.body)
+                body[len(body) // 2] ^= 0x01
+                frame = list(frame)
+                frame[position] = das.EncryptedTuple(
+                    hybrid.HybridCiphertext(row.etuple.wrapped_keys, bytes(body)),
+                    row.index_value,
+                )
+                self.tampered = True
+                break
+        return frame
+
+
 @pytest.mark.parametrize("victim", ["real", "dummy"])
 def test_a_flipped_etuple_byte_is_a_typed_failure(
-    ca, client, rsa_key, skewed_workload, monkeypatch, victim
+    ca, client, rsa_key, skewed_workload, victim
 ):
-    """A forwarded body that fails its tag ends the query — whether it
-    hid a real row or a dummy, the client never just drops it."""
+    """A result frame changed in transit ends the query — whether the
+    flipped etuple hid a real row or a dummy, the client joins what it
+    received and never just drops it."""
     relations = (skewed_workload.relation_1, skewed_workload.relation_2)
-    join = das._client_hash_join
-
-    def tampering(client_, tables, *args):
-        table = list(tables[0])
-        plaintexts = client_.decrypt_hybrid_many([row.etuple for row in table])
-        position = next(
-            i for i, plaintext in enumerate(plaintexts)
-            if (plaintext[0] == MARKER_DUMMY) == (victim == "dummy")
-        )
-        row = table[position]
-        body = bytearray(row.etuple.body)
-        body[len(body) // 2] ^= 0x01
-        table[position] = das.EncryptedTuple(
-            das.hybrid.HybridCiphertext(row.etuple.wrapped_keys, bytes(body)),
-            row.index_value,
-        )
-        return join(client_, (tuple(table), tables[1]), *args)
-
-    monkeypatch.setattr(das, "_client_hash_join", tampering)
-    federation = build(ca, client, rsa_key, relations, Network())
+    network = TamperingNetwork(client, victim)
+    federation = build(ca, client, rsa_key, relations, network)
     with pytest.raises(IntegrityError):
         run_join_query(federation, QUERY, protocol="das", hardening=True)
+    assert network.tampered
+
+
+@pytest.mark.parametrize("empty", [0, 1])
+def test_an_empty_side_is_one_empty_frame_and_the_empty_join(
+    ca, client, rsa_key, skewed_workload, empty
+):
+    """A side with no rows still sends one (empty) frame, so the client
+    sees a single encapsulation: the join is empty, every real row of
+    the other side is unmatched, and its dummies are discarded."""
+    relations = [skewed_workload.relation_1, skewed_workload.relation_2]
+    relations[empty] = Relation(relations[empty].schema, [])
+    federation = build(ca, client, rsa_key, relations, Network())
+    result = run_join_query(
+        federation, QUERY, protocol="das", hardening=POLICY
+    )
+    assert len(result.global_result) == 0
+    assert encode_relation(result.global_result) == encode_relation(
+        reference_join(build(ca, client, rsa_key, relations, Network()), QUERY)
+    )
+    frames = [m.body for m in result.network.messages_of_kind("das_server_result")]
+    assert frames[-1 if empty else 0] == []
+    real = len(relations[1 - empty])
+    artifacts = result.artifacts
+    assert artifacts["false_positives"] == real
+    assert artifacts["server_result_size"] == sum(map(len, frames)) == (
+        real + artifacts["dummy_rows_discarded"]
+    )
+    assert artifacts["dummy_rows_discarded"] == (
+        artifacts["hardening"]["dummy_items_total"]
+    ) > 0
