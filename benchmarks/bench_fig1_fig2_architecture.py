@@ -12,7 +12,7 @@ from conftest import write_report
 
 from repro import run_join_query
 from repro.analysis.conformance import architecture_edges
-from repro.analysis.views import client_party, mediator_party, source_parties
+from repro.telemetry.observables import detect_roles
 
 QUERY = "select * from R1 natural join R2"
 
@@ -73,13 +73,13 @@ def test_architecture_flow_rendering(make_federation, default_workload):
         result = run_join_query(
             make_federation(default_workload), QUERY, protocol=protocol
         )
-        network = result.network
+        roles = detect_roles(result.messages)
         lines.append(f"== {result.protocol} ==")
         lines.append(
-            f"roles: client={client_party(network)}, "
-            f"mediator={mediator_party(network)}, "
-            f"sources={', '.join(source_parties(network))}"
+            f"roles: client={roles['client']}, "
+            f"mediator={roles['mediator']}, "
+            f"sources={', '.join(roles['sources'])}"
         )
-        lines.extend(network.flow_summary())
+        lines.extend(result.network.flow_summary())
         lines.append("")
     write_report("fig1_fig2_flows.txt", "\n".join(lines))

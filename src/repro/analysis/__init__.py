@@ -1,7 +1,12 @@
 """Evaluation analyses reproducing the paper's Tables, Figures and §6.
 
-* :mod:`~repro.analysis.views` — party-view byte material and roles
-* :mod:`~repro.analysis.leakage` — Table 1 from actual transcripts
+Every analysis reads one run: ``result.messages``, the slice of the
+transcript the run added, with the parties named by
+:func:`repro.telemetry.observables.detect_roles`.
+
+* :mod:`~repro.analysis.views` — the byte material a party received
+* :mod:`~repro.analysis.leakage` — Table 1 read off the run's
+  observable traces (:mod:`repro.telemetry.observables`)
 * :mod:`~repro.analysis.audit` — differential leakage audit over
   adjacent workloads (the ``repro-leakage/1`` artifact)
 * :mod:`~repro.analysis.primitives` — Table 2 from primitive counters

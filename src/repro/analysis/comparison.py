@@ -26,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from repro.analysis.views import client_party, mediator_party, source_parties
+from repro.analysis.leakage import analyze
 from repro.core.federation import Federation
 from repro.core.result import MediationResult
 from repro.core.runner import run_join_query
+from repro.telemetry.observables import detect_roles
 
 
 @dataclass
@@ -56,48 +57,37 @@ class ComparisonRow:
         return sum(self.wall_seconds.values())
 
 
-def _client_received_units(result: MediationResult, client: str) -> tuple[int, int]:
-    """(count, bytes) of result-bearing units delivered to the client."""
-    protocol = result.protocol.split("[", 1)[0]
-    units = 0
-    size = 0
-    for message in result.network.view(client).received:
-        if message.kind == "das_server_result":
-            units += len(message.body)
-            size += message.size_bytes
-        elif message.kind == "commutative_result":
-            units += len(message.body)
-            size += message.size_bytes
-        elif message.kind == "pm_evaluations" and protocol == "private-matching":
-            units += sum(len(values) for values in message.body.values())
-            size += message.size_bytes
-        elif message.kind in ("pm_side_tables", "das_encrypted_index_tables"):
-            size += message.size_bytes
-    return units, size
+#: The Table-1 client cell that counts the result-bearing units the
+#: client received.
+RESULT_UNITS = {
+    "das": "superset_rows_received",
+    "commutative": "matched_tuple_set_pairs",
+    "private-matching": "encrypted_values_received",
+}
 
 
 def measure(result: MediationResult) -> ComparisonRow:
     """Extract the Section 6 quantities from a finished run."""
-    network = result.network
-    client = client_party(network)
-    mediator = mediator_party(network)
-    sources = source_parties(network)
-    units, client_bytes = _client_received_units(result, client)
+    roles = detect_roles(result.messages)
+    client, mediator = roles["client"], roles["mediator"]
+    protocol = result.protocol.split("[", 1)[0]
     wall: dict[str, float] = {}
     for timing in result.timings:
         wall[timing.party] = wall.get(timing.party, 0.0) + timing.seconds
     return ComparisonRow(
         protocol=result.protocol,
         exact_join_size=len(result.global_result),
-        client_interactions=network.interaction_count(client, mediator),
+        client_interactions=result.interaction_count(client, mediator),
         source_interactions={
-            source: network.interaction_count(source, mediator)
-            for source in sources
+            source: result.interaction_count(source, mediator)
+            for source in roles["sources"]
         },
-        client_received_units=units,
-        client_received_bytes=client_bytes,
-        total_bytes=network.total_bytes(),
-        total_messages=len(network.transcript),
+        client_received_units=analyze(result).client_learns[RESULT_UNITS[protocol]],
+        client_received_bytes=sum(
+            message.size_bytes for message in result.view(client).received
+        ),
+        total_bytes=result.total_bytes(),
+        total_messages=len(result.messages),
         wall_seconds=wall,
         crypto_operations=sum(result.primitive_counter.counts.values()),
     )

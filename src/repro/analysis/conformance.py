@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.views import client_party, mediator_party, source_parties
 from repro.core.result import MediationResult
 from repro.errors import ProtocolError
+from repro.telemetry.observables import detect_roles
 
 #: (kind, sender role, receiver role) per protocol step; roles are
 #: "client", "mediator", "source" (any source), "source1"/"source2"
@@ -103,30 +103,21 @@ def expected_flow(protocol: str) -> list[tuple[str, str, str]]:
     return REQUEST_FLOW + DELIVERY_FLOWS[base]
 
 
-def _role_of(party: str, client: str, mediator: str, sources: tuple[str, ...]) -> str:
-    if party == client:
+def _role(party: str, roles: dict) -> str:
+    if party == roles["client"]:
         return "client"
-    if party == mediator:
+    if party == roles["mediator"]:
         return "mediator"
-    if party in sources:
-        return "source"
-    return "unknown"
+    return "source" if party in roles["sources"] else "unknown"
 
 
 def check_flow(result: MediationResult) -> FlowCheck:
-    """Compare a run's transcript against the paper's prescribed flow."""
-    network = result.network
-    client = client_party(network)
-    mediator = mediator_party(network)
-    sources = source_parties(network)
+    """Compare a run's messages against the paper's prescribed flow."""
+    roles = detect_roles(result.messages)
     expected = expected_flow(result.protocol)
     actual = [
-        (
-            message.kind,
-            _role_of(message.sender, client, mediator, sources),
-            _role_of(message.receiver, client, mediator, sources),
-        )
-        for message in network.transcript
+        (message.kind, _role(message.sender, roles), _role(message.receiver, roles))
+        for message in result.messages
         if message.kind not in OPTIONAL_KINDS
     ]
     mismatches = []
@@ -152,11 +143,9 @@ def architecture_edges(result: MediationResult) -> dict[str, bool]:
     the client and every source talk to the mediator, and no message
     bypasses it.
     """
-    network = result.network
-    client = client_party(network)
-    mediator = mediator_party(network)
-    sources = source_parties(network)
-    edges = network.edges()
+    roles = detect_roles(result.messages)
+    client, mediator, sources = roles["client"], roles["mediator"], roles["sources"]
+    edges = {tuple(sorted((m.sender, m.receiver))) for m in result.messages}
     facts = {
         "client<->mediator": tuple(sorted((client, mediator))) in edges,
         "no client<->source": not any(

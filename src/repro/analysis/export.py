@@ -46,11 +46,11 @@ def export_run(result: MediationResult) -> dict[str, Any]:
                 "size_bytes": message.size_bytes,
                 "body_fingerprint": _body_fingerprint(message.body),
             }
-            for message in result.network.transcript
+            for message in result.messages
         ],
         "totals": {
             "bytes": result.total_bytes(),
-            "messages": len(result.network.transcript),
+            "messages": len(result.messages),
             "seconds": result.total_seconds(),
         },
         "timings": [

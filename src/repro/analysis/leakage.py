@@ -13,12 +13,14 @@ The paper's Table 1:
                        exact result decipherable)
     =================  =========================  ==========================
 
-Rather than restating the table, :func:`analyze` derives each cell from
-the *actual run transcript*: mediator quantities are computed from the
-mediator's received messages only (what a semi-honest mediator can
-count), client quantities from the client's.  :func:`verify_no_plaintext
-_leak` additionally scans the mediator's view for plaintext tuple
-material — the confidentiality claim all three protocols share.
+Rather than restating the table, :func:`analyze` reads each cell off
+the run's own observable traces (:mod:`repro.telemetry.observables`):
+the mediator column from the mediator adversary's trace, the client
+column from the client's — the body cardinalities each party can count
+without decrypting, by direction, kind and link (:data:`READS`).
+:func:`verify_no_plaintext_leak` additionally scans the mediator's view
+for plaintext tuple material — the confidentiality claim all three
+protocols share.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ import math
 from dataclasses import dataclass, field
 
 from repro.analysis.views import view_material
-from repro.core.das import ServerResult
 from repro.core.result import MediationResult
 from repro.errors import ProtocolError
-from repro.mediation.network import PartyView
 from repro.relational.encoding import encode_row, encode_value
 from repro.relational.relation import Relation
+from repro.telemetry.observables import adversary_traces, detect_roles, party_trace
 
 
 @dataclass
@@ -55,129 +56,92 @@ class LeakageReport:
         return (self.protocol, client or "(exact result only)", mediator)
 
 
-def _mediator_view(result: MediationResult) -> PartyView:
-    # The mediator is the one party that both receives from sources and
-    # sends to the client; its registered name is recorded on messages.
-    for party in result.network.parties():
-        view = result.network.view(party)
-        kinds = {m.kind for m in view.received}
-        if kinds & {
-            "das_encrypted_partial_result",
-            "commutative_m_set",
-            "pm_encrypted_coefficients",
-        } and any(m.kind == "global_query" for m in view.received):
-            return view
-    raise ProtocolError("could not locate the mediator's view")
+#: Table 1 as reads of the traces: protocol -> (party, direction, kind,
+#: cell) rows.  A cell sums the observed items of the party's matching
+#: messages; ``{source}`` is the sending source and ``{relation}`` the
+#: relation it published.
+READS = {
+    "das": [
+        ("mediator", "received", "das_encrypted_partial_result", "|{relation}|"),
+        ("mediator", "sent", "das_server_result", "|R_C|"),
+        ("client", "received", "das_server_result", "superset_rows_received"),
+        ("client", "received", "das_encrypted_index_tables",
+         "index_tables_received"),
+    ],
+    "commutative": [
+        ("mediator", "received", "commutative_m_set", "|domactive@{source}|"),
+        ("mediator", "sent", "commutative_result", "intersection_size"),
+        ("client", "received", "commutative_result", "matched_tuple_set_pairs"),
+    ],
+    "private-matching": [
+        ("mediator", "received", "pm_encrypted_coefficients",
+         "|domactive@{source}|"),
+    ],
+}
 
-
-def _client_view(result: MediationResult) -> PartyView:
-    for party in result.network.parties():
-        view = result.network.view(party)
-        if any(m.kind == "global_query" for m in view.sent):
-            return view
-    raise ProtocolError("could not locate the client's view")
+NOTES = {
+    "das": [
+        "|R_C| is an upper bound of the global result size; the client "
+        "post-processes the superset with q_C",
+    ],
+    "commutative": [
+        "the client receives the exact global result only (matched tuple "
+        "sets); the intersection size is a lower bound of |result|",
+    ],
+    "private-matching": [
+        "the client receives n + m encrypted values (all partial-result "
+        "tuple sets) but can only decipher those in the exact join",
+    ],
+}
 
 
 def analyze(result: MediationResult) -> LeakageReport:
-    """Derive the Table-1 cells for one protocol run from its transcript."""
+    """Derive the Table-1 cells for one protocol run from its traces."""
     protocol = result.protocol.split("[", 1)[0]
+    if protocol not in READS:
+        raise ProtocolError(f"no leakage analyzer for protocol {result.protocol!r}")
+    roles = detect_roles(result.messages)
+    traces = {
+        "mediator": adversary_traces(result, roles=roles)["mediator"],
+        "client": party_trace(
+            result.messages, roles["client"], "client", protocol,
+            type(result.network).__name__,
+        ),
+    }
+    relations = {
+        message.sender: message.body["relation"].relation_name
+        for message in result.messages
+        if message.kind == "das_encrypted_partial_result"
+    }
+    report = LeakageReport(protocol=result.protocol, notes=list(NOTES[protocol]))
+    for party, direction, kind, cell in READS[protocol]:
+        learns = report.mediator_learns if party == "mediator" else report.client_learns
+        for message in traces[party].messages:
+            if (message.direction, message.kind) == (direction, kind):
+                source = message.link.split("->", 1)[0]
+                name = cell.format(source=source, relation=relations.get(source))
+                learns[name] = learns.get(name, 0) + message.items
     if protocol == "das":
-        return _analyze_das(result)
-    if protocol == "commutative":
-        return _analyze_commutative(result)
-    if protocol == "private-matching":
-        return _analyze_private_matching(result)
-    raise ProtocolError(f"no leakage analyzer for protocol {result.protocol!r}")
-
-
-def _analyze_das(result: MediationResult) -> LeakageReport:
-    report = LeakageReport(protocol=result.protocol)
-    mediator = _mediator_view(result)
-    # |R_i|: the encrypted relations are tuple-wise, so the mediator
-    # counts rows directly.
-    sizes = []
-    for message in mediator.received:
-        if message.kind == "das_encrypted_partial_result":
-            relation = message.body["relation"]
-            report.mediator_learns[f"|{relation.relation_name}|"] = len(relation)
-            sizes.append(len(relation))
-    # |R_C|: the mediator computed the server result itself.  Unhardened
-    # it enumerates R_C's pairs in one message; hardened it forwards the
-    # two padded relations (a list of rows per frame) whose cross product
-    # R_C is, so the size is implied by what it already holds.
-    shipped = [m.body for m in mediator.sent if m.kind == "das_server_result"]
-    enumerated = all(isinstance(body, ServerResult) for body in shipped)
-    report.mediator_learns["|R_C|"] = (
-        sum(map(len, shipped)) if enumerated else math.prod(sizes)
-    )
-    client = _client_view(result)
-    report.client_learns["superset_rows_received"] = sum(
-        len(m.body) for m in client.received if m.kind == "das_server_result"
-    )
-    for message in client.received:
-        if message.kind == "das_encrypted_index_tables":
-            report.client_learns["index_tables_received"] = len(message.body)
-    report.client_learns["exact_result_rows"] = len(result.global_result)
-    report.notes.append(
-        "|R_C| is an upper bound of the global result size; the client "
-        "post-processes the superset with q_C"
-    )
-    report.notes.append(
-        "|R_C| is enumerated: the mediator ships its pairs"
-        if enumerated
-        else "|R_C| = |R1^S| * |R2^S| is implied, not enumerated: the "
-        "mediator forwards each padded relation once and the client joins them"
-    )
-    return report
-
-
-def _analyze_commutative(result: MediationResult) -> LeakageReport:
-    report = LeakageReport(protocol=result.protocol)
-    mediator = _mediator_view(result)
-    # |domactive(R_i.A_join)|: one first-round message per active value.
-    for message in mediator.received:
-        if message.kind == "commutative_m_set":
-            report.mediator_learns[
-                f"|domactive@{message.sender}|"
-            ] = len(message.body)
-    # Intersection size: the mediator itself matches equal tags.
-    for message in mediator.sent:
-        if message.kind == "commutative_result":
-            report.mediator_learns["intersection_size"] = len(message.body)
-    client = _client_view(result)
-    received_pairs = sum(
-        len(m.body) for m in client.received if m.kind == "commutative_result"
-    )
-    report.client_learns["matched_tuple_set_pairs"] = received_pairs
-    report.notes.append(
-        "the client receives the exact global result only (matched tuple "
-        "sets); the intersection size is a lower bound of |result|"
-    )
-    return report
-
-
-def _analyze_private_matching(result: MediationResult) -> LeakageReport:
-    report = LeakageReport(protocol=result.protocol)
-    mediator = _mediator_view(result)
-    # Degree of each polynomial = number of (low) coefficients shipped.
-    for message in mediator.received:
-        if message.kind == "pm_encrypted_coefficients" and message.sender != (
-            _client_view(result).party
-        ):
-            report.mediator_learns[
-                f"|domactive@{message.sender}|"
-            ] = len(message.body)
-    client = _client_view(result)
-    for message in client.received:
-        if message.kind == "pm_evaluations":
-            report.client_learns["encrypted_values_received"] = sum(
-                len(values) for values in message.body.values()
+        report.client_learns["exact_result_rows"] = len(result.global_result)
+        # Unhardened, the mediator enumerates R_C's pairs in one message;
+        # hardened it forwards the two padded relations once, so |R_C| is
+        # implied by the |R_i| it already holds.
+        if "hardening" in result.artifacts:
+            report.mediator_learns["|R_C|"] = math.prod(
+                report.mediator_learns[f"|{name}|"] for name in relations.values()
             )
-    report.client_learns["decipherable_rows"] = len(result.global_result)
-    report.notes.append(
-        "the client receives n + m encrypted values (all partial-result "
-        "tuple sets) but can only decipher those in the exact join"
-    )
+            report.notes.append(
+                "|R_C| = |R1^S| * |R2^S| is implied, not enumerated: the "
+                "mediator forwards each padded relation once and the client "
+                "joins them"
+            )
+        else:
+            report.notes.append("|R_C| is enumerated: the mediator ships its pairs")
+    if protocol == "private-matching":
+        report.client_learns["encrypted_values_received"] = sum(
+            result.artifacts["evaluations_sent"].values()
+        )
+        report.client_learns["decipherable_rows"] = len(result.global_result)
     return report
 
 
@@ -193,8 +157,8 @@ def verify_no_plaintext_leak(
     values (long enough to make random collisions in ciphertext bytes
     negligible).
     """
-    mediator = _mediator_view(result)
-    material = view_material(mediator)
+    mediator = detect_roles(result.messages)["mediator"]
+    material = view_material(result.view(mediator))
     violations = []
     for relation in relations:
         for row in relation:

@@ -24,6 +24,7 @@ from scipy import stats
 from repro.core.result import MediationResult
 from repro.errors import ProtocolError
 from repro.mediation.network import PartyView
+from repro.telemetry.observables import detect_roles
 
 #: Message kinds whose payloads are ciphertext material by construction.
 CIPHERTEXT_KINDS = {
@@ -142,9 +143,7 @@ def mediator_ciphertext_uniformity(
     result: MediationResult, alpha: float = 1e-6
 ) -> UniformityReport:
     """Uniformity of everything ciphertext-like the mediator received."""
-    from repro.analysis.views import mediator_party
-
-    view = result.network.view(mediator_party(result.network))
+    view = result.view(detect_roles(result.messages)["mediator"])
     return byte_uniformity(ciphertext_material(view), alpha)
 
 
@@ -173,8 +172,9 @@ def commutative_tag_spread(result: MediationResult) -> TagSpreadReport:
     if not result.protocol.startswith("commutative"):
         raise ProtocolError("tag analysis requires a commutative run")
     tags: list[int] = []
-    for message in result.network.messages_of_kind("commutative_m_set"):
-        tags.extend(entry.tag for entry in message.body)
+    for message in result.messages:
+        if message.kind == "commutative_m_set":
+            tags.extend(entry.tag for entry in message.body)
     if not tags:
         raise ProtocolError("no commutative tags in the transcript")
     modulus_bits = max(tag.bit_length() for tag in tags)

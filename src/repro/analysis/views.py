@@ -14,7 +14,7 @@ import dataclasses
 from collections.abc import Mapping
 from typing import Any, Iterator
 
-from repro.mediation.network import Message, PartyView
+from repro.mediation.network import PartyView
 
 
 def iter_byte_material(body: Any) -> Iterator[bytes]:
@@ -58,63 +58,14 @@ def iter_byte_material(body: Any) -> Iterator[bytes]:
     yield repr(body).encode("utf-8")
 
 
-def view_material(view: PartyView, received_only: bool = True) -> bytes:
-    """All byte material in a party's view, concatenated with separators.
+def view_material(view: PartyView) -> bytes:
+    """All byte material a party received, concatenated with separators.
 
-    By default only *received* messages count — what a party sent it
-    already knew.  Separators prevent false matches across fragment
-    boundaries.
+    Only *received* messages count — what a party sent it already knew.
+    Separators prevent false matches across fragment boundaries.
     """
-    messages: list[Message] = (
-        view.received if received_only else view.observed_messages()
-    )
     fragments: list[bytes] = []
-    for message in messages:
+    for message in view.received:
         for fragment in iter_byte_material(message.body):
             fragments.append(fragment)
     return b"\x00\xff\x00".join(fragments)
-
-
-def contains_material(view: PartyView, needle: bytes, min_length: int = 4) -> bool:
-    """Does the party's received material contain ``needle``?
-
-    ``min_length`` guards against trivially short needles (1-2 byte
-    integers occur in random ciphertext bytes by chance).
-    """
-    if len(needle) < min_length:
-        raise ValueError(
-            f"needle of {len(needle)} bytes is too short for a meaningful scan"
-        )
-    return needle in view_material(view)
-
-
-# ---------------------------------------------------------------------------
-# Role detection from transcripts
-# ---------------------------------------------------------------------------
-
-
-def client_party(network) -> str:
-    """The party that issued the global query."""
-    for message in network.transcript:
-        if message.kind == "global_query":
-            return message.sender
-    raise LookupError("no global_query message in the transcript")
-
-
-def mediator_party(network) -> str:
-    """The party that received the global query."""
-    for message in network.transcript:
-        if message.kind == "global_query":
-            return message.receiver
-    raise LookupError("no global_query message in the transcript")
-
-
-def source_parties(network) -> tuple[str, ...]:
-    """The parties that received partial queries, in dispatch order."""
-    sources = []
-    for message in network.transcript:
-        if message.kind == "partial_query" and message.receiver not in sources:
-            sources.append(message.receiver)
-    if not sources:
-        raise LookupError("no partial_query messages in the transcript")
-    return tuple(sources)

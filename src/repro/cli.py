@@ -428,7 +428,7 @@ def _command_query(args) -> int:
             )
         if transport is not None:
             print(
-                f"\n{len(federation.network.transcript)} messages, "
+                f"\n{len(result.messages)} messages, "
                 f"{result.total_bytes()} actual bytes on the wire"
             )
             remote = transport.remote_view(federation.mediator.name)

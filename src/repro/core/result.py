@@ -1,9 +1,11 @@
 """Protocol run results: the global result plus everything observable.
 
 A :class:`MediationResult` bundles what a protocol run produced (the
-decrypted global result at the client) with what it *exposed* (the full
-network transcript, per-party views, primitive counters and timings) —
-the raw material for the leakage, conformance and performance analyses.
+decrypted global result at the client) with what it *exposed* (its
+messages, primitive counters and timings) — the raw material for the
+leakage, conformance and performance analyses.  A federation that
+answers a series of queries keeps one growing transcript; a run records
+the range of positions it added, and every analysis reads that slice.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.crypto.instrumentation import PrimitiveCounter
-from repro.transport.base import Transport
+from repro.transport.base import Message, PartyView, Transport, interaction_count
 from repro.relational.relation import Relation
 
 
@@ -44,11 +46,29 @@ class MediationResult:
     #: Protocol-specific intermediate artifacts (index tables, matched
     #: pair counts, polynomial degrees, ...) keyed by a stable name.
     artifacts: dict[str, Any] = field(default_factory=dict)
+    #: Half-open range of ``network.transcript`` positions this run
+    #: added; None covers the whole transcript.
+    message_range: tuple[int, int] | None = None
 
     # -- convenience accessors ------------------------------------------------
 
+    @property
+    def messages(self) -> tuple[Message, ...]:
+        """This run's messages, in transcript order."""
+        return _run_messages(self.network, self.message_range)
+
+    def view(self, party: str) -> PartyView:
+        """What ``party`` sent and received during this run."""
+        view = PartyView(party)
+        for message in self.messages:
+            if message.sender == party:
+                view.sent.append(message)
+            if message.receiver == party:
+                view.received.append(message)
+        return view
+
     def total_bytes(self) -> int:
-        return self.network.total_bytes()
+        return sum(message.size_bytes for message in self.messages)
 
     def total_seconds(self) -> float:
         return sum(timing.seconds for timing in self.timings)
@@ -57,7 +77,7 @@ class MediationResult:
         return sum(t.seconds for t in self.timings if t.party == party)
 
     def interaction_count(self, a: str, b: str) -> int:
-        return self.network.interaction_count(a, b)
+        return interaction_count(self.messages, a, b)
 
     def add_timing(
         self, party: str, step: str, seconds: float, ok: bool = True
@@ -74,7 +94,7 @@ class MediationResult:
             f"query:    {self.query}",
             f"result:   {len(self.global_result)} rows",
             f"traffic:  {self.total_bytes()} bytes over "
-            f"{len(self.network.transcript)} messages",
+            f"{len(self.messages)} messages",
             f"time:     {self.total_seconds():.4f}s across "
             f"{len(self.timings)} steps",
         ]
@@ -116,13 +136,21 @@ class RunFailure:
     #: a :class:`~repro.faults.transport.FaultyTransport`.
     fault_events: list[str] = field(default_factory=list)
     artifacts: dict[str, Any] = field(default_factory=dict)
+    #: Half-open range of ``network.transcript`` positions this run
+    #: added before it failed; None covers the whole transcript.
+    message_range: tuple[int, int] | None = None
 
     @property
     def ok(self) -> bool:
         return False
 
+    @property
+    def messages(self) -> tuple[Message, ...]:
+        """The messages this run delivered before it failed."""
+        return _run_messages(self.network, self.message_range)
+
     def messages_delivered(self) -> int:
-        return len(self.network.transcript) if self.network is not None else 0
+        return len(self.messages)
 
     def summary(self) -> str:
         lines = [
@@ -137,3 +165,12 @@ class RunFailure:
             lines.append("injected faults:")
             lines.extend(f"  {event}" for event in self.fault_events)
         return "\n".join(lines)
+
+
+def _run_messages(
+    network: Transport | None, message_range: tuple[int, int] | None
+) -> tuple[Message, ...]:
+    if network is None:
+        return ()
+    transcript = network.transcript
+    return transcript if message_range is None else transcript[slice(*message_range)]

@@ -4,7 +4,7 @@
 :class:`~repro.core.federation.Federation`, attach a client, then run a
 global join query under any of the three delivery protocols.  The
 returned :class:`~repro.core.result.MediationResult` carries the global
-result and the full transcript for analysis.
+result and the run's slice of the transcript for analysis.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def run_join_query(
         else contextlib.nullcontext()
     )
     # The transcript of a federation that answers a series of queries
-    # keeps growing; this run's observables cover this run's messages.
+    # keeps growing; the result records the positions this run added.
     messages_before = len(federation.network.transcript)
     phase = "request"
     try:
@@ -147,9 +147,10 @@ def run_join_query(
             )
             result.artifacts["join_rows_before_postprocessing"] = join_rows
             result.artifacts["crypto"] = crypto_context(engine)
-            result.artifacts["observables"] = observables_artifact(
-                result, federation.network.transcript[messages_before:]
+            result.message_range = (
+                messages_before, len(federation.network.transcript)
             )
+            result.artifacts["observables"] = observables_artifact(result)
             storage_stats = _collect_storage_stats(federation)
             if storage_stats is not None:
                 result.artifacts["storage_cache"] = storage_stats
@@ -160,7 +161,9 @@ def run_join_query(
     except ReproError as exc:
         if on_failure != "return":
             raise
-        return _describe_failure(federation, query, protocol, phase, exc)
+        return _describe_failure(
+            federation, query, protocol, phase, exc, messages_before
+        )
 
 
 def crypto_context(engine: CryptoEngine | None = None) -> dict[str, Any]:
@@ -211,6 +214,7 @@ def _describe_failure(
     protocol: str,
     phase: str,
     error: ReproError,
+    messages_before: int,
 ) -> RunFailure:
     """Structured degradation: partial observables instead of a traceback."""
     network = federation.network
@@ -223,6 +227,7 @@ def _describe_failure(
         error_message=str(error),
         network=network,
         fault_events=[event.summary() for event in events],
+        message_range=(messages_before, len(network.transcript)),
     )
 
 

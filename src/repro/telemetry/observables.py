@@ -34,7 +34,7 @@ deterministic artifact unless explicitly requested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 from repro.errors import ProtocolError
 from repro.telemetry.metrics import DEFAULT_SECONDS_BUCKETS
@@ -213,41 +213,22 @@ class ObservableTrace:
 # Role detection.
 # ---------------------------------------------------------------------------
 
-#: Message kinds only a datasource sends to the mediator.
-_SOURCE_TO_MEDIATOR_KINDS = {
-    "das_encrypted_partial_result",
-    "commutative_m_set",
-    "pm_encrypted_coefficients",
-}
+def detect_roles(messages: Iterable[Any]) -> dict[str, Any]:
+    """Classify a run's parties from its messages alone.
 
-
-def detect_roles(transport: Any) -> dict[str, Any]:
-    """Classify registered parties from the transcript alone.
-
-    Returns ``{"client": name, "mediator": name, "sources": [names]}``.
-    The client is the party that *sends* the global query; the mediator
-    both receives it and receives source ciphertext material; everyone
-    else is a datasource.
+    Returns ``{"client": name, "mediator": name, "sources": [names]}``:
+    the client sends the global query and the mediator receives it; the
+    sources receive the partial queries, in dispatch order.
     """
     client = mediator = None
-    for party in transport.parties():
-        view = transport.view(party)
-        if any(m.kind == "global_query" for m in view.sent):
-            client = party
-        received_kinds = {m.kind for m in view.received}
-        if received_kinds & _SOURCE_TO_MEDIATOR_KINDS and (
-            "global_query" in received_kinds
-        ):
-            mediator = party
-    if client is None or mediator is None:
-        raise ProtocolError(
-            "could not classify parties from the transcript "
-            f"(client={client!r}, mediator={mediator!r})"
-        )
-    sources = [
-        party for party in transport.parties()
-        if party not in (client, mediator)
-    ]
+    sources: list[str] = []
+    for message in messages:
+        if message.kind == "global_query" and client is None:
+            client, mediator = message.sender, message.receiver
+        elif message.kind == "partial_query" and message.receiver not in sources:
+            sources.append(message.receiver)
+    if client is None:
+        raise ProtocolError("no global_query among the run's messages")
     return {"client": client, "mediator": mediator, "sources": sources}
 
 
@@ -350,25 +331,20 @@ def party_trace(
 
 
 def adversary_traces(result: Any, *, roles: Mapping[str, Any] | None = None,
-                     messages: Sequence[Any] | None = None,
                      ) -> dict[str, ObservableTrace]:
     """One :class:`ObservableTrace` per adversary, from a finished run.
 
     ``result`` is a :class:`~repro.core.result.MediationResult`; the
     adversary set is the network observer, the mediator, and every
     datasource.  Identical for bus and TCP runs — both record the full
-    transcript in the driving process.  ``messages`` is the part of that
-    transcript to trace (default: all of it): a federation that answers
-    a series of queries keeps one growing transcript, and the runner
-    passes the slice the run added.
+    transcript in the driving process.  The traces cover the run's own
+    messages (``result.messages``), not a federation's earlier queries.
     """
     protocol = result.protocol.split("[", 1)[0]
-    network = result.network
-    transport = type(network).__name__
-    if messages is None:
-        messages = network.transcript
+    transport = type(result.network).__name__
+    messages = result.messages
     timings = getattr(result, "timings", ())
-    resolved = dict(roles) if roles is not None else detect_roles(network)
+    resolved = dict(roles) if roles is not None else detect_roles(messages)
     # Deployment-chosen party names are presentation, not observable
     # structure: canonicalize the client and mediator so traces (and the
     # committed leakage baseline) compare across differently-named
@@ -422,12 +398,10 @@ def network_trace_from_records(
     return trace
 
 
-def observables_artifact(
-    result: Any, messages: Sequence[Any] | None = None
-) -> dict[str, Any]:
+def observables_artifact(result: Any) -> dict[str, Any]:
     """Per-adversary summaries for ``result.artifacts["observables"]``."""
     try:
-        traces = adversary_traces(result, messages=messages)
+        traces = adversary_traces(result)
     except ProtocolError:
         # A transcript without a recognizable mediator (partial run,
         # exotic topology) simply yields no observable summary.

@@ -193,23 +193,7 @@ class Transport(ABC):
         )
 
     def interaction_count(self, a: str, b: str) -> int:
-        """Number of *interactions* of ``a`` with ``b``.
-
-        Following Section 6's usage ("the client has to interact twice
-        with the mediator"), an interaction is a maximal run of
-        consecutive messages (in transcript order, restricted to the
-        a<->b link) initiated by ``a``: the client sending the query is
-        one interaction; receiving the reply and sending the next request
-        starts the second.
-        """
-        link = [m for m in self._messages if {m.sender, m.receiver} == {a, b}]
-        interactions = 0
-        previous_sender = None
-        for message in link:
-            if message.sender == a and previous_sender != a:
-                interactions += 1
-            previous_sender = message.sender
-        return interactions
+        return interaction_count(self._messages, a, b)
 
     def flow_summary(self) -> list[str]:
         """Human-readable transcript (used by the architecture bench)."""
@@ -220,6 +204,27 @@ class Transport(ABC):
         return {
             tuple(sorted((m.sender, m.receiver))) for m in self._messages
         }
+
+
+def interaction_count(messages: Iterable[Message], a: str, b: str) -> int:
+    """Number of *interactions* of ``a`` with ``b`` among ``messages``.
+
+    Following Section 6's usage ("the client has to interact twice
+    with the mediator"), an interaction is a maximal run of
+    consecutive messages (in transcript order, restricted to the
+    a<->b link) initiated by ``a``: the client sending the query is
+    one interaction; receiving the reply and sending the next request
+    starts the second.
+    """
+    interactions = 0
+    previous_sender = None
+    for message in messages:
+        if {message.sender, message.receiver} != {a, b}:
+            continue
+        if message.sender == a and previous_sender != a:
+            interactions += 1
+        previous_sender = message.sender
+    return interactions
 
 
 def link_traffic_table(

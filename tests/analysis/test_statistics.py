@@ -11,7 +11,7 @@ from repro.analysis.statistics import (
     commutative_tag_spread,
     mediator_ciphertext_uniformity,
 )
-from repro.analysis.views import mediator_party
+from repro.telemetry.observables import detect_roles
 from repro.errors import ProtocolError
 
 QUERY = "select * from R1 natural join R2"
@@ -64,7 +64,7 @@ class TestMediatorMaterial:
 
     def test_material_extraction_nonempty(self, factory):
         result = run_join_query(factory(), QUERY, protocol="das")
-        view = result.network.view(mediator_party(result.network))
+        view = result.network.view(detect_roles(result.messages)["mediator"])
         assert len(ciphertext_material(view)) > 1024
 
 

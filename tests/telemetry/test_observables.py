@@ -109,7 +109,7 @@ class TestAdversaryTraces:
         )
 
     def test_roles_detected_from_transcript(self, result):
-        roles = detect_roles(result.network)
+        roles = detect_roles(result.messages)
         assert roles["mediator"] == "mediator"
         assert set(roles["sources"]) == {"S1", "S2"}
 
@@ -138,16 +138,12 @@ class TestAdversaryTraces:
         for artifact in later:
             assert artifact == first
         # The full history stays available to whoever asks for it.
-        history = adversary_traces(results[-1])["network"]
-        assert len(history.messages) == 3 * first["network"]["messages"]
+        history = results[-1].network.transcript
+        assert len(history) == 3 * first["network"]["messages"]
 
     def test_detect_roles_rejects_empty_transcript(self):
-        class Silent:
-            def parties(self):
-                return []
-
         with pytest.raises(ProtocolError):
-            detect_roles(Silent())
+            detect_roles([])
 
 
 class TestTraceDistributions:
