@@ -26,7 +26,7 @@ Control frames (HELLO, FETCH, TELEMETRY) and all upstream responses
 pass through untouched — the chaos model targets protocol deliveries.
 
 The proxy is deliberately plain ``socket`` + ``threading`` code: it
-must not share the transport's event loop, or a fault that wedges the
+must not share the endpoints' event loop, or a fault that wedges the
 proxy could deadlock the very code path under test.
 """
 
@@ -156,22 +156,24 @@ class ChaosProxy:
         self._threads.append(pump)
         try:
             while self._alive:
-                frame = self._read_frame(client)
-                if frame is None:
-                    return
-                if not self._relay(frame, server):
+                try:
+                    frame_type, payload = codec.recv_frame(client)
+                except (OSError, NetworkError):
+                    return  # peer closed, or unframed garbage: drop the link
+                if not self._relay(frame_type, payload, server):
                     return
         finally:
             self._discard(client)
             self._discard(server)
 
-    def _relay(self, frame: bytes, server: socket.socket) -> bool:
+    def _relay(
+        self, frame_type: int, payload: bytes, server: socket.socket
+    ) -> bool:
         """Forward one frame, injecting faults; False tears the link down."""
-        header = frame[: codec.FRAME_HEADER_BYTES]
-        frame_type, _ = codec.parse_frame_header(header)
+        frame = codec.build_frame(frame_type, payload)
         if frame_type != codec.DATA:
             return self._forward(server, frame)
-        envelope = self._peek(frame[codec.FRAME_HEADER_BYTES:])
+        envelope = self._peek(payload)
         if envelope is None:
             return self._forward(server, frame)
         sender, receiver, kind, session = envelope
@@ -230,32 +232,6 @@ class ChaosProxy:
             waited += step
 
     # -- socket plumbing -------------------------------------------------------
-
-    def _read_frame(self, sock: socket.socket) -> bytes | None:
-        header = self._recv_exact(sock, codec.FRAME_HEADER_BYTES)
-        if header is None:
-            return None
-        try:
-            _, length = codec.parse_frame_header(header)
-        except NetworkError:
-            return None  # unframed garbage: drop the connection
-        payload = self._recv_exact(sock, length) if length else b""
-        if payload is None:
-            return None
-        return header + payload
-
-    @staticmethod
-    def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
-        chunks = bytearray()
-        while len(chunks) < count:
-            try:
-                chunk = sock.recv(count - len(chunks))
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            chunks.extend(chunk)
-        return bytes(chunks)
 
     @staticmethod
     def _forward(sock: socket.socket, data: bytes) -> bool:

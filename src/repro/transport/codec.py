@@ -44,6 +44,7 @@ codec does not drag in the whole protocol stack.
 from __future__ import annotations
 
 import asyncio
+import socket
 import struct
 import zlib
 from itertools import chain
@@ -683,6 +684,29 @@ async def read_frame(
     except asyncio.IncompleteReadError as exc:
         raise FrameCodecError("connection closed mid-frame") from exc
     return frame_type, payload
+
+
+def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
+    """Read one complete frame from a blocking socket.
+
+    The blocking twin of :func:`read_frame`: the same header checks, and
+    :class:`FrameCodecError` on EOF.  The socket's own timeout bounds
+    each ``recv``; ``TimeoutError`` propagates to the caller.
+    """
+    frame_type, length = parse_frame_header(_recv_exactly(sock, FRAME_HEADER_BYTES))
+    return frame_type, _recv_exactly(sock, length)
+
+
+def _recv_exactly(sock: socket.socket, count: int) -> bytes:
+    buffer = bytearray(count)
+    view = memoryview(buffer)
+    received = 0
+    while received < count:
+        chunk = sock.recv_into(view[received:])
+        if not chunk:
+            raise FrameCodecError("connection closed mid-frame")
+        received += chunk
+    return bytes(buffer)
 
 
 async def write_frame(

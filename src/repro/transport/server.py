@@ -60,6 +60,7 @@ The richer, seeded fault model lives in :mod:`repro.faults`.
 from __future__ import annotations
 
 import asyncio
+import threading
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
@@ -110,9 +111,9 @@ class RemoteRecord:
 class PartyServer:
     """One party's listening endpoint.
 
-    All coroutines must run on the same event loop; the synchronous
-    :class:`~repro.transport.tcp.TcpTransport` drives them from its
-    background loop, the ``repro serve`` CLI from ``asyncio.run``.
+    All coroutines must run on the same event loop: an
+    :class:`EndpointHost`'s for endpoints hosted inside a synchronous
+    program, ``asyncio.run``'s for the ``repro serve`` CLI.
     """
 
     def __init__(
@@ -496,3 +497,57 @@ class PartyServer:
             "metrics": self.registry.snapshot(),
             "exposition": prometheus_exposition(self.registry),
         }
+
+
+class EndpointHost:
+    """Runs :class:`PartyServer` s on one asyncio loop thread.
+
+    The endpoints a synchronous program hosts —
+    :class:`~repro.transport.tcp.TcpTransport`'s locally registered
+    parties, or a test's stand-in for a remote party — serve from this
+    thread, named ``repro-tcp-transport``; the program's own sends never
+    run on it.
+    """
+
+    def __init__(self) -> None:
+        self._loop = asyncio.new_event_loop()
+        self._servers: list[PartyServer] = []
+        self._thread = threading.Thread(
+            target=self._loop.run_forever, name="repro-tcp-transport", daemon=True
+        )
+        self._thread.start()
+
+    def start(self, server: PartyServer) -> tuple[str, int]:
+        """Start ``server`` on the loop; returns the address it listens on."""
+        address = asyncio.run_coroutine_threadsafe(server.start(), self._loop).result()
+        self._servers.append(server)
+        return address
+
+    def stop(self, server: PartyServer) -> None:
+        """Stop one server: its port goes dark, its connections drop."""
+        asyncio.run_coroutine_threadsafe(server.stop(), self._loop).result()
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Stop every server, then the loop, and join the thread.
+
+        Each of the two waits is bounded by ``timeout``: a server stop
+        that overruns it is cancelled and the loop stopped regardless,
+        and the loop is closed only once its thread has really exited.
+        """
+        if self._loop.is_closed():
+            return
+
+        async def stop_all() -> None:
+            for server in self._servers:
+                await server.stop()
+
+        future = asyncio.run_coroutine_threadsafe(stop_all(), self._loop)
+        try:
+            future.result(timeout)
+        except Exception:
+            future.cancel()  # a wedged endpoint must not block teardown
+        finally:
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(timeout)
+            if not self._thread.is_alive():
+                self._loop.close()

@@ -1,16 +1,18 @@
 """The TCP transport: protocol messages over real sockets.
 
 :class:`TcpTransport` implements the :class:`~repro.transport.base.Transport`
-contract on top of asyncio TCP streams.  Every ``send`` serializes the
-message with the binary codec, frames it, ships it to the *receiver's*
-endpoint (a :class:`~repro.transport.server.PartyServer`), and waits for
-the acknowledgement — so byte counts in the transcript are **actual wire
+contract on top of TCP sockets.  Every ``send`` serializes the message
+with the binary codec, frames it, ships it to the *receiver's* endpoint
+(a :class:`~repro.transport.server.PartyServer`), and waits for the
+acknowledgement — so byte counts in the transcript are **actual wire
 bytes** and a dead or silent peer surfaces as a
 :class:`~repro.errors.NetworkError` instead of a hang.
 
-The protocols in :mod:`repro.core` are synchronous, so the transport
-owns a private event loop on a background thread and submits coroutines
-to it; callers never touch asyncio.
+The protocols in :mod:`repro.core` are synchronous, and so is the
+client side here: a send writes and reads a blocking socket on the
+caller's own thread.  Only locally hosted endpoints need asyncio; they
+serve from one :class:`~repro.transport.server.EndpointHost` thread,
+started by the first locally hosted party.
 
 Topology: parties whose endpoints are listed in ``endpoints`` are
 **remote** (typically started with ``repro serve`` in another process);
@@ -39,8 +41,8 @@ Concurrency (see ``docs/transport.md``):
 * Connections are **pooled** per peer: a send checks a persistent
   connection out, returns it healthy, and at most
   ``RetryPolicy.pool_size`` idle sockets are kept — sequential traffic
-  reuses one socket; concurrent sessions fan out without a
-  connect-per-send tax.
+  reuses one socket; concurrent sessions (one caller thread each) fan
+  out without a connect-per-send tax.
 * The caller's :func:`~repro.session.session_scope` rides every
   envelope as its ``session_id``; endpoints key per-session state by
   it.  An endpoint at capacity answers BUSY, which backs off under the
@@ -56,16 +58,17 @@ the encoder, before any frame is sent.  No process decodes a DATA body:
 the endpoint acts on the envelope header and CRC, and the drivers in
 :mod:`repro.core` run every party in one process with their own
 objects.  A receiving handler that consumes the decoded body arrives
-with party-resident execution (ROADMAP item 1).
+with party-resident execution (ROADMAP item 2).
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
 import secrets
+import socket
 import threading
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from repro.deadline import Deadline, current_deadline
@@ -76,7 +79,7 @@ from repro.telemetry.metrics import MetricsRegistry, get_registry
 from repro.telemetry.tracing import Span, Tracer
 from repro.transport import codec
 from repro.transport.base import Message, Transport
-from repro.transport.server import PartyServer, RemoteRecord
+from repro.transport.server import EndpointHost, PartyServer, RemoteRecord
 
 #: Counter of delivery/control retries, labelled by party and operation.
 TRANSPORT_RETRIES_METRIC = "repro_transport_retries_total"
@@ -102,8 +105,9 @@ class RetryPolicy:
     #: Random extra backoff as a fraction of the base delay (0.25 =
     #: up to 25% longer), decorrelating retry storms across parties.
     jitter: float = 0.25
-    #: Seconds granted to the shutdown coroutine and the loop thread
-    #: join during :meth:`TcpTransport.close`.
+    #: Seconds granted to the endpoint host during
+    #: :meth:`TcpTransport.close`, once to stop the hosted endpoints and
+    #: once to join its thread.
     shutdown_timeout: float = 5.0
     #: Idle persistent connections kept per peer.  Sends check a
     #: connection out of the pool and return it healthy, so sequential
@@ -119,7 +123,7 @@ class RetryPolicy:
 
 
 class TcpTransport(Transport):
-    """Transport over asyncio TCP sockets (one endpoint per party)."""
+    """Transport over blocking TCP sockets (one endpoint per party)."""
 
     def __init__(
         self,
@@ -137,13 +141,14 @@ class TcpTransport(Transport):
         #: :class:`PartyServer` (``max_sessions``, ``session_ttl``, ...).
         self._server_options = dict(server_options or {})
         self._servers: dict[str, PartyServer] = {}
+        #: The loop thread of the locally hosted endpoints; started by
+        #: the first party registered without a listed endpoint.
+        self._hosting: EndpointHost | None = None
         #: Idle persistent connections per peer, most recently used
-        #: last.  All pool operations run on the transport loop, so no
-        #: lock is needed; a checked-out connection is simply absent
-        #: from the pool until released.
-        self._pools: dict[
-            str, list[tuple[asyncio.StreamReader, asyncio.StreamWriter]]
-        ] = {}
+        #: last.  A checked-out connection is absent from the pool until
+        #: checked back in, so each caller thread owns its socket.
+        self._pools: dict[str, list[socket.socket]] = {}
+        self._lock = threading.Lock()
         #: Session ids this transport has put on the wire; told to every
         #: endpoint (SESSION close) at shutdown so server-side state is
         #: released eagerly instead of waiting for the TTL sweep.
@@ -156,20 +161,6 @@ class TcpTransport(Transport):
         #: retries never perturb the protocols' shuffle randomness and
         #: fault-plan replays stay deterministic.
         self._jitter_rng = random.Random(0x5EED)
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-tcp-transport", daemon=True
-        )
-        self._thread.start()
-
-    # -- loop plumbing ----------------------------------------------------
-
-    def _run(self, coroutine) -> Any:
-        """Run one coroutine on the transport loop, from the caller thread."""
-        if self._closed:
-            coroutine.close()
-            raise NetworkError("transport is closed")
-        return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result()
 
     # -- registration ------------------------------------------------------
 
@@ -184,14 +175,23 @@ class TcpTransport(Transport):
         Parties without a configured endpoint get one hosted locally on
         an ephemeral loopback port.
         """
+        self._require_open()
         super().register(party)
         if party not in self._endpoints:
+            if self._hosting is None:
+                self._hosting = EndpointHost()
             server = PartyServer(
                 party, host=self._host, port=0, **self._server_options
             )
-            self._endpoints[party] = self._run(server.start())
+            self._endpoints[party] = self._hosting.start(server)
             self._servers[party] = server
-        self._run(self._handshake(party))
+        response = self._control(party, codec.HELLO, {"party": party}, codec.OK)
+        answered = response.get("party") if isinstance(response, dict) else None
+        if answered != party:
+            raise NetworkError(
+                f"endpoint identifies as {answered!r}, expected {party!r} "
+                f"{self._where(party)}"
+            )
 
     def local_server(self, party: str) -> PartyServer | None:
         """The locally hosted endpoint for ``party``, if any."""
@@ -205,9 +205,8 @@ class TcpTransport(Transport):
         Delivery is effectively-once: the envelope's unique request id
         lets the receiving endpoint absorb re-deliveries, so every
         failure mode — not just refused connects — is retried under
-        :class:`RetryPolicy`.  The caller's installed deadline (if any)
-        is captured here, on the caller thread, and propagated into the
-        transport loop explicitly.
+        :class:`RetryPolicy`.  The socket I/O runs on the caller's
+        thread, under the caller's installed deadline (if any).
         """
         self._require_parties(sender, receiver)
         session_id = current_session_id()
@@ -224,9 +223,7 @@ class TcpTransport(Transport):
                 session_id=session_id,
             )
             frame = codec.build_frame(codec.DATA, payload)
-            self._run(
-                self._deliver(receiver, frame, sequence, current_deadline())
-            )
+            self._exchange(receiver, frame, codec.ACK, sequence)
             # The transcript records the body that was encoded, as the bus
             # does; the message is serialized once and never decoded here.
             message = self._record(
@@ -249,12 +246,7 @@ class TcpTransport(Transport):
         if party not in self._parties:
             raise NetworkError(f"unknown party {party!r}")
         body = {} if session is None else {"session": session}
-        response = self._run(
-            self._request(
-                party, codec.FETCH, body, expect=codec.VIEW,
-                deadline=current_deadline(),
-            )
-        )
+        response = self._control(party, codec.FETCH, body, codec.VIEW)
         return [RemoteRecord(**record) for record in response]
 
     def open_session(self, session_id: str, parties=None) -> None:
@@ -267,23 +259,17 @@ class TcpTransport(Transport):
         """
         self._sessions_used.add(session_id)
         for party in (parties if parties is not None else list(self._parties)):
-            self._run(
-                self._request(
-                    party, codec.SESSION,
-                    {"op": "open", "session": session_id},
-                    expect=codec.OK, deadline=current_deadline(),
-                )
+            self._control(
+                party, codec.SESSION, {"op": "open", "session": session_id},
+                codec.OK,
             )
 
     def close_session(self, session_id: str, parties=None) -> None:
         """Explicitly close a session at endpoints, releasing its state."""
         for party in (parties if parties is not None else list(self._parties)):
-            self._run(
-                self._request(
-                    party, codec.SESSION,
-                    {"op": "close", "session": session_id},
-                    expect=codec.OK, deadline=current_deadline(),
-                )
+            self._control(
+                party, codec.SESSION, {"op": "close", "session": session_id},
+                codec.OK,
             )
         self._sessions_used.discard(session_id)
 
@@ -297,13 +283,10 @@ class TcpTransport(Transport):
         """
         if party not in self._parties:
             raise NetworkError(f"unknown party {party!r}")
-        body = {} if session is None else {"session": session}
-        response = self._run(
-            self._request(
-                party, codec.TELEMETRY, body, expect=codec.TELEMETRY_DATA,
-                deadline=current_deadline(),
-            )
-        )
+        return self._telemetry(party, {} if session is None else {"session": session})
+
+    def _telemetry(self, party: str, body: dict) -> dict:
+        response = self._control(party, codec.TELEMETRY, body, codec.TELEMETRY_DATA)
         if not isinstance(response, dict):
             raise NetworkError(
                 f"endpoint {party!r} returned a malformed telemetry "
@@ -342,53 +325,41 @@ class TcpTransport(Transport):
     # -- fault hooks ---------------------------------------------------------
 
     def crash_party(self, party: str) -> None:
-        """Kill a locally hosted endpoint and sever its cached stream.
+        """Kill a locally hosted endpoint and sever its pooled sockets.
 
         The fault injector's ``crash`` action calls this so that a
         "dead datasource" is a real socket death: the port stops
         answering and subsequent deliveries exhaust their retries
         against a connection-refused endpoint.  Remote (non-hosted)
-        endpoints cannot be crashed from here; only the cached stream
-        is dropped.
+        endpoints cannot be crashed from here; only the pooled sockets
+        are dropped.
         """
+        self._require_open()
         if party not in self._parties:
             raise NetworkError(f"unknown party {party!r}")
+        self._drop_pool(party)
         server = self._servers.get(party)
-
-        async def _crash() -> None:
-            self._drop_pool(party)
-            if server is not None:
-                await server.stop()
-
-        self._run(_crash())
+        if server is not None and self._hosting is not None:
+            self._hosting.stop(server)
 
     # -- teardown ------------------------------------------------------------
 
     def close(self) -> None:
-        """Close connections, stop hosted endpoints, stop the loop.
+        """Farewell the sessions, close pooled sockets, stop hosted endpoints.
 
-        Shutdown is governed by ``RetryPolicy.shutdown_timeout`` and
-        must not leak the loop thread even when endpoints are wedged by
-        an injected fault: a shutdown coroutine that overruns its
-        budget is cancelled, the loop is stopped regardless, and the
-        loop is only closed once its thread has really exited.
+        Bounded even when endpoints are wedged by an injected fault: the
+        farewell makes one short attempt per endpoint, and the endpoint
+        host gets ``RetryPolicy.shutdown_timeout`` to stop its servers
+        and its thread.
         """
         if self._closed:
             return
+        self._farewell_sessions()
         self._closed = True  # refuse new work before tearing down
-        budget = self.retry.shutdown_timeout
-        future = asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop)
-        try:
-            future.result(timeout=budget)
-        except (asyncio.TimeoutError, TimeoutError):
-            future.cancel()
-        except Exception:
-            pass  # a wedged endpoint must not block teardown
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=budget)
-            if not self._thread.is_alive():
-                self._loop.close()
+        for party in list(self._pools):
+            self._drop_pool(party)
+        if self._hosting is not None:
+            self._hosting.close(self.retry.shutdown_timeout)
 
     def __enter__(self) -> "TcpTransport":
         return self
@@ -396,40 +367,131 @@ class TcpTransport(Transport):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    async def _shutdown(self) -> None:
-        await self._farewell_sessions()
-        for party in list(self._pools):
-            self._drop_pool(party)
-        for server in self._servers.values():
-            await server.stop()
-
-    async def _farewell_sessions(self) -> None:
+    def _farewell_sessions(self) -> None:
         """Best-effort SESSION close for every session this transport
         used, at every endpoint — one attempt, short timeout, failures
         ignored (the endpoint's TTL sweep is the backstop)."""
-        if not self._sessions_used:
-            return
-        timeout = min(1.0, self.retry.io_timeout)
+        once = replace(
+            self.retry, attempts=1, io_timeout=min(1.0, self.retry.io_timeout)
+        )
         for party in self._parties:
             for session_id in self._sessions_used:
                 try:
-                    reader, writer = await self._acquire(party)
+                    self._control(
+                        party, codec.SESSION,
+                        {"op": "close", "session": session_id}, codec.OK,
+                        retry=once,
+                    )
                 except Exception:
                     break  # endpoint unreachable: skip its remaining closes
-                try:
-                    await codec.write_frame(
-                        writer,
-                        codec.SESSION,
-                        codec.encode_value(
-                            {"op": "close", "session": session_id}
-                        ),
-                    )
-                    await codec.read_frame(reader, timeout)
-                    self._release(party, (reader, writer))
-                except Exception:
-                    writer.close()
 
-    # -- connection management (runs on the transport loop) ----------------
+    def _require_open(self) -> None:
+        if self._closed:
+            raise NetworkError("transport is closed")
+
+    # -- the exchange ----------------------------------------------------------
+
+    def _control(
+        self, party: str, frame_type: int, body: Any, expect: int,
+        retry: RetryPolicy | None = None,
+    ) -> Any:
+        """One idempotent control round-trip (HELLO, FETCH, SESSION, ...)."""
+        frame = codec.build_frame(frame_type, codec.encode_value(body))
+        return self._exchange(party, frame, expect, retry=retry)
+
+    def _exchange(
+        self,
+        party: str,
+        frame: bytes,
+        expect: int,
+        sequence: int | None = None,
+        retry: RetryPolicy | None = None,
+    ) -> Any:
+        """Send one frame and return the decoded answer, with retries.
+
+        A DATA frame (``sequence`` given) is answered by the ACK of
+        ``sequence``; stale ACKs of earlier sequences, left in the stream
+        by duplicated frames, are skipped.  Because the endpoint
+        deduplicates on the envelope's request id, re-sending a DATA
+        frame after *any* failure is safe.  A control frame is retried
+        after connection failures and BUSY only: a timeout or an ERROR
+        answer is final.
+        """
+        self._require_open()
+        retry = retry or self.retry
+        deadline = current_deadline()
+        last_error: Exception | None = None
+        for attempt in range(retry.attempts):
+            if attempt:
+                self._backoff(
+                    attempt, party, "control" if sequence is None else "deliver",
+                    deadline,
+                )
+            try:
+                sock = self._checkout(party)
+            except (OSError, NetworkError) as exc:
+                last_error = exc
+                continue
+            answered = False
+            try:
+                sock.settimeout(self._io_timeout(party, deadline, retry))
+                sock.sendall(frame)
+                while True:
+                    sock.settimeout(self._io_timeout(party, deadline, retry))
+                    frame_type, payload = codec.recv_frame(sock)
+                    answered = True
+                    value = self._control_payload(party, frame_type, payload, expect)
+                    acked = value.get("sequence") if isinstance(value, dict) else None
+                    if sequence is None or acked == sequence:
+                        break
+                    if isinstance(acked, int) and acked < sequence:
+                        continue  # duplicate ACK of an already-delivered message
+                    raise NetworkError(
+                        f"wrong acknowledgement: expected #{sequence}, got "
+                        f"{value!r} {self._where(party)}"
+                    )
+            except ServerBusy as exc:
+                # The endpoint answered, just refused the new session:
+                # the connection is healthy — keep it, back off, retry.
+                self._checkin(party, sock)
+                last_error = exc
+            except DeadlineExceeded:
+                sock.close()
+                raise
+            except TimeoutError as exc:
+                sock.close()
+                waiting = "a control response" if sequence is None \
+                    else "an acknowledgement"
+                # Re-read: a wait the deadline cut short is DeadlineExceeded.
+                last_error = NetworkError(
+                    f"timed out after {self._io_timeout(party, deadline, retry)}s "
+                    f"waiting for {waiting} {self._where(party)}"
+                )
+                if sequence is None:
+                    raise last_error from exc
+            except (OSError, NetworkError) as exc:
+                if answered and sequence is None:
+                    # An ERROR answer arrives on a healthy connection.
+                    self._checkin(party, sock)
+                    raise
+                # The frame may have reached the peer, but request-id
+                # dedupe makes the resend idempotent: retry.
+                sock.close()
+                last_error = exc
+            except BaseException:
+                sock.close()
+                raise
+            else:
+                self._checkin(party, sock)
+                return value
+        error_type = ServerBusy if isinstance(last_error, ServerBusy) \
+            else NetworkError
+        what = "complete control request" if sequence is None \
+            else f"deliver message #{sequence}"
+        raise error_type(
+            f"cannot {what} after {retry.attempts} attempts "
+            f"{self._where(party)}: {last_error}"
+        )
 
     def _where(self, party: str) -> str:
         """The host/port/budget suffix every NetworkError must carry."""
@@ -440,19 +502,25 @@ class TcpTransport(Transport):
             f"{self.retry.io_timeout}s)"
         )
 
-    def _io_timeout(self, party: str, deadline: Deadline | None) -> float:
-        """The I/O wait budget, capped by the propagated deadline."""
+    def _io_timeout(
+        self, party: str, deadline: Deadline | None, retry: RetryPolicy
+    ) -> float:
+        """The I/O wait budget, capped by the caller's deadline."""
         if deadline is None:
-            return self.retry.io_timeout
+            return retry.io_timeout
         remaining = deadline.remaining()
         if remaining <= 0:
             raise DeadlineExceeded(
                 f"deadline of {deadline.budget}s exhausted before I/O "
                 f"{self._where(party)}"
             )
-        return min(self.retry.io_timeout, remaining)
+        return min(retry.io_timeout, remaining)
 
-    def _count_retry(self, party: str, operation: str) -> None:
+    def _backoff(
+        self, attempt: int, party: str, operation: str,
+        deadline: Deadline | None,
+    ) -> None:
+        """Count retry ``attempt`` and sleep its jittered backoff."""
         registry = get_registry()
         if registry is not None:
             registry.counter(
@@ -460,48 +528,42 @@ class TcpTransport(Transport):
                 {"party": party, "operation": operation},
                 help_text="Delivery/control retries on the TCP transport",
             ).inc()
-
-    async def _backoff(
-        self, attempt: int, party: str, operation: str,
-        deadline: Deadline | None,
-    ) -> None:
-        """Sleep the jittered backoff before retry ``attempt``."""
-        if attempt == 0:
-            return
-        self._count_retry(party, operation)
         if deadline is not None and deadline.expired():
             raise DeadlineExceeded(
                 f"deadline of {deadline.budget}s exhausted after "
                 f"{attempt} attempts {self._where(party)}"
             )
-        await asyncio.sleep(self.retry.delay(attempt - 1, self._jitter_rng))
+        time.sleep(self.retry.delay(attempt - 1, self._jitter_rng))
 
-    async def _acquire(
-        self, party: str
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    # -- connection pool -------------------------------------------------------
+
+    def _checkout(self, party: str) -> socket.socket:
         """Check a pooled connection out, or dial a fresh one.
 
         The connection is absent from the pool while checked out —
         concurrent senders to the same peer each get their own socket
         (up to ``RetryPolicy.pool_size`` are kept idle between sends).
         """
-        pool = self._pools.get(party, [])
-        while pool:
-            reader, writer = pool.pop()
-            if writer.is_closing() or reader.at_eof():
-                writer.close()  # went stale while idle
-                continue
-            return reader, writer
+        while True:
+            with self._lock:
+                pool = self._pools.get(party)
+                sock = pool.pop() if pool else None
+            if sock is None:
+                break
+            if not _readable(sock):
+                return sock
+            sock.close()  # EOF or stray bytes arrived while idle: stale
         host, port = self.endpoint_of(party)
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), self.retry.connect_timeout
+            sock = socket.create_connection(
+                (host, port), timeout=self.retry.connect_timeout
             )
-        except asyncio.TimeoutError as exc:
+        except TimeoutError as exc:
             raise NetworkError(
                 f"connect timed out after {self.retry.connect_timeout}s "
                 f"{self._where(party)}"
             ) from exc
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         registry = get_registry()
         if registry is not None:
             registry.counter(
@@ -509,172 +571,23 @@ class TcpTransport(Transport):
                 {"party": party},
                 help_text="TCP connections dialled by the transport",
             ).inc()
-        return reader, writer
+        return sock
 
-    def _release(
-        self,
-        party: str,
-        connection: tuple[asyncio.StreamReader, asyncio.StreamWriter],
-    ) -> None:
+    def _checkin(self, party: str, sock: socket.socket) -> None:
         """Return a healthy connection to the peer's pool (or close it)."""
-        reader, writer = connection
-        pool = self._pools.setdefault(party, [])
-        if (
-            self._closed
-            or writer.is_closing()
-            or reader.at_eof()
-            or len(pool) >= self.retry.pool_size
-        ):
-            writer.close()
-            return
-        pool.append(connection)
+        with self._lock:
+            pool = self._pools.setdefault(party, [])
+            if not self._closed and len(pool) < self.retry.pool_size:
+                pool.append(sock)
+                return
+        sock.close()
 
     def _drop_pool(self, party: str) -> None:
         """Close every idle connection to a peer."""
-        for _, writer in self._pools.pop(party, []):
-            writer.close()
-
-    async def _await_ack(
-        self,
-        reader: asyncio.StreamReader,
-        party: str,
-        sequence: int,
-        deadline: Deadline | None,
-    ) -> dict:
-        """Read acknowledgements until ours arrives.
-
-        Stale ACKs — re-acknowledgements of *earlier* sequences left in
-        the stream by duplicated frames — are skipped; anything else
-        unexpected is an error.
-        """
-        while True:
-            frame_type, payload = await codec.read_frame(
-                reader, self._io_timeout(party, deadline)
-            )
-            ack = self._control_payload(party, frame_type, payload, codec.ACK)
-            acked = ack.get("sequence") if isinstance(ack, dict) else None
-            if acked == sequence:
-                return ack
-            if isinstance(acked, int) and acked < sequence:
-                continue  # duplicate ACK of an already-delivered message
-            raise NetworkError(
-                f"wrong acknowledgement: expected #{sequence}, got {ack!r} "
-                f"{self._where(party)}"
-            )
-
-    async def _deliver(
-        self,
-        party: str,
-        frame: bytes,
-        sequence: int,
-        deadline: Deadline | None,
-    ) -> dict:
-        """Send one DATA frame; returns the matching acknowledgement.
-
-        Because the receiving endpoint deduplicates on the envelope's
-        request id, re-sending after *any* failure is safe — the frame
-        is recorded at most once no matter how many copies arrive.
-        """
-        last_error: Exception | None = None
-        for attempt in range(self.retry.attempts):
-            await self._backoff(attempt, party, "deliver", deadline)
-            try:
-                reader, writer = await self._acquire(party)
-            except (ConnectionError, OSError, NetworkError) as exc:
-                last_error = exc
-                continue
-            try:
-                writer.write(frame)
-                await writer.drain()
-                ack = await self._await_ack(reader, party, sequence, deadline)
-                self._release(party, (reader, writer))
-                return ack
-            except ServerBusy as exc:
-                # The endpoint answered, just refused the new session:
-                # the connection is healthy — keep it, back off, retry.
-                self._release(party, (reader, writer))
-                last_error = exc
-            except asyncio.TimeoutError:
-                writer.close()
-                last_error = NetworkError(
-                    f"timed out after {self._io_timeout(party, deadline)}s "
-                    f"waiting for an acknowledgement {self._where(party)}"
-                )
-            except DeadlineExceeded:
-                writer.close()
-                raise
-            except (ConnectionError, OSError, NetworkError) as exc:
-                # The frame may have reached the peer, but request-id
-                # dedupe makes the resend idempotent: retry.
-                writer.close()
-                last_error = exc
-        error_type = ServerBusy if isinstance(last_error, ServerBusy) \
-            else NetworkError
-        raise error_type(
-            f"cannot deliver message #{sequence} after "
-            f"{self.retry.attempts} attempts {self._where(party)}: "
-            f"{last_error}"
-        )
-
-    async def _request(
-        self,
-        party: str,
-        frame_type: int,
-        body: Any,
-        expect: int,
-        deadline: Deadline | None = None,
-    ) -> Any:
-        """One idempotent control round-trip (HELLO, FETCH), with retries."""
-        last_error: Exception | None = None
-        for attempt in range(self.retry.attempts):
-            await self._backoff(attempt, party, "control", deadline)
-            try:
-                reader, writer = await self._acquire(party)
-            except (ConnectionError, OSError, NetworkError) as exc:
-                last_error = exc
-                continue
-            try:
-                await codec.write_frame(
-                    writer, frame_type, codec.encode_value(body)
-                )
-                response_type, payload = await codec.read_frame(
-                    reader, self._io_timeout(party, deadline)
-                )
-            except asyncio.TimeoutError as exc:
-                writer.close()
-                raise NetworkError(
-                    f"timed out after {self._io_timeout(party, deadline)}s "
-                    f"waiting for a control response {self._where(party)}"
-                ) from exc
-            except DeadlineExceeded:
-                writer.close()
-                raise
-            except (ConnectionError, OSError, NetworkError) as exc:
-                writer.close()
-                last_error = exc
-                continue
-            try:
-                value = self._control_payload(
-                    party, response_type, payload, expect
-                )
-            except ServerBusy as exc:
-                # Capacity refusal, healthy connection: keep it, retry.
-                self._release(party, (reader, writer))
-                last_error = exc
-                continue
-            except NetworkError:
-                # An ERROR answer arrives on a healthy connection.
-                self._release(party, (reader, writer))
-                raise
-            self._release(party, (reader, writer))
-            return value
-        error_type = ServerBusy if isinstance(last_error, ServerBusy) \
-            else NetworkError
-        raise error_type(
-            f"cannot complete control request after "
-            f"{self.retry.attempts} attempts {self._where(party)}: "
-            f"{last_error}"
-        )
+        with self._lock:
+            pool = self._pools.pop(party, [])
+        for sock in pool:
+            sock.close()
 
     def _control_payload(
         self, party: str, frame_type: int, payload: bytes, expect: int
@@ -699,56 +612,27 @@ class TcpTransport(Transport):
             )
         return value
 
-    async def _handshake(self, party: str) -> None:
-        response = await self._request(
-            party, codec.HELLO, {"party": party},
-            expect=codec.OK, deadline=None,
-        )
-        answered = response.get("party") if isinstance(response, dict) else None
-        if answered != party:
-            raise NetworkError(
-                f"endpoint identifies as {answered!r}, expected {party!r} "
-                f"{self._where(party)}"
-            )
+
+def _readable(sock: socket.socket) -> bool:
+    """Whether an idle socket has anything to read: EOF or stray bytes."""
+    sock.setblocking(False)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return False
+    except OSError:
+        pass  # reset while idle: as stale as EOF
+    return True
 
 
 def fetch_telemetry(host: str, port: int, timeout: float = 10.0) -> dict:
     """One-shot TELEMETRY request against a running endpoint.
 
     Used by ``repro telemetry`` to inspect a ``serve`` process without
-    constructing a full transport.
+    registering parties: one attempt, ``timeout`` bounding the connect
+    and the answer.
     """
-
-    async def _fetch() -> dict:
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), timeout
-            )
-        except (asyncio.TimeoutError, ConnectionError, OSError) as exc:
-            raise NetworkError(
-                f"cannot reach endpoint at {host}:{port}: {exc}"
-            ) from exc
-        try:
-            await codec.write_frame(
-                writer, codec.TELEMETRY, codec.encode_value({})
-            )
-            frame_type, payload = await codec.read_frame(reader, timeout)
-        except asyncio.TimeoutError as exc:
-            raise NetworkError(
-                f"timed out after {timeout}s waiting for telemetry from "
-                f"{host}:{port}"
-            ) from exc
-        finally:
-            writer.close()
-        value = codec.decode_value(payload)
-        if frame_type == codec.ERROR:
-            detail = value.get("error") if isinstance(value, dict) else value
-            raise NetworkError(f"endpoint at {host}:{port} reported: {detail}")
-        if frame_type != codec.TELEMETRY_DATA or not isinstance(value, dict):
-            raise NetworkError(
-                f"endpoint at {host}:{port} answered with unexpected frame "
-                f"type 0x{frame_type:02x}"
-            )
-        return value
-
-    return asyncio.run(_fetch())
+    address = f"{host}:{port}"
+    once = RetryPolicy(attempts=1, connect_timeout=timeout, io_timeout=timeout)
+    with TcpTransport({address: (host, port)}, retry=once) as transport:
+        return transport._telemetry(address, {})

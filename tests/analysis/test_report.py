@@ -66,5 +66,6 @@ class TestCLIReport:
             "--rsa-bits", "1024", "--paillier-bits", "1024",
         ])
         assert code == 0
-        content = open(output, encoding="utf-8").read()
+        with open(output, encoding="utf-8") as handle:
+            content = handle.read()
         assert "## Table 1" in content

@@ -1,13 +1,15 @@
-"""Shared chaos-test helpers: fast retries and threaded real endpoints."""
+"""Shared chaos-test helpers: fast retries, threaded real endpoints and
+a mute listener."""
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
 
 import pytest
 
 from repro.transport import PartyServer, RetryPolicy
+from repro.transport.server import EndpointHost
 
 #: Fast-failing policy so injected faults cost milliseconds, not the
 #: production timeouts, while still exercising retries and backoff.
@@ -17,28 +19,44 @@ FAST = RetryPolicy(
 )
 
 
-class ThreadedEndpoint:
-    """A real PartyServer on its own event-loop thread — a 'remote'
-    party a chaos proxy can sit in front of."""
+class ThreadedEndpoint(EndpointHost):
+    """A real PartyServer on its own endpoint host — a 'remote' party a
+    chaos proxy can sit in front of, or a fault (``max_messages``) can
+    be injected into."""
 
     def __init__(self, party: str, **kwargs) -> None:
+        super().__init__()
         self.server = PartyServer(party, **kwargs)
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, daemon=True
-        )
+        self.address = self.start(self.server)
+
+
+class MuteServer:
+    """A listener that accepts connections and never answers anything."""
+
+    def __init__(self) -> None:
+        self._listener = socket.socket()
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen()
+        self._listener.settimeout(0.1)
+        self.port = self._listener.getsockname()[1]
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._accept, daemon=True)
         self._thread.start()
-        self.address = asyncio.run_coroutine_threadsafe(
-            self.server.start(), self._loop
-        ).result()
+
+    def _accept(self) -> None:
+        held = []
+        while not self._stop.is_set():
+            try:
+                held.append(self._listener.accept()[0])
+            except OSError:
+                continue
+        for connection in held:
+            connection.close()
 
     def close(self) -> None:
-        asyncio.run_coroutine_threadsafe(
-            self.server.stop(), self._loop
-        ).result()
-        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._stop.set()
         self._thread.join()
-        self._loop.close()
+        self._listener.close()
 
 
 @pytest.fixture

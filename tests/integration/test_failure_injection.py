@@ -1,8 +1,6 @@
 """Failure injection: the protocols must fail closed, not fabricate data."""
 
-import asyncio
 import socket
-import threading
 import time
 
 import pytest
@@ -23,7 +21,9 @@ from repro.errors import (
 from repro.mediation.access_control import allow_all, require
 from repro.mediation.credentials import Credential
 from repro.relational.datagen import WorkloadSpec, generate
-from repro.transport import PartyServer, RetryPolicy, TcpTransport
+from repro.transport import RetryPolicy, TcpTransport
+
+from tests.faults.conftest import MuteServer, ThreadedEndpoint
 
 QUERY = "select * from R1 natural join R2"
 
@@ -147,65 +147,12 @@ FAST = RetryPolicy(
 )
 
 
-class _MuteEndpoint:
-    """A listener that accepts connections and never answers anything."""
-
-    def __init__(self) -> None:
-        self._listener = socket.socket()
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen()
-        self._listener.settimeout(0.1)
-        self.port = self._listener.getsockname()[1]
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._accept, daemon=True)
-        self._thread.start()
-
-    def _accept(self) -> None:
-        held = []
-        while not self._stop.is_set():
-            try:
-                held.append(self._listener.accept()[0])
-            except OSError:
-                continue
-        for connection in held:
-            connection.close()
-
-    def close(self) -> None:
-        self._stop.set()
-        self._thread.join()
-        self._listener.close()
-
-
-class _ThreadedEndpoint:
-    """A real PartyServer hosted on its own event-loop thread, so a
-    fault (``max_messages``) can be injected into a 'remote' party."""
-
-    def __init__(self, party: str, *, max_messages: int | None = None) -> None:
-        self.server = PartyServer(party, max_messages=max_messages)
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, daemon=True
-        )
-        self._thread.start()
-        self.address = asyncio.run_coroutine_threadsafe(
-            self.server.start(), self._loop
-        ).result()
-
-    def close(self) -> None:
-        asyncio.run_coroutine_threadsafe(
-            self.server.stop(), self._loop
-        ).result()
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join()
-        self._loop.close()
-
-
 class TestTransportFaults:
     """Socket-level faults surface as NetworkError — with the retry and
     backoff machinery exercised — and never hang the protocol run."""
 
     def test_never_answering_datasource_times_out(self, ca, workload):
-        mute = _MuteEndpoint()
+        mute = MuteServer()
         transport = TcpTransport(
             endpoints={"S1": ("127.0.0.1", mute.port)}, retry=FAST
         )
@@ -249,7 +196,7 @@ class TestTransportFaults:
         """The mediator's endpoint aborts (without acknowledging) after
         two protocol messages: the sender must raise, not resend or
         hang, and the transcript stops at the point of death."""
-        dying = _ThreadedEndpoint("mediator", max_messages=2)
+        dying = ThreadedEndpoint("mediator", max_messages=2)
         transport = TcpTransport(
             endpoints={"mediator": dying.address}, retry=FAST
         )

@@ -141,3 +141,4 @@ class TestServe:
             watchdog.cancel()
             process.kill()
             process.wait()
+            process.stderr.close()

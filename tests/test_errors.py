@@ -229,15 +229,16 @@ class SilentListener:
                 connection, _ = self._listener.accept()
             except OSError:
                 return
-            connection.settimeout(0.1)
-            while self._alive:
-                try:
-                    if not connection.recv(4096):
+            with connection:
+                connection.settimeout(0.1)
+                while self._alive:
+                    try:
+                        if not connection.recv(4096):
+                            break
+                    except socket.timeout:
+                        continue
+                    except OSError:
                         break
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
 
     def close(self) -> None:
         self._alive = False

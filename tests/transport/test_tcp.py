@@ -10,17 +10,8 @@ from repro.errors import NetworkError, ValueCodecError
 from repro.transport import RetryPolicy, TcpTransport, codec
 from repro.transport.server import ENDPOINT_SESSIONS_METRIC
 
-from tests.faults.conftest import ThreadedEndpoint
+from tests.faults.conftest import MuteServer, ThreadedEndpoint
 
-
-def _recv_exactly(sock: socket.socket, count: int) -> bytes:
-    data = b""
-    while len(data) < count:
-        chunk = sock.recv(count - len(data))
-        if not chunk:
-            raise ConnectionError("peer closed early")
-        data += chunk
-    return data
 
 #: Fast-failing policy so fault tests stay quick.
 FAST = RetryPolicy(
@@ -41,36 +32,6 @@ def unused_port() -> int:
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         return probe.getsockname()[1]
-
-
-class MuteServer:
-    """Accepts connections and reads forever without ever answering."""
-
-    def __init__(self) -> None:
-        self._listener = socket.socket()
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen()
-        self.port = self._listener.getsockname()[1]
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._accept, daemon=True)
-        self._thread.start()
-
-    def _accept(self) -> None:
-        self._listener.settimeout(0.1)
-        connections = []
-        while not self._stop.is_set():
-            try:
-                connection, _ = self._listener.accept()
-                connections.append(connection)
-            except OSError:
-                continue
-        for connection in connections:
-            connection.close()
-
-    def close(self) -> None:
-        self._stop.set()
-        self._thread.join()
-        self._listener.close()
 
 
 class TestDelivery:
@@ -181,15 +142,21 @@ class TestFaults:
             carrier.close()
             mute.close()
 
-    def test_peer_dying_mid_protocol_raises_not_hangs(self, transport):
-        transport.register("a")
-        transport.register("b")
-        transport.send("a", "b", "first", 1)
-        server_b = transport.local_server("b")
-        # Simulate the party dying: endpoint gone, connections dropped.
-        transport._run(server_b.stop())
-        with pytest.raises(NetworkError):
-            transport.send("a", "b", "second", 2)
+    def test_peer_dying_mid_protocol_raises_not_hangs(self):
+        endpoint_b = ThreadedEndpoint("b")
+        carrier = TcpTransport(endpoints={"b": endpoint_b.address}, retry=FAST)
+        try:
+            carrier.register("a")
+            carrier.register("b")
+            carrier.send("a", "b", "first", 1)
+            # Simulate the party dying: endpoint gone, connections
+            # dropped, the pooled socket to "b" left dead.
+            endpoint_b.close()
+            with pytest.raises(NetworkError):
+                carrier.send("a", "b", "second", 2)
+        finally:
+            carrier.close()
+            endpoint_b.close()
 
     def test_misdelivered_message_reported_by_endpoint(self, transport):
         # Talk to the raw endpoint (past the handshake) and address a
@@ -204,9 +171,8 @@ class TestFaults:
             )
             with socket.create_connection((host, port)) as raw:
                 raw.sendall(codec.build_frame(codec.DATA, payload))
-                header = _recv_exactly(raw, codec.FRAME_HEADER_BYTES)
-                frame_type, length = codec.parse_frame_header(header)
-                body = codec.decode_value(_recv_exactly(raw, length))
+                frame_type, answer = codec.recv_frame(raw)
+                body = codec.decode_value(answer)
             assert frame_type == codec.ERROR
             assert "misdelivered" in body["error"]
             assert "stray" not in server.sessions
@@ -264,10 +230,8 @@ class TestHeaderOnlyAcknowledgement:
         payload[-1] ^= 0x01  # still a perfectly well-formed value tree
         with socket.create_connection(endpoint.address) as raw:
             raw.sendall(codec.build_frame(codec.DATA, bytes(payload)))
-            frame_type, length = codec.parse_frame_header(
-                _recv_exactly(raw, codec.FRAME_HEADER_BYTES)
-            )
-            answer = codec.decode_value(_recv_exactly(raw, length))
+            frame_type, reply = codec.recv_frame(raw)
+            answer = codec.decode_value(reply)
         assert frame_type == codec.ERROR
         assert "undecodable envelope" in answer["error"]
         assert "checksum" in answer["error"]
