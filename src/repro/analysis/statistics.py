@@ -68,9 +68,11 @@ _MIN_CIPHERTEXT_BLOB_BYTES = 16
 def _collect_ciphertext_fragments(body, fragments: list[bytes]) -> None:
     """Collect only the genuinely random-looking fragments of a body.
 
-    Structural strings (dict keys, relation names) and short integers
-    (index values) would dominate a small sample's histogram without
-    saying anything about the *ciphertexts*; they are skipped.
+    Structural strings (dict keys, relation names), short integers
+    (index values) and dataclass fields marked ``structural`` (the DAS
+    server result's position table) would dominate a small sample's
+    histogram without saying anything about the *ciphertexts*; they are
+    skipped.
     """
     import dataclasses
 
@@ -97,17 +99,21 @@ def _collect_ciphertext_fragments(body, fragments: list[bytes]) -> None:
         return
     if dataclasses.is_dataclass(body) and not isinstance(body, type):
         for field in dataclasses.fields(body):
-            _collect_ciphertext_fragments(getattr(body, field.name), fragments)
+            if not field.metadata.get("structural"):
+                _collect_ciphertext_fragments(
+                    getattr(body, field.name), fragments
+                )
         return
 
 
 def ciphertext_material(view: PartyView) -> bytes:
     """Concatenated *distinct* ciphertext bytes received by a party.
 
-    Fragments are deduplicated: the DAS server result legitimately
-    repeats each encrypted tuple once per matching pair, and repeating
-    random data would bias a uniformity histogram without indicating any
-    weakness of the ciphertexts themselves.
+    Fragments are deduplicated: an encrypted tuple can legitimately
+    reach a party more than once (in a source's partial result and again
+    in the DAS server result, which holds each etuple once per side), and
+    repeating random data would bias a uniformity histogram without
+    indicating any weakness of the ciphertexts themselves.
     """
     fragments: list[bytes] = []
     for message in view.received:

@@ -37,8 +37,8 @@ from __future__ import annotations
 import random
 import secrets
 import struct
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from repro.core.encapsulation import source_session
 from repro.core.federation import Federation
@@ -145,59 +145,51 @@ class ServerQuery:
 
 @dataclass(frozen=True)
 class ServerResult:
-    """``R_C``: pairs of encrypted tuples the server query selected."""
+    """``R_C``, held as it travels: two tables of distinct rows and a
+    position table.
 
-    pairs: tuple[tuple[EncryptedTuple, EncryptedTuple], ...]
+    A selected row typically appears in many pairs, so each distinct
+    row is kept once per side (in order of first appearance among the
+    pairs) and the pairs are one packed array of big-endian ``u32``
+    ``(i, j)`` row positions, 8 bytes per pair.  The codec and the size
+    estimate read these three fields as they are.  ``positions`` is
+    marked ``structural``: it is layout, not ciphertext material.
+    """
 
-    def __len__(self) -> int:
-        return len(self.pairs)
+    rows_1: list[EncryptedTuple]
+    rows_2: list[EncryptedTuple]
+    positions: bytes = field(metadata={"structural": True})
 
-    def row_tables(
-        self,
-    ) -> tuple[list[EncryptedTuple], list[EncryptedTuple], bytes]:
-        """R_C as the two tables of distinct rows plus a position table.
-
-        A selected row typically appears in many pairs, so this — not
-        the pair list — is what goes on the wire and what the size
-        estimate counts: each distinct row (by identity, in order of
-        first appearance) once per side, and one packed array of
-        big-endian ``u32`` ``(i, j)`` row positions, 8 bytes per pair.
-        """
-        rows_1, positions_1 = _distinct([pair[0] for pair in self.pairs])
-        rows_2, positions_2 = _distinct([pair[1] for pair in self.pairs])
-        flat = list(chain.from_iterable(zip(positions_1, positions_2)))
-        return rows_1, rows_2, struct.pack(f">{len(flat)}I", *flat)
-
-    @classmethod
-    def from_row_tables(
-        cls,
-        rows_1: list[EncryptedTuple],
-        rows_2: list[EncryptedTuple],
-        positions: bytes,
-    ) -> "ServerResult":
-        """Inverse of :meth:`row_tables`; pairs share the row objects."""
-        if len(positions) % 8:
+    def __post_init__(self) -> None:
+        if len(self.positions) % 8:
             raise ProtocolError(
                 "server-result position table is not whole (i, j) pairs"
             )
-        flat = struct.unpack(f">{len(positions) // 4}I", positions)
-        return cls(
-            pairs=tuple(
-                zip(
-                    map(rows_1.__getitem__, flat[0::2]),
-                    map(rows_2.__getitem__, flat[1::2]),
-                )
+        flat = self._flat()
+        if max(flat[0::2], default=-1) >= len(self.rows_1) or (
+            max(flat[1::2], default=-1) >= len(self.rows_2)
+        ):
+            raise ProtocolError(
+                "server-result position table points past a row table"
+            )
+
+    def _flat(self) -> tuple[int, ...]:
+        return struct.unpack(f">{len(self.positions) // 4}I", self.positions)
+
+    def __len__(self) -> int:
+        return len(self.positions) // 8
+
+    @property
+    def pairs(self) -> tuple[tuple[EncryptedTuple, EncryptedTuple], ...]:
+        """R_C as its pairs of encrypted tuples, which share the row
+        objects (for tests and analyses; the client reads the tables)."""
+        flat = self._flat()
+        return tuple(
+            zip(
+                map(self.rows_1.__getitem__, flat[0::2]),
+                map(self.rows_2.__getitem__, flat[1::2]),
             )
         )
-
-
-def _distinct(rows: list) -> tuple[list, list[int]]:
-    """The distinct objects of ``rows`` by identity, in order of first
-    appearance, and each row's position among them."""
-    ids = list(map(id, rows))
-    distinct = dict(zip(ids, rows))
-    numbers = dict(zip(distinct, range(len(distinct))))
-    return list(distinct.values()), list(map(numbers.__getitem__, ids))
 
 
 def _partition_domain(
@@ -381,7 +373,9 @@ def _evaluate_server_query(
     Operationally equivalent to evaluating the Cond_S disjunction over
     the cross product, but grouped by index value so cost is output- not
     product-sized.  A pair q_S names twice is one disjunct, so each
-    ``(row_1, row_2)`` comes back once.
+    ``(row_1, row_2)`` comes back once.  The pairs run over R1^S's rows
+    in order, each with its partners bucket by bucket in q_S's order;
+    a bucket of R2^S enters ``rows_2`` whole, the first time it is named.
     """
     by_index_2: dict[int, list[EncryptedTuple]] = {}
     for row in relation_2.rows:
@@ -389,12 +383,25 @@ def _evaluate_server_query(
     wanted: dict[int, dict[int, None]] = {}
     for index_1, index_2 in query.pairs:
         wanted.setdefault(index_1, {})[index_2] = None
-    pairs = []
+    rows_1: list[EncryptedTuple] = []
+    rows_2: list[EncryptedTuple] = []
+    numbered: dict[int, range] = {}  # bucket of R2^S -> its rows_2 positions
+    partners: dict[int, list[int]] = {}  # bucket of R1^S -> rows_2 positions
+    flat: list[int] = []
     for row_1 in relation_1.rows:
-        for index_2 in wanted.get(row_1.index_value, ()):
-            for row_2 in by_index_2.get(index_2, ()):
-                pairs.append((row_1, row_2))
-    return ServerResult(pairs=tuple(pairs))
+        js = partners.get(row_1.index_value)
+        if js is None:
+            js = partners[row_1.index_value] = []
+            for index_2 in wanted.get(row_1.index_value, ()):
+                if index_2 not in numbered:
+                    start = len(rows_2)
+                    rows_2.extend(by_index_2.get(index_2, ()))
+                    numbered[index_2] = range(start, len(rows_2))
+                js.extend(numbered[index_2])
+        if js:
+            flat.extend(chain.from_iterable(zip(repeat(len(rows_1)), js)))
+            rows_1.append(row_1)
+    return ServerResult(rows_1, rows_2, struct.pack(f">{len(flat)}I", *flat))
 
 
 def _table_from_plaintext(plaintext: bytes, hardening=None) -> IndexTable:
@@ -425,43 +432,34 @@ def _server_pairs(
     )
 
 
-def _row_decryptor(
+def _decrypt_rows(
     client,
     schema: Schema,
     config: DASConfig,
     encrypted_tuples: list[EncryptedTuple],
     engine: CryptoEngine | None = None,
-):
-    """Build a per-schema decryptor that reassembles mixed-model rows.
-
-    The distinct etuples among ``encrypted_tuples`` are decrypted up
-    front as one engine batch and the per-tuple decryptor is a lookup (a
-    selected tuple typically appears in many server-result pairs).
-    """
+) -> list[Row]:
+    """Decrypt a table of distinct etuples as one engine batch and
+    reassemble mixed-model rows."""
     sensitive_positions, plain_positions = _mixed_split(schema, config)
+    plaintexts = client.decrypt_hybrid_many(
+        [encrypted.etuple for encrypted in encrypted_tuples], engine=engine
+    )
     sensitive_schema = Schema(
         schema.relation_name,
         [schema.attributes[i] for i in sensitive_positions],
     )
-
-    def merge(encrypted: EncryptedTuple, plaintext: bytes) -> Row:
-        sensitive_part = decode_row(plaintext, sensitive_schema)
+    rows: list[Row] = []
+    for encrypted, plaintext in zip(encrypted_tuples, plaintexts):
         merged: list = [None] * len(schema)
-        for value, position in zip(sensitive_part, sensitive_positions):
+        for value, position in zip(
+            decode_row(plaintext, sensitive_schema), sensitive_positions
+        ):
             merged[position] = value
         for value, position in zip(encrypted.plain_values, plain_positions):
             merged[position] = value
-        return tuple(merged)
-
-    distinct = {id(encrypted): encrypted for encrypted in encrypted_tuples}
-    plaintexts = client.decrypt_hybrid_many(
-        [encrypted.etuple for encrypted in distinct.values()], engine=engine
-    )
-    rows = {
-        key: merge(encrypted, plaintext)
-        for (key, encrypted), plaintext in zip(distinct.items(), plaintexts)
-    }
-    return lambda encrypted: rows[id(encrypted)]
+        rows.append(tuple(merged))
+    return rows
 
 
 def _client_postprocess(
@@ -475,8 +473,12 @@ def _client_postprocess(
 ) -> tuple[Relation, int]:
     """Step 7 at the client: decrypt R_C, apply q_C, build the result.
 
-    Returns the global result and the number of false positives the
-    client had to discard (the DAS post-processing overhead, E7).
+    q_C (the real join-attribute equality) runs as a hash join of R_C's
+    two decrypted row tables.  That is exact because DAS has no false
+    negatives: two of these rows with equal join values sit in
+    overlapping buckets, so their pair is in R_C.  Every other pair of
+    R_C is a false positive, and their number (the DAS post-processing
+    overhead, E7) is returned with the global result.
     """
     attribute = join_attributes[0]
     left_names = set(schema_1.names())
@@ -486,26 +488,21 @@ def _client_postprocess(
     result_schema = schema_1.join_schema(
         schema_2, f"{schema_1.relation_name}_join_{schema_2.relation_name}"
     )
-    decrypt_1 = _row_decryptor(
-        client, schema_1, config, [pair[0] for pair in server_result.pairs], engine
-    )
-    decrypt_2 = _row_decryptor(
-        client, schema_2, config, [pair[1] for pair in server_result.pairs], engine
-    )
-
-    rows: list[Row] = []
-    false_positives = 0
+    rows_1 = _decrypt_rows(client, schema_1, config, server_result.rows_1, engine)
+    rows_2 = _decrypt_rows(client, schema_2, config, server_result.rows_2, engine)
     position_1 = schema_1.position(attribute)
     position_2 = schema_2.position(attribute)
-    for encrypted_1, encrypted_2 in server_result.pairs:
-        row_1 = decrypt_1(encrypted_1)
-        row_2 = decrypt_2(encrypted_2)
-        # q_C = sigma_{R1.A = R2.A}: the real equality on plaintexts.
-        if row_1[position_1] == row_2[position_2]:
-            rows.append(row_1 + tuple(row_2[i] for i in extra_positions))
-        else:
-            false_positives += 1
-    return Relation(result_schema, rows), false_positives
+    extras: dict = {}
+    for row_2 in rows_2:
+        extras.setdefault(row_2[position_2], []).append(
+            tuple(row_2[i] for i in extra_positions)
+        )
+    rows = [
+        row_1 + extra
+        for row_1 in rows_1
+        for extra in extras.get(row_1[position_1], ())
+    ]
+    return Relation(result_schema, rows), len(server_result) - len(rows)
 
 
 def _client_hash_join(

@@ -68,10 +68,6 @@ def _estimate(body: Any, seen: set[int]) -> int:
         )
     if isinstance(body, (list, tuple, set, frozenset)):
         return sum(_estimate(item, seen) for item in body)
-    if hasattr(body, "row_tables"):
-        # A DAS server result counts as it travels: each distinct row
-        # once, 8 bytes per pair (ServerResult.row_tables).
-        return _estimate(body.row_tables(), seen)
     if dataclasses.is_dataclass(body) and not isinstance(body, type):
         return sum(
             _estimate(getattr(body, field.name), seen)

@@ -31,23 +31,35 @@ class Relation:
     """
 
     def __init__(self, schema: Schema, rows: Iterable[Sequence[Value]]) -> None:
+        # A row whose values have exactly the column types passes in one
+        # comparison; anything else (a bool offered to an INT column, a
+        # str subclass, an unsupported type) goes through Attribute.accepts.
+        types = schema.column_types
         validated: set[Row] = set()
+        subclassed = False
         for raw in rows:
             row = tuple(raw)
-            if len(row) != len(schema):
+            if len(row) != len(types):
                 raise SchemaError(
                     f"row arity {len(row)} does not match schema "
                     f"{schema.relation_name} ({len(schema)} attributes)"
                 )
-            for attribute, value in zip(schema.attributes, row):
-                if not attribute.accepts(value):
-                    raise SchemaError(
-                        f"value {value!r} invalid for attribute "
-                        f"{attribute.name}:{attribute.type.value}"
-                    )
+            if tuple(map(type, row)) != types:
+                for attribute, value in zip(schema.attributes, row):
+                    if not attribute.accepts(value):
+                        raise SchemaError(
+                            f"value {value!r} invalid for attribute "
+                            f"{attribute.name}:{attribute.type.value}"
+                        )
+                subclassed = True
             validated.add(row)
         self.schema = schema
-        self._rows = tuple(sorted(validated, key=_sort_key))
+        # Each column of plain rows holds one type, so the rows themselves
+        # sort exactly as the type-tagged key does; a subclass value
+        # (an IntEnum, a str subclass) carries its own type name into it.
+        self._rows = tuple(
+            sorted(validated, key=_sort_key) if subclassed else sorted(validated)
+        )
 
     # -- accessors -----------------------------------------------------
 

@@ -40,6 +40,10 @@ class AttributeType(enum.Enum):
         raise SchemaError(f"unsupported value type: {type(value).__name__}")
 
 
+#: The exact Python type of a value in each domain.
+_PYTHON_TYPES = {AttributeType.INT: int, AttributeType.STRING: str, AttributeType.BOOL: bool}
+
+
 @dataclass(frozen=True)
 class Attribute:
     """A named, typed attribute."""
@@ -75,6 +79,10 @@ class Schema:
         self.relation_name = relation_name
         self.attributes = tuple(attributes)
         self._positions = {attribute.name: i for i, attribute in enumerate(attributes)}
+        #: Per column, the one Python type a plain value of it has.
+        self.column_types = tuple(
+            _PYTHON_TYPES[attribute.type] for attribute in self.attributes
+        )
 
     # -- lookup -------------------------------------------------------
 

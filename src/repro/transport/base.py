@@ -16,9 +16,10 @@ indifferent to *how* a message travels.  Two implementations exist:
 * :class:`repro.mediation.network.Network` — the in-process bus
   (byte counts are structural estimates); the default for tests and
   analyses.
-* :class:`repro.transport.tcp.TcpTransport` — real asyncio TCP sockets
-  with the binary codec of :mod:`repro.transport.codec` (byte counts are
-  actual wire bytes).
+* :class:`repro.transport.tcp.TcpTransport` — real TCP sockets with the
+  binary codec of :mod:`repro.transport.codec` (byte counts are actual
+  wire bytes).  The client sends over blocking sockets on the caller's
+  thread; only endpoints the transport hosts run on an asyncio loop.
 
 All transcript bookkeeping is implemented here once; a concrete
 transport implements :meth:`Transport.send` (delivering the message and

@@ -33,7 +33,7 @@ later occurrences encode as a 5-byte ``ref``.  A thousand
 Paillier ciphertexts ship their modulus once, an encrypted relation its
 source's wrapped session key once, and a DAS server result each distinct
 row once, next to one packed table of row positions
-(:meth:`repro.core.das.ServerResult.row_tables`) — which keeps wire
+(:class:`repro.core.das.ServerResult` holds R_C in that form) — which keeps wire
 bytes close to the structural estimates of
 :func:`repro.mediation.sizing.estimate_size`.
 
@@ -247,8 +247,8 @@ def _bootstrap() -> None:
     _register(  # distinct rows once, then a packed position table
         "das-server-result",
         ServerResult,
-        ServerResult.row_tables,
-        lambda t: ServerResult.from_row_tables(*t),
+        attrgetter("rows_1", "rows_2", "positions"),
+        lambda t: ServerResult(*t),
     )
     _register(
         "tagged-message",

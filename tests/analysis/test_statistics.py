@@ -1,5 +1,6 @@
 """Tests for the statistical indistinguishability checks."""
 
+import dataclasses
 import secrets
 
 import pytest
@@ -13,6 +14,7 @@ from repro.analysis.statistics import (
 )
 from repro.telemetry.observables import detect_roles
 from repro.errors import ProtocolError
+from repro.mediation.network import PartyView
 
 QUERY = "select * from R1 natural join R2"
 
@@ -66,6 +68,22 @@ class TestMediatorMaterial:
         result = run_join_query(factory(), QUERY, protocol="das")
         view = result.network.view(detect_roles(result.messages)["mediator"])
         assert len(ciphertext_material(view)) > 1024
+
+    def test_server_result_positions_are_not_material(self, factory):
+        result = run_join_query(factory(), QUERY, protocol="das")
+        (message,) = [
+            m for m in result.messages if m.kind == "das_server_result"
+        ]
+        assert len(message.body.positions) >= 16
+        without_positions = dataclasses.replace(
+            message,
+            body=dataclasses.replace(message.body, positions=b""),
+        )
+        assert ciphertext_material(
+            PartyView("client", received=[message])
+        ) == ciphertext_material(
+            PartyView("client", received=[without_positions])
+        )
 
 
 class TestTagSpread:

@@ -1,5 +1,7 @@
 """White-box tests for DAS delivery internals."""
 
+import struct
+
 import pytest
 
 from repro import Federation, run_join_query
@@ -119,9 +121,23 @@ class TestServerQueryEvaluation:
             ServerQuery(pairs=((10, 200), (20, 200), (10, 200))), left, right
         )
         assert len(once) == 2 * 2 + 1 * 2
+        assert repeated == once
         assert repeated.pairs == once.pairs
         distinct = {(id(row_1), id(row_2)) for row_1, row_2 in repeated.pairs}
         assert len(distinct) == len(repeated)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [(), ((10, 100),), ((20, 200), (10, 100)), ((10, 200), (20, 200), (10, 200)),
+         ((10, 300), (10, 200), (10, 100), (20, 100))],
+    )
+    def test_row_tables_follow_the_pair_order(self, encrypted, pairs):
+        query = ServerQuery(pairs=pairs)
+        result = _evaluate_server_query(query, *encrypted)
+        rows_1, rows_2, positions = reference_row_tables(query, *encrypted)
+        assert [id(row) for row in result.rows_1] == [id(row) for row in rows_1]
+        assert [id(row) for row in result.rows_2] == [id(row) for row in rows_2]
+        assert result.positions == positions
 
     def test_no_pairs_no_output(self, encrypted):
         left, right = encrypted
@@ -130,9 +146,38 @@ class TestServerQueryEvaluation:
         ) == 0
 
 
+def reference_row_tables(query, relation_1, relation_2):
+    """The R_C layout the pair list used to produce: the pairs by a
+    nested loop over R1^S's rows, then each side's distinct rows (by
+    identity, in order of first appearance) and the packed positions."""
+    pairs = []
+    wanted = {}
+    for index_1, index_2 in query.pairs:
+        wanted.setdefault(index_1, {})[index_2] = None
+    for row_1 in relation_1.rows:
+        for index_2 in wanted.get(row_1.index_value, ()):
+            for row_2 in relation_2.rows:
+                if row_2.index_value == index_2:
+                    pairs.append((row_1, row_2))
+    tables = []
+    for side in (0, 1):
+        distinct = {}
+        for pair in pairs:
+            distinct.setdefault(id(pair[side]), (len(distinct), pair[side]))
+        tables.append(distinct)
+    flat = [
+        tables[side][id(pair[side])][0] for pair in pairs for side in (0, 1)
+    ]
+    return (
+        [row for _, row in tables[0].values()],
+        [row for _, row in tables[1].values()],
+        struct.pack(f">{len(flat)}I", *flat),
+    )
+
+
 class TestServerResultRowTables:
-    """R_C travels as two tables of distinct rows plus (i, j) positions;
-    in memory it stays the pair list over shared row objects."""
+    """R_C is held and travels as two tables of distinct rows plus
+    (i, j) positions; the pair list is only a derived view."""
 
     @pytest.fixture(scope="class")
     def delivered(self, ca, client, skewed_workload):
@@ -147,7 +192,14 @@ class TestServerResultRowTables:
             federation, "select * from R1 natural join R2", protocol="das"
         )
         (message,) = federation.network.messages_of_kind("das_server_result")
-        return result, message.body
+        (query,) = federation.network.messages_of_kind("das_server_query")
+        partials = [
+            m.body["relation"]
+            for m in federation.network.messages_of_kind(
+                "das_encrypted_partial_result"
+            )
+        ]
+        return result, message.body, query.body, partials
 
     @staticmethod
     def distinct_ids(server_result, side):
@@ -156,25 +208,26 @@ class TestServerResultRowTables:
     def test_tables_hold_each_row_once_and_positions_rebuild_the_pairs(
         self, delivered
     ):
-        _, live = delivered
-        rows_1, rows_2, positions = live.row_tables()
-        assert len(positions) == 8 * len(live.pairs)
+        _, live, query, partials = delivered
+        rows_1, rows_2, positions = live.rows_1, live.rows_2, live.positions
+        assert len(positions) == 8 * len(live)
         assert len({id(row) for row in rows_1}) == len(rows_1)
         assert {id(row) for row in rows_1} == self.distinct_ids(live, 0)
         assert {id(row) for row in rows_2} == self.distinct_ids(live, 1)
         # Every row repeats on this workload — the case the pair list
         # used to pay for once per occurrence.
-        assert len(live.pairs) > 3 * max(len(rows_1), len(rows_2))
-        rebuilt = ServerResult.from_row_tables(rows_1, rows_2, positions)
-        assert all(
-            ours[0] is theirs[0] and ours[1] is theirs[1]
-            for ours, theirs in zip(rebuilt.pairs, live.pairs, strict=True)
-        )
+        assert len(live) > 3 * max(len(rows_1), len(rows_2))
+        # The mediator builds the tables in the order the pair list
+        # implied, so the das-server-result frame is unchanged.
+        reference = reference_row_tables(query, *partials)
+        assert [id(row) for row in rows_1] == [id(row) for row in reference[0]]
+        assert [id(row) for row in rows_2] == [id(row) for row in reference[1]]
+        assert positions == reference[2]
 
     def test_decoded_result_shares_rows_exactly_like_the_live_one(
         self, delivered
     ):
-        _, live = delivered
+        _, live, _, _ = delivered
         encoded = codec.encode_value(live)
         decoded = codec.decode_value(encoded)
         assert decoded == live
@@ -183,13 +236,13 @@ class TestServerResultRowTables:
                 self.distinct_ids(live, side)
             )
         rows = len(self.distinct_ids(live, 0)) + len(self.distinct_ids(live, 1))
-        one_row = len(codec.encode_value(live.pairs[0][0]))
-        assert len(encoded) < rows * one_row + 8 * len(live.pairs) + 64
+        one_row = len(codec.encode_value(live.rows_1[0]))
+        assert len(encoded) < rows * one_row + 8 * len(live) + 64
 
     def test_postprocessing_a_decoded_result_decrypts_no_more_than_the_live_one(
         self, delivered, client, skewed_workload, monkeypatch
     ):
-        result, live = delivered
+        result, live, _, _ = delivered
         decrypted: list[int] = []
         batch, single = client.decrypt_hybrid_many, client.decrypt_hybrid
         monkeypatch.setattr(
@@ -222,10 +275,12 @@ class TestServerResultRowTables:
         )
 
     def test_malformed_tables_fail_typed(self, delivered):
-        _, live = delivered
-        rows_1, rows_2, positions = live.row_tables()
+        _, live, _, _ = delivered
+        rows_1, rows_2, positions = live.rows_1, live.rows_2, live.positions
         with pytest.raises(ProtocolError, match="position table"):
-            ServerResult.from_row_tables(rows_1, rows_2, positions[:-1])
+            ServerResult(rows_1, rows_2, positions[:-1])
+        with pytest.raises(ProtocolError, match="past a row table"):
+            ServerResult(rows_1[:-1], rows_2, positions)
         # A position past the end of its table, through the codec.
         encoded = codec.encode_value(live)
         out_of_range = encoded[:-4] + (len(rows_2)).to_bytes(4, "big")

@@ -178,7 +178,7 @@ class TestDomainExtensions:
         relation = EncryptedRelation(source="S1", relation_name="R1", rows=(row,))
         roundtrip(relation)
         roundtrip(ServerQuery(pairs=((1, 2), (3, 4))))
-        roundtrip(ServerResult(pairs=((row, row),)))
+        roundtrip(ServerResult([row], [row], struct.pack(">2I", 0, 0)))
 
     def test_shared_encapsulation_travels_once(self, rsa_key):
         session = hybrid.new_session([rsa_key.public_key()])

@@ -12,6 +12,7 @@ bytes with the reference.)
 """
 
 import random
+import struct
 import sys
 
 import pytest
@@ -69,12 +70,8 @@ def _index_table(attribute: str, values: list[int], salt: bytes) -> IndexTable:
 
 
 def _server_result(rows_1: list, rows_2: list, positions: list) -> ServerResult:
-    return ServerResult(
-        pairs=tuple(
-            (rows_1[i % len(rows_1)], rows_2[j % len(rows_2)])
-            for i, j in positions
-        )
-    )
+    flat = [n for i, j in positions for n in (i % len(rows_1), j % len(rows_2))]
+    return ServerResult(rows_1, rows_2, struct.pack(f">{len(flat)}I", *flat))
 
 
 #: A generator per registered extension; ``test_every_extension_is_generated``

@@ -10,7 +10,8 @@ committed file; after an *intended* layout change (which bumps
 """
 
 import json
-from itertools import product
+import struct
+from itertools import chain, product
 
 from repro.core.das import EncryptedTuple, ServerResult
 from repro.crypto.hybrid import Encapsulation, HybridCiphertext
@@ -50,7 +51,7 @@ def server_result() -> ServerResult:
     ]
     positions = [(0, 0), (0, 1), (1, 1), (1, 2), (0, 2)]
     return ServerResult(
-        pairs=tuple((rows_1[i], rows_2[j]) for i, j in positions)
+        rows_1, rows_2, struct.pack(">10I", *chain.from_iterable(positions))
     )
 
 
