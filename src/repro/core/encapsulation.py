@@ -9,6 +9,9 @@ key epoch — exactly like the SRA exponent — so the cached ciphertext
 bodies of a query series stay decryptable and the client keeps paying
 one private-key operation per source, not per query.
 ``DataSource.rotate_keys`` retires it with everything else of the epoch.
+The slot names the DEM, so a store written under another DEM never
+serves its session, nor the bodies filed under that session's
+encapsulation digest.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from typing import Sequence
 
-from repro.crypto import hybrid, rsa
+from repro.crypto import hybrid, rsa, symmetric
 from repro.errors import StorageError
 from repro.storage.base import KIND_HYBRID_SESSION, IndexCache
 from repro.storage.serialize import deserialize_session, serialize_session
@@ -28,6 +31,11 @@ def recipient_digest(client_keys: Sequence[rsa.RSAPublicKey]) -> bytes:
     neither is ever served to a different credential set."""
     fingerprints = sorted(hybrid.key_fingerprint(key) for key in client_keys)
     return hashlib.sha256(b"".join(fingerprints)).digest()[:16]
+
+
+def session_slot(client_keys: Sequence[rsa.RSAPublicKey]) -> bytes:
+    """Cache slot of the session for this recipient key set and DEM."""
+    return b"session:" + symmetric.DEM_ID + b":" + recipient_digest(client_keys)
 
 
 def source_session(
@@ -44,7 +52,7 @@ def source_session(
     """
     if cache is None:
         return hybrid.new_session(client_keys)
-    slot = b"session:" + recipient_digest(client_keys)
+    slot = session_slot(client_keys)
     blob = cache.get(relation_name, KIND_HYBRID_SESSION, slot)
     if blob is not None:
         try:

@@ -5,7 +5,7 @@ from scratch on top of the Python standard library:
 
 * :mod:`~repro.crypto.numtheory` — primality, safe primes, modular math
 * :mod:`~repro.crypto.hashes` — collision-free and random-oracle hashes
-* :mod:`~repro.crypto.symmetric` — ChaCha20 + HMAC authenticated encryption
+* :mod:`~repro.crypto.symmetric` — SHAKE-256 + HMAC authenticated encryption
 * :mod:`~repro.crypto.rsa` — RSA-OAEP encryption and RSA-PSS signatures
 * :mod:`~repro.crypto.hybrid` — the paper's hybrid encrypt/decrypt
 * :mod:`~repro.crypto.paillier` — additively homomorphic Paillier

@@ -319,7 +319,7 @@ class CryptoEngine:
         :func:`~repro.crypto.hybrid.new_session`): every item is a DEM
         body with its own nonce, and all of them hold the session's one
         :class:`~repro.crypto.hybrid.Encapsulation` object.  The DEM runs
-        in the calling process in every mode: its batch kernel
+        in the calling process in every mode: its batch call
         (:func:`~repro.crypto.symmetric.encrypt_many`) finishes a
         delivery in less time than a pool takes to receive it, and the
         session key never leaves this process.

@@ -13,8 +13,8 @@ is KEM/DEM with the two halves kept apart:
   :class:`Encapsulation` — the key wrapped under each client public key
   with RSA-OAEP, keyed by key fingerprint, so the client can unwrap with
   whichever private key matches (a credential may present several);
-* every :class:`HybridCiphertext` the session emits is a ChaCha20+HMAC
-  body (:mod:`repro.crypto.symmetric`) with its own random nonce that
+* every :class:`HybridCiphertext` the session emits is a DEM body
+  (:mod:`repro.crypto.symmetric`) with its own random nonce that
   *references* the session's encapsulation.
 
 A source therefore pays one public-key operation per delivery (or per

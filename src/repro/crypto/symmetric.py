@@ -1,30 +1,28 @@
-"""Authenticated symmetric encryption: ChaCha20 + HMAC-SHA256.
+"""Authenticated symmetric encryption: a SHAKE-256 keystream + HMAC-SHA256.
 
 The hybrid scheme of the paper (Section 2) encrypts bulk data under a
-fresh *session key*.  We instantiate the data-encapsulation mechanism with
-the ChaCha20 stream cipher (RFC 7539 block function, implemented from
-scratch) in an encrypt-then-MAC composition with HMAC-SHA256.  The result
-is IND-CCA-style authenticated encryption: any bit flip in the ciphertext
-is detected before decryption output is released.
+fresh *session key*; the paper leaves the cipher open.  We instantiate
+the data-encapsulation mechanism (DEM) as a stream cipher whose
+keystream is SHAKE-256 (FIPS 202) keyed by prefix,
+``shake_256(cipher_key || nonce)``, squeezed to the length of the body.
+Key and nonce have fixed lengths, so the prefix is unambiguous and the
+sponge is used as a PRF.  It runs in an encrypt-then-MAC composition
+with HMAC-SHA256, so any bit flip in the ciphertext is detected before
+decryption output is released.
 
 Key layout: a 32-byte master session key is expanded (HKDF-style, with
-distinct labels) into a 32-byte ChaCha20 key and a 32-byte MAC key, so the
-two primitives never share key material while the wrapped key stays small
-enough for RSA-OAEP key encapsulation at 1024-bit moduli.  The expansion
-runs once per :class:`SessionKey`, not once per ciphertext: a session
-that encrypts a whole partial result derives its sub-keys a single time.
+distinct labels that name the DEM) into a 32-byte cipher key and a
+32-byte MAC key, so the two primitives never share key material while
+the wrapped key stays small enough for RSA-OAEP key encapsulation at
+1024-bit moduli.  The expansion runs once per :class:`SessionKey`, not
+once per ciphertext: a session that encrypts a whole partial result
+derives its sub-keys a single time.
 
-The cipher is one lane-packed kernel (:func:`_xor_many`).  A partial
-result is hundreds of short bodies, and CPython pays per bytecode, not
-per bit, so the kernel runs the block function over every 64-byte block
-of every message of a batch at once: each of the 16 state words is one
-big ``int`` holding a 64-bit lane per block — the 32-bit word in the low
-half, the high half catching the carry of an addition and the spill of a
-rotation until the lane mask clears it — and the 80 quarter rounds are
-some 2 200 big-integer operations however many blocks there are.  Key,
-nonce and counter may differ from lane to lane.  :func:`encrypt` and
-:func:`decrypt` are the one-message calls of :func:`encrypt_many` and
-:func:`decrypt_many`, :func:`chacha20_block` the one-lane call.
+A partial result is hundreds of short bodies, and CPython pays per
+bytecode, not per byte, so each body costs one ``hashlib`` call for its
+keystream, one ``hmac.digest`` call for its tag and one big-``int`` XOR.
+:func:`encrypt` and :func:`decrypt` are the one-message calls of
+:func:`encrypt_many` and :func:`decrypt_many`.
 """
 
 from __future__ import annotations
@@ -32,135 +30,32 @@ from __future__ import annotations
 import hashlib
 import hmac
 import secrets
-import sys
-from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.crypto import instrumentation
 from repro.errors import DecryptionError, IntegrityError, ParameterError
 
+#: Names this DEM wherever a stored artifact must not outlive it: the
+#: sub-key labels, and the slot a source persists its session under.
+DEM_ID = b"shake256-hmac-sha256"
+
 KEY_BYTES = 32  #: master session-key size
-CIPHER_KEY_BYTES = 32
-MAC_KEY_BYTES = 32
 NONCE_BYTES = 12
 TAG_BYTES = 32
 
-_BLOCK_BYTES = 64
-_CONSTANTS = b"expand 32-byte k"  #: state words 0-3 (RFC 7539 section 2.3)
-_COUNTER_LIMIT = 1 << 32
-
-#: Lanes (blocks) per kernel pass.  A pass holds ~40 integers of 8 bytes
-#: per lane, so this bounds the working set at well under 1 MiB whatever
-#: the size of a body; throughput is flat from 1 024 lanes upwards.
-_MAX_LANES = 2048
+_CIPHER_LABEL = b"repro/dem/" + DEM_ID + b"/cipher"
+_MAC_LABEL = b"repro/dem/" + DEM_ID + b"/mac"
 
 
-def _keystream_pass(state: array) -> bytes:
-    """Keystream of up to :data:`_MAX_LANES` blocks, block after block.
-
-    ``state`` holds the 16 initial 32-bit words of each lane one lane
-    after the other, as raw little-endian units.  The arrays here only
-    ever *move* four-byte units — word ``w`` of every lane into the low
-    half of that lane of big integer ``w`` and back — so the host's byte
-    order never enters.
-    """
-    lanes = len(state) // 16
-    width = 8 * lanes
-    mask = int.from_bytes(b"\xff\xff\xff\xff\x00\x00\x00\x00" * lanes, "little")
-    spread = array("I", bytes(width))
-    initial = []
-    for word in range(16):
-        spread[0::2] = state[word::16]
-        initial.append(int.from_bytes(spread.tobytes(), "little"))
-    x = initial.copy()
-
-    def quarter_round(a: int, b: int, c: int, d: int) -> None:
-        xa, xb, xc, xd = x[a], x[b], x[c], x[d]
-        xa = (xa + xb) & mask
-        xd ^= xa
-        xd = ((xd << 16) | (xd >> 16)) & mask
-        xc = (xc + xd) & mask
-        xb ^= xc
-        xb = ((xb << 12) | (xb >> 20)) & mask
-        xa = (xa + xb) & mask
-        xd ^= xa
-        xd = ((xd << 8) | (xd >> 24)) & mask
-        xc = (xc + xd) & mask
-        xb ^= xc
-        xb = ((xb << 7) | (xb >> 25)) & mask
-        x[a], x[b], x[c], x[d] = xa, xb, xc, xd
-
-    for _ in range(10):
-        quarter_round(0, 4, 8, 12)
-        quarter_round(1, 5, 9, 13)
-        quarter_round(2, 6, 10, 14)
-        quarter_round(3, 7, 11, 15)
-        quarter_round(0, 5, 10, 15)
-        quarter_round(1, 6, 11, 12)
-        quarter_round(2, 7, 8, 13)
-        quarter_round(3, 4, 9, 14)
-
-    keystream = array("I", bytes(_BLOCK_BYTES * lanes))
-    for word in range(16):
-        spread = array(
-            "I", ((x[word] + initial[word]) & mask).to_bytes(width, "little")
-        )
-        keystream[word::16] = spread[0::2]
-    return keystream.tobytes()
-
-
-def _xor_many(jobs: Sequence[tuple[bytes, bytes, int, bytes]]) -> list[bytes]:
-    """XOR the ``data`` of each ``(key, nonce, counter, data)`` job with
-    its own ChaCha20 keystream, all blocks of all jobs in shared passes.
-
-    A job whose block counter would pass 2^32 is refused: the counter is
-    one state word, and wrapping it would reuse keystream.
-    """
-    headers = []
-    offsets = []  # of each job's keystream, in bytes
-    counters = array("I")
-    for key, nonce, counter, data in jobs:
-        if len(key) != CIPHER_KEY_BYTES:
-            raise ParameterError("ChaCha20 key must be 32 bytes")
-        if len(nonce) != NONCE_BYTES:
-            raise ParameterError("ChaCha20 nonce must be 12 bytes")
-        blocks = -(-len(data) // _BLOCK_BYTES)
-        if not 0 <= counter <= _COUNTER_LIMIT - blocks:
-            raise ParameterError(
-                "ChaCha20 block counter must stay within 32 bits"
-            )
-        headers.append((_CONSTANTS + key + bytes(4) + nonce) * blocks)
-        offsets.append(_BLOCK_BYTES * len(counters))
-        counters.extend(range(counter, counter + blocks))
-    if sys.byteorder == "big":
-        counters.byteswap()  # the one array here whose units are numbers
-    state = array("I", b"".join(headers))
-    state[12::16] = counters
-    keystream = memoryview(
-        b"".join(
-            _keystream_pass(state[start:start + 16 * _MAX_LANES])
-            for start in range(0, len(state), 16 * _MAX_LANES)
-        )
-    )
-    results = []
-    for (_, _, _, data), offset in zip(jobs, offsets):
-        size = len(data)
-        pad = int.from_bytes(keystream[offset:offset + size], "little")
-        results.append(
-            (int.from_bytes(data, "little") ^ pad).to_bytes(size, "little")
-        )
-    return results
-
-
-def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
-    """One ChaCha20 block (RFC 7539 section 2.3): 64 keystream bytes."""
-    return chacha20_xor(key, nonce, bytes(_BLOCK_BYTES), counter)
-
-
-def chacha20_xor(key: bytes, nonce: bytes, data: bytes, counter: int = 1) -> bytes:
-    """XOR ``data`` with the ChaCha20 keystream (encrypt == decrypt)."""
-    return _xor_many([(key, nonce, counter, data)])[0]
+def _xor(cipher_key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """XOR ``data`` with the keystream of ``(cipher_key, nonce)``
+    (encrypt == decrypt)."""
+    size = len(data)
+    pad = hashlib.shake_256(cipher_key + nonce).digest(size)
+    return (
+        int.from_bytes(data, "little") ^ int.from_bytes(pad, "little")
+    ).to_bytes(size, "little")
 
 
 def generate_key() -> bytes:
@@ -184,11 +79,11 @@ class SessionKey:
     def __post_init__(self) -> None:
         if len(self.master) != KEY_BYTES:
             raise ParameterError(f"session key must be {KEY_BYTES} bytes")
-        object.__setattr__(self, "cipher_key", self._expand(b"repro/dem/cipher"))
-        object.__setattr__(self, "mac_key", self._expand(b"repro/dem/mac"))
+        object.__setattr__(self, "cipher_key", self._expand(_CIPHER_LABEL))
+        object.__setattr__(self, "mac_key", self._expand(_MAC_LABEL))
 
     def _expand(self, label: bytes) -> bytes:
-        return hmac.new(self.master, label, hashlib.sha256).digest()
+        return hmac.digest(self.master, label, "sha256")
 
 
 def _session_key(key: SessionKey | bytes) -> SessionKey:
@@ -204,8 +99,7 @@ def encrypt_many(
     """Authenticated encryption of a batch under one session key.
 
     Each output is ``nonce || ciphertext || tag`` with a nonce of its
-    own, exactly what :func:`encrypt` yields item by item; the keystream
-    of the whole batch comes from shared kernel passes.
+    own, exactly what :func:`encrypt` yields item by item.
     ``associated_data`` is authenticated with every item but not
     encrypted (used by the protocols to bind ciphertexts to message
     headers).
@@ -213,17 +107,15 @@ def encrypt_many(
     key = _session_key(key)
     plaintexts = list(plaintexts)
     instrumentation.record("symmetric.encrypt", len(plaintexts))
-    nonces = [secrets.token_bytes(NONCE_BYTES) for _ in plaintexts]
-    bodies = _xor_many(
-        [
-            (key.cipher_key, nonce, 1, plaintext)
-            for nonce, plaintext in zip(nonces, plaintexts)
-        ]
-    )
-    return [
-        nonce + body + _mac(key.mac_key, nonce, body, associated_data)
-        for nonce, body in zip(nonces, bodies)
-    ]
+    nonces = secrets.token_bytes(NONCE_BYTES * len(plaintexts))
+    ciphertexts = []
+    for position, plaintext in enumerate(plaintexts):
+        nonce = nonces[NONCE_BYTES * position:NONCE_BYTES * (position + 1)]
+        body = _xor(key.cipher_key, nonce, plaintext)
+        ciphertexts.append(
+            nonce + body + _mac(key.mac_key, nonce, body, associated_data)
+        )
+    return ciphertexts
 
 
 def decrypt_many(
@@ -241,7 +133,7 @@ def decrypt_many(
     if len(keys) != len(ciphertexts):
         raise ParameterError("decrypt_many needs one key per ciphertext")
     instrumentation.record("symmetric.decrypt", len(ciphertexts))
-    jobs = []
+    verified = []
     for key, ciphertext in zip(keys, ciphertexts):
         if len(ciphertext) < NONCE_BYTES + TAG_BYTES:
             raise DecryptionError("ciphertext too short")
@@ -251,8 +143,8 @@ def decrypt_many(
         expected = _mac(key.mac_key, nonce, body, associated_data)
         if not hmac.compare_digest(ciphertext[-TAG_BYTES:], expected):
             raise IntegrityError("MAC verification failed")
-        jobs.append((key.cipher_key, nonce, 1, body))
-    return _xor_many(jobs)
+        verified.append((key.cipher_key, nonce, body))
+    return [_xor(*item) for item in verified]
 
 
 def encrypt(
@@ -270,12 +162,12 @@ def decrypt(
 
 
 def _mac(mac_key: bytes, nonce: bytes, body: bytes, associated_data: bytes) -> bytes:
-    mac = hmac.new(mac_key, digestmod=hashlib.sha256)
-    mac.update(len(associated_data).to_bytes(8, "big"))
-    mac.update(associated_data)
-    mac.update(nonce)
-    mac.update(body)
-    return mac.digest()
+    """HMAC-SHA256 over ``len(ad) as 8 bytes BE || ad || nonce || body``."""
+    return hmac.digest(
+        mac_key,
+        len(associated_data).to_bytes(8, "big") + associated_data + nonce + body,
+        "sha256",
+    )
 
 
 def ciphertext_overhead() -> int:

@@ -208,7 +208,7 @@ class TestSessionKeySecrecy:
         import sqlite3
 
         from repro import Federation
-        from repro.core.encapsulation import recipient_digest
+        from repro.core.encapsulation import session_slot
         from repro.mediation.access_control import allow_all
         from repro.relational.encoding import encode_row
         from repro.storage import KIND_HYBRID_SESSION, IndexCache, SQLiteBackend
@@ -231,7 +231,7 @@ class TestSessionKeySecrecy:
                     use_metrics(registry):
                 result = run_join_query(federation, STRING_QUERY, protocol=protocol)
 
-            slot = b"session:" + recipient_digest(client.credential_public_keys())
+            slot = session_slot(client.credential_public_keys())
             secrets = []
             for source, relation in relations.items():
                 blob = IndexCache(backend, source).get(

@@ -106,9 +106,9 @@ class TestSessionSlot:
 
     @staticmethod
     def session_slot(client):
-        from repro.core.encapsulation import recipient_digest
+        from repro.core.encapsulation import session_slot
 
-        return b"session:" + recipient_digest(client.credential_public_keys())
+        return session_slot(client.credential_public_keys())
 
     def encapsulation_digest(self, inner, client, workload):
         from repro.storage import KIND_HYBRID_SESSION, IndexCache
@@ -173,6 +173,46 @@ class TestSessionSlot:
         # The replacement session was persisted: the next query is warm.
         warm = assert_correct(federation, protocol).artifacts["storage_cache"]
         assert (warm["errors"], warm["misses"]) == (1, refilled["misses"])
+
+    def test_a_store_of_the_previous_dem_gets_a_cold_fill(
+        self, ca, client, workload, protocol, monkeypatch
+    ):
+        """A store written before the DEM changed holds its session under
+        a slot that names no DEM, and bodies whose tags were made under
+        the old MAC sub-key label.  None of it is served: the source
+        mints a fresh session, whose digest no old body is filed under,
+        so the client never meets a tag it cannot verify."""
+        from repro.core import encapsulation
+        from repro.crypto import symmetric
+        from repro.storage import KIND_HYBRID_SESSION, IndexCache
+        from repro.storage.serialize import deserialize_session
+
+        def old_slot(client_keys):
+            return b"session:" + encapsulation.recipient_digest(client_keys)
+
+        with monkeypatch.context() as old_build:
+            old_build.setattr(encapsulation, "session_slot", old_slot)
+            old_build.setattr(symmetric, "_CIPHER_LABEL", b"repro/dem/cipher")
+            old_build.setattr(symmetric, "_MAC_LABEL", b"repro/dem/mac")
+            inner = self.warm(ca, client, workload, protocol)
+
+        relation = workload.relation_1.name
+        cache = IndexCache(inner, "S1")
+        stale = cache.get(
+            relation, KIND_HYBRID_SESSION,
+            old_slot(client.credential_public_keys()),
+        )
+        assert cache.get(
+            relation, KIND_HYBRID_SESSION, self.session_slot(client)
+        ) is None
+        federation = build(ca, client, workload, inner)
+        cold = assert_correct(federation, protocol).artifacts["storage_cache"]
+        assert cold["misses"] > 0
+        assert self.encapsulation_digest(inner, client, workload) != (
+            deserialize_session(stale).encapsulation.digest()
+        )
+        warm = assert_correct(federation, protocol).artifacts["storage_cache"]
+        assert warm["misses"] == cold["misses"]
 
 
 class TestDelay:
