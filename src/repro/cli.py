@@ -39,7 +39,6 @@ from repro import (
 from repro.analysis import analyze, compare, primitive_profile, render, table1, table2
 from repro.analysis.export import export_run_json
 from repro.core.runner import PROTOCOLS
-from repro.crypto.engine import CryptoEngine, set_engine
 from repro.faults import FaultInjector, FaultPlan, FaultyTransport
 from repro.mediation.access_control import allow_all
 from repro.mediation.network import Network
@@ -122,15 +121,6 @@ def _add_crypto_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--paillier-bits", type=int, default=DEFAULT_PAILLIER_BITS,
         help="Paillier modulus size for private matching",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="crypto engine worker processes (0/1 = serial; default: "
-        "the REPRO_CRYPTO_WORKERS environment variable, else serial)",
-    )
-    parser.add_argument(
-        "--batch-threshold", type=int, default=None,
-        help="minimum batch size before crypto work fans out to the pool",
     )
 
 
@@ -772,20 +762,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     with _telemetry_session(args):
-        # Install the crypto engine for subcommands exposing the
-        # tuning knobs (serve/workload have no crypto arguments).
-        if getattr(args, "workers", None) is not None or getattr(
-            args, "batch_threshold", None
-        ) is not None:
-            engine = CryptoEngine(
-                workers=args.workers, threshold=args.batch_threshold
-            )
-            previous = set_engine(engine)
-            try:
-                return args.handler(args)
-            finally:
-                engine.close()
-                set_engine(previous)
         return args.handler(args)
 
 

@@ -62,8 +62,8 @@ def run_join_query(
     efficient one"), or ``"private-matching"``.  ``config`` is the
     protocol's config dataclass (:class:`DASConfig`,
     :class:`CommutativeConfig`, or :class:`PMConfig`) or None for
-    defaults.  ``engine`` selects the crypto execution engine (serial or
-    pooled); None uses the process-wide installed engine.
+    defaults.  ``engine`` is the crypto batch engine; None uses the
+    process-wide installed one.
 
     Robustness knobs (see ``docs/robustness.md``):
 
@@ -170,16 +170,11 @@ def crypto_context(engine: CryptoEngine | None = None) -> dict[str, Any]:
     """Self-description of the crypto configuration a run executed under.
 
     Recorded in ``result.artifacts["crypto"]`` so audit records, bench
-    JSON, and load reports name the engine mode that produced their
-    numbers.
+    JSON, and load reports name the bigint arithmetic that produced
+    their numbers.
     """
-    from repro.crypto.engine import get_engine
-
     active = engine if engine is not None else get_engine()
-    return {
-        "engine_mode": active.mode,
-        "workers": active.workers,
-    }
+    return {"bigint": active.backend_name}
 
 
 def _collect_storage_stats(federation: Federation) -> dict[str, Any] | None:

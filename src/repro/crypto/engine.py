@@ -1,50 +1,33 @@
-"""Batched and parallel execution engine for the crypto substrate.
+"""The batch engine of the crypto substrate.
 
 Every delivery protocol of the paper bottlenecks on big-integer modular
 exponentiation — SRA double encryption (Listing 3), Paillier coefficient
 encryption and oblivious polynomial evaluation (Listing 4), hybrid key
 wrapping for DAS (Listing 2).  The protocol drivers hand those loops to
 this module as *batch* calls, one per kind of call the listings make,
-and an engine runs a batch in one of two modes:
+and the engine runs each batch as a loop in the calling thread under
+one ``crypto:{name}`` span, so a trace shows every batch where it ran.
 
-* **serial** — a loop in the calling process;
-* **pooled** — a chunked :class:`~concurrent.futures.
-  ProcessPoolExecutor` fans the batch out over ``workers`` processes
-  once it reaches ``threshold`` items.  Workers count their primitive
-  invocations with a fresh :class:`~repro.crypto.instrumentation.
-  PrimitiveCounter` and the parent replays the totals into its own
-  installed counters, so the Table 2 conformance analyses observe
-  exactly the same counts with and without the pool.
-
-Both modes call the same scalar primitives — the CRT forms of Paillier
-decryption and the RSA private-key operation, the Jacobi-symbol QR
-membership test on every commutative input — so there is one code path
-per private-key operation.
-
-The engine is selected per run: explicitly via the ``workers`` argument
-(wired to the CLI ``--workers`` flag), or via the environment variable
-``REPRO_CRYPTO_WORKERS``.  ``workers <= 1`` means strictly serial
-execution in the calling process.
+The batch calls reach the same scalar primitives a loop would — the CRT
+forms of Paillier decryption and the RSA private-key operation, the
+Jacobi-symbol QR membership test on every commutative input — so there
+is one code path per private-key operation, and the primitive counters
+installed around a run see every call directly.
 
 Batch results are defined to be *exactly* what mapping the scalar
 primitive over the inputs produces — byte-identical values and identical
-primitive counts — regardless of the execution mode; the equivalence
-tests in ``tests/crypto/test_engine.py`` enforce this contract.  The one
-deliberate difference: a hybrid batch is *one session* (Section 2's
-"newly generated symmetric session key" per transferred partial result),
-so it wraps one key per recipient and unwraps once per distinct
+primitive counts; ``tests/crypto/test_engine.py`` and
+``tests/integration/test_engine_equivalence.py`` enforce this contract.
+The one deliberate difference: a hybrid batch is *one session* (Section
+2's "newly generated symmetric session key" per transferred partial
+result), so it wraps one key per recipient and unwraps once per distinct
 encapsulation where the scalar loop pays one RSA operation per item.
-Only that RSA leg is a pool candidate: the DEM bodies of a hybrid batch
-go through :mod:`repro.crypto.symmetric`'s batch kernel in the calling
-process in every mode, which costs less than shipping them to a worker
-and keeps session keys out of pickles.
+The DEM bodies of a hybrid batch go through
+:mod:`repro.crypto.symmetric`'s batch kernel.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
@@ -54,212 +37,48 @@ from repro.crypto.homomorphic import PaillierScheme
 from repro.crypto.polynomial import EncryptedPolynomial
 from repro.errors import DecryptionError, ParameterError
 from repro.telemetry import tracing
-from repro.telemetry.tracing import Span, SpanContext, Tracer
-
-#: Batches below this size never engage the process pool: the fork/IPC
-#: overhead only amortises over a handful of big exponentiations.
-DEFAULT_THRESHOLD = 8
-
-#: Chunks submitted per worker; >1 smooths imbalance between chunks.
-_CHUNKS_PER_WORKER = 4
-
-_WORKERS_ENV = "REPRO_CRYPTO_WORKERS"
-
-
-# ---------------------------------------------------------------------------
-# Worker-side units.  Each is a module-level function (picklable by
-# qualified name) of the form ``unit(shared, item) -> result`` where
-# ``shared`` carries the loop-invariant state.  A scalar primitive that
-# already has that shape (``commutative.apply``, ``hybrid.unwrap``) is
-# its own unit.
-# ---------------------------------------------------------------------------
-
-
-def _run_chunk(
-    unit: Callable[[Any, Any], Any],
-    shared: Any,
-    chunk: list,
-    trace: dict | None = None,
-) -> tuple[list, dict[str, int], list[dict]]:
-    """Execute ``unit`` over ``chunk`` in a worker, counting primitives.
-
-    ``trace`` (``{"trace_id", "span_id", "party"}``) is the driver-side
-    batch span's context; when present the worker records its own chunk
-    span under that parent and ships it back for the driver's tracer to
-    adopt — pool workers thereby appear in the distributed trace exactly
-    like remote endpoints do.
-    """
-    spans: list[dict] = []
-    with instrumentation.count_primitives() as counter:
-        if trace is None:
-            results = [unit(shared, item) for item in chunk]
-        else:
-            worker_tracer = Tracer(trace_id=trace["trace_id"])
-            parent = SpanContext(
-                trace_id=trace["trace_id"], span_id=trace["span_id"]
-            )
-            with worker_tracer.span(
-                "crypto:chunk",
-                trace["party"],
-                parent=parent,
-                attributes={
-                    "kind": "crypto",
-                    "items": len(chunk),
-                    "pid": os.getpid(),
-                },
-            ):
-                results = [unit(shared, item) for item in chunk]
-            spans = [span.to_dict() for span in worker_tracer.spans]
-    return results, dict(counter.counts), spans
-
-
-def _unit_call(func: Callable, item: tuple) -> Any:
-    return func(*item)
-
-
-def _unit_scheme_encrypt(shared: tuple, plaintext: int) -> Any:
-    scheme, public_key = shared
-    return scheme.encrypt(public_key, plaintext)
-
-
-def _unit_scheme_decrypt(shared: tuple, ciphertext: Any) -> int:
-    scheme, private_key = shared
-    return scheme.decrypt(private_key, ciphertext)
-
-
-def _unit_poly_eval(shared: EncryptedPolynomial, job: tuple) -> Any:
-    x, mask, payload = job
-    return shared.masked_evaluate(x, mask, payload)
-
-
-# ---------------------------------------------------------------------------
-# The engine.
-# ---------------------------------------------------------------------------
-
-
-def workers_from_env() -> int:
-    """Worker count from ``REPRO_CRYPTO_WORKERS`` (0 = serial)."""
-    raw = os.environ.get(_WORKERS_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        raise ParameterError(
-            f"{_WORKERS_ENV} must be an integer, got {raw!r}"
-        ) from None
 
 
 class CryptoEngine:
-    """Dispatches crypto batches to a serial loop or a process pool.
+    """Runs crypto batches as loops in the calling thread.
 
-    ``workers``: process count; ``None`` reads ``REPRO_CRYPTO_WORKERS``,
-    and values ``<= 1`` stay serial.  ``threshold``: minimum batch size
-    before the pool engages (``None``: :data:`DEFAULT_THRESHOLD`).
-    ``backend``: ``"python"`` or a :class:`~repro.crypto.backend.
-    PythonBackend`, the one bigint arithmetic; anything else raises
-    :class:`~repro.errors.ParameterError`.
+    ``workers`` is 0 or 1, both serial; a larger count raises
+    :class:`~repro.errors.ParameterError`, since this engine has no
+    parallel form to give it.  ``backend``: ``"python"`` or a
+    :class:`~repro.crypto.backend.PythonBackend`, the one bigint
+    arithmetic; anything else raises :class:`~repro.errors.
+    ParameterError`.
     """
+
+    mode = "serial"
 
     def __init__(
         self,
-        workers: int | None = None,
-        threshold: int | None = None,
+        workers: int = 0,
         backend: "_backend.PythonBackend | str" = "python",
     ) -> None:
-        self.workers = workers_from_env() if workers is None else max(0, workers)
-        self.threshold = DEFAULT_THRESHOLD if threshold is None else max(1, threshold)
+        if workers not in (0, 1):
+            raise ParameterError(
+                f"the crypto engine is serial: workers must be 0 or 1, "
+                f"got {workers!r}"
+            )
         self.backend_name = _backend.as_backend(backend).name
-        self._pool: ProcessPoolExecutor | None = None
-
-    # -- lifecycle ----------------------------------------------------------
-
-    @property
-    def mode(self) -> str:
-        return "pooled" if self.workers >= 2 else "serial"
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "CryptoEngine":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
 
     # -- dispatch -----------------------------------------------------------
 
-    def _use_pool(self, size: int) -> bool:
-        return self.workers >= 2 and size >= self.threshold
-
-    def _run(
-        self,
-        name: str,
-        unit: Callable[[Any, Any], Any],
-        shared: Any,
-        items: Sequence,
-    ) -> list:
-        """``[unit(shared, item) for item in items]`` under a
-        ``crypto:{name}`` span, in this process or over the pool."""
+    def _run(self, name: str, unit: Callable[[Any], Any], items: Sequence) -> list:
+        """``[unit(item) for item in items]`` under a ``crypto:{name}`` span."""
         items = list(items)
-        with self._batch_span(name, len(items)) as batch_span:
-            if not self._use_pool(len(items)):
-                return [unit(shared, item) for item in items]
-            trace = None
-            if batch_span is not None:
-                trace = {
-                    "trace_id": batch_span.trace_id,
-                    "span_id": batch_span.span_id,
-                    "party": batch_span.party,
-                }
-            pool = self._ensure_pool()
-            chunk = max(
-                1, math.ceil(len(items) / (self.workers * _CHUNKS_PER_WORKER))
-            )
-            futures = [
-                pool.submit(
-                    _run_chunk, unit, shared, items[start:start + chunk], trace
-                )
-                for start in range(0, len(items), chunk)
-            ]
-            results: list = []
-            tracer = tracing.get_tracer()
-            for future in futures:
-                part, counts, span_records = future.result()
-                results.extend(part)
-                # Replay the workers' primitive counts into the counters
-                # installed in this process: Table 2 analyses must see the
-                # same totals whether or not the pool ran.
-                for operation, amount in counts.items():
-                    instrumentation.record(operation, amount)
-                # Likewise adopt the workers' spans: the pool is invisible
-                # to protocol semantics but visible in the trace.
-                if tracer is not None and span_records:
-                    tracer.adopt(
-                        Span.from_dict(record) for record in span_records
-                    )
-            return results
-
-    def _batch_span(self, name: str, items: int) -> Any:
-        """The ``crypto:{name}`` span every batch runs under."""
-        return tracing.span(
-            f"crypto:{name}", self._ambient_party(),
-            kind="crypto", items=items, mode=self.mode,
-        )
+        with self._batch_span(name, len(items)):
+            return [unit(item) for item in items]
 
     @staticmethod
-    def _ambient_party() -> str:
-        """The party the enclosing step span runs at, for batch spans."""
+    def _batch_span(name: str, items: int) -> Any:
+        """The ``crypto:{name}`` span every batch runs under, at the party
+        the enclosing step span runs at."""
         current = tracing.current_span()
-        return current.party if current is not None else "engine"
+        party = current.party if current is not None else "engine"
+        return tracing.span(f"crypto:{name}", party, kind="crypto", items=items)
 
     # -- batch APIs ---------------------------------------------------------
 
@@ -271,7 +90,9 @@ class CryptoEngine:
         Every input is tested for QR_p membership — second-round inputs
         are tags that arrived from the other source via the mediator.
         """
-        return self._run("commutative", commutative.apply, key, values)
+        return self._run(
+            "commutative", lambda value: commutative.apply(key, value), values
+        )
 
     def batch_scheme_encrypt(
         self,
@@ -281,7 +102,9 @@ class CryptoEngine:
     ) -> list[Any]:
         """Batch encryption through a homomorphic scheme adapter."""
         return self._run(
-            "scheme_encrypt", _unit_scheme_encrypt, (scheme, public_key), plaintexts
+            "scheme_encrypt",
+            lambda plaintext: scheme.encrypt(public_key, plaintext),
+            plaintexts,
         )
 
     def batch_scheme_decrypt(
@@ -292,7 +115,9 @@ class CryptoEngine:
     ) -> list[int]:
         """Batch decryption through a homomorphic scheme adapter."""
         return self._run(
-            "scheme_decrypt", _unit_scheme_decrypt, (scheme, private_key), ciphertexts
+            "scheme_decrypt",
+            lambda ciphertext: scheme.decrypt(private_key, ciphertext),
+            ciphertexts,
         )
 
     def batch_poly_eval(
@@ -305,7 +130,9 @@ class CryptoEngine:
         ``jobs`` are ``(x, mask, payload)`` triples; masks are drawn by
         the caller so randomness stays in the protocol driver.
         """
-        return self._run("poly_eval", _unit_poly_eval, encrypted_polynomial, jobs)
+        return self._run(
+            "poly_eval", lambda job: encrypted_polynomial.masked_evaluate(*job), jobs
+        )
 
     def batch_hybrid_encrypt(
         self,
@@ -317,12 +144,10 @@ class CryptoEngine:
 
         Continues ``session`` (open one with
         :func:`~repro.crypto.hybrid.new_session`): every item is a DEM
-        body with its own nonce, and all of them hold the session's one
-        :class:`~repro.crypto.hybrid.Encapsulation` object.  The DEM runs
-        in the calling process in every mode: its batch call
-        (:func:`~repro.crypto.symmetric.encrypt_many`) finishes a
-        delivery in less time than a pool takes to receive it, and the
-        session key never leaves this process.
+        body with its own nonce, encrypted by one
+        :func:`~repro.crypto.symmetric.encrypt_many` call, and all of
+        them hold the session's one :class:`~repro.crypto.hybrid.
+        Encapsulation` object.
         """
         plaintexts = list(plaintexts)
         with self._batch_span("hybrid_encrypt", len(plaintexts)):
@@ -345,11 +170,11 @@ class CryptoEngine:
         """Batch hybrid decryption under one private key.
 
         The private-key operation runs once per *distinct* encapsulation
-        in the batch (pooled, when the engine is), the DEM once per item
-        in the calling process (:func:`~repro.crypto.symmetric.
-        decrypt_many`: no plaintext unless every item authenticates).
-        ``session_keys`` is the caller's memo, if it keeps one: hits skip
-        the private-key operation altogether, misses are added.
+        in the batch, the DEM once per item (:func:`~repro.crypto.
+        symmetric.decrypt_many`: no plaintext unless every item
+        authenticates).  ``session_keys`` is the caller's memo, if it
+        keeps one: hits skip the private-key operation altogether,
+        misses are added.
         """
         fp = hybrid.key_fingerprint(private_key.public_key())
         distinct: dict[bytes, hybrid.Encapsulation] = {}
@@ -366,9 +191,8 @@ class CryptoEngine:
         if missing:
             fresh = self._run(
                 "hybrid_decrypt",
-                hybrid.unwrap,
-                private_key,
-                [distinct[wrapped] for wrapped in missing],
+                lambda wrapped: hybrid.unwrap(private_key, distinct[wrapped]),
+                missing,
             )
             for wrapped, key in zip(missing, fresh):
                 keys[wrapped] = key
@@ -383,41 +207,32 @@ class CryptoEngine:
             )
 
     def map_batch(self, func: Callable, argument_tuples: Sequence[tuple]) -> list:
-        """Generic batch: ``[func(*args) for args in argument_tuples]``.
-
-        ``func`` must be a module-level (picklable) callable; used e.g.
-        for batched credential signature verification.
-        """
-        return self._run("call", _unit_call, func, argument_tuples)
+        """Generic batch: ``[func(*args) for args in argument_tuples]``,
+        used e.g. for batched credential signature verification."""
+        return self._run("call", lambda arguments: func(*arguments), argument_tuples)
 
 
 # ---------------------------------------------------------------------------
-# Process-wide engine installation (CLI and protocol drivers).
+# Process-wide engine installation (protocol drivers, tests, benchmarks).
 # ---------------------------------------------------------------------------
 
 _installed_engine: CryptoEngine | None = None
 
 
 def get_engine() -> CryptoEngine:
-    """The installed engine, creating an environment-configured default."""
+    """The installed engine, creating a default one on first use."""
     global _installed_engine
     if _installed_engine is None:
         _installed_engine = CryptoEngine()
     return _installed_engine
 
 
-def set_engine(engine: CryptoEngine | None) -> CryptoEngine | None:
-    """Install ``engine`` process-wide; returns the previous one."""
-    global _installed_engine
-    previous, _installed_engine = _installed_engine, engine
-    return previous
-
-
 @contextmanager
 def use_engine(engine: CryptoEngine) -> Iterator[CryptoEngine]:
-    """Temporarily install ``engine`` (tests and benchmarks)."""
-    previous = set_engine(engine)
+    """Temporarily install ``engine`` process-wide."""
+    global _installed_engine
+    previous, _installed_engine = _installed_engine, engine
     try:
         yield engine
     finally:
-        set_engine(previous)
+        _installed_engine = previous

@@ -10,8 +10,7 @@ around a protocol run and read back exact operation counts.
 Counting is opt-in and costs one dictionary lookup per primitive call when
 no counter is installed.
 
-A counter is per run, per thread and nestable: crypto-engine pool workers
-fill a fresh one per chunk and the driver replays its totals, and every
+A counter is per run, per thread and nestable: every
 :class:`~repro.core.result.MediationResult` carries the counter of
 its own run — scopes the process-wide
 :class:`repro.telemetry.metrics.MetricsRegistry` does not have.  Every

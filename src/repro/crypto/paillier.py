@@ -162,10 +162,9 @@ def _nonce_table(n: int) -> tuple[int, ...]:
 
     ``h_n = (-x^2 mod n)^n mod n^2`` for a fresh unit ``x`` (DJN's
     generator), so every nonce is an ``n``-th residue and decryption is
-    unchanged.  Built once per key and process (pool workers build their
-    own): one ``|n|``-bit exponentiation plus about ``k`` squarings,
-    ~100 KB at 2048 bits; never serialized, so keys, wire and cache
-    layouts do not change.
+    unchanged.  Built once per key and process: one ``|n|``-bit
+    exponentiation plus about ``k`` squarings, ~100 KB at 2048 bits;
+    never serialized, so keys, wire and cache layouts do not change.
     """
     n_squared = n * n
     x = random_coprime(n)

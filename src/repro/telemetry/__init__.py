@@ -5,8 +5,8 @@ mechanisms with one coherent layer:
 
 * :mod:`repro.telemetry.tracing` — ``contextvars``-based spans around
   every protocol step, message delivery, endpoint receipt, and crypto
-  batch; trace context propagates through the TCP envelope and into
-  crypto-engine pool workers, so a distributed run yields one trace.
+  batch; trace context propagates through the TCP envelope, so a
+  distributed run yields one trace.
 * :mod:`repro.telemetry.metrics` — a :class:`MetricsRegistry` of
   counters/gauges/histograms absorbing primitive invocation counts
   (the Table 2 data), per-link message bytes, and step latencies.

@@ -20,8 +20,7 @@ up, gauges go anywhere, histograms record cumulative bucket counts plus
 ``sum``/``count``.  :func:`repro.telemetry.exporters.
 prometheus_exposition` renders a registry; :meth:`MetricsRegistry.
 snapshot` / :meth:`MetricsRegistry.merge` serialize and recombine
-registries across the TCP process boundary (endpoint fetch) and the
-crypto engine's pool workers.
+registries across the TCP process boundary (endpoint fetch).
 
 Installation mirrors the tracer: :func:`set_registry` /
 :func:`use_metrics` install one registry process-wide, and every

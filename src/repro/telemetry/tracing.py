@@ -21,9 +21,8 @@ Three pieces:
   :mod:`repro.crypto.instrumentation`.
 
 Cross-process stitching: the TCP envelope carries the sending span's
-``(trace_id, span_id)`` (see :mod:`repro.transport.codec`), receiving
-endpoints record ``recv:`` spans under that parent, and the crypto
-engine ships the batch span's context into its pool workers — so one
+``(trace_id, span_id)`` (see :mod:`repro.transport.codec`), and
+receiving endpoints record ``recv:`` spans under that parent — so one
 ``repro query --transport tcp`` against three ``serve`` processes
 yields a single stitched trace.
 
@@ -108,7 +107,7 @@ class Span:
         return self.start + self.seconds
 
     def to_dict(self) -> dict[str, Any]:
-        """Wire/JSON form (used by endpoint fetch and worker replay)."""
+        """Wire/JSON form (used by endpoint fetch)."""
         return {
             "trace_id": self.trace_id,
             "span_id": self.span_id,
@@ -221,7 +220,7 @@ class Tracer:
     # -- collection -------------------------------------------------------
 
     def adopt(self, spans: Iterable[Span]) -> None:
-        """Absorb spans recorded elsewhere (endpoints, pool workers)."""
+        """Absorb spans recorded elsewhere (remote endpoints)."""
         with self._lock:
             self.spans.extend(spans)
 
@@ -243,7 +242,7 @@ class Tracer:
 
 
 # ---------------------------------------------------------------------------
-# Process-wide installation (mirrors repro.crypto.engine.set_engine).
+# Process-wide installation (mirrors repro.crypto.engine.use_engine).
 # ---------------------------------------------------------------------------
 
 _installed_tracer: Tracer | None = None

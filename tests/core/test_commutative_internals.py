@@ -87,24 +87,19 @@ class TestDoubleEncrypt:
         assert all(m.tag not in original_tags for m in doubled)
 
 
-    @pytest.mark.parametrize(
-        "workers", [0, 2], ids=["serial", "pooled"]
-    )
-    def test_non_residue_tag_is_a_typed_error(
-        self, group, ideal_hash, rsa_key, workers
-    ):
+    def test_non_residue_tag_is_a_typed_error(self, group, ideal_hash, rsa_key):
         """Second-round tags come from the other source via the mediator:
-        one outside QR_p fails the batch, whichever process tests it."""
+        one outside QR_p fails the batch."""
         _, messages = _prepare_source(
             R, ("k",), group, ideal_hash, [rsa_key.public_key()],
             CommutativeConfig(),
         )
         non_residue = next(x for x in range(2, 1000) if not group.contains(x))
         messages[1] = TaggedMessage(tag=non_residue, payload=messages[1].payload)
-        with CryptoEngine(workers=workers, threshold=1) as engine:
-            assert engine.mode == ("pooled" if workers else "serial")
-            with pytest.raises(ParameterError):
-                _double_encrypt(messages, comm.generate_key(group), engine=engine)
+        with pytest.raises(ParameterError):
+            _double_encrypt(
+                messages, comm.generate_key(group), engine=CryptoEngine()
+            )
 
 
 class TestShuffle:

@@ -40,6 +40,14 @@ class TestRunner:
         assert result.total_bytes() > 0
         assert "protocol: commutative" in result.summary()
 
+    def test_crypto_artifact_names_the_arithmetic(
+        self, make_federation, workload
+    ):
+        result = run_join_query(
+            make_federation(workload), QUERY, protocol="commutative"
+        )
+        assert result.artifacts["crypto"] == {"bigint": "python"}
+
     def test_timings_per_party(self, make_federation, workload, client):
         result = run_join_query(
             make_federation(workload), QUERY, protocol="das",

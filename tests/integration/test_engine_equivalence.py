@@ -1,18 +1,15 @@
-"""Engine-mode equivalence: serial, pooled and the scalar map must agree.
+"""Engine equivalence: the crypto engine and the scalar map must agree.
 
 Acceptance invariant for the batched crypto engine: for every protocol,
-a run under the pooled engine (process pool forced on via ``workers=2,
-threshold=1``) must produce the *same global result* and the *same
-primitive-counter totals* as a run under the serial engine — the pool
-must be invisible except for wall-clock time.  The third leg is the
-definition both are held to, kept here and not in the library:
-:class:`ScalarMap` answers every batch call with the scalar primitive
-mapped over the inputs.
+a run under :class:`~repro.crypto.engine.CryptoEngine` must produce the
+*same global result* and the *same primitive-counter totals* as a run
+under :class:`ScalarMap`, the definition the engine is held to, kept
+here and not in the library: it answers every batch call with the
+scalar primitive mapped over the inputs.
 
-The DEM half of a hybrid batch is the same code in both modes: it runs
-in the calling process through the batch kernel of ``crypto.symmetric``,
-never in the pool, and batching must not change what the primitive
-counters record.
+The one deliberate difference is a hybrid batch, which is one session:
+it unwraps once per distinct encapsulation, and batching its DEM bodies
+must not change what the primitive counters record.
 """
 
 import pytest
@@ -73,101 +70,70 @@ def test_scalar_map_covers_every_batch_api():
     assert len(batch_apis) == 7
 
 
-@pytest.fixture(scope="module")
-def engines():
-    serial = CryptoEngine(workers=0)
-    pooled = CryptoEngine(workers=2, threshold=1)
-    yield {"serial": serial, "pooled": pooled}
-    pooled.close()
-
-
 def run_with(engine, make_federation, workload, protocol, config):
     federation = make_federation(workload)
-    result = run_join_query(
+    return run_join_query(
         federation, QUERY, protocol=protocol, config=config, engine=engine
     )
-    return result
 
 
 @pytest.mark.parametrize(
     "protocol,config", PROTOCOL_MATRIX, ids=lambda v: str(v).split("(")[0]
 )
-def test_pooled_engine_is_invisible(
-    engines, make_federation, workload, protocol, config
-):
+def test_engine_matches_scalar_map(make_federation, workload, protocol, config):
     expected_join = natural_join(workload.relation_1, workload.relation_2)
     results = {
-        mode: run_with(engine, make_federation, workload, protocol, config)
-        for mode, engine in {**engines, "scalar": ScalarMap(workers=0)}.items()
+        name: run_with(engine, make_federation, workload, protocol, config)
+        for name, engine in {
+            "engine": CryptoEngine(), "scalar": ScalarMap()
+        }.items()
     }
-    for mode, result in results.items():
-        assert result.global_result == expected_join, mode
+    for name, result in results.items():
+        assert result.global_result == expected_join, name
 
-    serial_counts = dict(results["serial"].primitive_counter.counts)
-    assert serial_counts, "serial run recorded no primitives"
-    # Satellite invariant: primitive counts survive the process pool —
-    # workers count in their own process and the engine replays the
-    # totals into the driver's counter.
-    assert dict(results["pooled"].primitive_counter.counts) == serial_counts
-    # Batching changes no count either, with the one deliberate exception
-    # of the engine's docstring: a hybrid batch unwraps once per distinct
+    engine_counts = dict(results["engine"].primitive_counter.counts)
+    assert engine_counts, "engine run recorded no primitives"
+    # Batching changes no count, with the one deliberate exception of
+    # the engine's docstring: a hybrid batch unwraps once per distinct
     # encapsulation, the scalar loop once per ciphertext.
     scalar_counts = dict(results["scalar"].primitive_counter.counts)
-    assert scalar_counts.pop("rsa.decrypt", 0) >= serial_counts.pop("rsa.decrypt", 0)
-    assert scalar_counts == serial_counts
+    assert scalar_counts.pop("rsa.decrypt", 0) >= engine_counts.pop("rsa.decrypt", 0)
+    assert scalar_counts == engine_counts
 
 
-def test_pooled_engine_reuse_across_protocols(engines, make_federation, workload):
-    """One long-lived pooled engine serves consecutive protocol runs."""
-    pooled = engines["pooled"]
-    for protocol, config in PROTOCOL_MATRIX:
-        result = run_with(pooled, make_federation, workload, protocol, config)
-        assert result.global_result == natural_join(
-            workload.relation_1, workload.relation_2
-        )
-
-
-def test_hybrid_batches_are_the_same_in_every_mode(engines, rsa_key):
-    """Equal primitive counts, the session's one encapsulation object,
-    output any mode can decrypt, and a DEM that never enters the pool."""
+def test_hybrid_batch_is_one_session(rsa_key):
+    """Counts, the session's one encapsulation object, output the scalar
+    loop can decrypt, and one unwrap for the whole batch."""
+    engine = CryptoEngine()
     plaintexts = [b"row-%d" % i * i for i in range(16)]
-    produced = {}
-    for mode, engine in engines.items():
-        session = hybrid.new_session([rsa_key.public_key()])
-        tracer = Tracer()
-        with use_tracer(tracer), instrumentation.count_primitives() as counter:
-            ciphertexts = engine.batch_hybrid_encrypt(session, plaintexts)
-        assert dict(counter.counts) == {
-            "hybrid.encrypt": len(plaintexts),
-            "symmetric.encrypt": len(plaintexts),
-        }, mode
-        assert all(c.wrapped_keys is session.encapsulation for c in ciphertexts), mode
-        (batch,) = tracer.find("crypto:hybrid_encrypt")
-        assert batch.attributes["items"] == len(plaintexts)
-        assert tracer.find("crypto:chunk") == [], mode
-        produced[mode] = ciphertexts
+    session = hybrid.new_session([rsa_key.public_key()])
+    tracer = Tracer()
+    with use_tracer(tracer), instrumentation.count_primitives() as counter:
+        ciphertexts = engine.batch_hybrid_encrypt(session, plaintexts)
+    assert dict(counter.counts) == {
+        "hybrid.encrypt": len(plaintexts),
+        "symmetric.encrypt": len(plaintexts),
+    }
+    assert all(c.wrapped_keys is session.encapsulation for c in ciphertexts)
+    (batch,) = tracer.find("crypto:hybrid_encrypt")
+    assert batch.attributes["items"] == len(plaintexts)
+    assert ScalarMap().batch_hybrid_decrypt(rsa_key, ciphertexts) == plaintexts
 
-    for producer, ciphertexts in produced.items():
-        for consumer, engine in engines.items():
-            tracer = Tracer()
-            with use_tracer(tracer), instrumentation.count_primitives() as counter:
-                decrypted = engine.batch_hybrid_decrypt(rsa_key, ciphertexts)
-            assert decrypted == plaintexts, (producer, consumer)
-            assert dict(counter.counts) == {
-                "rsa.decrypt": 1,
-                "hybrid.decrypt": len(plaintexts),
-                "symmetric.decrypt": len(plaintexts),
-            }, (producer, consumer)
-            # Two spans of one name: the RSA unwrap of the batch's single
-            # encapsulation, which the pooled engine does hand to a
-            # worker, and the DEM over all items, which no engine does.
-            unwrap, dem = sorted(
-                tracer.find("crypto:hybrid_decrypt"),
-                key=lambda span: span.attributes["items"],
-            )
-            assert (unwrap.attributes["items"], dem.attributes["items"]) == (
-                1, len(plaintexts),
-            )
-            chunks = tracer.find("crypto:chunk")
-            assert all(chunk.parent_id == unwrap.span_id for chunk in chunks)
-            assert bool(chunks) == (consumer == "pooled"), consumer
+    tracer = Tracer()
+    with use_tracer(tracer), instrumentation.count_primitives() as counter:
+        decrypted = engine.batch_hybrid_decrypt(rsa_key, ciphertexts)
+    assert decrypted == plaintexts
+    assert dict(counter.counts) == {
+        "rsa.decrypt": 1,
+        "hybrid.decrypt": len(plaintexts),
+        "symmetric.decrypt": len(plaintexts),
+    }
+    # Two spans of one name: the RSA unwrap of the batch's single
+    # encapsulation and the DEM over all items.
+    unwrap, dem = sorted(
+        tracer.find("crypto:hybrid_decrypt"),
+        key=lambda span: span.attributes["items"],
+    )
+    assert (unwrap.attributes["items"], dem.attributes["items"]) == (
+        1, len(plaintexts),
+    )

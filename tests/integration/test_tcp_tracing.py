@@ -1,10 +1,9 @@
-"""Trace-context propagation across the TCP boundary and the worker pool.
+"""Trace-context propagation across the TCP boundary.
 
 The distributed-tracing acceptance story: one traced run over TCP must
 yield a *single* trace — every party's spans carry the same trace ID,
 each endpoint ``recv:`` span hangs off the matching sender ``send:``
-span, and crypto-engine pool workers' chunk spans hang off the driver's
-batch span.
+span, and crypto-engine batch spans hang off the step that ran them.
 """
 
 import pytest
@@ -164,42 +163,24 @@ class TestDistributedTrace:
         )
 
 
-class TestPoolWorkerSpans:
-    def test_worker_chunk_spans_land_under_the_batch_span(self):
-        tracer = Tracer()
-        engine = CryptoEngine(workers=2, threshold=1)
-        try:
-            with use_tracer(tracer), use_engine(engine):
-                with tracer.span("step", "S1"):
-                    engine.map_batch(
-                        pow, [(base, 65537, (1 << 61) - 1) for base in (2, 3, 4, 5)]
-                    )
-        finally:
-            engine.close()
-        (step,) = tracer.find("step")
-        batches = [s for s in tracer.spans if s.name == "crypto:call"]
-        assert len(batches) == 1
-        batch = batches[0]
-        assert batch.parent_id == step.span_id
-        assert batch.party == "S1"
-        assert batch.attributes["mode"] == "pooled"
-        chunks = tracer.find("crypto:chunk")
-        assert chunks, "pool workers shipped no spans back"
-        assert all(c.parent_id == batch.span_id for c in chunks)
-        assert all(c.trace_id == tracer.trace_id for c in chunks)
-        assert all(c.party == "S1" for c in chunks)
-        assert sum(c.attributes["items"] for c in chunks) == 4
-
-    def test_serial_batch_records_only_the_batch_span(self):
+class TestBatchSpans:
+    def test_batch_span_lands_under_the_step_span(self):
         tracer = Tracer()
         engine = CryptoEngine(workers=0)
         with use_tracer(tracer), use_engine(engine):
-            engine.map_batch(pow, [(2, 3, 97), (3, 3, 97)])
-        assert tracer.find("crypto:chunk") == []
+            with tracer.span("step", "S1"):
+                engine.map_batch(
+                    pow, [(base, 65537, (1 << 61) - 1) for base in (2, 3, 4, 5)]
+                )
+        (step,) = tracer.find("step")
         (batch,) = tracer.find("crypto:call")
-        assert batch.attributes["mode"] == "serial"
+        assert batch.parent_id == step.span_id
+        assert batch.trace_id == tracer.trace_id
+        assert batch.party == "S1"
+        assert batch.attributes == {"kind": "crypto", "items": 4}
+        assert len(tracer.spans) == 2
 
-    def test_pool_counts_unchanged_by_tracing(self):
+    def test_tracing_leaves_batch_outputs_and_counts_unchanged(self):
         from repro.crypto.commutative import generate_key
         from repro.crypto.groups import TEST_GROUP_BITS, commutative_group
         from repro.crypto.instrumentation import count_primitives
@@ -207,8 +188,9 @@ class TestPoolWorkerSpans:
         group = commutative_group(TEST_GROUP_BITS)
         key = generate_key(group)
         values = [group.random_element() for _ in range(6)]
+        engine = CryptoEngine(workers=0)
 
-        def run(engine, tracer=None):
+        def run(tracer=None):
             with count_primitives() as counter:
                 if tracer is None:
                     out = engine.batch_commutative_encrypt(key, values)
@@ -217,12 +199,7 @@ class TestPoolWorkerSpans:
                         out = engine.batch_commutative_encrypt(key, values)
             return out, dict(counter.counts)
 
-        serial = CryptoEngine(workers=0)
-        pooled = CryptoEngine(workers=2, threshold=1)
-        try:
-            base_out, base_counts = run(serial)
-            traced_out, traced_counts = run(pooled, Tracer())
-        finally:
-            pooled.close()
+        base_out, base_counts = run()
+        traced_out, traced_counts = run(Tracer())
         assert traced_out == base_out
         assert traced_counts == base_counts
