@@ -23,8 +23,8 @@ from scipy import stats
 
 from repro.core.result import MediationResult
 from repro.errors import ProtocolError
-from repro.mediation.network import PartyView
 from repro.telemetry.observables import detect_roles
+from repro.transport.base import PartyView
 
 #: Message kinds whose payloads are ciphertext material by construction.
 CIPHERTEXT_KINDS = {

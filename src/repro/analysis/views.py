@@ -14,7 +14,7 @@ import dataclasses
 from collections.abc import Mapping
 from typing import Any, Iterator
 
-from repro.mediation.network import PartyView
+from repro.transport.base import PartyView
 
 
 def iter_byte_material(body: Any) -> Iterator[bytes]:
@@ -39,9 +39,16 @@ def iter_byte_material(body: Any) -> Iterator[bytes]:
             yield from iter_byte_material(key)
             yield from iter_byte_material(value)
         return
-    if isinstance(body, (list, tuple, set, frozenset)):
+    if isinstance(body, (list, tuple)):
         for item in body:
             yield from iter_byte_material(item)
+        return
+    if isinstance(body, (set, frozenset)):
+        # Equal sets can iterate in different orders (it depends on how
+        # they were built), so walk the items in one canonical order.
+        walks = sorted(list(iter_byte_material(item)) for item in body)
+        for material in walks:
+            yield from material
         return
     if dataclasses.is_dataclass(body) and not isinstance(body, type):
         for field in dataclasses.fields(body):

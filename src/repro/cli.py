@@ -24,7 +24,6 @@ text exposition, or a JSON snapshot for ``.json`` paths), and
 from __future__ import annotations
 
 import argparse
-import asyncio
 import signal
 import sys
 from contextlib import contextmanager
@@ -466,25 +465,17 @@ def _command_serve(args) -> int:
             record.kind, record.wire_bytes,
         ),
     )
-
-    async def _serve() -> None:
-        # SIGTERM is a clean stop: it cancels this task, the same way
-        # asyncio.run delivers Ctrl-C.  Installed before the endpoint
-        # announces itself, so a supervisor may signal on that line.
-        serving = asyncio.current_task()
-        assert serving is not None
-        try:
-            asyncio.get_running_loop().add_signal_handler(
-                signal.SIGTERM, serving.cancel
-            )
-        except (NotImplementedError, RuntimeError):
-            pass  # platform without signal handler support
-        host, bound_port = await server.start()
+    scrape = None
+    try:
+        host, bound_port = server.start()
+        # SIGTERM is a clean stop: the handler stops the endpoint, which
+        # returns serve_forever.  Installed before the endpoint announces
+        # itself, so a supervisor may signal on that line.
+        signal.signal(signal.SIGTERM, lambda signum, frame: server.stop())
         log.info(
             "%s endpoint for party %r listening on %s:%d",
             args.role, party, host, bound_port,
         )
-        scrape = None
         if args.metrics_port is not None:
             # Live Prometheus scrape target next to the party endpoint:
             # renders the endpoint's own registry on every GET /metrics.
@@ -493,23 +484,20 @@ def _command_serve(args) -> int:
                 host=args.host,
                 port=args.metrics_port,
             )
-            scrape_host, scrape_port = await scrape.start()
+            scrape_host, scrape_port = scrape.start()
             log.info(
                 "metrics exposition at http://%s:%d/metrics",
                 scrape_host, scrape_port,
             )
         try:
-            await server.serve_forever()
-        finally:
-            await server.stop()
-            if scrape is not None:
-                await scrape.stop()
-
-    try:
-        asyncio.run(_serve())
-    except (KeyboardInterrupt, asyncio.CancelledError):
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
         log.info("%d messages received, bye", len(server.records))
     finally:
+        server.stop()
+        if scrape is not None:
+            scrape.stop()
         if storage is not None:
             storage.close()
     return 0

@@ -25,9 +25,10 @@ retry) is exercised against real socket misbehaviour:
 Control frames (HELLO, FETCH, TELEMETRY) and all upstream responses
 pass through untouched — the chaos model targets protocol deliveries.
 
-The proxy is deliberately plain ``socket`` + ``threading`` code: it
-must not share the endpoints' event loop, or a fault that wedges the
-proxy could deadlock the very code path under test.
+The proxy is plain ``socket`` + ``threading`` code, like the endpoint
+it fronts, but on threads of its own: a fault that wedges the proxy
+(a long ``delay``, a half-sent frame) stalls only the relayed
+connection, never the endpoint's accept or connection threads.
 """
 
 from __future__ import annotations

@@ -25,12 +25,7 @@ from typing import Any
 
 from repro.mediation.sizing import estimate_size
 from repro.telemetry import tracing
-from repro.transport.base import (  # re-exported for compatibility
-    Message,
-    PartyView,
-    Transport,
-    link_traffic_table,
-)
+from repro.transport.base import Message, Transport
 
 #: Fixed per-message envelope overhead (headers, routing) in bytes.
 #:
@@ -42,14 +37,7 @@ from repro.transport.base import (  # re-exported for compatibility
 #: protocols use.  64 stays a faithful structural constant.
 ENVELOPE_BYTES = 64
 
-__all__ = [
-    "ENVELOPE_BYTES",
-    "Message",
-    "Network",
-    "PartyView",
-    "Transport",
-    "link_traffic_table",
-]
+__all__ = ["ENVELOPE_BYTES", "Network"]
 
 
 class Network(Transport):

@@ -68,15 +68,16 @@ class Session:
 
     ``state`` is a free-form dict owned by whoever opened the session
     (an endpoint keeps its records and dedupe window there, a mediator
-    its decomposition cache).  ``lock`` serializes steps *within* the
-    session while distinct sessions proceed in parallel; its concrete
-    type comes from the registry's ``lock_factory`` so the same class
-    serves ``threading`` and ``asyncio`` callers.
+    its decomposition cache).  ``lock``, a :class:`threading.Lock`,
+    serializes steps *within* the session while distinct sessions
+    proceed in parallel.
     """
 
     __slots__ = ("id", "created_at", "last_used", "state", "lock", "closed")
 
-    def __init__(self, session_id: str, lock: Any, now: float) -> None:
+    def __init__(
+        self, session_id: str, lock: threading.Lock, now: float
+    ) -> None:
         self.id = session_id
         self.created_at = now
         self.last_used = now
@@ -107,10 +108,10 @@ class SessionRegistry:
     so owners can release derived resources.
 
     Thread-safe: a private :class:`threading.Lock` guards the table, so
-    the registry serves multi-threaded clients (the bus, the load
-    generator) and single-threaded asyncio endpoints alike.  Per-session
-    ``lock`` objects are built by ``lock_factory`` and handed to the
-    caller; the registry itself never acquires them.
+    the registry serves the bus's caller threads and an endpoint's
+    connection threads alike.  Each session gets its own
+    :class:`threading.Lock`, handed to the caller; the registry itself
+    never acquires it.
     """
 
     def __init__(
@@ -118,7 +119,6 @@ class SessionRegistry:
         *,
         capacity: int = DEFAULT_SESSION_CAPACITY,
         ttl: float | None = DEFAULT_SESSION_TTL,
-        lock_factory: Callable[[], Any] = threading.Lock,
         on_evict: Callable[[Session, str], None] | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -128,7 +128,6 @@ class SessionRegistry:
             raise ValueError(f"ttl must be positive or None, got {ttl}")
         self.capacity = capacity
         self.ttl = ttl
-        self._lock_factory = lock_factory
         self._on_evict = on_evict
         self._clock = clock
         self._guard = threading.Lock()
@@ -161,7 +160,7 @@ class SessionRegistry:
                 if session is None:
                     if not create:
                         return None
-                    session = Session(session_id, self._lock_factory(), now)
+                    session = Session(session_id, threading.Lock(), now)
                 session.touch(now)
                 self._sessions[session_id] = session  # reinsert = LRU bump
                 self._evict_over_capacity(ended)

@@ -1,4 +1,4 @@
-"""A minimal asyncio HTTP endpoint serving Prometheus text exposition.
+"""A minimal HTTP endpoint serving Prometheus text exposition.
 
 ``repro serve --metrics-port N`` attaches one of these next to the
 party's TCP endpoint so a long-running process can be scraped live
@@ -8,14 +8,16 @@ snapshots.  The exposition body is produced on every request by the
 ``lambda: prometheus_exposition(server.registry)`` — so the scrape
 always reflects the registry's current state.
 
-Deliberately tiny: GET-only, one response per connection, no TLS, no
+Deliberately tiny: a :class:`http.server.ThreadingHTTPServer` on one
+serving thread, GET-only, one response per connection, no TLS, no
 keep-alive.  That is all a Prometheus scraper needs and all a
 reproduction repo should carry.
 """
 
 from __future__ import annotations
 
-import asyncio
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 #: Content type of the Prometheus text exposition format.
@@ -37,73 +39,71 @@ class MetricsScrapeServer:
         self._render = render
         self._host = host
         self._port = port
-        self._server: asyncio.AbstractServer | None = None
+        self._server: ThreadingHTTPServer | None = None
+        self._thread: threading.Thread | None = None
 
-    async def start(self) -> tuple[str, int]:
+    def start(self) -> tuple[str, int]:
         """Bind and return ``(host, port)`` (port resolved when 0)."""
-        self._server = await asyncio.start_server(
-            self._handle, self._host, self._port
+        self._server = ThreadingHTTPServer(
+            (self._host, self._port), _ScrapeHandler
         )
-        sockname = self._server.sockets[0].getsockname()
-        self._host, self._port = sockname[0], sockname[1]
+        self._server.render = self._render
+        self._host, self._port = self._server.server_address[:2]
+        self._thread = threading.Thread(
+            target=self._server.serve_forever,
+            # stop() waits up to one poll interval for the loop to exit.
+            kwargs={"poll_interval": 0.1},
+            name="repro-metrics-scrape",
+            daemon=True,
+        )
+        self._thread.start()
         return self._host, self._port
 
-    async def stop(self) -> None:
+    def stop(self) -> None:
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            self._server.shutdown()
+            self._server.server_close()
             self._server = None
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
 
     @property
     def port(self) -> int:
         return self._port
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            request_line = await reader.readline()
-            # Drain headers; a scraper sends few and we need none.
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            writer.write(self._respond(request_line))
-            await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # a vanished scraper is not an error
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
-    def _respond(self, request_line: bytes) -> bytes:
-        parts = request_line.split()
-        if len(parts) < 2 or parts[0] != b"GET":
-            return _response(405, "text/plain", "method not allowed\n")
-        path = parts[1].split(b"?", 1)[0].decode("latin-1", "replace")
+class _ScrapeHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_GET(self) -> None:
+        path = self.path.split("?", 1)[0]
         if path not in _METRIC_PATHS:
-            return _response(404, "text/plain", "not found\n")
+            self._reply(404, "text/plain", "not found\n")
+            return
         try:
-            body = self._render()
-        except Exception as exc:  # a broken renderer must not kill the loop
-            return _response(500, "text/plain", f"render error: {exc}\n")
-        return _response(200, EXPOSITION_CONTENT_TYPE, body)
+            body = self.server.render()
+        except Exception as exc:  # a broken renderer must not kill the server
+            self._reply(500, "text/plain", f"render error: {exc}\n")
+            return
+        self._reply(200, EXPOSITION_CONTENT_TYPE, body)
 
+    def __getattr__(self, name: str):
+        # Any method but GET (``do_POST``, ``do_HEAD``, ...) is 405.
+        if name.startswith("do_"):
+            return lambda: self._reply(
+                405, "text/plain", "method not allowed\n"
+            )
+        raise AttributeError(name)
 
-_REASONS = {200: "OK", 404: "Not Found", 405: "Method Not Allowed",
-            500: "Internal Server Error"}
+    def _reply(self, status: int, content_type: str, body: str) -> None:
+        payload = body.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(payload)
 
-
-def _response(status: int, content_type: str, body: str) -> bytes:
-    payload = body.encode("utf-8")
-    head = (
-        f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
-        f"Content-Type: {content_type}\r\n"
-        f"Content-Length: {len(payload)}\r\n"
-        "Connection: close\r\n"
-        "\r\n"
-    )
-    return head.encode("latin-1") + payload
+    def log_message(self, format: str, *args) -> None:
+        pass  # a scrape every few seconds is not worth a log line

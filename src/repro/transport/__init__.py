@@ -8,7 +8,7 @@ over real sockets without changing a line of protocol code:
   carriers implement, plus the shared transcript/view bookkeeping,
 * :mod:`repro.transport.codec` — the length-prefixed binary wire format
   for every message the three delivery protocols produce,
-* :mod:`repro.transport.server` — the asyncio endpoint a party listens
+* :mod:`repro.transport.server` — the threaded endpoint a party listens
   on (``repro serve``),
 * :mod:`repro.transport.tcp` — the synchronous-facing TCP transport
   with timeouts, bounded retry, and backoff.

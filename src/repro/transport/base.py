@@ -19,7 +19,7 @@ indifferent to *how* a message travels.  Two implementations exist:
 * :class:`repro.transport.tcp.TcpTransport` — real TCP sockets with the
   binary codec of :mod:`repro.transport.codec` (byte counts are actual
   wire bytes).  The client sends over blocking sockets on the caller's
-  thread; only endpoints the transport hosts run on an asyncio loop.
+  thread; only endpoints the transport hosts start threads of their own.
 
 All transcript bookkeeping is implemented here once; a concrete
 transport implements :meth:`Transport.send` (delivering the message and

@@ -14,7 +14,7 @@ credentials — must survive a real wire.  This module defines:
   body as an opaque tail, so an endpoint routes, checks, records and
   acknowledges a message from :func:`decode_header` alone,
 * **framing**: an 8-byte frame header (magic, version, frame type,
-  payload length) plus asyncio stream helpers.
+  payload length) plus a blocking-socket reader.
 
 ``docs/transport.md`` holds the wire format as one table.  In short
 (all integers big-endian)::
@@ -43,7 +43,6 @@ codec does not drag in the whole protocol stack.
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import struct
 import zlib
@@ -666,32 +665,12 @@ def parse_frame_header(header: bytes) -> tuple[int, int]:
     return frame_type, length
 
 
-async def read_frame(
-    reader: asyncio.StreamReader, timeout: float | None = None
-) -> tuple[int, bytes]:
-    """Read one complete frame; raises :class:`FrameCodecError` on EOF/garbage.
-
-    ``timeout`` bounds each of the two reads; ``asyncio.TimeoutError``
-    propagates to the caller, which maps it onto the failure being
-    diagnosed (ack timeout, dead peer, ...).
-    """
-    try:
-        header = await asyncio.wait_for(
-            reader.readexactly(FRAME_HEADER_BYTES), timeout
-        )
-        frame_type, length = parse_frame_header(header)
-        payload = await asyncio.wait_for(reader.readexactly(length), timeout)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameCodecError("connection closed mid-frame") from exc
-    return frame_type, payload
-
-
 def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
     """Read one complete frame from a blocking socket.
 
-    The blocking twin of :func:`read_frame`: the same header checks, and
-    :class:`FrameCodecError` on EOF.  The socket's own timeout bounds
-    each ``recv``; ``TimeoutError`` propagates to the caller.
+    Raises :class:`FrameCodecError` on a bad header or on EOF.  The
+    socket's own timeout bounds each ``recv``; ``TimeoutError``
+    propagates to the caller.
     """
     frame_type, length = parse_frame_header(_recv_exactly(sock, FRAME_HEADER_BYTES))
     return frame_type, _recv_exactly(sock, length)
@@ -707,11 +686,3 @@ def _recv_exactly(sock: socket.socket, count: int) -> bytes:
             raise FrameCodecError("connection closed mid-frame")
         received += chunk
     return bytes(buffer)
-
-
-async def write_frame(
-    writer: asyncio.StreamWriter, frame_type: int, payload: bytes
-) -> None:
-    """Write one frame and flush."""
-    writer.write(build_frame(frame_type, payload))
-    await writer.drain()

@@ -1,4 +1,4 @@
-"""The asyncio TCP endpoint one party listens on.
+"""The TCP endpoint one party listens on.
 
 A :class:`PartyServer` is the network face of one party (mediator,
 datasource, or client): it accepts framed connections, reads the header
@@ -25,14 +25,22 @@ Endpoints speak a tiny control protocol next to DATA frames:
   open refused for capacity is answered with ``BUSY`` instead.
 * misdelivered or malformed frames -> ``ERROR {error}``.
 
+**Threads.**  Blocking sockets throughout: :meth:`PartyServer.start`
+binds and starts one accept thread, ``repro-endpoint-<party>``; each
+accepted connection gets its own thread, ``repro-endpoint-<party>-conn``,
+which reads a frame, answers it with one ``sendall`` and reads the
+next.  :meth:`PartyServer.stop` shuts the listener and every connection
+down and joins the threads.
+
 **Sessions.**  Every envelope may carry a ``session_id``; the
 endpoint keys all per-session protocol state — the
 session's view of the traffic, its request-id dedupe window, its
 ``recv:`` span attribution — in a :class:`~repro.session.SessionRegistry`
 with LRU + TTL eviction, so one client's queries are invisible to
 another's and abandoned sessions cannot leak memory.  Distinct sessions
-interleave on the endpoint's event loop while a per-session lock
-serializes steps *within* each session.
+proceed on their own connection threads while a per-session lock
+serializes steps *within* each session; one endpoint lock makes
+admission atomic and guards the endpoint-wide view and counters.
 When ``max_sessions`` live sessions exist, the first message of any new
 session is answered with a ``BUSY`` frame — the client transport backs
 off under its retry policy and surfaces
@@ -59,10 +67,12 @@ The richer, seeded fault model lives in :mod:`repro.faults`.
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
+import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from typing import Any
 
 from repro.errors import NetworkError
 from repro.session import (
@@ -109,12 +119,7 @@ class RemoteRecord:
 
 
 class PartyServer:
-    """One party's listening endpoint.
-
-    All coroutines must run on the same event loop: an
-    :class:`EndpointHost`'s for endpoints hosted inside a synchronous
-    program, ``asyncio.run``'s for the ``repro serve`` CLI.
-    """
+    """One party's listening endpoint."""
 
     def __init__(
         self,
@@ -138,170 +143,199 @@ class PartyServer:
         self.registry = MetricsRegistry()
         self._max_messages = max_messages
         self._on_message = on_message
-        self._server: asyncio.AbstractServer | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
+        #: Guards admission, ``records``, the endpoint counters and the
+        #: connection table.
+        self._lock = threading.Lock()
+        self._listener: socket.socket | None = None
+        self._acceptor: threading.Thread | None = None
+        #: Accepted connections and the thread serving each; entries
+        #: whose thread has finished are dropped at the next accept.
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._stopped = threading.Event()
         self.max_sessions = max_sessions
         #: Per-session protocol state: each session's ``state`` dict
         #: holds its view (``"records"``) and its dedupe window
         #: (``"acked"``: request_id -> acknowledgement payload,
-        #: insertion-ordered, oldest evicted first).  Locks are asyncio
-        #: locks — all session steps run on the server's event loop.
+        #: insertion-ordered, oldest evicted first).
         self.sessions = SessionRegistry(
             capacity=max_sessions,
             ttl=session_ttl,
-            lock_factory=asyncio.Lock,
             on_evict=self._session_ended,
         )
 
     # -- lifecycle --------------------------------------------------------
 
-    async def start(self) -> tuple[str, int]:
-        """Bind and listen; resolves the actual port when ``port=0``."""
-        if self._server is not None:
+    def start(self) -> tuple[str, int]:
+        """Bind, listen and start accepting; resolves the actual port
+        when ``port=0``."""
+        if self._listener is not None:
             raise NetworkError(f"endpoint for {self.party!r} already started")
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
         try:
-            self._server = await asyncio.start_server(
-                self._handle, self.host, self.port
+            listener = socket.create_server(
+                (self.host, self.port), family=family
             )
         except OSError as exc:
             raise NetworkError(
                 f"cannot bind endpoint for {self.party!r} on "
                 f"{self.host}:{self.port}: {exc}"
             ) from exc
-        self.port = self._server.sockets[0].getsockname()[1]
+        self.port = listener.getsockname()[1]
+        self._listener = listener
+        self._stopped.clear()
+        self._acceptor = threading.Thread(
+            target=self._accept,
+            args=(listener,),
+            name=f"repro-endpoint-{self.party}",
+            daemon=True,
+        )
+        self._acceptor.start()
         return self.host, self.port
 
-    async def stop(self) -> None:
-        """Stop listening and drop every open connection."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._writers):
-            writer.close()
-        self._writers.clear()
-        self.sessions.clear()
+    def stop(self, timeout: float = 5.0) -> None:
+        """Stop listening, drop every open connection, join the threads.
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        The joins share one ``timeout`` budget; the threads are daemons,
+        so one that overruns it cannot keep the process alive.
+        """
+        self._close_listener()
+        with self._lock:
+            acceptor, self._acceptor = self._acceptor, None
+            connections, self._connections = self._connections, {}
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its own thread
+        deadline = time.monotonic() + timeout
+        for thread in (acceptor, *connections.values()):
+            if thread is not None:
+                thread.join(max(0.0, deadline - time.monotonic()))
+        with self._lock:
+            self.sessions.clear()
+        self._stopped.set()
+
+    def serve_forever(self) -> None:
+        """Block until :meth:`stop` (at once if it already ran)."""
+        self._stopped.wait()
+
+    def _close_listener(self) -> None:
+        """Close the listening socket: new connects are refused."""
+        with self._lock:
+            listener, self._listener = self._listener, None
+        if listener is not None:
+            try:
+                listener.shutdown(socket.SHUT_RDWR)  # wakes the accept()
+            except OSError:
+                pass
+            listener.close()
 
     # -- connection handling ----------------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
+    def _accept(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                connection, _ = listener.accept()
+            except OSError:
+                return  # listener closed: stopped, or the max_messages fault
+            connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread = threading.Thread(
+                target=self._serve,
+                args=(connection,),
+                name=f"repro-endpoint-{self.party}-conn",
+                daemon=True,
+            )
+            with self._lock:
+                if self._listener is not listener:
+                    connection.close()  # stopped while accepting
+                    return
+                self._connections = {
+                    known: serving
+                    for known, serving in self._connections.items()
+                    if serving.is_alive()
+                }
+                self._connections[connection] = thread
+                thread.start()
+
+    def _serve(self, connection: socket.socket) -> None:
+        """Answer one connection's frames in order until it closes."""
         try:
             while True:
-                try:
-                    frame_type, payload = await codec.read_frame(reader)
-                except (NetworkError, ConnectionError, asyncio.TimeoutError):
-                    return  # peer went away or sent garbage; drop quietly
-                try:
-                    done = await self._dispatch(frame_type, payload, writer)
-                except ConnectionError:
+                frame_type, payload = codec.recv_frame(connection)
+                answer = self._dispatch(frame_type, payload)
+                if answer is None:
                     return
-                if done:
-                    return
-        except asyncio.CancelledError:
-            return  # loop shutdown cancelled this connection mid-read
+                connection.sendall(answer)
+        except (NetworkError, OSError):
+            pass  # peer went away or sent garbage; drop quietly
         finally:
-            self._writers.discard(writer)
-            writer.close()
+            # The entry stays in ``_connections`` until its thread has
+            # finished, so stop() joins a thread that is still exiting.
+            connection.close()
 
-    async def _dispatch(
-        self, frame_type: int, payload: bytes, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Handle one frame; returns True when the connection must close."""
+    def _dispatch(self, frame_type: int, payload: bytes) -> bytes | None:
+        """The answer frame to one frame; ``None`` drops the connection."""
         if frame_type == codec.DATA:
-            return await self._data(payload, writer)
+            return self._data(payload)
         if frame_type == codec.HELLO:
-            await codec.write_frame(
-                writer, codec.OK, codec.encode_value({"party": self.party})
-            )
-            return False
+            return _frame(codec.OK, {"party": self.party})
         if frame_type == codec.FETCH:
             session_id = self._requested_session(payload)
             records = (
-                self.records if session_id is None
+                list(self.records) if session_id is None
                 else self.session_records(session_id)
             )
-            view = [asdict(record) for record in records]
-            await codec.write_frame(writer, codec.VIEW, codec.encode_value(view))
-            return False
+            return _frame(codec.VIEW, [asdict(record) for record in records])
         if frame_type == codec.TELEMETRY:
             session_id = self._requested_session(payload)
-            await codec.write_frame(
-                writer,
-                codec.TELEMETRY_DATA,
-                codec.encode_value(self.telemetry_snapshot(session=session_id)),
-            )
-            return False
+            snapshot = self.telemetry_snapshot(session=session_id)
+            return _frame(codec.TELEMETRY_DATA, snapshot)
         if frame_type == codec.SESSION:
-            return await self._session_control(payload, writer)
-        return await self._error(
-            writer, f"unexpected frame type 0x{frame_type:02x}"
-        )
+            return self._session_control(payload)
+        return _error(f"unexpected frame type 0x{frame_type:02x}")
 
-    async def _error(self, writer: asyncio.StreamWriter, text: str) -> bool:
-        """Answer ERROR and keep serving the connection."""
-        await codec.write_frame(
-            writer, codec.ERROR, codec.encode_value({"error": text})
-        )
-        return False
-
-    async def _data(self, payload: bytes, writer: asyncio.StreamWriter) -> bool:
+    def _data(self, payload: bytes) -> bytes | None:
         if (
             self._max_messages is not None
             and len(self.records) >= self._max_messages
         ):
             # Injected fault: die without acknowledging, refuse reconnects.
-            if self._server is not None:
-                self._server.close()
-                self._server = None
-            writer.transport.abort()
-            return True
+            self._close_listener()
+            return None
         try:
             # The header is all an endpoint acts on: the body stays an
             # opaque, checksummed tail that only its consumer decodes.
             sequence, sender, receiver, kind, trace, request_id, \
                 session_id, _ = codec.decode_header(payload)
         except Exception as exc:  # malformed or garbled in flight
-            return await self._error(writer, f"undecodable envelope: {exc}")
+            return _error(f"undecodable envelope: {exc}")
         if receiver != self.party:
             # Rejected before admission: a stray frame must not open a
             # session slot or be answered BUSY.
-            return await self._error(
-                writer,
+            return _error(
                 f"misdelivered message for {receiver!r} at endpoint "
-                f"{self.party!r}",
+                f"{self.party!r}"
             )
         session = self._admit(session_id)
         if session is None:
-            await self._busy(writer)
-            return False
-        async with session.lock:
+            return self._busy()
+        with session.lock:
             acked: dict[str, dict] = session.state.setdefault("acked", {})
             if request_id is not None and request_id in acked:
                 # Idempotent re-delivery: the sender retried a message
                 # we already recorded (its copy of our ACK was lost, or
                 # a chaos proxy duplicated the frame).  Re-acknowledge
                 # with the original payload; record and observe nothing.
-                self.registry.counter(
-                    ENDPOINT_DUPLICATES_METRIC,
-                    {"party": self.party, "sender": sender, "kind": kind},
-                    help_text=(
-                        "Duplicate deliveries absorbed by request-id dedupe"
-                    ),
-                ).inc()
-                await codec.write_frame(
-                    writer, codec.ACK, codec.encode_value(acked[request_id])
-                )
-                return False
+                with self._lock:
+                    self.registry.counter(
+                        ENDPOINT_DUPLICATES_METRIC,
+                        {"party": self.party, "sender": sender, "kind": kind},
+                        help_text=(
+                            "Duplicate deliveries absorbed by request-id "
+                            "dedupe"
+                        ),
+                    ).inc()
+                return _frame(codec.ACK, acked[request_id])
             record = RemoteRecord(
                 sequence=sequence,
                 sender=sender,
@@ -309,11 +343,12 @@ class PartyServer:
                 kind=kind,
                 wire_bytes=codec.FRAME_HEADER_BYTES + len(payload),
             )
-            self._observe(record, SpanContext.from_wire(trace), session_id)
-            self.records.append(record)
-            session.state.setdefault("records", []).append(record)
-            if self._on_message is not None:
-                self._on_message(record)
+            with self._lock:
+                self._observe(record, SpanContext.from_wire(trace), session_id)
+                self.records.append(record)
+                session.state.setdefault("records", []).append(record)
+                if self._on_message is not None:
+                    self._on_message(record)
             acknowledgement = {
                 "sequence": sequence, "wire_bytes": record.wire_bytes,
             }
@@ -321,10 +356,7 @@ class PartyServer:
                 acked[request_id] = acknowledgement
                 while len(acked) > DEDUPE_WINDOW:
                     acked.pop(next(iter(acked)))
-            await codec.write_frame(
-                writer, codec.ACK, codec.encode_value(acknowledgement)
-            )
-            return False
+        return _frame(codec.ACK, acknowledgement)
 
     # -- sessions ----------------------------------------------------------
 
@@ -333,48 +365,46 @@ class PartyServer:
 
         Legacy session-less traffic shares the ``"legacy"`` slot and is
         always admitted — the pre-session contract.  A *new* session id
-        arriving while ``max_sessions`` are live is refused; known live
-        sessions are never refused.
+        arriving while ``max_sessions`` are live is refused (and
+        counted); known live sessions are never refused.  Check and open
+        are one step under the endpoint lock, so concurrent connections
+        cannot overfill the registry.
         """
-        if session_id is None:
-            session_id = LEGACY_SESSION
-        elif (
-            session_id not in self.sessions
-            and len(self.sessions) >= self.max_sessions
-        ):
-            return None
-        opened = session_id not in self.sessions
-        session = self.sessions.get(session_id)
-        if opened:
-            self.registry.counter(
-                ENDPOINT_SESSIONS_METRIC,
-                {"party": self.party, "event": "opened"},
-                help_text="Session lifecycle events at a party endpoint",
-            ).inc()
-        return session
+        with self._lock:
+            if session_id is None:
+                session_id = LEGACY_SESSION
+            elif (
+                session_id not in self.sessions
+                and len(self.sessions) >= self.max_sessions
+            ):
+                self.registry.counter(
+                    ENDPOINT_BUSY_METRIC,
+                    {"party": self.party},
+                    help_text="New sessions refused for capacity",
+                ).inc()
+                return None
+            opened = session_id not in self.sessions
+            session = self.sessions.get(session_id)
+            if opened:
+                self.registry.counter(
+                    ENDPOINT_SESSIONS_METRIC,
+                    {"party": self.party, "event": "opened"},
+                    help_text="Session lifecycle events at a party endpoint",
+                ).inc()
+            return session
 
-    async def _busy(self, writer: asyncio.StreamWriter) -> None:
+    def _busy(self) -> bytes:
         """Refuse a new session: answer BUSY, keep the connection."""
-        self.registry.counter(
-            ENDPOINT_BUSY_METRIC,
-            {"party": self.party},
-            help_text="New sessions refused for capacity",
-        ).inc()
-        await codec.write_frame(
-            writer,
+        return _frame(
             codec.BUSY,
-            codec.encode_value(
-                {
-                    "party": self.party,
-                    "sessions": len(self.sessions),
-                    "max_sessions": self.max_sessions,
-                }
-            ),
+            {
+                "party": self.party,
+                "sessions": len(self.sessions),
+                "max_sessions": self.max_sessions,
+            },
         )
 
-    async def _session_control(
-        self, payload: bytes, writer: asyncio.StreamWriter
-    ) -> bool:
+    def _session_control(self, payload: bytes) -> bytes:
         """Handle an explicit SESSION open/close frame."""
         try:
             request = codec.decode_value(payload)
@@ -385,22 +415,17 @@ class PartyServer:
             ) or not session_id:
                 raise ValueError(f"malformed session request {request!r}")
         except Exception as exc:
-            return await self._error(writer, f"bad SESSION frame: {exc}")
+            return _error(f"bad SESSION frame: {exc}")
         if operation == "open":
-            session = self._admit(session_id)
-            if session is None:
-                await self._busy(writer)
-                return False
+            if self._admit(session_id) is None:
+                return self._busy()
         else:
-            self.sessions.close(session_id)
-        await codec.write_frame(
-            writer,
+            with self._lock:
+                self.sessions.close(session_id)
+        return _frame(
             codec.OK,
-            codec.encode_value(
-                {"party": self.party, "op": operation, "session": session_id}
-            ),
+            {"party": self.party, "op": operation, "session": session_id},
         )
-        return False
 
     def _session_ended(self, session: Session, reason: str) -> None:
         """Registry eviction hook: count how each session ended."""
@@ -499,55 +524,11 @@ class PartyServer:
         }
 
 
-class EndpointHost:
-    """Runs :class:`PartyServer` s on one asyncio loop thread.
+def _frame(frame_type: int, value: Any) -> bytes:
+    """One complete frame carrying ``value``."""
+    return codec.build_frame(frame_type, codec.encode_value(value))
 
-    The endpoints a synchronous program hosts —
-    :class:`~repro.transport.tcp.TcpTransport`'s locally registered
-    parties, or a test's stand-in for a remote party — serve from this
-    thread, named ``repro-tcp-transport``; the program's own sends never
-    run on it.
-    """
 
-    def __init__(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        self._servers: list[PartyServer] = []
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-tcp-transport", daemon=True
-        )
-        self._thread.start()
-
-    def start(self, server: PartyServer) -> tuple[str, int]:
-        """Start ``server`` on the loop; returns the address it listens on."""
-        address = asyncio.run_coroutine_threadsafe(server.start(), self._loop).result()
-        self._servers.append(server)
-        return address
-
-    def stop(self, server: PartyServer) -> None:
-        """Stop one server: its port goes dark, its connections drop."""
-        asyncio.run_coroutine_threadsafe(server.stop(), self._loop).result()
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop every server, then the loop, and join the thread.
-
-        Each of the two waits is bounded by ``timeout``: a server stop
-        that overruns it is cancelled and the loop stopped regardless,
-        and the loop is closed only once its thread has really exited.
-        """
-        if self._loop.is_closed():
-            return
-
-        async def stop_all() -> None:
-            for server in self._servers:
-                await server.stop()
-
-        future = asyncio.run_coroutine_threadsafe(stop_all(), self._loop)
-        try:
-            future.result(timeout)
-        except Exception:
-            future.cancel()  # a wedged endpoint must not block teardown
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout)
-            if not self._thread.is_alive():
-                self._loop.close()
+def _error(text: str) -> bytes:
+    """An ERROR answer; the connection keeps serving."""
+    return _frame(codec.ERROR, {"error": text})

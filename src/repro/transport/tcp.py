@@ -10,9 +10,9 @@ bytes** and a dead or silent peer surfaces as a
 
 The protocols in :mod:`repro.core` are synchronous, and so is the
 client side here: a send writes and reads a blocking socket on the
-caller's own thread.  Only locally hosted endpoints need asyncio; they
-serve from one :class:`~repro.transport.server.EndpointHost` thread,
-started by the first locally hosted party.
+caller's own thread.  Only locally hosted endpoints start threads:
+each :class:`~repro.transport.server.PartyServer` runs its own accept
+thread and one thread per connection.
 
 Topology: parties whose endpoints are listed in ``endpoints`` are
 **remote** (typically started with ``repro serve`` in another process);
@@ -79,7 +79,7 @@ from repro.telemetry.metrics import MetricsRegistry, get_registry
 from repro.telemetry.tracing import Span, Tracer
 from repro.transport import codec
 from repro.transport.base import Message, Transport
-from repro.transport.server import EndpointHost, PartyServer, RemoteRecord
+from repro.transport.server import PartyServer, RemoteRecord
 
 #: Counter of delivery/control retries, labelled by party and operation.
 TRANSPORT_RETRIES_METRIC = "repro_transport_retries_total"
@@ -105,9 +105,8 @@ class RetryPolicy:
     #: Random extra backoff as a fraction of the base delay (0.25 =
     #: up to 25% longer), decorrelating retry storms across parties.
     jitter: float = 0.25
-    #: Seconds granted to the endpoint host during
-    #: :meth:`TcpTransport.close`, once to stop the hosted endpoints and
-    #: once to join its thread.
+    #: Seconds granted to each hosted endpoint during
+    #: :meth:`TcpTransport.close` to join its threads.
     shutdown_timeout: float = 5.0
     #: Idle persistent connections kept per peer.  Sends check a
     #: connection out of the pool and return it healthy, so sequential
@@ -141,9 +140,6 @@ class TcpTransport(Transport):
         #: :class:`PartyServer` (``max_sessions``, ``session_ttl``, ...).
         self._server_options = dict(server_options or {})
         self._servers: dict[str, PartyServer] = {}
-        #: The loop thread of the locally hosted endpoints; started by
-        #: the first party registered without a listed endpoint.
-        self._hosting: EndpointHost | None = None
         #: Idle persistent connections per peer, most recently used
         #: last.  A checked-out connection is absent from the pool until
         #: checked back in, so each caller thread owns its socket.
@@ -178,12 +174,10 @@ class TcpTransport(Transport):
         self._require_open()
         super().register(party)
         if party not in self._endpoints:
-            if self._hosting is None:
-                self._hosting = EndpointHost()
             server = PartyServer(
                 party, host=self._host, port=0, **self._server_options
             )
-            self._endpoints[party] = self._hosting.start(server)
+            self._endpoints[party] = server.start()
             self._servers[party] = server
         response = self._control(party, codec.HELLO, {"party": party}, codec.OK)
         answered = response.get("party") if isinstance(response, dict) else None
@@ -339,8 +333,8 @@ class TcpTransport(Transport):
             raise NetworkError(f"unknown party {party!r}")
         self._drop_pool(party)
         server = self._servers.get(party)
-        if server is not None and self._hosting is not None:
-            self._hosting.stop(server)
+        if server is not None:
+            server.stop(self.retry.shutdown_timeout)
 
     # -- teardown ------------------------------------------------------------
 
@@ -348,9 +342,9 @@ class TcpTransport(Transport):
         """Farewell the sessions, close pooled sockets, stop hosted endpoints.
 
         Bounded even when endpoints are wedged by an injected fault: the
-        farewell makes one short attempt per endpoint, and the endpoint
-        host gets ``RetryPolicy.shutdown_timeout`` to stop its servers
-        and its thread.
+        farewell makes one short attempt per endpoint, and each hosted
+        endpoint gets ``RetryPolicy.shutdown_timeout`` to join its
+        threads.
         """
         if self._closed:
             return
@@ -358,8 +352,8 @@ class TcpTransport(Transport):
         self._closed = True  # refuse new work before tearing down
         for party in list(self._pools):
             self._drop_pool(party)
-        if self._hosting is not None:
-            self._hosting.close(self.retry.shutdown_timeout)
+        for server in self._servers.values():
+            server.stop(self.retry.shutdown_timeout)
 
     def __enter__(self) -> "TcpTransport":
         return self

@@ -14,7 +14,7 @@ from repro.analysis.statistics import (
 )
 from repro.telemetry.observables import detect_roles
 from repro.errors import ProtocolError
-from repro.mediation.network import PartyView
+from repro.transport.base import PartyView
 
 QUERY = "select * from R1 natural join R2"
 

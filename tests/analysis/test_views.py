@@ -26,6 +26,15 @@ class TestByteMaterial:
         material = list(iter_byte_material({"k": [b"a", (b"b",)]}))
         assert b"a" in material and b"b" in material and b"k" in material
 
+    def test_equal_sets_yield_equal_material(self):
+        # 1 and 9 share a hash slot, so insertion order decides how
+        # each set iterates; the material must not depend on it.
+        first, second = frozenset([1, 9]), frozenset([9, 1])
+        assert list(first) != list(second)
+        assert list(iter_byte_material(first)) == list(
+            iter_byte_material(second)
+        )
+
     def test_dataclasses_flattened(self):
         @dataclass
         class Box:

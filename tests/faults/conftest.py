@@ -9,7 +9,6 @@ import threading
 import pytest
 
 from repro.transport import PartyServer, RetryPolicy
-from repro.transport.server import EndpointHost
 
 #: Fast-failing policy so injected faults cost milliseconds, not the
 #: production timeouts, while still exercising retries and backoff.
@@ -19,15 +18,17 @@ FAST = RetryPolicy(
 )
 
 
-class ThreadedEndpoint(EndpointHost):
-    """A real PartyServer on its own endpoint host — a 'remote' party a
-    chaos proxy can sit in front of, or a fault (``max_messages``) can
-    be injected into."""
+class ThreadedEndpoint:
+    """A real PartyServer serving from its own threads — a 'remote'
+    party a chaos proxy can sit in front of, or a fault
+    (``max_messages``) can be injected into."""
 
     def __init__(self, party: str, **kwargs) -> None:
-        super().__init__()
         self.server = PartyServer(party, **kwargs)
-        self.address = self.start(self.server)
+        self.address = self.server.start()
+
+    def close(self) -> None:
+        self.server.stop()
 
 
 class MuteServer:

@@ -41,7 +41,7 @@ def transport_threads() -> list[str]:
     return [
         thread.name
         for thread in threading.enumerate()
-        if thread.name.startswith("repro-tcp-transport")
+        if thread.name.startswith("repro-endpoint-")
     ]
 
 

@@ -8,8 +8,6 @@ digest with a sane overhead factor, and the three
 ``repro serve --metrics-port`` wires up.
 """
 
-import asyncio
-
 import pytest
 
 from repro import Federation, run_join_query
@@ -25,6 +23,8 @@ from repro.telemetry.exporters import (
 )
 from repro.telemetry.metrics import MetricsRegistry, use_metrics
 from repro.telemetry.scrape import MetricsScrapeServer
+
+from tests.telemetry.test_scrape import raw_request
 
 QUERY = "select * from R1 natural join R2"
 PROTOCOLS = ["das", "commutative", "private-matching"]
@@ -93,22 +93,13 @@ class TestPrometheusSurface:
         """GET /metrics on the scrape endpoint (the --metrics-port
         surface) exposes the padding counters."""
 
-        async def scrape():
-            server = MetricsScrapeServer(
-                lambda: prometheus_exposition(registry)
+        server = MetricsScrapeServer(lambda: prometheus_exposition(registry))
+        try:
+            body = raw_request(
+                server.start(), b"GET /metrics HTTP/1.1\r\n\r\n"
             )
-            host, port = await server.start()
-            try:
-                reader, writer = await asyncio.open_connection(host, port)
-                writer.write(b"GET /metrics HTTP/1.1\r\n\r\n")
-                await writer.drain()
-                response = await asyncio.wait_for(reader.read(), timeout=5)
-                writer.close()
-                return response.decode()
-            finally:
-                await server.stop()
-
-        body = asyncio.run(scrape())
+        finally:
+            server.stop()
         assert "200 OK" in body
         assert PAD_BYTES_METRIC in body
 

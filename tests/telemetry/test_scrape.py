@@ -1,7 +1,7 @@
 """Tests for the live Prometheus scrape endpoint and exporter edge cases."""
 
-import asyncio
 import json
+import socket
 
 import pytest
 
@@ -18,25 +18,27 @@ from repro.telemetry.scrape import (
 )
 
 
+def raw_request(address, request: bytes) -> str:
+    """Send one raw HTTP request; the response up to the server's close."""
+    with socket.create_connection(address, timeout=5) as connection:
+        connection.sendall(request)
+        chunks = []
+        while chunk := connection.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks).decode()
+
+
 def http_get(server_render, path, method="GET"):
     """Start a scrape server, issue one raw HTTP request, tear down."""
-
-    async def scenario():
-        server = MetricsScrapeServer(server_render)
-        host, port = await server.start()
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(
-                f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode()
-            )
-            await writer.drain()
-            response = await asyncio.wait_for(reader.read(), timeout=5)
-            writer.close()
-            return response.decode()
-        finally:
-            await server.stop()
-
-    return asyncio.run(scenario())
+    server = MetricsScrapeServer(server_render)
+    host, port = server.start()
+    try:
+        return raw_request(
+            (host, port),
+            f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode(),
+        )
+    finally:
+        server.stop()
 
 
 class TestMetricsScrapeServer:
@@ -56,25 +58,18 @@ class TestMetricsScrapeServer:
         registry = MetricsRegistry()
         counter = registry.counter("repro_live_total")
 
-        async def scenario():
-            server = MetricsScrapeServer(
-                lambda: prometheus_exposition(registry)
-            )
-            host, port = await server.start()
-            try:
-                bodies = []
-                for _ in range(2):
-                    counter.inc()
-                    reader, writer = await asyncio.open_connection(host, port)
-                    writer.write(b"GET /metrics HTTP/1.1\r\n\r\n")
-                    await writer.drain()
-                    bodies.append((await reader.read()).decode())
-                    writer.close()
-                return bodies
-            finally:
-                await server.stop()
-
-        first, second = asyncio.run(scenario())
+        server = MetricsScrapeServer(lambda: prometheus_exposition(registry))
+        address = server.start()
+        try:
+            bodies = []
+            for _ in range(2):
+                counter.inc()
+                bodies.append(
+                    raw_request(address, b"GET /metrics HTTP/1.1\r\n\r\n")
+                )
+        finally:
+            server.stop()
+        first, second = bodies
         assert "repro_live_total 1" in first
         assert "repro_live_total 2" in second
 

@@ -8,12 +8,18 @@ These tests pin the refusal rules: live sessions and legacy
 healthy, and closing a session frees its slot.
 """
 
+import socket
+import threading
+import time
+
 import pytest
 
 from repro.errors import NetworkError, ServerBusy
 from repro.session import session_scope
-from repro.transport import RetryPolicy, TcpTransport
+from repro.transport import RetryPolicy, TcpTransport, codec
 from repro.transport.server import ENDPOINT_BUSY_METRIC
+
+from tests.faults.conftest import ThreadedEndpoint
 
 FAST = RetryPolicy(
     attempts=2, base_delay=0.01, max_delay=0.02, connect_timeout=1.0,
@@ -96,6 +102,49 @@ class TestAdmission:
         ).value
         # One refusal per delivery attempt under the retry policy.
         assert busy == FAST.attempts
+
+
+class TestConcurrentAdmission:
+    def test_admission_is_atomic_under_threads(self, monkeypatch):
+        """Eight connections race to open eight sessions at an endpoint
+        that admits two: the capacity check and the open are one step,
+        so exactly two win and the other six are refused and counted."""
+        endpoint = ThreadedEndpoint("S1", max_sessions=2)
+        server = endpoint.server
+        opened = server.sessions.get
+
+        def slow_open(*args, **kwargs):
+            time.sleep(0.01)  # widen the window between check and open
+            return opened(*args, **kwargs)
+
+        monkeypatch.setattr(server.sessions, "get", slow_open)
+        barrier = threading.Barrier(8)
+        answers: list[int] = []
+
+        def open_session(index: int) -> None:
+            frame = codec.build_frame(
+                codec.SESSION,
+                codec.encode_value({"op": "open", "session": f"s{index}"}),
+            )
+            with socket.create_connection(endpoint.address, timeout=5) as raw:
+                barrier.wait()
+                raw.sendall(frame)
+                answers.append(codec.recv_frame(raw)[0])
+
+        threads = [
+            threading.Thread(target=open_session, args=(index,))
+            for index in range(8)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert sorted(answers) == [codec.OK] * 2 + [codec.BUSY] * 6
+            assert len(server.sessions) == 2
+            assert server.registry.total(ENDPOINT_BUSY_METRIC) == 6
+        finally:
+            endpoint.close()
 
 
 class TestExplicitSessionFrames:

@@ -1,8 +1,9 @@
 """The TCP client sends on the caller's thread.
 
 Pins the design: a transport with only remote endpoints starts no
-thread; one that hosts endpoints starts exactly one endpoint-host
-thread and leaves none behind; caller threads share the socket pool; a
+thread; one that hosts endpoints starts only its endpoints'
+``repro-endpoint-*`` threads and leaves none behind; caller threads
+share the socket pool; a
 dialled socket has Nagle's algorithm off.  Also covers ``fetch_telemetry``, the one-shot request behind
 ``repro telemetry``.
 """
@@ -33,32 +34,45 @@ def exchange(carrier: TcpTransport) -> None:
         carrier.send("a", "b", "kind", {"n": 1})
 
 
+def client_threads() -> set[threading.Thread]:
+    """Live threads, without the endpoints' own (which a connect to an
+    in-process stand-in endpoint starts on the endpoint's side)."""
+    return {
+        thread for thread in threading.enumerate()
+        if not thread.name.startswith("repro-endpoint-")
+    }
+
+
 class TestClientThreads:
     def test_remote_only_transport_adds_no_thread(self):
         remote = {party: ThreadedEndpoint(party) for party in ("a", "b")}
         try:
-            before = set(threading.enumerate())
+            before = client_threads()
             carrier = TcpTransport(
                 {party: endpoint.address for party, endpoint in remote.items()},
                 retry=FAST,
             )
             exchange(carrier)
-            assert set(threading.enumerate()) == before
+            assert client_threads() == before
             carrier.close()
-            assert set(threading.enumerate()) == before
+            assert client_threads() == before
             assert remote["b"].server.sessions.peek("pin") is None
         finally:
             for endpoint in remote.values():
                 endpoint.close()
 
-    def test_hosting_transport_adds_one_endpoint_thread(self):
+    def test_hosting_transport_adds_only_endpoint_threads(self):
         before = set(threading.enumerate())
         carrier = TcpTransport(retry=FAST)
         try:
             assert set(threading.enumerate()) == before
             exchange(carrier)
-            added = set(threading.enumerate()) - before
-            assert [thread.name for thread in added] == ["repro-tcp-transport"]
+            added = {
+                thread.name for thread in set(threading.enumerate()) - before
+            }
+            acceptors = {"repro-endpoint-a", "repro-endpoint-b"}
+            connections = {f"{name}-conn" for name in acceptors}
+            assert acceptors <= added <= acceptors | connections
         finally:
             carrier.close()
         assert set(threading.enumerate()) == before
@@ -89,10 +103,13 @@ class TestClientThreads:
             sys.setswitchinterval(previous)
 
     def test_dialled_socket_has_nodelay(self):
+        """And so has the end the endpoint accepted."""
         with TcpTransport(retry=FAST) as carrier:
             exchange(carrier)
             [sock] = carrier._pools["b"]
             assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            [accepted] = carrier.local_server("b")._connections
+            assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
 
 def unused_port() -> int:

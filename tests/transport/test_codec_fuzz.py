@@ -7,7 +7,7 @@ a ``RecursionError``, and never returns garbage — a successful decode
 always has the validated shape the caller relies on.
 """
 
-import asyncio
+import socket
 import struct
 
 import pytest
@@ -179,17 +179,16 @@ class TestOversized:
 
 
 class TestStreamFraming:
-    """The asyncio reader half of the contract: a peer that goes away
+    """The socket reader half of the contract: a peer that goes away
     mid-frame surfaces as a typed error, never a hang."""
 
     def read_with(self, data: bytes):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(data)
-            reader.feed_eof()
-            return await codec.read_frame(reader, timeout=1.0)
-
-        return asyncio.run(scenario())
+        reader, writer = socket.socketpair()
+        with reader, writer:
+            reader.settimeout(1.0)
+            writer.sendall(data)
+            writer.shutdown(socket.SHUT_WR)
+            return codec.recv_frame(reader)
 
     def test_connection_closed_mid_header(self):
         with pytest.raises(FrameCodecError, match="mid-frame"):

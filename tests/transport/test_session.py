@@ -160,13 +160,6 @@ class TestLocks:
         assert session.lock.acquire(blocking=False)
         session.lock.release()
 
-    def test_lock_factory_is_pluggable(self):
-        class Sentinel:
-            pass
-
-        registry = SessionRegistry(lock_factory=Sentinel)
-        assert isinstance(registry.open("alpha").lock, Sentinel)
-
     def test_concurrent_access_keeps_distinct_sessions(self):
         registry = SessionRegistry(capacity=DEFAULT_SESSION_CAPACITY)
         errors: list[Exception] = []
