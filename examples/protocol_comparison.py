@@ -1,10 +1,10 @@
 """Section-6-style protocol comparison on a synthetic workload.
 
 Generates a parameterized workload, runs all three delivery protocols
-(plus the footnote variants) on fresh federations, and prints the
-measured comparison table: interaction counts, client-received units,
-traffic, crypto operations and wall-clock seconds — the quantities
-behind the paper's qualitative ranking ("the commutative approach seems
+(DAS at two partitioning granularities) on fresh federations, and
+prints the measured comparison table: interaction counts,
+client-received units, traffic, crypto operations and wall-clock
+seconds — the quantities behind the paper's qualitative ranking ("the commutative approach seems
 to be the most efficient one").
 
 Run:  python examples/protocol_comparison.py [domain_size]
@@ -77,9 +77,7 @@ def main() -> None:
         ("das", DASConfig(buckets=4)),
         ("das", DASConfig(strategy="singleton")),
         ("commutative", CommutativeConfig()),
-        ("commutative", CommutativeConfig(use_tuple_ids=True)),
         ("private-matching", PMConfig()),
-        ("private-matching", PMConfig(payload_mode="inline")),
     ]
     print(
         f"workload: |dom1|=|dom2|={domain}, overlap={domain // 2}, "

@@ -60,7 +60,8 @@ DELIVERY_FLOWS: dict[str, list[tuple[str, str, str]]] = {
     ],
 }
 
-#: Kinds that only appear in certain configurations and may interleave.
+#: Kinds outside the listings' flows, which may interleave with them:
+#: footnote 2's side tables and hardened mode's dummy tuple sets.
 OPTIONAL_KINDS = {"pm_side_table", "pm_side_tables", "commutative_dummies"}
 
 

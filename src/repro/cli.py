@@ -38,7 +38,7 @@ from repro import (
 from repro.analysis import analyze, compare, primitive_profile, render, table1, table2
 from repro.analysis.export import export_run_json
 from repro.core.runner import PROTOCOLS
-from repro.faults import FaultInjector, FaultPlan, FaultyTransport
+from repro.faults import SITE_ACTIONS, FaultInjector, FaultPlan, FaultyTransport
 from repro.mediation.access_control import allow_all
 from repro.mediation.network import Network
 from repro.mediation.client import default_homomorphic_scheme
@@ -365,7 +365,18 @@ def _command_query(args) -> int:
         raise SystemExit("--fault-log requires --fault-plan")
     injector = None
     if args.fault_plan:
-        injector = FaultInjector(FaultPlan.load(args.fault_plan))
+        plan = FaultPlan.load(args.fault_plan)
+        # `query` wires the transport and storage sites only; a rule only
+        # the ChaosProxy site enacts would never fire, and never be logged.
+        wired = SITE_ACTIONS["transport"] | SITE_ACTIONS["storage"]
+        for index, rule in enumerate(plan.rules):
+            if rule.action not in wired:
+                raise SystemExit(
+                    f"--fault-plan rule[{index}] ({rule.action}) needs the "
+                    "ChaosProxy site, which `repro query` does not wire; "
+                    f"supported actions: {', '.join(sorted(wired))}"
+                )
+        injector = FaultInjector(plan)
     transport = None
     if args.transport == "tcp":
         # Mediator and sources must already be listening (``repro

@@ -20,11 +20,15 @@ The commutative protocol (after Agrawal et al. [1], adapted to the MMM):
 8. The client decrypts the tuple sets and builds the global result by
    crossing each matched pair of sets.
 
-Footnote 1 of the paper suggests that, instead of echoing the (possibly
-large) encrypted tuple sets to the opposite datasource, the mediator
-should substitute fixed-length ID values and re-associate them on the
-way back; ``CommutativeConfig(use_tuple_ids=True)`` enables exactly
-that optimization (benchmark A3 measures the traffic it saves).
+Footnote 1 of the paper: the mediator "should refrain from sending the
+encrypted tuples to the opposite datasource for performance as well as
+security reasons".  In step 4 it substitutes a fresh 8-byte ID token for
+every payload and re-associates the tokens in step 7, so a source never
+sees the other source's tuple-set ciphertexts or their sizes.
+
+The mediator is untrusted, so a source keys only a safe-prime modulus
+(:func:`_round_1`): one of :data:`repro.crypto.groups.KNOWN_SAFE_PRIMES`
+by lookup, any other after a full :func:`is_safe_prime` test.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ import hashlib
 import operator
 import random
 import secrets
+import struct
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.core.assembly import combine_tuple_sets
 from repro.core.encapsulation import source_session
@@ -66,6 +71,7 @@ from repro.crypto import commutative as comm
 from repro.crypto import groups, hybrid
 from repro.crypto.engine import CryptoEngine, get_engine
 from repro.crypto.hashes import IdealHash
+from repro.crypto.numtheory import is_safe_prime
 from repro.errors import ProtocolError, StorageError
 from repro.relational.encoding import decode_rows, encode_rows
 from repro.relational.relation import Relation
@@ -80,26 +86,28 @@ from repro.storage.serialize import deserialize_int, serialize_int
 
 _ID_BYTES = 8
 
+#: Moduli a source keys without a primality test.
+_KNOWN_MODULI = frozenset(groups.KNOWN_SAFE_PRIMES.values())
+
 
 @dataclass(frozen=True)
 class CommutativeConfig:
     """Tunable parameters of the commutative delivery phase."""
 
     group_bits: int = groups.TEST_GROUP_BITS
-    #: Footnote-1 optimization: ship fixed-length IDs instead of echoing
-    #: encrypted tuple sets through the opposite datasource.
-    use_tuple_ids: bool = False
-    #: Have the sources verify that the announced group modulus really is
-    #: a safe prime before keying it (costly; off for benchmarks).
-    verify_group: bool = False
 
 
-@dataclass(frozen=True)
-class TaggedMessage:
-    """``<f_e(h(a)), payload>`` — one element of a message set M_i."""
+class TaggedMessage(NamedTuple):
+    """``<f_e(h(a)), payload>`` — one element of a message set M_i.
+
+    A named tuple, the cheapest record to build: :func:`_exchange`, an
+    untimed step, makes one per message of both sets."""
 
     tag: int
     payload: hybrid.HybridCiphertext | bytes  # ciphertext, or ID token
+
+
+_tag_of = operator.attrgetter("tag")
 
 
 def _shuffled(items: list) -> list:
@@ -211,7 +219,6 @@ def _prepare_source(
     group: comm.CommutativeGroup,
     ideal_hash: IdealHash,
     client_keys,
-    config: CommutativeConfig,
     engine: CryptoEngine | None = None,
     cache: IndexCache | None = None,
     hardening=None,
@@ -226,8 +233,6 @@ def _prepare_source(
     source's dummy tuple sets (``_SourceState.dummies``), never cached.
     """
     engine = engine or get_engine()
-    if config.verify_group and not group.verify():
-        raise ProtocolError("announced commutative group failed verification")
     key = _cached_key(cache, relation.name, group)
     key_digest = _key_digest(key) if cache is not None else b""
     grouped = group_by_key(relation, join_attributes)
@@ -334,12 +339,16 @@ def _announce(mediator, sender: str, body: None) -> Outbound:
 
 def _round_1(source, sender: str, body: dict) -> Outbound:
     """Steps 1-3: S_i sends M_i (and, hardened, its dummy tuple sets)."""
-    group = comm.CommutativeGroup(body["modulus"])
+    modulus = body["modulus"]
+    if modulus not in _KNOWN_MODULI and not is_safe_prime(modulus):
+        raise ProtocolError(
+            "announced commutative group modulus is not a safe prime"
+        )
+    group = comm.CommutativeGroup(modulus)
     state, messages = _prepare_source(
         source.relation, source.join_attributes, group,
         IdealHash(group.p, body["hash_tag"]), source.client_keys,
-        source.config, source.engine, cache=source.cache,
-        hardening=source.hardening,
+        source.engine, cache=source.cache, hardening=source.hardening,
     )
     source.key = state.key
     outbound = [(sender, "commutative_m_set", messages)]
@@ -355,28 +364,28 @@ def _keep_dummies(mediator, sender: str, dummies: dict) -> Outbound:
 
 def _exchange(mediator, sender: str, message_sets: dict) -> Outbound:
     """Step 4: each source gets the other's set — S1 first, as it
-    computes first — with ID tokens for the payloads under footnote 1."""
+    computes first — with a fresh ID token in place of every payload
+    (footnote 1).  This step is untimed, so it only attaches the tokens;
+    :func:`_match`, a timed step, builds the table that maps them back."""
     mediator.message_sets = message_sets
-    mediator.id_table = {}
     (source_1, set_1), (source_2, set_2) = message_sets.items()
-    to_2, to_1 = _substitute_ids(mediator, set_1), _substitute_ids(mediator, set_2)
+    tokens = mediator.tokens = _fresh_tokens(len(set_1) + len(set_2))
+    to_2 = list(map(TaggedMessage._make, zip(map(_tag_of, set_1), tokens)))
+    to_1 = list(map(TaggedMessage._make, zip(map(_tag_of, set_2), tokens[len(set_1):])))
     return [
         (source_1, "commutative_exchange", to_1),
         (source_2, "commutative_exchange", to_2),
     ]
 
 
-def _substitute_ids(mediator, messages: list[TaggedMessage]) -> list[TaggedMessage]:
-    if not mediator.config.use_tuple_ids:
-        return messages
-    substituted = []
-    for message in messages:
-        token = secrets.token_bytes(_ID_BYTES)
-        while token in mediator.id_table:
-            token = secrets.token_bytes(_ID_BYTES)
-        mediator.id_table[token] = message.payload
-        substituted.append(TaggedMessage(tag=message.tag, payload=token))
-    return substituted
+def _fresh_tokens(count: int) -> tuple[bytes, ...]:
+    """``count`` distinct random ID tokens, drawn and split as one batch."""
+    while True:
+        tokens = struct.unpack(
+            f"{_ID_BYTES}s" * count, secrets.token_bytes(_ID_BYTES * count)
+        )
+        if len(set(tokens)) == count:  # a repeat (odds ~count²/2^65) redraws
+            return tokens
 
 
 def _round_2(source, sender: str, body: list) -> Outbound:
@@ -389,8 +398,6 @@ def _round_2(source, sender: str, body: list) -> Outbound:
 
 
 def _resolve(mediator, payload):
-    if not mediator.config.use_tuple_ids:
-        return payload
     if payload not in mediator.id_table:
         raise ProtocolError("datasource returned an unknown ID token")
     return mediator.id_table[payload]
@@ -401,6 +408,8 @@ def _match(mediator, sender: str, responses: dict) -> Outbound:
     # S1's responses derive from M_2, so their payloads are Tup_2 sets;
     # S2's payloads are Tup_1 sets.
     response_1, response_2 = responses.values()
+    payloads = [m.payload for messages in mediator.message_sets.values() for m in messages]
+    mediator.id_table = dict(zip(mediator.tokens, payloads))
     tup_2_by_tag = {m.tag: _resolve(mediator, m.payload) for m in response_1}
     mediator.matched = [
         (_resolve(mediator, m.payload), tup_2_by_tag[m.tag])
@@ -485,7 +494,7 @@ def report(
 ) -> None:
     """Global result and artifacts, from the parties' final states."""
     *_, mediator, client = states(parties)
-    result.protocol = "commutative" + ("[ids]" if config.use_tuple_ids else "")
+    result.protocol = "commutative"
     result.global_result = client.global_result
     result.artifacts.update(
         {

@@ -69,7 +69,7 @@ def key_to_int(key: JoinKey, max_bytes: int = 48) -> int:
     if len(encoded) > max_bytes:
         raise EncodingError(
             f"join key encoding of {len(encoded)} bytes exceeds bound "
-            f"{max_bytes}; use the session-key payload variant or a larger "
+            f"{max_bytes}; raise PMConfig.max_key_bytes with a larger "
             "homomorphic modulus"
         )
     return int.from_bytes(b"\x01" + encoded, "big")

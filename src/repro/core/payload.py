@@ -6,14 +6,9 @@ a'_l-value is in the intersection".  In the MMM adaptation the payload is
 the tuple set ``Tup_i(a)``; footnote 2 refines this for large tuple sets:
 *"the session key and an ID value are encrypted in the polynomial whereas
 each tuple set is encrypted with its corresponding session key and mapped
-to the ID value in a table"*.
-
-Both variants are implemented:
-
-* **inline** — the tuple-set bytes ride inside the homomorphic plaintext,
-* **session-key** (default) — a fresh 32-byte session key plus an 8-byte
-  ID token ride inside; the tuple set travels in a side table encrypted
-  under the session key.
+to the ID value in a table"*.  That refinement is the protocol here: the
+payload body is a fresh 32-byte session key plus an 8-byte ID token, and
+the tuple set travels in a side table encrypted under the session key.
 
 Encoding layout (before integer conversion)::
 
@@ -37,7 +32,7 @@ from repro.errors import EncodingError
 _MAGIC = b"PM"
 _CHECK_BYTES = 6
 
-#: Fixed sizes of the session-key variant body.
+#: Fixed sizes of the payload body: session key, then ID token.
 SESSION_KEY_BYTES = 32
 ID_TOKEN_BYTES = 8
 
@@ -58,8 +53,7 @@ def encode_payload(join_key: JoinKey, body: bytes, plaintext_bound: int) -> int:
     """Pack ``(a || body)`` into a homomorphic plaintext integer.
 
     Raises :class:`EncodingError` when the encoding exceeds the scheme's
-    message space — the caller should then switch to the session-key
-    variant or a larger key.
+    message space.
     """
     key_bytes = encode_key(join_key)
     if len(key_bytes) > 0xFFFF:
@@ -78,8 +72,8 @@ def encode_payload(join_key: JoinKey, body: bytes, plaintext_bound: int) -> int:
     if value >= plaintext_bound:
         raise EncodingError(
             f"payload of {len(encoded)} bytes does not fit the homomorphic "
-            f"message space (~{plaintext_bound.bit_length()} bits); use the "
-            "session-key variant or a larger homomorphic key"
+            f"message space (~{plaintext_bound.bit_length()} bits); use a "
+            "larger homomorphic key"
         )
     return value
 
@@ -117,14 +111,8 @@ def decode_payload(value: int) -> DecodedPayload | None:
 
 
 def split_session_body(body: bytes) -> tuple[bytes, bytes]:
-    """Split a session-key-variant body into (session_key, id_token)."""
+    """Split a payload body into (session_key, id_token)."""
     if len(body) != SESSION_KEY_BYTES + ID_TOKEN_BYTES:
         raise EncodingError("malformed session-key payload body")
     return body[:SESSION_KEY_BYTES], body[SESSION_KEY_BYTES:]
 
-
-def payload_capacity(plaintext_bound: int, join_key: JoinKey) -> int:
-    """Largest inline body (bytes) that fits the message space."""
-    overhead = 1 + 2 + 2 + len(encode_key(join_key)) + 3 + _CHECK_BYTES
-    total = (plaintext_bound.bit_length() - 1) // 8  # stay strictly below
-    return max(0, total - overhead)

@@ -18,11 +18,11 @@ The PM protocol (after Freedman, Nissim, Pinkas [12], adapted to the MMM):
    survive exactly for join values in the intersection, and matched pairs
    are combined into the global result.
 
-Footnote 2 (large tuple sets): with ``payload_mode="session_key"`` the
-polynomial carries only a fresh session key and an ID token; the tuple
-set itself is symmetric-encrypted and shipped in a side table via the
-mediator.  The client can open precisely the side-table entries whose
-session keys it recovered — i.e. those in the join.
+Footnote 2 (large tuple sets): the polynomial payload carries only a
+fresh session key and an ID token; the tuple set itself is
+symmetric-encrypted and shipped in a side table via the mediator.  The
+client can open precisely the side-table entries whose session keys it
+recovered — i.e. those in the join.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.core.joinkeys import (
 )
 from repro.core.payload import (
     ID_TOKEN_BYTES,
+    SESSION_KEY_BYTES,
     decode_payload,
     encode_payload,
     split_session_body,
@@ -77,10 +78,6 @@ from repro.relational.encoding import decode_rows, encode_rows
 from repro.relational.relation import Relation, Row
 from repro.storage.base import KIND_PM_COEFFS, IndexCache
 from repro.storage.serialize import deserialize_int_list, serialize_int_list
-
-INLINE_MODE = "inline"
-SESSION_KEY_MODE = "session_key"
-
 
 def _cached_encrypt_polynomial(
     scheme: PaillierScheme,
@@ -152,21 +149,16 @@ def hybrid_fingerprint(public_key: PaillierPublicKey) -> bytes:
 class PMConfig:
     """Tunable parameters of the private-matching delivery phase."""
 
-    payload_mode: str = SESSION_KEY_MODE
     #: Upper bound on the canonical join-key encoding, so roots provably
     #: fit the homomorphic message space.
     max_key_bytes: int = 48
-
-    def __post_init__(self) -> None:
-        if self.payload_mode not in (INLINE_MODE, SESSION_KEY_MODE):
-            raise ProtocolError(f"unknown payload mode {self.payload_mode!r}")
 
 
 @dataclass
 class _SourceState:
     keys: tuple[JoinKey, ...]
     groups: dict[JoinKey, tuple[Row, ...]]
-    #: session-key mode: id token -> symmetric ciphertext of the tuple set.
+    #: id token -> symmetric ciphertext of the tuple set.
     side_table: dict[bytes, bytes]
 
 
@@ -211,31 +203,21 @@ def _evaluate_for_source(
     # The side-table ciphertexts are the only data-sized observables of
     # this protocol (everything else is |domactive|-counted); hardened
     # runs wrap the tuple-set encodings to one uniform length per source.
-    encoded_sets: dict[JoinKey, bytes] = {}
-    if config.payload_mode == SESSION_KEY_MODE:
-        encoded = [encode_rows(state.groups[join_key]) for join_key in state.keys]
-        if hardening is not None:
-            encoded, _ = hardening.wrap_uniform(encoded)
-        encoded_sets = dict(zip(state.keys, encoded))
+    encoded_sets = [encode_rows(state.groups[join_key]) for join_key in state.keys]
+    if hardening is not None:
+        encoded_sets, _ = hardening.wrap_uniform(encoded_sets)
     # Payload encoding and mask drawing stay in the protocol driver (the
     # masks are protocol randomness); the expensive oblivious Horner
     # evaluations run as one engine batch.
     jobs = []
-    for join_key in state.keys:
+    for join_key, encoded_set in zip(state.keys, encoded_sets):
         root = key_to_int(join_key, config.max_key_bytes)
-        rows = state.groups[join_key]
-        if config.payload_mode == INLINE_MODE:
-            body = encode_rows(rows)
-        else:
-            session_key = secrets.token_bytes(32)
+        session_key = secrets.token_bytes(SESSION_KEY_BYTES)
+        token = secrets.token_bytes(ID_TOKEN_BYTES)
+        while token in state.side_table:
             token = secrets.token_bytes(ID_TOKEN_BYTES)
-            while token in state.side_table:
-                token = secrets.token_bytes(ID_TOKEN_BYTES)
-            state.side_table[token] = hybrid.session_encrypt(
-                session_key, encoded_sets[join_key]
-            )
-            body = session_key + token
-        payload = encode_payload(join_key, body, modulus)
+        state.side_table[token] = hybrid.session_encrypt(session_key, encoded_set)
+        payload = encode_payload(join_key, session_key + token, modulus)
         record("random.pm_mask")
         mask = 1 + secrets.randbelow(modulus - 1)
         jobs.append((root, mask, payload))
@@ -250,7 +232,6 @@ def _client_decrypt_side(
     evaluations: list[PaillierCiphertext],
     side_table: dict[bytes, bytes],
     schema,
-    config: PMConfig,
     engine: CryptoEngine | None = None,
     hardening=None,
 ) -> dict[JoinKey, tuple[Row, ...]]:
@@ -263,20 +244,15 @@ def _client_decrypt_side(
         if payload is None:
             continue  # a masked non-match: random value, correctly rejected
         join_key = int_to_key(int.from_bytes(b"\x01" + payload.key_bytes, "big"))
-        if config.payload_mode == INLINE_MODE:
-            rows = decode_rows(payload.body, schema)
-        else:
-            session_key, token = split_session_body(payload.body)
-            if token not in side_table:
-                raise ProtocolError("side table is missing a matched ID token")
-            blob = hybrid.session_decrypt(session_key, side_table[token])
-            if hardening is not None:
-                blob = hardening.unwrap(blob)
-                if blob is None:
-                    raise ProtocolError(
-                        "matched side-table entry decrypted to a dummy"
-                    )
-            rows = decode_rows(blob, schema)
+        session_key, token = split_session_body(payload.body)
+        if token not in side_table:
+            raise ProtocolError("side table is missing a matched ID token")
+        blob = hybrid.session_decrypt(session_key, side_table[token])
+        if hardening is not None:
+            blob = hardening.unwrap(blob)
+            if blob is None:
+                raise ProtocolError("matched side-table entry decrypted to a dummy")
+        rows = decode_rows(blob, schema)
         if join_key in recovered:
             raise ProtocolError(f"duplicate join key {join_key!r} in payloads")
         recovered[join_key] = rows
@@ -331,10 +307,10 @@ def _evaluate(source, sender: str, coefficients: list) -> Outbound:
         source.public_key, source.engine, hardening=source.hardening,
     )
     source.evaluations_sent = len(evaluations)
-    outbound = [(sender, "pm_evaluations", evaluations)]
-    if source.config.payload_mode == SESSION_KEY_MODE:
-        outbound.append((sender, "pm_side_table", source.prepared.side_table))
-    return outbound
+    return [
+        (sender, "pm_evaluations", evaluations),
+        (sender, "pm_side_table", source.prepared.side_table),
+    ]
 
 
 def _forward_evaluations(mediator, sender: str, evaluations: dict) -> Outbound:
@@ -348,12 +324,11 @@ def _forward_side_tables(mediator, sender: str, side_tables: dict) -> Outbound:
 
 def _decrypt_and_match(client, sender: str, body: None) -> Outbound:
     """Step 8: decrypt, keep the well-formed payloads, combine matches."""
-    evaluations, *side_tables = client.inbox
-    tables = side_tables[0] if side_tables else dict.fromkeys(evaluations, {})
+    evaluations, side_tables = client.inbox
     recovered_1, recovered_2 = (
         _client_decrypt_side(
-            client.client, evaluations[name], tables[name], schema,
-            client.config, client.engine, hardening=client.hardening,
+            client.client, evaluations[name], side_tables[name], schema,
+            client.engine, hardening=client.hardening,
         )
         for name, schema in zip(evaluations, client.schemas)
     )
@@ -394,11 +369,6 @@ def seat(
 ) -> tuple[dict, Parties]:
     """Listing 4's table and each party's own state; the sources also
     get the client's homomorphic public key."""
-    if hardening is not None and config.payload_mode == INLINE_MODE:
-        raise ProtocolError(
-            "hardened mode requires the session-key payload mode: inline "
-            "tuple-set payloads have no uniform wrapping path"
-        )
     client = federation.require_client()
     if client.homomorphic_scheme is None:
         raise ProtocolError(
@@ -416,7 +386,7 @@ def report(result: MediationResult, parties: Parties, config: PMConfig) -> None:
     """Global result and artifacts, from the parties' final states."""
     source_1, source_2, mediator, client = states(parties)
     sources = dict(zip(mediator.sources, (source_1, source_2)))
-    result.protocol = f"private-matching[{config.payload_mode}]"
+    result.protocol = "private-matching"
     result.global_result = client.global_result
     result.artifacts.update(
         {

@@ -28,7 +28,7 @@ import secrets
 from dataclasses import dataclass
 
 from repro.crypto import instrumentation
-from repro.crypto.numtheory import is_safe_prime, jacobi, modinv, powmod
+from repro.crypto.numtheory import jacobi, modinv, powmod
 from repro.errors import KeyError_, ParameterError
 
 
@@ -70,10 +70,6 @@ class CommutativeGroup:
         """Uniform random element of QR_p (square of a random unit)."""
         x = 1 + secrets.randbelow(self.p - 1)
         return x * x % self.p
-
-    def verify(self) -> bool:
-        """Full (probabilistic) check that ``p`` really is a safe prime."""
-        return is_safe_prime(self.p)
 
 
 @dataclass(frozen=True)

@@ -54,10 +54,6 @@ class PaillierPublicKey:
     def bits(self) -> int:
         return self.n.bit_length()
 
-    def max_plaintext(self) -> int:
-        """Largest encodable plaintext (exclusive bound is ``n``)."""
-        return self.n - 1
-
 
 @dataclass(frozen=True)
 class PaillierPrivateKey:

@@ -80,24 +80,6 @@ def deadline(seconds: float | None) -> Iterator[Deadline | None]:
         _current_deadline.reset(token)
 
 
-def effective_timeout(timeout: float) -> float:
-    """Shorten a per-operation timeout to the remaining deadline budget.
-
-    Raises :class:`DeadlineExceeded` when the installed deadline has
-    already expired — waiting any longer cannot succeed.
-    """
-    installed = _current_deadline.get()
-    if installed is None:
-        return timeout
-    remaining = installed.remaining()
-    if remaining <= 0:
-        raise DeadlineExceeded(
-            f"deadline of {installed.budget}s exhausted before the "
-            f"operation (timeout {timeout}s) could start"
-        )
-    return min(timeout, remaining)
-
-
 def check_deadline(context: str) -> None:
     """Raise :class:`DeadlineExceeded` if the installed deadline expired."""
     installed = _current_deadline.get()

@@ -6,11 +6,8 @@ Every protocol needs values in some machine form:
   have an unambiguous byte serialization (``encode_row`` /
   ``encode_rows``);
 * the **commutative scheme** hashes join values — ``encode_value`` feeds
-  the ideal hash;
-* the **private-matching scheme** needs join values as *integers* (roots
-  of the polynomial, and the recoverable ``a`` part of the payload) —
-  ``value_to_int`` / ``int_to_value`` give a bijective, type-tagged
-  integer encoding.
+  the ideal hash (through :func:`repro.core.joinkeys.encode_key`, which
+  also gives private matching its integer roots, ``key_to_int``).
 
 All encodings are deterministic and self-delimiting, so two datasources
 independently encode equal values identically — the property that makes
@@ -24,13 +21,6 @@ import json
 from repro.errors import EncodingError
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import AttributeType, Schema, Value
-
-# Type tags for the integer encoding (2 bits of tag in the low byte).
-_TAG_INT = 0x01
-_TAG_STRING = 0x02
-_TAG_BOOL = 0x03
-_TAG_NAMES = {_TAG_INT: "int", _TAG_STRING: "string", _TAG_BOOL: "bool"}
-
 
 def encode_value(value: Value) -> bytes:
     """Canonical, type-disambiguated byte encoding of a single value."""
@@ -149,61 +139,3 @@ def decode_relation(data: bytes) -> Relation:
     )
     rows = decode_rows(data[4 + header_length:], schema)
     return Relation(schema, rows)
-
-
-# ---------------------------------------------------------------------------
-# Integer encoding of join values (private matching)
-# ---------------------------------------------------------------------------
-
-
-def value_to_int(value: Value, max_bytes: int = 64) -> int:
-    """Bijective integer encoding of a join value: ``body || tag``.
-
-    The tag occupies the lowest byte so that distinct types never
-    collide; the body is the canonical byte encoding interpreted
-    big-endian.  ``max_bytes`` bounds the body so the result provably
-    fits the homomorphic message space chosen by the caller.
-    """
-    if isinstance(value, bool):
-        return (int(value) << 8) | _TAG_BOOL
-    if isinstance(value, int):
-        if value < 0:
-            raise EncodingError("negative join values are not supported")
-        body = value
-        tag = _TAG_INT
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        if len(raw) > max_bytes:
-            raise EncodingError(
-                f"string join value exceeds {max_bytes} bytes"
-            )
-        # Prefix a 1-byte so leading zero bytes (and the empty string)
-        # survive the integer round-trip.
-        body = int.from_bytes(b"\x01" + raw, "big")
-        tag = _TAG_STRING
-    else:
-        raise EncodingError(f"cannot encode value of type {type(value).__name__}")
-    encoded = (body << 8) | tag
-    if encoded.bit_length() > 8 * (max_bytes + 2):
-        raise EncodingError("encoded join value exceeds the size bound")
-    return encoded
-
-
-def int_to_value(encoded: int) -> Value:
-    """Inverse of :func:`value_to_int`."""
-    if encoded < 0:
-        raise EncodingError("negative encoded value")
-    tag = encoded & 0xFF
-    body = encoded >> 8
-    if tag == _TAG_INT:
-        return body
-    if tag == _TAG_BOOL:
-        if body not in (0, 1):
-            raise EncodingError("invalid boolean encoding")
-        return bool(body)
-    if tag == _TAG_STRING:
-        raw = body.to_bytes((body.bit_length() + 7) // 8, "big")
-        if not raw.startswith(b"\x01"):
-            raise EncodingError("invalid string encoding prefix")
-        return raw[1:].decode("utf-8")
-    raise EncodingError(f"unknown value tag {tag}")

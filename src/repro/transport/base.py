@@ -74,9 +74,6 @@ class PartyView:
     received: list[Message] = field(default_factory=list)
     notes: dict[str, Any] = field(default_factory=dict)
 
-    def observed_messages(self) -> list[Message]:
-        return sorted(self.sent + self.received, key=lambda m: m.sequence)
-
     def received_kinds(self) -> list[str]:
         return [message.kind for message in self.received]
 
@@ -234,10 +231,3 @@ def interaction_count(messages: Iterable[Message], a: str, b: str) -> int:
             interactions += 1
         previous_sender = message.sender
     return interactions
-
-
-def link_traffic_table(
-    transport: Transport, pairs: Iterable[tuple[str, str]]
-) -> dict:
-    """Bytes per link, for reporting."""
-    return {f"{a}<->{b}": transport.bytes_between(a, b) for a, b in pairs}

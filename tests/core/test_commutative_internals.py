@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core.commutative import (
-    CommutativeConfig,
     TaggedMessage,
     _double_encrypt,
     _prepare_source,
+    _round_1,
     _shuffled,
 )
 from repro.crypto import commutative as comm
@@ -35,7 +35,6 @@ class TestPrepareSource:
     def test_one_message_per_active_value(self, group, ideal_hash, rsa_key):
         state, messages = _prepare_source(
             R, ("k",), group, ideal_hash, [rsa_key.public_key()],
-            CommutativeConfig(),
         )
         assert len(messages) == 3  # active domain {1, 2, 3}
         assert len(state.tuple_ciphertexts) == 3
@@ -43,32 +42,26 @@ class TestPrepareSource:
     def test_tags_are_group_elements(self, group, ideal_hash, rsa_key):
         _, messages = _prepare_source(
             R, ("k",), group, ideal_hash, [rsa_key.public_key()],
-            CommutativeConfig(),
         )
         assert all(group.contains(m.tag) for m in messages)
 
     def test_tags_distinct(self, group, ideal_hash, rsa_key):
         _, messages = _prepare_source(
             R, ("k",), group, ideal_hash, [rsa_key.public_key()],
-            CommutativeConfig(),
         )
         assert len({m.tag for m in messages}) == len(messages)
 
-    def test_group_verification_failure(self, ideal_hash, rsa_key):
-        bogus = comm.CommutativeGroup(2163)  # composite, 3 mod 4
-        with pytest.raises(ProtocolError):
-            _prepare_source(
-                R, ("k",), bogus, IdealHash(bogus.p),
-                [rsa_key.public_key()],
-                CommutativeConfig(verify_group=True),
-            )
+    def test_group_verification_failure(self):
+        # Refused before the source's state is touched.
+        for bogus in (2163, 2161):  # composite, 3 mod 4; prime, 1 mod 4
+            with pytest.raises(ProtocolError, match="not a safe prime"):
+                _round_1(None, "mediator", {"modulus": bogus, "hash_tag": b""})
 
 
 class TestDoubleEncrypt:
     def test_payloads_preserved(self, group, ideal_hash, rsa_key):
         state, messages = _prepare_source(
             R, ("k",), group, ideal_hash, [rsa_key.public_key()],
-            CommutativeConfig(),
         )
         other_key = comm.generate_key(group)
         doubled = _double_encrypt(messages, other_key)
@@ -79,7 +72,6 @@ class TestDoubleEncrypt:
     def test_tags_transformed(self, group, ideal_hash, rsa_key):
         _, messages = _prepare_source(
             R, ("k",), group, ideal_hash, [rsa_key.public_key()],
-            CommutativeConfig(),
         )
         other_key = comm.generate_key(group)
         doubled = _double_encrypt(messages, other_key)
@@ -92,7 +84,6 @@ class TestDoubleEncrypt:
         one outside QR_p fails the batch."""
         _, messages = _prepare_source(
             R, ("k",), group, ideal_hash, [rsa_key.public_key()],
-            CommutativeConfig(),
         )
         non_residue = next(x for x in range(2, 1000) if not group.contains(x))
         messages[1] = TaggedMessage(tag=non_residue, payload=messages[1].payload)

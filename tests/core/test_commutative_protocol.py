@@ -2,10 +2,18 @@
 
 import pytest
 
-from repro import CommutativeConfig, run_join_query
+from repro import CommutativeConfig, Federation, run_join_query
+from repro.core import commutative
 from repro.core.joinkeys import active_key_domain
+from repro.crypto.commutative import CommutativeGroup
+from repro.crypto.groups import KNOWN_SAFE_PRIMES
+from repro.crypto.numtheory import generate_safe_prime
+from repro.errors import ProtocolError
+from repro.mediation.access_control import allow_all
+from repro.mediation.network import ENVELOPE_BYTES, Network
 from repro.relational.algebra import natural_join
 from repro.relational.datagen import WorkloadSpec, generate
+from repro.transport import TcpTransport
 
 QUERY = "select * from R1 natural join R2"
 
@@ -19,15 +27,6 @@ class TestCorrectness:
     def test_matches_reference(self, make_federation, workload, expected):
         result = run_join_query(
             make_federation(workload), QUERY, protocol="commutative"
-        )
-        assert result.global_result == expected
-
-    def test_with_tuple_ids(self, make_federation, workload, expected):
-        result = run_join_query(
-            make_federation(workload),
-            QUERY,
-            protocol="commutative",
-            config=CommutativeConfig(use_tuple_ids=True),
         )
         assert result.global_result == expected
 
@@ -89,12 +88,34 @@ class TestCorrectness:
         )
         assert result.global_result == expected
 
-    def test_group_verification_enabled(self, make_federation, workload, expected):
+
+class TestAnnouncedGroup:
+    """The mediator is untrusted: a source keys only a safe-prime modulus,
+    and no config flag turns the check off."""
+
+    def test_non_safe_prime_modulus_refused(
+        self, make_federation, workload, monkeypatch
+    ):
+        bogus = CommutativeGroup(2163)  # 3 * 7 * 103, and 3 mod 4
+        monkeypatch.setattr(
+            commutative.groups, "commutative_group", lambda bits: bogus
+        )
+        with pytest.raises(ProtocolError, match="not a safe prime"):
+            run_join_query(
+                make_federation(workload), QUERY, protocol="commutative"
+            )
+
+    def test_unlisted_safe_prime_accepted(
+        self, make_federation, workload, expected, monkeypatch
+    ):
+        modulus = generate_safe_prime(80)
+        assert modulus not in KNOWN_SAFE_PRIMES.values()
+        monkeypatch.setattr(
+            commutative.groups, "commutative_group",
+            lambda bits: CommutativeGroup(modulus),
+        )
         result = run_join_query(
-            make_federation(workload),
-            QUERY,
-            protocol="commutative",
-            config=CommutativeConfig(verify_group=True),
+            make_federation(workload), QUERY, protocol="commutative"
         )
         assert result.global_result == expected
 
@@ -116,20 +137,13 @@ class TestArtifacts:
         dom_2 = set(workload.relation_2.active_domain("k"))
         assert result.artifacts["intersection_size"] == len(dom_1 & dom_2)
 
-    def test_id_table_only_in_ids_mode(self, make_federation, workload):
-        plain = run_join_query(
+    def test_id_table_covers_both_message_sets(self, make_federation, workload):
+        result = run_join_query(
             make_federation(workload), QUERY, protocol="commutative"
         )
-        with_ids = run_join_query(
-            make_federation(workload),
-            QUERY,
-            protocol="commutative",
-            config=CommutativeConfig(use_tuple_ids=True),
-        )
-        assert plain.artifacts["id_table_entries"] == 0
-        assert with_ids.artifacts["id_table_entries"] == (
-            plain.artifacts["active_domain_sizes"]["S1"]
-            + plain.artifacts["active_domain_sizes"]["S2"]
+        assert result.artifacts["id_table_entries"] == (
+            len(workload.relation_1.active_domain("k"))
+            + len(workload.relation_2.active_domain("k"))
         )
 
 
@@ -167,17 +181,61 @@ class TestProtocolShape:
         for source in ("S1", "S2"):
             assert result.network.interaction_count(source, "mediator") == 2
 
-    def test_id_optimization_reduces_traffic(self, make_federation, workload):
-        plain = run_join_query(
+    def test_exchange_carries_tags_and_tokens_only(
+        self, make_federation, workload
+    ):
+        """Footnote 1's performance reason: step 4 relays the tags plus
+        one 8-byte token each, so it costs less than the M_i it relays."""
+        result = run_join_query(
             make_federation(workload), QUERY, protocol="commutative"
         )
-        with_ids = run_join_query(
-            make_federation(workload),
-            QUERY,
-            protocol="commutative",
-            config=CommutativeConfig(use_tuple_ids=True),
+        m_sets = {
+            m.sender: m for m in result.network.messages_of_kind("commutative_m_set")
+        }
+        exchanges = result.network.messages_of_kind("commutative_exchange")
+        assert [m.receiver for m in exchanges] == ["S1", "S2"]
+        for exchange, relayed in zip(exchanges, (m_sets["S2"], m_sets["S1"])):
+            assert exchange.size_bytes == ENVELOPE_BYTES + sum(
+                max(1, (m.tag.bit_length() + 7) // 8) + 8 for m in exchange.body
+            )
+            assert exchange.size_bytes < relayed.size_bytes
+            assert len(exchange.body) == len(relayed.body)
+
+    @pytest.mark.parametrize("carrier", ["bus", "tcp"])
+    @pytest.mark.parametrize("hardened", [False, True], ids=["plain", "hardened"])
+    def test_sources_receive_id_tokens_not_ciphertexts(
+        self, ca, client, workload, carrier, hardened
+    ):
+        """Footnote 1's security reason: a source never sees the other
+        source's tuple-set ciphertexts, nor their sizes."""
+        network = TcpTransport() if carrier == "tcp" else Network()
+        try:
+            federation = Federation(ca=ca, network=network)
+            federation.add_source("S1", [(workload.relation_1, allow_all())])
+            federation.add_source("S2", [(workload.relation_2, allow_all())])
+            federation.attach_client(client)
+            result = run_join_query(
+                federation, QUERY, protocol="commutative",
+                hardening=True if hardened else None,
+            )
+        finally:
+            network.close()
+        assert result.global_result == natural_join(
+            workload.relation_1, workload.relation_2
         )
-        assert with_ids.total_bytes() < plain.total_bytes()
+        for source in ("S1", "S2"):
+            received = [
+                m for m in result.network.view(source).received
+                if m.kind == "commutative_exchange"
+            ]
+            assert len(received) == 1
+            payloads = [message.payload for message in received[0].body]
+            assert payloads
+            # Never a HybridCiphertext: an opaque 8-byte token each.
+            assert all(
+                type(payload) is bytes and len(payload) == 8
+                for payload in payloads
+            )
 
     def test_m_set_counts_equal_active_domains(self, make_federation, workload):
         result = run_join_query(

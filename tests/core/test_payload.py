@@ -71,17 +71,3 @@ class TestSessionBody:
         with pytest.raises(EncodingError):
             payload.split_session_body(b"short")
 
-
-class TestCapacity:
-    def test_capacity_is_tight(self):
-        key = (12345,)
-        capacity = payload.payload_capacity(BOUND, key)
-        # A body exactly at capacity fits; one byte over does not.
-        assert payload.decode_payload(
-            payload.encode_payload(key, b"x" * capacity, BOUND)
-        )
-        with pytest.raises(EncodingError):
-            payload.encode_payload(key, b"x" * (capacity + 1), BOUND)
-
-    def test_tiny_bound_capacity_zero(self):
-        assert payload.payload_capacity(1 << 64, (1,)) == 0

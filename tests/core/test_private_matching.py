@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import PMConfig, run_join_query, setup_client
+from repro import run_join_query, setup_client
 from repro.errors import ProtocolError
 from repro.relational.algebra import natural_join
 from repro.relational.datagen import WorkloadSpec, generate
@@ -19,15 +19,6 @@ class TestCorrectness:
     def test_session_key_mode(self, make_federation, workload, expected):
         result = run_join_query(
             make_federation(workload), QUERY, protocol="private-matching"
-        )
-        assert result.global_result == expected
-
-    def test_inline_mode(self, make_federation, workload, expected):
-        result = run_join_query(
-            make_federation(workload),
-            QUERY,
-            protocol="private-matching",
-            config=PMConfig(payload_mode="inline"),
         )
         assert result.global_result == expected
 
@@ -149,10 +140,6 @@ class TestRequirements:
         with pytest.raises(ProtocolError):
             run_join_query(federation, QUERY, protocol="private-matching")
 
-    def test_bad_payload_mode_rejected(self):
-        with pytest.raises(ProtocolError):
-            PMConfig(payload_mode="nope")
-
 
 class TestArtifacts:
     def test_polynomial_degrees_equal_domain_sizes(self, make_federation, workload):
@@ -192,17 +179,6 @@ class TestProtocolShape:
         assert kinds.count("pm_encrypted_coefficients") == 4  # 2 in, 2 out
         assert kinds.count("pm_side_table") == 2
         assert kinds[-1] == "pm_side_tables"
-
-    def test_flow_kinds_inline_mode(self, make_federation, workload):
-        result = run_join_query(
-            make_federation(workload),
-            QUERY,
-            protocol="private-matching",
-            config=PMConfig(payload_mode="inline"),
-        )
-        kinds = [m.kind for m in result.network.transcript]
-        assert "pm_side_table" not in kinds
-        assert "pm_side_tables" not in kinds
 
     def test_client_interacts_once(self, make_federation, workload, client):
         result = run_join_query(

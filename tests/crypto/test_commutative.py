@@ -31,13 +31,6 @@ class TestGroup:
         with pytest.raises(ParameterError):
             comm.CommutativeGroup(29)
 
-    def test_verify_known_safe_prime(self, group):
-        assert group.verify()
-
-    def test_verify_rejects_composite(self):
-        bogus = comm.CommutativeGroup(23 * 47 * 2 + 1)  # 2163: 3 mod 4 shape
-        assert not bogus.verify()
-
     def test_membership(self, group):
         element = group.random_element()
         assert group.contains(element)

@@ -29,7 +29,7 @@ PROTOCOL_MATRIX = [
     ("das", DASConfig(strategy="singleton")),
     ("das", DASConfig(setting="mediator")),
     ("commutative", CommutativeConfig()),
-    ("commutative", CommutativeConfig(use_tuple_ids=True)),
+    ("commutative", CommutativeConfig(group_bits=256)),
     ("private-matching", PMConfig()),
 ]
 
@@ -77,26 +77,6 @@ def test_protocol_equals_reference_join(ca, client, spec, protocol, config):
     federation = build_federation(ca, client, workload)
     result = run_join_query(federation, QUERY, protocol=protocol, config=config)
     assert result.global_result == expected
-
-
-def test_pm_inline_mode_with_narrow_tuples(ca, client):
-    """Inline payloads fit the 768-bit test key only for narrow tuple
-    sets — the exact size pressure footnote 2 responds to (see also the
-    A2 ablation benchmark)."""
-    spec = WorkloadSpec(
-        domain_1=5, domain_2=5, overlap=3,
-        rows_per_value_1=1, rows_per_value_2=1,
-        payload_attributes=1, payload_width=4, seed=21,
-    )
-    workload = generate(spec)
-    federation = build_federation(ca, client, workload)
-    result = run_join_query(
-        federation, QUERY, protocol="private-matching",
-        config=PMConfig(payload_mode="inline"),
-    )
-    assert result.global_result == natural_join(
-        workload.relation_1, workload.relation_2
-    )
 
 
 @pytest.mark.parametrize("protocol", ["das", "commutative", "private-matching"])

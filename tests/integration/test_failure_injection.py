@@ -98,16 +98,13 @@ class TestProtocolMisconfiguration:
         a silent empty result, never a wrong one."""
         group = groups.commutative_group(128)
         keys = client.credential_public_keys()
-        from repro.core.commutative import CommutativeConfig
-
-        config = CommutativeConfig()
         _, messages_1 = _prepare_source(
             workload.relation_1, ("k",), group,
-            IdealHash(group.p, tag=b"oracle-A"), keys, config,
+            IdealHash(group.p, tag=b"oracle-A"), keys,
         )
         state_2, _ = _prepare_source(
             workload.relation_2, ("k",), group,
-            IdealHash(group.p, tag=b"oracle-B"), keys, config,
+            IdealHash(group.p, tag=b"oracle-B"), keys,
         )
         from repro.crypto import commutative as comm
 
@@ -116,7 +113,7 @@ class TestProtocolMisconfiguration:
         # With mismatched oracles, no tag can coincide.
         _, messages_2 = _prepare_source(
             workload.relation_2, ("k",), group,
-            IdealHash(group.p, tag=b"oracle-B"), keys, config,
+            IdealHash(group.p, tag=b"oracle-B"), keys,
         )
         tags_2 = {comm.apply(state_2.key, m.tag) for m in messages_2}
         assert not (tags_1 & tags_2)

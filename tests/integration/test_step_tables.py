@@ -65,7 +65,7 @@ def commutative(hardened: bool):
     ]
     keys = ["active_domain_sizes", "id_table_entries", "intersection_size"]
     counts = {"active_domain_sizes": {"S1": 6, "S2": 6},
-              "id_table_entries": 0, "intersection_size": 3}
+              "id_table_entries": 12, "intersection_size": 3}
     if hardened:
         keys += ["dummy_pairs_discarded", "hardening"]
         counts["dummy_pairs_discarded"] = 3

@@ -108,42 +108,3 @@ class TestRelationEncoding:
         with pytest.raises(EncodingError):
             encoding.decode_relation(b"\x00\x00")
 
-
-class TestIntEncoding:
-    @pytest.mark.parametrize(
-        "value", [0, 1, 255, 10**12, "", "a", "héllo wörld", True, False]
-    )
-    def test_round_trip(self, value):
-        assert encoding.int_to_value(encoding.value_to_int(value)) == value
-
-    @given(value_strategy)
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip_property(self, value):
-        if isinstance(value, int) and not isinstance(value, bool) and value < 0:
-            with pytest.raises(EncodingError):
-                encoding.value_to_int(value)
-            return
-        if isinstance(value, str) and len(value.encode("utf-8")) > 64:
-            # max_size=30 characters can exceed the 64-*byte* bound in
-            # UTF-8; the encoder must refuse rather than truncate.
-            with pytest.raises(EncodingError):
-                encoding.value_to_int(value)
-            return
-        assert encoding.int_to_value(encoding.value_to_int(value)) == value
-
-    def test_injective_across_types(self):
-        values = [0, 1, "0", "1", True, False, "", 256]
-        encoded = {encoding.value_to_int(v) for v in values}
-        assert len(encoded) == len(values)
-
-    def test_size_bound(self):
-        with pytest.raises(EncodingError):
-            encoding.value_to_int("x" * 100, max_bytes=10)
-
-    def test_unknown_tag(self):
-        with pytest.raises(EncodingError):
-            encoding.int_to_value(0xFF)
-
-    def test_negative_rejected(self):
-        with pytest.raises(EncodingError):
-            encoding.int_to_value(-1)

@@ -105,6 +105,26 @@ class TestWorkloadAndQuery:
         joined = csvio.load("J", result_path)
         assert joined.schema.names() == ("k",)
 
+    @pytest.mark.parametrize("action", ["duplicate", "truncate", "reset"])
+    def test_proxy_only_fault_rule_is_refused(self, tmp_path, capsys, action):
+        """`query` wires no ChaosProxy, so a rule only the proxy enacts
+        would never fire: the command names it and stops before running."""
+        out1 = str(tmp_path / "r1.csv")
+        out2 = str(tmp_path / "r2.csv")
+        main(["workload", out1, out2, *FAST_WORKLOAD])
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"seed": 1, "rules": [
+            {"action": "drop", "max_triggers": 1},
+            {"action": action, "kind": "commutative_m_set"},
+        ]}))
+        log = tmp_path / "faults.log"
+        with pytest.raises(SystemExit) as stopped:
+            main(["query", out1, out2, "--fault-plan", str(plan),
+                  "--fault-log", str(log),
+                  "--rsa-bits", "1024", "--paillier-bits", "768"])
+        assert f"rule[1] ({action})" in str(stopped.value.code)
+        assert not log.exists()
+
     def test_missing_command(self):
         with pytest.raises(SystemExit):
             main([])
