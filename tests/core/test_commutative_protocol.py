@@ -119,6 +119,18 @@ class TestAnnouncedGroup:
         )
         assert result.global_result == expected
 
+    def test_listed_modulus_skips_primality_test(
+        self, make_federation, workload, expected, monkeypatch
+    ):
+        def refuse(modulus, *args, **kwargs):
+            raise AssertionError("listed modulus was re-tested")
+
+        monkeypatch.setattr(commutative, "is_safe_prime", refuse)
+        result = run_join_query(
+            make_federation(workload), QUERY, protocol="commutative"
+        )
+        assert result.global_result == expected
+
 
 class TestArtifacts:
     def test_active_domain_sizes(self, make_federation, workload):

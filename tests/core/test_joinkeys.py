@@ -86,3 +86,51 @@ class TestEncoding:
             joinkeys.int_to_key(0)
         with pytest.raises(EncodingError):
             joinkeys.int_to_key(2)  # missing sentinel
+
+
+def _raw_root(*fields: bytes) -> int:
+    """A root built by hand from already-tagged field encodings."""
+    parts = [b"\x01", len(fields).to_bytes(2, "big")]
+    for field in fields:
+        parts += [len(field).to_bytes(4, "big"), field]
+    return int.from_bytes(b"".join(parts), "big")
+
+
+class TestIntRoots:
+    """``key_to_int`` / ``int_to_key`` on single values: the integer roots
+    private matching puts into its polynomials."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, 1, 255, 10**12, -7, "", "a", "héllo wörld", True, False],
+    )
+    def test_single_value_round_trip(self, value):
+        decoded = joinkeys.int_to_key(joinkeys.key_to_int((value,)))
+        assert decoded == (value,)
+        assert type(decoded[0]) is type(value)
+
+    def test_injective_across_types(self):
+        values = [0, 1, "0", "1", True, False, "", 256]
+        roots = {joinkeys.key_to_int((value,)) for value in values}
+        assert len(roots) == len(values)
+
+    def test_hand_built_root_decodes(self):
+        assert joinkeys.int_to_key(_raw_root(b"i42", b"sab")) == (42, "ab")
+
+    def test_unknown_value_tag_rejected(self):
+        with pytest.raises(EncodingError, match="tag"):
+            joinkeys.int_to_key(_raw_root(b"x1"))
+
+    def test_negative_rejected(self):
+        with pytest.raises(EncodingError):
+            joinkeys.int_to_key(-1)
+
+    def test_trailing_bytes_rejected(self):
+        root = joinkeys.key_to_int((7,))
+        with pytest.raises(EncodingError, match="trailing"):
+            joinkeys.int_to_key(root << 8)
+
+    def test_truncated_field_rejected(self):
+        root = joinkeys.key_to_int(("abc",))
+        with pytest.raises(EncodingError, match="truncated"):
+            joinkeys.int_to_key(root >> 8)
