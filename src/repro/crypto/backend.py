@@ -22,6 +22,12 @@ through ``mpz_t`` registers kept per thread.  ``ctypes`` releases the
 GIL for the length of each foreign call.  ``mpz_powm_sec`` needs an odd
 modulus and a positive exponent (it aborts the process otherwise), so
 every other input stays on ``pow()`` inside the same function.
+
+The one bigint product that is not an exponentiation, the Paillier
+nonce's fixed-base product (:mod:`repro.crypto.paillier`), runs on the
+same library as ``gmp.fixed_base_power`` over a table pinned once per
+key, with :func:`repro.crypto.paillier._fixed_base_power` the path of a
+host without it.
 """
 
 from __future__ import annotations
@@ -32,6 +38,13 @@ from contextlib import contextmanager
 from typing import Any, Iterator, Sequence
 
 from repro.errors import ParameterError
+
+
+#: Digit width of the fixed-base product (Yao's method): a table of
+#: ``ceil(k / w)`` powers serves every ``k``-bit exponent, with ``2^w - 1``
+#: buckets.  :mod:`repro.crypto.paillier` builds its nonce table for it.
+FIXED_BASE_WINDOW = 5
+_DIGIT_MASK = (1 << FIXED_BASE_WINDOW) - 1
 
 
 class _Mpz(ctypes.Structure):
@@ -46,8 +59,10 @@ class _Mpz(ctypes.Structure):
 
 class _Gmp:
     """The GMP functions this module calls, bound with their C signatures,
-    and the two operations built on them.  Each thread gets four ``mpz_t``
-    registers of its own."""
+    and the operations built on them.  Each thread gets ``mpz_t``
+    registers of its own (:class:`_Registers`, :class:`_Buckets`);
+    constants read on every call can be pinned in registers of their own
+    (:meth:`pin`)."""
 
     def __init__(self, library: ctypes.CDLL) -> None:
         mpz = ctypes.POINTER(_Mpz)
@@ -71,9 +86,14 @@ class _Gmp:
             ctypes.c_void_p, ctypes.POINTER(size_t), ctypes.c_int, size_t,
             ctypes.c_int, size_t, mpz,
         )
+        self.mpz_sizeinbase = bind("__gmpz_sizeinbase", size_t, mpz, ctypes.c_int)
+        self.mpz_set = bind("__gmpz_set", None, mpz, mpz)
+        self.mpz_mul = bind("__gmpz_mul", None, mpz, mpz, mpz)
+        self.mpz_mod = bind("__gmpz_mod", None, mpz, mpz, mpz)
         self.mpz_powm_sec = bind("__gmpz_powm_sec", None, mpz, mpz, mpz, mpz)
         self.mpz_jacobi = bind("__gmpz_jacobi", ctypes.c_int, mpz, mpz)
         self.registers = _Registers(self)
+        self.buckets = _Buckets(self)
 
     def powmod(self, base: int, exponent: int, modulus: int) -> int:
         """``mpz_powm_sec``: needs ``0 <= base``, ``exponent > 0`` and an
@@ -83,10 +103,7 @@ class _Gmp:
         self._load(registers.b, exponent)
         self._load(registers.c, modulus)
         self.mpz_powm_sec(registers.out, registers.a, registers.b, registers.c)
-        buffer = ctypes.create_string_buffer((modulus.bit_length() + 7) // 8)
-        count = ctypes.c_size_t()
-        self.mpz_export(buffer, count, -1, 1, 0, 0, registers.out)
-        return int.from_bytes(buffer.raw[: count.value], "little")
+        return self._export(registers.out, (modulus.bit_length() + 7) // 8)
 
     def jacobi(self, a: int, n: int) -> int:
         """``mpz_jacobi`` for ``0 <= a`` and odd ``n > 0``."""
@@ -95,10 +112,78 @@ class _Gmp:
         self._load(registers.b, n)
         return int(self.mpz_jacobi(registers.a, registers.b))
 
+    def pin(self, values: Sequence[int]) -> tuple[_Register, ...]:
+        """``values`` (each ``>= 0``) held as registers of their own, for
+        constants read on every call; each is cleared when collected."""
+        pinned = tuple(_Register(self) for _ in values)
+        for register, value in zip(pinned, values):
+            self._load(register, value)
+        return pinned
+
+    def fixed_base_power(
+        self,
+        table: Sequence[_Register],
+        exponent: int,
+        modulus: _Register,
+    ) -> int:
+        """``table[0]^exponent mod modulus`` for a pinned table
+        ``table[i] = table[0]^(2^(w*i))`` and ``0 <= exponent <
+        2^(w * len(table))`` (``w`` = :data:`FIXED_BASE_WINDOW`).
+
+        Yao's bucket method, as :func:`repro.crypto.paillier.
+        _fixed_base_power` runs it on Python integers: the digits of
+        ``exponent`` are read in Python, every product is ``mpz_mul`` then
+        ``mpz_mod`` on this thread's bucket registers, and only the result
+        crosses back.  Which buckets fill depends on the digits, so the
+        time does too.
+        """
+        if not 0 <= exponent < 1 << (FIXED_BASE_WINDOW * len(table)):
+            raise ParameterError(
+                f"fixed-base exponent outside [0, 2^{FIXED_BASE_WINDOW * len(table)})"
+            )
+        buckets, filled = self.buckets.registers, [False] * (_DIGIT_MASK + 1)
+        for entry in table:
+            digit = exponent & _DIGIT_MASK
+            if digit:
+                self._accumulate(buckets[digit], filled[digit], entry, modulus)
+                filled[digit] = True
+            exponent >>= FIXED_BASE_WINDOW
+        # prod_j bucket_j^j as two running products, from the top bucket.
+        running, result = self.registers.a, self.registers.out
+        running_set = result_set = False
+        for digit in range(_DIGIT_MASK, 0, -1):
+            if filled[digit]:
+                self._accumulate(running, running_set, buckets[digit], modulus)
+                running_set = True
+            if running_set:
+                self._accumulate(result, result_set, running, modulus)
+                result_set = True
+        if not result_set:  # no nonzero digit, as the Python product
+            return 1
+        return self._export(result, self.mpz_sizeinbase(modulus, 256))
+
+    def _accumulate(
+        self, target: _Mpz, holds_value: bool, factor: _Mpz, modulus: _Mpz
+    ) -> None:
+        """``target = target * factor mod modulus``, or ``target = factor``
+        while ``target`` holds no value yet (an empty product is 1)."""
+        if holds_value:
+            self.mpz_mul(target, target, factor)
+            self.mpz_mod(target, target, modulus)
+        else:
+            self.mpz_set(target, factor)
+
     def _load(self, register: _Mpz, value: int) -> None:
         """``register = value`` for ``value >= 0``."""
         data = value.to_bytes((value.bit_length() + 7) // 8, "little")
         self.mpz_import(register, len(data), -1, 1, 0, 0, data)
+
+    def _export(self, register: _Mpz, size: int) -> int:
+        """The value of ``register`` (``>= 0``, at most ``size`` bytes)."""
+        buffer = ctypes.create_string_buffer(size)
+        count = ctypes.c_size_t()
+        self.mpz_export(buffer, count, -1, 1, 0, 0, register)
+        return int.from_bytes(buffer.raw[: count.value], "little")
 
 
 class _Register(_Mpz):
@@ -118,6 +203,15 @@ class _Registers(threading.local):
 
     def __init__(self, library: _Gmp) -> None:
         self.a, self.b, self.c, self.out = (_Register(library) for _ in range(4))
+
+
+class _Buckets(threading.local):
+    """The ``2^w - 1`` bucket registers of :meth:`_Gmp.fixed_base_power`
+    per thread, indexed by digit (``registers[0]`` is never used), made on
+    the thread's first product: threads that never encrypt make none."""
+
+    def __init__(self, library: _Gmp) -> None:
+        self.registers = tuple(_Register(library) for _ in range(_DIGIT_MASK + 1))
 
 
 #: GMP 5 and 6 by soname (Linux, macOS).  Opened by name rather than

@@ -16,7 +16,12 @@ The nonce is the Damgard–Jurik–Nielsen form ``h_n^s mod n^2``: ``h_n =
 fixed-base table built once per process — a few hundred
 multiplications where the textbook ``r^n`` pays ``|n|`` squarings.  It
 is the one encryption path; the assumption it adds to DCR is stated in
-``docs/security.md``.
+``docs/security.md``.  The product runs on GMP (``backend.gmp.
+fixed_base_power``, over a copy of the table pinned once per key) when
+the host has the library, and on Python integers
+(:func:`_fixed_base_power`) otherwise: the same integer either way, so
+a given ``s`` gives the same ciphertext.  Either way the digits of the
+secret ``s`` choose which products run: the nonce is not constant-time.
 
 Decryption is the standard CRT form — work modulo ``p^2`` and ``q^2``
 with half-size exponents and recombine — on every key: a private key
@@ -35,7 +40,7 @@ import secrets
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.crypto import instrumentation
+from repro.crypto import backend, instrumentation
 from repro.crypto.numtheory import generate_prime, lcm, modinv, powmod, random_coprime
 from repro.errors import DecryptionError, EncryptionError, KeyError_, ParameterError
 
@@ -134,9 +139,7 @@ def encrypt(public_key: PaillierPublicKey, plaintext: int) -> PaillierCiphertext
     instrumentation.record("paillier.encrypt")
     instrumentation.record("random.paillier_nonce")
     n_sq = public_key.n_squared
-    nonce = _fixed_base_power(
-        _nonce_table(n), secrets.randbits(_nonce_bits(n)), n_sq
-    )
+    nonce = _nonce(n, secrets.randbits(_nonce_bits(n)))
     value = (1 + plaintext * n) % n_sq * nonce % n_sq
     return PaillierCiphertext(value, public_key)
 
@@ -146,9 +149,20 @@ def _nonce_bits(n: int) -> int:
     return (n.bit_length() + 1) // 2
 
 
+def _nonce(n: int, s: int) -> int:
+    """``h_n^s mod n^2`` off the key's table: on GMP where the library is
+    loaded (looked up at call time, as ``powmod`` does), on Python
+    integers otherwise."""
+    library = backend.gmp
+    if library is None:
+        return _fixed_base_power(_nonce_table(n), s, n * n)
+    table, modulus = _pinned_nonce_table(library, n)
+    return library.fixed_base_power(table, s, modulus)
+
+
 #: Window of the fixed-base table: ``2^w - 1`` buckets, ``ceil(k / w)``
-#: entries for a ``k``-bit exponent.
-_WINDOW = 5
+#: entries for a ``k``-bit exponent — the width both paths read it with.
+_WINDOW = backend.FIXED_BASE_WINDOW
 _DIGIT_MASK = (1 << _WINDOW) - 1
 
 
@@ -173,6 +187,17 @@ def _nonce_table(n: int) -> tuple[int, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=64)
+def _pinned_nonce_table(
+    library: backend._Gmp, n: int
+) -> tuple[tuple[backend._Register, ...], backend._Register]:
+    """:func:`_nonce_table` and ``n^2`` pinned as GMP registers, once per
+    key and process (about the table's size again, outside Python)."""
+    table = library.pin(_nonce_table(n))
+    (modulus,) = library.pin((n * n,))
+    return table, modulus
+
+
 def _fixed_base_power(table: tuple[int, ...], exponent: int, modulus: int) -> int:
     """``table[0]^exponent mod modulus`` by Yao's fixed-base method.
 
@@ -180,8 +205,15 @@ def _fixed_base_power(table: tuple[int, ...], exponent: int, modulus: int) -> in
     collects the product of ``table[i]`` over ``d_i = j``, and
     ``prod_j bucket_j^j`` is accumulated with two running products —
     one multiplication per nonzero digit plus at most ``2 * (2^w - 1)``,
-    no squarings.  ``exponent`` must be below ``2^(w * len(table))``.
+    no squarings.  ``exponent`` must lie in ``[0, 2^(w * len(table)))``;
+    outside it raises :class:`ParameterError` rather than drop digits.
+    The path of a host without GMP, and the oracle of
+    ``backend.gmp.fixed_base_power``.
     """
+    if not 0 <= exponent < 1 << (_WINDOW * len(table)):
+        raise ParameterError(
+            f"fixed-base exponent outside [0, 2^{_WINDOW * len(table)})"
+        )
     buckets = [1] * (_DIGIT_MASK + 1)
     for entry in table:
         digit = exponent & _DIGIT_MASK

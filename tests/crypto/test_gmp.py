@@ -2,16 +2,24 @@
 
 ``PythonBackend.powmod`` runs GMP's ``mpz_powm_sec`` when the library
 loaded and the operands are in its domain, ``pow()`` otherwise;
-``numtheory.jacobi`` runs ``mpz_jacobi`` or the Python loop.  Every
-test here runs twice: on what the host loaded, and with the loaded
-handle patched to ``None`` (the path of a host without the library).
-Both must agree with ``pow()`` and with :func:`numtheory.jacobi_loop`.
+``numtheory.jacobi`` runs ``mpz_jacobi`` or the Python loop; the
+Paillier nonce's fixed-base product runs ``gmp.fixed_base_power`` or
+:func:`paillier._fixed_base_power`.  Every test here runs twice: on
+what the host loaded, and with the loaded handle patched to ``None``
+(the path of a host without the library).  Both must agree with
+``pow()``, with :func:`numtheory.jacobi_loop` and with the Python
+fixed-base product.
 """
 
+import json
 import math
+import pathlib
+import secrets
 import sys
 import threading
 from collections import Counter
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,7 +28,12 @@ from repro import reference_join, run_join_query
 from repro.core.runner import crypto_context
 from repro.crypto import backend as bk
 from repro.crypto import numtheory as nt
+from repro.crypto import paillier, serialization
 from repro.errors import ParameterError
+from repro.transport import codec
+
+#: The layered benchmark's committed keys (read-only: benchmark contract).
+FIXTURE_KEYS = pathlib.Path(__file__).parents[2] / "benchmarks/layers/keys_2048.json"
 
 
 @pytest.fixture(params=["host", "no-library"], autouse=True)
@@ -183,3 +196,128 @@ class TestWhatRuns:
         monkeypatch.setattr(bk.gmp, "mpz_powm_sec", recording)
         assert bk.PythonBackend().powmod(base, exponent, modulus) == expected
         assert bool(calls) is native
+
+
+@pytest.fixture(scope="module")
+def paillier_keys():
+    """A 256-bit key and the 2048-bit key ``pm_cold_bus`` runs on."""
+    snapshot = json.loads(FIXTURE_KEYS.read_text())["client_paillier"]
+    return {
+        "256-bit": paillier.generate_keypair(256),
+        "fixture": serialization.paillier_private_from_dict(snapshot),
+    }
+
+
+def _nonce_exponents(n: int) -> st.SearchStrategy[int]:
+    """Nonce exponents of key ``n``: ``0``, ``1``, ``2^bits - 1`` and any
+    ``bits``-bit value, ``bits = ceil(|n| / 2)``."""
+    top = (1 << paillier._nonce_bits(n)) - 1
+    return st.one_of(st.sampled_from([0, 1, top]), st.integers(min_value=0, max_value=top))
+
+
+class TestFixedBasePower:
+    """The nonce ``h_n^s mod n^2``: GMP's bucket product, the Python one
+    and ``pow()`` are one integer, so a pinned ``s`` gives one ciphertext."""
+
+    @pytest.mark.parametrize("which", ["256-bit", "fixture"])
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_gmp_product_equals_python_product_equals_pow(self, paillier_keys, which, data):
+        n = paillier_keys[which].public_key.n
+        n_sq, table = n * n, paillier._nonce_table(n)
+        s = data.draw(_nonce_exponents(n), label="s")
+        expected = pow(table[0], s, n_sq)
+        assert paillier._fixed_base_power(table, s, n_sq) == expected
+        assert paillier._nonce(n, s) == expected  # the path encrypt takes
+        if bk.gmp is not None:
+            (modulus,) = bk.gmp.pin((n_sq,))
+            assert bk.gmp.fixed_base_power(bk.gmp.pin(table), s, modulus) == expected
+
+    @pytest.mark.parametrize("which", ["256-bit", "fixture"])
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_pinned_randomness_gives_byte_identical_ciphertexts(
+        self, paillier_keys, which, data
+    ):
+        public = paillier_keys[which].public_key
+        n = public.n
+        draws = data.draw(st.lists(_nonce_exponents(n), min_size=1, max_size=4), label="s")
+        plaintexts = [(7 * i + 3) % n for i in range(len(draws))]
+
+        def wire_bytes() -> bytes:
+            pinned = iter(draws)
+            randbits = SimpleNamespace(randbits=lambda bits: next(pinned))
+            with mock.patch.object(paillier, "secrets", randbits):
+                return codec.encode_value(
+                    tuple(paillier.encrypt(public, m) for m in plaintexts)
+                )
+
+        here = wire_bytes()
+        with mock.patch.object(bk, "gmp", None):
+            assert wire_bytes() == here
+        h, n_sq = paillier._nonce_table(n)[0], n * n
+        assert here == codec.encode_value(
+            tuple(
+                paillier.PaillierCiphertext((1 + m * n) * pow(h, s, n_sq) % n_sq, public)
+                for m, s in zip(plaintexts, draws)
+            )
+        )
+
+    def test_encrypt_runs_the_python_product_only_without_the_library(
+        self, paillier_keys, monkeypatch
+    ):
+        """The wall-clock bound of CI cannot tell the two paths apart; this
+        can.  With the library loaded, a fallback to Python raises."""
+        calls = []
+        python_product = paillier._fixed_base_power
+
+        def guarded(*args):
+            calls.append(args)
+            if bk.gmp is not None:
+                raise AssertionError("paillier.encrypt fell back to _fixed_base_power")
+            return python_product(*args)
+
+        monkeypatch.setattr(paillier, "_fixed_base_power", guarded)
+        for which, private in paillier_keys.items():
+            ciphertext = paillier.encrypt(private.public_key, 4242)
+            assert paillier.decrypt(private, ciphertext) == 4242, which
+        assert len(calls) == (0 if bk.gmp is not None else len(paillier_keys))
+
+    def test_threads_keep_their_own_buckets(self):
+        """Six threads on three keys, switching as often as the interpreter
+        allows: each nonce is checked against the Python product (a bucket
+        shared with a thread on the same key would still decrypt) and each
+        ciphertext decrypts."""
+        threads, calls = 6, 25
+        keys = [paillier.generate_keypair(bits) for bits in (256, 384, 512)]
+        # Each key's h_n is drawn here, once: threads racing to build a
+        # table could each draw their own, all valid but not comparable.
+        tables = [paillier._nonce_table(k.public_key.n) for k in keys]
+        start = threading.Barrier(threads)
+        wrong: list[tuple[int, int]] = []
+
+        def work(seed: int) -> None:
+            private, table = keys[seed % len(keys)], tables[seed % len(keys)]
+            n = private.public_key.n
+            bits = paillier._nonce_bits(n)
+            start.wait()
+            for i in range(calls):
+                s = secrets.randbits(bits)
+                if paillier._nonce(n, s) != paillier._fixed_base_power(table, s, n * n):
+                    wrong.append((seed, i))
+                m = (seed * 1000 + i) % n
+                if paillier.decrypt(private, paillier.encrypt(private.public_key, m)) != m:
+                    wrong.append((seed, -i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(n,)) for n in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == []

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import paillier, serialization
+from repro.crypto import backend, paillier, serialization
 from repro.crypto.instrumentation import count_primitives
 from repro.errors import DecryptionError, EncryptionError, KeyError_, ParameterError
 
@@ -183,7 +183,15 @@ class TestCRTDecryption:
 class TestFixedBaseNonce:
     """The one nonce path: ``h_n^s`` for a ``ceil(|n|/2)``-bit ``s``, read
     off a per-key fixed-base table.  (``TestCRTDecryption`` decrypts these
-    ciphertexts against the Carmichael oracle on both key sizes.)"""
+    ciphertexts against the Carmichael oracle on both key sizes.)  Each
+    test runs on the host's arithmetic and with ``backend.gmp`` patched
+    to ``None``, the two paths of the product."""
+
+    @pytest.fixture(params=["host", "no-library"], autouse=True)
+    def arithmetic(self, request, monkeypatch):
+        if request.param == "no-library":
+            monkeypatch.setattr(backend, "gmp", None)
+        return request.param
 
     @pytest.mark.parametrize("which", ["256-bit", "fixture"])
     def test_fixed_base_product_equals_pow(self, request, which):
@@ -196,6 +204,19 @@ class TestFixedBaseNonce:
         randoms = [secrets.randbits(bits) for _ in range(5 if which == "256-bit" else 2)]
         for s in [0, 1, 2**bits - 1, *randoms]:
             assert paillier._fixed_base_power(table, s, n_sq) == pow(h, s, n_sq), s
+            assert paillier._nonce(n, s) == pow(h, s, n_sq), s
+
+    def test_exponent_beyond_the_table_is_refused_not_truncated(self, key):
+        n = key.public_key.n
+        n_sq, table = n * n, paillier._nonce_table(n)
+        capacity = paillier._WINDOW * len(table)
+        for s in [1 << capacity, (1 << capacity) + 1, -1]:
+            with pytest.raises(ParameterError):
+                paillier._fixed_base_power(table, s, n_sq)
+            with pytest.raises(ParameterError):
+                paillier._nonce(n, s)
+        top = (1 << capacity) - 1  # the largest exponent the table serves
+        assert paillier._nonce(n, top) == pow(table[0], top, n_sq)
 
     @pytest.mark.parametrize("bits", [256, 257])
     def test_exponent_has_ceil_half_modulus_bits(self, monkeypatch, bits):
