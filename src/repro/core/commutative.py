@@ -11,12 +11,17 @@ The commutative protocol (after Agrawal et al. [1], adapted to the MMM):
 4. The mediator exchanges the message sets between the sources.
 5./6. Each source applies its own key on top of the other's:
    ``f_{e_1}(f_{e_2}(h(a)))`` = ``f_{e_2}(f_{e_1}(h(a)))``, and returns
-   the re-tagged messages to the mediator.
-6. The mediator matches messages with identical first components —
+   the re-tagged messages to the mediator.  The new first component is
+   a 16-byte digest of the double encryption
+   (:func:`repro.crypto.hashes.match_digest`), not the group element:
+   the mediator only tests it for equality, and equal digests are
+   exactly equal double encryptions except with probability ~2^-128.
+7. The mediator matches messages with identical first components —
    commutativity + bijectivity guarantee these are exactly the join
    values common to both active domains — and sends the combined
    ``<encrypt(Tup_1(a)), encrypt(Tup_2(a))>`` result messages to the
-   client.
+   client.  A repeated or malformed digest fails the query
+   (:class:`ProtocolError`).
 8. The client decrypts the tuple sets and builds the global result by
    crossing each matched pair of sets.
 
@@ -70,7 +75,12 @@ from repro.core.steps import seat as seat_parties
 from repro.crypto import commutative as comm
 from repro.crypto import groups, hybrid
 from repro.crypto.engine import CryptoEngine, get_engine
-from repro.crypto.hashes import IdealHash
+from repro.crypto.hashes import (
+    MATCH_DIGEST_BYTES,
+    IdealHash,
+    fingerprint,
+    match_digest,
+)
 from repro.crypto.numtheory import is_safe_prime
 from repro.errors import ProtocolError, StorageError
 from repro.relational.encoding import decode_rows, encode_rows
@@ -100,14 +110,18 @@ class CommutativeConfig:
 class TaggedMessage(NamedTuple):
     """``<f_e(h(a)), payload>`` — one element of a message set M_i.
 
-    A named tuple, the cheapest record to build: :func:`_exchange`, an
-    untimed step, makes one per message of both sets."""
+    ``tag`` is the group element ``f_e(h(a))`` in round 1 and the
+    exchange, and the 16-byte match digest of ``f_e1(f_e2(h(a)))`` in
+    round 2.  A named tuple, the cheapest record to build:
+    :func:`_exchange`, an untimed step, makes one per message of both
+    sets."""
 
-    tag: int
+    tag: int | bytes
     payload: hybrid.HybridCiphertext | bytes  # ciphertext, or ID token
 
 
 _tag_of = operator.attrgetter("tag")
+_payload_of = operator.attrgetter("payload")
 
 
 def _shuffled(items: list) -> list:
@@ -187,6 +201,18 @@ def _amortized(
     return values
 
 
+def _key_slot(group: comm.CommutativeGroup) -> bytes:
+    """Cache key of the source's exponent: a digest of the whole modulus
+    (the RFC 3526 moduli share their leading bytes)."""
+    return b"key:" + fingerprint(serialize_int(group.p))
+
+
+def _digest_from_blob(blob: bytes) -> bytes:
+    if len(blob) != MATCH_DIGEST_BYTES:
+        raise StorageError("match digest blob has the wrong length")
+    return blob
+
+
 def _cached_key(
     cache: IndexCache | None,
     relation_name: str,
@@ -200,7 +226,7 @@ def _cached_key(
     """
     if cache is None:
         return comm.generate_key(group)
-    slot = b"key:" + serialize_int(group.p)[:16]
+    slot = _key_slot(group)
     blob = cache.get(relation_name, KIND_COMM_KEY, slot)
     if blob is not None:
         try:
@@ -297,23 +323,28 @@ def _double_encrypt(
     cache: IndexCache | None = None,
     relation_name: str = "",
 ) -> list[TaggedMessage]:
-    """Listing 3 steps 5/6 at one datasource: apply the own key on top.
+    """Listing 3 steps 5/6 at one datasource: apply the own key on top
+    and return each double encryption as its 16-byte match digest.
 
-    Double-encryptions cache by (own key, incoming tag): when both
-    sources reuse persisted keys, the opposite tags repeat across the
-    series and this step becomes pure lookups.
+    Digests cache by (own key, incoming tag): when both sources reuse
+    persisted keys, the opposite tags repeat across the series and this
+    step becomes pure lookups.
     """
     engine = engine or get_engine()
     key_digest = _key_digest(key) if cache is not None else b""
+    p = key.group.p
     doubled = _amortized(
         cache, relation_name, KIND_COMM_DOUBLE, len(messages),
         lambda position: _slot(
-            b"double:", key_digest, serialize_int(messages[position].tag)
+            b"match:", key_digest, serialize_int(messages[position].tag)
         ),
-        deserialize_int, serialize_int,
-        lambda pending: engine.batch_commutative_encrypt(
-            key, [messages[position].tag for position in pending]
-        ),
+        _digest_from_blob, bytes,
+        lambda pending: [
+            match_digest(element, p)
+            for element in engine.batch_commutative_encrypt(
+                key, [messages[position].tag for position in pending]
+            )
+        ],
     )
     return _shuffled(
         [
@@ -397,10 +428,25 @@ def _round_2(source, sender: str, body: list) -> Outbound:
     return [(sender, "commutative_double", doubled)]
 
 
-def _resolve(mediator, payload):
-    if payload not in mediator.id_table:
-        raise ProtocolError("datasource returned an unknown ID token")
-    return mediator.id_table[payload]
+def _check(response: list, tokens: tuple[bytes, ...]) -> None:
+    """Refuse a source's round-2 set unless it returns each ID token it
+    was sent exactly once, each under a distinct 16-byte digest.  A
+    repeat would duplicate or overwrite a pair; a missing token, or an
+    entry that is not a digest (say, a group element), would silently
+    drop one."""
+    sent = set(tokens)
+    for tag, token in response:
+        if type(tag) is not bytes or len(tag) != MATCH_DIGEST_BYTES:
+            raise ProtocolError("round-2 entry is not a 16-byte match digest")
+        if type(token) is not bytes or token not in sent:
+            raise ProtocolError("datasource returned an unknown ID token")
+    if len(set(map(_tag_of, response))) != len(response):
+        raise ProtocolError("round-2 response repeats a match digest")
+    returned = set(map(_payload_of, response))
+    if len(response) != len(tokens) or len(returned) != len(tokens):
+        raise ProtocolError(
+            "round-2 response does not return each ID token it was sent once"
+        )
 
 
 def _match(mediator, sender: str, responses: dict) -> Outbound:
@@ -408,11 +454,15 @@ def _match(mediator, sender: str, responses: dict) -> Outbound:
     # S1's responses derive from M_2, so their payloads are Tup_2 sets;
     # S2's payloads are Tup_1 sets.
     response_1, response_2 = responses.values()
+    tokens = mediator.tokens
+    split = len(next(iter(mediator.message_sets.values())))
+    _check(response_1, tokens[split:])  # S1 was sent M_2's tokens
+    _check(response_2, tokens[:split])
     payloads = [m.payload for messages in mediator.message_sets.values() for m in messages]
-    mediator.id_table = dict(zip(mediator.tokens, payloads))
-    tup_2_by_tag = {m.tag: _resolve(mediator, m.payload) for m in response_1}
+    id_table = mediator.id_table = dict(zip(tokens, payloads))
+    tup_2_by_tag = {m.tag: id_table[m.payload] for m in response_1}
     mediator.matched = [
-        (_resolve(mediator, m.payload), tup_2_by_tag[m.tag])
+        (id_table[m.payload], tup_2_by_tag[m.tag])
         for m in response_2
         if m.tag in tup_2_by_tag
     ]

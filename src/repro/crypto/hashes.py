@@ -11,7 +11,9 @@ Two distinct hash roles appear in the paper:
 
 Both are instantiated from SHA-256 with domain-separation tags, the
 standard way of deriving independent random oracles from one hash
-function.
+function.  A third tag, :data:`TAG_MATCH`, shortens the double
+encryptions of Listing 3 to fixed-width digests (:func:`match_digest`):
+the mediator only tests them for equality.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ TAG_IDEAL = b"repro/ideal-hash/v1"
 TAG_INDEX = b"repro/partition-index/v1"
 TAG_KDF = b"repro/kdf/v1"
 TAG_FINGERPRINT = b"repro/key-fingerprint/v1"
+TAG_MATCH = b"repro/commutative-match/v1"
+
+#: Width of a commutative match digest, that of the other fingerprints.
+MATCH_DIGEST_BYTES = 16
 
 
 def _sha256(tag: bytes, *parts: bytes) -> bytes:
@@ -117,3 +123,14 @@ class IdealHash:
 def fingerprint(data: bytes, length: int = 16) -> bytes:
     """Short stable identifier for keys and credentials (not secret)."""
     return _sha256(TAG_FINGERPRINT, data)[:length]
+
+
+def match_digest(element: int, p: int) -> bytes:
+    """16-byte digest of a double encryption ``f_e1(f_e2(h(a)))`` mod ``p``.
+
+    SHA-256 under :data:`TAG_MATCH` over the ``|p|``-byte big-endian
+    encoding, truncated.  Equal elements give equal digests; two distinct
+    elements collide with probability about 2^-128 per pair.
+    """
+    width = (p.bit_length() + 7) // 8
+    return _sha256(TAG_MATCH, element.to_bytes(width, "big"))[:MATCH_DIGEST_BYTES]

@@ -13,12 +13,12 @@ copy of its rows — and the store holds
   content invalidates the relation's cache entries even across
   restarts,
 * **encrypted-index caches** — per-``(namespace, relation)`` key/value
-  entries holding commutative tags and double-encryptions, the source's
-  hybrid session and the commutative tuple-set bodies encrypted under
-  it, DAS index tables, and Paillier polynomial coefficients.  An entry
-  is kept only where reading it back is cheaper than recomputing it: a
-  DAS etuple is one DEM pass, so it is re-encrypted per query and never
-  stored.
+  entries holding commutative tags and double-encryption digests, the
+  source's hybrid session and the commutative tuple-set bodies
+  encrypted under it, DAS index tables, and Paillier polynomial
+  coefficients.  An entry is kept only where reading it back is cheaper
+  than recomputing it: a DAS etuple is one DEM pass, so it is
+  re-encrypted per query and never stored.
 
 Cache semantics:
 

@@ -1,21 +1,27 @@
 """White-box tests for commutative delivery internals."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.commutative import (
     TaggedMessage,
+    _cached_key,
     _double_encrypt,
+    _key_digest,
     _prepare_source,
     _round_1,
     _shuffled,
+    _slot,
 )
 from repro.crypto import commutative as comm
 from repro.crypto import groups
 from repro.crypto.engine import CryptoEngine
-from repro.crypto.hashes import IdealHash
+from repro.crypto.hashes import IdealHash, match_digest
 from repro.errors import ParameterError, ProtocolError
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
+from repro.storage import KIND_COMM_DOUBLE, IndexCache, MemoryBackend
+from repro.storage.serialize import serialize_int
 
 S = schema("R", k="int", p="string")
 R = Relation(S, [(1, "a"), (1, "b"), (2, "c"), (3, "d")])
@@ -91,6 +97,130 @@ class TestDoubleEncrypt:
             _double_encrypt(
                 messages, comm.generate_key(group), engine=CryptoEngine()
             )
+
+
+class TestRound2Digests:
+    """Steps 5/6 return a 16-byte match digest per double encryption."""
+
+    def test_digest_of_the_double_encryption(self, group, ideal_hash, rsa_key):
+        _, messages = _prepare_source(
+            R, ("k",), group, ideal_hash, [rsa_key.public_key()],
+        )
+        other_key = comm.generate_key(group)
+        doubled = _double_encrypt(messages, other_key)
+        expected = {
+            id(m.payload): match_digest(comm.apply(other_key, m.tag), group.p)
+            for m in messages
+        }
+        assert all(type(m.tag) is bytes and len(m.tag) == 16 for m in doubled)
+        assert {id(m.payload): m.tag for m in doubled} == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        values_1=st.sets(st.integers(0, 40), max_size=12),
+        values_2=st.sets(st.integers(0, 40), max_size=12),
+        exponents=st.tuples(st.integers(1, 2**64), st.integers(1, 2**64)),
+    )
+    def test_digest_matches_equal_raw_matches(
+        self, values_1, values_2, exponents
+    ):
+        """The pairs matched on digests are the pairs matched on the raw
+        double encryptions — the common values, each once."""
+        group = groups.commutative_group(128)
+        ideal_hash = IdealHash(group.p)
+        key_1, key_2 = (comm.CommutativeKey(group, e) for e in exponents)
+
+        def round_1(key, values):
+            return [
+                TaggedMessage(comm.apply(key, ideal_hash(b"%d" % v)), v)
+                for v in values
+            ]
+
+        # Each source double-encrypts the other's round-1 set.
+        from_2 = round_1(key_2, values_2)
+        from_1 = round_1(key_1, values_1)
+        raw_1 = {comm.apply(key_1, m.tag): m.payload for m in from_2}
+        raw_2 = {comm.apply(key_2, m.tag): m.payload for m in from_1}
+        digest_1 = {m.tag: m.payload for m in _double_encrypt(from_2, key_1)}
+        digest_2 = {m.tag: m.payload for m in _double_encrypt(from_1, key_2)}
+
+        raw_pairs = {(a, raw_1[t]) for t, a in raw_2.items() if t in raw_1}
+        digest_pairs = {
+            (a, digest_1[t]) for t, a in digest_2.items() if t in digest_1
+        }
+        assert digest_pairs == raw_pairs
+        assert digest_pairs == {(v, v) for v in values_1 & values_2}
+
+
+class TestRound2Cache:
+    """The digests persist under ``match:`` slots of ``comm_double``."""
+
+    @pytest.fixture
+    def cache(self):
+        return IndexCache(MemoryBackend(), "S1")
+
+    @pytest.fixture
+    def messages(self, group, ideal_hash, rsa_key):
+        _, messages = _prepare_source(
+            R, ("k",), group, ideal_hash, [rsa_key.public_key()],
+        )
+        return messages
+
+    def test_warm_call_reads_digests(self, group, cache, messages):
+        key = comm.generate_key(group)
+        cold = _double_encrypt(messages, key, cache=cache, relation_name="R")
+        warm = _double_encrypt(messages, key, cache=cache, relation_name="R")
+        assert sorted(cold) == sorted(warm)
+        assert cache.stats.hits == len(messages)
+        assert cache.stats.errors == 0
+
+    def test_old_double_entry_is_never_read_as_a_digest(
+        self, group, cache, messages
+    ):
+        """At the 128-bit group a double encryption serializes to 16
+        bytes, exactly a digest's width: only the slot prefix keeps an
+        entry written by an older build from being misread."""
+        key = comm.generate_key(group)
+        digest = _key_digest(key)
+        for m in messages:
+            element = comm.apply(key, m.tag)
+            cache.put(
+                "R", KIND_COMM_DOUBLE,
+                _slot(b"double:", digest, serialize_int(m.tag)),
+                element.to_bytes(16, "big"),
+            )
+        doubled = _double_encrypt(messages, key, cache=cache, relation_name="R")
+        assert sorted(doubled) == sorted(_double_encrypt(messages, key))
+        assert cache.stats.hits == 0
+
+    def test_wrong_length_blob_is_a_decode_failure(
+        self, group, cache, messages
+    ):
+        key = comm.generate_key(group)
+        digest = _key_digest(key)
+        slot = _slot(b"match:", digest, serialize_int(messages[0].tag))
+        cache.put("R", KIND_COMM_DOUBLE, slot, b"\x00" * 15)
+        doubled = _double_encrypt(messages, key, cache=cache, relation_name="R")
+        assert sorted(doubled) == sorted(_double_encrypt(messages, key))
+        assert cache.stats.errors == 1
+        assert cache.stats.hits == 0
+        # Recomputed and filed again at full width.
+        assert len(cache.get("R", KIND_COMM_DOUBLE, slot)) == 16
+
+
+class TestKeySlot:
+    def test_each_rfc_3526_group_keeps_its_own_exponent(self):
+        """The RFC 3526 moduli share their first 16 bytes; a key filed
+        for one group must not be served for another."""
+        cache = IndexCache(MemoryBackend(), "S1")
+        big = groups.commutative_group(4096)
+        small = groups.commutative_group(2048)
+        key_big = _cached_key(cache, "R1", big)
+        key_small = _cached_key(cache, "R1", small)
+        assert key_small.exponent != key_big.exponent
+        assert key_small.exponent.bit_length() <= comm.exponent_bits(small)
+        assert _cached_key(cache, "R1", big) == key_big
+        assert _cached_key(cache, "R1", small) == key_small
 
 
 class TestShuffle:

@@ -132,6 +132,81 @@ class TestAnnouncedGroup:
         assert result.global_result == expected
 
 
+def _no_int(body) -> bool:
+    """True if no integer appears anywhere in ``body``."""
+    if isinstance(body, int):
+        return False
+    if isinstance(body, (list, tuple)):
+        return all(map(_no_int, body))
+    return True
+
+
+class TestRound2Body:
+    """Steps 5-7: sources return 16-byte digests, and the mediator
+    refuses a round-2 set it cannot match soundly."""
+
+    @pytest.mark.parametrize("carrier", ["bus", "tcp"])
+    @pytest.mark.parametrize("hardened", [False, True], ids=["plain", "hardened"])
+    def test_sources_return_digests_not_group_elements(
+        self, ca, client, workload, expected, carrier, hardened
+    ):
+        result = _run_over(carrier, hardened, ca, client, workload)
+        assert result.global_result == expected
+        doubles = result.network.messages_of_kind("commutative_double")
+        assert [m.sender for m in doubles] == ["S1", "S2"]
+        for message in doubles:
+            assert message.body
+            assert all(
+                type(entry.tag) is bytes and len(entry.tag) == 16
+                for entry in message.body
+            )
+            assert _no_int(message.body)
+
+    @pytest.mark.parametrize(
+        "relation, forge, reason",
+        [
+            ("R2", lambda doubled: doubled + doubled, "repeats"),
+            ("R1", lambda doubled: doubled + doubled, "repeats"),
+            (
+                "R2",
+                lambda doubled: [
+                    m._replace(tag=int.from_bytes(m.tag, "big")) for m in doubled
+                ],
+                "not a 16-byte",
+            ),
+            (
+                "R1",
+                lambda doubled: [m._replace(tag=m.tag[:15]) for m in doubled],
+                "not a 16-byte",
+            ),
+            ("R2", lambda doubled: doubled[1:], "each ID token"),
+            (
+                "R1",
+                lambda doubled: [doubled[0]._replace(payload=b"\0" * 8)]
+                + doubled[1:],
+                "unknown ID token",
+            ),
+        ],
+        ids=["repeat-in-response-2", "repeat-in-response-1",
+             "group-element", "short-digest", "dropped-entry",
+             "foreign-token"],
+    )
+    def test_forged_round_2_body_fails_closed(
+        self, make_federation, workload, monkeypatch, relation, forge, reason
+    ):
+        genuine = commutative._double_encrypt
+
+        def forged(*args, relation_name, **kwargs):
+            doubled = genuine(*args, relation_name=relation_name, **kwargs)
+            return forge(doubled) if relation_name == relation else doubled
+
+        monkeypatch.setattr(commutative, "_double_encrypt", forged)
+        with pytest.raises(ProtocolError, match=reason):
+            run_join_query(
+                make_federation(workload), QUERY, protocol="commutative"
+            )
+
+
 class TestArtifacts:
     def test_active_domain_sizes(self, make_federation, workload):
         result = run_join_query(
@@ -157,6 +232,22 @@ class TestArtifacts:
             len(workload.relation_1.active_domain("k"))
             + len(workload.relation_2.active_domain("k"))
         )
+
+
+def _run_over(carrier, hardened, ca, client, workload):
+    """One commutative query over the bus or TCP, plain or hardened."""
+    network = TcpTransport() if carrier == "tcp" else Network()
+    try:
+        federation = Federation(ca=ca, network=network)
+        federation.add_source("S1", [(workload.relation_1, allow_all())])
+        federation.add_source("S2", [(workload.relation_2, allow_all())])
+        federation.attach_client(client)
+        return run_join_query(
+            federation, QUERY, protocol="commutative",
+            hardening=True if hardened else None,
+        )
+    finally:
+        network.close()
 
 
 class TestProtocolShape:
@@ -220,18 +311,7 @@ class TestProtocolShape:
     ):
         """Footnote 1's security reason: a source never sees the other
         source's tuple-set ciphertexts, nor their sizes."""
-        network = TcpTransport() if carrier == "tcp" else Network()
-        try:
-            federation = Federation(ca=ca, network=network)
-            federation.add_source("S1", [(workload.relation_1, allow_all())])
-            federation.add_source("S2", [(workload.relation_2, allow_all())])
-            federation.attach_client(client)
-            result = run_join_query(
-                federation, QUERY, protocol="commutative",
-                hardening=True if hardened else None,
-            )
-        finally:
-            network.close()
+        result = _run_over(carrier, hardened, ca, client, workload)
         assert result.global_result == natural_join(
             workload.relation_1, workload.relation_2
         )

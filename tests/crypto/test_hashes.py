@@ -105,3 +105,31 @@ class TestFingerprint:
 
     def test_distinct(self):
         assert hashes.fingerprint(b"a") != hashes.fingerprint(b"b")
+
+
+class TestMatchDigest:
+    @pytest.mark.parametrize("bits", [128, 2048])
+    def test_sixteen_bytes_and_deterministic(self, bits):
+        group = groups.commutative_group(bits)
+        element = group.random_element()
+        digest = hashes.match_digest(element, group.p)
+        assert len(digest) == hashes.MATCH_DIGEST_BYTES == 16
+        assert hashes.match_digest(element, group.p) == digest
+
+    def test_never_wider_than_the_smallest_group_element(self):
+        smallest = groups.commutative_group(128).p
+        assert hashes.MATCH_DIGEST_BYTES <= smallest.bit_length() // 8
+
+    def test_hashes_the_fixed_width_encoding_under_its_own_tag(self):
+        p = groups.commutative_group(128).p
+        encoding = (4).to_bytes(16, "big")
+        digest = hashes.match_digest(4, p)
+        assert digest == hashes._sha256(hashes.TAG_MATCH, encoding)[:16]
+        assert digest != hashes.fingerprint(encoding)
+        assert digest != hashes.collision_free_hash(encoding)[:16]
+
+    def test_distinct_elements_distinct_digests(self):
+        group = groups.commutative_group(128)
+        elements = {group.random_element() for _ in range(200)}
+        digests = {hashes.match_digest(x, group.p) for x in elements}
+        assert len(digests) == len(elements)

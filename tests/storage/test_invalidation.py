@@ -221,7 +221,7 @@ class TestStoreWrittenByAnOlderCheckout:
         self, federation, workload
     ):
         from repro import CommutativeConfig
-        from repro.core.commutative import _key_digest, _slot
+        from repro.core.commutative import _key_digest, _key_slot, _slot
         from repro.core.joinkeys import encode_key
         from repro.crypto import commutative as comm
         from repro.crypto import groups
@@ -232,7 +232,7 @@ class TestStoreWrittenByAnOlderCheckout:
         group = groups.commutative_group(512)
         stored = comm.CommutativeKey(group, group.q - 2)
         assert stored.exponent.bit_length() > comm.exponent_bits(group)
-        slot = b"key:" + serialize_int(group.p)[:16]
+        slot = _key_slot(group)
         cache = federation.source("S1").index_cache()
         cache.put("R1", KIND_COMM_KEY, slot, serialize_int(stored.exponent))
 
