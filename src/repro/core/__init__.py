@@ -7,7 +7,6 @@
 * :mod:`~repro.core.steps` — the one delivery loop over their step tables
 * :mod:`~repro.core.runner` — end-to-end orchestration
 * :mod:`~repro.core.federation` — federation wiring
-* :mod:`~repro.core.hierarchy` — mediator hierarchies (Section 8)
 """
 
 from repro.core.commutative import CommutativeConfig

@@ -28,7 +28,7 @@ import secrets
 from dataclasses import dataclass
 
 from repro.crypto import instrumentation
-from repro.crypto.numtheory import jacobi, modinv, powmod
+from repro.crypto.numtheory import jacobi, powmod
 from repro.errors import KeyError_, ParameterError
 
 
@@ -86,10 +86,6 @@ class CommutativeKey:
         if math.gcd(self.exponent, q) != 1:
             raise KeyError_("commutative key exponent must be coprime to q")
 
-    def inverse(self) -> "CommutativeKey":
-        """Key whose application undoes this one (d = e^-1 mod q)."""
-        return CommutativeKey(self.group, modinv(self.exponent, self.group.q))
-
 
 def exponent_bits(group: CommutativeGroup) -> int:
     """Width ``k`` of a freshly drawn exponent: ``max(256, |p| // 8)``.
@@ -119,12 +115,3 @@ def apply(key: CommutativeKey, x: int) -> int:
         raise ParameterError("input is not in the quadratic-residue domain")
     instrumentation.record("commutative.encrypt")
     return powmod(x, key.exponent, group.p)
-
-
-def invert(key: CommutativeKey, y: int) -> int:
-    """Compute ``f_e^{-1}(y)``, i.e. recover ``x`` with ``f_e(x) = y``."""
-    group = key.group
-    if not group.contains(y):
-        raise ParameterError("input is not in the quadratic-residue domain")
-    instrumentation.record("commutative.decrypt")
-    return powmod(y, key.inverse().exponent, group.p)

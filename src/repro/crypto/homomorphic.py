@@ -5,7 +5,7 @@ semantically secure public-key scheme with homomorphic addition and
 scalar multiplication — and the system instantiates it with Paillier,
 whose message space is large enough to carry a private-matching
 payload.  :class:`PaillierScheme` is the object the private-matching
-protocol, the crypto engine and the FNP baseline are written against::
+protocol and the crypto engine are written against::
 
     key = scheme.generate_keypair()
     ct  = scheme.encrypt(public_key, m)         # m in [0, plaintext_bound)

@@ -9,7 +9,6 @@ paper's queries and the extensions exercised by examples and tests::
 
     SELECT * FROM R1 NATURAL JOIN R2
     SELECT patient, disease FROM R1 NATURAL JOIN R2 WHERE age > 40
-    SELECT * FROM R1 NATURAL JOIN R2 NATURAL JOIN R3     -- hierarchy
     SELECT * FROM R1                                      -- partial query
 
 Parsing is a hand-written tokenizer + recursive-descent parser; the

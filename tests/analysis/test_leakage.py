@@ -127,6 +127,11 @@ class TestCommutativeRow:
         dom_2 = set(workload.relation_2.active_domain("k"))
         assert report.mediator_learns["intersection_size"] == len(dom_1 & dom_2)
 
+    def test_mediator_learns_only_counts(self, commutative_result):
+        """The matching party learns counts, never join values."""
+        report = analyze(commutative_result)
+        assert all(isinstance(v, int) for v in report.mediator_learns.values())
+
     def test_intersection_lower_bounds_result(self, commutative_result):
         report = analyze(commutative_result)
         assert report.mediator_learns["intersection_size"] <= len(

@@ -1,5 +1,7 @@
 """Tests for the end-to-end runner and federation wiring."""
 
+import dataclasses
+
 import pytest
 
 from repro import (
@@ -11,10 +13,31 @@ from repro import (
 )
 from repro.core.runner import PROTOCOLS
 from repro.crypto import backend
-from repro.errors import MediationError, ProtocolError
-from repro.mediation.access_control import allow_all
+from repro.errors import AccessDenied, MediationError, ProtocolError, QueryError
+from repro.mediation.access_control import allow_all, require
+from repro.relational.relation import Relation
+from repro.relational.schema import schema
 
 QUERY = "select * from R1 natural join R2"
+
+
+def _strings_in(obj):
+    """Every string reachable in ``obj``: containers, dataclass fields,
+    exception arguments and a relation's rows."""
+    if isinstance(obj, str):
+        yield obj
+    elif isinstance(obj, Relation):
+        yield from _strings_in(list(obj.rows))
+    elif isinstance(obj, BaseException):
+        yield from _strings_in(obj.args)
+    elif isinstance(obj, dict):
+        yield from _strings_in(list(obj.items()))
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        for item in obj:
+            yield from _strings_in(item)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for field in dataclasses.fields(obj):
+            yield from _strings_in(getattr(obj, field.name))
 
 
 class TestRunner:
@@ -91,3 +114,55 @@ class TestFederation:
             "S2",
             client.name,
         }
+
+
+class TestChainQueries:
+    """A chain of joins is refused before any source is asked, so a
+    source's policy cannot be bypassed through one.  S3 requires a role
+    the test client (an analyst) lacks."""
+
+    CHAIN = "select * from R1 natural join R2 natural join R3"
+    R3_ROWS = [(1, "c1"), (2, "c2")]
+
+    @pytest.fixture
+    def guarded(self, ca, client):
+        r1 = Relation(
+            schema("R1", k="int", a="string"), [(1, "a1"), (2, "a2"), (3, "a3")]
+        )
+        r2 = Relation(
+            schema("R2", k="int", b="string"), [(1, "b1"), (2, "b2"), (4, "b4")]
+        )
+        r3 = Relation(schema("R3", k="int", c="string"), self.R3_ROWS)
+        federation = Federation(ca=ca)
+        federation.add_source("S1", [(r1, allow_all())])
+        federation.add_source("S2", [(r2, allow_all())])
+        federation.add_source("S3", [(r3, require(("role", "auditor")))])
+        federation.attach_client(client)
+        return federation
+
+    def carries_r3_row(self, *objects) -> bool:
+        values = {value for _, value in self.R3_ROWS}
+        return not values.isdisjoint(_strings_in(objects))
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_direct_query_is_denied(self, guarded, protocol):
+        start = guarded.network.message_count()
+        with pytest.raises(AccessDenied) as denied:
+            run_join_query(
+                guarded, "select * from R2 natural join R3", protocol=protocol
+            )
+        added = guarded.network.transcript[start:]
+        assert not self.carries_r3_row(denied.value, added)
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_chain_is_refused_before_any_source_is_asked(
+        self, guarded, client, protocol
+    ):
+        start = guarded.network.message_count()
+        with pytest.raises(QueryError, match="exactly one JOIN") as refused:
+            run_join_query(guarded, self.CHAIN, protocol=protocol)
+        added = guarded.network.transcript[start:]
+        assert [(m.sender, m.receiver, m.kind) for m in added] == [
+            (client.name, guarded.mediator.name, "global_query")
+        ]
+        assert not self.carries_r3_row(refused.value, added)

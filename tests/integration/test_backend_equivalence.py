@@ -19,7 +19,6 @@ class TestDeterministicBitIdentity:
         value = comm_group.random_element()
         tag = commutative.apply(key, value)
         assert tag == pow(value, 65537, comm_group.p)
-        assert commutative.invert(key, tag) == value
 
     def test_paillier_fixed_randomness(self, paillier_key, fixed_nonce_paillier):
         public = paillier_key.public_key
