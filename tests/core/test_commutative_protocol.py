@@ -329,6 +329,20 @@ class TestProtocolShape:
                 for payload in payloads
             )
 
+    @pytest.mark.parametrize("hardened", [False, True], ids=["plain", "hardened"])
+    def test_listing_never_inverts_f_e(self, make_federation, workload, hardened):
+        """Listing 3 only applies the commutative cipher: keys are drawn
+        and values encrypted, and nothing is ever decrypted."""
+        result = run_join_query(
+            make_federation(workload), QUERY, protocol="commutative",
+            hardening=hardened or None,
+        )
+        operations = {
+            name for name, count in result.primitive_counter.counts.items()
+            if name.startswith("commutative.") and count
+        }
+        assert operations == {"commutative.keygen", "commutative.encrypt"}
+
     def test_m_set_counts_equal_active_domains(self, make_federation, workload):
         result = run_join_query(
             make_federation(workload), QUERY, protocol="commutative"

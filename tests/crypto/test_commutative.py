@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import commutative as comm
-from repro.crypto import groups
+from repro.crypto import groups, instrumentation
 from repro.crypto.hashes import IdealHash
 from repro.errors import KeyError_, ParameterError
 
@@ -148,6 +148,24 @@ class TestCipher:
         non_residue = _find_non_residue(group)
         with pytest.raises(ParameterError):
             comm.apply(key, non_residue)
+
+    def test_known_answer(self):
+        # f_e(x) = x^e mod p: 4 = 2^2 is a residue mod 23, 4^3 = 64 = 18.
+        key = comm.CommutativeKey(comm.CommutativeGroup(23), 3)
+        assert comm.apply(key, 4) == 18
+
+    def test_output_stays_in_the_domain(self, group, ideal_hash):
+        # The second source applies its key to the first one's output.
+        key = comm.generate_key(group)
+        for data in (b"a", b"b", b"c"):
+            assert group.contains(comm.apply(key, ideal_hash(data)))
+
+    def test_apply_records_one_encryption(self, group, ideal_hash):
+        key = comm.generate_key(group)
+        x = ideal_hash(b"counted")
+        with instrumentation.count_primitives() as counter:
+            comm.apply(key, x)
+        assert dict(counter.counts) == {"commutative.encrypt": 1}
 
     def test_distinct_keys_distinct_ciphertexts(self, group, ideal_hash):
         x = ideal_hash(b"val")

@@ -71,6 +71,20 @@ class TestDecomposition:
                 "select * from R1 natural join R2 natural join R4"
             )
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "select * from R1 join R2 on R1.k = R2.k join R4 on R2.k = R4.k",
+            "select * from R1, R2, R4",
+        ],
+        ids=["join-on", "product"],
+    )
+    def test_three_relations_without_a_join_node_rejected(
+        self, mediator, query
+    ):
+        with pytest.raises(QueryError, match="exactly one JOIN"):
+            mediator.decompose_join(query)
+
     def test_disjoint_schemas_rejected(self, mediator):
         with pytest.raises(QueryError):
             mediator.decompose_join("select * from R1 natural join R3")

@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.errors import QueryError
 
 FAST_WORKLOAD = ["--domain", "4", "--overlap", "2", "--rows-per-value", "1"]
 FAST = [*FAST_WORKLOAD, "--rsa-bits", "1024", "--paillier-bits", "768"]
@@ -104,6 +105,32 @@ class TestWorkloadAndQuery:
 
         joined = csvio.load("J", result_path)
         assert joined.schema.names() == ("k",)
+
+    CHAIN = "select * from R1 natural join R2 natural join R1"
+
+    def test_query_refuses_a_chain(self, tmp_path):
+        out1 = str(tmp_path / "r1.csv")
+        out2 = str(tmp_path / "r2.csv")
+        main(["workload", out1, out2, *FAST_WORKLOAD])
+        with pytest.raises(QueryError, match="exactly one JOIN"):
+            main(["query", out1, out2, "--sql", self.CHAIN,
+                  "--rsa-bits", "1024", "--paillier-bits", "768"])
+
+    def test_query_reports_a_refused_chain_as_a_failure(
+        self, tmp_path, capsys
+    ):
+        """Under a deadline the run degrades: a structured failure and
+        exit code 2, not a traceback."""
+        out1 = str(tmp_path / "r1.csv")
+        out2 = str(tmp_path / "r2.csv")
+        main(["workload", out1, out2, *FAST_WORKLOAD])
+        capsys.readouterr()
+        assert main(["query", out1, out2, "--sql", self.CHAIN,
+                     "--deadline", "60",
+                     "--rsa-bits", "1024", "--paillier-bits", "768"]) == 2
+        out = capsys.readouterr().out
+        assert "QueryError" in out
+        assert "exactly one JOIN" in out
 
     @pytest.mark.parametrize("action", ["duplicate", "truncate", "reset"])
     def test_proxy_only_fault_rule_is_refused(self, tmp_path, capsys, action):
