@@ -15,11 +15,10 @@ mediator-setting baseline demonstrates).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-
-from scipy import stats
 
 from repro.core.result import MediationResult
 from repro.errors import ProtocolError
@@ -137,12 +136,58 @@ def byte_uniformity(material: bytes, alpha: float = 1e-6) -> UniformityReport:
             f"{len(material)}"
         )
     counts = Counter(material)
-    observed = [counts.get(value, 0) for value in range(256)]
-    chi2, p_value = stats.chisquare(observed)
+    expected = len(material) / 256
+    chi2 = sum((counts.get(value, 0) - expected) ** 2 for value in range(256)) / expected
     return UniformityReport(
-        sample_bytes=len(material), chi2=float(chi2), p_value=float(p_value),
-        alpha=alpha,
+        sample_bytes=len(material), chi2=chi2,
+        p_value=chi_square_sf(chi2, 255), alpha=alpha,
     )
+
+
+def chi_square_sf(statistic: float, degrees: int) -> float:
+    """``P(X >= statistic)`` for ``X`` chi-square with ``degrees`` degrees
+    of freedom: the regularized upper incomplete gamma ``Q(k/2, x/2)``."""
+    return _upper_gamma_q(degrees / 2, statistic / 2)
+
+
+#: Relative precision and iteration cap of the two expansions below.
+_EPSILON = 1e-15
+_MAX_TERMS = 10_000
+
+
+def _upper_gamma_q(a: float, x: float) -> float:
+    """``Q(a, x) = Gamma(a, x) / Gamma(a)`` for ``a > 0``: ``1 - P`` from
+    the power series below ``x = a + 1``, the continued fraction (modified
+    Lentz) above it, where the series would cancel (Numerical Recipes,
+    section 6.2)."""
+    if x <= 0:
+        return 1.0
+    scale = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1:
+        term = total = 1 / a
+        denominator = a
+        for _ in range(_MAX_TERMS):
+            denominator += 1
+            term *= x / denominator
+            total += term
+            if abs(term) < abs(total) * _EPSILON:
+                break
+        return max(0.0, 1 - total * scale)
+    tiny = 1e-300
+    b = x + 1 - a
+    c, d = 1 / tiny, 1 / b
+    fraction = d
+    for i in range(1, _MAX_TERMS):
+        numerator = -i * (i - a)
+        b += 2
+        d = numerator * d + b
+        d = 1 / (d if abs(d) > tiny else tiny)
+        c = b + numerator / c
+        c = c if abs(c) > tiny else tiny
+        fraction *= d * c
+        if abs(d * c - 1) < _EPSILON:
+            break
+    return fraction * scale
 
 
 def mediator_ciphertext_uniformity(

@@ -22,6 +22,8 @@ def iter_byte_material(body: Any) -> Iterator[bytes]:
 
     Integers are included via their big-endian encodings (ciphertext
     integers, tags, index values); container structure is flattened.
+    Anything else raises :class:`TypeError`: a leak scan over material
+    it cannot see would pass vacuously.
     """
     if body is None or isinstance(body, bool):
         return
@@ -60,9 +62,11 @@ def iter_byte_material(body: Any) -> Iterator[bytes]:
             return
         except TypeError:
             pass
-    # Objects with no byte representation contribute their repr (covers
-    # e.g. Relation or Schema objects, whose reprs name attributes).
-    yield repr(body).encode("utf-8")
+    # Fail closed: a repr would stand in for material it does not show
+    # (a Relation's names its row count, not its rows).
+    raise TypeError(
+        f"cannot walk the byte material of a {type(body).__name__} in a message body"
+    )
 
 
 def view_material(view: PartyView) -> bytes:

@@ -35,8 +35,6 @@ from repro import (
     run_join_query,
     setup_client,
 )
-from repro.analysis import analyze, compare, primitive_profile, render, table1, table2
-from repro.analysis.export import export_run_json
 from repro.core.runner import PROTOCOLS
 from repro.faults import SITE_ACTIONS, FaultInjector, FaultPlan, FaultyTransport
 from repro.mediation.access_control import allow_all
@@ -238,6 +236,7 @@ def _command_demo(args) -> int:
 
 def _command_compare(args) -> int:
     from repro import CommutativeConfig, DASConfig, PMConfig
+    from repro.analysis import compare, render
 
     workload = _workload_from_args(args)
 
@@ -261,6 +260,8 @@ def _command_compare(args) -> int:
 
 
 def _command_leakage(args) -> int:
+    from repro.analysis import analyze, primitive_profile, table1, table2
+
     workload = _workload_from_args(args)
     reports, profiles = [], []
     for protocol in sorted(PROTOCOLS):
@@ -282,6 +283,8 @@ def _command_leakage(args) -> int:
 def _command_audit(args) -> int:
     if args.differential:
         return _command_audit_differential(args)
+    from repro.analysis.export import export_run_json
+
     workload = _workload_from_args(args)
     federation = _build_federation(
         workload.relation_1, workload.relation_2, args.rsa_bits,

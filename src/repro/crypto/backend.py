@@ -18,8 +18,14 @@ jacobi` calls ``gmp.jacobi`` (``mpz_jacobi``) on the same terms.
 
 Operands cross into GMP as bytes (``int.to_bytes`` -> ``mpz_import``)
 and come back the same way (``mpz_export`` -> ``int.from_bytes``),
-through ``mpz_t`` registers kept per thread.  ``ctypes`` releases the
-GIL for the length of each foreign call.  ``mpz_powm_sec`` needs an odd
+through ``mpz_t`` registers kept per thread.  The two long calls,
+``mpz_powm_sec`` and ``mpz_jacobi``, release the GIL for their length
+(a ``ctypes.CDLL`` handle), so other threads run beside them — the
+crypto engine splits its bigint batches over two threads for that.  The
+short ones (import, export, products, remainders: microseconds) keep it
+(a ``ctypes.PyDLL`` handle on the same library): once another thread
+waits for the GIL, handing it over and back costs more than they do.
+``mpz_powm_sec`` needs an odd
 modulus and a positive exponent (it aborts the process otherwise), so
 every other input stays on ``pow()`` inside the same function.
 
@@ -64,12 +70,16 @@ class _Gmp:
     constants read on every call can be pinned in registers of their own
     (:meth:`pin`)."""
 
-    def __init__(self, library: ctypes.CDLL) -> None:
+    def __init__(self, releasing: ctypes.CDLL, holding: ctypes.PyDLL) -> None:
         mpz = ctypes.POINTER(_Mpz)
         size_t = ctypes.c_size_t
 
-        def bind(symbol: str, restype: Any, *argtypes: Any) -> Any:
-            function = getattr(library, symbol)
+        def bind(
+            symbol: str, restype: Any, *argtypes: Any, long: bool = False
+        ) -> Any:
+            """A long call releases the GIL for its length; a short one
+            keeps it."""
+            function = getattr(releasing if long else holding, symbol)
             function.restype, function.argtypes = restype, argtypes
             return function
 
@@ -90,8 +100,10 @@ class _Gmp:
         self.mpz_set = bind("__gmpz_set", None, mpz, mpz)
         self.mpz_mul = bind("__gmpz_mul", None, mpz, mpz, mpz)
         self.mpz_mod = bind("__gmpz_mod", None, mpz, mpz, mpz)
-        self.mpz_powm_sec = bind("__gmpz_powm_sec", None, mpz, mpz, mpz, mpz)
-        self.mpz_jacobi = bind("__gmpz_jacobi", ctypes.c_int, mpz, mpz)
+        self.mpz_powm_sec = bind(
+            "__gmpz_powm_sec", None, mpz, mpz, mpz, mpz, long=True
+        )
+        self.mpz_jacobi = bind("__gmpz_jacobi", ctypes.c_int, mpz, mpz, long=True)
         self.registers = _Registers(self)
         self.buckets = _Buckets(self)
 
@@ -223,7 +235,7 @@ _GMP_SONAMES = ("libgmp.so.10", "libgmp.10.dylib")
 def _load_gmp() -> _Gmp | None:
     for soname in _GMP_SONAMES:
         try:
-            return _Gmp(ctypes.CDLL(soname))
+            return _Gmp(ctypes.CDLL(soname), ctypes.PyDLL(soname))
         except (OSError, AttributeError):  # absent, or without mpz_powm_sec
             continue
     return None

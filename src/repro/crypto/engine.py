@@ -5,8 +5,22 @@ exponentiation — SRA double encryption (Listing 3), Paillier coefficient
 encryption and oblivious polynomial evaluation (Listing 4), hybrid key
 wrapping for DAS (Listing 2).  The protocol drivers hand those loops to
 this module as *batch* calls, one per kind of call the listings make,
-and the engine runs each batch as a loop in the calling thread under
-one ``crypto:{name}`` span, so a trace shows every batch where it ran.
+and the engine runs each batch under one ``crypto:{name}`` span, so a
+trace shows every batch where it ran.
+
+Commutative encryption, scheme decryption and polynomial evaluation are
+one independent exponentiation chain per item, and GMP's exponentiation
+runs with the GIL released (:mod:`repro.crypto.backend`).  Where GMP is
+loaded, a batch of two or more of them is split: the calling thread
+computes the first half, the engine's one helper thread
+(``repro-crypto``) the second, and the results are joined in input
+order.  The helper's half runs in a copy of the caller's
+:mod:`contextvars` context (deadline, session scope, current span) and
+records its primitive counts into a buffer that the caller replays into
+its own counters once the helper is done.  The other batches run as a
+loop in the calling thread — scheme encryption too: its nonce is a
+fixed-base product paced by Python and holding the GIL, so a second
+thread only waits for it.
 
 The batch calls reach the same scalar primitives a loop would — the CRT
 forms of Paillier decryption and the RSA private-key operation, the
@@ -28,7 +42,12 @@ The DEM bodies of a hybrid batch go through
 
 from __future__ import annotations
 
+import contextvars
+import os
+import queue
+import threading
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.crypto import backend as _backend
@@ -38,20 +57,111 @@ from repro.crypto.polynomial import EncryptedPolynomial
 from repro.errors import DecryptionError, ParameterError
 from repro.telemetry import tracing
 
+#: The name of the engine's helper thread.
+HELPER_THREAD = "repro-crypto"
+
+
+class _Helper:
+    """The engine's one helper thread: started by the first split batch
+    and reused by every batch after it, one job at a time."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread: threading.Thread | None = None
+
+    def is_current(self) -> bool:
+        return threading.current_thread() is self._thread
+
+    def submit(self, job: Callable[[], None]) -> threading.Event:
+        """Queue ``job``; the event is set once it has returned."""
+        done = threading.Event()
+        with self._lock:
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._serve, args=(self._jobs,),
+                    name=HELPER_THREAD, daemon=True,
+                )
+                self._thread.start()
+            self._jobs.put((job, done))
+        return done
+
+    @staticmethod
+    def _serve(jobs: queue.SimpleQueue) -> None:
+        while True:
+            job, done = jobs.get()
+            try:
+                job()
+            finally:
+                done.set()
+
+
+_helper = _Helper()
+
+
+def _forget_helper() -> None:
+    """A forked child has no helper thread: it starts its own."""
+    global _helper
+    _helper = _Helper()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _split(unit: Callable[[Any], Any], items: list) -> list:
+    """``[unit(item) for item in items]``, the second half on the helper.
+
+    Inline for fewer than two items, without GMP (``pow()`` holds the
+    GIL, so a second thread only adds switching) and on the helper
+    itself.  An error is raised only once the helper's half has
+    returned, and it is the one of the earliest failing item in input
+    order: the caller's half comes first.
+    """
+    if len(items) < 2 or _backend.gmp is None or _helper.is_current():
+        return [unit(item) for item in items]
+    middle = (len(items) + 1) // 2
+    second: list = []
+    failure: list[BaseException] = []
+    records = instrumentation.PrimitiveCounter()
+
+    def second_half() -> None:
+        with instrumentation.deferred(records):
+            try:
+                for item in items[middle:]:
+                    second.append(unit(item))
+            except BaseException as error:
+                failure.append(error)
+
+    done = _helper.submit(partial(contextvars.copy_context().run, second_half))
+    try:
+        first = [unit(item) for item in items[:middle]]
+    finally:
+        done.wait()
+        instrumentation.replay(records)
+    if failure:
+        raise failure[0]
+    return first + second
+
 
 class CryptoEngine:
-    """Runs crypto batches as loops in the calling thread.
+    """Runs crypto batches; three bigint ones split over two threads.
 
-    ``workers`` is 0 or 1, both serial; a larger count raises
-    :class:`~repro.errors.ParameterError`, since this engine has no
-    parallel form to give it.  ``backend``: ``"python"`` or a
-    :class:`~repro.crypto.backend.PythonBackend`, the one exponentiation
-    seam; anything else raises :class:`~repro.errors.ParameterError`.
-    ``backend_name`` names that seam, not the arithmetic behind it:
-    :func:`repro.crypto.backend.arithmetic` does.
+    Where GMP is loaded, :meth:`batch_commutative_encrypt`,
+    :meth:`batch_scheme_decrypt` and :meth:`batch_poly_eval` compute the
+    first half of a batch of two or more items on the calling thread and
+    the second half on the helper thread ``repro-crypto``; the other
+    batches, and every batch without GMP, are a loop in the calling
+    thread.  Outputs and primitive counts are those of that loop either
+    way.  :attr:`mode` names which of the two runs.
+
+    ``workers`` is 0 or 1 and selects nothing (the split has no option);
+    a larger count raises :class:`~repro.errors.ParameterError`.
+    ``backend``: ``"python"`` or a :class:`~repro.crypto.backend.
+    PythonBackend`, the one exponentiation seam; anything else raises
+    :class:`~repro.errors.ParameterError`.  ``backend_name`` names that
+    seam, not the arithmetic behind it: :func:`repro.crypto.backend.
+    arithmetic` does.
     """
-
-    mode = "serial"
 
     def __init__(
         self,
@@ -60,17 +170,31 @@ class CryptoEngine:
     ) -> None:
         if workers not in (0, 1):
             raise ParameterError(
-                f"the crypto engine is serial: workers must be 0 or 1, "
+                f"workers must be 0 or 1 (neither selects anything), "
                 f"got {workers!r}"
             )
         self.backend_name = _backend.as_backend(backend).name
 
+    @property
+    def mode(self) -> str:
+        """``"split"`` where GMP is loaded, ``"serial"`` otherwise."""
+        return "serial" if _backend.gmp is None else "split"
+
     # -- dispatch -----------------------------------------------------------
 
-    def _run(self, name: str, unit: Callable[[Any], Any], items: Sequence) -> list:
-        """``[unit(item) for item in items]`` under a ``crypto:{name}`` span."""
+    def _run(
+        self,
+        name: str,
+        unit: Callable[[Any], Any],
+        items: Sequence,
+        split: bool = False,
+    ) -> list:
+        """``[unit(item) for item in items]`` under a ``crypto:{name}``
+        span; ``split`` shares it with the helper thread (:func:`_split`)."""
         items = list(items)
         with self._batch_span(name, len(items)):
+            if split:
+                return _split(unit, items)
             return [unit(item) for item in items]
 
     @staticmethod
@@ -92,7 +216,10 @@ class CryptoEngine:
         are tags that arrived from the other source via the mediator.
         """
         return self._run(
-            "commutative", lambda value: commutative.apply(key, value), values
+            "commutative",
+            lambda value: commutative.apply(key, value),
+            values,
+            split=True,
         )
 
     def batch_scheme_encrypt(
@@ -101,7 +228,8 @@ class CryptoEngine:
         public_key: Any,
         plaintexts: Sequence[int],
     ) -> list[Any]:
-        """Batch encryption through a homomorphic scheme adapter."""
+        """Batch encryption through a homomorphic scheme adapter, as a
+        loop in the calling thread: the nonce's product holds the GIL."""
         return self._run(
             "scheme_encrypt",
             lambda plaintext: scheme.encrypt(public_key, plaintext),
@@ -119,6 +247,7 @@ class CryptoEngine:
             "scheme_decrypt",
             lambda ciphertext: scheme.decrypt(private_key, ciphertext),
             ciphertexts,
+            split=True,
         )
 
     def batch_poly_eval(
@@ -132,7 +261,10 @@ class CryptoEngine:
         the caller so randomness stays in the protocol driver.
         """
         return self._run(
-            "poly_eval", lambda job: encrypted_polynomial.masked_evaluate(*job), jobs
+            "poly_eval",
+            lambda job: encrypted_polynomial.masked_evaluate(*job),
+            jobs,
+            split=True,
         )
 
     def batch_hybrid_encrypt(

@@ -18,6 +18,12 @@ recorded operation is *also* forwarded into the installed registry (as
 the ``repro_crypto_primitive_ops_total`` counter family), so Prometheus
 expositions and JSON snapshots carry exactly the totals the counters
 observe.
+
+The engine's helper thread (:mod:`repro.crypto.engine`) computes half of
+a batch for a caller whose counters live on another thread: it records
+under :func:`deferred`, into one buffer and nowhere else, and the caller
+hands the buffer on with :func:`replay` — into its own counters, and
+into the registry once.
 """
 
 from __future__ import annotations
@@ -29,15 +35,16 @@ from typing import Iterator
 
 from repro.telemetry import metrics as _metrics
 
-_local = threading.local()
+class _State(threading.local):
+    """Per thread: the counters :func:`record` feeds, and whether it
+    also feeds the registry."""
+
+    def __init__(self) -> None:
+        self.stack: list[PrimitiveCounter] = []
+        self.forward = True
 
 
-def _stack() -> list["PrimitiveCounter"]:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = []
-        _local.stack = stack
-    return stack
+_state = _State()
 
 
 class PrimitiveCounter:
@@ -83,8 +90,11 @@ def record(operation: str, amount: int = 1) -> None:
     """
     if not amount:
         return
-    for counter in _stack():
+    state = _state
+    for counter in state.stack:
         counter.record(operation, amount)
+    if not state.forward:
+        return
     registry = _metrics.get_registry()
     if registry is not None:
         registry.record_primitive(operation, amount)
@@ -99,9 +109,29 @@ def count_primitives() -> Iterator[PrimitiveCounter]:
     an inner one is active.
     """
     counter = PrimitiveCounter()
-    stack = _stack()
+    stack = _state.stack
     stack.append(counter)
     try:
         yield counter
     finally:
         stack.remove(counter)
+
+
+@contextmanager
+def deferred(buffer: PrimitiveCounter) -> Iterator[None]:
+    """Record this thread's operations into ``buffer`` alone — not into
+    the thread's counters, not into the registry — for the block."""
+    state = _state
+    saved = state.stack, state.forward
+    state.stack, state.forward = [buffer], False
+    try:
+        yield
+    finally:
+        state.stack, state.forward = saved
+
+
+def replay(buffer: PrimitiveCounter) -> None:
+    """:func:`record` every count of ``buffer`` on this thread, in the
+    order the buffer first saw each operation."""
+    for operation, amount in buffer.counts.items():
+        record(operation, amount)

@@ -36,7 +36,9 @@ Plaintext space is ``Z_n``; homomorphic operations reduce modulo ``n``.
 from __future__ import annotations
 
 import math
+import os
 import secrets
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -155,9 +157,25 @@ def _nonce(n: int, s: int) -> int:
     integers otherwise."""
     library = backend.gmp
     if library is None:
-        return _fixed_base_power(_nonce_table(n), s, n * n)
-    table, modulus = _pinned_nonce_table(library, n)
-    return library.fixed_base_power(table, s, modulus)
+        with _tables_lock:
+            table = _nonce_table(n)
+        return _fixed_base_power(table, s, n * n)
+    with _tables_lock:
+        pinned, modulus = _pinned_nonce_table(library, n)
+    return library.fixed_base_power(pinned, s, modulus)
+
+
+#: Held while a key's tables are looked up, so that the two threads of a
+#: split batch under a new key build them once (:mod:`repro.crypto.engine`).
+_tables_lock = threading.Lock()
+
+
+def _new_tables_lock() -> None:
+    global _tables_lock
+    _tables_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_tables_lock)
 
 
 #: Window of the fixed-base table: ``2^w - 1`` buckets, ``ceil(k / w)``

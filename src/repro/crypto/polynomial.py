@@ -132,8 +132,8 @@ def encrypt_polynomial(
     The leading coefficient must be the ``(-1)^n`` that
     :meth:`EncryptedPolynomial.evaluate` assumes; it is checked, not
     encrypted.  ``engine`` is an optional :class:`repro.crypto.engine.
-    CryptoEngine`; when given, the coefficients encrypt as one serial
-    batch call (``batch_scheme_encrypt``) instead of a scalar loop.
+    CryptoEngine`; when given, the coefficients encrypt as one batch
+    call (``batch_scheme_encrypt``) instead of a scalar loop.
     """
     *low, leading = coefficients
     if leading != (-1) ** len(low) % scheme.plaintext_bound(public_key):

@@ -1,5 +1,8 @@
 """Tests for the Table-1 leakage analysis (E1)."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
 from repro import DASConfig, run_join_query
@@ -199,6 +202,24 @@ class TestPlaintextConfidentiality:
         # Every join value in either active domain is exposed via the
         # plaintext index tables.
         assert len(leaks) > 0
+
+    def test_relation_in_a_body_is_not_passed(self, string_results, string_workload):
+        """A body the scan cannot walk fails it: a Relation used to be
+        scanned as its repr, which names the relation, not its rows."""
+        result = string_results["commutative"]
+        relation = string_workload.relation_1
+        transcript = list(result.messages)
+        index = next(
+            i for i, m in enumerate(transcript) if m.kind == "commutative_m_set"
+        )
+        transcript[index] = dataclasses.replace(transcript[index], body=[relation])
+        leaking = dataclasses.replace(
+            result,
+            network=SimpleNamespace(transcript=tuple(transcript)),
+            message_range=None,
+        )
+        with pytest.raises(TypeError, match="Relation"):
+            verify_no_plaintext_leak(leaking, [relation])
 
 
 class TestSessionKeySecrecy:

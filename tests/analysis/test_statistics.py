@@ -1,6 +1,7 @@
 """Tests for the statistical indistinguishability checks."""
 
 import dataclasses
+import math
 import secrets
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro import run_join_query
 from repro.analysis.statistics import (
     byte_uniformity,
+    chi_square_sf,
     ciphertext_material,
     commutative_tag_spread,
     mediator_ciphertext_uniformity,
@@ -51,6 +53,34 @@ class TestByteUniformity:
     def test_small_sample_rejected(self):
         with pytest.raises(ProtocolError):
             byte_uniformity(b"tiny")
+
+
+class TestChiSquareTail:
+    """The stdlib tail probability against tabulated critical values of
+    the chi-square law with 255 degrees of freedom (the byte histogram's)."""
+
+    @pytest.mark.parametrize(
+        "critical, p",
+        [(293.2478, 0.05), (310.4574, 0.01), (330.5197, 1e-3), (377.0781, 1e-6)],
+    )
+    def test_tabulated_critical_values(self, critical, p):
+        assert chi_square_sf(critical, 255) == pytest.approx(p, rel=1e-4)
+
+    @pytest.mark.parametrize("x", [0.5, 3.0, 40.0, 700.0])
+    def test_two_degrees_is_the_exponential_law(self, x):
+        assert chi_square_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-12)
+
+    def test_zero_statistic(self):
+        assert chi_square_sf(0.0, 255) == 1.0
+
+    def test_the_two_expansions_meet(self):
+        """The series serves x < k + 2 (x/2 < k/2 + 1), the continued
+        fraction the rest: the tail stays continuous and decreasing."""
+        tails = [chi_square_sf(200 + i * 0.5, 255) for i in range(240)]
+        assert all(a > b for a, b in zip(tails, tails[1:]))
+        assert chi_square_sf(256.9999, 255) == pytest.approx(
+            chi_square_sf(257.0001, 255), rel=1e-4
+        )
 
 
 class TestMediatorMaterial:

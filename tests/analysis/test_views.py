@@ -49,6 +49,11 @@ class TestByteMaterial:
 
         assert list(iter_byte_material(Blob())) == [b"blob-bytes"]
 
+    def test_unwalkable_objects_fail_closed(self):
+        """No repr stands in for material the walker cannot see."""
+        with pytest.raises(TypeError, match="object"):
+            list(iter_byte_material([b"ok", object()]))
+
 
 class TestViewMaterial:
     @pytest.fixture

@@ -7,7 +7,8 @@ TCP, and must produce exactly the sequences written out below:
 ``(sender, receiver, kind)`` for every message, ``(party, step)`` for
 every timing, the artifact keys and the artifact counts.  Each run also
 conforms to the paper's flow (``analysis.conformance.check_flow``), up
-to the second result frame of hardened DAS.
+to the second result frame of hardened DAS, and every message body is
+one the plaintext-leak scan can walk (``analysis.views``).
 
 The mediator forwards the exchanged commutative sets and the PM
 polynomials to S1 first, then to S2: S1 computes first, so its input
@@ -20,6 +21,7 @@ import pytest
 
 from repro import DASConfig, Federation, run_join_query
 from repro.analysis.conformance import check_flow
+from repro.analysis.views import iter_byte_material
 from repro.mediation.access_control import allow_all
 from repro.mediation.network import Network
 from repro.storage import SQLiteBackend
@@ -183,6 +185,9 @@ def test_listing_order_and_steps_are_pinned(
     assert [
         (m.sender, m.receiver, m.kind) for m in result.network.transcript
     ] == messages
+    # The leak scan can walk every body (it raises on one it cannot).
+    for message in result.network.transcript:
+        list(iter_byte_material(message.body))
     assert [(t.party, t.step) for t in result.timings] == timings
     storage = ["storage_cache"] if backend is not None else []
     assert sorted(result.artifacts) == sorted(RUNNER_KEYS + keys + storage)
