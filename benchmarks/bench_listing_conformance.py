@@ -7,16 +7,15 @@ whom, in order); the benchmark measures a full conformance sweep.
 
 from conftest import write_report
 
-from repro import DASConfig, run_join_query
+from repro import run_join_query
 from repro.analysis.conformance import check_flow
 
 QUERY = "select * from R1 natural join R2"
 
 PROTOCOLS = [
-    ("das", None, "Listing 2 (client setting)"),
+    ("das", None, "Listing 2"),
     ("commutative", None, "Listing 3"),
     ("private-matching", None, "Listing 4"),
-    ("das", DASConfig(setting="mediator"), "mediator-setting baseline"),
 ]
 
 

@@ -5,10 +5,6 @@ mediator/client views, audits the primitive counters for Table 2, checks
 Listing 1-4 flow conformance and the Figure 1/2 star topology, and scans
 the mediator's received bytes for plaintext tuples.
 
-It then demonstrates *why* the paper's client setting matters: in the
-insecure mediator-setting DAS baseline the very same scan finds the
-partition contents (join-attribute values) in the mediator's view.
-
 It finishes with the differential audit: the same query over a seeded
 workload and its adjacent twin (one join value moved), printing the
 per-adversary observable-distance summary — Table 1 as a measurement
@@ -26,7 +22,6 @@ import argparse
 
 from repro import (
     CertificationAuthority,
-    DASConfig,
     Federation,
     run_join_query,
     setup_client,
@@ -106,27 +101,6 @@ def main() -> None:
     print()
     print(table2(profiles))
 
-    # The cautionary tale: the mediator-setting DAS baseline.
-    print("\n--- insecure baseline: DAS with the translator at the mediator ---")
-    result = run_join_query(
-        build_federation(workload, storage),
-        query,
-        protocol="das",
-        config=DASConfig(setting="mediator"),
-    )
-    leaks = verify_no_plaintext_leak(result, relations)
-    print(
-        f"{result.protocol}: plaintext items visible to the mediator: "
-        f"{len(leaks)}"
-    )
-    for leak in leaks[:5]:
-        print(f"  {leak}")
-    if len(leaks) > 5:
-        print(f"  ... and {len(leaks) - 5} more")
-    print(
-        "\n=> exactly the paper's warning: 'it is crucial to encrypt the "
-        "index table and let the query translator reside on client side'"
-    )
     # Table 1 as a measurement: how far does each adversary's observable
     # view move when the input moves by one tuple?
     print("\n--- differential audit: adjacent workloads, every adversary ---")

@@ -70,7 +70,6 @@ def measure(result: MediationResult) -> ComparisonRow:
     """Extract the Section 6 quantities from a finished run."""
     roles = detect_roles(result.messages)
     client, mediator = roles["client"], roles["mediator"]
-    protocol = result.protocol.split("[", 1)[0]
     wall: dict[str, float] = {}
     for timing in result.timings:
         wall[timing.party] = wall.get(timing.party, 0.0) + timing.seconds
@@ -82,7 +81,9 @@ def measure(result: MediationResult) -> ComparisonRow:
             source: result.interaction_count(source, mediator)
             for source in roles["sources"]
         },
-        client_received_units=analyze(result).client_learns[RESULT_UNITS[protocol]],
+        client_received_units=analyze(result).client_learns[
+            RESULT_UNITS[result.protocol]
+        ],
         client_received_bytes=sum(
             message.size_bytes for message in result.view(client).received
         ),

@@ -75,33 +75,10 @@ class FlowCheck:
     actual_flow: list[str]
 
 
-#: The insecure mediator-setting DAS baseline skips steps 4-5.
-DAS_MEDIATOR_SETTING_FLOW = [
-    ("das_encrypted_partial_result", "source", "mediator"),
-    ("das_encrypted_partial_result", "source", "mediator"),
-    ("das_server_result", "mediator", "client"),
-]
-
-#: Source setting: the translating source receives the opposite table
-#: and returns the server query itself.
-DAS_SOURCE_SETTING_FLOW = [
-    ("das_encrypted_partial_result", "source", "mediator"),
-    ("das_encrypted_partial_result", "source", "mediator"),
-    ("das_index_table_for_translator", "mediator", "source"),
-    ("das_server_query", "source", "mediator"),
-    ("das_server_result", "mediator", "client"),
-]
-
-
 def expected_flow(protocol: str) -> list[tuple[str, str, str]]:
-    if protocol == "das[mediator]":
-        return REQUEST_FLOW + DAS_MEDIATOR_SETTING_FLOW
-    if protocol == "das[source]":
-        return REQUEST_FLOW + DAS_SOURCE_SETTING_FLOW
-    base = protocol.split("[", 1)[0]
-    if base not in DELIVERY_FLOWS:
+    if protocol not in DELIVERY_FLOWS:
         raise ProtocolError(f"no expected flow for protocol {protocol!r}")
-    return REQUEST_FLOW + DELIVERY_FLOWS[base]
+    return REQUEST_FLOW + DELIVERY_FLOWS[protocol]
 
 
 def _role(party: str, roles: dict) -> str:

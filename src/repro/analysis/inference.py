@@ -6,8 +6,8 @@ information (see [15] and [8] for an analysis).  This is even worse when
 the domain of the attribute is small."*
 
 Following the spirit of Ceselli et al. [8], we quantify an adversary who
-obtained an index table in plaintext (the insecure *mediator setting*,
-or a compromise) and knows the global attribute domain: for each
+obtained an index table in plaintext (a translator placed at the
+mediator, or a compromise) and knows the global attribute domain: for each
 encrypted tuple it sees, its probability of guessing the tuple's real
 join value is ``1 / |partition|``.  The **exposure** of a partitioning
 is the mean of this probability over tuples; singleton partitions give
@@ -84,7 +84,7 @@ class DASEfficiencyReport:
 
 def das_efficiency(result: MediationResult) -> DASEfficiencyReport:
     """Extract the A1 efficiency quantities from a DAS run."""
-    if not result.protocol.startswith("das"):
+    if result.protocol != "das":
         raise ProtocolError("das_efficiency requires a DAS run")
     config = result.artifacts["config"]
     return DASEfficiencyReport(

@@ -97,7 +97,7 @@ NOTES = {
 
 def analyze(result: MediationResult) -> LeakageReport:
     """Derive the Table-1 cells for one protocol run from its traces."""
-    protocol = result.protocol.split("[", 1)[0]
+    protocol = result.protocol
     if protocol not in READS:
         raise ProtocolError(f"no leakage analyzer for protocol {result.protocol!r}")
     roles = detect_roles(result.messages)

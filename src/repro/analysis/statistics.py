@@ -9,8 +9,7 @@ commutative tags for collision-freeness and group spread.
 
 A statistical test cannot prove security — a passing chi-square only
 means the material carries no gross structure — but a *failing* one is a
-smoking gun (e.g. plaintext objects on the bus fail instantly, which the
-mediator-setting baseline demonstrates).
+smoking gun (e.g. plaintext objects on the bus fail instantly).
 """
 
 from __future__ import annotations
@@ -211,16 +210,10 @@ class TagSpreadReport:
     def collision_free(self) -> bool:
         return self.tags == self.distinct
 
-    @property
-    def well_spread(self) -> bool:
-        """All tags within a few bits of the modulus size (no tiny
-        elements betraying structure)."""
-        return self.min_bits >= self.modulus_bits - 16
-
 
 def commutative_tag_spread(result: MediationResult) -> TagSpreadReport:
     """Analyze the single-encrypted tags the mediator saw (round 1)."""
-    if not result.protocol.startswith("commutative"):
+    if result.protocol != "commutative":
         raise ProtocolError("tag analysis requires a commutative run")
     tags: list[int] = []
     for message in result.messages:

@@ -18,18 +18,13 @@ The DAS protocol (after Hacigumus et al. [13], adapted to the MMM):
 7. The client decrypts R_C and applies ``q_C`` (the real join-attribute
    equality) to obtain the global result.
 
-The paper names three translator placements ("it is possible to place
-the DAS query translator in any layer of the mediation system"); all
-three are implemented:
-
-* **client setting** (the paper's protocol, Listing 2) — index tables
-  travel hybrid-encrypted to the client, which translates q;
-* **source setting** — one datasource translates: the opposite index
-  table is encrypted *for that source*, which learns it (inter-source
-  leakage instead of client round trips);
-* **mediator setting** — an explicitly insecure baseline where index
-  tables reach the mediator in plaintext, demonstrating why the paper
-  calls encrypting the index table "crucial".
+Section 3.1 notes that the query translator could sit in any layer of
+the mediation system, but details only this placement, the client, and
+calls encrypting the index table "crucial".  The other placements (a
+translating source, a translating mediator that reads the tables in
+plaintext) and the mixed model of Mykletun/Tsudik [18], whose
+non-sensitive attributes travel in plaintext, are not implemented;
+``docs/decisions.md`` records why and what would bring one back.
 """
 
 from __future__ import annotations
@@ -68,42 +63,25 @@ from repro.relational.relation import Relation, Row
 from repro.relational.schema import Schema
 from repro.storage.base import KIND_DAS_INDEX, IndexCache, relation_fingerprint
 
-#: Query-translator placements (Section 3.1 "settings").
-CLIENT_SETTING = "client"
-MEDIATOR_SETTING = "mediator"
-SOURCE_SETTING = "source"
-
 
 @dataclass(frozen=True)
 class DASConfig:
     """Tunable parameters of the DAS delivery phase."""
 
-    strategy: str = "equi_depth"  # equi_depth | equi_width | singleton
+    strategy: str = "equi_depth"  # equi_depth | singleton
     buckets: int = 4
-    setting: str = CLIENT_SETTING
-    #: Mixed DAS model (Mykletun/Tsudik [18], discussed in Section 7):
-    #: attributes listed here are *not* sensitive and travel in plaintext
-    #: next to the etuple; the join attribute must stay encrypted.
-    mixed_plaintext_attributes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.strategy not in ("equi_depth", "equi_width", "singleton"):
+        if self.strategy not in ("equi_depth", "singleton"):
             raise ProtocolError(f"unknown partition strategy {self.strategy!r}")
-        if self.setting not in (CLIENT_SETTING, MEDIATOR_SETTING, SOURCE_SETTING):
-            raise ProtocolError(f"unsupported DAS setting {self.setting!r}")
 
 
 @dataclass(frozen=True)
 class EncryptedTuple:
-    """``t^S = <etuple, a^S_join>`` — one row of an encrypted relation.
-
-    In the mixed DAS model, ``plain_values`` additionally carries the
-    non-sensitive attribute values in plaintext.
-    """
+    """``t^S = <etuple, a^S_join>`` — one row of an encrypted relation."""
 
     etuple: hybrid.HybridCiphertext
     index_value: int
-    plain_values: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -187,29 +165,11 @@ class ServerResult:
 
 
 def _partition_domain(
-    config: DASConfig, active_domain: tuple, attribute: str
+    config: DASConfig, active_domain: tuple
 ) -> list[partitioning.Partition]:
     if config.strategy == "singleton":
         return partitioning.singleton(active_domain)
-    if config.strategy == "equi_width":
-        return partitioning.equi_width(active_domain, config.buckets)
     return partitioning.equi_depth(active_domain, config.buckets)
-
-
-def _mixed_split(schema: Schema, config: DASConfig) -> tuple[list[int], list[int]]:
-    """(sensitive positions, plaintext positions) for the mixed model."""
-    # Names not in this schema belong to the other relation; validation
-    # of completely unknown names happens once in seat().
-    plaintext = set(config.mixed_plaintext_attributes) & set(schema.names())
-    sensitive_positions = [
-        i for i, a in enumerate(schema.attributes) if a.name not in plaintext
-    ]
-    plain_positions = [
-        i for i, a in enumerate(schema.attributes) if a.name in plaintext
-    ]
-    if not sensitive_positions:
-        raise ProtocolError("the mixed DAS model needs a sensitive attribute")
-    return sensitive_positions, plain_positions
 
 
 def _encrypt_source(
@@ -241,10 +201,6 @@ def _encrypt_source(
     one epoch (see docs/storage.md).
     """
     engine = engine or get_engine()
-    if attribute in config.mixed_plaintext_attributes:
-        raise ProtocolError(
-            "the join attribute must remain sensitive in the mixed DAS model"
-        )
     session = source_session(cache, relation.name, client_keys)
 
     index_table: IndexTable | None = None
@@ -266,7 +222,7 @@ def _encrypt_source(
                 cache.decode_failure(KIND_DAS_INDEX)
     if index_table is None:
         active_domain = relation.active_domain(attribute)
-        partitions = _partition_domain(config, active_domain, attribute)
+        partitions = _partition_domain(config, active_domain)
         index_table = partitioning.build_index_table(
             f"{relation.name}.{attribute}",
             partitions,
@@ -280,11 +236,8 @@ def _encrypt_source(
                 symmetric.encrypt(session.key, index_table.to_bytes()),
             )
 
-    sensitive_positions, plain_positions = _mixed_split(relation.schema, config)
     rows = list(relation)
-    encoded_rows = [
-        encode_row(tuple(row[i] for i in sensitive_positions)) for row in rows
-    ]
+    encoded_rows = list(map(encode_row, rows))
     # Hardened runs wrap every row encoding to one uniform length before
     # it can influence a ciphertext body; the client unwraps (and
     # discards dummies) in _client_hash_join.
@@ -294,11 +247,7 @@ def _encrypt_source(
     etuples = engine.batch_hybrid_encrypt(session, encoded_rows)
 
     encrypted_rows = [
-        EncryptedTuple(
-            etuple,
-            index_table.index_of(relation.value(row, attribute)),
-            plain_values=tuple(row[i] for i in plain_positions),
-        )
+        EncryptedTuple(etuple, index_table.index_of(relation.value(row, attribute)))
         for row, etuple in zip(rows, etuples)
     ]
     if hardening is not None:
@@ -429,31 +378,14 @@ def _server_pairs(
 def _decrypt_rows(
     client,
     schema: Schema,
-    config: DASConfig,
     encrypted_tuples: list[EncryptedTuple],
     engine: CryptoEngine | None = None,
 ) -> list[Row]:
-    """Decrypt a table of distinct etuples as one engine batch and
-    reassemble mixed-model rows."""
-    sensitive_positions, plain_positions = _mixed_split(schema, config)
+    """Decrypt a table of distinct etuples as one engine batch."""
     plaintexts = client.decrypt_hybrid_many(
         [encrypted.etuple for encrypted in encrypted_tuples], engine=engine
     )
-    sensitive_schema = Schema(
-        schema.relation_name,
-        [schema.attributes[i] for i in sensitive_positions],
-    )
-    rows: list[Row] = []
-    for encrypted, plaintext in zip(encrypted_tuples, plaintexts):
-        merged: list = [None] * len(schema)
-        for value, position in zip(
-            decode_row(plaintext, sensitive_schema), sensitive_positions
-        ):
-            merged[position] = value
-        for value, position in zip(encrypted.plain_values, plain_positions):
-            merged[position] = value
-        rows.append(tuple(merged))
-    return rows
+    return [decode_row(plaintext, schema) for plaintext in plaintexts]
 
 
 def _client_postprocess(
@@ -462,7 +394,6 @@ def _client_postprocess(
     schema_1: Schema,
     schema_2: Schema,
     join_attributes: tuple[str, ...],
-    config: DASConfig,
     engine: CryptoEngine | None = None,
 ) -> tuple[Relation, int]:
     """Step 7 at the client: decrypt R_C, apply q_C, build the result.
@@ -482,8 +413,8 @@ def _client_postprocess(
     result_schema = schema_1.join_schema(
         schema_2, f"{schema_1.relation_name}_join_{schema_2.relation_name}"
     )
-    rows_1 = _decrypt_rows(client, schema_1, config, server_result.rows_1, engine)
-    rows_2 = _decrypt_rows(client, schema_2, config, server_result.rows_2, engine)
+    rows_1 = _decrypt_rows(client, schema_1, server_result.rows_1, engine)
+    rows_2 = _decrypt_rows(client, schema_2, server_result.rows_2, engine)
     position_1 = schema_1.position(attribute)
     position_2 = schema_2.position(attribute)
     extras: dict = {}
@@ -554,46 +485,19 @@ def _client_hash_join(
     return natural_join(*real), unmatched, len(rows) - sum(map(len, real))
 
 
-# -- Listing 2 as step tables, one per translator setting -------------------
+# -- Listing 2 as a step table ----------------------------------------------
 
 PARTIAL = "das_encrypted_partial_result"
 
 
-def _publish(source, table_for) -> Outbound:
-    """Steps 1-3: <R_i^S, the index table> to the mediator; the table
-    travels as ``table_for`` makes it from (index table, encrypted for
-    the client)."""
-    source.index_table, relation, encrypted = _encrypt_source(
+def _publish(source, sender: str, body: None) -> Outbound:
+    """Steps 1-3: <R_i^S, encrypt(ITable)> to the mediator."""
+    source.index_table, relation, table = _encrypt_source(
         source.name, source.relation, source.join_attributes[0],
         source.config, source.client_keys, source.engine,
         cache=source.cache, hardening=source.hardening,
     )
-    table = table_for(source, encrypted)
     return [(source.mediator, PARTIAL, {"relation": relation, "index_table": table})]
-
-
-def _publish_for_client(source, sender: str, body: None) -> Outbound:
-    return _publish(source, lambda source, encrypted: encrypted)
-
-
-def _publish_for_translator(source, sender: str, body: None) -> Outbound:
-    """Source setting: S2's table is encrypted for the translating S1,
-    which keeps its own."""
-    return _publish(source, _table_for_translator)
-
-
-def _table_for_translator(source, encrypted) -> hybrid.HybridCiphertext | None:
-    if source.translator_key is None:
-        return None
-    table_bytes = source.index_table.to_bytes()
-    if source.hardening is not None:
-        table_bytes = source.hardening.wrap_table(table_bytes)
-    return hybrid.encrypt([source.translator_key], table_bytes)
-
-
-def _publish_plain_table(source, sender: str, body: None) -> Outbound:
-    """Mediator setting (insecure baseline): the table in plaintext."""
-    return _publish(source, lambda source, encrypted: source.index_table)
 
 
 def _tables_to_client(mediator, sender: str, partials: dict) -> Outbound:
@@ -603,15 +507,7 @@ def _tables_to_client(mediator, sender: str, partials: dict) -> Outbound:
     return [(mediator.client, "das_encrypted_index_tables", tables)]
 
 
-def _table_to_translator(mediator, sender: str, partials: dict) -> Outbound:
-    """Source setting: S2's encrypted table on to the translating S1."""
-    mediator.partials = partials
-    (source_1, _), (_, partial_2) = partials.items()
-    table = partial_2["index_table"]
-    return [(source_1, "das_index_table_for_translator", table)]
-
-
-def _translate_at_client(client, sender: str, tables: dict) -> Outbound:
+def _translate(client, sender: str, tables: dict) -> Outbound:
     """Step 5: decrypt both tables and translate q into q_S."""
     table_1, table_2 = (
         _table_from_plaintext(client.client.decrypt_hybrid(table), client.hardening)
@@ -619,23 +515,6 @@ def _translate_at_client(client, sender: str, tables: dict) -> Outbound:
     )
     pairs = _server_pairs(table_1, table_2, client.hardening)
     return [(sender, "das_server_query", ServerQuery(pairs=pairs))]
-
-
-def _translate_at_source(source, sender: str, table) -> Outbound:
-    """Source setting: S1 opens S2's table and translates q itself."""
-    table_2 = _table_from_plaintext(
-        hybrid.decrypt(source.private_key, table), source.hardening
-    )
-    pairs = _server_pairs(source.index_table, table_2, source.hardening)
-    return [(sender, "das_server_query", ServerQuery(pairs=pairs))]
-
-
-def _translate_at_mediator(mediator, sender: str, partials: dict) -> Outbound:
-    """Mediator setting: the mediator translates q itself, unsent."""
-    mediator.partials = partials
-    table_1, table_2 = (body["index_table"] for body in partials.values())
-    query = ServerQuery(pairs=tuple(table_1.overlapping_pairs(table_2)))
-    return [(mediator.name, "das_server_query", query)]
 
 
 def _evaluate(mediator, sender: str, query: ServerQuery) -> Outbound:
@@ -670,7 +549,7 @@ def _postprocess(client, sender: str, body: None) -> Outbound:
     (server_result,) = client.inbox
     client.global_result, client.false_positives = _client_postprocess(
         client.client, server_result, *client.schemas,
-        client.join_attributes, client.config, client.engine,
+        client.join_attributes, client.engine,
     )
     return []
 
@@ -686,37 +565,15 @@ def _hash_join(client, sender: str, body: None) -> Outbound:
     return []
 
 
-_STEP_6_7 = {
+TABLE = {
+    (SOURCE, START): Step(_publish, "partition_and_encrypt"),
+    (MEDIATOR, PARTIAL): Step(_tables_to_client, gather=True),
+    (CLIENT, "das_encrypted_index_tables"): Step(_translate, "translate_query"),
     (MEDIATOR, "das_server_query"): Step(_evaluate, "evaluate_server_query"),
     (CLIENT, "das_server_result"): Step(collect),
     (CLIENT, DONE): Step(_postprocess, "decrypt_and_postprocess"),
 }
-TABLES = {
-    CLIENT_SETTING: {
-        (SOURCE, START): Step(_publish_for_client, "partition_and_encrypt"),
-        (MEDIATOR, PARTIAL): Step(_tables_to_client, gather=True),
-        (CLIENT, "das_encrypted_index_tables"): Step(
-            _translate_at_client, "translate_query"
-        ),
-        **_STEP_6_7,
-    },
-    SOURCE_SETTING: {
-        (SOURCE, START): Step(_publish_for_translator, "partition_and_encrypt"),
-        (MEDIATOR, PARTIAL): Step(_table_to_translator, gather=True),
-        (SOURCE, "das_index_table_for_translator"): Step(
-            _translate_at_source, "translate_query"
-        ),
-        **_STEP_6_7,
-    },
-    MEDIATOR_SETTING: {
-        (SOURCE, START): Step(_publish_plain_table, "partition_and_encrypt"),
-        (MEDIATOR, PARTIAL): Step(
-            _translate_at_mediator, "translate_query", gather=True
-        ),
-        **_STEP_6_7,
-    },
-}
-#: Steps 6-7 of a hardened run (the mediator setting refuses hardening).
+#: Steps 6-7 of a hardened run.
 HARDENED = {
     (MEDIATOR, "das_server_query"): Step(_forward_relations),
     (CLIENT, DONE): Step(_hash_join, "decrypt_and_postprocess"),
@@ -727,44 +584,15 @@ def seat(
     federation: Federation, outcome: RequestPhaseOutcome,
     config: DASConfig, engine: CryptoEngine, hardening=None,
 ) -> tuple[dict, Parties]:
-    """Listing 2's table for ``config.setting`` and each party's state."""
-    if hardening is not None:
-        if config.strategy == "equi_width":
-            raise ProtocolError(
-                "hardened mode cannot bound equi_width buckets (bucket "
-                "occupancy is value-dependent); use equi_depth or singleton"
-            )
-        if config.mixed_plaintext_attributes:
-            raise ProtocolError(
-                "hardened mode is incompatible with the mixed DAS model: "
-                "plaintext attribute values leak by construction"
-            )
-        if config.setting == MEDIATOR_SETTING:
-            raise ProtocolError(
-                "hardened mode is incompatible with the mediator setting: "
-                "the index tables reach the mediator in plaintext"
-            )
+    """Listing 2's table and each party's state."""
     if len(outcome.join_attributes) != 1:
         raise ProtocolError(
             "the DAS delivery phase supports exactly one join attribute; "
             "use the commutative or private-matching protocol for "
             "composite join keys"
         )
-    names = {n for name in outcome.source_names for n in outcome.schema_of(name).names()}
-    unknown_mixed = set(config.mixed_plaintext_attributes) - names
-    if unknown_mixed:
-        raise ProtocolError(
-            f"unknown mixed-model attributes: {sorted(unknown_mixed)}"
-        )
     parties = seat_parties(federation, outcome, config, engine, hardening)
-    if config.setting == SOURCE_SETTING:
-        # S1 translates: S2 encrypts its table for S1's public key.
-        source_1, source_2, *_ = states(parties)
-        translator = federation.source(source_1.name)
-        source_2.translator_key = translator.ensure_keypair()
-        source_1.private_key, source_1.translator_key = translator.private_key(), None
-    table = TABLES[config.setting]
-    return (table if hardening is None else {**table, **HARDENED}), parties
+    return (TABLE if hardening is None else {**TABLE, **HARDENED}), parties
 
 
 def report(result: MediationResult, parties: Parties, config: DASConfig) -> None:
@@ -772,7 +600,7 @@ def report(result: MediationResult, parties: Parties, config: DASConfig) -> None
     source_1, source_2, mediator, client = states(parties)
     schema_1, schema_2 = client.schemas
     query = mediator.server_query
-    result.protocol = f"das[{config.setting}]"
+    result.protocol = "das"
     result.global_result = client.global_result
     result.artifacts.update(
         {
@@ -792,7 +620,3 @@ def report(result: MediationResult, parties: Parties, config: DASConfig) -> None
     )
     if client.hardening is not None:
         result.artifacts["dummy_rows_discarded"] = client.dummy_rows
-    if config.setting == SOURCE_SETTING:
-        # The distinguishing leakage of this setting: the translating
-        # source learned the opposite source's index table.
-        result.artifacts["translator_source"] = source_1.name

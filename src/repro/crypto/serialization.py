@@ -1,9 +1,9 @@
-"""JSON serialization of key material and credentials.
+"""JSON serialization of key material.
 
-Long-lived federations need to persist the preparatory phase: client key
-pairs, credentials, and the CA's verification key.  This module defines
-a compact JSON representation for each — integers as decimal strings
-(JSON numbers lose precision beyond 2^53), bytes as hex — with strict
+Long-lived federations need to persist the preparatory phase: the CA's
+and the clients' RSA key pairs and the clients' Paillier keys.  This
+module defines a compact JSON representation for each — integers as
+decimal strings (JSON numbers lose precision beyond 2^53) — with strict
 type tags so a blob cannot be deserialized as the wrong kind of key.
 """
 
@@ -16,7 +16,6 @@ from typing import Any
 from repro.crypto import paillier, rsa
 from repro.crypto.numtheory import factor_from_lambda_multiple
 from repro.errors import EncodingError, ParameterError
-from repro.mediation.credentials import Credential
 
 
 def _require_kind(payload: dict[str, Any], kind: str) -> None:
@@ -64,17 +63,6 @@ def rsa_private_from_dict(payload: dict[str, Any]) -> rsa.RSAPrivateKey:
 
 # -- Paillier -----------------------------------------------------------------
 
-def paillier_public_to_dict(key: paillier.PaillierPublicKey) -> dict[str, Any]:
-    return {"kind": "paillier-public", "n": str(key.n)}
-
-
-def paillier_public_from_dict(
-    payload: dict[str, Any]
-) -> paillier.PaillierPublicKey:
-    _require_kind(payload, "paillier-public")
-    return paillier.PaillierPublicKey(n=int(payload["n"]))
-
-
 def paillier_private_to_dict(
     key: paillier.PaillierPrivateKey,
 ) -> dict[str, Any]:
@@ -106,32 +94,6 @@ def paillier_private_from_dict(
         raise EncodingError("inconsistent Paillier private key material")
     return paillier.PaillierPrivateKey(
         public_key=paillier.PaillierPublicKey(n=n), lam=lam, mu=mu, p=p, q=q
-    )
-
-
-# -- Credentials ----------------------------------------------------------------
-
-def credential_to_dict(credential: Credential) -> dict[str, Any]:
-    return {
-        "kind": "credential",
-        "issuer": credential.issuer,
-        "properties": sorted(
-            [name, value] for name, value in credential.properties
-        ),
-        "public_key": rsa_public_to_dict(credential.public_key),
-        "signature": credential.signature.hex(),
-    }
-
-
-def credential_from_dict(payload: dict[str, Any]) -> Credential:
-    _require_kind(payload, "credential")
-    return Credential(
-        properties=frozenset(
-            (name, value) for name, value in payload["properties"]
-        ),
-        public_key=rsa_public_from_dict(payload["public_key"]),
-        issuer=payload["issuer"],
-        signature=bytes.fromhex(payload["signature"]),
     )
 
 

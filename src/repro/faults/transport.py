@@ -147,7 +147,3 @@ class FaultyTransport(Transport):
     def fault_events(self) -> list[FaultEvent]:
         """The injector's deterministic event log."""
         return self.injector.event_log()
-
-    @property
-    def crashed_parties(self) -> frozenset[str]:
-        return frozenset(self._crashed)

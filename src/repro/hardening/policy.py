@@ -26,7 +26,7 @@ information-flow analysis of arXiv 1605.01092.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.errors import ParameterError, ProtocolError
@@ -127,23 +127,13 @@ class PaddingPolicy:
         bucket's real occupancy: a bucket of k values holds at most
         k * max_multiplicity rows.  Both factors are preserved by the
         one-value perturbation, so the padded occupancy histogram is
-        identical for adjacent workloads.  ``equi_width`` places values
-        by magnitude, which is *not* invariant — hardened DAS rejects it
-        (see :func:`repro.core.das.seat`).
+        identical for adjacent workloads.
         """
         if domain_size == 0 or max_multiplicity == 0:
             return 0
         if strategy == "singleton":
-            per_bucket = 1
-        elif strategy == "equi_depth":
-            per_bucket = -(-domain_size // min(buckets, domain_size))
-        else:
-            raise ProtocolError(
-                f"hardened mode has no invariant bucket bound for the "
-                f"{strategy!r} partition strategy; use equi_depth or "
-                f"singleton"
-            )
-        return max_multiplicity * per_bucket
+            return max_multiplicity
+        return max_multiplicity * -(-domain_size // min(buckets, domain_size))
 
 
 @dataclass

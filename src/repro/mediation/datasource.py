@@ -39,10 +39,6 @@ class DataSource:
     #: Property names this source's policies refer to; the mediator uses
     #: this to select the credential subset CR_i it forwards.
     relevant_property_names: frozenset[str] = frozenset()
-    #: Lazily generated keypair — only needed by the DAS *source setting*,
-    #: where the translating source receives the opposite index table
-    #: encrypted for itself.
-    _keypair: rsa.RSAPrivateKey | None = field(default=None, repr=False)
     #: Per-session verified-credential cache: within one mediation
     #: session a credential whose CA signature already verified is not
     #: re-verified on every partial query.  Keyed by session so the
@@ -59,19 +55,6 @@ class DataSource:
     #: every index per query.
     storage: StorageBackend | None = field(default=None, repr=False)
     _index_cache: IndexCache | None = field(default=None, repr=False)
-
-    def ensure_keypair(self, bits: int = 1024) -> rsa.RSAPublicKey:
-        """The source's own public encryption key (generated on demand)."""
-        if self._keypair is None:
-            self._keypair = rsa.generate_keypair(bits)
-        return self._keypair.public_key()
-
-    def private_key(self) -> rsa.RSAPrivateKey:
-        if self._keypair is None:
-            raise CredentialError(
-                f"datasource {self.name} has no keypair; call ensure_keypair"
-            )
-        return self._keypair
 
     def add_relation(
         self, relation: Relation, policy: AccessPolicy | None = None

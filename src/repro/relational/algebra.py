@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.errors import QueryError, SchemaError
+from repro.errors import QueryError
 from repro.relational.conditions import Condition, Resolver
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Attribute, Schema, Value
@@ -154,30 +154,6 @@ def natural_join(
         for r_row in buckets.get(key, ()):
             rows.append(l_row + tuple(r_row[i] for i in right_extra_positions))
     return Relation(schema, rows)
-
-
-def _require_compatible(left: Relation, right: Relation, operation: str) -> None:
-    left_types = tuple(a.type for a in left.schema.attributes)
-    right_types = tuple(a.type for a in right.schema.attributes)
-    if left_types != right_types:
-        raise SchemaError(f"{operation} requires union-compatible schemas")
-
-
-def union(left: Relation, right: Relation) -> Relation:
-    _require_compatible(left, right, "union")
-    return Relation(left.schema, list(left) + list(right))
-
-
-def intersection(left: Relation, right: Relation) -> Relation:
-    _require_compatible(left, right, "intersection")
-    right_rows = set(right.rows)
-    return Relation(left.schema, [row for row in left if row in right_rows])
-
-
-def difference(left: Relation, right: Relation) -> Relation:
-    _require_compatible(left, right, "difference")
-    right_rows = set(right.rows)
-    return Relation(left.schema, [row for row in left if row not in right_rows])
 
 
 # ---------------------------------------------------------------------------
@@ -344,45 +320,3 @@ def evaluate_above_join(tree: AlgebraNode, join_result: Relation) -> Relation:
     raise QueryError(
         f"cannot post-process operator {type(tree).__name__} above the join"
     )
-
-
-@dataclass(frozen=True)
-class Union(AlgebraNode):
-    left: AlgebraNode
-    right: AlgebraNode
-
-    def evaluate(self, env: Mapping[str, Relation]) -> Relation:
-        return union(self.left.evaluate(env), self.right.evaluate(env))
-
-    def leaves(self) -> list[PartialQuery]:
-        return self.left.leaves() + self.right.leaves()
-
-    def describe(self, indent: int = 0) -> str:
-        return (
-            " " * indent
-            + "Union\n"
-            + self.left.describe(indent + 2)
-            + "\n"
-            + self.right.describe(indent + 2)
-        )
-
-
-@dataclass(frozen=True)
-class Intersection(AlgebraNode):
-    left: AlgebraNode
-    right: AlgebraNode
-
-    def evaluate(self, env: Mapping[str, Relation]) -> Relation:
-        return intersection(self.left.evaluate(env), self.right.evaluate(env))
-
-    def leaves(self) -> list[PartialQuery]:
-        return self.left.leaves() + self.right.leaves()
-
-    def describe(self, indent: int = 0) -> str:
-        return (
-            " " * indent
-            + "Intersection\n"
-            + self.left.describe(indent + 2)
-            + "\n"
-            + self.right.describe(indent + 2)
-        )

@@ -16,7 +16,6 @@ detects *overlapping* partitions to build the server condition
 
 Partitioning strategies (Section 6 discusses the trade-off):
 
-* :func:`equi_width` — equal-width ranges over integer domains,
 * :func:`equi_depth` — equal-population buckets over any ordered domain,
 * :func:`singleton` — one value per partition (maximally efficient,
   maximally leaky; the limit case of "small partitions ... can leak
@@ -212,27 +211,6 @@ def build_index_table(
 # ---------------------------------------------------------------------------
 # Partitioning strategies
 # ---------------------------------------------------------------------------
-
-
-def equi_width(active_domain: Iterable[int], buckets: int) -> list[Partition]:
-    """Equal-width range partitions over an integer active domain."""
-    values = sorted(set(active_domain))
-    if not values:
-        return []
-    if buckets < 1:
-        raise PartitionError("need at least one bucket")
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-        raise PartitionError("equi_width requires an integer domain")
-    low, high = values[0], values[-1]
-    span = high - low + 1
-    width = max(1, -(-span // buckets))  # ceil division
-    partitions = []
-    for start in range(low, high + 1, width):
-        end = min(start + width - 1, high)
-        members = frozenset(v for v in values if start <= v <= end)
-        if members:
-            partitions.append(Partition(members, (start, end)))
-    return partitions
 
 
 def equi_depth(active_domain: Iterable[Value], buckets: int) -> list[Partition]:

@@ -370,7 +370,7 @@ def adversary_traces(result: Any, *, roles: Mapping[str, Any] | None = None,
     transcript in the driving process.  The traces cover the run's own
     messages (``result.messages``), not a federation's earlier queries.
     """
-    protocol = result.protocol.split("[", 1)[0]
+    protocol = result.protocol
     transport = type(result.network).__name__
     messages = result.messages
     timings = getattr(result, "timings", ())

@@ -227,10 +227,6 @@ class Tracer:
         with self._lock:
             return [span for span in self.spans if span.name == name]
 
-    def children_of(self, span_id: str) -> list[Span]:
-        with self._lock:
-            return [span for span in self.spans if span.parent_id == span_id]
-
 
 class _Scope:
     """The context manager of :meth:`Tracer.span`: a class rather than a

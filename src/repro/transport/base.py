@@ -190,14 +190,6 @@ class Transport(ABC):
     def total_bytes(self) -> int:
         return sum(m.size_bytes for m in self._messages)
 
-    def bytes_between(self, a: str, b: str) -> int:
-        """Total traffic on the (undirected) link between two parties."""
-        return sum(
-            m.size_bytes
-            for m in self._messages
-            if {m.sender, m.receiver} == {a, b}
-        )
-
     def interaction_count(self, a: str, b: str) -> int:
         return interaction_count(self._messages, a, b)
 

@@ -228,7 +228,7 @@ def _bootstrap() -> None:
     _register(
         "das-tuple",
         EncryptedTuple,
-        attrgetter("etuple", "index_value", "plain_values"),
+        attrgetter("etuple", "index_value"),
         lambda t: EncryptedTuple(*t),
     )
     _register(

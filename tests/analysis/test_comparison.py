@@ -97,7 +97,7 @@ class TestRendering:
     def test_render_table(self, rows):
         text = render(rows)
         assert "protocol" in text
-        assert "das[client]" in text
+        assert "\ndas " in text
         assert len(text.splitlines()) == 2 + len(rows)
 
     def test_measure_idempotent(self, rows, ca, client, workload):

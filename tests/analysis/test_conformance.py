@@ -36,7 +36,8 @@ class TestFlowConformance:
         "protocol,config",
         [
             ("das", None),
-            ("das", DASConfig(setting="mediator")),
+            ("das", DASConfig(strategy="singleton")),
+            ("das", DASConfig(buckets=1)),
             ("commutative", None),
             ("private-matching", None),
         ],

@@ -5,8 +5,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import DASConfig, run_join_query
+from repro import run_join_query
 from repro.analysis.leakage import analyze, table1, verify_no_plaintext_leak
+from repro.core import das
+from repro.core.steps import MEDIATOR, SOURCE, START, Step
 
 QUERY = "select * from R1 natural join R2"
 STRING_QUERY = "select * from clinic natural join lab"
@@ -168,6 +170,24 @@ class TestPMRow:
         assert report.client_learns["encrypted_values_received"] == n + m
 
 
+def publish_index_table_in_the_clear(source, sender, body):
+    """Listing 2's steps 1-3 with the index table left unencrypted."""
+    source.index_table, relation, _ = das._encrypt_source(
+        source.name, source.relation, source.join_attributes[0],
+        source.config, source.client_keys, source.engine, cache=source.cache,
+    )
+    return [(source.mediator, das.PARTIAL,
+             {"relation": relation, "index_table": source.index_table})]
+
+
+def translate_at_mediator(mediator, sender, partials):
+    """Steps 4-5 at the mediator: it reads both tables and builds q_S."""
+    mediator.partials = partials
+    table_1, table_2 = (body["index_table"] for body in partials.values())
+    query = das.ServerQuery(pairs=tuple(table_1.overlapping_pairs(table_2)))
+    return [(mediator.name, "das_server_query", query)]
+
+
 class TestPlaintextConfidentiality:
     """The shared claim: the mediator never sees plaintext tuples."""
 
@@ -188,14 +208,25 @@ class TestPlaintextConfidentiality:
             assert verify_no_plaintext_leak(result, relations) == [], protocol
 
     def test_mediator_setting_leaks(
-        self, make_federation_module, string_workload
+        self, make_federation_module, string_workload, monkeypatch
     ):
+        """Positive control: the scan finds what Listing 2 guards.
+
+        This run's table is DAS with the translator at the mediator, the
+        placement Section 3.1 warns against: the sources ship their index
+        tables in the clear and the mediator builds q_S itself."""
+        monkeypatch.setitem(das.TABLE, (SOURCE, START), Step(
+            publish_index_table_in_the_clear, "partition_and_encrypt"
+        ))
+        monkeypatch.setitem(das.TABLE, (MEDIATOR, das.PARTIAL), Step(
+            translate_at_mediator, "translate_query", gather=True
+        ))
         result = run_join_query(
-            make_federation_module(string_workload),
-            STRING_QUERY,
-            protocol="das",
-            config=DASConfig(setting="mediator"),
+            make_federation_module(string_workload), STRING_QUERY, protocol="das"
         )
+        assert "das_encrypted_index_tables" not in {
+            message.kind for message in result.messages
+        }
         leaks = verify_no_plaintext_leak(
             result, [string_workload.relation_1, string_workload.relation_2]
         )
@@ -299,7 +330,7 @@ class TestSessionKeySecrecy:
 class TestRendering:
     def test_table1_renders_all_rows(self, das_result, commutative_result, pm_result):
         text = table1([analyze(r) for r in (das_result, commutative_result, pm_result)])
-        assert "das[client]" in text
+        assert "\ndas " in text
         assert "commutative" in text
         assert "private-matching" in text
         assert "|R_C|" in text

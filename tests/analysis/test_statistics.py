@@ -124,7 +124,8 @@ class TestTagSpread:
         m = len(workload.relation_2.active_domain("k"))
         assert report.tags == n + m
         assert report.collision_free
-        assert report.well_spread
+        # No tiny element betrays structure.
+        assert report.min_bits >= report.modulus_bits - 16
 
     def test_requires_commutative_run(self, factory):
         result = run_join_query(factory(), QUERY, protocol="das")

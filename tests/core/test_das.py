@@ -1,5 +1,7 @@
 """Tests for the DAS delivery phase (Listing 2)."""
 
+import dataclasses
+
 import pytest
 
 from repro import DASConfig, reference_join, run_join_query
@@ -19,7 +21,7 @@ def expected(workload):
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("strategy", ["equi_depth", "equi_width", "singleton"])
+    @pytest.mark.parametrize("strategy", ["equi_depth", "singleton"])
     def test_matches_reference_all_strategies(
         self, make_federation, workload, expected, strategy
     ):
@@ -57,113 +59,6 @@ class TestCorrectness:
             make_federation(workload), QUERY, protocol="das"
         )
         assert len(result.global_result) == 0
-
-    def test_mediator_setting_same_result(
-        self, make_federation, workload, expected
-    ):
-        result = run_join_query(
-            make_federation(workload),
-            QUERY,
-            protocol="das",
-            config=DASConfig(setting="mediator"),
-        )
-        assert result.global_result == expected
-
-    def test_source_setting_same_result(
-        self, make_federation, workload, expected
-    ):
-        result = run_join_query(
-            make_federation(workload),
-            QUERY,
-            protocol="das",
-            config=DASConfig(setting="source"),
-        )
-        assert result.global_result == expected
-        assert result.artifacts["translator_source"] == "S1"
-
-    def test_source_setting_client_interacts_once(
-        self, make_federation, workload, client
-    ):
-        """The source setting removes the client's translation round
-        trip: one interaction, like the non-DAS protocols."""
-        result = run_join_query(
-            make_federation(workload),
-            QUERY,
-            protocol="das",
-            config=DASConfig(setting="source"),
-        )
-        assert result.network.interaction_count(client.name, "mediator") == 1
-
-    def test_source_setting_flow_conforms(self, make_federation, workload):
-        from repro.analysis.conformance import check_flow
-
-        result = run_join_query(
-            make_federation(workload),
-            QUERY,
-            protocol="das",
-            config=DASConfig(setting="source"),
-        )
-        flow = check_flow(result)
-        assert flow.conforms, flow.mismatches
-
-    def test_source_setting_table_unreadable_by_mediator(
-        self, make_federation, string_workload
-    ):
-        """The opposite index table travels encrypted for the translator
-        source, so the mediator still sees no partition contents."""
-        from repro.analysis.leakage import verify_no_plaintext_leak
-
-        result = run_join_query(
-            make_federation(string_workload),
-            "select * from clinic natural join lab",
-            protocol="das",
-            config=DASConfig(setting="source"),
-        )
-        leaks = verify_no_plaintext_leak(
-            result, [string_workload.relation_1, string_workload.relation_2]
-        )
-        assert leaks == []
-
-    def test_mixed_model_same_result(self, make_federation, workload, expected):
-        result = run_join_query(
-            make_federation(workload),
-            QUERY,
-            protocol="das",
-            config=DASConfig(mixed_plaintext_attributes=("r1_p0", "r2_p0")),
-        )
-        assert result.global_result == expected
-
-
-@pytest.mark.parametrize("carrier", ["bus", "tcp"])
-def test_source_setting_answers_a_series_of_queries(ca, client, workload, carrier):
-    """One federation answers three source-setting queries with a key
-    rotation between them; the translator must be handed *this* query's
-    index table, not the first one the transcript holds."""
-    from repro import Federation
-    from repro.mediation.access_control import allow_all
-    from repro.mediation.network import Network
-    from repro.storage import MemoryBackend
-    from repro.transport import RetryPolicy, TcpTransport
-
-    network = (
-        TcpTransport(retry=RetryPolicy(io_timeout=30.0))
-        if carrier == "tcp" else Network()
-    )
-    federation = Federation(ca=ca, network=network, storage=MemoryBackend())
-    try:
-        federation.add_source("S1", [(workload.relation_1, allow_all())])
-        federation.add_source("S2", [(workload.relation_2, allow_all())])
-        federation.attach_client(client)
-        config = DASConfig(setting="source", buckets=4)
-        for query in range(3):
-            if query:
-                for source in ("S1", "S2"):
-                    federation.source(source).rotate_keys()
-            result = run_join_query(federation, QUERY, protocol="das", config=config)
-            assert len(result.global_result) > 0
-            assert result.global_result == reference_join(federation, QUERY)
-    finally:
-        federation.network.close()
 
 
 class TestSupersetSemantics:
@@ -256,25 +151,21 @@ class TestProtocolShape:
         with pytest.raises(ProtocolError):
             DASConfig(strategy="nope")
         with pytest.raises(ProtocolError):
-            DASConfig(setting="nope")
+            DASConfig(strategy="equi_width")
 
-    def test_unknown_mixed_attribute_rejected(self, make_federation, workload):
-        with pytest.raises(ProtocolError):
-            run_join_query(
-                make_federation(workload),
-                QUERY,
-                protocol="das",
-                config=DASConfig(mixed_plaintext_attributes=("ghost",)),
-            )
+    def test_config_is_strategy_and_buckets(self):
+        assert [f.name for f in dataclasses.fields(DASConfig)] == [
+            "strategy", "buckets",
+        ]
+        assert DASConfig() == DASConfig(strategy="equi_depth", buckets=4)
 
-    def test_join_attribute_must_stay_sensitive(self, make_federation, workload):
-        with pytest.raises(ProtocolError):
-            run_join_query(
-                make_federation(workload),
-                QUERY,
-                protocol="das",
-                config=DASConfig(mixed_plaintext_attributes=("k",)),
-            )
+    @pytest.mark.parametrize(
+        "field, value",
+        [("setting", "mediator"), ("mixed_plaintext_attributes", ("b",))],
+    )
+    def test_one_translator_placement_no_plaintext_attributes(self, field, value):
+        with pytest.raises(TypeError):
+            DASConfig(**{field: value})
 
 
 class TestServerQueryCondition:

@@ -6,8 +6,7 @@ The oracle here walks R_C pair by pair (the pair list is a view of the
 row tables), decrypts both etuples of every pair, keeps the pairs whose
 join values are equal and counts the rest.  On generated relations both
 must give the same global result and the same ``false_positives``, for
-every partition strategy and translator setting, with and without a
-plaintext attribute in the mixed model.
+both partition strategies and for one bucket or more buckets than values.
 """
 
 import struct
@@ -22,7 +21,7 @@ from repro.mediation.access_control import allow_all
 from repro.relational.algebra import natural_join
 from repro.relational.encoding import decode_row
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema, schema
+from repro.relational.schema import schema
 from repro.transport import codec
 
 S1 = schema("R1", k="int", a="string")
@@ -35,24 +34,12 @@ rows_strategy = st.lists(
 )
 
 
-def oracle(client, server_result: ServerResult, plaintext: tuple) -> tuple:
+def oracle(client, server_result: ServerResult) -> tuple:
     """(global result, false positives) by a nested loop over the pairs."""
-
-    def decrypt(encrypted, relation_schema: Schema):
-        names = [a for a in relation_schema.attributes if a.name not in plaintext]
-        sensitive = iter(decode_row(
-            client.decrypt_hybrid(encrypted.etuple),
-            Schema(relation_schema.relation_name, names),
-        ))
-        plain = iter(encrypted.plain_values)
-        return tuple(
-            next(plain) if a.name in plaintext else next(sensitive)
-            for a in relation_schema.attributes
-        )
-
     rows, false_positives = [], 0
     for encrypted_1, encrypted_2 in server_result.pairs:
-        row_1, row_2 = decrypt(encrypted_1, S1), decrypt(encrypted_2, S2)
+        row_1 = decode_row(client.decrypt_hybrid(encrypted_1.etuple), S1)
+        row_2 = decode_row(client.decrypt_hybrid(encrypted_2.etuple), S2)
         if row_1[0] == row_2[0]:
             rows.append(row_1 + row_2[1:])
         else:
@@ -60,9 +47,15 @@ def oracle(client, server_result: ServerResult, plaintext: tuple) -> tuple:
     return Relation(S1.join_schema(S2, "oracle"), rows), false_positives
 
 
-@pytest.mark.parametrize("plaintext", [(), ("b",)], ids=["sensitive", "mixed"])
-@pytest.mark.parametrize("setting", ["client", "source", "mediator"])
-@pytest.mark.parametrize("strategy", ["equi_depth", "equi_width", "singleton"])
+@pytest.mark.parametrize(
+    "strategy, buckets",
+    [
+        pytest.param("equi_depth", 3, id="equi_depth"),
+        pytest.param("singleton", 3, id="singleton"),
+        pytest.param("equi_depth", 1, id="equi_depth-one-bucket"),
+        pytest.param("equi_depth", 16, id="equi_depth-more-buckets-than-values"),
+    ],
+)
 @given(rows_1=rows_strategy, rows_2=rows_strategy)
 @settings(
     max_examples=4,
@@ -70,20 +63,17 @@ def oracle(client, server_result: ServerResult, plaintext: tuple) -> tuple:
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_hash_join_matches_the_pair_loop(
-    ca, client, strategy, setting, plaintext, rows_1, rows_2
+    ca, client, strategy, buckets, rows_1, rows_2
 ):
     relation_1, relation_2 = Relation(S1, rows_1), Relation(S2, rows_2)
     federation = Federation(ca=ca)
     federation.add_source("S1", [(relation_1, allow_all())])
     federation.add_source("S2", [(relation_2, allow_all())])
     federation.attach_client(client)
-    config = DASConfig(
-        strategy=strategy, buckets=3, setting=setting,
-        mixed_plaintext_attributes=plaintext,
-    )
+    config = DASConfig(strategy=strategy, buckets=buckets)
     result = run_join_query(federation, QUERY, protocol="das", config=config)
     (message,) = federation.network.messages_of_kind("das_server_result")
-    expected, false_positives = oracle(client, message.body, plaintext)
+    expected, false_positives = oracle(client, message.body)
     assert result.global_result == expected == natural_join(relation_1, relation_2)
     assert result.artifacts["false_positives"] == false_positives
     assert result.artifacts["server_result_size"] == len(message.body)

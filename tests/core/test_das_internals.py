@@ -13,41 +13,13 @@ from repro.core.das import (
     ServerResult,
     _client_postprocess,
     _evaluate_server_query,
-    _mixed_split,
     _partition_domain,
 )
 from repro.crypto import hybrid
 from repro.errors import CodecError, ProtocolError
 from repro.mediation.access_control import allow_all
 from repro.relational.encoding import encode_row
-from repro.relational.schema import schema
 from repro.transport import codec
-
-S = schema("R", k="int", a="string", b="string")
-
-
-class TestMixedSplit:
-    def test_default_everything_sensitive(self):
-        sensitive, plain = _mixed_split(S, DASConfig())
-        assert sensitive == [0, 1, 2]
-        assert plain == []
-
-    def test_split_positions(self):
-        config = DASConfig(mixed_plaintext_attributes=("a",))
-        sensitive, plain = _mixed_split(S, config)
-        assert sensitive == [0, 2]
-        assert plain == [1]
-
-    def test_foreign_names_ignored_per_schema(self):
-        # Names belonging to the *other* relation are simply absent here.
-        config = DASConfig(mixed_plaintext_attributes=("other_attr", "b"))
-        sensitive, plain = _mixed_split(S, config)
-        assert plain == [2]
-
-    def test_all_plaintext_rejected(self):
-        config = DASConfig(mixed_plaintext_attributes=("k", "a", "b"))
-        with pytest.raises(ProtocolError):
-            _mixed_split(S, config)
 
 
 class TestPartitionDomain:
@@ -55,21 +27,15 @@ class TestPartitionDomain:
 
     def test_singleton(self):
         partitions = _partition_domain(
-            DASConfig(strategy="singleton"), self.DOMAIN, "k"
+            DASConfig(strategy="singleton"), self.DOMAIN
         )
         assert len(partitions) == 6
 
     def test_equi_depth_respects_buckets(self):
         partitions = _partition_domain(
-            DASConfig(strategy="equi_depth", buckets=3), self.DOMAIN, "k"
+            DASConfig(strategy="equi_depth", buckets=3), self.DOMAIN
         )
         assert len(partitions) == 3
-
-    def test_equi_width_bounds(self):
-        partitions = _partition_domain(
-            DASConfig(strategy="equi_width", buckets=2), self.DOMAIN, "k"
-        )
-        assert all(p.bounds is not None for p in partitions)
 
 
 class TestServerQueryEvaluation:
@@ -265,7 +231,6 @@ class TestServerResultRowTables:
                 skewed_workload.relation_1.schema,
                 skewed_workload.relation_2.schema,
                 ("k",),
-                result.artifacts["config"],
             )
             outcomes.append((relation, false_positives, sum(decrypted)))
         assert outcomes[0] == outcomes[1]

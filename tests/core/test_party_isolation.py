@@ -27,7 +27,7 @@ import types
 
 import pytest
 
-from repro import DASConfig, Federation, run_join_query
+from repro import Federation, run_join_query
 from repro.core import commutative, das, private_matching, runner, steps
 from repro.crypto import hybrid, paillier, rsa
 from repro.crypto.commutative import CommutativeKey
@@ -37,9 +37,7 @@ from repro.storage import SQLiteBackend
 from repro.storage.base import StorageBackend
 
 QUERY = "select * from R1 natural join R2"
-TABLES = [
-    commutative.TABLE, private_matching.TABLE, *das.TABLES.values(), das.HARDENED,
-]
+TABLES = [commutative.TABLE, private_matching.TABLE, das.TABLE, das.HARDENED]
 #: Objects that belong to exactly one party.
 OWNED = (Relation, CommutativeKey, hybrid.Session, rsa.RSAPrivateKey,
          paillier.PaillierPrivateKey)
@@ -90,19 +88,10 @@ def test_only_the_loop_and_the_request_phase_send():
     assert senders == ["request.py", "steps.py"]
 
 
-CELLS = [
-    ("commutative", False, None), ("commutative", True, None),
-    ("private-matching", False, None), ("private-matching", True, None),
-    ("das", False, "client"), ("das", True, "client"),
-    ("das", False, "source"), ("das", True, "source"),
-    ("das", False, "mediator"),
-]
-
-
-@pytest.mark.parametrize("protocol, hardened, setting", CELLS)
+@pytest.mark.parametrize("hardened", [False, True])
+@pytest.mark.parametrize("protocol", ["commutative", "private-matching", "das"])
 def test_each_call_reaches_only_its_own_party(
-    ca, client, rsa_key, workload, tmp_path, monkeypatch,
-    protocol, hardened, setting,
+    ca, client, workload, tmp_path, monkeypatch, protocol, hardened,
 ):
     seatings: list[steps.Parties] = []
     calls: list[tuple[str, object, dict[int, object]]] = []
@@ -124,11 +113,8 @@ def test_each_call_reaches_only_its_own_party(
         federation.add_source("S1", [(workload.relation_1, allow_all())])
         federation.add_source("S2", [(workload.relation_2, allow_all())])
         federation.attach_client(client)
-        federation.source("S1")._keypair = rsa_key
         run_join_query(
-            federation, QUERY, protocol=protocol,
-            config=DASConfig(setting=setting) if setting else None,
-            hardening=hardened or None,
+            federation, QUERY, protocol=protocol, hardening=hardened or None,
         )
     finally:
         backend.close()

@@ -80,27 +80,6 @@ class TestPaillier:
         with pytest.raises(EncodingError):
             serialization.paillier_private_from_dict(payload)
 
-    def test_public_round_trip(self, paillier_key):
-        public = paillier_key.public_key
-        restored = serialization.paillier_public_from_dict(
-            serialization.paillier_public_to_dict(public)
-        )
-        assert restored == public
-
-
-class TestCredential:
-    def test_round_trip_preserves_signature(self, ca, rsa_key):
-        from repro.mediation.ca import verify_credential
-
-        credential = ca.issue_credential(
-            {("role", "x"), ("org", "y")}, rsa_key.public_key()
-        )
-        restored = serialization.credential_from_dict(
-            serialization.credential_to_dict(credential)
-        )
-        assert restored.properties == credential.properties
-        assert verify_credential(restored, ca.verification_key)
-
 
 class TestJSONLayer:
     def test_dumps_loads(self, rsa_key):

@@ -6,9 +6,9 @@ the shapes a join goes wrong on — duplicate and skewed join values,
 unicode and 64-bit/negative keys, disjoint domains (every real row is
 unmatched), an empty side, a single-value domain, dummy-heavy buckets —
 and every example must equal a nested-loop join written here (and the
-reference join) in the client and the source setting, under both
-partition strategies the mode accepts, over the bus and over TCP, with
-the same transcript on both carriers.
+reference join), under both partition strategies, with one bucket and
+with more buckets than values, over the bus and over
+TCP, with the same transcript on both carriers.
 """
 
 import pytest
@@ -72,14 +72,11 @@ def relation_pairs(draw):
     return kind, rows(pools[0]), rows(pools[1])
 
 
-def build(ca, client, rsa_key, relations, network):
+def build(ca, client, relations, network):
     federation = Federation(ca=ca, network=network)
     for name, relation in zip(("S1", "S2"), relations):
         federation.add_source(name, [(relation, allow_all())])
     federation.attach_client(client)
-    # The source setting's translator key: reuse the session's instead of
-    # generating an RSA key per example.
-    federation.source("S1")._keypair = rsa_key
     return federation
 
 
@@ -102,8 +99,15 @@ def profile(network):
     return lines
 
 
-@pytest.mark.parametrize("strategy", ["equi_depth", "singleton"])
-@pytest.mark.parametrize("setting", ["client", "source"])
+@pytest.mark.parametrize(
+    "strategy, buckets",
+    [
+        pytest.param("equi_depth", 2, id="equi_depth"),
+        pytest.param("singleton", 2, id="singleton"),
+        pytest.param("equi_depth", 1, id="equi_depth-one-bucket"),
+        pytest.param("equi_depth", 16, id="equi_depth-more-buckets-than-values"),
+    ],
+)
 @given(pair=relation_pairs())
 @settings(
     max_examples=25,
@@ -111,7 +115,7 @@ def profile(network):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_hardened_das_equals_a_nested_loop_join_on_both_carriers(
-    ca, client, rsa_key, setting, strategy, pair
+    ca, client, strategy, buckets, pair
 ):
     kind, rows_1, rows_2 = pair
     relations = (
@@ -124,18 +128,18 @@ def test_hardened_das_equals_a_nested_loop_join_on_both_carriers(
             if row_1[0] == row_2[0]
         }
     )
-    config = DASConfig(setting=setting, strategy=strategy, buckets=2)
+    config = DASConfig(strategy=strategy, buckets=buckets)
     profiles = []
     with TcpTransport(retry=RETRY) as transport:
         for network in (Network(), transport):
-            federation = build(ca, client, rsa_key, relations, network)
+            federation = build(ca, client, relations, network)
             result = run_join_query(
                 federation, QUERY, protocol="das", config=config,
                 hardening=POLICY,
             )
             assert sorted(result.global_result) == expected
             assert encode_relation(result.global_result) == encode_relation(
-                reference_join(build(ca, client, rsa_key, relations, Network()), QUERY)
+                reference_join(build(ca, client, relations, Network()), QUERY)
             )
             artifacts = result.artifacts
             real = len(relations[0]) + len(relations[1])
@@ -185,14 +189,14 @@ class TamperingNetwork(Network):
 
 @pytest.mark.parametrize("victim", ["real", "dummy"])
 def test_a_flipped_etuple_byte_is_a_typed_failure(
-    ca, client, rsa_key, skewed_workload, victim
+    ca, client, skewed_workload, victim
 ):
     """A result frame changed in transit ends the query — whether the
     flipped etuple hid a real row or a dummy, the client joins what it
     received and never just drops it."""
     relations = (skewed_workload.relation_1, skewed_workload.relation_2)
     network = TamperingNetwork(client, victim)
-    federation = build(ca, client, rsa_key, relations, network)
+    federation = build(ca, client, relations, network)
     with pytest.raises(IntegrityError):
         run_join_query(federation, QUERY, protocol="das", hardening=True)
     assert network.tampered
@@ -200,20 +204,20 @@ def test_a_flipped_etuple_byte_is_a_typed_failure(
 
 @pytest.mark.parametrize("empty", [0, 1])
 def test_an_empty_side_is_one_empty_frame_and_the_empty_join(
-    ca, client, rsa_key, skewed_workload, empty
+    ca, client, skewed_workload, empty
 ):
     """A side with no rows still sends one (empty) frame, so the client
     sees a single encapsulation: the join is empty, every real row of
     the other side is unmatched, and its dummies are discarded."""
     relations = [skewed_workload.relation_1, skewed_workload.relation_2]
     relations[empty] = Relation(relations[empty].schema, [])
-    federation = build(ca, client, rsa_key, relations, Network())
+    federation = build(ca, client, relations, Network())
     result = run_join_query(
         federation, QUERY, protocol="das", hardening=POLICY
     )
     assert len(result.global_result) == 0
     assert encode_relation(result.global_result) == encode_relation(
-        reference_join(build(ca, client, rsa_key, relations, Network()), QUERY)
+        reference_join(build(ca, client, relations, Network()), QUERY)
     )
     frames = [m.body for m in result.network.messages_of_kind("das_server_result")]
     assert frames[-1 if empty else 0] == []

@@ -12,7 +12,6 @@ injected, and none of them reached the client's relation.
 import pytest
 
 from repro import Federation, reference_join, run_join_query
-from repro.errors import ProtocolError
 from repro.mediation.access_control import allow_all
 from repro.relational.encoding import encode_relation
 from repro.storage import MemoryBackend, SQLiteBackend
@@ -133,22 +132,7 @@ class TestDummiesNeverReachTheClient:
         assert "dummy_pairs_discarded" not in result.artifacts
 
 
-class TestHardenedRejectsLeakyConfigurations:
-    def test_equi_width_partitioning_is_rejected(self, ca, client, workload):
-        """equi_width bucket membership depends on value magnitude —
-        not an adjacency invariant, so hardened DAS refuses it."""
-        from repro.core.das import DASConfig
-
-        federation = build(ca, client, workload)
-        with pytest.raises(ProtocolError, match="equi_width|invariant"):
-            run_join_query(
-                federation,
-                QUERY,
-                protocol="das",
-                config=DASConfig(strategy="equi_width"),
-                hardening=True,
-            )
-
+class TestFederationLevelPolicy:
     def test_federation_level_policy_is_picked_up(
         self, ca, client, workload, expected
     ):

@@ -122,10 +122,6 @@ class TestUnwrapRejectsMalformedPlaintexts:
         with pytest.raises(ProtocolError):
             PaddingPolicy().unwrap(padded)
 
-    def test_equi_width_has_no_invariant_bound(self):
-        with pytest.raises(ProtocolError):
-            PaddingPolicy().bucket_bound(2, 8, 4, "equi_width")
-
 
 class TestAccounting:
     def test_stats_track_real_padded_and_dummy_bytes(self):

@@ -25,9 +25,9 @@ QUERY = "select * from R1 natural join R2"
 
 PROTOCOL_MATRIX = [
     ("das", DASConfig(buckets=3)),
-    ("das", DASConfig(strategy="equi_width", buckets=2)),
     ("das", DASConfig(strategy="singleton")),
-    ("das", DASConfig(setting="mediator")),
+    ("das", DASConfig(buckets=1)),
+    ("das", DASConfig(buckets=16)),
     ("commutative", CommutativeConfig()),
     ("commutative", CommutativeConfig(group_bits=256)),
     ("private-matching", PMConfig()),
@@ -66,17 +66,42 @@ def build_federation(ca, client, workload):
 @pytest.mark.parametrize("protocol,config", PROTOCOL_MATRIX)
 @pytest.mark.parametrize("spec", WORKLOAD_MATRIX, ids=lambda s: f"seed{s.seed}")
 def test_protocol_equals_reference_join(ca, client, spec, protocol, config):
-    if (
-        protocol == "das"
-        and config.strategy == "equi_width"
-        and spec.join_type is AttributeType.STRING
-    ):
-        pytest.skip("equi-width partitioning requires an integer domain")
     workload = generate(spec)
     expected = natural_join(workload.relation_1, workload.relation_2)
     federation = build_federation(ca, client, workload)
     result = run_join_query(federation, QUERY, protocol=protocol, config=config)
     assert result.global_result == expected
+
+
+HARDENED_MATRIX = [
+    pytest.param("das", DASConfig(buckets=3), id="das-equi_depth"),
+    pytest.param("das", DASConfig(strategy="singleton"), id="das-singleton"),
+    pytest.param("das", DASConfig(buckets=1), id="das-one-bucket"),
+    pytest.param("commutative", None, id="commutative"),
+    pytest.param("private-matching", None, id="private-matching"),
+]
+
+
+@pytest.mark.parametrize("protocol,config", HARDENED_MATRIX)
+@pytest.mark.parametrize("spec", WORKLOAD_MATRIX, ids=lambda s: f"seed{s.seed}")
+def test_hardened_protocol_equals_reference_join(
+    ca, client, spec, protocol, config
+):
+    """Padding and dummies are observable-only on every workload shape,
+    the empty intersection and the one-row domain included."""
+    workload = generate(spec)
+    expected = natural_join(workload.relation_1, workload.relation_2)
+    federation = build_federation(ca, client, workload)
+    result = run_join_query(
+        federation, QUERY, protocol=protocol, config=config, hardening=True
+    )
+    assert result.global_result == expected
+    assert "hardening" in result.artifacts
+    if protocol == "das":  # every row the mediator forwards is real or a dummy
+        real = len(workload.relation_1) + len(workload.relation_2)
+        assert result.artifacts["server_result_size"] == (
+            real + result.artifacts["dummy_rows_discarded"]
+        )
 
 
 @pytest.mark.parametrize("protocol", ["das", "commutative", "private-matching"])

@@ -1,8 +1,8 @@
 """The listings' message order and step timings, pinned per cell.
 
 Every cell of the transcript-faithfulness grid — the three protocols ×
-{plain, hardened} × {no store, sqlite}, plus DAS's client, source and
-mediator settings — runs on the small workload over the bus and over
+{plain, hardened} × {no store, sqlite}, plus DAS's singleton partitioning
+plain and hardened — runs on the small workload over the bus and over
 TCP, and must produce exactly the sequences written out below:
 ``(sender, receiver, kind)`` for every message, ``(party, step)`` for
 every timing, the artifact keys and the artifact counts.  Each run also
@@ -103,64 +103,62 @@ def private_matching(hardened: bool):
     return messages, timings, keys, counts
 
 
-def das(setting: str, hardened: bool):
+def das(hardened: bool, strategy: str):
     partials = [
         ("S1", M, "das_encrypted_partial_result"),
         ("S2", M, "das_encrypted_partial_result"),
     ]
-    translation = {
-        "client": [(M, C, "das_encrypted_index_tables"),
-                   (C, M, "das_server_query")],
-        "source": [(M, "S1", "das_index_table_for_translator"),
-                   ("S1", M, "das_server_query")],
-        "mediator": [],
-    }[setting]
+    translation = [(M, C, "das_encrypted_index_tables"),
+                   (C, M, "das_server_query")]
     frames = [(M, C, "das_server_result")] * (2 if hardened else 1)
-    translator = {"client": C, "source": "S1", "mediator": M}[setting]
     timings = [
         ("S1", "partition_and_encrypt"), ("S2", "partition_and_encrypt"),
-        (translator, "translate_query"),
+        (C, "translate_query"),
         *([] if hardened else [(M, "evaluate_server_query")]),
         (C, "decrypt_and_postprocess"),
     ]
     keys = ["cond_s", "false_positives", "index_tables",
             "server_query_pairs", "server_result_size"]
-    if setting == "source":
-        keys.append("translator_source")
-    counts = {"false_positives": 18, "server_query_pairs": 3,
-              "server_result_size": 24}
-    if hardened:
+    counts = {
+        "equi_depth": {"false_positives": 18, "server_query_pairs": 3,
+                       "server_result_size": 24},
+        "singleton": {"false_positives": 0, "server_query_pairs": 3,
+                      "server_result_size": 6},
+    }[strategy]
+    if hardened:  # padded buckets: the server query names every bucket pair
         keys += ["dummy_rows_discarded", "hardening"]
         counts = {"dummy_rows_discarded": 0, "false_positives": 9,
-                  "server_query_pairs": 9, "server_result_size": 18}
+                  "server_query_pairs": {"equi_depth": 9, "singleton": 36}[strategy],
+                  "server_result_size": 18}
     return REQUEST + partials + translation + frames, timings, keys, counts
 
 
-def expected(protocol: str, hardened: bool, setting: str):
+def expected(protocol: str, hardened: bool, strategy: str):
     if protocol == "das":
-        return das(setting, hardened)
+        return das(hardened, strategy)
     if protocol == "commutative":
         return commutative(hardened)
     return private_matching(hardened)
 
 
 CELLS = [
-    pytest.param(protocol, hardened, store, "client",
+    pytest.param(protocol, hardened, store, "equi_depth",
                  id=f"{protocol}-{'hardened' if hardened else 'plain'}-{store}")
     for protocol in ("das", "commutative", "private-matching")
     for hardened in (False, True)
     for store in ("none", "sqlite")
 ] + [
-    pytest.param("das", False, "none", setting, id=f"das-setting-{setting}")
-    for setting in ("client", "mediator", "source")
+    pytest.param("das", hardened, "none", "singleton",
+                 id=f"das-singleton-{'hardened' if hardened else 'plain'}-none")
+    for hardened in (False, True)
 ]
 
 
 @pytest.mark.parametrize("carrier", ["bus", "tcp"])
-@pytest.mark.parametrize("protocol, hardened, store, setting", CELLS)
+@pytest.mark.parametrize("protocol, hardened, store, strategy", CELLS)
 def test_listing_order_and_steps_are_pinned(
-    ca, client, rsa_key, workload, tmp_path,
-    protocol, hardened, store, setting, carrier,
+    ca, client, workload, tmp_path, protocol, hardened, store, strategy,
+    carrier,
 ):
     backend = SQLiteBackend(str(tmp_path / "s.db")) if store == "sqlite" else None
     network = Network() if carrier == "bus" else TcpTransport(retry=POLICY)
@@ -169,11 +167,9 @@ def test_listing_order_and_steps_are_pinned(
         federation.add_source("S1", [(workload.relation_1, allow_all())])
         federation.add_source("S2", [(workload.relation_2, allow_all())])
         federation.attach_client(client)
-        # The source setting's translator key: reuse the session's.
-        federation.source("S1")._keypair = rsa_key
         result = run_join_query(
             federation, QUERY, protocol=protocol,
-            config=DASConfig(setting=setting) if protocol == "das" else None,
+            config=DASConfig(strategy=strategy) if protocol == "das" else None,
             hardening=hardened or None,
         )
     finally:
@@ -181,7 +177,7 @@ def test_listing_order_and_steps_are_pinned(
         if backend is not None:
             backend.close()
 
-    messages, timings, keys, counts = expected(protocol, hardened, setting)
+    messages, timings, keys, counts = expected(protocol, hardened, strategy)
     assert [
         (m.sender, m.receiver, m.kind) for m in result.network.transcript
     ] == messages

@@ -34,14 +34,15 @@ POLICY = RetryPolicy(attempts=3, base_delay=0.05, connect_timeout=5.0,
                      io_timeout=30.0)
 
 CELLS = [
-    pytest.param(protocol, hardened, store, None,
+    pytest.param(protocol, hardened, store, "equi_depth",
                  id=f"{protocol}-{'hardened' if hardened else 'plain'}-{store}")
     for protocol in ("das", "commutative", "private-matching")
     for hardened in (False, True)
     for store in ("none", "sqlite")
 ] + [
-    pytest.param("das", False, "none", setting, id=f"das-setting-{setting}")
-    for setting in ("client", "mediator", "source")
+    pytest.param("das", hardened, "none", "singleton",
+                 id=f"das-singleton-{'hardened' if hardened else 'plain'}-none")
+    for hardened in (False, True)
 ]
 
 
@@ -73,10 +74,10 @@ def replayed(result, bodies: dict[int, object]):
     return dataclasses.replace(result, network=replay)
 
 
-@pytest.mark.parametrize("protocol, hardened, store, setting", CELLS)
+@pytest.mark.parametrize("protocol, hardened, store, strategy", CELLS)
 def test_transcript_is_faithful_to_the_wire(
     ca, client, workload, tmp_path, monkeypatch, captured,
-    protocol, hardened, store, setting,
+    protocol, hardened, store, strategy,
 ):
     backend = SQLiteBackend(str(tmp_path / "s.db")) if store == "sqlite" else None
     try:
@@ -85,9 +86,9 @@ def test_transcript_is_faithful_to_the_wire(
             federation.add_source("S1", [(workload.relation_1, allow_all())])
             federation.add_source("S2", [(workload.relation_2, allow_all())])
             federation.attach_client(client)
-            config = DASConfig(setting=setting) if setting else None
             result = run_join_query(
-                federation, QUERY, protocol=protocol, config=config,
+                federation, QUERY, protocol=protocol,
+                config=DASConfig(strategy=strategy) if protocol == "das" else None,
                 hardening=hardened or None,
             )
             transcript = transport.transcript

@@ -72,11 +72,6 @@ class TestTranscriptQueries:
         payload_bytes = 5 + 3 + 3 + 10 + 2
         assert loaded.total_bytes() == payload_bytes + 5 * ENVELOPE_BYTES
 
-    def test_bytes_between_undirected(self, loaded):
-        link = loaded.bytes_between("client", "mediator")
-        assert link == loaded.bytes_between("mediator", "client")
-        assert link == 5 + 2 + 2 * ENVELOPE_BYTES
-
     def test_edges(self, loaded):
         assert loaded.edges() == {
             ("client", "mediator"),

@@ -105,28 +105,6 @@ class TestNaturalJoin:
         assert projected == algebra.natural_join(R1, R2)
 
 
-class TestSetOperations:
-    S = schema("X", k="int", v="string")
-    A = Relation(S, [(1, "a"), (2, "b")])
-    B = Relation(S.rename("Y"), [(2, "b"), (3, "c")])
-
-    def test_union(self):
-        assert len(algebra.union(self.A, self.B)) == 3
-
-    def test_intersection(self):
-        assert set(algebra.intersection(self.A, self.B).rows) == {(2, "b")}
-
-    def test_difference(self):
-        assert set(algebra.difference(self.A, self.B).rows) == {(1, "a")}
-
-    def test_incompatible_schemas(self):
-        mismatched = Relation(
-            schema("Z", v="string", k="int"), [("a", 1)]
-        )
-        with pytest.raises(SchemaError):
-            algebra.union(self.A, mismatched)
-
-
 class TestTrees:
     ENV = {"R1": R1, "R2": R2}
 
@@ -171,23 +149,6 @@ class TestTrees:
         )
         text = tree.describe()
         assert "Select" in text and "Join" in text and "PartialQuery" in text
-
-    def test_union_intersection_trees(self):
-        env = {"A": self_a(), "B": self_b()}
-        union_tree = algebra.Union(algebra.PartialQuery("A"), algebra.PartialQuery("B"))
-        inter_tree = algebra.Intersection(
-            algebra.PartialQuery("A"), algebra.PartialQuery("B")
-        )
-        assert len(union_tree.evaluate(env)) == 3
-        assert len(inter_tree.evaluate(env)) == 1
-
-
-def self_a():
-    return TestSetOperations.A
-
-
-def self_b():
-    return TestSetOperations.B
 
 
 @given(

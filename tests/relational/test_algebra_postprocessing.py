@@ -48,9 +48,6 @@ class TestEvaluateAboveJoin:
             assert evaluate_above_join(tree, JOINED) == tree.evaluate(env)
 
     def test_unsupported_operator_rejected(self):
-        tree = algebra.Union(
-            algebra.Join(algebra.PartialQuery("R1"), algebra.PartialQuery("R2")),
-            algebra.PartialQuery("R3"),
-        )
+        tree = algebra.PartialQuery("R3")
         with pytest.raises(QueryError):
             evaluate_above_join(tree, JOINED)

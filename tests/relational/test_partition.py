@@ -9,7 +9,6 @@ from repro.relational.partition import (
     Partition,
     build_index_table,
     equi_depth,
-    equi_width,
     singleton,
 )
 
@@ -54,32 +53,6 @@ class TestPartition:
 
 
 class TestStrategies:
-    def test_equi_width_covers_domain(self):
-        domain = [1, 5, 9, 13, 22, 40]
-        partitions = equi_width(domain, 3)
-        covered = set().union(*(p.values for p in partitions))
-        assert covered == set(domain)
-        assert all(p.bounds is not None for p in partitions)
-
-    def test_equi_width_disjoint(self):
-        partitions = equi_width(range(100), 7)
-        seen = set()
-        for p in partitions:
-            assert not (p.values & seen)
-            seen |= p.values
-
-    def test_equi_width_single_bucket(self):
-        partitions = equi_width([3, 7, 11], 1)
-        assert len(partitions) == 1
-        assert partitions[0].bounds == (3, 11)
-
-    def test_equi_width_requires_ints(self):
-        with pytest.raises(PartitionError):
-            equi_width(["a", "b"], 2)
-
-    def test_equi_width_empty_domain(self):
-        assert equi_width([], 3) == []
-
     def test_equi_depth_balanced(self):
         partitions = equi_depth(list(range(12)), 4)
         assert len(partitions) == 4
@@ -101,9 +74,53 @@ class TestStrategies:
 
     def test_zero_buckets_rejected(self):
         with pytest.raises(PartitionError):
-            equi_width([1], 0)
-        with pytest.raises(PartitionError):
             equi_depth([1], 0)
+
+    def test_negative_buckets_rejected(self):
+        with pytest.raises(PartitionError):
+            equi_depth([1, 2], -3)
+
+    def test_equi_depth_empty_domain(self):
+        assert equi_depth([], 3) == []
+
+    def test_singleton_empty_domain(self):
+        assert singleton([]) == []
+
+    def test_equi_depth_single_bucket(self):
+        partitions = equi_depth([11, 3, 7], 1)
+        assert len(partitions) == 1
+        assert partitions[0].values == {3, 7, 11}
+        assert partitions[0].bounds == (3, 11)
+
+    def test_equi_depth_int_buckets_are_ascending_ranges(self):
+        partitions = equi_depth([1, 5, 9, 13, 22, 40], 3)
+        assert [p.bounds for p in partitions] == [(1, 5), (9, 13), (22, 40)]
+        for p in partitions:
+            assert p.bounds == (min(p.values), max(p.values))
+
+    def test_equi_depth_string_buckets_have_no_bounds(self):
+        partitions = equi_depth(["a", "b", "c", "d"], 2)
+        assert all(p.bounds is None for p in partitions)
+
+    def test_equi_depth_disjoint(self):
+        partitions = equi_depth(range(100), 7)
+        assert len(partitions) <= 7
+        seen = set()
+        for p in partitions:
+            assert not (p.values & seen)
+            seen |= p.values
+        assert seen == set(range(100))
+
+    def test_equi_depth_counts_each_value_once(self):
+        partitions = equi_depth([1, 1, 2, 2, 2, 3], 3)
+        assert [p.values for p in partitions] == [{1}, {2}, {3}]
+
+    def test_singleton_counts_each_value_once(self):
+        partitions = singleton([2, 2, 1, 2])
+        assert [p.values for p in partitions] == [{1}, {2}]
+
+    def test_equi_depth_ignores_input_order(self):
+        assert equi_depth([9, 2, 7, 4, 1], 2) == equi_depth([1, 2, 4, 7, 9], 2)
 
     @given(
         st.sets(st.integers(0, 1000), min_size=1, max_size=60),
@@ -112,7 +129,6 @@ class TestStrategies:
     @settings(max_examples=50, deadline=None)
     def test_strategies_partition_domain(self, domain, buckets):
         for strategy in (
-            lambda: equi_width(domain, buckets),
             lambda: equi_depth(domain, buckets),
             lambda: singleton(domain),
         ):

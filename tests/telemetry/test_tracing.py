@@ -58,7 +58,9 @@ class TestTracer:
                 assert inner.parent_id == outer.span_id
                 assert inner.trace_id == outer.trace_id
         assert current_span() is None
-        assert tracer.children_of(outer.span_id) == [inner]
+        assert [
+            span for span in tracer.spans if span.parent_id == outer.span_id
+        ] == [inner]
 
     def test_root_span_uses_tracer_trace_id(self):
         tracer = Tracer()

@@ -26,7 +26,7 @@ class TestDemo:
 
     def test_das_protocol(self, capsys):
         assert main(["demo", "--protocol", "das", *FAST]) == 0
-        assert "das[client]" in capsys.readouterr().out
+        assert "protocol: das\n" in capsys.readouterr().out
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(SystemExit):
@@ -37,7 +37,7 @@ class TestCompare:
     def test_prints_table(self, capsys):
         assert main(["compare", *FAST]) == 0
         out = capsys.readouterr().out
-        assert "das[client]" in out
+        assert "\ndas " in out
         assert "commutative" in out
         assert "private-matching" in out
 

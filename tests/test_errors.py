@@ -149,7 +149,7 @@ TRIGGERS = {
     errors.AccessDenied: lambda: require(("role", "admin")).evaluate(
         Relation(schema("R", k="int"), [(1,)]), []
     ),
-    errors.CredentialError: lambda: DataSource(name="S1").private_key(),
+    errors.CredentialError: lambda: DataSource(name="S1").check_credentials([]),
     errors.NetworkError: lambda: Network().send("ghost", "b", "kind", None),
     errors.ServerBusy: _trigger_server_busy,
     errors.DeadlineExceeded: _trigger_deadline_exceeded,

@@ -16,7 +16,7 @@ from repro.core.das import (
 )
 from repro.crypto import hybrid
 from repro.crypto.paillier import PaillierCiphertext, PaillierPublicKey
-from repro.errors import EncodingError, NetworkError
+from repro.errors import EncodingError, NetworkError, ValueCodecError
 from repro.relational.partition import IndexTable, Partition
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
@@ -173,12 +173,53 @@ class TestDomainExtensions:
         row = EncryptedTuple(
             etuple=hybrid.encrypt(keys, b"row"),
             index_value=42,
-            plain_values=("visible", 7),
         )
         relation = EncryptedRelation(source="S1", relation_name="R1", rows=(row,))
         roundtrip(relation)
         roundtrip(ServerQuery(pairs=((1, 2), (3, 4))))
         roundtrip(ServerResult([row], [row], struct.pack(">2I", 0, 0)))
+
+    #: ``EncryptedTuple(<etuple of b"row">, 42)`` as the wire carried it
+    #: while the record had a third, plaintext-attribute field (always
+    #: ``()``): the das-tuple extension over a three-item tuple.
+    THREE_FIELD_DAS_TUPLE = bytes.fromhex(
+        "0c096461732d7475706c6508000000030c096879627269642d63740800000002"
+        "0c0a6879627269642d6b656d080000000109000000010500000010"
+        + "11" * 16 + "0500000018" + "22" * 24
+        + "0500000003726f7703000000012a0800000000"
+    )
+
+    def test_das_tuple_is_etuple_and_index_value(self):
+        kem = hybrid.Encapsulation({b"\x11" * 16: b"\x22" * 24})
+        row = EncryptedTuple(hybrid.HybridCiphertext(kem, b"row"), 42)
+        encoded = codec.encode_value(row)
+        assert roundtrip(row) == row
+        # The same bytes but the field count and the empty third field.
+        assert encoded == (
+            self.THREE_FIELD_DAS_TUPLE[:15] + b"\x02"
+            + self.THREE_FIELD_DAS_TUPLE[16:-5]
+        )
+        with pytest.raises(ValueCodecError, match="das-tuple"):
+            codec.decode_value(self.THREE_FIELD_DAS_TUPLE)
+
+    def test_one_field_das_tuple_is_refused(self):
+        # The etuple alone: field count 1, index value and third field cut.
+        one_field = (
+            self.THREE_FIELD_DAS_TUPLE[:15] + b"\x01"
+            + self.THREE_FIELD_DAS_TUPLE[16:-11]
+        )
+        with pytest.raises(ValueCodecError, match="das-tuple"):
+            codec.decode_value(one_field)
+
+    @pytest.mark.parametrize(
+        "index_value", [0, 1, -1, 2**31, 2**63 + 5, -(2**70)]
+    )
+    def test_das_tuple_index_values_round_trip(self, index_value):
+        kem = hybrid.Encapsulation({b"\x11" * 16: b"\x22" * 24})
+        row = EncryptedTuple(hybrid.HybridCiphertext(kem, b"row"), index_value)
+        decoded = roundtrip(row)
+        assert decoded == row
+        assert type(decoded.index_value) is int
 
     def test_shared_encapsulation_travels_once(self, rsa_key):
         session = hybrid.new_session([rsa_key.public_key()])

@@ -55,9 +55,7 @@ encapsulations = st.one_of(
     ),
 )
 hybrid_cts = st.builds(HybridCiphertext, encapsulations, blobs)
-das_tuples = st.builds(
-    EncryptedTuple, hybrid_cts, ints, st.one_of(st.just(()), st.tuples(texts, ints))
-)
+das_tuples = st.builds(EncryptedTuple, hybrid_cts, ints)
 
 
 def _index_table(attribute: str, values: list[int], salt: bytes) -> IndexTable:

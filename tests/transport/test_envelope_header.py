@@ -32,7 +32,7 @@ def header_fields(fields: dict) -> tuple:
 class TestGoldenBytes:
     def test_encoder_still_writes_the_committed_bytes(self):
         """An accidental layout change — header or ``das-server-result``
-        — fails here; an intended one bumps ``codec.VERSION``."""
+        — fails here; an intended header change bumps ``codec.VERSION``."""
         assert wire_samples.golden_document() == GOLDEN
         assert GOLDEN["version"] == codec.VERSION
 

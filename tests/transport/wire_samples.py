@@ -2,11 +2,15 @@
 
 Every object here is plain data, so the encodings are deterministic.
 The golden-bytes test compares :func:`golden_document` with the
-committed file; after an *intended* layout change (which bumps
-``codec.VERSION``) regenerate it with::
+committed file; after an *intended* layout change regenerate it with::
 
     PYTHONPATH=src:. python -m tests.transport.wire_samples \\
         > tests/transport/fixtures/wire_v2.json
+
+A change to the envelope header bumps ``codec.VERSION``.  A change to
+an extension record's fields keeps it when the decoder refuses the old
+record as a ``ValueCodecError`` (the two-field ``das-tuple`` record is
+pinned that way in ``test_codec.py``).
 """
 
 import json
@@ -46,7 +50,7 @@ def server_result() -> ServerResult:
         for i in range(2)
     ]
     rows_2 = [
-        EncryptedTuple(HybridCiphertext(kem, b"right-%d" % j), 200 + j, ("p",))
+        EncryptedTuple(HybridCiphertext(kem, b"right-%d" % j), 200 + j)
         for j in range(3)
     ]
     positions = [(0, 0), (0, 1), (1, 1), (1, 2), (0, 2)]
