@@ -43,9 +43,11 @@ def test_fig2_credential_flow(make_federation, default_workload, client):
         make_federation(default_workload), QUERY, protocol="commutative"
     )
     network = result.network
-    query_message = network.messages_of_kind("global_query")[0]
+    query_message = next(m for m in network.transcript if m.kind == "global_query")
     assert query_message.body["credentials"] == client.credentials
-    for message in network.messages_of_kind("partial_query"):
+    for message in network.transcript:
+        if message.kind != "partial_query":
+            continue
         forwarded = message.body["credentials"]
         assert set(c.fingerprint() for c in forwarded) <= {
             c.fingerprint() for c in client.credentials
@@ -61,9 +63,9 @@ def test_fig2_partial_results_encrypted(make_federation, default_workload):
     result = run_join_query(
         make_federation(default_workload), QUERY, protocol="das"
     )
-    for message in result.network.messages_of_kind(
-        "das_encrypted_partial_result"
-    ):
+    for message in result.messages:
+        if message.kind != "das_encrypted_partial_result":
+            continue
         assert not isinstance(message.body["relation"], Relation)
 
 
@@ -80,6 +82,6 @@ def test_architecture_flow_rendering(make_federation, default_workload):
             f"mediator={roles['mediator']}, "
             f"sources={', '.join(roles['sources'])}"
         )
-        lines.extend(result.network.flow_summary())
+        lines.extend(message.summary() for message in result.messages)
         lines.append("")
     write_report("fig1_fig2_flows.txt", "\n".join(lines))

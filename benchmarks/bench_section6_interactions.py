@@ -62,7 +62,7 @@ def test_das_source_messages_single_burst(make_federation, default_workload):
     )
     for source in ("S1", "S2"):
         sent_kinds = [
-            m.kind for m in result.network.messages_from(source, "mediator")
+            m.kind for m in result.view(source).sent if m.receiver == "mediator"
         ]
         assert sent_kinds == ["das_encrypted_partial_result"]
 
@@ -73,6 +73,6 @@ def test_commutative_source_two_bursts(make_federation, default_workload):
     )
     for source in ("S1", "S2"):
         sent_kinds = [
-            m.kind for m in result.network.messages_from(source, "mediator")
+            m.kind for m in result.view(source).sent if m.receiver == "mediator"
         ]
         assert sent_kinds == ["commutative_m_set", "commutative_double"]

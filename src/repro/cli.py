@@ -507,7 +507,7 @@ def _command_serve(args) -> int:
             server.serve_forever()
         except KeyboardInterrupt:
             pass
-        log.info("%d messages received, bye", len(server.records))
+        log.info("%d messages received, bye", server.messages_received())
     finally:
         server.stop()
         if scrape is not None:

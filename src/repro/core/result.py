@@ -73,9 +73,6 @@ class MediationResult:
     def total_seconds(self) -> float:
         return sum(timing.seconds for timing in self.timings)
 
-    def seconds_at(self, party: str) -> float:
-        return sum(t.seconds for t in self.timings if t.party == party)
-
     def interaction_count(self, a: str, b: str) -> int:
         return interaction_count(self.messages, a, b)
 

@@ -9,7 +9,6 @@ result and the run's slice of the transcript for analysis.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Any
 
 from repro.core import commutative, das, private_matching
@@ -25,9 +24,8 @@ from repro.errors import ProtocolError, ReproError
 from repro.hardening import resolve_hardening
 from repro.relational.algebra import evaluate_above_join
 from repro.relational.relation import Relation
-from repro.session import session_scope
+from repro.session import current_session_id, session_scope
 from repro.telemetry import tracing
-from repro.telemetry.observables import observables_artifact
 
 #: Protocol registry: name -> the delivery phase as data — ``seat``
 #: (the step table and each party's state), ``report`` (result and
@@ -82,7 +80,8 @@ def run_join_query(
       :func:`~repro.session.session_scope`: every transport send, fault
       decision, and span below carries the id, and endpoints key their
       per-session state by it.  ``None`` leaves any enclosing scope in
-      force (or runs session-less, the legacy behaviour).
+      force, or else runs in the transport's own session
+      (``federation.network.session_id``).
     * ``hardening`` opts into the leakage-hardened oblivious mode
       (``True``, a :class:`~repro.hardening.PaddingPolicy`, or a
       prepared :class:`~repro.hardening.Hardening` context); ``None``
@@ -105,10 +104,8 @@ def run_join_query(
         )
     context = resolve_hardening(hardening, federation.hardening)
     client_party = federation.client.name if federation.client else "client"
-    scope = (
-        session_scope(session_id)
-        if session_id is not None
-        else contextlib.nullcontext()
+    scope = session_scope(
+        session_id or current_session_id() or federation.network.session_id
     )
     # The transcript of a federation that answers a series of queries
     # keeps growing; the result records the positions this run added.
@@ -151,7 +148,6 @@ def run_join_query(
             result.message_range = (
                 messages_before, federation.network.message_count()
             )
-            result.artifacts["observables"] = observables_artifact(result)
             storage_stats = _collect_storage_stats(federation)
             if storage_stats is not None:
                 result.artifacts["storage_cache"] = storage_stats

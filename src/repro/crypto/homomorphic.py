@@ -68,6 +68,3 @@ class PaillierScheme:
         self, a: paillier.PaillierCiphertext, scalar: int
     ) -> paillier.PaillierCiphertext:
         return paillier.scalar_multiply(a, scalar)
-
-    def ciphertext_size_bytes(self, ciphertext: paillier.PaillierCiphertext) -> int:
-        return (ciphertext.public_key.n_squared.bit_length() + 7) // 8

@@ -235,8 +235,3 @@ def session_decrypt(session_key: bytes, ciphertext: bytes) -> bytes:
     """Inverse of :func:`session_encrypt`."""
     instrumentation.record("hybrid.session_decrypt")
     return symmetric.decrypt(session_key, ciphertext)
-
-
-def wrapped_key_size(public_key: rsa.RSAPublicKey) -> int:
-    """Size in bytes of one wrapped session key under ``public_key``."""
-    return public_key.modulus_bytes

@@ -323,8 +323,3 @@ def scalar_multiply(a: PaillierCiphertext, scalar: int) -> PaillierCiphertext:
     n = a.public_key.n
     n_sq = a.public_key.n_squared
     return PaillierCiphertext(powmod(a.value, scalar % n, n_sq), a.public_key)
-
-
-def negate(a: PaillierCiphertext) -> PaillierCiphertext:
-    """Homomorphic negation: ``-E(x) = E(n - x)``."""
-    return scalar_multiply(a, a.public_key.n - 1)

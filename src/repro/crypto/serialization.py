@@ -27,15 +27,6 @@ def _require_kind(payload: dict[str, Any], kind: str) -> None:
 
 # -- RSA ---------------------------------------------------------------------
 
-def rsa_public_to_dict(key: rsa.RSAPublicKey) -> dict[str, Any]:
-    return {"kind": "rsa-public", "n": str(key.n), "e": str(key.e)}
-
-
-def rsa_public_from_dict(payload: dict[str, Any]) -> rsa.RSAPublicKey:
-    _require_kind(payload, "rsa-public")
-    return rsa.RSAPublicKey(n=int(payload["n"]), e=int(payload["e"]))
-
-
 def rsa_private_to_dict(key: rsa.RSAPrivateKey) -> dict[str, Any]:
     return {
         "kind": "rsa-private",

@@ -168,8 +168,3 @@ def _mac(mac_key: bytes, nonce: bytes, body: bytes, associated_data: bytes) -> b
         len(associated_data).to_bytes(8, "big") + associated_data + nonce + body,
         "sha256",
     )
-
-
-def ciphertext_overhead() -> int:
-    """Bytes added to a plaintext by :func:`encrypt` (nonce + tag)."""
-    return NONCE_BYTES + TAG_BYTES

@@ -40,8 +40,8 @@ class LeakyTransport(Transport):
         pad_bytes: int = 32,
     ) -> None:
         # No super().__init__(): like FaultyTransport, this decorator
-        # owns no state — _parties/_messages/_sequence resolve through
-        # __getattr__ to the wrapped transport.
+        # owns no state — _parties/_messages/_sequence/session_id resolve
+        # through __getattr__ to the wrapped transport.
         if pads_per_item < 1:
             raise ValueError(f"pads_per_item must be >= 1, got {pads_per_item}")
         if pad_bytes < 1:

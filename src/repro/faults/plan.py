@@ -75,7 +75,7 @@ class FaultRule:
     kind: str | None = None
     party: str | None = None
     #: Matches only messages carrying this session id; ``None`` matches
-    #: any session, including legacy session-less traffic.
+    #: any session.
     session: str | None = None
     #: Fire exactly on the N-th matching observation (1-based).
     occurrence: int | None = None

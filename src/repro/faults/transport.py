@@ -3,8 +3,8 @@
 :class:`FaultyTransport` wraps a real carrier — the in-process bus or
 the TCP transport — and consults a shared
 :class:`~repro.faults.injector.FaultInjector` on every delivery
-attempt.  All transcript, view, and sequence state lives in the wrapped
-transport (attribute access falls through to it), so analyses and
+attempt.  All transcript, sequence and session state lives in the
+wrapped transport (attribute access falls through to it), so analyses and
 protocols see exactly one transport; the decorator only decides whether
 each attempt is delayed, lost, garbled, or interrupted by a crash.
 
@@ -51,9 +51,9 @@ class FaultyTransport(Transport):
         attempts: int = 4,
     ) -> None:
         # No super().__init__(): this decorator owns no transcript of
-        # its own — _parties/_messages/_sequence resolve through
-        # __getattr__ to the wrapped transport, keeping one shared
-        # source of truth for every observable.
+        # its own — _parties/_messages/_sequence/session_id resolve
+        # through __getattr__ to the wrapped transport, keeping one
+        # shared source of truth for every observable.
         if attempts < 1:
             raise ValueError(f"attempts must be >= 1, got {attempts}")
         self._inner = inner
@@ -95,7 +95,7 @@ class FaultyTransport(Transport):
             self._require_alive(sender, receiver)
             fired = self.injector.observe(
                 "transport", sender, receiver, kind,
-                session=current_session_id(),
+                session=current_session_id() or self.session_id,
             )
             try:
                 self._enact(fired, sender, receiver, kind)

@@ -42,8 +42,8 @@ class DataSource:
     #: Per-session verified-credential cache: within one mediation
     #: session a credential whose CA signature already verified is not
     #: re-verified on every partial query.  Keyed by session so the
-    #: cache can never launder a credential across clients; session-less
-    #: calls always verify (the legacy behaviour).
+    #: cache can never launder a credential across clients; calls outside
+    #: any session scope always verify.
     sessions: SessionRegistry = field(
         default_factory=lambda: SessionRegistry(capacity=256), repr=False
     )

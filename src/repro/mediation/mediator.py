@@ -55,8 +55,8 @@ class Mediator:
     #: Per-session decomposition cache: a client running a *series* of
     #: queries in one session re-decomposes each distinct query text
     #: once.  Keyed by session so no session can observe (via routing
-    #: state) what another session asked; session-less runs bypass the
-    #: cache entirely.
+    #: state) what another session asked; calls outside any session
+    #: scope bypass the cache entirely.
     sessions: SessionRegistry = field(
         default_factory=lambda: SessionRegistry(capacity=256)
     )

@@ -1,12 +1,13 @@
-"""The in-process message bus and transcript recorder.
+"""The in-process message bus.
 
 The MMM prototype is a distributed system; for fast in-process runs the
 transport is an instrumented bus that preserves what the protocols
 depend on — *who* sends *what* to *whom*, in *which order* — and
-additionally records the full ordered transcript, per-party views,
-per-message size estimates, and per-party-pair message counts.
+records the ordered transcript with a structural size estimate per
+message.  A run's views and per-party-pair interaction counts are read
+from its own messages (:class:`~repro.core.result.MediationResult`).
 
-All of that bookkeeping lives in the shared
+The transcript and the bus's session id live in the shared
 :class:`~repro.transport.base.Transport` base class, which this bus and
 the real TCP transport (:class:`repro.transport.tcp.TcpTransport`) both
 implement; protocols and analyses run unchanged over either.  The bus
@@ -44,7 +45,7 @@ class Network(Transport):
     """The in-process bus: immediate delivery, estimated byte counts."""
 
     def send(self, sender: str, receiver: str, kind: str, body: Any) -> Message:
-        """Deliver one message and record it in views and transcript."""
+        """Deliver one message and record it in the transcript."""
         self._require_parties(sender, receiver)
         with tracing.span(
             f"send:{kind}", sender, kind="message", receiver=receiver

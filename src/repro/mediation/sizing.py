@@ -22,8 +22,6 @@ from typing import Any
 
 from repro.crypto.hybrid import HybridCiphertext
 from repro.crypto.paillier import PaillierCiphertext
-from repro.relational.partition import IndexTable
-from repro.relational.relation import Relation
 
 
 def _int_size(value: int) -> int:
@@ -55,12 +53,6 @@ def _estimate(body: Any, seen: set[int]) -> int:
         return body.size_bytes()
     if isinstance(body, PaillierCiphertext):
         return _int_size(body.public_key.n_squared)
-    if isinstance(body, IndexTable):
-        return len(body.to_bytes())
-    if isinstance(body, Relation):
-        from repro.relational.encoding import encode_relation
-
-        return len(encode_relation(body))
     if isinstance(body, dict):
         return sum(
             _estimate(key, seen) + _estimate(value, seen)

@@ -33,6 +33,18 @@ def encode_value(value: Value) -> bytes:
     raise EncodingError(f"cannot encode value of type {type(value).__name__}")
 
 
+def decode_value(encoded: bytes) -> Value:
+    """Inverse of :func:`encode_value`: the tag picks the type."""
+    tag, body = encoded[:1], encoded[1:]
+    if tag == b"i":
+        return int(body.decode("ascii"))
+    if tag == b"s":
+        return body.decode("utf-8")
+    if tag == b"b":
+        return body == b"1"
+    raise EncodingError(f"unknown value tag {tag!r}")
+
+
 def encode_row(row: Row) -> bytes:
     """Canonical byte encoding of one tuple (length-prefixed fields)."""
     parts = []
@@ -56,25 +68,16 @@ def decode_row(data: bytes, schema: Schema) -> Row:
         if len(field) != length:
             raise EncodingError("truncated row field")
         offset += length
-        values.append(_decode_field(field, attribute.type))
+        value = decode_value(field)
+        if AttributeType.of(value) is not attribute.type:
+            raise EncodingError(
+                f"field tag {field[:1]!r} does not match expected type "
+                f"{attribute.type.value}"
+            )
+        values.append(value)
     if offset != len(data):
         raise EncodingError("trailing bytes after row encoding")
     return tuple(values)
-
-
-def _decode_field(field: bytes, expected: AttributeType) -> Value:
-    if not field:
-        raise EncodingError("empty field encoding")
-    tag, body = field[:1], field[1:]
-    if tag == b"i" and expected is AttributeType.INT:
-        return int(body.decode("ascii"))
-    if tag == b"s" and expected is AttributeType.STRING:
-        return body.decode("utf-8")
-    if tag == b"b" and expected is AttributeType.BOOL:
-        return body == b"1"
-    raise EncodingError(
-        f"field tag {tag!r} does not match expected type {expected.value}"
-    )
 
 
 def encode_rows(rows: tuple[Row, ...] | list[Row]) -> bytes:
@@ -107,10 +110,11 @@ def decode_rows(data: bytes, schema: Schema) -> tuple[Row, ...]:
 
 
 def encode_relation(relation: Relation) -> bytes:
-    """Encode a whole relation (schema header + rows) for transport.
+    """Canonical encoding of a whole relation (schema header + rows).
 
-    Used when index tables or side tables travel inside hybrid
-    ciphertexts; JSON keeps the header human-auditable in transcripts.
+    Its digest is the relation's content fingerprint
+    (:func:`repro.storage.base.relation_fingerprint`); JSON keeps the
+    header human-auditable.
     """
     header = json.dumps(
         {
@@ -123,19 +127,3 @@ def encode_relation(relation: Relation) -> bytes:
     ).encode("utf-8")
     body = encode_rows(relation.rows)
     return len(header).to_bytes(4, "big") + header + body
-
-
-def decode_relation(data: bytes) -> Relation:
-    """Inverse of :func:`encode_relation`."""
-    from repro.relational.schema import Attribute  # local: avoid cycle noise
-
-    if len(data) < 4:
-        raise EncodingError("truncated relation encoding")
-    header_length = int.from_bytes(data[:4], "big")
-    header = json.loads(data[4:4 + header_length].decode("utf-8"))
-    schema = Schema(
-        header["name"],
-        [Attribute(name, AttributeType(t)) for name, t in header["attributes"]],
-    )
-    rows = decode_rows(data[4 + header_length:], schema)
-    return Relation(schema, rows)

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.crypto.hashes import collision_free_hash
-from repro.errors import EncodingError, PartitionError
-from repro.relational.encoding import encode_value
+from repro.errors import PartitionError
+from repro.relational.encoding import decode_value, encode_value
 from repro.relational.schema import Value
 
 #: Width (bytes) of a partition index value.
@@ -111,12 +111,6 @@ class IndexTable:
                 return index
         raise PartitionError(f"value {value!r} not covered by any partition")
 
-    def partition_of_index(self, index: int) -> Partition:
-        for partition, candidate in self.entries:
-            if candidate == index:
-                return partition
-        raise PartitionError(f"unknown index value {index}")
-
     def covered_values(self) -> frozenset[Value]:
         result: set[Value] = set()
         for partition, _ in self.entries:
@@ -161,23 +155,12 @@ class IndexTable:
         entries = []
         for entry in payload["entries"]:
             values = frozenset(
-                _decode_hex_value(encoded) for encoded in entry["values"]
+                decode_value(bytes.fromhex(encoded))
+                for encoded in entry["values"]
             )
             bounds = tuple(entry["bounds"]) if entry["bounds"] else None
             entries.append((Partition(values, bounds), entry["index"]))
         return cls(attribute=payload["attribute"], entries=tuple(entries))
-
-
-def _decode_hex_value(encoded: str) -> Value:
-    raw = bytes.fromhex(encoded)
-    tag, body = raw[:1], raw[1:]
-    if tag == b"i":
-        return int(body.decode("ascii"))
-    if tag == b"s":
-        return body.decode("utf-8")
-    if tag == b"b":
-        return body == b"1"
-    raise EncodingError(f"unknown value tag {tag!r}")
 
 
 def _index_value(partition: Partition, salt: bytes) -> int:

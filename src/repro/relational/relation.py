@@ -137,11 +137,6 @@ class Relation:
     def rename(self, relation_name: str) -> "Relation":
         return Relation(self.schema.rename(relation_name), self._rows)
 
-    def as_dicts(self) -> list[dict[str, Value]]:
-        """Rows as attribute-name dictionaries (presentation helper)."""
-        names = self.schema.names()
-        return [dict(zip(names, row)) for row in self._rows]
-
     def pretty(self, max_rows: int = 20) -> str:
         """ASCII table rendering for examples and reports."""
         names = self.schema.names()

@@ -120,11 +120,6 @@ class Schema:
     def names(self) -> tuple[str, ...]:
         return tuple(attribute.name for attribute in self.attributes)
 
-    def qualified_names(self) -> tuple[str, ...]:
-        return tuple(
-            f"{self.relation_name}.{attribute.name}" for attribute in self.attributes
-        )
-
     # -- construction helpers ------------------------------------------
 
     def rename(self, relation_name: str) -> "Schema":

@@ -40,7 +40,6 @@ from typing import Any, Callable, Iterator
 __all__ = [
     "DEFAULT_SESSION_CAPACITY",
     "DEFAULT_SESSION_TTL",
-    "LEGACY_SESSION",
     "Session",
     "SessionRegistry",
     "current_session_id",
@@ -52,10 +51,6 @@ __all__ = [
 DEFAULT_SESSION_CAPACITY = 1024
 #: Seconds of inactivity after which a session is expired by a sweep.
 DEFAULT_SESSION_TTL = 900.0
-#: The session id assigned to traffic that predates session envelopes.
-#: Legacy peers keep exactly their old behaviour: one shared state slot,
-#: never rejected by admission control.
-LEGACY_SESSION = "legacy"
 
 
 def new_session_id() -> str:
@@ -99,8 +94,8 @@ class SessionRegistry:
     """Keyed per-session state with explicit lifecycle and bounded memory.
 
     Lifecycle: a session is **opened** (explicitly via :meth:`open`, or
-    implicitly by :meth:`get` with ``create=True`` — the legacy-friendly
-    path for peers that never send a SESSION frame), **touched** by each
+    implicitly by :meth:`get` with ``create=True`` — a session's first
+    message opens it without a SESSION frame), **touched** by each
     step, and ends by :meth:`close`, by TTL expiry (:meth:`expire`, also
     run opportunistically on every access), or by LRU eviction once the
     registry exceeds ``capacity``.  ``on_evict(session, reason)`` is
@@ -146,8 +141,8 @@ class SessionRegistry:
     def get(self, session_id: str, *, create: bool = True) -> Session | None:
         """The live session for ``session_id``, LRU-touched.
 
-        With ``create=True`` (default) an unknown id opens implicitly —
-        the compatibility path for peers that never announce sessions.
+        With ``create=True`` (default) an unknown id opens implicitly, so
+        a session needs no explicit open.
         Expired sessions are swept first, so a stale id re-creates a
         fresh session rather than resurrecting evicted state.
         """

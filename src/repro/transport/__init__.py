@@ -5,7 +5,7 @@ The reproduction's protocols were born on an in-process message bus
 over real sockets without changing a line of protocol code:
 
 * :mod:`repro.transport.base` — the :class:`Transport` contract both
-  carriers implement, plus the shared transcript/view bookkeeping,
+  carriers implement, plus the shared transcript,
 * :mod:`repro.transport.codec` — the length-prefixed binary wire format
   for every message the three delivery protocols produce,
 * :mod:`repro.transport.server` — the threaded endpoint a party listens

@@ -1,14 +1,13 @@
 """The transport abstraction: what every message carrier must provide.
 
 The protocols in :mod:`repro.core` are written against a small contract —
-*who* can send *what* to *whom*, in *which order* — plus the
-observability guarantees the analyses rely on:
-
-* the full ordered transcript (Listing 1-4 conformance checks),
-* per-party **views** — everything a semi-honest party observes
-  (the leakage analysis reads the mediator's view to reproduce Table 1),
-* per-message byte accounting (E6 bytes-on-the-wire comparison),
-* per-party-pair message counts (E5 interaction comparison).
+*who* can send *what* to *whom*, in *which order* — plus the one record
+the analyses rely on: the ordered **transcript**, each message with its
+byte count (E6 bytes-on-the-wire comparison).  Everything else a
+semi-honest analysis reads is derived from a run's slice of it by
+:class:`~repro.core.result.MediationResult`: each party's **view**
+(the leakage analysis reads the mediator's view to reproduce Table 1)
+and the per-party-pair interaction counts (E5).
 
 :class:`Transport` extracts that contract so the protocol code is
 indifferent to *how* a message travels.  Two implementations exist:
@@ -21,9 +20,15 @@ indifferent to *how* a message travels.  Two implementations exist:
   wire bytes).  The client sends over blocking sockets on the caller's
   thread; only endpoints the transport hosts start threads of their own.
 
-All transcript bookkeeping is implemented here once; a concrete
-transport implements :meth:`Transport.send` (delivering the message and
-choosing its byte count) and calls :meth:`Transport._record`.
+Every transport is one **session** (:attr:`Transport.session_id`, minted
+at construction): a run with no enclosing
+:func:`~repro.session.session_scope` runs in it, so the mediator's and
+the sources' per-session caches and an endpoint's per-session records
+serve it like any other session.
+
+The transcript is kept here once; a concrete transport implements
+:meth:`Transport.send` (delivering the message and choosing its byte
+count) and calls :meth:`Transport._record`.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.errors import NetworkError
+from repro.session import new_session_id
 from repro.telemetry import metrics as _metrics
 
 #: Counter of transcript messages, labelled by transport/sender/receiver/kind.
@@ -72,44 +78,37 @@ class PartyView:
     party: str
     sent: list[Message] = field(default_factory=list)
     received: list[Message] = field(default_factory=list)
-    notes: dict[str, Any] = field(default_factory=dict)
-
-    def received_kinds(self) -> list[str]:
-        return [message.kind for message in self.received]
 
 
 class Transport(ABC):
     """Registry of parties plus the shared transcript.
 
-    Subclasses deliver messages (:meth:`send`); everything observable —
-    views, transcript, byte and interaction accounting — lives here.
+    Subclasses deliver messages (:meth:`send`); the transcript and its
+    byte accounting live here.
     """
 
     def __init__(self) -> None:
-        self._parties: dict[str, PartyView] = {}
+        self._parties: list[str] = []
         self._messages: list[Message] = []
         self._sequence = itertools.count(1)
+        #: The session of runs that install no session scope of their own.
+        self.session_id = new_session_id()
 
     # -- registration -----------------------------------------------------
 
     def register(self, party: str) -> None:
         if party in self._parties:
             raise NetworkError(f"party {party!r} already registered")
-        self._parties[party] = PartyView(party)
+        self._parties.append(party)
 
     def parties(self) -> tuple[str, ...]:
         return tuple(self._parties)
-
-    def view(self, party: str) -> PartyView:
-        if party not in self._parties:
-            raise NetworkError(f"unknown party {party!r}")
-        return self._parties[party]
 
     # -- transmission -------------------------------------------------------
 
     @abstractmethod
     def send(self, sender: str, receiver: str, kind: str, body: Any) -> Message:
-        """Deliver one message and record it in views and transcript."""
+        """Deliver one message and record it in the transcript."""
 
     def close(self) -> None:
         """Release transport resources (sockets, loops); bus is a no-op."""
@@ -133,7 +132,7 @@ class Transport(ABC):
         body: Any,
         size_bytes: int,
     ) -> Message:
-        """Append one delivered message to the transcript and both views."""
+        """Append one delivered message to the transcript."""
         message = Message(
             sequence=sequence,
             sender=sender,
@@ -143,8 +142,6 @@ class Transport(ABC):
             size_bytes=size_bytes,
         )
         self._messages.append(message)
-        self._parties[sender].sent.append(message)
-        self._parties[receiver].received.append(message)
         registry = _metrics.get_registry()
         if registry is not None:
             labels = {
@@ -177,31 +174,8 @@ class Transport(ABC):
         """``transcript[start:stop]``, without copying the rest of it."""
         return tuple(self._messages[start:stop])
 
-    def messages_from(self, sender: str, receiver: str | None = None) -> list[Message]:
-        return [
-            m
-            for m in self._messages
-            if m.sender == sender and (receiver is None or m.receiver == receiver)
-        ]
-
-    def messages_of_kind(self, kind: str) -> list[Message]:
-        return [m for m in self._messages if m.kind == kind]
-
     def total_bytes(self) -> int:
         return sum(m.size_bytes for m in self._messages)
-
-    def interaction_count(self, a: str, b: str) -> int:
-        return interaction_count(self._messages, a, b)
-
-    def flow_summary(self) -> list[str]:
-        """Human-readable transcript (used by the architecture bench)."""
-        return [message.summary() for message in self._messages]
-
-    def edges(self) -> set[tuple[str, str]]:
-        """Undirected communication edges (the Figure 1/2 topology)."""
-        return {
-            tuple(sorted((m.sender, m.receiver))) for m in self._messages
-        }
 
 
 def interaction_count(messages: Iterable[Message], a: str, b: str) -> int:

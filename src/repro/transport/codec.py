@@ -1,8 +1,8 @@
 """Length-prefixed binary codec for protocol messages.
 
 Everything the three delivery protocols put on the bus — ciphertexts,
-index tables, tagged message sets, encrypted polynomial coefficients,
-credentials — must survive a real wire.  This module defines:
+encrypted index tables, tagged message sets, encrypted polynomial
+coefficients, credentials — must survive a real wire.  This module defines:
 
 * a **value codec**: a recursive, type-tagged binary encoding of the
   payload trees the protocols exchange (primitives, containers, and a
@@ -25,7 +25,9 @@ credentials — must survive a real wire.  This module defines:
     value    := tag(1) tag-specific-body
 
 **Extensions** cover the domain types (hybrid and Paillier ciphertexts,
-index tables, DAS relations, credentials, ...), by name.  Public keys
+DAS relations, credentials, ...), by name; a plaintext carrier no
+protocol sends (a ``Relation``, an ``IndexTable``) has no record and is
+refused by the encoder.  Public keys
 and hybrid key encapsulations are **interned**: the first occurrence in
 a stream is encoded in full and, once complete, appended to an
 interning table that encoder and decoder maintain in the same order;
@@ -168,9 +170,6 @@ def _bootstrap() -> None:
     from repro.crypto.paillier import PaillierCiphertext, PaillierPublicKey
     from repro.crypto.rsa import RSAPublicKey
     from repro.mediation.credentials import Credential
-    from repro.relational.encoding import decode_relation, encode_relation
-    from repro.relational.partition import IndexTable, Partition
-    from repro.relational.relation import Relation
 
     # A type's packed value is the tuple of its constructor's positional
     # arguments (``attrgetter`` builds it in C), except where noted.
@@ -214,18 +213,6 @@ def _bootstrap() -> None:
         lambda t: Credential(*t),
     )
     _register(
-        "partition",
-        Partition,
-        attrgetter("values", "bounds"),
-        lambda t: Partition(*t),
-    )
-    _register(
-        "index-table",
-        IndexTable,
-        attrgetter("attribute", "entries", "salt"),
-        lambda t: IndexTable(*t),
-    )
-    _register(
         "das-tuple",
         EncryptedTuple,
         attrgetter("etuple", "index_value"),
@@ -255,7 +242,6 @@ def _bootstrap() -> None:
         attrgetter("tag", "payload"),
         lambda t: TaggedMessage(*t),
     )
-    _register("relation", Relation, encode_relation, decode_relation)  # bytes
 
 
 def _canonical(items: Any) -> list:

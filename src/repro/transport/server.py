@@ -4,17 +4,18 @@ A :class:`PartyServer` is the network face of one party (mediator,
 datasource, or client): it accepts framed connections, reads the header
 and verifies the checksum of every protocol message addressed to its
 party — never decoding the body — records the party's **view** of the
-traffic (sequence, sender, kind, actual wire bytes — the same
-observables the leakage analysis consumes), and acknowledges receipt so
-the sender can account actual bytes and detect dead peers.
+traffic in the message's session (sequence, sender, kind, actual wire
+bytes — the same observables the leakage analysis consumes), and
+acknowledges receipt so the sender can account actual bytes and detect
+dead peers.
 
 Endpoints speak a tiny control protocol next to DATA frames:
 
 * ``HELLO {party}``  -> ``OK {party}`` — handshake; the connecting
   transport verifies it reached the party it thinks it did.
-* ``FETCH {}``       -> ``VIEW [record, ...]`` — the endpoint's recorded
+* ``FETCH {session}`` -> ``VIEW [record, ...]`` — one session's recorded
   view, for reconciling remote observations against the sender-side
-  transcript; ``FETCH {session}`` narrows it to one session's records.
+  transcript; a FETCH that names no session is answered ``ERROR``.
 * ``TELEMETRY {}``   -> ``TELEMETRY_DATA {spans, metrics, exposition}`` —
   the endpoint's collected telemetry: ``recv:`` spans (stitched into the
   sender's trace via the envelope's trace context), a metrics snapshot,
@@ -23,7 +24,8 @@ Endpoints speak a tiny control protocol next to DATA frames:
 * ``SESSION {op, session}`` -> ``OK`` — explicit session lifecycle
   (``op`` is ``"open"`` or ``"close"``); opens are idempotent, and an
   open refused for capacity is answered with ``BUSY`` instead.
-* misdelivered or malformed frames -> ``ERROR {error}``.
+* misdelivered or malformed frames, and DATA frames that carry no
+  session id -> ``ERROR {error}``.
 
 **Threads.**  Blocking sockets throughout: :meth:`PartyServer.start`
 binds and starts one accept thread, ``repro-endpoint-<party>``; each
@@ -32,21 +34,21 @@ which reads a frame, answers it with one ``sendall`` and reads the
 next.  :meth:`PartyServer.stop` shuts the listener and every connection
 down and joins the threads.
 
-**Sessions.**  Every envelope may carry a ``session_id``; the
+**Sessions.**  Every DATA envelope carries a ``session_id``; the
 endpoint keys all per-session protocol state — the
 session's view of the traffic, its request-id dedupe window, its
 ``recv:`` span attribution — in a :class:`~repro.session.SessionRegistry`
 with LRU + TTL eviction, so one client's queries are invisible to
-another's and abandoned sessions cannot leak memory.  Distinct sessions
+another's and its records go when the session is closed or evicted:
+a ``serve`` process holds the records of its live sessions only, and
+what outlives a session is counters.  Distinct sessions
 proceed on their own connection threads while a per-session lock
 serializes steps *within* each session; one endpoint lock makes
-admission atomic and guards the endpoint-wide view and counters.
+admission atomic and guards the endpoint counters.
 When ``max_sessions`` live sessions exist, the first message of any new
 session is answered with a ``BUSY`` frame — the client transport backs
 off under its retry policy and surfaces
-:class:`~repro.errors.ServerBusy` when the budget runs out.  Legacy
-session-less traffic shares one ``"legacy"`` state slot and is never
-refused, preserving the pre-session wire behaviour exactly.
+:class:`~repro.errors.ServerBusy` when the budget runs out.
 
 Every endpoint owns a private span collector and metrics registry —
 independent of the process-wide installed telemetry — so a ``repro
@@ -75,12 +77,7 @@ from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro.errors import NetworkError
-from repro.session import (
-    DEFAULT_SESSION_TTL,
-    LEGACY_SESSION,
-    Session,
-    SessionRegistry,
-)
+from repro.session import DEFAULT_SESSION_TTL, Session, SessionRegistry
 from repro.telemetry.exporters import prometheus_exposition
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import SpanContext, Tracer
@@ -137,14 +134,13 @@ class PartyServer:
         self.party = party
         self.host = host
         self.port = port
-        self.records: list[RemoteRecord] = []
         #: Endpoint-local telemetry collectors, harvested via TELEMETRY.
         self.tracer = Tracer(service=f"repro.endpoint.{party}")
         self.registry = MetricsRegistry()
         self._max_messages = max_messages
         self._on_message = on_message
-        #: Guards admission, ``records``, the endpoint counters and the
-        #: connection table.
+        #: Guards admission, the endpoint counters and the connection
+        #: table.
         self._lock = threading.Lock()
         self._listener: socket.socket | None = None
         self._acceptor: threading.Thread | None = None
@@ -281,10 +277,9 @@ class PartyServer:
             return _frame(codec.OK, {"party": self.party})
         if frame_type == codec.FETCH:
             session_id = self._requested_session(payload)
-            records = (
-                list(self.records) if session_id is None
-                else self.session_records(session_id)
-            )
+            if session_id is None:
+                return _error("FETCH names no session")
+            records = self.session_records(session_id)
             return _frame(codec.VIEW, [asdict(record) for record in records])
         if frame_type == codec.TELEMETRY:
             session_id = self._requested_session(payload)
@@ -297,7 +292,7 @@ class PartyServer:
     def _data(self, payload: bytes) -> bytes | None:
         if (
             self._max_messages is not None
-            and len(self.records) >= self._max_messages
+            and self.messages_received() >= self._max_messages
         ):
             # Injected fault: die without acknowledging, refuse reconnects.
             self._close_listener()
@@ -316,6 +311,9 @@ class PartyServer:
                 f"misdelivered message for {receiver!r} at endpoint "
                 f"{self.party!r}"
             )
+        if session_id is None:
+            # Rejected before admission too: every run has a session.
+            return _error(f"message #{sequence} carries no session id")
         session = self._admit(session_id)
         if session is None:
             return self._busy()
@@ -345,7 +343,6 @@ class PartyServer:
             )
             with self._lock:
                 self._observe(record, SpanContext.from_wire(trace), session_id)
-                self.records.append(record)
                 session.state.setdefault("records", []).append(record)
                 if self._on_message is not None:
                     self._on_message(record)
@@ -360,20 +357,16 @@ class PartyServer:
 
     # -- sessions ----------------------------------------------------------
 
-    def _admit(self, session_id: str | None) -> Session | None:
+    def _admit(self, session_id: str) -> Session | None:
         """The session a message belongs to, or ``None`` for BUSY.
 
-        Legacy session-less traffic shares the ``"legacy"`` slot and is
-        always admitted — the pre-session contract.  A *new* session id
-        arriving while ``max_sessions`` are live is refused (and
-        counted); known live sessions are never refused.  Check and open
-        are one step under the endpoint lock, so concurrent connections
-        cannot overfill the registry.
+        A *new* session id arriving while ``max_sessions`` are live is
+        refused (and counted); known live sessions are never refused.
+        Check and open are one step under the endpoint lock, so
+        concurrent connections cannot overfill the registry.
         """
         with self._lock:
-            if session_id is None:
-                session_id = LEGACY_SESSION
-            elif (
+            if (
                 session_id not in self.sessions
                 and len(self.sessions) >= self.max_sessions
             ):
@@ -435,6 +428,10 @@ class PartyServer:
             help_text="Session lifecycle events at a party endpoint",
         ).inc()
 
+    def messages_received(self) -> int:
+        """Data messages recorded since start, across every session."""
+        return int(self.registry.total(ENDPOINT_MESSAGES_METRIC))
+
     def session_records(self, session_id: str) -> list[RemoteRecord]:
         """One session's view of the traffic (empty if unknown)."""
         session = self.sessions.peek(session_id)
@@ -461,16 +458,16 @@ class PartyServer:
         self,
         record: RemoteRecord,
         parent: SpanContext | None,
-        session_id: str | None = None,
+        session_id: str,
     ) -> None:
         """Record one received message into the endpoint collectors.
 
         When the envelope carried trace context, the ``recv:`` span is
         parented on the sender's ``send:`` span — that edge is what
-        stitches per-process traces into one distributed trace.  When it
-        carried a session id, the span is tagged with it, so one
-        session's spans can be harvested (and stitched) independently
-        of every other session's.
+        stitches per-process traces into one distributed trace.  The span
+        is tagged with the message's session id, so one session's spans
+        can be harvested (and stitched) independently of every other
+        session's.
         """
         if parent is not None:
             attributes = {
@@ -478,9 +475,8 @@ class PartyServer:
                 "sender": record.sender,
                 "sequence": record.sequence,
                 "wire_bytes": record.wire_bytes,
+                "session": session_id,
             }
-            if session_id is not None:
-                attributes["session"] = session_id
             span = self.tracer.start_span(
                 f"recv:{record.kind}",
                 self.party,

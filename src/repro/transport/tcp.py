@@ -43,9 +43,10 @@ Concurrency (see ``docs/transport.md``):
   ``RetryPolicy.pool_size`` idle sockets are kept — sequential traffic
   reuses one socket; concurrent sessions (one caller thread each) fan
   out without a connect-per-send tax.
-* The caller's :func:`~repro.session.session_scope` rides every
-  envelope as its ``session_id``; endpoints key per-session state by
-  it.  An endpoint at capacity answers BUSY, which backs off under the
+* The caller's :func:`~repro.session.session_scope` — or, outside
+  any scope, the transport's own :attr:`~Transport.session_id` — rides
+  every envelope as its ``session_id``; endpoints key per-session state
+  by it.  An endpoint at capacity answers BUSY, which backs off under the
   retry policy and surfaces as :class:`~repro.errors.ServerBusy` once
   the budget is exhausted.  Sessions are closed at the endpoints on
   :meth:`TcpTransport.close`.
@@ -203,9 +204,8 @@ class TcpTransport(Transport):
         thread, under the caller's installed deadline (if any).
         """
         self._require_parties(sender, receiver)
-        session_id = current_session_id()
-        if session_id is not None:
-            self._sessions_used.add(session_id)
+        session_id = current_session_id() or self.session_id
+        self._sessions_used.add(session_id)
         with tracing.span(
             f"send:{kind}", sender, kind="message", receiver=receiver
         ) as span:
@@ -231,15 +231,15 @@ class TcpTransport(Transport):
     def remote_view(
         self, party: str, session: str | None = None
     ) -> list[RemoteRecord]:
-        """Fetch the view recorded at a party's endpoint (FETCH/VIEW).
+        """Fetch one session's view recorded at a party's endpoint
+        (FETCH/VIEW); ``session`` defaults to this transport's own.
 
-        ``session`` narrows the view to one session's records — the
-        isolation boundary: a session filter never reveals another
-        session's traffic.
+        A session is the isolation boundary: a FETCH never reveals
+        another session's traffic.
         """
         if party not in self._parties:
             raise NetworkError(f"unknown party {party!r}")
-        body = {} if session is None else {"session": session}
+        body = {"session": session or self.session_id}
         response = self._control(party, codec.FETCH, body, codec.VIEW)
         return [RemoteRecord(**record) for record in response]
 

@@ -97,9 +97,12 @@ class TestHardenedDASRowCountsEveryFrame:
         report = analyze(result)
         padded = [
             len(message.body["relation"])
-            for message in network.messages_of_kind("das_encrypted_partial_result")
+            for message in network.transcript
+            if message.kind == "das_encrypted_partial_result"
         ]
-        frames = [len(m.body) for m in network.messages_of_kind("das_server_result")]
+        frames = [
+            len(m.body) for m in network.transcript if m.kind == "das_server_result"
+        ]
         # At least two frames per relation, so a last-frame reading is wrong.
         assert all(rows > 2 for rows in padded) and max(frames) == 2
         assert report.client_learns["superset_rows_received"] == sum(padded)

@@ -96,7 +96,7 @@ class TestMediatorMaterial:
 
     def test_material_extraction_nonempty(self, factory):
         result = run_join_query(factory(), QUERY, protocol="das")
-        view = result.network.view(detect_roles(result.messages)["mediator"])
+        view = result.view(detect_roles(result.messages)["mediator"])
         assert len(ciphertext_material(view)) > 1024
 
     def test_server_result_positions_are_not_material(self, factory):

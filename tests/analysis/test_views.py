@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.views import iter_byte_material, view_material
 from repro.mediation.network import Network
+from repro.transport.base import PartyView
 
 
 class TestByteMaterial:
@@ -64,14 +65,14 @@ class TestViewMaterial:
         return net
 
     def test_received_only_by_default(self, network):
-        network.send("a", "b", "kind", b"sent-by-a")
-        network.send("b", "a", "kind", b"sent-by-b")
-        material = view_material(network.view("a"))
+        to_b = network.send("a", "b", "kind", b"sent-by-a")
+        to_a = network.send("b", "a", "kind", b"sent-by-b")
+        material = view_material(PartyView("a", sent=[to_b], received=[to_a]))
         assert b"sent-by-b" in material
         assert b"sent-by-a" not in material
 
     def test_separators_prevent_cross_fragment_matches(self, network):
-        network.send("a", "b", "kind", [b"AB", b"CD"])
-        material = view_material(network.view("b"))
+        message = network.send("a", "b", "kind", [b"AB", b"CD"])
+        material = view_material(PartyView("b", received=[message]))
         assert b"ABCD" not in material
         assert b"AB" in material

@@ -152,7 +152,7 @@ class TestRound2Body:
     ):
         result = _run_over(carrier, hardened, ca, client, workload)
         assert result.global_result == expected
-        doubles = result.network.messages_of_kind("commutative_double")
+        doubles = [m for m in result.messages if m.kind == "commutative_double"]
         assert [m.sender for m in doubles] == ["S1", "S2"]
         for message in doubles:
             assert message.body
@@ -275,14 +275,14 @@ class TestProtocolShape:
         result = run_join_query(
             make_federation(workload), QUERY, protocol="commutative"
         )
-        assert result.network.interaction_count(client.name, "mediator") == 1
+        assert result.interaction_count(client.name, "mediator") == 1
 
     def test_sources_interact_twice(self, make_federation, workload):
         result = run_join_query(
             make_federation(workload), QUERY, protocol="commutative"
         )
         for source in ("S1", "S2"):
-            assert result.network.interaction_count(source, "mediator") == 2
+            assert result.interaction_count(source, "mediator") == 2
 
     def test_exchange_carries_tags_and_tokens_only(
         self, make_federation, workload
@@ -293,9 +293,9 @@ class TestProtocolShape:
             make_federation(workload), QUERY, protocol="commutative"
         )
         m_sets = {
-            m.sender: m for m in result.network.messages_of_kind("commutative_m_set")
+            m.sender: m for m in result.messages if m.kind == "commutative_m_set"
         }
-        exchanges = result.network.messages_of_kind("commutative_exchange")
+        exchanges = [m for m in result.messages if m.kind == "commutative_exchange"]
         assert [m.receiver for m in exchanges] == ["S1", "S2"]
         for exchange, relayed in zip(exchanges, (m_sets["S2"], m_sets["S1"])):
             assert exchange.size_bytes == ENVELOPE_BYTES + sum(
@@ -317,7 +317,7 @@ class TestProtocolShape:
         )
         for source in ("S1", "S2"):
             received = [
-                m for m in result.network.view(source).received
+                m for m in result.view(source).received
                 if m.kind == "commutative_exchange"
             ]
             assert len(received) == 1
@@ -347,7 +347,7 @@ class TestProtocolShape:
         result = run_join_query(
             make_federation(workload), QUERY, protocol="commutative"
         )
-        m_sets = result.network.messages_of_kind("commutative_m_set")
+        m_sets = [m for m in result.messages if m.kind == "commutative_m_set"]
         sizes = {m.sender: len(m.body) for m in m_sets}
         assert sizes["S1"] == len(workload.relation_1.active_domain("k"))
         assert sizes["S2"] == len(workload.relation_2.active_domain("k"))

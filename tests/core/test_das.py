@@ -118,12 +118,12 @@ class TestProtocolShape:
 
     def test_client_interacts_twice(self, make_federation, workload, client):
         result = run_join_query(make_federation(workload), QUERY, protocol="das")
-        assert result.network.interaction_count(client.name, "mediator") == 2
+        assert result.interaction_count(client.name, "mediator") == 2
 
     def test_sources_send_once(self, make_federation, workload):
         result = run_join_query(make_federation(workload), QUERY, protocol="das")
         for source in ("S1", "S2"):
-            assert result.network.interaction_count(source, "mediator") == 1
+            assert result.interaction_count(source, "mediator") == 1
 
     def test_cond_s_artifact_rendered(self, make_federation, workload):
         result = run_join_query(make_federation(workload), QUERY, protocol="das")

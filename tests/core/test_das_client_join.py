@@ -72,7 +72,7 @@ def test_hash_join_matches_the_pair_loop(
     federation.attach_client(client)
     config = DASConfig(strategy=strategy, buckets=buckets)
     result = run_join_query(federation, QUERY, protocol="das", config=config)
-    (message,) = federation.network.messages_of_kind("das_server_result")
+    (message,) = [m for m in result.messages if m.kind == "das_server_result"]
     expected, false_positives = oracle(client, message.body)
     assert result.global_result == expected == natural_join(relation_1, relation_2)
     assert result.artifacts["false_positives"] == false_positives
@@ -89,8 +89,8 @@ class TestPositionTableAtDecode:
         federation.add_source("S1", [(skewed_workload.relation_1, allow_all())])
         federation.add_source("S2", [(skewed_workload.relation_2, allow_all())])
         federation.attach_client(client)
-        run_join_query(federation, QUERY, protocol="das")
-        (message,) = federation.network.messages_of_kind("das_server_result")
+        result = run_join_query(federation, QUERY, protocol="das")
+        (message,) = [m for m in result.messages if m.kind == "das_server_result"]
         return message.body
 
     @staticmethod

@@ -157,13 +157,12 @@ class TestServerResultRowTables:
         result = run_join_query(
             federation, "select * from R1 natural join R2", protocol="das"
         )
-        (message,) = federation.network.messages_of_kind("das_server_result")
-        (query,) = federation.network.messages_of_kind("das_server_query")
+        (message,) = [m for m in result.messages if m.kind == "das_server_result"]
+        (query,) = [m for m in result.messages if m.kind == "das_server_query"]
         partials = [
             m.body["relation"]
-            for m in federation.network.messages_of_kind(
-                "das_encrypted_partial_result"
-            )
+            for m in result.messages
+            if m.kind == "das_encrypted_partial_result"
         ]
         return result, message.body, query.body, partials
 

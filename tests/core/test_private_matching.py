@@ -184,14 +184,14 @@ class TestProtocolShape:
         result = run_join_query(
             make_federation(workload), QUERY, protocol="private-matching"
         )
-        assert result.network.interaction_count(client.name, "mediator") == 1
+        assert result.interaction_count(client.name, "mediator") == 1
 
     def test_sources_interact_twice(self, make_federation, workload):
         result = run_join_query(
             make_federation(workload), QUERY, protocol="private-matching"
         )
         for source in ("S1", "S2"):
-            assert result.network.interaction_count(source, "mediator") == 2
+            assert result.interaction_count(source, "mediator") == 2
 
     def test_client_receives_n_plus_m_values(self, make_federation, workload,
                                              client):
@@ -202,7 +202,7 @@ class TestProtocolShape:
         m = len(workload.relation_2.active_domain("k"))
         evaluations = [
             message
-            for message in result.network.view(client.name).received
+            for message in result.view(client.name).received
             if message.kind == "pm_evaluations"
         ]
         total = sum(len(values) for values in evaluations[0].body.values())

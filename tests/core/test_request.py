@@ -35,7 +35,9 @@ class TestRequestPhase:
 
     def test_join_attributes_forwarded(self, federation):
         run_request_phase(federation, QUERY)
-        for message in federation.network.messages_of_kind("partial_query"):
+        for message in federation.network.transcript:
+            if message.kind != "partial_query":
+                continue
             assert message.body["join_attributes"] == ("k",)
 
     def test_access_control_enforced(self, make_federation, workload):

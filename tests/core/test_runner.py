@@ -16,9 +16,11 @@ from repro import (
 from repro.core.runner import PROTOCOLS
 from repro.crypto import backend
 from repro.errors import AccessDenied, MediationError, ProtocolError, QueryError
+from repro.mediation import datasource
 from repro.mediation.access_control import allow_all, require
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
+from repro.session import session_scope
 from repro.transport import RetryPolicy, TcpTransport
 
 QUERY = "select * from R1 natural join R2"
@@ -81,8 +83,9 @@ class TestRunner:
             make_federation(workload), QUERY, protocol="das",
             config=DASConfig(),
         )
-        assert result.seconds_at(client.name) > 0
-        assert result.seconds_at("S1") > 0
+        parties = {timing.party for timing in result.timings}
+        assert {client.name, "S1"} <= parties
+        assert all(timing.seconds > 0 for timing in result.timings)
 
     def test_reference_join_matches_projection_query(
         self, make_federation, workload
@@ -117,6 +120,46 @@ class TestFederation:
             "S2",
             client.name,
         }
+
+
+class TestTransportSession:
+    """A run without a ``session_id`` runs in the enclosing scope, or
+    else in the transport's own session."""
+
+    @pytest.fixture
+    def verified(self, monkeypatch):
+        calls = []
+        original = datasource.verify_credential
+
+        def counted(credential, ca_key):
+            calls.append(credential.signature)
+            return original(credential, ca_key)
+
+        monkeypatch.setattr(datasource, "verify_credential", counted)
+        return calls
+
+    def test_bus_runs_verify_each_credential_once(
+        self, make_federation, workload, verified
+    ):
+        federation = make_federation(workload)
+        run_join_query(federation, QUERY, protocol="commutative")
+        first = len(verified)
+        run_join_query(federation, QUERY, protocol="commutative")
+        assert first > 0 and len(verified) == first
+        assert len(set(verified)) * len(federation.sources) == first
+
+    def test_a_session_id_or_scope_takes_precedence(
+        self, make_federation, workload, verified
+    ):
+        federation = make_federation(workload)
+        run_join_query(federation, QUERY, protocol="commutative")
+        first = len(verified)
+        run_join_query(
+            federation, QUERY, protocol="commutative", session_id="other"
+        )
+        with session_scope("third"):
+            run_join_query(federation, QUERY, protocol="commutative")
+        assert len(verified) == 3 * first
 
 
 class TestChainQueries:

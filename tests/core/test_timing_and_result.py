@@ -108,8 +108,6 @@ class TestMediationResult:
         result.add_timing("client", "b", 0.25)
         result.add_timing("S1", "c", 1.0)
         assert result.total_seconds() == 1.75
-        assert result.seconds_at("client") == 0.75
-        assert result.seconds_at("ghost") == 0.0
 
     def test_total_bytes_delegates_to_network(self):
         result = make_result()

@@ -51,7 +51,3 @@ class TestSchemeContract:
     def test_plaintext_bound_positive(self, scheme, keypair):
         pk = scheme.public_key(keypair)
         assert scheme.plaintext_bound(pk) > 1000
-
-    def test_ciphertext_size_positive(self, scheme, keypair):
-        pk = scheme.public_key(keypair)
-        assert scheme.ciphertext_size_bytes(scheme.encrypt(pk, 1)) > 0

@@ -7,13 +7,6 @@ from repro.errors import EncodingError
 
 
 class TestRSA:
-    def test_public_round_trip(self, rsa_key):
-        public = rsa_key.public_key()
-        restored = serialization.rsa_public_from_dict(
-            serialization.rsa_public_to_dict(public)
-        )
-        assert restored == public
-
     def test_private_round_trip(self, rsa_key):
         restored = serialization.rsa_private_from_dict(
             serialization.rsa_private_to_dict(rsa_key)
@@ -32,7 +25,7 @@ class TestRSA:
     def test_kind_mismatch_rejected(self, rsa_key):
         payload = serialization.rsa_private_to_dict(rsa_key)
         with pytest.raises(EncodingError):
-            serialization.rsa_public_from_dict(payload)
+            serialization.paillier_private_from_dict(payload)
 
     def test_inconsistent_factors_rejected(self, rsa_key):
         payload = serialization.rsa_private_to_dict(rsa_key)
@@ -83,11 +76,9 @@ class TestPaillier:
 
 class TestJSONLayer:
     def test_dumps_loads(self, rsa_key):
-        text = serialization.dumps(serialization.rsa_public_to_dict(
-            rsa_key.public_key()
-        ))
+        text = serialization.dumps(serialization.rsa_private_to_dict(rsa_key))
         payload = serialization.loads(text)
-        assert payload["kind"] == "rsa-public"
+        assert payload["kind"] == "rsa-private"
 
     def test_invalid_json(self):
         with pytest.raises(EncodingError):

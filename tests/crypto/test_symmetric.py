@@ -68,6 +68,8 @@ RFC_4231 = [
 ]
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+#: Bytes :func:`symmetric.encrypt` adds to a plaintext: nonce and tag.
+OVERHEAD = symmetric.NONCE_BYTES + symmetric.TAG_BYTES
 #: Ciphertexts of this DEM under a fixed master key.
 FIXTURE = json.loads((FIXTURES / "dem_ciphertexts_shake256.json").read_text())
 #: Ciphertexts written by the ChaCha20 DEM this one replaced.
@@ -359,7 +361,7 @@ class TestAuthenticatedEncryption:
     def test_overhead_constant(self):
         key = symmetric.generate_key()
         ct = symmetric.encrypt(key, b"y" * 100)
-        assert len(ct) - 100 == symmetric.ciphertext_overhead()
+        assert len(ct) - 100 == OVERHEAD
 
 
 class TestBatch:
@@ -395,7 +397,7 @@ class TestBatch:
         for plaintext, ciphertext in zip(
             self.PLAINTEXTS, symmetric.encrypt_many(self.KEY, self.PLAINTEXTS)
         ):
-            assert len(ciphertext) == len(plaintext) + symmetric.ciphertext_overhead()
+            assert len(ciphertext) == len(plaintext) + OVERHEAD
             nonce = ciphertext[: symmetric.NONCE_BYTES]
             body = ciphertext[symmetric.NONCE_BYTES:-symmetric.TAG_BYTES]
             assert body == oracle_body(self.KEY, nonce, plaintext)
@@ -445,7 +447,7 @@ class TestBatch:
 
     def test_a_too_short_item_fails_the_batch(self):
         batch = symmetric.encrypt_many(self.KEY, [b"a", b"b"])
-        batch.append(bytes(symmetric.ciphertext_overhead() - 1))
+        batch.append(bytes(OVERHEAD - 1))
         with pytest.raises(DecryptionError):
             symmetric.decrypt_many([self.KEY] * 3, batch)
 

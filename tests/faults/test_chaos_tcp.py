@@ -79,9 +79,10 @@ class TestProxyFaults:
                 transport.register("S1")
                 transport.send("client", "S1", "payload", {"n": 42})
                 transport.send("client", "S1", "payload", {"n": 43})
+                records = endpoint.server.session_records(transport.session_id)
             finally:
                 transport.close()
-        kinds = [(r.kind, r.sequence) for r in endpoint.server.records]
+        kinds = [(r.kind, r.sequence) for r in records]
         assert kinds == [("payload", 1), ("payload", 2)]
         assert [e.action for e in injector.event_log()] == [action]
 
@@ -125,10 +126,11 @@ class TestProxyFaults:
                         message.size_bytes - codec.FRAME_HEADER_BYTES
                     )
                     sends += 1
+                records = endpoint.server.session_records(transport.session_id)
             finally:
                 transport.close()
         assert sends > 60  # header + CRC + body of a small envelope
-        assert [r.sequence for r in endpoint.server.records] == list(
+        assert [r.sequence for r in records] == list(
             range(1, sends + 1)
         )
         # Two frames crossed the proxy per message: the garbled one and
@@ -151,9 +153,10 @@ class TestProxyFaults:
                 transport.register("S1")
                 for n in range(6):
                     transport.send("client", "S1", "seq", {"n": n})
+                records = endpoint.server.session_records(transport.session_id)
             finally:
                 transport.close()
-        assert [r.sequence for r in endpoint.server.records] == list(
+        assert [r.sequence for r in records] == list(
             range(1, 7)
         )
         duplicates = endpoint.server.registry.snapshot().get(
@@ -180,7 +183,7 @@ class TestProxyFaults:
         finally:
             transport.close()
             proxy.stop()
-        assert len(endpoint.server.records) == 1
+        assert endpoint.server.messages_received() == 1
 
     def test_full_protocol_through_flaky_proxy(
         self, ca, client, workload, threaded_endpoint

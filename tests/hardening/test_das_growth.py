@@ -57,13 +57,14 @@ def test_cost_is_linear_in_the_padded_row_count(ca, client):
         padded.append(
             sum(
                 len(message.body["relation"])
-                for message in network.messages_of_kind(
-                    "das_encrypted_partial_result"
-                )
+                for message in network.transcript
+                if message.kind == "das_encrypted_partial_result"
             )
         )
         costs["rows"].append(result.artifacts["server_result_size"])
-        costs["frames"].append(len(network.messages_of_kind("das_server_result")))
+        costs["frames"].append(
+            sum(m.kind == "das_server_result" for m in network.transcript)
+        )
         costs["bytes"].append(network.total_bytes())
         costs["decrypts"].append(result.primitive_counter.counts["hybrid.decrypt"])
         assert costs["rows"][-1] <= padded[-1]

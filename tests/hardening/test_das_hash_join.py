@@ -219,7 +219,7 @@ def test_an_empty_side_is_one_empty_frame_and_the_empty_join(
     assert encode_relation(result.global_result) == encode_relation(
         reference_join(build(ca, client, relations, Network()), QUERY)
     )
-    frames = [m.body for m in result.network.messages_of_kind("das_server_result")]
+    frames = [m.body for m in result.messages if m.kind == "das_server_result"]
     assert frames[-1 if empty else 0] == []
     real = len(relations[1 - empty])
     artifacts = result.artifacts

@@ -41,7 +41,9 @@ def build(ca, client, workload, storage=None, network=None):
 def das_encapsulations(result) -> dict[str, set[bytes]]:
     """Source -> digests of every encapsulation it put on the wire."""
     found: dict[str, set[bytes]] = {}
-    for message in result.network.messages_of_kind("das_encrypted_partial_result"):
+    for message in result.messages:
+        if message.kind != "das_encrypted_partial_result":
+            continue
         digests = {
             row.etuple.wrapped_keys.digest()
             for row in message.body["relation"].rows
@@ -85,7 +87,7 @@ class TestHardenedDasSharesOneEncapsulationPerSource:
         )
         assert result.artifacts["dummy_rows_discarded"] > 0
         sources = das_encapsulations(result)
-        frames = result.network.messages_of_kind("das_server_result")
+        frames = [m for m in result.messages if m.kind == "das_server_result"]
         assert len(frames) > 2
         owners = []
         for frame in frames:
@@ -100,14 +102,15 @@ class TestHardenedDasSharesOneEncapsulationPerSource:
 def commutative_encapsulations(result) -> dict[str, set[bytes]]:
     """Source -> digests of every encapsulation it put on the wire."""
     found: dict[str, set[bytes]] = {}
-    for message in result.network.messages_of_kind("commutative_m_set"):
-        found.setdefault(message.sender, set()).update(
-            tagged.payload.wrapped_keys.digest() for tagged in message.body
-        )
-    for message in result.network.messages_of_kind("commutative_dummies"):
-        found.setdefault(message.sender, set()).update(
-            dummy.wrapped_keys.digest() for dummy in message.body
-        )
+    for message in result.messages:
+        if message.kind == "commutative_m_set":
+            found.setdefault(message.sender, set()).update(
+                tagged.payload.wrapped_keys.digest() for tagged in message.body
+            )
+        elif message.kind == "commutative_dummies":
+            found.setdefault(message.sender, set()).update(
+                dummy.wrapped_keys.digest() for dummy in message.body
+            )
     return found
 
 
@@ -131,9 +134,8 @@ class TestCommutativeSharesOneEncapsulation:
                     assert len(sources[source]) == 1, source
                 pairs = [
                     pair
-                    for frame in result.network.messages_of_kind(
-                        "commutative_result"
-                    )
+                    for frame in result.messages
+                    if frame.kind == "commutative_result"
                     for pair in frame.body
                 ]
                 assert pairs

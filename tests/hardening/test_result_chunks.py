@@ -48,7 +48,8 @@ def chunk_profile(ca, client, workload) -> list[tuple[int, int]]:
             codec.encoded_size(message.body)
             - sum(codec.encoded_size(row.index_value) for row in message.body),
         )
-        for message in federation.network.messages_of_kind("das_server_result")
+        for message in federation.network.transcript
+        if message.kind == "das_server_result"
     ]
 
 

@@ -116,8 +116,9 @@ class TestConcurrentEqualsSequential:
                 per_session = [
                     server.session_records(sid) for sid in session_ids
                 ]
-                assert sum(len(view) for view in per_session) == len(
-                    server.records
+                assert (
+                    sum(len(view) for view in per_session)
+                    == server.messages_received()
                 )
                 for view, sid in zip(per_session, session_ids):
                     if view:

@@ -37,8 +37,7 @@ REQUEST = [
     (M, "S1", "partial_query"),
     (M, "S2", "partial_query"),
 ]
-RUNNER_KEYS = ["config", "crypto", "join_rows_before_postprocessing",
-               "observables"]
+RUNNER_KEYS = ["config", "crypto", "join_rows_before_postprocessing"]
 COUNT_KEYS = ("active_domain_sizes", "intersection_size",
               "server_query_pairs", "server_result_size", "false_positives",
               "dummy_rows_discarded", "dummy_pairs_discarded",

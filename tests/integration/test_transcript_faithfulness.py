@@ -110,7 +110,7 @@ def test_transcript_is_faithful_to_the_wire(
         decoded_bodies[message.sequence] = decoded
 
     replay = replayed(result, decoded_bodies)
-    assert result.artifacts["observables"] == observables_artifact(replay)
+    assert observables_artifact(result) == observables_artifact(replay)
     assert analyze(replay) == analyze(result)
     assert export_run(replay) == export_run(result)
 

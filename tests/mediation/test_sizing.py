@@ -4,9 +4,6 @@ from dataclasses import dataclass
 
 from repro.crypto import hybrid, paillier
 from repro.mediation.sizing import estimate_size
-from repro.relational.partition import build_index_table, singleton
-from repro.relational.relation import Relation
-from repro.relational.schema import schema
 
 
 class TestPrimitives:
@@ -54,14 +51,6 @@ class TestCryptoObjects:
         ct = paillier.encrypt(key.public_key, 5)
         # Ciphertext lives mod n^2: ~512 bits = 64 bytes.
         assert estimate_size(ct) == 64
-
-    def test_index_table(self):
-        table = build_index_table("R.k", singleton([1, 2, 3]), salt=b"s")
-        assert estimate_size(table) == len(table.to_bytes())
-
-    def test_relation(self):
-        r = Relation(schema("R", k="int"), [(1,), (2,)])
-        assert estimate_size(r) > 0
 
     def test_fallback_never_raises(self):
         class Opaque:

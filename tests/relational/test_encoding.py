@@ -35,6 +35,16 @@ class TestValueEncoding:
         with pytest.raises(EncodingError):
             encoding.encode_value(3.5)
 
+    @given(st.one_of(value_strategy, st.integers()))
+    def test_decode_value_inverts_encode_value(self, value):
+        decoded = encoding.decode_value(encoding.encode_value(value))
+        assert decoded == value and type(decoded) is type(value)
+
+    def test_decode_value_rejects_an_unknown_tag(self):
+        for data in (b"x1", b""):
+            with pytest.raises(EncodingError, match="unknown value tag"):
+                encoding.decode_value(data)
+
 
 class TestRowEncoding:
     ROW = (42, "ada lovelace", True)
@@ -94,17 +104,20 @@ class TestRowsEncoding:
 
 
 class TestRelationEncoding:
-    def test_round_trip(self):
-        r = Relation(S, [(1, "a", True), (2, "b", False)])
-        restored = encoding.decode_relation(encoding.encode_relation(r))
-        assert restored == r
-        assert restored.schema == r.schema
+    def test_schema_header_then_rows(self):
+        rows = ((1, "a", True), (2, "b", False))
+        data = encoding.encode_relation(Relation(S, rows))
+        length = int.from_bytes(data[:4], "big")
+        assert data[4:4 + length] == (
+            b'{"name":"R","attributes":[["k","int"],["name","string"],'
+            b'["flag","bool"]]}'
+        )
+        assert data[4 + length:] == encoding.encode_rows(rows)
 
-    def test_empty_relation(self):
-        r = Relation(S, [])
-        assert encoding.decode_relation(encoding.encode_relation(r)) == r
-
-    def test_truncated(self):
-        with pytest.raises(EncodingError):
-            encoding.decode_relation(b"\x00\x00")
+    def test_schema_is_part_of_the_encoding(self):
+        rows = [(1, "a", True)]
+        renamed = Relation(S, rows).rename("Q")
+        assert encoding.encode_relation(renamed) != encoding.encode_relation(
+            Relation(S, rows)
+        )
 

@@ -100,11 +100,6 @@ class TestHelpers:
     def test_rename(self, r):
         assert r.rename("X").name == "X"
 
-    def test_as_dicts(self, r):
-        dicts = r.as_dicts()
-        assert {"k": 1, "label": "a"} in dicts
-        assert len(dicts) == 4
-
     def test_pretty_contains_rows(self, r):
         rendered = r.pretty()
         assert "k" in rendered and "label" in rendered

@@ -77,7 +77,6 @@ class TestSchema:
 
     def test_names(self, s):
         assert s.names() == ("k", "name", "flag")
-        assert s.qualified_names() == ("R1.k", "R1.name", "R1.flag")
 
     def test_rename(self, s):
         renamed = s.rename("R9")

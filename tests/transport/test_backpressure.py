@@ -3,9 +3,9 @@
 An endpoint at ``max_sessions`` refuses a *new* session's traffic with
 a BUSY frame; the client side backs off under its retry policy and
 surfaces :class:`~repro.errors.ServerBusy` once the budget is spent.
-These tests pin the refusal rules: live sessions and legacy
-(session-less) traffic are never refused, BUSY leaves the connection
-healthy, and closing a session frees its slot.
+These tests pin the refusal rules: live sessions are never refused,
+BUSY leaves the connection healthy, and closing a session frees its
+slot.
 """
 
 import socket
@@ -57,15 +57,6 @@ class TestAdmission:
                 crowded_transport.send("client", "S1", "step", {"n": n})
         server = crowded_transport.local_server("S1")
         assert len(server.session_records("first")) == 3
-
-    def test_legacy_traffic_is_exempt_from_admission(self, crowded_transport):
-        with session_scope("first"):
-            crowded_transport.send("client", "S1", "step", {"n": 1})
-        # No session scope: pre-session peers share the legacy slot and
-        # must keep working even at capacity.
-        crowded_transport.send("client", "S1", "legacy-step", {"n": 2})
-        server = crowded_transport.local_server("S1")
-        assert len(server.session_records("legacy")) == 1
 
     def test_busy_leaves_the_connection_healthy(self, crowded_transport):
         with session_scope("first"):

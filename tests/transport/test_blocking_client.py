@@ -96,7 +96,12 @@ class TestClientThreads:
                 with ThreadPoolExecutor(max_workers=6) as pool:
                     futures = [pool.submit(burst, index) for index in range(6)]
                     sent = [seq for f in futures for seq in f.result(timeout=60)]
-                recorded = [r.sequence for r in carrier.local_server("b").records]
+                recorded = [
+                    r.sequence
+                    for r in carrier.local_server("b").session_records(
+                        carrier.session_id
+                    )
+                ]
                 assert sorted(sent) == sorted(recorded) == list(range(1, 121))
                 assert len(carrier._pools["b"]) <= FAST.pool_size
         finally:

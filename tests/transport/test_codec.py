@@ -156,18 +156,6 @@ class TestDomainExtensions:
         keys = {id(ciphertext.public_key) for ciphertext in decoded}
         assert len(keys) == 1
 
-    def test_index_table_with_salt_and_bounds(self):
-        table = IndexTable(
-            attribute="R1.k",
-            entries=(
-                (Partition(frozenset({1, 2}), bounds=(1, 2)), 7),
-                (Partition(frozenset({5}), bounds=(3, 9)), 9),
-            ),
-            salt=b"\x01\x02salt",
-        )
-        decoded = roundtrip(table)
-        assert decoded.salt == table.salt  # to_bytes() would drop this
-
     def test_das_structures(self, rsa_key):
         keys = [rsa_key.public_key()]
         row = EncryptedTuple(
@@ -233,7 +221,7 @@ class TestDomainExtensions:
         )
         encoded = codec.encode_value(relation)
         # 50 rows, one wrapped key: references after the first occurrence.
-        assert len(encoded) < 50 * hybrid.wrapped_key_size(rsa_key.public_key())
+        assert len(encoded) < 50 * rsa_key.public_key().modulus_bytes
         decoded = codec.decode_value(encoded)
         assert decoded == relation
         assert len({id(row.etuple.wrapped_keys) for row in decoded.rows}) == 1
@@ -269,11 +257,22 @@ class TestDomainExtensions:
             ]
         )
 
-    def test_relation(self):
+    def test_plaintext_carriers_are_refused(self):
+        """No protocol sends a relation or an index table in the clear,
+        so neither has a wire record."""
         relation = Relation(
             schema("R1", k="int", a="string"), [(1, "x"), (2, "y")]
         )
-        roundtrip(relation)
+        table = IndexTable(
+            attribute="R1.k",
+            entries=((Partition(frozenset({1, 2}), bounds=(1, 2)), 7),),
+            salt=b"\x01\x02salt",
+        )
+        for carrier in (relation, table, table.entries[0][0]):
+            with pytest.raises(ValueCodecError, match="no wire encoding"):
+                codec.encode_value(carrier)
+            with pytest.raises(ValueCodecError):
+                codec.encode_value({"body": [carrier]})
 
 
 # -- shareables nested in shareables -------------------------------------------

@@ -30,9 +30,6 @@ from repro.crypto.paillier import PaillierCiphertext, PaillierPublicKey
 from repro.crypto.rsa import RSAPublicKey
 from repro.errors import CodecError, ValueCodecError
 from repro.mediation.credentials import Credential
-from repro.relational.partition import IndexTable, Partition
-from repro.relational.relation import Relation
-from repro.relational.schema import schema
 from repro.transport import codec
 
 from tests.transport import reference_codec as reference
@@ -58,15 +55,6 @@ hybrid_cts = st.builds(HybridCiphertext, encapsulations, blobs)
 das_tuples = st.builds(EncryptedTuple, hybrid_cts, ints)
 
 
-def _index_table(attribute: str, values: list[int], salt: bytes) -> IndexTable:
-    """Disjoint partitions of ``values``, two values each."""
-    entries = tuple(
-        (Partition(frozenset(values[i:i + 2])), 100 + i)
-        for i in range(0, len(values), 2)
-    )
-    return IndexTable(attribute, entries, salt)
-
-
 def _server_result(rows_1: list, rows_2: list, positions: list) -> ServerResult:
     flat = [n for i, j in positions for n in (i % len(rows_1), j % len(rows_2))]
     return ServerResult(rows_1, rows_2, struct.pack(f">{len(flat)}I", *flat))
@@ -89,16 +77,6 @@ EXTENSIONS = {
         st.frozensets(st.tuples(texts, texts), max_size=3), st.just(RSA),
         texts, blobs,
     ),
-    "partition": st.one_of(
-        st.frozensets(st.integers(0, 99), min_size=1, max_size=4).map(Partition),
-        st.frozensets(st.integers(0, 99), min_size=1, max_size=4).map(
-            lambda values: Partition(values, (min(values), max(values)))
-        ),
-    ),
-    "index-table": st.builds(
-        _index_table, texts, st.lists(st.integers(0, 999), unique=True, max_size=6),
-        blobs,
-    ),
     "das-tuple": das_tuples,
     "das-relation": st.builds(
         EncryptedRelation, texts, texts, st.lists(das_tuples, max_size=3).map(tuple)
@@ -114,10 +92,6 @@ EXTENSIONS = {
     ),
     "tagged-message": st.builds(
         TaggedMessage, st.integers(0, 1 << 2048), st.one_of(hybrid_cts, blobs)
-    ),
-    "relation": st.builds(
-        lambda rows: Relation(schema("R1", k="int", a="string"), rows),
-        st.lists(st.tuples(ints, texts), max_size=3),
     ),
 }
 
@@ -207,10 +181,6 @@ class TestSameBytesAsTheReference:
         encoded = assert_same_as_reference(ciphertexts)
         modulus = PAILLIER.n.to_bytes(32, "big")
         assert encoded.count(modulus) == 1
-
-    def test_relation_extension_packs_to_bytes(self):
-        relation = Relation(schema("R1", k="int", a="string"), [(1, "x")])
-        assert_same_as_reference([relation, relation])
 
 
 class TestDamagedStreamsAgainstTheReference:

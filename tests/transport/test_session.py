@@ -15,7 +15,6 @@ import pytest
 from repro.session import (
     DEFAULT_SESSION_CAPACITY,
     DEFAULT_SESSION_TTL,
-    LEGACY_SESSION,
     Session,
     SessionRegistry,
     current_session_id,
@@ -217,7 +216,6 @@ class TestContext:
         for session_id in ids:
             assert len(session_id) == 16
             int(session_id, 16)  # must be hex
-        assert LEGACY_SESSION not in ids
 
 
 class TestSessionObject:

@@ -129,7 +129,9 @@ def test_high_multiplicity_server_result_is_counted_as_it_travels(ca, client):
     run_join_query(
         federation, QUERY, protocol="das", config=DASConfig(buckets=2)
     )
-    (message,) = federation.network.messages_of_kind("das_server_result")
+    (message,) = [
+        m for m in federation.network.transcript if m.kind == "das_server_result"
+    ]
     occurrences = Counter(
         id(row) for pair in message.body.pairs for row in pair
     )

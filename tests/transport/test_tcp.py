@@ -35,13 +35,12 @@ def unused_port() -> int:
 
 
 class TestDelivery:
-    def test_send_records_both_views_and_wire_bytes(self, transport):
+    def test_send_records_the_transcript_and_wire_bytes(self, transport):
         transport.register("mediator")
         transport.register("S1")
         message = transport.send("S1", "mediator", "kind", {"n": 1 << 64})
         assert message.body == {"n": 1 << 64}
-        assert transport.view("S1").sent == [message]
-        assert transport.view("mediator").received == [message]
+        assert transport.transcript == (message,)
         [record] = transport.remote_view("mediator")
         assert record.wire_bytes == message.size_bytes
         assert (record.sender, record.kind) == ("S1", "kind")
@@ -60,6 +59,7 @@ class TestDelivery:
             codec.encode_envelope(
                 message.sequence, "a", "b", "kind", body,
                 request_id=f"{transport._origin}:{message.sequence}",
+                session_id=transport.session_id,
             )
         )
 
@@ -212,9 +212,10 @@ class TestHeaderOnlyAcknowledgement:
         body = [bytes([n]) * 1024 for n in range(128)]
         message = carrier.send("client", "S1", "bulk", body)
         assert message.size_bytes > 100_000 and message.body is body
-        assert [r.wire_bytes for r in endpoint.server.records] == [
-            message.size_bytes
-        ]
+        assert [
+            r.wire_bytes
+            for r in endpoint.server.session_records(carrier.session_id)
+        ] == [message.size_bytes]
         assert [
             call for call in calls if call[1].startswith("repro-endpoint-")
         ] == []
@@ -238,4 +239,5 @@ class TestHeaderOnlyAcknowledgement:
         assert frame_type == codec.ERROR
         assert "undecodable envelope" in answer["error"]
         assert "checksum" in answer["error"]
-        assert endpoint.server.records == []
+        assert endpoint.server.messages_received() == 0
+        assert len(endpoint.server.sessions) == 0
