@@ -41,12 +41,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import operator
-import random
 import secrets
 import struct
 from dataclasses import dataclass
-from itertools import chain
-from typing import Any, Callable, NamedTuple
+from itertools import chain, repeat
+from typing import Any, Callable, Iterable, NamedTuple
 
 from repro.core.assembly import combine_tuple_sets
 from repro.core.encapsulation import source_session
@@ -82,6 +81,7 @@ from repro.crypto.hashes import (
     match_digest,
 )
 from repro.crypto.numtheory import is_safe_prime
+from repro.crypto.rand import shuffled
 from repro.errors import ProtocolError, StorageError
 from repro.relational.encoding import decode_rows, encode_rows
 from repro.relational.relation import Relation
@@ -124,13 +124,6 @@ _tag_of = operator.attrgetter("tag")
 _payload_of = operator.attrgetter("payload")
 
 
-def _shuffled(items: list) -> list:
-    """Cryptographically shuffled copy (order must not leak join values)."""
-    shuffled = list(items)
-    random.SystemRandom().shuffle(shuffled)
-    return shuffled
-
-
 @dataclass
 class _SourceState:
     key: comm.CommutativeKey
@@ -159,9 +152,21 @@ def _slot(prefix: bytes, key_digest: bytes, material: bytes) -> bytes:
     incoming tag) enters only as a 16-byte MAC under the key's digest, so
     no cache key carries plaintext and none matches under another key.
     """
-    return prefix + hashlib.blake2b(
-        material, digest_size=16, key=key_digest
-    ).digest()
+    return _slots(prefix, key_digest, [material])[0]
+
+
+def _slots(
+    prefix: bytes, key_digest: bytes, materials: Iterable[bytes]
+) -> list[bytes]:
+    """:func:`_slot` of each material, each MAC a copy of one keyed
+    BLAKE2b state (keying it is most of the cost of a short MAC)."""
+    keyed = hashlib.blake2b(digest_size=16, key=key_digest)
+    slots = []
+    for material in materials:
+        mac = keyed.copy()
+        mac.update(material)
+        slots.append(prefix + mac.digest())
+    return slots
 
 
 def _amortized(
@@ -169,29 +174,24 @@ def _amortized(
     relation_name: str,
     kind: str,
     count: int,
-    slot_of: Callable[[int], bytes],
+    slots_of: Callable[[], list[bytes]],
     from_blob: Callable[[bytes], Any],
     to_blob: Callable[[Any], bytes],
     compute: Callable[[list[int]], list],
 ) -> list:
     """``count`` artifacts of one kind, amortized across the query series.
 
-    Every position the cache holds is read back (one batched read for
-    all of them); the rest — misses, unreadable or undecodable entries,
-    or everything when there is no cache — are computed as one
-    ``compute(positions)`` batch and filed for the next query.
+    Every position the cache holds is read back (one batched read of
+    ``slots_of()``, see :meth:`IndexCache.get_many`); the rest — misses,
+    unreadable or undecodable entries, or everything when there is no
+    cache — are computed as one ``compute(positions)`` batch and filed
+    for the next query.
     """
     values: list = [None] * count
     slots: list[bytes] = []
     if cache is not None:
-        slots = [slot_of(position) for position in range(count)]
-        blobs = cache.get_many(relation_name, kind, slots)
-        for position, blob in enumerate(blobs):
-            if blob is not None:
-                try:
-                    values[position] = from_blob(blob)
-                except StorageError:
-                    cache.decode_failure(kind)
+        slots = slots_of()
+        values = cache.get_many(relation_name, kind, slots, from_blob)
     pending = [position for position in range(count) if values[position] is None]
     if pending:
         for position, value in zip(pending, compute(pending)):
@@ -268,7 +268,7 @@ def _prepare_source(
     encoded_keys = [encode_key(join_key) for join_key in join_keys]
     tags = _amortized(
         cache, relation.name, KIND_COMM_TAG, len(join_keys),
-        lambda position: _slot(b"tag:", key_digest, encoded_keys[position]),
+        lambda: _slots(b"tag:", key_digest, encoded_keys),
         deserialize_int, serialize_int,
         lambda pending: engine.batch_commutative_encrypt(
             key, [ideal_hash(encoded_keys[position]) for position in pending]
@@ -287,9 +287,9 @@ def _prepare_source(
     binding = session.encapsulation.digest()
     ciphertexts = _amortized(
         cache, relation.name, KIND_COMM_TUPLES, len(join_keys),
-        lambda position: _slot(
+        lambda: _slots(
             b"tupct:" + binding, key_digest,
-            encoded_keys[position] + encoded_sets[position],
+            map(operator.add, encoded_keys, encoded_sets),
         ),
         functools.partial(hybrid.HybridCiphertext, session.encapsulation),
         operator.attrgetter("body"),
@@ -313,7 +313,7 @@ def _prepare_source(
         TaggedMessage(tag=tag, payload=ciphertext)
         for tag, ciphertext in zip(tags, ciphertexts)
     ]
-    return _SourceState(key, tuple_ciphertexts, dummies), _shuffled(messages)
+    return _SourceState(key, tuple_ciphertexts, dummies), shuffled(messages)
 
 
 def _double_encrypt(
@@ -335,8 +335,8 @@ def _double_encrypt(
     p = key.group.p
     doubled = _amortized(
         cache, relation_name, KIND_COMM_DOUBLE, len(messages),
-        lambda position: _slot(
-            b"match:", key_digest, serialize_int(messages[position].tag)
+        lambda: _slots(
+            b"match:", key_digest, map(serialize_int, map(_tag_of, messages))
         ),
         _digest_from_blob, bytes,
         lambda pending: [
@@ -346,7 +346,7 @@ def _double_encrypt(
             )
         ],
     )
-    return _shuffled(
+    return shuffled(
         [
             TaggedMessage(tag=tag, payload=message.payload)
             for tag, message in zip(doubled, messages)
@@ -401,12 +401,20 @@ def _exchange(mediator, sender: str, message_sets: dict) -> Outbound:
     mediator.message_sets = message_sets
     (source_1, set_1), (source_2, set_2) = message_sets.items()
     tokens = mediator.tokens = _fresh_tokens(len(set_1) + len(set_2))
-    to_2 = list(map(TaggedMessage._make, zip(map(_tag_of, set_1), tokens)))
-    to_1 = list(map(TaggedMessage._make, zip(map(_tag_of, set_2), tokens[len(set_1):])))
+    to_2 = _retokened(set_1, tokens)
+    to_1 = _retokened(set_2, tokens[len(set_1):])
     return [
         (source_1, "commutative_exchange", to_1),
         (source_2, "commutative_exchange", to_2),
     ]
+
+
+def _retokened(messages: list, tokens: tuple[bytes, ...]) -> list:
+    """``messages``' tags, each paired with the next token.  The records
+    are built by ``tuple.__new__`` straight from the pairs: what
+    ``TaggedMessage._make`` does, without a Python frame per message."""
+    pairs = zip(map(_tag_of, messages), tokens)
+    return list(map(tuple.__new__, repeat(TaggedMessage, len(messages)), pairs))
 
 
 def _fresh_tokens(count: int) -> tuple[bytes, ...]:

@@ -29,7 +29,6 @@ non-sensitive attributes travel in plaintext, are not implemented;
 
 from __future__ import annotations
 
-import random
 import secrets
 import struct
 from dataclasses import dataclass, field
@@ -54,6 +53,7 @@ from repro.core.steps import (
 from repro.core.steps import seat as seat_parties
 from repro.crypto import hybrid, symmetric
 from repro.crypto.engine import CryptoEngine, get_engine
+from repro.crypto.rand import shuffled
 from repro.errors import ProtocolError
 from repro.relational import partition as partitioning
 from repro.relational.algebra import natural_join
@@ -294,7 +294,7 @@ def _encrypt_source(
                         EncryptedTuple(dummy_ciphertexts[cursor], index)
                     )
                     cursor += 1
-        random.SystemRandom().shuffle(encrypted_rows)
+        encrypted_rows = shuffled(encrypted_rows)
     encrypted_relation = EncryptedRelation(
         source=source_name,
         relation_name=relation.name,

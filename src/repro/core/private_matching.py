@@ -28,7 +28,6 @@ recovered — i.e. those in the join.
 from __future__ import annotations
 
 import hashlib
-import random
 import secrets
 from dataclasses import dataclass
 
@@ -73,6 +72,7 @@ from repro.crypto.polynomial import (
     encrypt_polynomial,
     from_roots,
 )
+from repro.crypto.rand import shuffled
 from repro.errors import EncodingError, ProtocolError, StorageError
 from repro.relational.encoding import decode_rows, encode_rows
 from repro.relational.relation import Relation, Row
@@ -223,8 +223,7 @@ def _evaluate_for_source(
         jobs.append((root, mask, payload))
     evaluations = engine.batch_poly_eval(encrypted_polynomial, jobs)
     # "Arbitrarily ordered": the order must not reveal the value order.
-    random.SystemRandom().shuffle(evaluations)
-    return evaluations
+    return shuffled(evaluations)
 
 
 def _client_decrypt_side(

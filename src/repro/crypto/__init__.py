@@ -14,6 +14,7 @@ from scratch on top of the Python standard library:
 * :mod:`~repro.crypto.homomorphic` — the Paillier adapter Listing 4 uses
 * :mod:`~repro.crypto.instrumentation` — primitive-usage audit (Table 2)
 * :mod:`~repro.crypto.groups` — precomputed safe-prime parameters
+* :mod:`~repro.crypto.rand` — the CSPRNG shuffle of every message set
 """
 
 from repro.crypto.instrumentation import PrimitiveCounter, count_primitives

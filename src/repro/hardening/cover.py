@@ -21,9 +21,9 @@ positions, which never move).
 
 from __future__ import annotations
 
-import random
 from typing import Any, Sequence
 
+from repro.crypto.rand import shuffled
 from repro.errors import ProtocolError
 
 
@@ -81,7 +81,7 @@ class CoverTraffic:
         dummy_ids = {id(item) for item in filler}
         padded = real + filler
         if shuffle:
-            random.SystemRandom().shuffle(padded)
+            padded = shuffled(padded)
         batch = self._hardening.policy.batch_size
         stats = self._hardening.stats
         frames = [

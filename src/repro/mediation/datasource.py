@@ -67,11 +67,10 @@ class DataSource:
             for name, _ in rule.required_properties
         }
         self.relevant_property_names = self.relevant_property_names | names
-        if self.storage is not None:
-            # Recording an unchanged fingerprint is a no-op that keeps the
-            # encrypted-index caches warm across process restarts;
-            # changed content invalidates them (see StorageBackend).
-            self.storage.store_relation(self.name, relation)
+        # Recording an unchanged fingerprint is a no-op that keeps the
+        # encrypted-index caches warm across process restarts; changed
+        # content invalidates them (see StorageBackend).
+        self._record(relation)
 
     # -- storage ----------------------------------------------------------
 
@@ -82,6 +81,18 @@ class DataSource:
         self._index_cache = None
         for relation in self.relations.values():
             backend.store_relation(self.name, relation)
+
+    def _record(self, relation: Relation) -> None:
+        """Record ``relation``'s fingerprint; when the store drops its
+        cache entries (the content changed), the index cache's resident
+        copy of them goes too."""
+        if self.storage is None:
+            return
+        if (
+            self.storage.store_relation(self.name, relation)
+            and self._index_cache is not None
+        ):
+            self._index_cache.forget(relation.name)
 
     def index_cache(self) -> IndexCache | None:
         """The soft-failure encrypted-index cache, or ``None`` when no
@@ -103,7 +114,10 @@ class DataSource:
         """
         if self.storage is None:
             return 0
-        return self.storage.bump_key_epoch(self.name)
+        epoch = self.storage.bump_key_epoch(self.name)
+        if self._index_cache is not None:
+            self._index_cache.forget()
+        return epoch
 
     # -- row mutations -----------------------------------------------------
 
@@ -112,9 +126,7 @@ class DataSource:
             raise QueryError(f"datasource {self.name} does not manage {name!r}")
         updated = Relation(self.relations[name].schema, rows)
         self.relations[name] = updated
-        if self.storage is not None:
-            # A changed row set invalidates the relation's cache entries.
-            self.storage.store_relation(self.name, updated)
+        self._record(updated)  # a changed row set invalidates its caches
         return updated
 
     def insert_rows(self, name: str, rows: Iterable[Sequence]) -> Relation:

@@ -31,15 +31,19 @@ Cache semantics:
 * cache *reads and writes are soft*: :class:`IndexCache` converts
   :class:`~repro.errors.StorageError` into a miss (counted as an
   ``error``), so protocols degrade to recomputing the index instead of
-  failing the query when the cache store is unavailable.
+  failing the query when the cache store is unavailable;
+* batched reads are served from :class:`IndexCache`'s resident copy of
+  what earlier batches read and verified, emptied with the epoch and on
+  every rotation or mutation the owning datasource makes.
 """
 
 from __future__ import annotations
 
 import abc
 import hashlib
+import threading
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import StorageError
 from repro.relational.encoding import encode_relation
@@ -207,55 +211,144 @@ class IndexCache:
     paper's recompute-everything behavior instead of failing queries.
     Values are integrity-sealed (see :func:`_seal`); a failed seal check
     counts as an ``error`` and reads as a miss.
+
+    :meth:`get_many` keeps a *resident copy* of what its batched reads
+    returned: per ``(relation, kind)``, each slot's decoded value, filled
+    only by values whose seal and decoder passed and stamped with the key
+    epoch read before the batch.  A later batch serves those slots from
+    memory and reads only the rest from the store.  The copy is emptied
+    when the epoch it was filled under is no longer the store's (another
+    process may have rotated), when the epoch cannot be read, and by
+    :meth:`forget`.  It holds no entry the store did not serve at that
+    epoch, so it is bounded by the store's live entries.
     """
 
     backend: StorageBackend
     namespace: str
     stats: CacheStats = field(default_factory=CacheStats)
+    _resident: dict[tuple[str, str], dict[bytes, Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: ``(epoch, generation)`` the resident copy was filled under;
+    #: :meth:`forget` bumps the generation so a batch read before it
+    #: cannot file what it read after it.
+    _filled_under: tuple[int | None, int] = field(
+        default=(None, 0), init=False, repr=False, compare=False
+    )
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
-    def _count(self, metric: str, kind: str) -> None:
+    def _count(self, metric: str, kind: str, amount: int = 1) -> None:
         registry = get_registry()
         if registry is not None:
             registry.counter(
                 metric,
                 {"backend": self.backend.kind, "kind": kind},
                 help_text="Encrypted-index cache accesses by outcome",
-            ).inc()
+            ).inc(amount)
+
+    def _tally(self, kind: str, hits: int, misses: int, errors: int) -> None:
+        """Count a batch's outcomes: one add per outcome, not per key."""
+        self.stats.hits += hits
+        self.stats.misses += misses
+        self.stats.errors += errors
+        for metric, amount in (
+            (CACHE_HITS_METRIC, hits),
+            (CACHE_MISSES_METRIC, misses),
+            (CACHE_ERRORS_METRIC, errors),
+        ):
+            if amount:
+                self._count(metric, kind, amount)
 
     def get(self, relation: str, kind: str, key: bytes) -> bytes | None:
+        """One store read, never the resident copy: single slots (a key,
+        a session, an index table) are not content-addressed."""
         try:
             sealed = self.backend.cache_get(self.namespace, relation, kind, key)
         except StorageError:
             sealed = _UNREADABLE
-        return self._unsealed(kind, sealed)
-
-    def get_many(
-        self, relation: str, kind: str, keys: Sequence[bytes]
-    ) -> list[bytes | None]:
-        """:meth:`get` of every key as one backend read, counted key for
-        key; a backend error makes each key of the batch one error."""
-        try:
-            batch = self.backend.cache_get_many(
-                self.namespace, relation, kind, keys
-            )
-        except StorageError:
-            batch = [_UNREADABLE] * len(keys)
-        return [self._unsealed(kind, sealed) for sealed in batch]
-
-    def _unsealed(self, kind: str, sealed: bytes | None) -> bytes | None:
-        """Count one read by its outcome; the value if its seal holds."""
         if sealed is None:
-            self.stats.misses += 1
-            self._count(CACHE_MISSES_METRIC, kind)
+            self._tally(kind, 0, 1, 0)
             return None
         value = _unseal(sealed)
         if value is None:  # corrupted at rest: recompute, don't trust it
-            self.stats.errors += 1
-            self._count(CACHE_ERRORS_METRIC, kind)
+            self._tally(kind, 0, 0, 1)
         else:
-            self.stats.hits += 1
-            self._count(CACHE_HITS_METRIC, kind)
+            self._tally(kind, 1, 0, 0)
         return value
+
+    def get_many(
+        self,
+        relation: str,
+        kind: str,
+        slots: Sequence[bytes],
+        decode: Callable[[bytes], Any] = bytes,
+    ) -> list[Any]:
+        """``decode`` of every slot's value, ``None`` where there is none.
+
+        Slots in the resident copy are served from memory; the rest are
+        one backend read, counted as :meth:`get` counts them, plus one
+        error for each value ``decode`` rejects with
+        :class:`~repro.errors.StorageError` (a blob that came back but
+        does not deserialize).  A memory hit counts as a store hit.  A
+        backend error makes each slot it read one error.
+        """
+        try:
+            epoch: int | None = self.backend.key_epoch(self.namespace)
+        except StorageError:
+            epoch = None  # unverifiable: read everything from the store
+        with self._lock:
+            if self._filled_under[0] != epoch:
+                self._resident = {}
+                self._filled_under = (epoch, self._filled_under[1])
+            stamp = self._filled_under
+            resident = self._resident.get((relation, kind), {})
+            values = [resident.get(slot) for slot in slots]
+        missing = [position for position, value in enumerate(values) if value is None]
+        hits, misses, errors = len(slots) - len(missing), 0, 0
+        fresh: dict[bytes, Any] = {}
+        if missing:
+            try:
+                batch = self.backend.cache_get_many(
+                    self.namespace, relation, kind,
+                    [slots[position] for position in missing],
+                )
+            except StorageError:
+                batch = [_UNREADABLE] * len(missing)
+            for position, sealed in zip(missing, batch):
+                if sealed is None:
+                    misses += 1
+                    continue
+                value = _unseal(sealed)
+                if value is not None:
+                    try:
+                        value = decode(value)
+                    except StorageError:
+                        value = None
+                if value is None:  # corrupted or undecodable: recompute
+                    errors += 1
+                    continue
+                values[position] = fresh[slots[position]] = value
+                hits += 1
+        if fresh and epoch is not None:
+            with self._lock:
+                if self._filled_under == stamp:
+                    self._resident.setdefault((relation, kind), {}).update(fresh)
+        self._tally(kind, hits, misses, errors)
+        return values
+
+    def forget(self, relation: str | None = None) -> None:
+        """Empty the resident copy of ``relation`` (of every relation when
+        ``None``): the store dropped its entries."""
+        with self._lock:
+            epoch, generation = self._filled_under
+            self._filled_under = (epoch, generation + 1)
+            if relation is None:
+                self._resident = {}
+            else:
+                for table in [table for table in self._resident if table[0] == relation]:
+                    del self._resident[table]
 
     def put(self, relation: str, kind: str, key: bytes, value: bytes) -> None:
         try:
@@ -267,13 +360,6 @@ class IndexCache:
             self._count(CACHE_ERRORS_METRIC, kind)
             return
         self.stats.puts += 1
-
-    def epoch(self) -> int:
-        try:
-            return self.backend.key_epoch(self.namespace)
-        except StorageError:
-            self.stats.errors += 1
-            return -1
 
     def decode_failure(self, kind: str) -> None:
         """Reclassify the last hit as an error: the blob came back but

@@ -1,5 +1,7 @@
 """White-box tests for commutative delivery internals."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,13 +12,14 @@ from repro.core.commutative import (
     _key_digest,
     _prepare_source,
     _round_1,
-    _shuffled,
     _slot,
+    _slots,
 )
 from repro.crypto import commutative as comm
 from repro.crypto import groups
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.hashes import IdealHash, match_digest
+from repro.crypto.rand import shuffled as _shuffled
 from repro.errors import ParameterError, ProtocolError
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
@@ -242,3 +245,21 @@ class TestShuffle:
             [m.tag for m in _shuffled(items)] != list(range(64))
             for _ in range(20)
         )
+
+
+class TestSlotBytes:
+    """A slot is ``prefix + blake2b(material, digest_size=16,
+    key=key_digest)``: stores written by earlier builds stay warm."""
+
+    def test_slot_bytes_are_pinned(self, group):
+        key_digest = _key_digest(comm.generate_key(group))
+        materials = [b"", b"a", b"\x00" * 200, serialize_int(2**127 + 5)]
+        expected = [
+            b"tag:" + hashlib.blake2b(
+                material, digest_size=16, key=key_digest
+            ).digest()
+            for material in materials
+        ]
+        assert _slots(b"tag:", key_digest, materials) == expected
+        assert [_slot(b"tag:", key_digest, m) for m in materials] == expected
+        assert _slots(b"tag:", key_digest, iter(materials)) == expected
