@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.core.result import MediationResult
@@ -91,7 +91,7 @@ def _collect_ciphertext_fragments(body, fragments: list[bytes]) -> None:
             _collect_ciphertext_fragments(key, fragments)
             _collect_ciphertext_fragments(value, fragments)
         return
-    if isinstance(body, (list, tuple, set, frozenset)):
+    if isinstance(body, (list, tuple, set, frozenset, Sequence)):
         for item in body:
             _collect_ciphertext_fragments(item, fragments)
         return

@@ -11,7 +11,7 @@ material that should never be there.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import Any, Iterator
 
 from repro.transport.base import PartyView
@@ -41,7 +41,7 @@ def iter_byte_material(body: Any) -> Iterator[bytes]:
             yield from iter_byte_material(key)
             yield from iter_byte_material(value)
         return
-    if isinstance(body, (list, tuple)):
+    if isinstance(body, (list, tuple, Sequence)):
         for item in body:
             yield from iter_byte_material(item)
         return

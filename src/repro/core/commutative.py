@@ -43,9 +43,10 @@ import hashlib
 import operator
 import secrets
 import struct
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Any, Callable, Iterable, NamedTuple
+from itertools import chain
+from typing import Any, Callable, NamedTuple
 
 from repro.core.assembly import combine_tuple_sets
 from repro.core.encapsulation import source_session
@@ -112,9 +113,7 @@ class TaggedMessage(NamedTuple):
 
     ``tag`` is the group element ``f_e(h(a))`` in round 1 and the
     exchange, and the 16-byte match digest of ``f_e1(f_e2(h(a)))`` in
-    round 2.  A named tuple, the cheapest record to build:
-    :func:`_exchange`, an untimed step, makes one per message of both
-    sets."""
+    round 2."""
 
     tag: int | bytes
     payload: hybrid.HybridCiphertext | bytes  # ciphertext, or ID token
@@ -122,6 +121,41 @@ class TaggedMessage(NamedTuple):
 
 _tag_of = operator.attrgetter("tag")
 _payload_of = operator.attrgetter("payload")
+
+
+class ExchangeSet(Sequence):
+    """Step 4's body: the other source's tags, each with an ID token in
+    place of its payload.
+
+    It is the list of ``TaggedMessage(tag, token)`` records it stands
+    for — it iterates, indexes, compares and encodes on the wire as that
+    list — but holds the two columns, so :func:`_exchange`, an untimed
+    step, builds no record per message.
+    """
+
+    __slots__ = ("tags", "tokens")
+
+    def __init__(self, tags: tuple[int, ...], tokens: tuple[bytes, ...]) -> None:
+        self.tags, self.tokens = tags, tokens
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        return TaggedMessage(self.tags[index], self.tokens[index])
+
+    def __iter__(self):
+        return map(TaggedMessage, self.tags, self.tokens)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (ExchangeSet, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"ExchangeSet({list(self)!r})"
 
 
 @dataclass
@@ -136,7 +170,7 @@ def _key_digest(key: comm.CommutativeKey) -> bytes:
     """Short binding digest of a commutative key (group + exponent).
 
     It keys the MAC every tag, tuple-set and double-encryption slot is
-    filed under (:func:`_slot`), so entries computed under one key can
+    filed under (:func:`_slots`), so entries computed under one key can
     never be served for another — a replaced key simply misses instead
     of mismatching.
     """
@@ -145,21 +179,17 @@ def _key_digest(key: comm.CommutativeKey) -> bytes:
     ).digest()[:12]
 
 
-def _slot(prefix: bytes, key_digest: bytes, material: bytes) -> bytes:
-    """Cache key of the artifact derived from ``material`` under a key.
-
-    ``material`` (a join-value encoding, a tuple-set encoding, an
-    incoming tag) enters only as a 16-byte MAC under the key's digest, so
-    no cache key carries plaintext and none matches under another key.
-    """
-    return _slots(prefix, key_digest, [material])[0]
-
-
 def _slots(
     prefix: bytes, key_digest: bytes, materials: Iterable[bytes]
 ) -> list[bytes]:
-    """:func:`_slot` of each material, each MAC a copy of one keyed
-    BLAKE2b state (keying it is most of the cost of a short MAC)."""
+    """Cache key of the artifact derived from each material under a key.
+
+    A material (a join-value encoding, a tuple-set encoding, an incoming
+    tag) enters only as a 16-byte MAC under the key's digest, so no cache
+    key carries plaintext and none matches under another key.  Each MAC
+    is a copy of one keyed BLAKE2b state (keying it is most of the cost
+    of a short MAC).
+    """
     keyed = hashlib.blake2b(digest_size=16, key=key_digest)
     slots = []
     for material in materials:
@@ -317,14 +347,15 @@ def _prepare_source(
 
 
 def _double_encrypt(
-    messages: list[TaggedMessage],
+    received: Sequence[TaggedMessage],
     key: comm.CommutativeKey,
     engine: CryptoEngine | None = None,
     cache: IndexCache | None = None,
     relation_name: str = "",
 ) -> list[TaggedMessage]:
     """Listing 3 steps 5/6 at one datasource: apply the own key on top
-    and return each double encryption as its 16-byte match digest.
+    and return each double encryption as its 16-byte match digest, with
+    the payload it came with (in round 2, an ID token).
 
     Digests cache by (own key, incoming tag): when both sources reuse
     persisted keys, the opposite tags repeat across the series and this
@@ -333,25 +364,23 @@ def _double_encrypt(
     engine = engine or get_engine()
     key_digest = _key_digest(key) if cache is not None else b""
     p = key.group.p
+    if isinstance(received, ExchangeSet):  # what round 2 receives
+        tags, tokens = received.tags, received.tokens
+    else:
+        tags = tuple(map(_tag_of, received))
+        tokens = tuple(map(_payload_of, received))
     doubled = _amortized(
-        cache, relation_name, KIND_COMM_DOUBLE, len(messages),
-        lambda: _slots(
-            b"match:", key_digest, map(serialize_int, map(_tag_of, messages))
-        ),
+        cache, relation_name, KIND_COMM_DOUBLE, len(tags),
+        lambda: _slots(b"match:", key_digest, map(serialize_int, tags)),
         _digest_from_blob, bytes,
         lambda pending: [
             match_digest(element, p)
             for element in engine.batch_commutative_encrypt(
-                key, [messages[position].tag for position in pending]
+                key, [tags[position] for position in pending]
             )
         ],
     )
-    return shuffled(
-        [
-            TaggedMessage(tag=tag, payload=message.payload)
-            for tag, message in zip(doubled, messages)
-        ]
-    )
+    return shuffled(list(map(TaggedMessage, doubled, tokens)))
 
 
 # -- Listing 3 as a step table ----------------------------------------------
@@ -396,25 +425,19 @@ def _keep_dummies(mediator, sender: str, dummies: dict) -> Outbound:
 def _exchange(mediator, sender: str, message_sets: dict) -> Outbound:
     """Step 4: each source gets the other's set — S1 first, as it
     computes first — with a fresh ID token in place of every payload
-    (footnote 1).  This step is untimed, so it only attaches the tokens;
-    :func:`_match`, a timed step, builds the table that maps them back."""
+    (footnote 1).  This step is untimed, so it only pairs the tags with
+    the tokens (:class:`ExchangeSet`); :func:`_match`, a timed step,
+    builds the table that maps them back."""
     mediator.message_sets = message_sets
     (source_1, set_1), (source_2, set_2) = message_sets.items()
-    tokens = mediator.tokens = _fresh_tokens(len(set_1) + len(set_2))
-    to_2 = _retokened(set_1, tokens)
-    to_1 = _retokened(set_2, tokens[len(set_1):])
+    split = len(set_1)
+    tokens = mediator.tokens = _fresh_tokens(split + len(set_2))
+    to_2 = ExchangeSet(tuple(map(_tag_of, set_1)), tokens[:split])
+    to_1 = ExchangeSet(tuple(map(_tag_of, set_2)), tokens[split:])
     return [
         (source_1, "commutative_exchange", to_1),
         (source_2, "commutative_exchange", to_2),
     ]
-
-
-def _retokened(messages: list, tokens: tuple[bytes, ...]) -> list:
-    """``messages``' tags, each paired with the next token.  The records
-    are built by ``tuple.__new__`` straight from the pairs: what
-    ``TaggedMessage._make`` does, without a Python frame per message."""
-    pairs = zip(map(_tag_of, messages), tokens)
-    return list(map(tuple.__new__, repeat(TaggedMessage, len(messages)), pairs))
 
 
 def _fresh_tokens(count: int) -> tuple[bytes, ...]:
@@ -427,7 +450,7 @@ def _fresh_tokens(count: int) -> tuple[bytes, ...]:
             return tokens
 
 
-def _round_2(source, sender: str, body: list) -> Outbound:
+def _round_2(source, sender: str, body: ExchangeSet) -> Outbound:
     """Steps 5-6: S_i applies its own key on top and returns the set."""
     doubled = _double_encrypt(
         body, source.key, source.engine, cache=source.cache,

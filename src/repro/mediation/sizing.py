@@ -18,6 +18,7 @@ counts its own header besides
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 from typing import Any
 
 from repro.crypto.hybrid import HybridCiphertext
@@ -58,7 +59,7 @@ def _estimate(body: Any, seen: set[int]) -> int:
             _estimate(key, seen) + _estimate(value, seen)
             for key, value in body.items()
         )
-    if isinstance(body, (list, tuple, set, frozenset)):
+    if isinstance(body, (list, tuple, set, frozenset, Sequence)):
         return sum(_estimate(item, seen) for item in body)
     if dataclasses.is_dataclass(body) and not isinstance(body, type):
         return sum(

@@ -220,7 +220,13 @@ class IndexCache:
     when the epoch it was filled under is no longer the store's (another
     process may have rotated), when the epoch cannot be read, and by
     :meth:`forget`.  It holds no entry the store did not serve at that
-    epoch, so it is bounded by the store's live entries.
+    epoch.  While every change to the namespace's relations is made
+    through the datasource that owns this cache, that bounds it by the
+    store's live entries.  A change recorded through any other
+    datasource (in this process or another) drops the store's entries
+    but not this copy's: the copy keeps the old slots, adds the new
+    ones and counts hits where the store would count misses, until the
+    next rotation.
     """
 
     backend: StorageBackend

@@ -159,7 +159,7 @@ def _bootstrap() -> None:
         return
     _BOOTSTRAPPED = True
 
-    from repro.core.commutative import TaggedMessage
+    from repro.core.commutative import ExchangeSet, TaggedMessage
     from repro.core.das import (
         EncryptedRelation,
         EncryptedTuple,
@@ -242,6 +242,8 @@ def _bootstrap() -> None:
         attrgetter("tag", "payload"),
         lambda t: TaggedMessage(*t),
     )
+    # The list of tagged messages it stands for; it decodes as that list.
+    _CONTAINER_TAGS[ExchangeSet] = _T_LIST
 
 
 def _canonical(items: Any) -> list:

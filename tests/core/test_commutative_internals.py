@@ -1,18 +1,25 @@
 """White-box tests for commutative delivery internals."""
 
+import gc
 import hashlib
+from itertools import chain
+from operator import attrgetter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.statistics import _collect_ciphertext_fragments
+from repro.analysis.views import iter_byte_material
 from repro.core.commutative import (
+    ExchangeSet,
     TaggedMessage,
     _cached_key,
     _double_encrypt,
+    _exchange,
     _key_digest,
     _prepare_source,
     _round_1,
-    _slot,
     _slots,
 )
 from repro.crypto import commutative as comm
@@ -21,10 +28,12 @@ from repro.crypto.engine import CryptoEngine
 from repro.crypto.hashes import IdealHash, match_digest
 from repro.crypto.rand import shuffled as _shuffled
 from repro.errors import ParameterError, ProtocolError
+from repro.mediation.sizing import estimate_size
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
 from repro.storage import KIND_COMM_DOUBLE, IndexCache, MemoryBackend
 from repro.storage.serialize import serialize_int
+from repro.transport import codec
 
 S = schema("R", k="int", p="string")
 R = Relation(S, [(1, "a"), (1, "b"), (2, "c"), (3, "d")])
@@ -189,7 +198,7 @@ class TestRound2Cache:
             element = comm.apply(key, m.tag)
             cache.put(
                 "R", KIND_COMM_DOUBLE,
-                _slot(b"double:", digest, serialize_int(m.tag)),
+                _slots(b"double:", digest, [serialize_int(m.tag)])[0],
                 element.to_bytes(16, "big"),
             )
         doubled = _double_encrypt(messages, key, cache=cache, relation_name="R")
@@ -201,7 +210,7 @@ class TestRound2Cache:
     ):
         key = comm.generate_key(group)
         digest = _key_digest(key)
-        slot = _slot(b"match:", digest, serialize_int(messages[0].tag))
+        slot = _slots(b"match:", digest, [serialize_int(messages[0].tag)])[0]
         cache.put("R", KIND_COMM_DOUBLE, slot, b"\x00" * 15)
         doubled = _double_encrypt(messages, key, cache=cache, relation_name="R")
         assert sorted(doubled) == sorted(_double_encrypt(messages, key))
@@ -261,5 +270,75 @@ class TestSlotBytes:
             for material in materials
         ]
         assert _slots(b"tag:", key_digest, materials) == expected
-        assert [_slot(b"tag:", key_digest, m) for m in materials] == expected
         assert _slots(b"tag:", key_digest, iter(materials)) == expected
+
+
+class TestExchangeSet:
+    """Step 4's body holds two columns but is, everywhere it is read,
+    the list of ``TaggedMessage(tag, token)`` records it stands for."""
+
+    @pytest.fixture
+    def exchange(self):
+        tags = (2**2047 + 11, 5, 0, 2**64)
+        tokens = tuple(bytes([i]) * 8 for i in range(len(tags)))
+        return ExchangeSet(tags, tokens), [
+            TaggedMessage(tag, token) for tag, token in zip(tags, tokens)
+        ]
+
+    def test_reads_as_its_records(self, exchange):
+        body, records = exchange
+        assert len(body) == len(records)
+        assert list(body) == records
+        assert body[1] == records[1] and body[-1] == records[-1]
+        assert body[1:3] == records[1:3]
+        assert body == records and records == body
+        assert body == ExchangeSet(body.tags, body.tokens)
+        assert body != records[:-1]
+
+    def test_wire_bytes_and_sizes_are_the_records(self, exchange):
+        body, records = exchange
+        assert codec.encode_value(body) == codec.encode_value(records)
+        assert codec.decode_value(codec.encode_value(body)) == body
+        assert estimate_size(body) == estimate_size(records)
+        assert list(iter_byte_material(body)) == list(
+            iter_byte_material(records)
+        )
+        fragments = ([], [])
+        _collect_ciphertext_fragments(body, fragments[0])
+        _collect_ciphertext_fragments(records, fragments[1])
+        assert fragments[0] == fragments[1]
+
+    def test_the_untimed_exchange_builds_no_record_per_message(self):
+        """Step 4 allocates a handful of objects, not one per message:
+        objects it allocated are where a garbage collection can start
+        inside an untimed step."""
+        sets = {
+            source: [TaggedMessage(base + i, b"ct") for i in range(200)]
+            for source, base in (("S1", 0), ("S2", 1000))
+        }
+        mediator = SimpleNamespace()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            outbound = _exchange(mediator, "S2", sets)
+            allocated = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert allocated < 20
+        (_, _, to_1), (_, _, to_2) = outbound
+        assert list(map(attrgetter("tag"), to_1)) == list(map(attrgetter("tag"), sets["S2"]))
+        assert list(map(attrgetter("tag"), to_2)) == list(map(attrgetter("tag"), sets["S1"]))
+        assert [m.payload for m in chain(to_2, to_1)] == list(mediator.tokens)
+
+    def test_round_2_reads_the_columns(self, group, ideal_hash):
+        key = comm.generate_key(group)
+        records = [
+            TaggedMessage(comm.apply(key, ideal_hash(b"%d" % i)), bytes([i]) * 8)
+            for i in range(6)
+        ]
+        body = ExchangeSet(
+            tuple(m.tag for m in records), tuple(m.payload for m in records)
+        )
+        assert sorted(_double_encrypt(body, key)) == sorted(
+            _double_encrypt(records, key)
+        )

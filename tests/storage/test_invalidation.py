@@ -221,7 +221,7 @@ class TestStoreWrittenByAnOlderCheckout:
         self, federation, workload
     ):
         from repro import CommutativeConfig
-        from repro.core.commutative import _key_digest, _key_slot, _slot
+        from repro.core.commutative import _key_digest, _key_slot, _slots
         from repro.core.joinkeys import encode_key
         from repro.crypto import commutative as comm
         from repro.crypto import groups
@@ -249,5 +249,5 @@ class TestStoreWrittenByAnOlderCheckout:
         value = workload.relation_1.active_domain("k")[0]
         assert cache.get(
             "R1", KIND_COMM_TAG,
-            _slot(b"tag:", _key_digest(stored), encode_key((value,))),
+            _slots(b"tag:", _key_digest(stored), [encode_key((value,))])[0],
         ) is not None
