@@ -4,7 +4,7 @@
 * :mod:`~repro.core.das` — DAS delivery (Listing 2)
 * :mod:`~repro.core.commutative` — commutative delivery (Listing 3)
 * :mod:`~repro.core.private_matching` — private matching (Listing 4)
-* :mod:`~repro.core.steps` — the one delivery loop over their step tables
+* :mod:`~repro.core.steps` — the one loop over all four step tables
 * :mod:`~repro.core.runner` — end-to-end orchestration
 * :mod:`~repro.core.federation` — federation wiring
 """
@@ -13,7 +13,6 @@ from repro.core.commutative import CommutativeConfig
 from repro.core.das import DASConfig
 from repro.core.federation import Federation
 from repro.core.private_matching import PMConfig
-from repro.core.request import run_request_phase
 from repro.core.result import MediationResult, RunFailure
 from repro.core.runner import PROTOCOLS, reference_join, run_join_query
 
@@ -27,5 +26,4 @@ __all__ = [
     "RunFailure",
     "reference_join",
     "run_join_query",
-    "run_request_phase",
 ]

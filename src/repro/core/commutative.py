@@ -50,14 +50,12 @@ from typing import Any, Callable, NamedTuple
 
 from repro.core.assembly import combine_tuple_sets
 from repro.core.encapsulation import source_session
-from repro.core.federation import Federation
 from repro.core.joinkeys import (
     JoinKey,
     encode_key,
     group_by_key,
     key_of,
 )
-from repro.core.request import RequestPhaseOutcome
 from repro.core.result import MediationResult
 from repro.core.steps import (
     CLIENT,
@@ -71,7 +69,6 @@ from repro.core.steps import (
     collect,
     states,
 )
-from repro.core.steps import seat as seat_parties
 from repro.crypto import commutative as comm
 from repro.crypto import groups, hybrid
 from repro.crypto.engine import CryptoEngine, get_engine
@@ -562,12 +559,9 @@ TABLE = {
 }
 
 
-def seat(
-    federation: Federation, outcome: RequestPhaseOutcome,
-    config: CommutativeConfig, engine: CryptoEngine, hardening=None,
-) -> tuple[dict, Parties]:
-    """Listing 3's table and each party's own state."""
-    return TABLE, seat_parties(federation, outcome, config, engine, hardening)
+def seat(parties: Parties) -> dict:
+    """Listing 3's table; the parties need nothing more."""
+    return TABLE
 
 
 def report(

@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 from repro.core.encapsulation import source_session
-from repro.core.federation import Federation
-from repro.core.request import RequestPhaseOutcome
 from repro.core.result import MediationResult
 from repro.core.steps import (
     CLIENT,
@@ -50,7 +48,6 @@ from repro.core.steps import (
     collect,
     states,
 )
-from repro.core.steps import seat as seat_parties
 from repro.crypto import hybrid, symmetric
 from repro.crypto.engine import CryptoEngine, get_engine
 from repro.crypto.rand import shuffled
@@ -580,19 +577,16 @@ HARDENED = {
 }
 
 
-def seat(
-    federation: Federation, outcome: RequestPhaseOutcome,
-    config: DASConfig, engine: CryptoEngine, hardening=None,
-) -> tuple[dict, Parties]:
-    """Listing 2's table and each party's state."""
-    if len(outcome.join_attributes) != 1:
+def seat(parties: Parties) -> dict:
+    """Listing 2's table, with the hardened overlay when hardened."""
+    *_, client = states(parties)
+    if len(client.join_attributes) != 1:
         raise ProtocolError(
             "the DAS delivery phase supports exactly one join attribute; "
             "use the commutative or private-matching protocol for "
             "composite join keys"
         )
-    parties = seat_parties(federation, outcome, config, engine, hardening)
-    return (TABLE if hardening is None else {**TABLE, **HARDENED}), parties
+    return TABLE if client.hardening is None else {**TABLE, **HARDENED}
 
 
 def report(result: MediationResult, parties: Parties, config: DASConfig) -> None:

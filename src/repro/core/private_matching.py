@@ -32,7 +32,6 @@ import secrets
 from dataclasses import dataclass
 
 from repro.core.assembly import combine_tuple_sets
-from repro.core.federation import Federation
 from repro.core.joinkeys import (
     JoinKey,
     active_key_domain,
@@ -47,7 +46,6 @@ from repro.core.payload import (
     encode_payload,
     split_session_body,
 )
-from repro.core.request import RequestPhaseOutcome
 from repro.core.result import MediationResult
 from repro.core.steps import (
     CLIENT,
@@ -61,7 +59,6 @@ from repro.core.steps import (
     collect,
     states,
 )
-from repro.core.steps import seat as seat_parties
 from repro.crypto import hybrid
 from repro.crypto.engine import CryptoEngine, get_engine
 from repro.crypto.homomorphic import PaillierScheme
@@ -362,23 +359,20 @@ TABLE = {
 }
 
 
-def seat(
-    federation: Federation, outcome: RequestPhaseOutcome,
-    config: PMConfig, engine: CryptoEngine, hardening=None,
-) -> tuple[dict, Parties]:
-    """Listing 4's table and each party's own state; the sources also
-    get the client's homomorphic public key."""
-    client = federation.require_client()
+def seat(parties: Parties) -> dict:
+    """Listing 4's table; the sources also get the client's homomorphic
+    public key."""
+    *sources, _, client_state = states(parties)
+    client = client_state.client
     if client.homomorphic_scheme is None:
         raise ProtocolError(
             "the private-matching protocol requires the client to own a "
             "homomorphic key pair (see setup_client)"
         )
-    parties = seat_parties(federation, outcome, config, engine, hardening)
-    for source in states(parties)[:2]:
+    for source in sources:
         source.scheme = client.homomorphic_scheme
         source.public_key = client.homomorphic_public_key
-    return TABLE, parties
+    return TABLE
 
 
 def report(result: MediationResult, parties: Parties, config: PMConfig) -> None:

@@ -1,4 +1,4 @@
-"""The basic MMM request phase — Listing 1.
+"""The basic MMM request phase — Listing 1, as a step table.
 
 1. The client sends query ``q`` (requiring the JOIN of R1 and R2) with a
    set of credentials CR to the mediator.
@@ -8,89 +8,58 @@
 4. S_i checks the credentials; if authorization is granted, q_i is
    executed with R_i as the (plaintext, still local) result.
 
-The delivery phase — protocol-specific — then encrypts and transmits
-those partial results.  :func:`run_request_phase` executes steps 1-4 over
-the federation's message bus and returns everything the delivery phases
-need.
+:data:`TABLE` holds these steps, untimed, and
+:func:`repro.core.steps.deliver` runs it as it runs a delivery table.
+The mediator keeps the decomposition in its state; R_i, A_i and the
+client's public keys first appear in the source's own state, where the
+delivery phase — protocol-specific — then encrypts and transmits them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.federation import Federation
-from repro.mediation.credentials import Credential
-from repro.mediation.mediator import JoinDecomposition
-from repro.relational.relation import Relation
-from repro.relational.schema import Schema
+from repro.core.steps import CLIENT, MEDIATOR, SOURCE, START, Outbound, Step
+from repro.mediation.credentials import public_keys_of
+from repro.relational.sql import parse_partial
 
 
-@dataclass
-class RequestPhaseOutcome:
-    """Everything the delivery phase consumes."""
-
-    query: str
-    decomposition: JoinDecomposition
-    #: source name -> the plaintext partial result R_i (held AT the
-    #: source; it never crossed the bus in plaintext).
-    partial_results: dict[str, Relation]
-    #: source name -> credential subset the mediator forwarded.
-    forwarded_credentials: dict[str, list[Credential]]
-    join_attributes: tuple[str, ...]
-
-    @property
-    def source_names(self) -> tuple[str, ...]:
-        return self.decomposition.source_names
-
-    def schema_of(self, source_name: str) -> Schema:
-        return self.partial_results[source_name].schema
+def _ask(client, sender: str, body: None) -> Outbound:
+    """Step 1: q and the credential set CR to the mediator."""
+    return [(client.mediator, "global_query",
+             {"query": client.query, "credentials": client.client.credentials})]
 
 
-def run_request_phase(federation: Federation, query: str) -> RequestPhaseOutcome:
-    """Execute Listing 1 over the federation's message bus."""
-    client = federation.require_client()
-    mediator = federation.mediator
-    network = federation.network
-
-    # Step 1: client -> mediator: query plus credential set CR.
-    network.send(
-        client.name,
-        mediator.name,
-        "global_query",
-        {"query": query, "credentials": client.credentials},
-    )
-
-    # Step 2: mediator localizes sources, decomposes q, selects CR_i.
-    decomposition = mediator.decompose_join(query)
-
-    partial_results: dict[str, Relation] = {}
-    forwarded: dict[str, list[Credential]] = {}
-    for partial_query, source_name in zip(
-        decomposition.partial_queries, decomposition.source_names
-    ):
-        credentials = mediator.select_credentials(source_name, client.credentials)
-        forwarded[source_name] = credentials
-        # Step 3: mediator -> S_i: <q_i, CR_i, A_i>.
-        network.send(
-            mediator.name,
-            source_name,
-            "partial_query",
-            {
-                "sql": partial_query.sql,
-                "credentials": credentials,
-                "join_attributes": decomposition.join_attributes,
-            },
+def _decompose(mediator, sender: str, body: dict) -> Outbound:
+    """Steps 2-3: localize and decompose q, select CR_i, and send
+    <q_i, CR_i, A_i> to each source."""
+    decomposition = mediator.party.decompose_join(body["query"])
+    mediator.decomposition = decomposition
+    mediator.sources = decomposition.source_names
+    return [
+        (name, "partial_query", {
+            "sql": partial_query.sql,
+            "credentials": mediator.party.select_credentials(
+                name, body["credentials"]
+            ),
+            "join_attributes": decomposition.join_attributes,
+        })
+        for partial_query, name in zip(
+            decomposition.partial_queries, decomposition.source_names
         )
-        # Step 4: S_i checks CR_i and executes q_i (locally).
-        source = federation.source(source_name)
-        partial_results[source_name] = source.execute_partial_query(
-            partial_query, credentials
-        )
+    ]
 
-    return RequestPhaseOutcome(
-        query=query,
-        decomposition=decomposition,
-        partial_results=partial_results,
-        forwarded_credentials=forwarded,
-        join_attributes=decomposition.join_attributes,
+
+def _execute(source, sender: str, body: dict) -> Outbound:
+    """Step 4: check CR_i and execute q_i on the source's own relation."""
+    source.relation = source.party.execute_partial_query(
+        parse_partial(body["sql"]), body["credentials"]
     )
+    source.join_attributes = body["join_attributes"]
+    source.client_keys = public_keys_of(body["credentials"])
+    return []
+
+
+TABLE = {
+    (CLIENT, START): Step(_ask),
+    (MEDIATOR, "global_query"): Step(_decompose),
+    (SOURCE, "partial_query"): Step(_execute),
+}

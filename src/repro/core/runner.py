@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core import commutative, das, private_matching
+from repro.core import commutative, das, private_matching, request, steps
 from repro.core.federation import Federation
-from repro.core.request import RequestPhaseOutcome, run_request_phase
 from repro.core.result import MediationResult, RunFailure
 from repro.core.steps import deliver
 from repro.crypto.backend import arithmetic
@@ -28,8 +27,9 @@ from repro.session import current_session_id, session_scope
 from repro.telemetry import tracing
 
 #: Protocol registry: name -> the delivery phase as data — ``seat``
-#: (the step table and each party's state), ``report`` (result and
-#: artifacts from the final states) — and the config class.
+#: (the step table, and what the protocol adds to the parties' states),
+#: ``report`` (result and artifacts from the final states) — and the
+#: config class.
 PROTOCOLS = {
     "das": (das.seat, das.report, das.DASConfig),
     "commutative": (
@@ -115,30 +115,30 @@ def run_join_query(
         with scope, deadline(deadline_seconds), tracing.span(
             "run_join_query", client_party, kind="run", protocol=protocol
         ):
+            result = MediationResult(
+                protocol=protocol, query=query, global_result=None,
+                network=federation.network, primitive_counter=None,
+            )  # report() sets the protocol label and the result
+            config = config or config_type()
             with tracing.span("request_phase", client_party, kind="phase"):
-                outcome = run_request_phase(federation, query)
+                parties = steps.seat(
+                    federation, query, config, engine or get_engine(), context
+                )
+                deliver(request.TABLE, parties, federation.network, result)
             phase = "delivery"
             with tracing.span(
                 "delivery", client_party, kind="phase", protocol=protocol
             ):
-                config = config or config_type()
-                result = MediationResult(
-                    protocol=protocol, query=query, global_result=None,
-                    network=federation.network, primitive_counter=None,
-                )  # report() sets the protocol label and the result
+                parties = steps.joined(parties)
                 with count_primitives() as counter:
                     result.primitive_counter = counter
-                    table, parties = seat(
-                        federation, outcome, config, engine or get_engine(),
-                        context,
-                    )
-                    deliver(table, parties, federation.network, result)
+                    deliver(seat(parties), parties, federation.network, result)
                 report(result, parties, config)
             # The protocols deliver the JOIN; remaining operators of the
             # global query (selection, projection) are the client's local
             # post-work.
             phase = "postprocessing"
-            tree = outcome.decomposition.tree
+            tree = parties[federation.mediator.name][1].decomposition.tree
             join_rows = len(result.global_result)
             result.global_result = evaluate_above_join(
                 tree, result.global_result
@@ -223,27 +223,26 @@ def _describe_failure(
     )
 
 
-def reference_join(
-    federation: Federation, query: str, outcome: RequestPhaseOutcome | None = None
-) -> Relation:
+def reference_join(federation: Federation, query: str) -> Relation:
     """The plaintext result the protocols must reproduce.
 
-    Evaluates the global query directly over the (access-controlled)
-    partial results — the ground truth every protocol's decrypted global
-    result is compared against in tests.
+    Evaluates the global query's decomposition directly over each
+    source's access-controlled partial result — the ground truth every
+    protocol's decrypted global result is compared against in tests.
 
-    NOTE: this deliberately bypasses the encryption machinery and exists
-    for verification only; it also re-runs the request phase unless an
-    ``outcome`` is supplied, so transcripts of a protocol run are not
-    polluted.
+    NOTE: this deliberately bypasses the encryption machinery and the
+    transport and exists for verification only; it sends no message, so
+    the transcript of a protocol run is not polluted.
     """
-    if outcome is None:
-        outcome = run_request_phase(federation, query)
+    credentials = federation.require_client().credentials
+    mediator = federation.mediator
+    decomposition = mediator.decompose_join(query)
     env = {
-        partial_query.relation_name: outcome.partial_results[source_name]
-        for partial_query, source_name in zip(
-            outcome.decomposition.partial_queries,
-            outcome.decomposition.source_names,
+        leaf.relation_name: federation.source(name).execute_partial_query(
+            leaf, mediator.select_credentials(name, credentials)
+        )
+        for leaf, name in zip(
+            decomposition.partial_queries, decomposition.source_names
         )
     }
-    return outcome.decomposition.tree.evaluate(env)
+    return decomposition.tree.evaluate(env)

@@ -1,11 +1,13 @@
-"""The one delivery loop: Listings 2-4 as per-party step tables.
+"""The one loop: Listings 1-4 as per-party step tables.
 
-Each protocol module declares a table keyed by ``(party role, inbound
-kind)``.  An entry is a :class:`Step`: a module-level handler
-``(own_state, sender, body) -> [(receiver, kind, body), ...]`` and, when
-the entry is one of the listing's timed steps, its name.  A handler sees
-only its own party's state (:func:`seat`) and what it received; it emits
-messages and never sends them.
+The request phase (:mod:`repro.core.request`) and each protocol module
+declare a table keyed by ``(party role, inbound kind)``.  An entry is a
+:class:`Step`: a module-level handler ``(own_state, sender, body) ->
+[(receiver, kind, body), ...]`` and, when the entry is one of the
+listing's timed steps, its name.  A handler sees only its own party's
+state (:func:`seat`) and what it received; it emits messages and never
+sends them.  The runner runs the request table, then the protocol's
+(:func:`joined` keeps the parties that join).
 
 :func:`deliver` sends every emitted message through the transport and
 hands the recorded ``message.body`` to the receiver's handler, first in,
@@ -28,7 +30,6 @@ from typing import Any, Callable
 from repro.core.result import MediationResult
 from repro.core.timing import timed
 from repro.errors import ProtocolError
-from repro.mediation.credentials import public_keys_of
 from repro.transport.base import Transport
 
 SOURCE = "source"
@@ -39,7 +40,8 @@ DONE = "done"
 
 #: What a handler emits: ``(receiver, kind, body)`` triples, in order.
 Outbound = list[tuple[str, str, Any]]
-#: name -> (role, state), in seating order: S1, S2, the mediator, the client.
+#: name -> (role, state), in seating order: the sources, the mediator, the
+#: client.
 Parties = dict[str, tuple[str, SimpleNamespace]]
 
 
@@ -59,44 +61,54 @@ def collect(state: SimpleNamespace, sender: str, body: Any) -> Outbound:
     return []
 
 
-def seat(federation: Any, outcome: Any, config: Any, engine: Any,
+def seat(federation: Any, query: str, config: Any, engine: Any,
          hardening: Any) -> Parties:
-    """Each party's own state.  A source gets R_i, its index cache and
-    the client's public keys; the mediator the source names and the
-    config, no relation and no key; the client its ``Client``, the two
-    schemas and the join attributes.  The crypto engine and the
-    hardening context are shared."""
+    """Each party's own state, from what it owns.  A source gets its
+    ``DataSource`` (``party``) and index cache; R_i, the join attributes
+    and the client's public keys arrive with its ``partial_query``.  The
+    mediator gets its ``Mediator``, no relation and no key; the client
+    its ``Client`` and the query.  The crypto engine and the hardening
+    context are shared."""
     client = federation.require_client()
-    names = outcome.source_names
     mediator = federation.mediator.name
-    client_keys = public_keys_of(
-        [c for name in names for c in outcome.forwarded_credentials[name]]
-    )
     parties: Parties = {
         name: (SOURCE, SimpleNamespace(
-            name=name, mediator=mediator,
-            relation=outcome.partial_results[name],
-            join_attributes=outcome.join_attributes, client_keys=client_keys,
-            cache=federation.source(name).index_cache(),
+            name=name, mediator=mediator, party=source,
+            cache=source.index_cache(),
             config=config, engine=engine, hardening=hardening,
         ))
-        for name in names
+        for name, source in federation.sources.items()
     }
     parties[mediator] = (MEDIATOR, SimpleNamespace(
-        name=mediator, client=client.name, sources=names,
+        name=mediator, party=federation.mediator, client=client.name,
         config=config, hardening=hardening,
     ))
     parties[client.name] = (CLIENT, SimpleNamespace(
-        client=client, mediator=mediator,
-        schemas=tuple(map(outcome.schema_of, names)),
-        join_attributes=outcome.join_attributes,
+        client=client, query=query, mediator=mediator,
         config=config, engine=engine, hardening=hardening, inbox=[],
     ))
     return parties
 
 
+def joined(parties: Parties) -> Parties:
+    """The delivery phase's parties, once Listing 1 has run: the two
+    sources the mediator named, in its order, the mediator and the
+    client.  The client's schemas and join attributes come from the
+    decomposition, which is built from q and the global schema."""
+    *_, mediator, client = parties
+    decomposition = parties[mediator][1].decomposition
+    client_state = parties[client][1]
+    client_state.schemas = decomposition.schemas
+    client_state.join_attributes = decomposition.join_attributes
+    return {
+        name: parties[name]
+        for name in (*decomposition.source_names, mediator, client)
+    }
+
+
 def states(parties: Parties) -> list[SimpleNamespace]:
-    """The seated states: S1's, S2's, the mediator's, the client's."""
+    """The seated states, in seating order; in the delivery phase S1's,
+    S2's, the mediator's, the client's."""
     return [state for _, state in parties.values()]
 
 

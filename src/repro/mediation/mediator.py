@@ -35,6 +35,8 @@ class JoinDecomposition:
     partial_queries: tuple[PartialQuery, ...]
     source_names: tuple[str, ...]
     join_attributes: tuple[str, ...]
+    #: The partial results' schemas, from the embedded global schema.
+    schemas: tuple[Schema, ...]
 
 
 @dataclass
@@ -145,6 +147,7 @@ class Mediator:
             partial_queries=tuple(leaves),
             source_names=sources,
             join_attributes=join_attributes,
+            schemas=tuple(schemas),
         )
 
     def select_credentials(

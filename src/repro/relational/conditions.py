@@ -104,7 +104,13 @@ class Comparison(Condition):
         return frozenset({self.attribute})
 
     def __str__(self) -> str:
-        return f"{self.attribute} {self.op} {self.value!r}"
+        # A string reads back through the SQL tokenizer: single quotes,
+        # '' for a quote, and no escapes.
+        if isinstance(self.value, str):
+            literal = "'" + self.value.replace("'", "''") + "'"
+        else:
+            literal = repr(self.value)
+        return f"{self.attribute} {self.op} {literal}"
 
 
 @dataclass(frozen=True)

@@ -242,3 +242,16 @@ def _mirror(op: str) -> str:
 def parse(sql: str) -> algebra.AlgebraNode:
     """Parse a SQL query into an algebra tree (the SQL2Algebra entry point)."""
     return _Parser(tokenize(sql)).parse_query()
+
+
+def parse_partial(sql: str) -> algebra.PartialQuery:
+    """Parse what a datasource receives, ``select * from R [where c]``,
+    into its :class:`~repro.relational.algebra.PartialQuery` leaf."""
+    tree = parse(sql)
+    if isinstance(tree, algebra.Select) and isinstance(
+        tree.child, algebra.PartialQuery
+    ):
+        tree = algebra.PartialQuery(tree.child.relation_name, tree.condition)
+    if not isinstance(tree, algebra.PartialQuery):
+        raise QueryError(f"not a partial query: {sql!r}")
+    return tree

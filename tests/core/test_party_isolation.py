@@ -8,8 +8,11 @@
   relation, commutative key, hybrid session or RSA private key; the
   client's private keys are reachable only from the client's own calls;
   and no source relation is reachable from the mediator or the client.
-* No module under ``repro.core`` calls ``.send(`` but the loop and the
-  request phase.
+* No module under ``repro.core`` calls ``.send(`` but the loop.
+* At seating no source relation is reachable from the mediator's or the
+  client's state, nor from the table, the transport or the result; a
+  source's partial result R_i first appears in its own state, during
+  its ``partial_query`` step.
 
 The walk does not enter the federation's storage backend.  The sources
 share one backend object and each reads only its own namespace through
@@ -28,16 +31,23 @@ import types
 import pytest
 
 from repro import Federation, run_join_query
-from repro.core import commutative, das, private_matching, runner, steps
+from repro.core import (
+    commutative, das, private_matching, request, runner, steps,
+)
 from repro.crypto import hybrid, paillier, rsa
 from repro.crypto.commutative import CommutativeKey
 from repro.mediation.access_control import allow_all
+from repro.mediation.network import Network
 from repro.relational.relation import Relation
 from repro.storage import SQLiteBackend
 from repro.storage.base import StorageBackend
+from repro.transport import RetryPolicy, TcpTransport
 
 QUERY = "select * from R1 natural join R2"
-TABLES = [commutative.TABLE, private_matching.TABLE, das.TABLE, das.HARDENED]
+POLICY = RetryPolicy(attempts=3, base_delay=0.05, connect_timeout=5.0,
+                     io_timeout=30.0)
+TABLES = [request.TABLE, commutative.TABLE, private_matching.TABLE, das.TABLE,
+          das.HARDENED]
 #: Objects that belong to exactly one party.
 OWNED = (Relation, CommutativeKey, hybrid.Session, rsa.RSAPrivateKey,
          paillier.PaillierPrivateKey)
@@ -80,12 +90,12 @@ def test_every_handler_is_module_level():
             assert getattr(module, handler.__name__) is handler, handler
 
 
-def test_only_the_loop_and_the_request_phase_send():
+def test_only_the_loop_sends():
     core = pathlib.Path(steps.__file__).parent
     senders = sorted(
         path.name for path in core.glob("*.py") if ".send(" in path.read_text()
     )
-    assert senders == ["request.py", "steps.py"]
+    assert senders == ["steps.py"]
 
 
 @pytest.mark.parametrize("hardened", [False, True])
@@ -119,8 +129,8 @@ def test_each_call_reaches_only_its_own_party(
     finally:
         backend.close()
 
-    (parties,) = seatings
-    assert {party for party, _, _ in calls} == set(parties)
+    seated, parties = seatings
+    assert {party for party, _, _ in calls} == set(seated) == set(parties)
     owned: dict[str, dict[int, object]] = {name: {} for name in parties}
     for party, state, found in calls:
         assert state is parties[party][1], party
@@ -143,3 +153,47 @@ def test_each_call_reaches_only_its_own_party(
             isinstance(item, (CommutativeKey, hybrid.Session))
             for item in owned[other].values()
         ), other
+
+
+@pytest.mark.parametrize("carrier", ["bus", "tcp"])
+def test_no_partial_result_is_seated(ca, client, workload, monkeypatch, carrier):
+    """Seating hands the driver's arguments to ``deliver`` no source
+    relation, and each source's R_i first appears in its own state,
+    during its own ``partial_query`` step."""
+    seated: list[steps.Parties] = []
+    executed: list[str] = []
+    deliver, run_step = steps.deliver, steps._run_step
+    execute = request.TABLE[(steps.SOURCE, "partial_query")]
+
+    def spy_deliver(table, parties, network, result):
+        if table is request.TABLE:
+            *sources, mediator, client_state = steps.states(parties)
+            found = reachable(mediator, client_state, table, network, result)
+            assert not any(isinstance(item, Relation) for item in found.values())
+            assert not any(hasattr(source, "relation") for source in sources)
+            seated.append(parties)
+        return deliver(table, parties, network, result)
+
+    def spy_run_step(step, party, state, sender, body, result):
+        if step is not execute:
+            return run_step(step, party, state, sender, body, result)
+        assert not hasattr(state, "relation"), party
+        outbound = run_step(step, party, state, sender, body, result)
+        assert isinstance(state.relation, Relation), party
+        executed.append(party)
+        return outbound
+
+    monkeypatch.setattr(runner, "deliver", spy_deliver)
+    monkeypatch.setattr(steps, "_run_step", spy_run_step)
+    network = TcpTransport(retry=POLICY) if carrier == "tcp" else Network()
+    try:
+        federation = Federation(ca=ca, network=network)
+        federation.add_source("S1", [(workload.relation_1, allow_all())])
+        federation.add_source("S2", [(workload.relation_2, allow_all())])
+        federation.attach_client(client)
+        run_join_query(federation, QUERY, protocol="commutative")
+    finally:
+        network.close()
+
+    assert len(seated) == 1
+    assert executed == ["S1", "S2"]

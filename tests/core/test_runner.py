@@ -94,6 +94,28 @@ class TestRunner:
         reference = reference_join(make_federation(workload), query)
         assert reference.schema.names() == ("k",)
 
+    @pytest.mark.parametrize("carrier", ["bus", "tcp"])
+    def test_reference_join_sends_nothing(self, ca, client, workload, carrier):
+        network = (
+            TcpTransport(retry=TestChainQueries.TCP_POLICY)
+            if carrier == "tcp" else None
+        )
+        federation = (
+            Federation(ca=ca) if network is None
+            else Federation(ca=ca, network=network)
+        )
+        try:
+            federation.add_source("S1", [(workload.relation_1, allow_all())])
+            federation.add_source("S2", [(workload.relation_2, allow_all())])
+            federation.attach_client(client)
+            result = run_join_query(federation, QUERY)
+            before = federation.network.message_count()
+            reference = reference_join(federation, QUERY)
+            assert federation.network.message_count() == before
+            assert reference == result.global_result
+        finally:
+            federation.network.close()
+
 
 class TestFederation:
     def test_duplicate_source_rejected(self, federation, workload):

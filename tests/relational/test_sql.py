@@ -1,9 +1,11 @@
 """Tests for the SQL2Algebra front end."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import QueryError
 from repro.relational import algebra, sql
+from repro.relational.conditions import Comparison
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
 
@@ -122,3 +124,34 @@ class TestPartialQueries:
             "select * from R1",
             "select * from R2",
         ]
+
+    @pytest.mark.parametrize(
+        "bad", ["select * from R1 natural join R2", "select k from R1"]
+    )
+    def test_parse_partial_refuses_anything_else(self, bad):
+        with pytest.raises(QueryError, match="not a partial query"):
+            sql.parse_partial(bad)
+
+
+#: Text that stresses a string literal: quotes, backslashes, control
+#: characters and non-ASCII, mixed with anything else.
+TRICKY_TEXT = st.text(
+    st.one_of(st.sampled_from("'\\\t\n\r\x00\x7f\u00e9\u4e2d\U0001f600 \""),
+              st.characters())
+)
+
+
+class TestLiteralRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(value=TRICKY_TEXT)
+    def test_a_leaf_sql_denotes_the_leaf(self, value):
+        """The SQL a datasource receives selects what the leaf selects."""
+        relation = Relation(
+            schema("R", k="int", s="string"),
+            [(1, value), (2, value + "'"), (3, "\\"), (4, "'")],
+        )
+        env = {"R": relation}
+        for op in ("=", "<", "!="):
+            leaf = algebra.PartialQuery("R", Comparison("s", op, value))
+            assert sql.parse(leaf.sql).evaluate(env) == leaf.evaluate(env)
+            assert sql.parse_partial(leaf.sql) == leaf
