@@ -266,6 +266,90 @@ def _cached_key(
     return key
 
 
+class _MatchSlots:
+    """Round 2's ``match:`` slot of each incoming tag, under one key.
+
+    Each call rebuilds the map from the tags just received, reusing the
+    slots of tags it already held, so it never holds more than
+    |M_other| entries.
+    """
+
+    __slots__ = ("held",)
+
+    def __init__(self) -> None:
+        self.held: tuple[bytes, dict[int, bytes]] = (b"", {})
+
+    def __call__(self, key_digest: bytes, tags: Sequence[int]) -> list[bytes]:
+        digest, known = self.held
+        if digest != key_digest:
+            known = {}
+        fresh = [tag for tag in tags if tag not in known]
+        if fresh:
+            known = dict(known)
+            known.update(zip(
+                fresh, _slots(b"match:", key_digest, map(serialize_int, fresh))
+            ))
+        slots = [known[tag] for tag in tags]
+        self.held = (key_digest, dict(zip(tags, slots)))
+        return slots
+
+
+class _Derived:
+    """What Listing 3 derives from R_i at a source, computed once per
+    content.
+
+    A storage-backed source keeps one per relation, keyed by R_i's
+    content (:meth:`DataSource.derived`): the join keys in order, their
+    encodings, the encoded tuple sets, and the slot lists of the last key
+    digest (``tag:``) and of the last (key digest, session binding,
+    hardened target) (``tupct:``).  A cold source builds one per query.
+    """
+
+    __slots__ = (
+        "join_keys", "encoded_keys", "encoded_sets", "tag_slots",
+        "tuple_slots", "match_slots",
+    )
+
+    def __init__(
+        self, relation: Relation, join_attributes: tuple[str, ...]
+    ) -> None:
+        grouped = group_by_key(relation, join_attributes)
+        self.join_keys = list(grouped)
+        self.encoded_keys = [encode_key(join_key) for join_key in self.join_keys]
+        self.encoded_sets = [
+            encode_rows(grouped[join_key]) for join_key in self.join_keys
+        ]
+        self.tag_slots: tuple[bytes, list[bytes]] = (b"", [])
+        self.tuple_slots: tuple[tuple | None, list[bytes]] = (None, [])
+        self.match_slots = _MatchSlots()
+
+    def tags(self, key_digest: bytes) -> list[bytes]:
+        """Each join value's ``tag:`` slot under ``key_digest``."""
+        digest, slots = self.tag_slots
+        if digest != key_digest:
+            slots = _slots(b"tag:", key_digest, self.encoded_keys)
+            self.tag_slots = (key_digest, slots)
+        return slots
+
+    def tuples(
+        self, key_digest: bytes, binding: bytes, encoded_sets: list[bytes],
+        target: int | None,
+    ) -> list[bytes]:
+        """Each tuple set's ``tupct:`` slot.  ``encoded_sets`` are this
+        entry's sets as wrapped to ``target`` (``None`` unhardened), so
+        the key digest, the session binding and the target determine
+        the slots."""
+        stamp = (key_digest, binding, target)
+        held, slots = self.tuple_slots
+        if held != stamp:
+            slots = _slots(
+                b"tupct:" + binding, key_digest,
+                map(operator.add, self.encoded_keys, encoded_sets),
+            )
+            self.tuple_slots = (stamp, slots)
+        return slots
+
+
 def _prepare_source(
     relation: Relation,
     join_attributes: tuple[str, ...],
@@ -275,6 +359,7 @@ def _prepare_source(
     engine: CryptoEngine | None = None,
     cache: IndexCache | None = None,
     hardening=None,
+    derived: _Derived | None = None,
 ) -> tuple[_SourceState, list[TaggedMessage]]:
     """Listing 3 steps 1-3 at one datasource.
 
@@ -282,20 +367,23 @@ def _prepare_source(
     hybrid session and the tuple-set ciphertexts all persist across the
     query series (amortization per arXiv 2103.05792); only values not
     seen before — or entries dropped by a mutation/rotation — are
-    recomputed, as one engine batch.  Hardened runs also mint the
-    source's dummy tuple sets (``_SourceState.dummies``), never cached.
+    recomputed, as one engine batch.  ``derived``, the source's entry
+    for R_i's content, spares the grouping, the encodings and the slot
+    MACs of a repeated R_i; without it they are derived here.  Hardened
+    runs also mint the source's dummy tuple sets
+    (``_SourceState.dummies``), never cached.
     """
     engine = engine or get_engine()
+    if derived is None:
+        derived = _Derived(relation, join_attributes)
     key = _cached_key(cache, relation.name, group)
     key_digest = _key_digest(key) if cache is not None else b""
-    grouped = group_by_key(relation, join_attributes)
-    join_keys = list(grouped)
+    join_keys, encoded_keys = derived.join_keys, derived.encoded_keys
 
     # Tags f_e(h(a)), one per active join value.
-    encoded_keys = [encode_key(join_key) for join_key in join_keys]
     tags = _amortized(
         cache, relation.name, KIND_COMM_TAG, len(join_keys),
-        lambda: _slots(b"tag:", key_digest, encoded_keys),
+        lambda: derived.tags(key_digest),
         deserialize_int, serialize_int,
         lambda pending: engine.batch_commutative_encrypt(
             key, [ideal_hash(encoded_keys[position]) for position in pending]
@@ -307,17 +395,14 @@ def _prepare_source(
     # Hardened runs wrap every tuple-set encoding to one uniform length
     # before anything downstream (cache slots, ciphertext bodies) can see
     # the per-value size; the client unwraps after decryption.
-    encoded_sets = [encode_rows(grouped[join_key]) for join_key in join_keys]
+    encoded_sets, target = derived.encoded_sets, None
     if hardening is not None:
         encoded_sets, target = hardening.wrap_uniform(encoded_sets)
     session = source_session(cache, relation.name, client_keys)
     binding = session.encapsulation.digest()
     ciphertexts = _amortized(
         cache, relation.name, KIND_COMM_TUPLES, len(join_keys),
-        lambda: _slots(
-            b"tupct:" + binding, key_digest,
-            map(operator.add, encoded_keys, encoded_sets),
-        ),
+        lambda: derived.tuples(key_digest, binding, encoded_sets, target),
         functools.partial(hybrid.HybridCiphertext, session.encapsulation),
         operator.attrgetter("body"),
         lambda pending: engine.batch_hybrid_encrypt(
@@ -349,6 +434,7 @@ def _double_encrypt(
     engine: CryptoEngine | None = None,
     cache: IndexCache | None = None,
     relation_name: str = "",
+    match_slots: _MatchSlots | None = None,
 ) -> list[TaggedMessage]:
     """Listing 3 steps 5/6 at one datasource: apply the own key on top
     and return each double encryption as its 16-byte match digest, with
@@ -356,9 +442,12 @@ def _double_encrypt(
 
     Digests cache by (own key, incoming tag): when both sources reuse
     persisted keys, the opposite tags repeat across the series and this
-    step becomes pure lookups.
+    step becomes pure lookups.  ``match_slots``, the source's map from
+    the last query, spares the slot MAC of each tag it held.
     """
     engine = engine or get_engine()
+    if match_slots is None:
+        match_slots = _MatchSlots()
     key_digest = _key_digest(key) if cache is not None else b""
     p = key.group.p
     if isinstance(received, ExchangeSet):  # what round 2 receives
@@ -368,7 +457,7 @@ def _double_encrypt(
         tokens = tuple(map(_payload_of, received))
     doubled = _amortized(
         cache, relation_name, KIND_COMM_DOUBLE, len(tags),
-        lambda: _slots(b"match:", key_digest, map(serialize_int, tags)),
+        lambda: match_slots(key_digest, tags),
         _digest_from_blob, bytes,
         lambda pending: [
             match_digest(element, p)
@@ -394,6 +483,17 @@ def _announce(mediator, sender: str, body: None) -> Outbound:
     ]
 
 
+def _derived(source) -> _Derived | None:
+    """The source's entry for R_i's content; none without storage, whose
+    keys are fresh per query."""
+    if source.cache is None:
+        return None
+    return source.party.derived(
+        source.relation, source.join_attributes,
+        functools.partial(_Derived, source.relation, source.join_attributes),
+    )
+
+
 def _round_1(source, sender: str, body: dict) -> Outbound:
     """Steps 1-3: S_i sends M_i (and, hardened, its dummy tuple sets)."""
     modulus = body["modulus"]
@@ -406,6 +506,7 @@ def _round_1(source, sender: str, body: dict) -> Outbound:
         source.relation, source.join_attributes, group,
         IdealHash(group.p, body["hash_tag"]), source.client_keys,
         source.engine, cache=source.cache, hardening=source.hardening,
+        derived=_derived(source),
     )
     source.key = state.key
     outbound = [(sender, "commutative_m_set", messages)]
@@ -449,9 +550,11 @@ def _fresh_tokens(count: int) -> tuple[bytes, ...]:
 
 def _round_2(source, sender: str, body: ExchangeSet) -> Outbound:
     """Steps 5-6: S_i applies its own key on top and returns the set."""
+    derived = _derived(source)
     doubled = _double_encrypt(
         body, source.key, source.engine, cache=source.cache,
         relation_name=source.relation.name,
+        match_slots=None if derived is None else derived.match_slots,
     )
     return [(sender, "commutative_double", doubled)]
 

@@ -200,13 +200,15 @@ def _encrypt_source(
     engine = engine or get_engine()
     session = source_session(cache, relation.name, client_keys)
 
+    rows = list(relation)
+    encoded_rows = list(map(encode_row, rows))
     index_table: IndexTable | None = None
     if cache is not None:
         # The table names every partition's values, so it is filed as
         # what the source emits anyway: a DEM body under the session.
         table_slot = (
             b"itable:" + session.encapsulation.digest()
-            + relation_fingerprint(relation)
+            + relation_fingerprint(relation, encoded_rows)
             + f"{config.strategy}:{config.buckets}:{attribute}".encode()
         )
         blob = cache.get(relation.name, KIND_DAS_INDEX, table_slot)
@@ -233,8 +235,6 @@ def _encrypt_source(
                 symmetric.encrypt(session.key, index_table.to_bytes()),
             )
 
-    rows = list(relation)
-    encoded_rows = list(map(encode_row, rows))
     # Hardened runs wrap every row encoding to one uniform length before
     # it can influence a ciphertext body; the client unwraps (and
     # discards dummies) in _client_hash_join.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.crypto import rsa
 from repro.crypto.engine import CryptoEngine, get_engine
@@ -26,6 +26,8 @@ from repro.relational.relation import Relation, Row
 from repro.session import SessionRegistry, current_session_id
 from repro.storage.base import IndexCache, StorageBackend
 from repro.telemetry import tracing
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -55,6 +57,10 @@ class DataSource:
     #: every index per query.
     storage: StorageBackend | None = field(default=None, repr=False)
     _index_cache: IndexCache | None = field(default=None, repr=False)
+    #: Per relation name: ``(content, value)`` of the last :meth:`derived`.
+    _derived: dict[str, tuple[tuple, Any]] = field(
+        default_factory=dict, repr=False
+    )
 
     def add_relation(
         self, relation: Relation, policy: AccessPolicy | None = None
@@ -118,6 +124,36 @@ class DataSource:
         if self._index_cache is not None:
             self._index_cache.forget()
         return epoch
+
+    def derived(
+        self,
+        relation: Relation,
+        join_attributes: tuple[str, ...],
+        derive: Callable[[], T],
+    ) -> T:
+        """``derive()``'s value for this partial result R_i, computed once
+        per content.
+
+        One entry per relation name, keyed by R_i's content: its schema's
+        attributes, the join attributes and its rows, compared by
+        equality.  A row mutation, another selection or another
+        credential view is other content, so it misses and replaces the
+        entry; nothing needs invalidating.  The rows are immutable tuples
+        the relation shares from query to query, so a hit compares them
+        by identity.  The entry is plaintext-derived: it stays in this
+        object and never keys a store or cache entry.
+        """
+        content = (
+            relation.schema.attributes, tuple(join_attributes), relation.rows
+        )
+        entry = self._derived.get(relation.name)
+        if entry is not None and entry[0] == content:
+            return entry[1]
+        # Sessions racing here each derive, and the last entry stays:
+        # every value is right for its content.
+        value = derive()
+        self._derived[relation.name] = (content, value)
+        return value
 
     # -- row mutations -----------------------------------------------------
 

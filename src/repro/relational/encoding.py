@@ -17,6 +17,7 @@ ciphertext-side matching sound.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 
 from repro.errors import EncodingError
 from repro.relational.relation import Relation, Row
@@ -82,9 +83,14 @@ def decode_row(data: bytes, schema: Schema) -> Row:
 
 def encode_rows(rows: tuple[Row, ...] | list[Row]) -> bytes:
     """Canonical encoding of a tuple set ``Tup_i(a)`` (count-prefixed)."""
-    parts = [len(rows).to_bytes(4, "big")]
-    for row in rows:
-        encoded = encode_row(row)
+    return frame_rows(list(map(encode_row, rows)))
+
+
+def frame_rows(encoded_rows: Sequence[bytes]) -> bytes:
+    """The count/length framing :func:`encode_rows` puts around the
+    :func:`encode_row` outputs, for a caller that already holds them."""
+    parts = [len(encoded_rows).to_bytes(4, "big")]
+    for encoded in encoded_rows:
         parts.append(len(encoded).to_bytes(4, "big"))
         parts.append(encoded)
     return b"".join(parts)
@@ -109,12 +115,16 @@ def decode_rows(data: bytes, schema: Schema) -> tuple[Row, ...]:
     return tuple(rows)
 
 
-def encode_relation(relation: Relation) -> bytes:
+def encode_relation(
+    relation: Relation, encoded_rows: Sequence[bytes] | None = None
+) -> bytes:
     """Canonical encoding of a whole relation (schema header + rows).
 
     Its digest is the relation's content fingerprint
     (:func:`repro.storage.base.relation_fingerprint`); JSON keeps the
-    header human-auditable.
+    header human-auditable.  A caller holding ``encode_row`` of each of
+    ``relation.rows``, in order, passes them as ``encoded_rows`` and no
+    row is encoded again.
     """
     header = json.dumps(
         {
@@ -125,5 +135,7 @@ def encode_relation(relation: Relation) -> bytes:
         },
         separators=(",", ":"),
     ).encode("utf-8")
-    body = encode_rows(relation.rows)
+    if encoded_rows is None:
+        encoded_rows = list(map(encode_row, relation.rows))
+    body = frame_rows(encoded_rows)
     return len(header).to_bytes(4, "big") + header + body

@@ -10,6 +10,7 @@ paper's queries and the extensions exercised by examples and tests::
     SELECT * FROM R1 NATURAL JOIN R2
     SELECT patient, disease FROM R1 NATURAL JOIN R2 WHERE age > 40
     SELECT * FROM R1                                      -- partial query
+    SELECT * FROM R1 NATURAL JOIN R2 WHERE k = -1         -- no arithmetic
 
 Parsing is a hand-written tokenizer + recursive-descent parser; the
 output is an :class:`~repro.relational.algebra.AlgebraNode` tree whose
@@ -37,7 +38,7 @@ from repro.relational.schema import Value
 _TOKEN_PATTERN = re.compile(
     r"""
     \s*(?:
-        (?P<number>\d+)
+        (?P<number>-?\d+)
       | (?P<string>'(?:[^']|'')*')
       | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<symbol><=|>=|!=|<>|=|<|>|\(|\)|,|\*|\.)

@@ -65,15 +65,18 @@ CACHE_MISSES_METRIC = "repro_storage_cache_misses_total"
 CACHE_ERRORS_METRIC = "repro_storage_cache_errors_total"
 
 
-def relation_fingerprint(relation: Relation) -> bytes:
+def relation_fingerprint(
+    relation: Relation, encoded_rows: Sequence[bytes] | None = None
+) -> bytes:
     """Content digest of a relation (rows + schema), 16 bytes.
 
     Cache keys for artifacts derived from a *filtered view* (the partial
     result after access control and selection pushdown) embed this
     digest, so two queries share cache entries exactly when they operate
-    on the same row set.
+    on the same row set.  ``encoded_rows`` are the rows' encodings when
+    the caller already holds them (see :func:`encode_relation`).
     """
-    return hashlib.sha256(encode_relation(relation)).digest()[:16]
+    return hashlib.sha256(encode_relation(relation, encoded_rows)).digest()[:16]
 
 
 @dataclass

@@ -11,9 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.statistics import _collect_ciphertext_fragments
 from repro.analysis.views import iter_byte_material
+from repro import Federation, reference_join, run_join_query
+from repro.core import commutative
 from repro.core.commutative import (
     ExchangeSet,
     TaggedMessage,
+    _Derived,
+    _MatchSlots,
     _cached_key,
     _double_encrypt,
     _exchange,
@@ -28,7 +32,9 @@ from repro.crypto.engine import CryptoEngine
 from repro.crypto.hashes import IdealHash, match_digest
 from repro.crypto.rand import shuffled as _shuffled
 from repro.errors import ParameterError, ProtocolError
+from repro.mediation.access_control import allow_all
 from repro.mediation.sizing import estimate_size
+from repro.relational.encoding import encode_relation
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
 from repro.storage import KIND_COMM_DOUBLE, IndexCache, MemoryBackend
@@ -342,3 +348,116 @@ class TestExchangeSet:
         assert sorted(_double_encrypt(body, key)) == sorted(
             _double_encrypt(records, key)
         )
+
+
+class TestContentMemo:
+    """A storage-backed source derives from R_i once per content: the
+    grouping, the encodings and every slot MAC."""
+
+    DERIVATIONS = ("group_by_key", "encode_rows", "encode_key", "_slots")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(self.DERIVATIONS, 0)
+        for name in self.DERIVATIONS:
+            def counted(*args, _name=name, _call=getattr(commutative, name)):
+                counts[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(commutative, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("hardened", [False, True])
+    def test_a_warm_query_derives_nothing(
+        self, ca, client, workload, calls, hardened
+    ):
+        federation = Federation(ca=ca, storage=MemoryBackend())
+        federation.add_source("S1", [(workload.relation_1, allow_all())])
+        federation.add_source("S2", [(workload.relation_2, allow_all())])
+        federation.attach_client(client)
+        query = "select * from R1 natural join R2"
+        expected = encode_relation(reference_join(federation, query))
+        counts = []
+        for _ in range(3):
+            before = dict(calls)
+            result = run_join_query(
+                federation, query, protocol="commutative",
+                hardening=hardened or None,
+            )
+            assert encode_relation(result.global_result) == expected
+            counts.append({name: calls[name] - before[name] for name in calls})
+        assert all(counts[0].values())  # the cold query derives everything
+        assert counts[1] == counts[2] == dict.fromkeys(self.DERIVATIONS, 0)
+
+    def test_the_cold_path_keeps_nothing(self, ca, client, workload, calls):
+        federation = Federation(ca=ca)
+        federation.add_source("S1", [(workload.relation_1, allow_all())])
+        federation.add_source("S2", [(workload.relation_2, allow_all())])
+        federation.attach_client(client)
+        for _ in range(2):
+            before = calls["group_by_key"]
+            run_join_query(
+                federation, "select * from R1 natural join R2",
+                protocol="commutative",
+            )
+            assert calls["group_by_key"] - before == 2
+        assert all(not source._derived for source in federation.sources.values())
+
+    def test_slots_follow_the_key_digest(self, group):
+        derived = _Derived(R, ("k",))
+        digest_1, digest_2 = (
+            _key_digest(comm.generate_key(group)) for _ in range(2)
+        )
+        for digest in (digest_1, digest_2, digest_1):
+            assert derived.tags(digest) == _slots(
+                b"tag:", digest, derived.encoded_keys
+            )
+            for binding, target in ((b"b1", None), (b"b2", None), (b"b2", 64)):
+                sets = [s + bytes(target or 0) for s in derived.encoded_sets]
+                assert derived.tuples(digest, binding, sets, target) == _slots(
+                    b"tupct:" + binding, digest,
+                    [k + s for k, s in zip(derived.encoded_keys, sets)],
+                )
+
+    def test_the_round_2_map_holds_only_the_tags_just_received(self, group):
+        match_slots = _MatchSlots()
+        digest_1, digest_2 = (
+            _key_digest(comm.generate_key(group)) for _ in range(2)
+        )
+        series = [
+            (digest_1, list(range(2, 40))),
+            (digest_1, list(range(30, 50))),  # 10 held, 10 fresh
+            (digest_1, [7, 8]),
+            (digest_2, [7, 8]),  # another key: nothing held is reused
+            (digest_2, list(range(100, 300))),
+        ]
+        for digest, tags in series:
+            assert match_slots(digest, tags) == _slots(
+                b"match:", digest, map(serialize_int, tags)
+            )
+            held_digest, held = match_slots.held
+            assert held_digest == digest and set(held) == set(tags)
+
+    def test_the_cold_double_encryption_is_the_memoised_one(
+        self, group, ideal_hash, rsa_key
+    ):
+        cache = IndexCache(MemoryBackend(), "S1")
+        _, messages = _prepare_source(
+            R, ("k",), group, ideal_hash, [rsa_key.public_key()],
+        )
+        key = comm.generate_key(group)
+        match_slots = _MatchSlots()
+        cold = _double_encrypt(messages, key, cache=cache, relation_name="R")
+        warm = _double_encrypt(
+            messages, key, cache=cache, relation_name="R",
+            match_slots=match_slots,
+        )
+        again = _double_encrypt(
+            messages, key, cache=cache, relation_name="R",
+            match_slots=match_slots,
+        )
+        assert sorted(cold) == sorted(warm) == sorted(again)
+        assert cache.stats.as_dict() == {
+            "hits": 2 * len(messages), "misses": len(messages),
+            "puts": len(messages), "errors": 0,
+        }

@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from repro import Federation, run_join_query
+from repro.core import das
 from repro.core.das import (
     DASConfig,
     EncryptedRelation,
@@ -18,7 +19,11 @@ from repro.core.das import (
 from repro.crypto import hybrid
 from repro.errors import CodecError, ProtocolError
 from repro.mediation.access_control import allow_all
-from repro.relational.encoding import encode_row
+from repro.relational import encoding
+from repro.relational.encoding import encode_row, encode_rows, frame_rows
+from repro.relational.relation import Relation
+from repro.relational.schema import schema
+from repro.storage import IndexCache, MemoryBackend, relation_fingerprint
 from repro.transport import codec
 
 
@@ -250,3 +255,46 @@ class TestServerResultRowTables:
         out_of_range = encoded[:-4] + (len(rows_2)).to_bytes(4, "big")
         with pytest.raises(CodecError, match="das-server-result"):
             codec.decode_value(out_of_range)
+
+
+class TestRowsEncodedOnce:
+    """The ``itable:`` slot's fingerprint comes from the etuple step's
+    row encodings, and has the bytes the relation's own encoding gives."""
+
+    RELATION = Relation(
+        schema("R", b="bool", i="int", s="string"),
+        [(True, -7, "é中😀"), (False, 2**63 + 5, ""), (True, 0, "plain")],
+    )
+
+    @pytest.mark.parametrize("relation, pinned", [
+        (RELATION, "25534add173f6bc8f550430767ea0f90"),
+        (Relation(schema("E", i="int"), []), "3d84cbb8129d0abcb0f4ec28ec0a6bde"),
+    ])
+    def test_the_fingerprint_of_the_encodings_is_pinned(self, relation, pinned):
+        encoded = [encode_row(row) for row in relation.rows]
+        assert relation_fingerprint(relation, encoded).hex() == pinned
+        assert relation_fingerprint(relation).hex() == pinned
+        assert frame_rows(encoded) == encode_rows(relation.rows)
+
+    def test_a_cached_source_encodes_each_row_once(
+        self, rsa_key, monkeypatch
+    ):
+        calls = []
+
+        def counted(row):
+            calls.append(row)
+            return encode_row(row)
+
+        monkeypatch.setattr(das, "encode_row", counted)
+        monkeypatch.setattr(encoding, "encode_row", counted)
+        cache = IndexCache(MemoryBackend(), "S1")
+        for _ in range(2):
+            calls.clear()
+            das._encrypt_source(
+                "S1", self.RELATION, "i", DASConfig(buckets=2),
+                [rsa_key.public_key()], cache=cache,
+            )
+            assert sorted(calls) == sorted(self.RELATION.rows)
+        assert cache.stats.as_dict() == {
+            "hits": 2, "misses": 2, "puts": 2, "errors": 0,
+        }

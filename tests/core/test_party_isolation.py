@@ -13,6 +13,9 @@
   client's state, nor from the table, the transport or the result; a
   source's partial result R_i first appears in its own state, during
   its ``partial_query`` step.
+* What a source keeps per R_i content (``DataSource.derived``) is
+  reachable from neither the mediator, the client, the transport nor
+  the result.
 
 The walk does not enter the federation's storage backend.  The sources
 share one backend object and each reads only its own namespace through
@@ -58,7 +61,12 @@ OPAQUE = (StorageBackend, type, types.ModuleType, types.FunctionType,
 
 def reachable(*roots) -> dict[int, object]:
     """Every :data:`OWNED` object reachable from ``roots``, by id."""
-    found: dict[int, object] = {}
+    return {id(item): item for item in walk(*roots) if isinstance(item, OWNED)}
+
+
+def walk(*roots):
+    """Every object reachable from ``roots``, not entering :data:`OPAQUE`
+    ones."""
     seen: set[int] = set()
     stack = list(roots)
     while stack:
@@ -66,8 +74,7 @@ def reachable(*roots) -> dict[int, object]:
         if id(item) in seen or item is None or isinstance(item, OPAQUE):
             continue
         seen.add(id(item))
-        if isinstance(item, OWNED):
-            found[id(item)] = item
+        yield item
         if isinstance(item, dict):
             stack.extend(item.keys())
             stack.extend(item.values())
@@ -78,7 +85,6 @@ def reachable(*roots) -> dict[int, object]:
             for cls in type(item).__mro__:
                 for slot in getattr(cls, "__slots__", ()):
                     stack.append(getattr(item, slot, None))
-    return found
 
 
 def test_every_handler_is_module_level():
@@ -197,3 +203,49 @@ def test_no_partial_result_is_seated(ca, client, workload, monkeypatch, carrier)
 
     assert len(seated) == 1
     assert executed == ["S1", "S2"]
+
+
+@pytest.mark.parametrize("hardened", [False, True])
+def test_the_content_memo_stays_in_its_source(
+    ca, client, workload, monkeypatch, hardened
+):
+    seatings: list[steps.Parties] = []
+    deliver = steps.deliver
+
+    def spy_deliver(table, parties, network, result):
+        seatings.append(parties)
+        return deliver(table, parties, network, result)
+
+    monkeypatch.setattr(runner, "deliver", spy_deliver)
+    network = TcpTransport(retry=POLICY)
+    backend = SQLiteBackend(":memory:")
+    try:
+        federation = Federation(ca=ca, network=network, storage=backend)
+        federation.add_source("S1", [(workload.relation_1, allow_all())])
+        federation.add_source("S2", [(workload.relation_2, allow_all())])
+        federation.attach_client(client)
+        results = [
+            run_join_query(
+                federation, QUERY, protocol="commutative",
+                hardening=hardened or None,
+            )
+            for _ in range(2)
+        ]
+        memo = {
+            id(item): item
+            for source in federation.sources.values()
+            for _, derived in source._derived.values()
+            for item in walk(derived)
+        }
+        assert any(
+            isinstance(item, commutative._Derived) for item in memo.values()
+        )
+        *_, mediator, client_state = steps.states(seatings[-1])
+        found = {
+            id(item)
+            for item in walk(mediator, client_state, network, results)
+        }
+    finally:
+        network.close()
+        backend.close()
+    assert not memo.keys() & found

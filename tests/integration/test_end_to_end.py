@@ -166,3 +166,35 @@ def test_projection_applies_after_secure_join(ca, client, protocol):
         workload.relation_2.active_domain("k")
     )
     assert {row[0] for row in projected} == shared
+
+
+@pytest.mark.parametrize("protocol", ["das", "commutative", "private-matching"])
+def test_negative_join_keys_and_literals(ca, client, protocol):
+    """A negative literal in q reaches each source inside its partial
+    query (selections pushed down), and negative join keys match."""
+    from repro import reference_join
+    from repro.relational.relation import Relation
+    from repro.relational.schema import schema
+
+    relation_1 = Relation(
+        schema("R1", k="int", a="string"),
+        [(-3, "a"), (-2, "b"), (-1, "c"), (-1, "d"), (0, "e"), (5, "f")],
+    )
+    relation_2 = Relation(
+        schema("R2", k="int", b="string"),
+        [(-3, "p"), (-2, "q"), (-1, "r"), (4, "s"), (5, "t")],
+    )
+    federation = Federation(ca=ca)
+    federation.mediator.push_down = True
+    federation.add_source("S1", [(relation_1, allow_all())])
+    federation.add_source("S2", [(relation_2, allow_all())])
+    federation.attach_client(client)
+    query = QUERY + " where k > -3 and k != -2"
+    partial_queries = federation.mediator.decompose_join(query).partial_queries
+    assert [leaf.sql for leaf in partial_queries] == [
+        "select * from R1 where (k > -3 AND k != -2)",
+        "select * from R2 where (k > -3 AND k != -2)",
+    ]
+    result = run_join_query(federation, query, protocol=protocol)
+    assert result.global_result == reference_join(federation, query)
+    assert sorted(row[0] for row in result.global_result) == [-1, -1, 5]

@@ -36,6 +36,11 @@ class TestTokenizer:
         with pytest.raises(QueryError):
             sql.tokenize("select # from R")
 
+    def test_negative_number(self):
+        tokens = sql.tokenize("select * from R1 natural join R2 where k = -1")
+        assert [t.text for t in tokens if t.kind == "number"] == ["-1"]
+        assert not any(t.text == "-" for t in tokens)  # no minus operator
+
 
 class TestParser:
     def test_select_star(self):
@@ -154,4 +159,28 @@ class TestLiteralRoundTrip:
         for op in ("=", "<", "!="):
             leaf = algebra.PartialQuery("R", Comparison("s", op, value))
             assert sql.parse(leaf.sql).evaluate(env) == leaf.evaluate(env)
+            assert sql.parse_partial(leaf.sql) == leaf
+
+
+class TestNegativeLiterals:
+    def test_a_query_with_a_negative_literal_parses(self):
+        env = {
+            "R1": Relation(S1, [(-2, "x"), (-1, "y"), (3, "z")]),
+            "R2": Relation(S2, [(-1, "p"), (3, "q")]),
+        }
+        tree = sql.parse("select * from R1 natural join R2 where k = -1")
+        assert [row[0] for row in tree.evaluate(env)] == [-1]
+        tree = sql.parse("select * from R1 where k >= -2 and k < -1")
+        assert [row[0] for row in tree.evaluate(env)] == [-2]
+
+    def test_comparison_renders_what_parse_partial_reads(self):
+        leaf = algebra.PartialQuery("R1", Comparison("k", ">", -5))
+        assert leaf.sql == "select * from R1 where k > -5"
+        assert sql.parse_partial(leaf.sql) == leaf
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=st.integers(min_value=-(2**70), max_value=2**70))
+    def test_every_integer_round_trips(self, value):
+        for op in ("=", "<", ">="):
+            leaf = algebra.PartialQuery("R1", Comparison("k", op, value))
             assert sql.parse_partial(leaf.sql) == leaf

@@ -1,11 +1,15 @@
-"""The index cache's resident copy of its batched reads.
+"""The index cache's resident copy of its batched reads, and the
+source's content-keyed memo of what it derives from R_i.
 
 :meth:`IndexCache.get_many` serves the slots an earlier batch read and
 verified from memory and reads only the rest from the store.  These
 tests pin what that copy may hold: only values the store served at the
 current key epoch, never more entries than the store keeps live, nothing
 across a rotation or a mutation, and nothing when the epoch cannot be
-read.  Its hits count exactly like store hits.
+read.  Its hits count exactly like store hits.  The memo
+(:meth:`DataSource.derived`) changes none of that: each query returns
+the reference join and the same accounting as without it, and it keeps
+one entry per relation.
 """
 
 import sys
@@ -16,6 +20,7 @@ import pytest
 from repro import Federation, reference_join, run_join_query
 from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.mediation.access_control import allow_all
+from repro.mediation.datasource import DataSource
 from repro.relational.encoding import encode_relation
 from repro.storage import (
     KIND_COMM_DOUBLE,
@@ -306,3 +311,115 @@ class TestThreads:
             network.close()
             storage.close()
         assert failures == []
+
+
+def derive_every_time(self, relation, join_attributes, derive):
+    """``DataSource.derived`` without the memo."""
+    return derive()
+
+
+def mutate(federation, source="S1", relation="R1"):
+    """Give ``relation`` one more row under a join value both sides hold
+    (a new payload under an existing key), so the join changes."""
+    held = [
+        federation.source(name).relations[held_relation]
+        for name, held_relation in (("S1", "R1"), ("S2", "R2"))
+    ]
+    shared = set.intersection(*(
+        {row[each.schema.position("k")] for row in each.rows} for each in held
+    ))
+    current = federation.source(source).relations[relation]
+    k = current.schema.position("k")
+    row = list(next(r for r in current.rows if r[k] in shared))
+    row[-1] = "fresh-payload"
+    federation.source(source).insert_rows(relation, [tuple(row)])
+
+
+class TestContentMemo:
+    SERIES = ("query", "query", "query", "insert", "query", "query",
+              "rotate", "query", "query")
+
+    def run_series(self, ca, client, workload):
+        federation = build(ca, client, workload, MemoryBackend())
+        accounting = []
+        for step in self.SERIES:
+            if step == "insert":
+                mutate(federation)
+            elif step == "rotate":
+                federation.source("S2").rotate_keys()
+            else:
+                accounting.append(
+                    run_and_check(federation).artifacts["storage_cache"]
+                )
+        return federation, accounting
+
+    def test_the_accounting_is_the_accounting_without_the_memo(
+        self, ca, client, workload, monkeypatch
+    ):
+        federation, kept = self.run_series(ca, client, workload)
+        assert all(federation.source(name)._derived for name in ("S1", "S2"))
+        monkeypatch.setattr(DataSource, "derived", derive_every_time)
+        _, derived = self.run_series(ca, client, workload)
+        assert kept == derived
+
+    @pytest.mark.parametrize("change", ["insert", "rotate", "foreign"])
+    def test_a_change_returns_the_reference_join(
+        self, ca, client, workload, change
+    ):
+        backend = MemoryBackend()
+        federation = build(ca, client, workload, backend)
+        run_and_check(federation)
+        run_and_check(federation)
+        if change == "insert":
+            mutate(federation)
+        elif change == "rotate":
+            federation.source("S1").rotate_keys()
+        else:
+            # Another DataSource over the same store changes its copy of R1:
+            # the store's entries for R1 go, this source's rows stay.
+            other = build(ca, client, workload, backend)
+            mutate(other)
+            run_and_check(other)
+        for _ in range(2):
+            run_and_check(federation)
+        if change == "foreign":
+            run_and_check(other)
+            mutate(federation, "S2", "R2")
+            run_and_check(federation)
+            run_and_check(other)
+
+    @pytest.mark.parametrize("selections", [
+        # Both sources get each selection: both R_i alternate.
+        (" where k < 45", " where k >= 19"),
+        # Only S2 gets one: S1's R_i stays, the tags it receives alternate.
+        ("", " where r2_p0 != 'vvEX'"),
+    ], ids=["both", "S2"])
+    def test_one_entry_per_relation_across_alternating_selections(
+        self, ca, client, workload, selections
+    ):
+        federation = build(ca, client, workload, MemoryBackend())
+        federation.mediator.push_down = True  # a selection is a new R_i
+        entries: dict[str, list] = {"S1": [], "S2": []}
+        for turn in range(50):
+            query = QUERY + selections[turn % 2]
+            result = run_join_query(federation, query, protocol="commutative")
+            reference = reference_join(federation, query)
+            assert encode_relation(result.global_result) == encode_relation(
+                reference
+            )
+            sizes = result.artifacts["active_domain_sizes"]
+            for name, other in (("S1", "S2"), ("S2", "S1")):
+                memo = federation.source(name)._derived
+                assert len(memo) == 1
+                (_, derived), = memo.values()
+                # Round 2's map holds the tags just received: |M_other|.
+                assert len(derived.match_slots.held[1]) == sizes[other]
+                entries[name].append(derived)
+        replaced = {
+            name: [a is not b for a, b in zip(kept, kept[1:])]
+            for name, kept in entries.items()
+        }
+        # A source whose R_i alternated replaced its entry every query;
+        # one whose R_i stayed kept it.
+        assert all(replaced["S2"])
+        assert all(replaced["S1"]) if selections[0] else not any(replaced["S1"])
