@@ -106,7 +106,8 @@ class CommutativeConfig:
 
 
 class TaggedMessage(NamedTuple):
-    """``<f_e(h(a)), payload>`` — one element of a message set M_i.
+    """``<f_e(h(a)), payload>`` — one element of a message set, as a
+    reader of a :class:`MessageSet` and a decoded frame see it.
 
     ``tag`` is the group element ``f_e(h(a))`` in round 1 and the
     exchange, and the 16-byte match digest of ``f_e1(f_e2(h(a)))`` in
@@ -116,43 +117,76 @@ class TaggedMessage(NamedTuple):
     payload: hybrid.HybridCiphertext | bytes  # ciphertext, or ID token
 
 
-_tag_of = operator.attrgetter("tag")
-_payload_of = operator.attrgetter("payload")
+class MessageSet(Sequence):
+    """One of Listing 3's message sets — M_i, a step-4 exchange body or a
+    round-2 set — as two columns, ``tags`` and ``payloads``.
 
-
-class ExchangeSet(Sequence):
-    """Step 4's body: the other source's tags, each with an ID token in
-    place of its payload.
-
-    It is the list of ``TaggedMessage(tag, token)`` records it stands
-    for — it iterates, indexes, compares and encodes on the wire as that
-    list — but holds the two columns, so :func:`_exchange`, an untimed
-    step, builds no record per message.
+    It is the list of ``TaggedMessage(tag, payload)`` records it stands
+    for: it iterates, indexes, compares, sizes and encodes on the wire
+    as that list (the codec writes the columns in one loop).  The
+    handlers that build and read it touch only the columns, so no
+    record is built per message between the source and the socket.
     """
 
-    __slots__ = ("tags", "tokens")
+    __slots__ = ("tags", "payloads")
 
-    def __init__(self, tags: tuple[int, ...], tokens: tuple[bytes, ...]) -> None:
-        self.tags, self.tokens = tags, tokens
+    def __init__(self, tags: tuple, payloads: tuple) -> None:
+        self.tags, self.payloads = tags, payloads
 
     def __len__(self) -> int:
         return len(self.tags)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return list(self)[index]
-        return TaggedMessage(self.tags[index], self.tokens[index])
+            return MessageSet(self.tags[index], self.payloads[index])
+        return TaggedMessage(self.tags[index], self.payloads[index])
 
     def __iter__(self):
-        return map(TaggedMessage, self.tags, self.tokens)
+        return map(TaggedMessage, self.tags, self.payloads)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (ExchangeSet, list, tuple)):
+        if not isinstance(other, (MessageSet, list, tuple)):
             return NotImplemented
         return list(self) == list(other)
 
     def __repr__(self) -> str:
-        return f"ExchangeSet({list(self)!r})"
+        return f"MessageSet({list(self)!r})"
+
+
+def _columns(body: Any) -> MessageSet:
+    """A received message set as columns.
+
+    A handler receives a :class:`MessageSet` in process, or the list of
+    ``TaggedMessage`` records a decoded frame holds; anything else — a
+    body that is no sequence, an entry that is no tagged message — is a
+    :class:`ProtocolError`.
+    """
+    if type(body) is MessageSet:
+        return body
+    if not isinstance(body, (list, tuple)):
+        raise ProtocolError(
+            f"message set is a {type(body).__name__}, not a sequence"
+        )
+    for entry in body:
+        if type(entry) is not TaggedMessage:
+            raise ProtocolError(
+                f"message set entry is a {type(entry).__name__}, "
+                "not a tagged message"
+            )
+    return MessageSet(
+        tuple(entry.tag for entry in body),
+        tuple(entry.payload for entry in body),
+    )
+
+
+def _shuffled_set(tags: Sequence, payloads: Sequence) -> MessageSet:
+    """The set pairing ``tags[i]`` with ``payloads[i]``, arbitrarily
+    ordered: one :func:`shuffled` draw permutes both columns."""
+    order = shuffled(range(len(tags)))
+    return MessageSet(
+        tuple(map(tags.__getitem__, order)),
+        tuple(map(payloads.__getitem__, order)),
+    )
 
 
 @dataclass
@@ -360,7 +394,7 @@ def _prepare_source(
     cache: IndexCache | None = None,
     hardening=None,
     derived: _Derived | None = None,
-) -> tuple[_SourceState, list[TaggedMessage]]:
+) -> tuple[_SourceState, MessageSet]:
     """Listing 3 steps 1-3 at one datasource.
 
     With an index cache, the key, the per-value tags ``f_e(h(a))``, the
@@ -421,21 +455,18 @@ def _prepare_source(
         )
 
     tuple_ciphertexts = dict(zip(join_keys, ciphertexts))
-    messages = [
-        TaggedMessage(tag=tag, payload=ciphertext)
-        for tag, ciphertext in zip(tags, ciphertexts)
-    ]
-    return _SourceState(key, tuple_ciphertexts, dummies), shuffled(messages)
+    state = _SourceState(key, tuple_ciphertexts, dummies)
+    return state, _shuffled_set(tags, ciphertexts)
 
 
 def _double_encrypt(
-    received: Sequence[TaggedMessage],
+    received: MessageSet | Sequence[TaggedMessage],
     key: comm.CommutativeKey,
     engine: CryptoEngine | None = None,
     cache: IndexCache | None = None,
     relation_name: str = "",
     match_slots: _MatchSlots | None = None,
-) -> list[TaggedMessage]:
+) -> MessageSet:
     """Listing 3 steps 5/6 at one datasource: apply the own key on top
     and return each double encryption as its 16-byte match digest, with
     the payload it came with (in round 2, an ID token).
@@ -450,11 +481,8 @@ def _double_encrypt(
         match_slots = _MatchSlots()
     key_digest = _key_digest(key) if cache is not None else b""
     p = key.group.p
-    if isinstance(received, ExchangeSet):  # what round 2 receives
-        tags, tokens = received.tags, received.tokens
-    else:
-        tags = tuple(map(_tag_of, received))
-        tokens = tuple(map(_payload_of, received))
+    received = _columns(received)
+    tags = received.tags
     doubled = _amortized(
         cache, relation_name, KIND_COMM_DOUBLE, len(tags),
         lambda: match_slots(key_digest, tags),
@@ -466,7 +494,7 @@ def _double_encrypt(
             )
         ],
     )
-    return shuffled(list(map(TaggedMessage, doubled, tokens)))
+    return _shuffled_set(doubled, received.payloads)
 
 
 # -- Listing 3 as a step table ----------------------------------------------
@@ -523,15 +551,17 @@ def _keep_dummies(mediator, sender: str, dummies: dict) -> Outbound:
 def _exchange(mediator, sender: str, message_sets: dict) -> Outbound:
     """Step 4: each source gets the other's set — S1 first, as it
     computes first — with a fresh ID token in place of every payload
-    (footnote 1).  This step is untimed, so it only pairs the tags with
-    the tokens (:class:`ExchangeSet`); :func:`_match`, a timed step,
-    builds the table that maps them back."""
-    mediator.message_sets = message_sets
-    (source_1, set_1), (source_2, set_2) = message_sets.items()
+    (footnote 1).  This step is untimed, so it only pairs the tag column
+    with a token column; :func:`_match`, a timed step, builds the table
+    that maps them back."""
+    sets = mediator.message_sets = {
+        source: _columns(body) for source, body in message_sets.items()
+    }
+    (source_1, set_1), (source_2, set_2) = sets.items()
     split = len(set_1)
     tokens = mediator.tokens = _fresh_tokens(split + len(set_2))
-    to_2 = ExchangeSet(tuple(map(_tag_of, set_1)), tokens[:split])
-    to_1 = ExchangeSet(tuple(map(_tag_of, set_2)), tokens[split:])
+    to_2 = MessageSet(set_1.tags, tokens[:split])
+    to_1 = MessageSet(set_2.tags, tokens[split:])
     return [
         (source_1, "commutative_exchange", to_1),
         (source_2, "commutative_exchange", to_2),
@@ -548,7 +578,7 @@ def _fresh_tokens(count: int) -> tuple[bytes, ...]:
             return tokens
 
 
-def _round_2(source, sender: str, body: ExchangeSet) -> Outbound:
+def _round_2(source, sender: str, body: MessageSet) -> Outbound:
     """Steps 5-6: S_i applies its own key on top and returns the set."""
     derived = _derived(source)
     doubled = _double_encrypt(
@@ -559,25 +589,27 @@ def _round_2(source, sender: str, body: ExchangeSet) -> Outbound:
     return [(sender, "commutative_double", doubled)]
 
 
-def _check(response: list, tokens: tuple[bytes, ...]) -> None:
-    """Refuse a source's round-2 set unless it returns each ID token it
-    was sent exactly once, each under a distinct 16-byte digest.  A
-    repeat would duplicate or overwrite a pair; a missing token, or an
-    entry that is not a digest (say, a group element), would silently
-    drop one."""
+def _check(response: Any, tokens: tuple[bytes, ...]) -> MessageSet:
+    """A source's round-2 set as columns, refused unless it returns each
+    ID token it was sent exactly once, each under a distinct 16-byte
+    digest.  A repeat would duplicate or overwrite a pair; a missing
+    token, or an entry that is not a digest (say, a group element),
+    would silently drop one."""
+    response = _columns(response)
+    digests, returned = response.tags, response.payloads
     sent = set(tokens)
-    for tag, token in response:
+    for tag, token in zip(digests, returned):
         if type(tag) is not bytes or len(tag) != MATCH_DIGEST_BYTES:
             raise ProtocolError("round-2 entry is not a 16-byte match digest")
         if type(token) is not bytes or token not in sent:
             raise ProtocolError("datasource returned an unknown ID token")
-    if len(set(map(_tag_of, response))) != len(response):
+    if len(set(digests)) != len(digests):
         raise ProtocolError("round-2 response repeats a match digest")
-    returned = set(map(_payload_of, response))
-    if len(response) != len(tokens) or len(returned) != len(tokens):
+    if len(returned) != len(tokens) or len(set(returned)) != len(tokens):
         raise ProtocolError(
             "round-2 response does not return each ID token it was sent once"
         )
+    return response
 
 
 def _match(mediator, sender: str, responses: dict) -> Outbound:
@@ -586,16 +618,20 @@ def _match(mediator, sender: str, responses: dict) -> Outbound:
     # S2's payloads are Tup_1 sets.
     response_1, response_2 = responses.values()
     tokens = mediator.tokens
-    split = len(next(iter(mediator.message_sets.values())))
-    _check(response_1, tokens[split:])  # S1 was sent M_2's tokens
-    _check(response_2, tokens[:split])
-    payloads = [m.payload for messages in mediator.message_sets.values() for m in messages]
-    id_table = mediator.id_table = dict(zip(tokens, payloads))
-    tup_2_by_tag = {m.tag: id_table[m.payload] for m in response_1}
+    set_1, set_2 = mediator.message_sets.values()
+    split = len(set_1)
+    response_1 = _check(response_1, tokens[split:])  # S1 was sent M_2's
+    response_2 = _check(response_2, tokens[:split])
+    id_table = mediator.id_table = dict(
+        zip(tokens, chain(set_1.payloads, set_2.payloads))
+    )
+    tup_2_by_tag = dict(
+        zip(response_1.tags, map(id_table.__getitem__, response_1.payloads))
+    )
     mediator.matched = [
-        (id_table[m.payload], tup_2_by_tag[m.tag])
-        for m in response_2
-        if m.tag in tup_2_by_tag
+        (id_table[token], tup_2_by_tag[tag])
+        for tag, token in zip(response_2.tags, response_2.payloads)
+        if tag in tup_2_by_tag
     ]
     if mediator.hardening is None:
         return [(mediator.client, "commutative_result", mediator.matched)]

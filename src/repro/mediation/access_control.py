@@ -55,9 +55,11 @@ class AccessPolicy:
         """The permitted partial result, or raise :class:`AccessDenied`.
 
         Returns the union of rows granted by every satisfied rule —
-        the paper's "filtered partial result".  A satisfied rule that
-        happens to grant zero rows still counts as authorization (the
-        client legitimately gets an empty partial result).
+        the paper's "filtered partial result"; with one satisfied rule
+        that is the rule's own grant, returned as it is (R_i itself for
+        a rule without a row condition).  A satisfied rule that happens
+        to grant zero rows still counts as authorization (the client
+        legitimately gets an empty partial result).
         """
         presented = properties_of(credentials)
         satisfied = [rule for rule in self.rules if rule.satisfied_by(presented)]
@@ -66,6 +68,8 @@ class AccessPolicy:
                 "presented credentials satisfy no access rule "
                 f"(presented properties: {sorted(presented)})"
             )
+        if len(satisfied) == 1:
+            return satisfied[0].granted_rows(relation)
         granted: set = set()
         for rule in satisfied:
             granted |= set(rule.granted_rows(relation).rows)

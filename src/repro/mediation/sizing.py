@@ -31,6 +31,12 @@ def _int_size(value: int) -> int:
 
 def estimate_size(body: Any) -> int:
     """Approximate serialized size of a message body in bytes."""
+    from repro.core.commutative import MessageSet
+
+    if type(body) is MessageSet:
+        # The sum over its records, read off the columns.
+        seen: set[int] = set()
+        return _estimate(body.tags, seen) + _estimate(body.payloads, seen)
     return _estimate(body, set())
 
 

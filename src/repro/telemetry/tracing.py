@@ -26,9 +26,10 @@ receiving endpoints record ``recv:`` spans under that parent — so one
 ``repro query --transport tcp`` against three ``serve`` processes
 yields a single stitched trace.
 
-Span and trace IDs are drawn from :func:`os.urandom` directly so
-telemetry never perturbs the :mod:`random` module state the protocols'
-shuffles rely on.
+Span and trace IDs are drawn from :func:`os.urandom` so telemetry never
+perturbs the :mod:`random` module state; span IDs come from a per-thread
+pool that one draw refills for :data:`SPAN_IDS_PER_DRAW` spans and that
+a forked child starts afresh.
 """
 
 from __future__ import annotations
@@ -47,14 +48,40 @@ from repro.session import current_session_id
 #: W3C-trace-context-sized identifiers (hex strings).
 TRACE_ID_BYTES = 16
 SPAN_ID_BYTES = 8
+#: Span ids one ``os.urandom`` call draws for a thread's pool.
+SPAN_IDS_PER_DRAW = 256
 
 
 def new_trace_id() -> str:
     return os.urandom(TRACE_ID_BYTES).hex()
 
 
+class _SpanIds(threading.local):
+    """The calling thread's span ids not yet handed out."""
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+
+
+_span_ids = _SpanIds()
+
+
+def _reset_span_ids() -> None:
+    """A forked child must not hand out the ids its parent will."""
+    global _span_ids
+    _span_ids = _SpanIds()
+
+
+os.register_at_fork(after_in_child=_reset_span_ids)
+
+
 def new_span_id() -> str:
-    return os.urandom(SPAN_ID_BYTES).hex()
+    ids = _span_ids.ids
+    if not ids:
+        width = 2 * SPAN_ID_BYTES
+        raw = os.urandom(SPAN_ID_BYTES * SPAN_IDS_PER_DRAW).hex()
+        ids.extend(raw[start:start + width] for start in range(0, len(raw), width))
+    return ids.pop()
 
 
 @dataclass(frozen=True)
@@ -168,7 +195,12 @@ class Tracer:
         parent: SpanContext | None = None,
         attributes: dict[str, Any] | None = None,
     ) -> Span:
-        """Open a span; ``parent`` defaults to the current span."""
+        """Open a span; ``parent`` defaults to the current span.
+
+        The span's clock starts before its set-up, so the set-up is
+        charged to the span itself, not to whatever encloses it.
+        """
+        perf_start = time.perf_counter()
         # The ambient Span carries the same two ids as its SpanContext.
         source: Span | SpanContext | None = (
             parent if parent is not None else _current_span.get()
@@ -181,7 +213,7 @@ class Tracer:
             party=party,
             start=time.time(),
             attributes=dict(attributes) if attributes else {},
-            _perf_start=time.perf_counter(),
+            _perf_start=perf_start,
         )
         with self._lock:
             self.spans.append(span)
@@ -230,8 +262,8 @@ class Tracer:
 
 class _Scope:
     """The context manager of :meth:`Tracer.span`: a class rather than a
-    generator, because its set-up and tear-down outside the span's own
-    clock are charged to the enclosing span."""
+    generator, because what it does outside the span's own clock is
+    charged to the enclosing span."""
 
     __slots__ = ("_tracer", "_name", "_party", "_parent", "_attributes", "_span", "_token")
 

@@ -131,6 +131,13 @@ class _Extension(NamedTuple):
 _BY_NAME: dict[bytes, _Extension] = {}
 _BY_CLS: dict[type, _Extension] = {}
 _BOOTSTRAPPED = False
+#: Set by :func:`_bootstrap` for :func:`_write_message_set`: the column
+#: type, the one payload type it writes inline, and what every
+#: tagged-message record and every hybrid ciphertext start with.
+_MESSAGE_SET: type | None = None
+_HYBRID_CT: type | None = None
+_RECORD_HEAD = b""
+_CT_HEAD = b""
 
 
 def _register(
@@ -159,7 +166,7 @@ def _bootstrap() -> None:
         return
     _BOOTSTRAPPED = True
 
-    from repro.core.commutative import ExchangeSet, TaggedMessage
+    from repro.core.commutative import MessageSet, TaggedMessage
     from repro.core.das import (
         EncryptedRelation,
         EncryptedTuple,
@@ -242,8 +249,12 @@ def _bootstrap() -> None:
         attrgetter("tag", "payload"),
         lambda t: TaggedMessage(*t),
     )
-    # The list of tagged messages it stands for; it decodes as that list.
-    _CONTAINER_TAGS[ExchangeSet] = _T_LIST
+    # A message set is written from its columns as the list of
+    # tagged-message records it stands for, and decodes as that list.
+    global _MESSAGE_SET, _HYBRID_CT, _RECORD_HEAD, _CT_HEAD
+    _MESSAGE_SET, _HYBRID_CT = MessageSet, HybridCiphertext
+    _RECORD_HEAD = _BY_CLS[TaggedMessage].header + _HEAD(_T_TUPLE, 2)
+    _CT_HEAD = _BY_CLS[HybridCiphertext].header + _HEAD(_T_TUPLE, 2)
 
 
 def _canonical(items: Any) -> list:
@@ -259,7 +270,8 @@ def _too_deep() -> ValueCodecError:
 #
 # One recursive call per container or extension; ints, bytes, strings,
 # the singletons and interning references are written inline in the
-# loop of the container that holds them.  ``depth`` counts as the
+# loop of the container that holds them.  A commutative message set is
+# written from its two columns, one call per set.  ``depth`` counts as the
 # decoder does (the root is level 1, an extension's packed value one
 # level below it), so the encoder refuses exactly the trees its decoder
 # would.
@@ -325,6 +337,8 @@ def _write(
                 # inside it — the order in which the decoder rebuilds them.
                 interned[id(value)] = len(interned)
                 keep.append(value)  # its id stays unique while we run
+        elif kind is _MESSAGE_SET:
+            _write_message_set(value, out, interned, keep, depth)
         elif isinstance(value, (bytes, bytearray)):
             out += _HEAD(_T_BYTES, len(value))
             out += value
@@ -332,6 +346,59 @@ def _write(
             raise ValueCodecError(
                 f"no wire encoding registered for {kind.__name__}"
             )
+
+
+def _write_message_set(
+    messages: Any, out: bytearray, interned: dict[int, int], keep: list,
+    depth: int,
+) -> None:
+    """Append a ``MessageSet`` as the list of ``tagged-message`` records
+    it stands for, in one loop over its two columns.
+
+    Int and bytes tags and bytes payloads are written inline, and so is
+    a hybrid ciphertext, whose encapsulation is a reference once
+    interned and otherwise goes through :func:`_write`, which interns
+    it; any other tag or payload goes through :func:`_write` too.  The
+    bytes, and the depth at which a tree is refused, are the list
+    form's.
+    """
+    out += _HEAD(_T_LIST, len(messages))
+    if not messages:
+        return
+    # The list, its records and their packed (tag, payload) tuples.
+    if depth + 2 >= MAX_VALUE_DEPTH:
+        raise _too_deep()
+    inner = depth + 3  # where the tags and the payloads sit
+    # A hybrid ciphertext and its packed tuple are refused past here.
+    ciphertexts_inline = inner + 1 < MAX_VALUE_DEPTH
+    for tag, payload in zip(messages.tags, messages.payloads):
+        out += _RECORD_HEAD
+        kind = type(tag)
+        if kind is int:
+            raw = tag.to_bytes((tag.bit_length() + 8) // 8, "big", signed=True)
+            out += _HEAD(_T_INT, len(raw))
+            out += raw
+        elif kind is bytes:
+            out += _HEAD(_T_BYTES, len(tag))
+            out += tag
+        else:
+            _write((tag,), out, interned, keep, inner)
+        kind = type(payload)
+        if kind is bytes:
+            out += _HEAD(_T_BYTES, len(payload))
+            out += payload
+        elif kind is _HYBRID_CT and ciphertexts_inline:
+            out += _CT_HEAD
+            encapsulation, body = payload.wrapped_keys, payload.body
+            index = interned.get(id(encapsulation))
+            if index is None or type(body) is not bytes:
+                _write((encapsulation, body), out, interned, keep, inner + 2)
+            else:
+                out += _HEAD(_T_REF, index)
+                out += _HEAD(_T_BYTES, len(body))
+                out += body
+        else:
+            _write((payload,), out, interned, keep, inner)
 
 
 # -- the decoding kernel -------------------------------------------------------

@@ -79,7 +79,7 @@ from typing import Any
 from repro.errors import NetworkError
 from repro.session import DEFAULT_SESSION_TTL, Session, SessionRegistry
 from repro.telemetry.exporters import prometheus_exposition
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import Counter, MetricsRegistry
 from repro.telemetry.tracing import SpanContext, Tracer
 from repro.transport import codec
 
@@ -137,6 +137,9 @@ class PartyServer:
         #: Endpoint-local telemetry collectors, harvested via TELEMETRY.
         self.tracer = Tracer(service=f"repro.endpoint.{party}")
         self.registry = MetricsRegistry()
+        #: (sender, kind) -> the registry's message and byte counters
+        #: for it, looked up once.
+        self._received: dict[tuple[str, str], tuple[Counter, Counter]] = {}
         self._max_messages = max_messages
         self._on_message = on_message
         #: Guards admission, the endpoint counters and the connection
@@ -484,19 +487,26 @@ class PartyServer:
                 attributes=attributes,
             )
             self.tracer.end_span(span)
-        labels = {
-            "party": self.party,
-            "sender": record.sender,
-            "kind": record.kind,
-        }
-        self.registry.counter(
-            ENDPOINT_MESSAGES_METRIC, labels,
-            help_text="Data messages received at a party endpoint",
-        ).inc()
-        self.registry.counter(
-            ENDPOINT_BYTES_METRIC, labels,
-            help_text="Wire bytes received at a party endpoint",
-        ).inc(record.wire_bytes)
+        counters = self._received.get((record.sender, record.kind))
+        if counters is None:
+            labels = {
+                "party": self.party,
+                "sender": record.sender,
+                "kind": record.kind,
+            }
+            counters = self._received[record.sender, record.kind] = (
+                self.registry.counter(
+                    ENDPOINT_MESSAGES_METRIC, labels,
+                    help_text="Data messages received at a party endpoint",
+                ),
+                self.registry.counter(
+                    ENDPOINT_BYTES_METRIC, labels,
+                    help_text="Wire bytes received at a party endpoint",
+                ),
+            )
+        messages, wire_bytes = counters
+        messages.inc()
+        wire_bytes.inc(record.wire_bytes)
 
     def telemetry_snapshot(self, session: str | None = None) -> dict:
         """Spans, metrics snapshot, and exposition for TELEMETRY_DATA.

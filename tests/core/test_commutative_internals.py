@@ -14,7 +14,7 @@ from repro.analysis.views import iter_byte_material
 from repro import Federation, reference_join, run_join_query
 from repro.core import commutative
 from repro.core.commutative import (
-    ExchangeSet,
+    MessageSet,
     TaggedMessage,
     _Derived,
     _MatchSlots,
@@ -33,13 +33,14 @@ from repro.crypto.hashes import IdealHash, match_digest
 from repro.crypto.rand import shuffled as _shuffled
 from repro.errors import ParameterError, ProtocolError
 from repro.mediation.access_control import allow_all
+from repro.mediation.network import Network
 from repro.mediation.sizing import estimate_size
 from repro.relational.encoding import encode_relation
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
 from repro.storage import KIND_COMM_DOUBLE, IndexCache, MemoryBackend
 from repro.storage.serialize import serialize_int
-from repro.transport import codec
+from repro.transport import TcpTransport, codec
 
 S = schema("R", k="int", p="string")
 R = Relation(S, [(1, "a"), (1, "b"), (2, "c"), (3, "d")])
@@ -110,6 +111,7 @@ class TestDoubleEncrypt:
             R, ("k",), group, ideal_hash, [rsa_key.public_key()],
         )
         non_residue = next(x for x in range(2, 1000) if not group.contains(x))
+        messages = list(messages)
         messages[1] = TaggedMessage(tag=non_residue, payload=messages[1].payload)
         with pytest.raises(ParameterError):
             _double_encrypt(
@@ -279,15 +281,15 @@ class TestSlotBytes:
         assert _slots(b"tag:", key_digest, iter(materials)) == expected
 
 
-class TestExchangeSet:
-    """Step 4's body holds two columns but is, everywhere it is read,
-    the list of ``TaggedMessage(tag, token)`` records it stands for."""
+class TestMessageSet:
+    """A message set holds two columns but is, everywhere it is read,
+    the list of ``TaggedMessage(tag, payload)`` records it stands for."""
 
     @pytest.fixture
     def exchange(self):
         tags = (2**2047 + 11, 5, 0, 2**64)
         tokens = tuple(bytes([i]) * 8 for i in range(len(tags)))
-        return ExchangeSet(tags, tokens), [
+        return MessageSet(tags, tokens), [
             TaggedMessage(tag, token) for tag, token in zip(tags, tokens)
         ]
 
@@ -298,7 +300,7 @@ class TestExchangeSet:
         assert body[1] == records[1] and body[-1] == records[-1]
         assert body[1:3] == records[1:3]
         assert body == records and records == body
-        assert body == ExchangeSet(body.tags, body.tokens)
+        assert body == MessageSet(body.tags, body.payloads)
         assert body != records[:-1]
 
     def test_wire_bytes_and_sizes_are_the_records(self, exchange):
@@ -342,7 +344,7 @@ class TestExchangeSet:
             TaggedMessage(comm.apply(key, ideal_hash(b"%d" % i)), bytes([i]) * 8)
             for i in range(6)
         ]
-        body = ExchangeSet(
+        body = MessageSet(
             tuple(m.tag for m in records), tuple(m.payload for m in records)
         )
         assert sorted(_double_encrypt(body, key)) == sorted(
@@ -461,3 +463,51 @@ class TestContentMemo:
             "hits": 2 * len(messages), "misses": len(messages),
             "puts": len(messages), "errors": 0,
         }
+
+
+class TestNoRecordOnTheWay:
+    """A warm query carries its message sets as columns from the source
+    that builds them to the socket: the handlers, the bus estimate and
+    the encoder build no ``TaggedMessage``."""
+
+    @pytest.mark.parametrize("carrier", ["bus", "tcp"])
+    @pytest.mark.parametrize("hardened", [False, True], ids=["plain", "hardened"])
+    def test_a_warm_query_builds_no_record(
+        self, ca, client, workload, monkeypatch, carrier, hardened
+    ):
+        network = TcpTransport() if carrier == "tcp" else Network()
+        built = []
+        original = TaggedMessage.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(cls)
+            return original(cls, *args, **kwargs)
+
+        try:
+            federation = Federation(
+                ca=ca, network=network, storage=MemoryBackend()
+            )
+            federation.add_source("S1", [(workload.relation_1, allow_all())])
+            federation.add_source("S2", [(workload.relation_2, allow_all())])
+            federation.attach_client(client)
+            query = "select * from R1 natural join R2"
+            expected = encode_relation(reference_join(federation, query))
+            for warm in (False, True):
+                if warm:
+                    monkeypatch.setattr(TaggedMessage, "__new__", counted)
+                result = run_join_query(
+                    federation, query, protocol="commutative",
+                    hardening=hardened or None,
+                )
+                assert encode_relation(result.global_result) == expected
+            assert built == []
+            sets = [
+                m.body for m in result.messages
+                if m.kind in ("commutative_m_set", "commutative_exchange",
+                              "commutative_double")
+            ]
+            assert len(sets) == 6
+            assert all(type(body) is MessageSet and body for body in sets)
+            assert len(list(sets[0])) == len(built) > 0  # the count counts
+        finally:
+            network.close()

@@ -191,20 +191,41 @@ class TestRound2Body:
              "group-element", "short-digest", "dropped-entry",
              "foreign-token"],
     )
+    @pytest.mark.parametrize("shape", ["columns", "records"])
     def test_forged_round_2_body_fails_closed(
-        self, make_federation, workload, monkeypatch, relation, forge, reason
+        self, make_federation, workload, monkeypatch, relation, forge, reason,
+        shape,
     ):
+        """Each forgery reaches the mediator as a ``MessageSet`` and as
+        the list of records a decoded frame holds."""
         genuine = commutative._double_encrypt
 
         def forged(*args, relation_name, **kwargs):
             doubled = genuine(*args, relation_name=relation_name, **kwargs)
-            return forge(doubled) if relation_name == relation else doubled
+            if relation_name != relation:
+                return doubled
+            records = forge(list(doubled))
+            if shape == "records":
+                return records
+            return commutative.MessageSet(
+                tuple(m.tag for m in records), tuple(m.payload for m in records)
+            )
 
         monkeypatch.setattr(commutative, "_double_encrypt", forged)
         with pytest.raises(ProtocolError, match=reason):
             run_join_query(
                 make_federation(workload), QUERY, protocol="commutative"
             )
+
+    @pytest.mark.parametrize(
+        "response",
+        [[5], [(b"d" * 16, b"t" * 8, b"x")], 5, None, {b"d" * 16: b"t" * 8}],
+        ids=["bare-int-entry", "three-tuple-entry", "int-body", "no-body",
+             "dict-body"],
+    )
+    def test_a_malformed_round_2_body_is_a_protocol_error(self, response):
+        with pytest.raises(ProtocolError, match="message set"):
+            commutative._check(response, (b"t" * 8,))
 
 
 class TestArtifacts:

@@ -6,6 +6,8 @@ mediator's step decomposes q and sends one ``partial_query`` per source,
 and each source's step evaluates q_i into its own state.
 """
 
+from collections.abc import Sequence
+
 import pytest
 
 from repro import Federation, RunFailure, reference_join, run_join_query
@@ -125,8 +127,8 @@ def encapsulations(obj):
     elif isinstance(obj, dict):
         for value in obj.values():
             yield from encapsulations(value)
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
+    elif isinstance(obj, Sequence) and not isinstance(obj, (str, bytes)):
+        for item in obj:  # a list, a tuple, a commutative MessageSet
             yield from encapsulations(item)
     elif hasattr(obj, "__dataclass_fields__"):
         for name in obj.__dataclass_fields__:

@@ -99,6 +99,52 @@ class TestPolicyEvaluation:
         assert len(permitted) == 3
 
 
+class TestSatisfiedRuleCount:
+    """One satisfied rule returns its own grant; two or more their union.
+    Either way the schema and the rows are those of the union."""
+
+    ONCOLOGY = Comparison("department", "=", "oncology")
+    FIRST = Comparison("k", "=", 1)
+
+    @staticmethod
+    def union(relation, rules):
+        granted: set = set()
+        for rule in rules:
+            granted |= set(rule.granted_rows(relation).rows)
+        return Relation(relation.schema, granted)
+
+    @pytest.mark.parametrize(
+        "conditions",
+        [(None,), (ONCOLOGY,), (None, FIRST), (ONCOLOGY, FIRST), (FIRST, FIRST)],
+        ids=["one-rule", "one-conditioned", "two-one-unconditioned",
+             "two-conditioned", "two-overlapping"],
+    )
+    def test_the_grant_is_the_union(self, physician_credential, conditions):
+        rules = [
+            AccessRule(frozenset({("role", "physician")}), condition)
+            for condition in conditions
+        ]
+        unsatisfied = AccessRule(frozenset({("role", "admin")}))
+        policy = AccessPolicy(rules=[unsatisfied, *rules])
+        permitted = policy.evaluate(DATA, [physician_credential])
+        expected = self.union(DATA, rules)
+        assert permitted.schema == expected.schema
+        assert permitted.rows == expected.rows
+
+    def test_one_unconditioned_rule_grants_the_relation_itself(
+        self, physician_credential
+    ):
+        assert allow_all().evaluate(DATA, [physician_credential]) is DATA
+
+    @pytest.mark.parametrize("condition", [None, ONCOLOGY])
+    def test_no_satisfied_rule_is_denied(self, physician_credential, condition):
+        policy = AccessPolicy(
+            rules=[AccessRule(frozenset({("role", "admin")}), condition)]
+        )
+        with pytest.raises(AccessDenied, match="satisfy no access rule"):
+            policy.evaluate(DATA, [physician_credential])
+
+
 class TestDataSource:
     @pytest.fixture
     def source(self, ca):

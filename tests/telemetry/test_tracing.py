@@ -1,11 +1,15 @@
 """Tests for the span model, the tracer, and context propagation."""
 
+import os
 import threading
+import time
 
 import pytest
 
 from repro.errors import TelemetryError
+from repro.telemetry import tracing
 from repro.telemetry.tracing import (
+    SPAN_IDS_PER_DRAW,
     Span,
     SpanContext,
     Tracer,
@@ -26,6 +30,42 @@ class TestIdentifiers:
         assert len(trace_ids) == 64 and len(span_ids) == 64
         assert all(len(t) == 32 for t in trace_ids)
         assert all(len(s) == 16 for s in span_ids)
+
+    def test_pooled_span_ids_stay_distinct_hex(self):
+        ids = [new_span_id() for _ in range(3 * SPAN_IDS_PER_DRAW + 5)]
+        assert len(set(ids)) == len(ids)
+        assert all(len(s) == 16 and int(s, 16) >= 0 for s in ids)
+
+    def test_threads_draw_their_own_ids(self):
+        drawn: list[list[str]] = [[], []]
+
+        def draw(into):
+            into.extend(new_span_id() for _ in range(SPAN_IDS_PER_DRAW))
+
+        threads = [threading.Thread(target=draw, args=(d,)) for d in drawn]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(set(drawn[0]) | set(drawn[1])) == 2 * SPAN_IDS_PER_DRAW
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_does_not_reuse_the_pool(self):
+        new_span_id()  # the pool holds ids the parent hands out next
+        reader, writer = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report its next ids and leave
+            try:
+                os.write(writer, "".join(new_span_id() for _ in range(8)).encode())
+            finally:
+                os._exit(0)
+        os.close(writer)
+        with os.fdopen(reader) as pipe:
+            child = pipe.read()
+        os.waitpid(pid, 0)
+        child_ids = {child[i:i + 16] for i in range(0, len(child), 16)}
+        parent_ids = {new_span_id() for _ in range(8)}
+        assert len(child_ids) == 8 and not child_ids & parent_ids
 
     def test_ids_do_not_touch_module_random_state(self):
         import random
@@ -94,6 +134,23 @@ class TestTracer:
         (work,) = tracer.find("work")
         assert work.seconds >= 0.0
         assert work.end >= work.start
+
+    def test_set_up_runs_on_the_span_s_own_clock(self, monkeypatch):
+        """Drawing the id is set-up: its time is the span's own, not
+        its parent's."""
+        def slow_id():
+            time.sleep(0.02)
+            return "ab" * 8
+
+        tracer = Tracer()
+        with tracer.span("parent", "client"):
+            monkeypatch.setattr(tracing, "new_span_id", slow_id)
+            with tracer.span("child", "client"):
+                pass
+            monkeypatch.undo()
+        (parent,), (child,) = tracer.find("parent"), tracer.find("child")
+        assert child.seconds >= 0.02
+        assert parent.seconds - child.seconds < 0.02
 
     def test_adopt_and_queries(self):
         tracer = Tracer()

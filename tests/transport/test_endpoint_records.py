@@ -9,6 +9,7 @@ envelope carries a session id — the caller's scope, or else the
 transport's own — and a frame without one is refused.
 """
 
+import functools
 import gc
 import socket
 
@@ -17,7 +18,12 @@ import pytest
 from repro import Federation, run_join_query
 from repro.mediation.access_control import allow_all
 from repro.transport import RetryPolicy, TcpTransport, codec
-from repro.transport.server import RemoteRecord
+from repro.transport.server import (
+    ENDPOINT_BYTES_METRIC,
+    ENDPOINT_MESSAGES_METRIC,
+    PartyServer,
+    RemoteRecord,
+)
 
 QUERY = "select * from R1 natural join R2"
 TRIO = ("mediator", "S1", "S2")
@@ -123,3 +129,47 @@ class TestEverySessionIsNamed:
         assert server.sessions.ids() == [hub.session_id]
         [record] = server.session_records(hub.session_id)
         assert record.sequence == message.sequence
+
+
+def _observe_by_labels(server, record, parent, session_id):
+    """The endpoint's counters as a label-dict lookup on every frame."""
+    labels = {"party": server.party, "sender": record.sender, "kind": record.kind}
+    server.registry.counter(
+        ENDPOINT_MESSAGES_METRIC, labels,
+        help_text="Data messages received at a party endpoint",
+    ).inc()
+    server.registry.counter(
+        ENDPOINT_BYTES_METRIC, labels,
+        help_text="Wire bytes received at a party endpoint",
+    ).inc(record.wire_bytes)
+
+
+class TestEndpointCounters:
+    def test_counters_read_as_a_lookup_per_frame(self):
+        """An endpoint looks its counters up once per (sender, kind);
+        over a scripted series of frames — senders and kinds
+        interleaved, a re-delivery, two sessions — its TELEMETRY
+        metrics and exposition are those of a lookup per frame."""
+        served = PartyServer("mediator")
+        reference = PartyServer("mediator")
+        reference._observe = functools.partial(_observe_by_labels, reference)
+        series = [
+            ("S1", "commutative_m_set", b"x" * 300, "a", "r1"),
+            ("S2", "commutative_m_set", b"y" * 200, "a", "r2"),
+            ("S1", "commutative_m_set", b"x" * 300, "a", "r1"),  # re-delivery
+            ("S1", "commutative_double", b"z" * 16, "a", "r3"),
+            ("client", "global_query", "select", "b", "r4"),
+            ("S2", "commutative_double", b"w" * 17, "b", "r5"),
+            ("S1", "commutative_m_set", b"v" * 3, "b", "r6"),
+        ]
+        for sequence, (sender, kind, body, session, request) in enumerate(series):
+            payload = codec.encode_envelope(
+                sequence, sender, "mediator", kind, body,
+                request_id=request, session_id=session,
+            )
+            for server in (served, reference):
+                assert codec.decode_value(server._data(payload)[8:])
+        ours, theirs = served.telemetry_snapshot(), reference.telemetry_snapshot()
+        assert ours["metrics"] == theirs["metrics"]
+        assert ours["exposition"] == theirs["exposition"]
+        assert served.messages_received() == len(series) - 1
