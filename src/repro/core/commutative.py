@@ -654,12 +654,14 @@ def _decrypt_and_combine(client, sender: str, body: None) -> Outbound:
     """Step 8: the client decrypts the pairs and builds the result."""
     delivered = list(chain.from_iterable(client.inbox))
     hardening = client.hardening
-    plaintexts_1 = client.client.decrypt_hybrid_many(
-        [pair[0] for pair in delivered], engine=client.engine
+    # Both sides in one batch, so one engine call unwraps both sources'
+    # session keys.
+    plaintexts = client.client.decrypt_hybrid_many(
+        [pair[0] for pair in delivered] + [pair[1] for pair in delivered],
+        engine=client.engine,
     )
-    plaintexts_2 = client.client.decrypt_hybrid_many(
-        [pair[1] for pair in delivered], engine=client.engine
-    )
+    plaintexts_1 = plaintexts[:len(delivered)]
+    plaintexts_2 = plaintexts[len(delivered):]
     schema_1, schema_2 = client.schemas
     client.dummy_pairs = 0
     matched = []

@@ -31,8 +31,12 @@ from __future__ import annotations
 
 import secrets
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, repeat
+from operator import itemgetter
+from typing import Any
 
 from repro.core.encapsulation import source_session
 from repro.core.result import MediationResult
@@ -75,19 +79,144 @@ class DASConfig:
 
 @dataclass(frozen=True)
 class EncryptedTuple:
-    """``t^S = <etuple, a^S_join>`` — one row of an encrypted relation."""
+    """``t^S = <etuple, a^S_join>`` — one row of an encrypted relation,
+    as a record: the form the wire and :class:`EncryptedRows` stand for."""
 
     etuple: hybrid.HybridCiphertext
     index_value: int
 
 
+class EncryptedRows(Sequence):
+    """Rows ``<etuple, a^S_join>`` of one source as three columns: the
+    source's one encapsulation, the etuples' DEM bodies and the index
+    values (``None`` for the encapsulation of a table with no rows,
+    which names none).
+
+    It is the sequence of :class:`EncryptedTuple` records it stands for —
+    a list, or a tuple where ``container`` says so (R_i^S's own rows):
+    it iterates, indexes, compares, sizes and encodes on the wire as
+    that sequence (the codec writes the columns in one loop).  The
+    handlers that build and read it touch only the columns, so no
+    record and no per-row ciphertext object is built between the
+    source and the socket, nor between the client's inbox and its DEM.
+    """
+
+    __slots__ = ("encapsulation", "bodies", "index_values", "container")
+
+    def __init__(
+        self,
+        encapsulation: hybrid.Encapsulation | None,
+        bodies: Sequence[bytes],
+        index_values: Sequence[int],
+        container: type = list,
+    ) -> None:
+        if len(bodies) != len(index_values):
+            raise ProtocolError("encrypted rows: one index value per etuple")
+        if encapsulation is None and bodies:
+            raise ProtocolError("encrypted rows reference no encapsulation")
+        self.encapsulation, self.bodies = encapsulation, bodies
+        self.index_values, self.container = index_values, container
+
+    def __len__(self) -> int:
+        return len(self.bodies)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return EncryptedRows(
+                self.encapsulation, self.bodies[index],
+                self.index_values[index], self.container,
+            )
+        return EncryptedTuple(
+            hybrid.HybridCiphertext(self.encapsulation, self.bodies[index]),
+            self.index_values[index],
+        )
+
+    def __iter__(self):
+        return map(
+            EncryptedTuple,
+            map(partial(hybrid.HybridCiphertext, self.encapsulation), self.bodies),
+            self.index_values,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (EncryptedRows, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"EncryptedRows({self.container(self)!r})"
+
+    def select(self, positions: Sequence[int]) -> "EncryptedRows":
+        """The rows at ``positions``, in that order, as a list."""
+        return EncryptedRows(
+            self.encapsulation,
+            tuple(map(self.bodies.__getitem__, positions)),
+            tuple(map(self.index_values.__getitem__, positions)),
+        )
+
+
+def _rows(body: Any, container: type = list) -> EncryptedRows:
+    """Received rows as columns, in ``container``.
+
+    A handler receives :class:`EncryptedRows` in process, or the list or
+    tuple of :class:`EncryptedTuple` records a decoded frame holds.
+    Anything else — a body that is no sequence, an entry that is no
+    record of bytes under an encapsulation and an int, rows of one table
+    under more than one encapsulation — is a :class:`ProtocolError`.
+    """
+    if type(body) is EncryptedRows:
+        if body.container is container:
+            return body
+        return EncryptedRows(
+            body.encapsulation, body.bodies, body.index_values, container
+        )
+    if not isinstance(body, (list, tuple)):
+        raise ProtocolError(
+            f"encrypted rows are a {type(body).__name__}, not a sequence"
+        )
+    encapsulation: hybrid.Encapsulation | None = None
+    for row in body:
+        if not (
+            type(row) is EncryptedTuple
+            and type(row.etuple) is hybrid.HybridCiphertext
+            and type(row.etuple.body) is bytes
+            and type(row.index_value) is int
+        ):
+            raise ProtocolError(
+                f"encrypted row is a {type(row).__name__}, not an etuple "
+                "with an index value"
+            )
+        wrapped = row.etuple.wrapped_keys
+        if wrapped is not encapsulation:
+            if encapsulation is None:
+                encapsulation = wrapped
+            elif wrapped.digest() != encapsulation.digest():
+                raise ProtocolError(
+                    "rows of one table reference more than one encapsulation"
+                )
+    return EncryptedRows(
+        encapsulation,
+        tuple(row.etuple.body for row in body),
+        tuple(row.index_value for row in body),
+        container,
+    )
+
+
 @dataclass(frozen=True)
 class EncryptedRelation:
-    """``R_i^S``: the DAS-encrypted partial result of one source."""
+    """``R_i^S``: the DAS-encrypted partial result of one source.
+
+    ``rows`` holds the source's one encapsulation, a tuple of DEM bodies
+    and a tuple of index values (:class:`EncryptedRows`); records given
+    instead are taken to columns (:func:`_rows`).
+    """
 
     source: str
     relation_name: str
-    rows: tuple[EncryptedTuple, ...]
+    rows: EncryptedRows
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", _rows(self.rows, tuple))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -120,16 +249,20 @@ class ServerResult:
     A selected row typically appears in many pairs, so each distinct
     row is kept once per side (in order of first appearance among the
     pairs) and the pairs are one packed array of big-endian ``u32``
-    ``(i, j)`` row positions, 8 bytes per pair.  The codec and the size
-    estimate read these three fields as they are.  ``positions`` is
-    marked ``structural``: it is layout, not ciphertext material.
+    ``(i, j)`` row positions, 8 bytes per pair.  Each table is a list
+    of rows held as columns (:class:`EncryptedRows`; records given
+    instead are taken to columns).  The codec and the size estimate read
+    these three fields as they are.  ``positions`` is marked
+    ``structural``: it is layout, not ciphertext material.
     """
 
-    rows_1: list[EncryptedTuple]
-    rows_2: list[EncryptedTuple]
+    rows_1: EncryptedRows
+    rows_2: EncryptedRows
     positions: bytes = field(metadata={"structural": True})
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows_1", _rows(self.rows_1))
+        object.__setattr__(self, "rows_2", _rows(self.rows_2))
         if len(self.positions) % 8:
             raise ProtocolError(
                 "server-result position table is not whole (i, j) pairs"
@@ -150,13 +283,14 @@ class ServerResult:
 
     @property
     def pairs(self) -> tuple[tuple[EncryptedTuple, EncryptedTuple], ...]:
-        """R_C as its pairs of encrypted tuples, which share the row
-        objects (for tests and analyses; the client reads the tables)."""
+        """R_C as its pairs of encrypted tuples, each distinct row one
+        record (for tests and analyses; the client reads the tables)."""
         flat = self._flat()
+        rows_1, rows_2 = list(self.rows_1), list(self.rows_2)
         return tuple(
             zip(
-                map(self.rows_1.__getitem__, flat[0::2]),
-                map(self.rows_2.__getitem__, flat[1::2]),
+                map(rows_1.__getitem__, flat[0::2]),
+                map(rows_2.__getitem__, flat[1::2]),
             )
         )
 
@@ -241,12 +375,9 @@ def _encrypt_source(
     row_target = 0
     if hardening is not None:
         encoded_rows, row_target = hardening.wrap_uniform(encoded_rows)
-    etuples = engine.batch_hybrid_encrypt(session, encoded_rows)
-
-    encrypted_rows = [
-        EncryptedTuple(etuple, index_table.index_of(relation.value(row, attribute)))
-        for row, etuple in zip(rows, etuples)
-    ]
+    bodies = engine.batch_hybrid_encrypt_bodies(session, encoded_rows)
+    join_values = list(map(itemgetter(relation.schema.position(attribute)), rows))
+    index_values = list(map(index_table.index_of, join_values))
     if hardening is not None:
         # Bucket padding: top every bucket up to the adjacency-invariant
         # bound max_multiplicity * (values per partition), so the
@@ -256,8 +387,7 @@ def _encrypt_source(
         # fingerprint them), and the padded relation is shuffled so
         # position carries nothing.
         multiplicities: dict = {}
-        for row in rows:
-            value = relation.value(row, attribute)
+        for value in join_values:
             multiplicities[value] = multiplicities.get(value, 0) + 1
         bound = hardening.policy.bucket_bound(
             max(multiplicities.values(), default=0),
@@ -266,10 +396,8 @@ def _encrypt_source(
             config.strategy,
         )
         occupancy: dict[int, int] = {}
-        for encrypted in encrypted_rows:
-            occupancy[encrypted.index_value] = (
-                occupancy.get(encrypted.index_value, 0) + 1
-            )
+        for index in index_values:
+            occupancy[index] = occupancy.get(index, 0) + 1
         shortfalls = [
             (index, bound - occupancy.get(index, 0))
             for _, index in index_table.entries
@@ -280,22 +408,22 @@ def _encrypt_source(
                 "hardened bucket bound under-estimates a bucket occupancy"
             )
         if total_dummies:
-            dummy_ciphertexts = engine.batch_hybrid_encrypt(
+            bodies += engine.batch_hybrid_encrypt_bodies(
                 session,
                 [hardening.dummy(row_target) for _ in range(total_dummies)],
             )
-            cursor = 0
             for index, shortfall in shortfalls:
-                for _ in range(shortfall):
-                    encrypted_rows.append(
-                        EncryptedTuple(dummy_ciphertexts[cursor], index)
-                    )
-                    cursor += 1
-        encrypted_rows = shuffled(encrypted_rows)
+                index_values += [index] * shortfall
+        # One draw permutes both columns.
+        order = shuffled(range(len(bodies)))
+        bodies = list(map(bodies.__getitem__, order))
+        index_values = list(map(index_values.__getitem__, order))
     encrypted_relation = EncryptedRelation(
         source=source_name,
         relation_name=relation.name,
-        rows=tuple(encrypted_rows),
+        rows=EncryptedRows(
+            session.encapsulation, tuple(bodies), tuple(index_values), tuple
+        ),
     )
     table_bytes = index_table.to_bytes()
     if hardening is not None:
@@ -317,31 +445,36 @@ def _evaluate_server_query(
     in order, each with its partners bucket by bucket in q_S's order;
     a bucket of R2^S enters ``rows_2`` whole, the first time it is named.
     """
-    by_index_2: dict[int, list[EncryptedTuple]] = {}
-    for row in relation_2.rows:
-        by_index_2.setdefault(row.index_value, []).append(row)
+    rows_1, rows_2 = relation_1.rows, relation_2.rows
+    by_index_2: dict[int, list[int]] = {}  # bucket of R2^S -> its positions
+    for position, index_2 in enumerate(rows_2.index_values):
+        by_index_2.setdefault(index_2, []).append(position)
     wanted: dict[int, dict[int, None]] = {}
     for index_1, index_2 in query.pairs:
         wanted.setdefault(index_1, {})[index_2] = None
-    rows_1: list[EncryptedTuple] = []
-    rows_2: list[EncryptedTuple] = []
+    picked_1: list[int] = []  # R1^S positions of rows_1
+    picked_2: list[int] = []  # R2^S positions of rows_2
     numbered: dict[int, range] = {}  # bucket of R2^S -> its rows_2 positions
     partners: dict[int, list[int]] = {}  # bucket of R1^S -> rows_2 positions
     flat: list[int] = []
-    for row_1 in relation_1.rows:
-        js = partners.get(row_1.index_value)
+    for position, index_1 in enumerate(rows_1.index_values):
+        js = partners.get(index_1)
         if js is None:
-            js = partners[row_1.index_value] = []
-            for index_2 in wanted.get(row_1.index_value, ()):
+            js = partners[index_1] = []
+            for index_2 in wanted.get(index_1, ()):
                 if index_2 not in numbered:
-                    start = len(rows_2)
-                    rows_2.extend(by_index_2.get(index_2, ()))
-                    numbered[index_2] = range(start, len(rows_2))
+                    start = len(picked_2)
+                    picked_2.extend(by_index_2.get(index_2, ()))
+                    numbered[index_2] = range(start, len(picked_2))
                 js.extend(numbered[index_2])
         if js:
-            flat.extend(chain.from_iterable(zip(repeat(len(rows_1)), js)))
-            rows_1.append(row_1)
-    return ServerResult(rows_1, rows_2, struct.pack(f">{len(flat)}I", *flat))
+            flat.extend(chain.from_iterable(zip(repeat(len(picked_1)), js)))
+            picked_1.append(position)
+    return ServerResult(
+        rows_1.select(picked_1),
+        rows_2.select(picked_2),
+        struct.pack(f">{len(flat)}I", *flat),
+    )
 
 
 def _table_from_plaintext(plaintext: bytes, hardening=None) -> IndexTable:
@@ -375,14 +508,17 @@ def _server_pairs(
 def _decrypt_rows(
     client,
     schema: Schema,
-    encrypted_tuples: list[EncryptedTuple],
+    rows: EncryptedRows,
     engine: CryptoEngine | None = None,
 ) -> list[Row]:
-    """Decrypt a table of distinct etuples as one engine batch."""
-    plaintexts = client.decrypt_hybrid_many(
-        [encrypted.etuple for encrypted in encrypted_tuples], engine=engine
-    )
-    return [decode_row(plaintext, schema) for plaintext in plaintexts]
+    """Decrypt a table of distinct etuples — one engine batch, one DEM
+    call under the table's session key — and decode its rows."""
+    return [
+        decode_row(plaintext, schema)
+        for plaintext in client.decrypt_hybrid_bodies(
+            rows.encapsulation, rows.bodies, engine
+        )
+    ]
 
 
 def _client_postprocess(
@@ -429,7 +565,7 @@ def _client_postprocess(
 
 def _client_hash_join(
     client,
-    rows: list[EncryptedTuple],
+    frames: Sequence[Any],
     schemas: tuple[Schema, Schema],
     attribute: str,
     engine: CryptoEngine | None,
@@ -440,33 +576,39 @@ def _client_hash_join(
     R_C is the whole padded cross product, which its two factors imply
     without anyone enumerating it: each etuple is decrypted once, dummies
     are discarded, and the real rows meet in the relational hash join.
-    ``rows`` is every etuple received, S1's frames first.  Each etuple
-    of a source, real or dummy, references that source's one
-    encapsulation, so grouping by encapsulation in order of first
-    appearance recovers the two tables from the frames alone.  A side
-    with no rows arrives as one empty frame: nothing joins, and every
-    real row is unmatched.  Returns the global result, the real rows
-    that joined nothing (this delivery's false positives) and the number
-    of dummies discarded.
+    ``frames`` is every frame received, S1's first, each a table of
+    rows (:func:`_rows`).  Each etuple of a source, real or dummy,
+    references that source's one encapsulation, so grouping the frames
+    by encapsulation in order of first appearance recovers the two
+    tables from the frames alone.  A side with no rows arrives as one
+    empty frame: nothing joins, and every real row is unmatched.
+    Returns the global result, the real rows that joined nothing (this
+    delivery's false positives) and the number of dummies discarded.
     """
-    tables: dict[bytes, list[EncryptedTuple]] = {}
-    for row in rows:
-        tables.setdefault(row.etuple.wrapped_keys.digest(), []).append(row)
+    tables: dict[bytes, tuple[hybrid.Encapsulation, list[bytes]]] = {}
+    for frame in map(_rows, frames):
+        encapsulation = frame.encapsulation
+        if encapsulation is not None:  # None: an empty frame
+            _, bodies = tables.setdefault(
+                encapsulation.digest(), (encapsulation, [])
+            )
+            bodies.extend(frame.bodies)
     if len(tables) > 2:
         raise ProtocolError(
             "hardened server result references more than two sessions"
         )
+    received = sum(len(bodies) for _, bodies in tables.values())
     payloads = [  # None flags a dummy
-        list(map(hardening.unwrap, client.decrypt_hybrid_many(
-            [encrypted.etuple for encrypted in table], engine=engine
+        list(map(hardening.unwrap, client.decrypt_hybrid_bodies(
+            encapsulation, bodies, engine
         )))
-        for table in tables.values()
+        for encapsulation, bodies in tables.values()
     ]
     if len(tables) < 2:
         # Relations are sets: count the distinct real payloads.
         real_rows = {p for side in payloads for p in side if p is not None}
         empty = natural_join(*(Relation(schema, []) for schema in schemas))
-        return empty, len(real_rows), len(rows) - len(real_rows)
+        return empty, len(real_rows), received - len(real_rows)
     real = [
         Relation(schema, [decode_row(p, schema) for p in side if p is not None])
         for schema, side in zip(schemas, payloads)
@@ -479,7 +621,7 @@ def _client_hash_join(
         for relation in real
         for row in relation
     )
-    return natural_join(*real), unmatched, len(rows) - sum(map(len, real))
+    return natural_join(*real), unmatched, received - sum(map(len, real))
 
 
 # -- Listing 2 as a step table ----------------------------------------------
@@ -505,10 +647,13 @@ def _tables_to_client(mediator, sender: str, partials: dict) -> Outbound:
 
 
 def _translate(client, sender: str, tables: dict) -> Outbound:
-    """Step 5: decrypt both tables and translate q into q_S."""
+    """Step 5: decrypt both tables (one batch, so one engine call
+    unwraps both session keys) and translate q into q_S."""
     table_1, table_2 = (
-        _table_from_plaintext(client.client.decrypt_hybrid(table), client.hardening)
-        for table in tables.values()
+        _table_from_plaintext(plaintext, client.hardening)
+        for plaintext in client.client.decrypt_hybrid_many(
+            list(tables.values()), engine=client.engine
+        )
     )
     pairs = _server_pairs(table_1, table_2, client.hardening)
     return [(sender, "das_server_query", ServerQuery(pairs=pairs))]
@@ -536,7 +681,9 @@ def _forward_relations(mediator, sender: str, query: ServerQuery) -> Outbound:
         (mediator.client, "das_server_result", frame)
         for relation in relations
         for frame in mediator.hardening.cover.deliver_chunks(
-            "das_server_result", relation.rows, bound=len(relation)
+            "das_server_result",
+            _rows(relation.rows),  # as a list: the frames are list slices
+            bound=len(relation),
         )
     ]
 
@@ -554,7 +701,7 @@ def _postprocess(client, sender: str, body: None) -> Outbound:
 def _hash_join(client, sender: str, body: None) -> Outbound:
     client.global_result, client.false_positives, client.dummy_rows = (
         _client_hash_join(
-            client.client, list(chain.from_iterable(client.inbox)),
+            client.client, client.inbox,
             client.schemas, client.join_attributes[0], client.engine,
             client.hardening,
         )

@@ -277,21 +277,32 @@ class CryptoEngine:
 
         Continues ``session`` (open one with
         :func:`~repro.crypto.hybrid.new_session`): every item is a DEM
-        body with its own nonce, encrypted by one
-        :func:`~repro.crypto.symmetric.encrypt_many` call, and all of
-        them hold the session's one :class:`~repro.crypto.hybrid.
+        body of :meth:`batch_hybrid_encrypt_bodies`, and all of them
+        hold the session's one :class:`~repro.crypto.hybrid.
         Encapsulation` object.
         """
+        return [
+            hybrid.HybridCiphertext(session.encapsulation, body)
+            for body in self.batch_hybrid_encrypt_bodies(
+                session, plaintexts, associated_data
+            )
+        ]
+
+    def batch_hybrid_encrypt_bodies(
+        self,
+        session: hybrid.Session,
+        plaintexts: Sequence[bytes],
+        associated_data: bytes = b"",
+    ) -> list[bytes]:
+        """The DEM bodies of :meth:`batch_hybrid_encrypt`, for a caller
+        that keeps the session's encapsulation once for all of them (a
+        DAS relation's column of etuples): one
+        :func:`~repro.crypto.symmetric.encrypt_many` call, each body
+        with its own nonce."""
         plaintexts = list(plaintexts)
         with self._batch_span("hybrid_encrypt", len(plaintexts)):
             instrumentation.record("hybrid.encrypt", len(plaintexts))
-            bodies = symmetric.encrypt_many(
-                session.key, plaintexts, associated_data
-            )
-        return [
-            hybrid.HybridCiphertext(session.encapsulation, body)
-            for body in bodies
-        ]
+            return symmetric.encrypt_many(session.key, plaintexts, associated_data)
 
     def batch_hybrid_decrypt(
         self,
@@ -303,24 +314,73 @@ class CryptoEngine:
         """Batch hybrid decryption under one private key.
 
         The private-key operation runs once per *distinct* encapsulation
-        in the batch, the DEM once per item (:func:`~repro.crypto.
-        symmetric.decrypt_many`: no plaintext unless every item
-        authenticates).  ``session_keys`` is the caller's memo, if it
-        keeps one: hits skip the private-key operation altogether,
-        misses are added.
+        in the batch (:meth:`_session_keys`), the DEM once per item
+        (:func:`~repro.crypto.symmetric.decrypt_many`: no plaintext
+        unless every item authenticates).
+        """
+        fp, keys = self._session_keys(
+            private_key, [ciphertext.wrapped_keys for ciphertext in ciphertexts],
+            session_keys,
+        )
+        with self._batch_span("hybrid_decrypt", len(ciphertexts)):
+            instrumentation.record("hybrid.decrypt", len(ciphertexts))
+            return symmetric.decrypt_many(
+                [keys[ciphertext.wrapped_keys[fp]] for ciphertext in ciphertexts],
+                [ciphertext.body for ciphertext in ciphertexts],
+                associated_data,
+            )
+
+    def batch_hybrid_decrypt_bodies(
+        self,
+        private_key: Any,
+        encapsulation: hybrid.Encapsulation,
+        bodies: Sequence[bytes],
+        associated_data: bytes = b"",
+        session_keys: hybrid.SessionKeyMemo | None = None,
+    ) -> list[bytes]:
+        """:meth:`batch_hybrid_decrypt` of DEM bodies that all reference
+        ``encapsulation`` (a DAS table's column of etuples): at most one
+        private-key operation, then one
+        :func:`~repro.crypto.symmetric.decrypt_many` call under the one
+        session key."""
+        fp, keys = self._session_keys(private_key, (encapsulation,), session_keys)
+        key = keys[encapsulation[fp]]
+        with self._batch_span("hybrid_decrypt", len(bodies)):
+            instrumentation.record("hybrid.decrypt", len(bodies))
+            return symmetric.decrypt_many(
+                [key] * len(bodies), bodies, associated_data
+            )
+
+    def _session_keys(
+        self,
+        private_key: Any,
+        encapsulations: Sequence[hybrid.Encapsulation],
+        session_keys: hybrid.SessionKeyMemo | None,
+    ) -> tuple[bytes, dict[bytes, symmetric.SessionKey]]:
+        """The key fingerprint of ``private_key`` and the session key of
+        each distinct wrapped blob of ``encapsulations``.
+
+        ``session_keys`` is the caller's memo, if it keeps one: hits skip
+        the private-key operation altogether, misses are added.  The
+        misses are unwrapped as one batch in the calling thread: split
+        over the helper thread, a query's two unwraps ran slower on a
+        2-core host (``docs/performance.md``).
         """
         fp = hybrid.key_fingerprint(private_key.public_key())
         distinct: dict[bytes, hybrid.Encapsulation] = {}
-        for ciphertext in ciphertexts:
-            wrapped = ciphertext.wrapped_keys.get(fp)
+        for encapsulation in encapsulations:
+            wrapped = encapsulation.get(fp)
             if wrapped is None:
                 raise DecryptionError("no session key wrapped for this private key")
-            distinct.setdefault(wrapped, ciphertext.wrapped_keys)
-        keys: dict[bytes, symmetric.SessionKey | None] = {
-            wrapped: None if session_keys is None else session_keys.get(wrapped)
-            for wrapped in distinct
-        }
-        missing = [wrapped for wrapped, key in keys.items() if key is None]
+            distinct.setdefault(wrapped, encapsulation)
+        keys: dict[bytes, symmetric.SessionKey] = {}
+        missing: list[bytes] = []
+        for wrapped in distinct:
+            known = None if session_keys is None else session_keys.get(wrapped)
+            if known is None:
+                missing.append(wrapped)
+            else:
+                keys[wrapped] = known
         if missing:
             fresh = self._run(
                 "hybrid_decrypt",
@@ -331,13 +391,7 @@ class CryptoEngine:
                 keys[wrapped] = key
                 if session_keys is not None:
                     session_keys[wrapped] = key
-        with self._batch_span("hybrid_decrypt", len(ciphertexts)):
-            instrumentation.record("hybrid.decrypt", len(ciphertexts))
-            return symmetric.decrypt_many(
-                [keys[ciphertext.wrapped_keys[fp]] for ciphertext in ciphertexts],
-                [ciphertext.body for ciphertext in ciphertexts],
-                associated_data,
-            )
+        return fp, keys
 
     def map_batch(self, func: Callable, argument_tuples: Sequence[tuple]) -> list:
         """Generic batch: ``[func(*args) for args in argument_tuples]``,

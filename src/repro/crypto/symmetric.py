@@ -20,7 +20,11 @@ derives its sub-keys a single time.
 
 A partial result is hundreds of short bodies, and CPython pays per
 bytecode, not per byte, so each body costs one ``hashlib`` call for its
-keystream, one ``hmac.digest`` call for its tag and one big-``int`` XOR.
+keystream, one big-``int`` XOR and, for its tag, two copies of hash
+states its :class:`SessionKey` keyed once (RFC 2104's inner and outer
+SHA-256 states over the padded MAC key) with one update and one digest
+each: the tag ``hmac.digest`` would give, without keying HMAC again per
+body.
 :func:`encrypt` and :func:`decrypt` are the one-message calls of
 :func:`encrypt_many` and :func:`decrypt_many`.
 """
@@ -32,6 +36,7 @@ import hmac
 import secrets
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.crypto import instrumentation
 from repro.errors import DecryptionError, IntegrityError, ParameterError
@@ -46,6 +51,11 @@ TAG_BYTES = 32
 
 _CIPHER_LABEL = b"repro/dem/" + DEM_ID + b"/cipher"
 _MAC_LABEL = b"repro/dem/" + DEM_ID + b"/mac"
+
+#: SHA-256's block size, and RFC 2104's key pads as translation tables.
+_BLOCK_BYTES = 64
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
 
 
 def _xor(cipher_key: bytes, nonce: bytes, data: bytes) -> bytes:
@@ -68,19 +78,29 @@ def generate_key() -> bytes:
 class SessionKey:
     """A master session key with its cipher and MAC sub-keys derived once.
 
-    The fields are excluded from ``repr`` so key material cannot reach a
-    log record or span attribute through string formatting.
+    The MAC key is keyed into HMAC-SHA256 once too: ``mac_inner`` and
+    ``mac_outer`` are the SHA-256 states after absorbing the MAC key,
+    padded to the block, XORed with RFC 2104's ``ipad`` and ``opad``;
+    each tag copies them.  The fields are excluded from ``repr`` so key
+    material cannot reach a log record or span attribute through string
+    formatting.
     """
 
     master: bytes = field(repr=False)
     cipher_key: bytes = field(init=False, repr=False)
     mac_key: bytes = field(init=False, repr=False)
+    mac_inner: Any = field(init=False, repr=False, compare=False)
+    mac_outer: Any = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.master) != KEY_BYTES:
             raise ParameterError(f"session key must be {KEY_BYTES} bytes")
+        mac_key = self._expand(_MAC_LABEL)
+        padded = mac_key.ljust(_BLOCK_BYTES, b"\0")  # 32 bytes: no pre-hash
         object.__setattr__(self, "cipher_key", self._expand(_CIPHER_LABEL))
-        object.__setattr__(self, "mac_key", self._expand(_MAC_LABEL))
+        object.__setattr__(self, "mac_key", mac_key)
+        object.__setattr__(self, "mac_inner", hashlib.sha256(padded.translate(_IPAD)))
+        object.__setattr__(self, "mac_outer", hashlib.sha256(padded.translate(_OPAD)))
 
     def _expand(self, label: bytes) -> bytes:
         return hmac.digest(self.master, label, "sha256")
@@ -112,9 +132,7 @@ def encrypt_many(
     for position, plaintext in enumerate(plaintexts):
         nonce = nonces[NONCE_BYTES * position:NONCE_BYTES * (position + 1)]
         body = _xor(key.cipher_key, nonce, plaintext)
-        ciphertexts.append(
-            nonce + body + _mac(key.mac_key, nonce, body, associated_data)
-        )
+        ciphertexts.append(nonce + body + _mac(key, nonce, body, associated_data))
     return ciphertexts
 
 
@@ -140,7 +158,7 @@ def decrypt_many(
         key = _session_key(key)
         nonce = ciphertext[:NONCE_BYTES]
         body = ciphertext[NONCE_BYTES:-TAG_BYTES]
-        expected = _mac(key.mac_key, nonce, body, associated_data)
+        expected = _mac(key, nonce, body, associated_data)
         if not hmac.compare_digest(ciphertext[-TAG_BYTES:], expected):
             raise IntegrityError("MAC verification failed")
         verified.append((key.cipher_key, nonce, body))
@@ -161,10 +179,13 @@ def decrypt(
     return decrypt_many([key], [ciphertext], associated_data)[0]
 
 
-def _mac(mac_key: bytes, nonce: bytes, body: bytes, associated_data: bytes) -> bytes:
-    """HMAC-SHA256 over ``len(ad) as 8 bytes BE || ad || nonce || body``."""
-    return hmac.digest(
-        mac_key,
-        len(associated_data).to_bytes(8, "big") + associated_data + nonce + body,
-        "sha256",
+def _mac(key: SessionKey, nonce: bytes, body: bytes, associated_data: bytes) -> bytes:
+    """HMAC-SHA256 under ``key.mac_key`` over ``len(ad) as 8 bytes BE ||
+    ad || nonce || body``, from the key's pre-keyed states."""
+    inner = key.mac_inner.copy()
+    inner.update(
+        len(associated_data).to_bytes(8, "big") + associated_data + nonce + body
     )
+    outer = key.mac_outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()

@@ -55,23 +55,24 @@ class CoverTraffic:
         bound: int,
         dummies: Sequence[Any] = (),
         shuffle: bool = False,
-    ) -> list[list[Any]]:
+    ) -> list[Sequence[Any]]:
         """``items`` as the ``schedule(bound)`` frames of one ``kind``.
 
         ``items`` is topped up to exactly ``bound`` elements from the
         front of ``dummies``, optionally shuffled (protocol randomness —
         dummy positions must not leak), and partitioned into frames of
         at most ``batch_size`` elements each; a frame body is a plain
-        list.  Returns the frames in delivery order; the caller emits
-        each as one message of ``kind``.
+        list — or, when nothing is added or shuffled, a slice of
+        ``items`` as given (a list, or a column table that stands for
+        one, so no record is built per item).  Returns the frames in
+        delivery order; the caller emits each as one message of ``kind``.
         """
-        real = list(items)
-        if len(real) > bound:
+        if len(items) > bound:
             raise ProtocolError(
-                f"{kind}: {len(real)} real items exceed the hardened "
+                f"{kind}: {len(items)} real items exceed the hardened "
                 f"bound {bound} — the bound must dominate every workload"
             )
-        shortfall = bound - len(real)
+        shortfall = bound - len(items)
         if shortfall > len(dummies):
             raise ProtocolError(
                 f"{kind}: {shortfall} dummy items needed but only "
@@ -79,7 +80,9 @@ class CoverTraffic:
             )
         filler = list(dummies[:shortfall])
         dummy_ids = {id(item) for item in filler}
-        padded = real + filler
+        padded = items
+        if filler or shuffle:
+            padded = list(items) + filler
         if shuffle:
             padded = shuffled(padded)
         batch = self._hardening.policy.batch_size
@@ -89,8 +92,9 @@ class CoverTraffic:
             for position in range(self.schedule(bound))
         ]
         stats.frames += len(frames)
-        stats.dummy_frames += sum(
-            bool(chunk) and all(id(item) in dummy_ids for item in chunk)
-            for chunk in frames
-        )
+        if dummy_ids:
+            stats.dummy_frames += sum(
+                bool(chunk) and all(id(item) in dummy_ids for item in chunk)
+                for chunk in frames
+            )
         return frames

@@ -19,7 +19,12 @@ from typing import Any, Sequence
 from repro.crypto import rsa
 from repro.crypto.engine import CryptoEngine, get_engine
 from repro.crypto.homomorphic import PaillierScheme
-from repro.crypto.hybrid import HybridCiphertext, SessionKeyMemo, key_fingerprint
+from repro.crypto.hybrid import (
+    Encapsulation,
+    HybridCiphertext,
+    SessionKeyMemo,
+    key_fingerprint,
+)
 from repro.errors import CredentialError, DecryptionError
 from repro.mediation.ca import CertificationAuthority
 from repro.mediation.credentials import Credential, IdentityCertificate, Property
@@ -71,6 +76,39 @@ class Client:
                 ciphertexts, associated_data, engine
             )
 
+    def decrypt_hybrid_bodies(
+        self,
+        encapsulation: Encapsulation | None,
+        bodies: Sequence[bytes],
+        engine: CryptoEngine | None = None,
+    ) -> list[bytes]:
+        """:meth:`decrypt_hybrid_many` of DEM bodies that all reference
+        ``encapsulation`` — a DAS table's column of etuples — in one
+        engine batch under the one session key, without a
+        :class:`HybridCiphertext` per body.  An empty table may name no
+        encapsulation."""
+        with tracing.span(
+            "decrypt_hybrid_many", self.name,
+            kind="mediation", items=len(bodies),
+        ):
+            if not bodies:
+                return []
+            if encapsulation is None:
+                raise DecryptionError("DEM bodies reference no encapsulation")
+            return (engine or get_engine()).batch_hybrid_decrypt_bodies(
+                self._private_key_for(encapsulation), encapsulation, bodies,
+                session_keys=self._session_keys,
+            )
+
+    def _private_key_for(self, encapsulation: Encapsulation) -> rsa.RSAPrivateKey:
+        """The first of this client's private keys ``encapsulation`` wraps for."""
+        for fingerprint, private_key in self.rsa_keys.items():
+            if fingerprint in encapsulation:
+                return private_key
+        raise DecryptionError(
+            f"client {self.name} holds no key for this hybrid ciphertext"
+        )
+
     def _decrypt_hybrid_many(
         self,
         ciphertexts: Sequence[HybridCiphertext],
@@ -78,18 +116,10 @@ class Client:
         engine: CryptoEngine | None,
     ) -> list[bytes]:
         engine = engine or get_engine()
-        by_key: dict[bytes, tuple[rsa.RSAPrivateKey, list[int]]] = {}
+        by_key: dict[int, tuple[rsa.RSAPrivateKey, list[int]]] = {}
         for position, ciphertext in enumerate(ciphertexts):
-            for fingerprint, private_key in self.rsa_keys.items():
-                if fingerprint in ciphertext.wrapped_keys:
-                    by_key.setdefault(fingerprint, (private_key, []))[1].append(
-                        position
-                    )
-                    break
-            else:
-                raise DecryptionError(
-                    f"client {self.name} holds no key for this hybrid ciphertext"
-                )
+            private_key = self._private_key_for(ciphertext.wrapped_keys)
+            by_key.setdefault(id(private_key), (private_key, []))[1].append(position)
         plaintexts: list[bytes | None] = [None] * len(ciphertexts)
         for private_key, positions in by_key.values():
             decrypted = engine.batch_hybrid_decrypt(

@@ -21,7 +21,8 @@ import dataclasses
 from collections.abc import Sequence
 from typing import Any
 
-from repro.crypto.hybrid import HybridCiphertext
+from repro.core.das import EncryptedRows
+from repro.crypto.hybrid import CIPHERTEXT_HEADER_BYTES, HybridCiphertext
 from repro.crypto.paillier import PaillierCiphertext
 
 
@@ -44,6 +45,20 @@ def _estimate(body: Any, seen: set[int]) -> int:
     """``seen`` holds the ids of the encapsulations already counted."""
     if body is None:
         return 0
+    if type(body) is EncryptedRows:
+        # The sum over its records, read off the columns: the shared
+        # encapsulation once, each ciphertext's header and body, each
+        # index value.
+        encapsulation = body.encapsulation
+        if encapsulation is None or not body.bodies:
+            return 0
+        size = len(body.bodies) * CIPHERTEXT_HEADER_BYTES + sum(
+            map(len, body.bodies)
+        ) + sum(map(_int_size, body.index_values))
+        if id(encapsulation) not in seen:
+            seen.add(id(encapsulation))
+            size += encapsulation.size_bytes()
+        return size
     if isinstance(body, bool):
         return 1
     if isinstance(body, int):

@@ -36,7 +36,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Any, Iterable
 
 from repro.errors import ProtocolError
@@ -260,12 +259,9 @@ class _Facts:
         rows = getattr(relation, "rows", None)
         if rows is None:
             return
-        for index, count in Counter(map(_index_value, rows)).items():
+        for index, count in Counter(rows.index_values).items():
             key = str(index)
             self.partition_counts[key] = self.partition_counts.get(key, 0) + count
-
-
-_index_value = attrgetter("index_value")
 
 
 def _facts_of(messages: Iterable[Any]) -> dict[int, _Facts]:

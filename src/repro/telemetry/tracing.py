@@ -194,13 +194,17 @@ class Tracer:
         party: str,
         parent: SpanContext | None = None,
         attributes: dict[str, Any] | None = None,
+        perf_start: float | None = None,
     ) -> Span:
         """Open a span; ``parent`` defaults to the current span.
 
         The span's clock starts before its set-up, so the set-up is
-        charged to the span itself, not to whatever encloses it.
+        charged to the span itself, not to whatever encloses it; a
+        caller that did set-up of its own first passes the
+        :func:`time.perf_counter` reading it took before it.
         """
-        perf_start = time.perf_counter()
+        if perf_start is None:
+            perf_start = time.perf_counter()
         # The ambient Span carries the same two ids as its SpanContext.
         source: Span | SpanContext | None = (
             parent if parent is not None else _current_span.get()
@@ -238,7 +242,9 @@ class Tracer:
         An escaping exception marks the span ``status="error"`` before
         re-raising — failures stay visible in the trace.
         """
-        return _Scope(self, name, party, parent, attributes)
+        return _Scope(
+            self, name, party, parent, attributes, time.perf_counter()
+        )
 
     # -- collection -------------------------------------------------------
 
@@ -263,9 +269,14 @@ class Tracer:
 class _Scope:
     """The context manager of :meth:`Tracer.span`: a class rather than a
     generator, because what it does outside the span's own clock is
-    charged to the enclosing span."""
+    charged to the enclosing span.  The clock reading it is built with
+    was taken by its maker, so its construction and ``__enter__`` run
+    on the span's own clock."""
 
-    __slots__ = ("_tracer", "_name", "_party", "_parent", "_attributes", "_span", "_token")
+    __slots__ = (
+        "_tracer", "_name", "_party", "_parent", "_attributes",
+        "_perf_start", "_span", "_token",
+    )
 
     def __init__(
         self,
@@ -274,13 +285,16 @@ class _Scope:
         party: str,
         parent: SpanContext | None,
         attributes: dict[str, Any] | None,
+        perf_start: float,
     ) -> None:
         self._tracer, self._name, self._party = tracer, name, party
         self._parent, self._attributes = parent, attributes
+        self._perf_start = perf_start
 
     def __enter__(self) -> Span:
         self._span = self._tracer.start_span(
-            self._name, self._party, self._parent, self._attributes
+            self._name, self._party, self._parent, self._attributes,
+            self._perf_start,
         )
         self._token = _current_span.set(self._span)
         return self._span
@@ -338,12 +352,16 @@ def span(name: str, party: str, **attributes: Any) -> "_Scope | nullcontext[None
     When a :func:`repro.session.session_scope` is active, the span is
     automatically tagged with its ``session`` id — this is what lets a
     multi-session trace be filtered back into per-session timelines.
+    The span's clock starts before that lookup, so the lookup, the
+    scope's construction and its ``__enter__`` are charged to the span,
+    not to the one enclosing it.
     """
     tracer = _installed_tracer
     if tracer is None:
         return _NO_SPAN
+    perf_start = time.perf_counter()
     if "session" not in attributes:
         session_id = current_session_id()
         if session_id is not None:
             attributes["session"] = session_id
-    return _Scope(tracer, name, party, None, attributes)
+    return _Scope(tracer, name, party, None, attributes, perf_start)

@@ -131,12 +131,15 @@ class _Extension(NamedTuple):
 _BY_NAME: dict[bytes, _Extension] = {}
 _BY_CLS: dict[type, _Extension] = {}
 _BOOTSTRAPPED = False
-#: Set by :func:`_bootstrap` for :func:`_write_message_set`: the column
-#: type, the one payload type it writes inline, and what every
-#: tagged-message record and every hybrid ciphertext start with.
+#: Set by :func:`_bootstrap` for :func:`_write_columns`: the two column
+#: types, the one field type it writes inline besides ints and bytes,
+#: and what every tagged-message record, every das-tuple record and
+#: every hybrid ciphertext start with.
 _MESSAGE_SET: type | None = None
+_ENCRYPTED_ROWS: type | None = None
 _HYBRID_CT: type | None = None
-_RECORD_HEAD = b""
+_MESSAGE_HEAD = b""
+_ROW_HEAD = b""
 _CT_HEAD = b""
 
 
@@ -169,6 +172,7 @@ def _bootstrap() -> None:
     from repro.core.commutative import MessageSet, TaggedMessage
     from repro.core.das import (
         EncryptedRelation,
+        EncryptedRows,
         EncryptedTuple,
         ServerQuery,
         ServerResult,
@@ -249,11 +253,15 @@ def _bootstrap() -> None:
         attrgetter("tag", "payload"),
         lambda t: TaggedMessage(*t),
     )
-    # A message set is written from its columns as the list of
-    # tagged-message records it stands for, and decodes as that list.
-    global _MESSAGE_SET, _HYBRID_CT, _RECORD_HEAD, _CT_HEAD
-    _MESSAGE_SET, _HYBRID_CT = MessageSet, HybridCiphertext
-    _RECORD_HEAD = _BY_CLS[TaggedMessage].header + _HEAD(_T_TUPLE, 2)
+    # A message set and a table of DAS rows are written from their
+    # columns as the list (or tuple) of tagged-message or das-tuple
+    # records they stand for, and decode as that sequence.
+    global _MESSAGE_SET, _ENCRYPTED_ROWS, _HYBRID_CT
+    global _MESSAGE_HEAD, _ROW_HEAD, _CT_HEAD
+    _MESSAGE_SET, _ENCRYPTED_ROWS = MessageSet, EncryptedRows
+    _HYBRID_CT = HybridCiphertext
+    _MESSAGE_HEAD = _BY_CLS[TaggedMessage].header + _HEAD(_T_TUPLE, 2)
+    _ROW_HEAD = _BY_CLS[EncryptedTuple].header + _HEAD(_T_TUPLE, 2)
     _CT_HEAD = _BY_CLS[HybridCiphertext].header + _HEAD(_T_TUPLE, 2)
 
 
@@ -270,11 +278,11 @@ def _too_deep() -> ValueCodecError:
 #
 # One recursive call per container or extension; ints, bytes, strings,
 # the singletons and interning references are written inline in the
-# loop of the container that holds them.  A commutative message set is
-# written from its two columns, one call per set.  ``depth`` counts as the
-# decoder does (the root is level 1, an extension's packed value one
-# level below it), so the encoder refuses exactly the trees its decoder
-# would.
+# loop of the container that holds them.  A commutative message set and
+# a table of DAS rows are written from their two columns, one call per
+# table.  ``depth`` counts as the decoder does (the root is level 1, an
+# extension's packed value one level below it), so the encoder refuses
+# exactly the trees its decoder would.
 
 
 def _write(
@@ -338,7 +346,16 @@ def _write(
                 interned[id(value)] = len(interned)
                 keep.append(value)  # its id stays unique while we run
         elif kind is _MESSAGE_SET:
-            _write_message_set(value, out, interned, keep, depth)
+            _write_columns(
+                _T_LIST, _MESSAGE_HEAD, value.tags, value.payloads, None,
+                out, interned, keep, depth,
+            )
+        elif kind is _ENCRYPTED_ROWS:
+            _write_columns(
+                _T_TUPLE if value.container is tuple else _T_LIST, _ROW_HEAD,
+                value.bodies, value.index_values, value.encapsulation,
+                out, interned, keep, depth,
+            )
         elif isinstance(value, (bytes, bytearray)):
             out += _HEAD(_T_BYTES, len(value))
             out += value
@@ -348,57 +365,74 @@ def _write(
             )
 
 
-def _write_message_set(
-    messages: Any, out: bytearray, interned: dict[int, int], keep: list,
-    depth: int,
+def _write_columns(
+    tag: int, head: bytes, firsts: Any, seconds: Any, sealed: Any,
+    out: bytearray, interned: dict[int, int], keep: list, depth: int,
 ) -> None:
-    """Append a ``MessageSet`` as the list of ``tagged-message`` records
-    it stands for, in one loop over its two columns.
+    """Append the list (``tag`` ``_T_LIST``) or tuple of two-field
+    records two columns stand for, in one loop over them: ``head``
+    opens each record, ``firsts[i]`` and ``seconds[i]`` are its fields.
 
-    Int and bytes tags and bytes payloads are written inline, and so is
-    a hybrid ciphertext, whose encapsulation is a reference once
-    interned and otherwise goes through :func:`_write`, which interns
-    it; any other tag or payload goes through :func:`_write` too.  The
-    bytes, and the depth at which a tree is refused, are the list
-    form's.
+    A ``MessageSet`` is the list of ``tagged-message`` records (tags,
+    payloads); a DAS table the sequence of ``das-tuple`` records, whose
+    first fields are hybrid ciphertexts under the one encapsulation
+    ``sealed`` with the column's DEM bodies (bytes; index values
+    second).  Ints, bytes and hybrid ciphertexts are written inline — a
+    ciphertext's encapsulation as a reference once interned, otherwise
+    through :func:`_write`, which interns it — and any other field goes
+    through :func:`_write`.  The bytes, and the depth at which a tree is
+    refused, are the record sequence's.
     """
-    out += _HEAD(_T_LIST, len(messages))
-    if not messages:
+    out += _HEAD(tag, len(firsts))
+    if not firsts:
         return
-    # The list, its records and their packed (tag, payload) tuples.
+    # The sequence, its records and their packed (first, second) tuples.
     if depth + 2 >= MAX_VALUE_DEPTH:
         raise _too_deep()
-    inner = depth + 3  # where the tags and the payloads sit
+    inner = depth + 3  # where the fields sit
     # A hybrid ciphertext and its packed tuple are refused past here.
     ciphertexts_inline = inner + 1 < MAX_VALUE_DEPTH
-    for tag, payload in zip(messages.tags, messages.payloads):
-        out += _RECORD_HEAD
-        kind = type(tag)
-        if kind is int:
-            raw = tag.to_bytes((tag.bit_length() + 8) // 8, "big", signed=True)
-            out += _HEAD(_T_INT, len(raw))
-            out += raw
-        elif kind is bytes:
-            out += _HEAD(_T_BYTES, len(tag))
-            out += tag
-        else:
-            _write((tag,), out, interned, keep, inner)
-        kind = type(payload)
-        if kind is bytes:
-            out += _HEAD(_T_BYTES, len(payload))
-            out += payload
-        elif kind is _HYBRID_CT and ciphertexts_inline:
+    if sealed is not None and not ciphertexts_inline:
+        raise _too_deep()
+    rows = zip(firsts, seconds)
+    if sealed is not None:
+        # Every first field is a ciphertext under ``sealed``: once the
+        # encapsulation is interned, the record head, the ciphertext's
+        # head and the reference to it are one constant prefix.
+        index = interned.get(id(sealed))
+        if index is None:
+            body, value = next(rows)
+            out += head
             out += _CT_HEAD
-            encapsulation, body = payload.wrapped_keys, payload.body
-            index = interned.get(id(encapsulation))
-            if index is None or type(body) is not bytes:
-                _write((encapsulation, body), out, interned, keep, inner + 2)
+            _write((sealed, body), out, interned, keep, inner + 2)
+            _write((value,), out, interned, keep, inner)
+            index = interned[id(sealed)]
+        head = head + _CT_HEAD + _HEAD(_T_REF, index)
+    for row in rows:
+        out += head
+        for value in row:
+            kind = type(value)
+            if kind is int:
+                raw = value.to_bytes(
+                    (value.bit_length() + 8) // 8, "big", signed=True
+                )
+                out += _HEAD(_T_INT, len(raw))
+                out += raw
+            elif kind is bytes:
+                out += _HEAD(_T_BYTES, len(value))
+                out += value
+            elif kind is _HYBRID_CT and ciphertexts_inline:
+                encapsulation, body = value.wrapped_keys, value.body
+                out += _CT_HEAD
+                index = interned.get(id(encapsulation))
+                if index is None or type(body) is not bytes:
+                    _write((encapsulation, body), out, interned, keep, inner + 2)
+                else:
+                    out += _HEAD(_T_REF, index)
+                    out += _HEAD(_T_BYTES, len(body))
+                    out += body
             else:
-                out += _HEAD(_T_REF, index)
-                out += _HEAD(_T_BYTES, len(body))
-                out += body
-        else:
-            _write((payload,), out, interned, keep, inner)
+                _write((value,), out, interned, keep, inner)
 
 
 # -- the decoding kernel -------------------------------------------------------

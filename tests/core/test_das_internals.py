@@ -4,11 +4,13 @@ import struct
 
 import pytest
 
-from repro import Federation, run_join_query
+from repro import Federation, reference_join, run_join_query
+from repro.analysis.views import iter_byte_material
 from repro.core import das
 from repro.core.das import (
     DASConfig,
     EncryptedRelation,
+    EncryptedRows,
     EncryptedTuple,
     ServerQuery,
     ServerResult,
@@ -17,14 +19,26 @@ from repro.core.das import (
     _partition_domain,
 )
 from repro.crypto import hybrid
-from repro.errors import CodecError, ProtocolError
+from repro.errors import CodecError, DecryptionError, ProtocolError
 from repro.mediation.access_control import allow_all
+from repro.mediation.network import Network
+from repro.mediation.sizing import estimate_size
 from repro.relational import encoding
-from repro.relational.encoding import encode_row, encode_rows, frame_rows
+from repro.relational.encoding import (
+    encode_relation,
+    encode_row,
+    encode_rows,
+    frame_rows,
+)
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
-from repro.storage import IndexCache, MemoryBackend, relation_fingerprint
-from repro.transport import codec
+from repro.storage import (
+    IndexCache,
+    MemoryBackend,
+    SQLiteBackend,
+    relation_fingerprint,
+)
+from repro.transport import TcpTransport, codec
 
 
 class TestPartitionDomain:
@@ -47,17 +61,18 @@ class TestServerQueryEvaluation:
     @pytest.fixture(scope="class")
     def encrypted(self, rsa_key):
         keys = [rsa_key.public_key()]
+        sessions = [hybrid.new_session(keys) for _ in range(2)]
 
-        def row(index_value, k):
+        def row(side, index_value, k):
             return EncryptedTuple(
-                hybrid.encrypt(keys, encode_row((k, "x", "y"))), index_value
+                sessions[side].encrypt(encode_row((k, "x", "y"))), index_value
             )
 
         left = EncryptedRelation(
-            "S1", "R1", (row(10, 1), row(10, 2), row(20, 3))
+            "S1", "R1", (row(0, 10, 1), row(0, 10, 2), row(0, 20, 3))
         )
         right = EncryptedRelation(
-            "S2", "R2", (row(100, 1), row(200, 3), row(200, 4))
+            "S2", "R2", (row(1, 100, 1), row(1, 200, 3), row(1, 200, 4))
         )
         return left, right
 
@@ -94,7 +109,10 @@ class TestServerQueryEvaluation:
         assert len(once) == 2 * 2 + 1 * 2
         assert repeated == once
         assert repeated.pairs == once.pairs
-        distinct = {(id(row_1), id(row_2)) for row_1, row_2 in repeated.pairs}
+        distinct = {
+            (row_1.etuple.body, row_2.etuple.body)
+            for row_1, row_2 in repeated.pairs
+        }
         assert len(distinct) == len(repeated)
 
     @pytest.mark.parametrize(
@@ -106,8 +124,8 @@ class TestServerQueryEvaluation:
         query = ServerQuery(pairs=pairs)
         result = _evaluate_server_query(query, *encrypted)
         rows_1, rows_2, positions = reference_row_tables(query, *encrypted)
-        assert [id(row) for row in result.rows_1] == [id(row) for row in rows_1]
-        assert [id(row) for row in result.rows_2] == [id(row) for row in rows_2]
+        assert bodies(result.rows_1) == bodies(rows_1)
+        assert bodies(result.rows_2) == bodies(rows_2)
         assert result.positions == positions
 
     def test_no_pairs_no_output(self, encrypted):
@@ -117,10 +135,16 @@ class TestServerQueryEvaluation:
         ) == 0
 
 
+def bodies(rows) -> list[bytes]:
+    """A table's rows by their DEM bodies: each body has a nonce of its
+    own, so it names its row."""
+    return [row.etuple.body for row in rows]
+
+
 def reference_row_tables(query, relation_1, relation_2):
     """The R_C layout the pair list used to produce: the pairs by a
     nested loop over R1^S's rows, then each side's distinct rows (by
-    identity, in order of first appearance) and the packed positions."""
+    body, in order of first appearance) and the packed positions."""
     pairs = []
     wanted = {}
     for index_1, index_2 in query.pairs:
@@ -134,10 +158,13 @@ def reference_row_tables(query, relation_1, relation_2):
     for side in (0, 1):
         distinct = {}
         for pair in pairs:
-            distinct.setdefault(id(pair[side]), (len(distinct), pair[side]))
+            distinct.setdefault(
+                pair[side].etuple.body, (len(distinct), pair[side])
+            )
         tables.append(distinct)
     flat = [
-        tables[side][id(pair[side])][0] for pair in pairs for side in (0, 1)
+        tables[side][pair[side].etuple.body][0]
+        for pair in pairs for side in (0, 1)
     ]
     return (
         [row for _, row in tables[0].values()],
@@ -173,7 +200,8 @@ class TestServerResultRowTables:
 
     @staticmethod
     def distinct_ids(server_result, side):
-        return {id(pair[side]) for pair in server_result.pairs}
+        """The distinct rows one side of R_C's pairs names, by body."""
+        return {pair[side].etuple.body for pair in server_result.pairs}
 
     def test_tables_hold_each_row_once_and_positions_rebuild_the_pairs(
         self, delivered
@@ -181,17 +209,17 @@ class TestServerResultRowTables:
         _, live, query, partials = delivered
         rows_1, rows_2, positions = live.rows_1, live.rows_2, live.positions
         assert len(positions) == 8 * len(live)
-        assert len({id(row) for row in rows_1}) == len(rows_1)
-        assert {id(row) for row in rows_1} == self.distinct_ids(live, 0)
-        assert {id(row) for row in rows_2} == self.distinct_ids(live, 1)
+        assert len(set(bodies(rows_1))) == len(rows_1)
+        assert set(bodies(rows_1)) == self.distinct_ids(live, 0)
+        assert set(bodies(rows_2)) == self.distinct_ids(live, 1)
         # Every row repeats on this workload — the case the pair list
         # used to pay for once per occurrence.
         assert len(live) > 3 * max(len(rows_1), len(rows_2))
         # The mediator builds the tables in the order the pair list
         # implied, so the das-server-result frame is unchanged.
         reference = reference_row_tables(query, *partials)
-        assert [id(row) for row in rows_1] == [id(row) for row in reference[0]]
-        assert [id(row) for row in rows_2] == [id(row) for row in reference[1]]
+        assert bodies(rows_1) == bodies(reference[0])
+        assert bodies(rows_2) == bodies(reference[1])
         assert positions == reference[2]
 
     def test_decoded_result_shares_rows_exactly_like_the_live_one(
@@ -215,6 +243,7 @@ class TestServerResultRowTables:
         result, live, _, _ = delivered
         decrypted: list[int] = []
         batch, single = client.decrypt_hybrid_many, client.decrypt_hybrid
+        table = client.decrypt_hybrid_bodies
         monkeypatch.setattr(
             client, "decrypt_hybrid_many",
             lambda ciphertexts, **kwargs: (
@@ -225,6 +254,13 @@ class TestServerResultRowTables:
         monkeypatch.setattr(
             client, "decrypt_hybrid",
             lambda ciphertext: (decrypted.append(1), single(ciphertext))[1],
+        )
+        monkeypatch.setattr(
+            client, "decrypt_hybrid_bodies",
+            lambda encapsulation, bodies, *args: (
+                decrypted.append(len(bodies)),
+                table(encapsulation, bodies, *args),
+            )[1],
         )
         outcomes = []
         for server_result in (live, codec.decode_value(codec.encode_value(live))):
@@ -298,3 +334,177 @@ class TestRowsEncodedOnce:
         assert cache.stats.as_dict() == {
             "hits": 2, "misses": 2, "puts": 2, "errors": 0,
         }
+
+
+class TestNoRecordOnTheWay:
+    """A DAS query carries R_i^S and R_C as columns from the source that
+    builds them to the socket and on to the client's DEM: no
+    ``EncryptedTuple`` is built, and the one ``HybridCiphertext`` per
+    source is its encrypted index table."""
+
+    @pytest.mark.parametrize("carrier", ["bus", "tcp+sqlite"])
+    @pytest.mark.parametrize("hardened", [False, True], ids=["plain", "hardened"])
+    def test_a_query_builds_no_record(
+        self, ca, client, workload, monkeypatch, tmp_path, carrier, hardened
+    ):
+        if carrier == "bus":
+            network, storage = Network(), None
+        else:
+            network = TcpTransport()
+            storage = SQLiteBackend(str(tmp_path / "das.db"))
+        built: list[type] = []
+
+        def counting(cls):
+            original = cls.__init__
+
+            def counted(self, *args, **kwargs):
+                built.append(cls)
+                original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+
+        try:
+            federation = Federation(ca=ca, network=network, storage=storage)
+            federation.add_source("S1", [(workload.relation_1, allow_all())])
+            federation.add_source("S2", [(workload.relation_2, allow_all())])
+            federation.attach_client(client)
+            query = "select * from R1 natural join R2"
+            expected = encode_relation(reference_join(federation, query))
+            counting(EncryptedTuple)
+            counting(hybrid.HybridCiphertext)
+            result = run_join_query(
+                federation, query, protocol="das", hardening=hardened or None
+            )
+            monkeypatch.undo()
+            assert encode_relation(result.global_result) == expected
+            assert built == [hybrid.HybridCiphertext] * 2  # the index tables
+            bodies = [
+                m.body for m in result.messages
+                if m.kind in ("das_encrypted_partial_result", "das_server_result")
+            ]
+            rows = [
+                table
+                for body in bodies
+                for table in (
+                    (body["relation"].rows,) if type(body) is dict
+                    else (body.rows_1, body.rows_2)
+                    if type(body) is ServerResult else (body,)
+                )
+            ]
+            assert len(rows) >= 4  # two R_i^S, then R_C's tables or frames
+            assert all(type(table) is EncryptedRows for table in rows)
+            assert sum(map(len, rows)) > 0
+            built.clear()
+            counting(EncryptedTuple)
+            assert len(list(rows[0])) == len(built) > 0  # the count counts
+        finally:
+            network.close()
+
+
+def one_session_rows(rsa_key, count: int, first_index: int = 0):
+    """``count`` records of one source: etuples under one session."""
+    session = hybrid.new_session([rsa_key.public_key()])
+    return [
+        EncryptedTuple(session.encrypt(b"row-%d" % i), first_index + i)
+        for i in range(count)
+    ]
+
+
+class TestRowsAsColumns:
+    """R_i^S, R_C's tables and the hardened frames are columns under one
+    encapsulation; records in are taken to columns, and anything that is
+    not one source's rows is refused, never read as a row."""
+
+    def test_records_become_columns_and_still_read_as_records(self, rsa_key):
+        records = one_session_rows(rsa_key, 5, first_index=10)
+        relation = EncryptedRelation("S1", "R1", tuple(records))
+        rows = relation.rows
+        assert type(rows) is EncryptedRows and rows.container is tuple
+        assert rows.encapsulation is records[0].etuple.wrapped_keys
+        assert rows.bodies == tuple(r.etuple.body for r in records)
+        assert rows.index_values == (10, 11, 12, 13, 14)
+        assert list(rows) == records and rows == tuple(records)
+        assert rows[1] == records[1] and rows[1:3] == records[1:3]
+        result = ServerResult(records, records[:2], struct.pack(">2I", 4, 1))
+        assert result.rows_1.container is list
+        assert result.pairs == ((records[4], records[1]),)
+
+    def test_mixed_encapsulations_are_refused(self, rsa_key):
+        mixed = one_session_rows(rsa_key, 2) + one_session_rows(rsa_key, 2)
+        with pytest.raises(ProtocolError, match="more than one encapsulation"):
+            EncryptedRelation("S1", "R1", tuple(mixed))
+        with pytest.raises(ProtocolError, match="more than one encapsulation"):
+            ServerResult(mixed, mixed[:1], struct.pack(">2I", 0, 0))
+        with pytest.raises(ProtocolError, match="more than one encapsulation"):
+            das._client_hash_join(None, [mixed], (), "k", None, None)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda row: b"not a row",
+            lambda row: (row.etuple, row.index_value),
+            lambda row: EncryptedTuple(b"bare body", row.index_value),
+            lambda row: EncryptedTuple(
+                hybrid.HybridCiphertext(row.etuple.wrapped_keys, 7),
+                row.index_value,
+            ),
+            lambda row: EncryptedTuple(row.etuple, str(row.index_value)),
+        ],
+        ids=["bytes", "pair", "bare-body", "int-body", "str-index"],
+    )
+    def test_malformed_rows_are_refused(self, rsa_key, damage):
+        records = one_session_rows(rsa_key, 3)
+        records[1] = damage(records[1])
+        with pytest.raises(ProtocolError, match="not an etuple"):
+            EncryptedRelation("S1", "R1", tuple(records))
+        with pytest.raises(ProtocolError, match="not an etuple"):
+            das._client_hash_join(None, [records], (), "k", None, None)
+
+    def test_rows_under_no_encapsulation_are_refused(self, client):
+        with pytest.raises(ProtocolError, match="no encapsulation"):
+            EncryptedRows(None, (b"body",), (7,))
+        with pytest.raises(DecryptionError, match="no encapsulation"):
+            client.decrypt_hybrid_bodies(None, [b"body"])
+        assert client.decrypt_hybrid_bodies(None, []) == []
+
+    @pytest.mark.parametrize("body", [{"rows": ()}, b"rows", 7, None])
+    def test_a_body_that_is_no_table_is_refused(self, body):
+        with pytest.raises(ProtocolError, match="not a sequence"):
+            EncryptedRelation("S1", "R1", body)
+        with pytest.raises(ProtocolError, match="not a sequence"):
+            das._client_hash_join(None, [body], (), "k", None, None)
+
+    def test_through_the_codec_mixed_rows_never_decode(self, rsa_key):
+        """Records under two sessions, written as the wire writes a
+        das-relation: the decoder refuses the payload."""
+        mixed = tuple(one_session_rows(rsa_key, 2) + one_session_rows(rsa_key, 1))
+        codec._bootstrap()
+        forged = (
+            codec._BY_CLS[EncryptedRelation].header
+            + codec._HEAD(codec._T_TUPLE, 3)
+            + codec.encode_value("S1") + codec.encode_value("R1")
+            + codec.encode_value(mixed)
+        )
+        with pytest.raises(CodecError, match="das-relation") as refused:
+            codec.decode_value(forged)
+        assert isinstance(refused.value.__cause__, ProtocolError)
+
+    def test_the_bus_estimate_is_the_estimate_of_the_records(self, rsa_key):
+        records = one_session_rows(rsa_key, 6)
+        relation = EncryptedRelation("S1", "R1", tuple(records))
+        table = hybrid.HybridCiphertext(
+            records[0].etuple.wrapped_keys, b"index table"
+        )
+        assert estimate_size({"relation": relation, "index_table": table}) == (
+            estimate_size({"relation": ("S1", "R1", tuple(records)),
+                           "index_table": table})
+        )
+        result = ServerResult(records, records[2:], struct.pack(">2I", 5, 0))
+        assert estimate_size(result) == estimate_size(
+            (records, records[2:], result.positions)
+        )
+        for frame in (relation.rows[:4], relation.rows[4:], relation.rows[:0]):
+            assert estimate_size(frame) == estimate_size(list(frame))
+        assert list(iter_byte_material(relation)) == list(
+            iter_byte_material(("S1", "R1", tuple(records)))
+        )

@@ -208,7 +208,7 @@ class TestHmacSha256KnownAnswers:
             for associated_data in (b"", b"header", rng.randbytes(300)):
                 nonce, body = rng.randbytes(12), rng.randbytes(length)
                 assert symmetric._mac(
-                    key.mac_key, nonce, body, associated_data
+                    key, nonce, body, associated_data
                 ) == oracle_tag(key, nonce, body, associated_data)
         ciphertext = symmetric.encrypt(key, b"payload", b"header")
         nonce = ciphertext[: symmetric.NONCE_BYTES]
@@ -217,6 +217,36 @@ class TestHmacSha256KnownAnswers:
             key, nonce, body, b"header"
         )
         assert body == oracle_body(key, nonce, b"payload")
+
+    @given(
+        master=st.binary(min_size=32, max_size=32),
+        nonce=st.binary(min_size=12, max_size=12),
+        body=st.integers(0, 300).flatmap(
+            lambda length: st.binary(min_size=length, max_size=length)
+        ),
+        associated_data=st.binary(max_size=80),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pre_keyed_states_give_the_one_shot_hmac(
+        self, master, nonce, body, associated_data
+    ):
+        """A tag copies the key's inner and outer states keyed once:
+        the bytes of ``hmac.digest`` over the same input, which the
+        states' reuse must not disturb (the second tag is the first)."""
+        key = symmetric.SessionKey(master)
+        expected = hmac.digest(
+            key.mac_key,
+            len(associated_data).to_bytes(8, "big") + associated_data
+            + nonce + body,
+            "sha256",
+        )
+        for _ in range(2):
+            assert symmetric._mac(key, nonce, body, associated_data) == expected
+
+    def test_pre_keyed_states_stay_out_of_repr_and_equality(self):
+        first, second = (symmetric.SessionKey(bytes(range(32))) for _ in range(2))
+        assert first == second and hash(first) == hash(second)
+        assert "mac_inner" not in repr(first) and "mac_outer" not in repr(first)
 
     def test_sub_keys_are_labelled_hmacs_of_the_master(self):
         """The labels name the DEM: none of its sub-keys is one the

@@ -47,12 +47,30 @@ class ScalarMap(CryptoEngine):
     def batch_hybrid_encrypt(self, session, plaintexts, associated_data=b""):
         return [session.encrypt(plaintext, associated_data) for plaintext in plaintexts]
 
+    def batch_hybrid_encrypt_bodies(self, session, plaintexts, associated_data=b""):
+        return [
+            session.encrypt(plaintext, associated_data).body
+            for plaintext in plaintexts
+        ]
+
     def batch_hybrid_decrypt(
         self, private_key, ciphertexts, associated_data=b"", session_keys=None
     ):
         return [
             hybrid.decrypt(private_key, ciphertext, associated_data)
             for ciphertext in ciphertexts
+        ]
+
+    def batch_hybrid_decrypt_bodies(
+        self, private_key, encapsulation, bodies, associated_data=b"",
+        session_keys=None,
+    ):
+        return [
+            hybrid.decrypt(
+                private_key, hybrid.HybridCiphertext(encapsulation, body),
+                associated_data,
+            )
+            for body in bodies
         ]
 
     def map_batch(self, func, argument_tuples):
@@ -67,7 +85,7 @@ def test_scalar_map_covers_every_batch_api():
     assert batch_apis == {
         name for name in vars(ScalarMap) if not name.startswith("__")
     }
-    assert len(batch_apis) == 7
+    assert len(batch_apis) == 9
 
 
 def run_with(engine, make_federation, workload, protocol, config):

@@ -220,8 +220,9 @@ class TestDASServerQueryRobustness:
         from repro.core.das import EncryptedRelation
         from repro.relational.encoding import encode_row
 
+        session = hybrid.new_session(keys)  # a source's rows share one
         rows = tuple(
-            EncryptedTuple(hybrid.encrypt(keys, encode_row(row)), index_value=7)
+            EncryptedTuple(session.encrypt(encode_row(row)), index_value=7)
             for row in workload.relation_1
         )
         relation = EncryptedRelation("S1", "R1", rows)

@@ -214,3 +214,27 @@ class TestInstallation:
                 assert current_context() == opened.context()
         assert get_tracer() is None
         assert tracer.find("step")[0].attributes == {"items": 2}
+
+    @pytest.mark.parametrize("slow", ["current_session_id", "_Scope"])
+    def test_module_span_set_up_runs_on_the_span_s_own_clock(
+        self, monkeypatch, slow
+    ):
+        """The session lookup, the scope's construction and its
+        ``__enter__`` are set-up of :func:`span`: their time is the
+        span's own, not its parent's."""
+        original = getattr(tracing, slow)
+
+        def slow_set_up(*args, **kwargs):
+            time.sleep(0.02)
+            return original(*args, **kwargs)
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with span("parent", "client"):
+                monkeypatch.setattr(tracing, slow, slow_set_up)
+                with span("child", "client"):
+                    pass
+                monkeypatch.undo()
+        (parent,), (child,) = tracer.find("parent"), tracer.find("child")
+        assert child.seconds >= 0.02
+        assert parent.seconds - child.seconds < 0.02

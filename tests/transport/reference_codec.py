@@ -9,13 +9,17 @@ kernels' bytes to equal these byte for byte, their decoded trees to
 equal these, and both to refuse the same damaged streams.
 
 Unlike the kernels it does not bound the depth of the trees it
-encodes; compare the two only on trees within ``MAX_VALUE_DEPTH``.
+encodes; compare the two only on trees within ``MAX_VALUE_DEPTH``.  A
+column table (a ``MessageSet``, a DAS ``EncryptedRows``) it writes by
+iterating the records the table stands for, one value at a time.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from repro.core.commutative import MessageSet
+from repro.core.das import EncryptedRows
 from repro.errors import CodecError, ValueCodecError
 from repro.transport import codec
 from repro.transport.codec import (
@@ -104,6 +108,9 @@ class Encoder:
             self._items(_T_SET, _canonical(value), len(value))
         elif type(value) is frozenset:
             self._items(_T_FROZENSET, _canonical(value), len(value))
+        elif type(value) in (MessageSet, EncryptedRows):
+            # A column table: the list (or tuple) of records it stands for.
+            self._value(getattr(value, "container", list)(value))
         else:
             self._extension(value)
 

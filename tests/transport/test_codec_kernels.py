@@ -55,6 +55,20 @@ hybrid_cts = st.builds(HybridCiphertext, encapsulations, blobs)
 das_tuples = st.builds(EncryptedTuple, hybrid_cts, ints)
 
 
+def das_tables(min_size: int = 0) -> st.SearchStrategy:
+    """The rows of one source: every etuple under one encapsulation."""
+    return encapsulations.flatmap(
+        lambda encapsulation: st.lists(
+            st.builds(
+                EncryptedTuple,
+                st.builds(HybridCiphertext, st.just(encapsulation), blobs),
+                ints,
+            ),
+            min_size=min_size, max_size=3,
+        )
+    )
+
+
 def _server_result(rows_1: list, rows_2: list, positions: list) -> ServerResult:
     flat = [n for i, j in positions for n in (i % len(rows_1), j % len(rows_2))]
     return ServerResult(rows_1, rows_2, struct.pack(f">{len(flat)}I", *flat))
@@ -79,15 +93,15 @@ EXTENSIONS = {
     ),
     "das-tuple": das_tuples,
     "das-relation": st.builds(
-        EncryptedRelation, texts, texts, st.lists(das_tuples, max_size=3).map(tuple)
+        EncryptedRelation, texts, texts, das_tables().map(tuple)
     ),
     "das-server-query": st.builds(
         ServerQuery, st.lists(st.tuples(ints, ints), max_size=3).map(tuple)
     ),
     "das-server-result": st.builds(  # rows repeat: the row-table layout
         _server_result,
-        st.lists(das_tuples, min_size=1, max_size=3),
-        st.lists(das_tuples, min_size=1, max_size=3),
+        das_tables(min_size=1),
+        das_tables(min_size=1),
         st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=6),
     ),
     "tagged-message": st.builds(

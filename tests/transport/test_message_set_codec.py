@@ -1,7 +1,7 @@
 """A commutative ``MessageSet`` on the wire: the list of records it is.
 
 ``repro.transport.codec`` writes a ``MessageSet`` from its two columns
-in one loop (``codec._write_message_set``).  Its bytes must be those of
+in one loop (``codec._write_columns``).  Its bytes must be those of
 the list of ``tagged-message`` records the set stands for, as the
 value-at-a-time reference (``tests/transport/reference_codec.py``)
 writes that list; the tree must be refused at the depth the list form
