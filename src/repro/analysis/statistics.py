@@ -218,7 +218,7 @@ def commutative_tag_spread(result: MediationResult) -> TagSpreadReport:
     tags: list[int] = []
     for message in result.messages:
         if message.kind == "commutative_m_set":
-            tags.extend(entry.tag for entry in message.body)
+            tags.extend(message.body.tags)
     if not tags:
         raise ProtocolError("no commutative tags in the transcript")
     modulus_bits = max(tag.bit_length() for tag in tags)

@@ -14,7 +14,6 @@ import dataclasses
 from collections.abc import Mapping, Sequence
 from typing import Any, Iterator
 
-from repro.core.das import EncryptedRows
 from repro.transport.base import PartyView
 
 
@@ -22,20 +21,12 @@ def iter_byte_material(body: Any) -> Iterator[bytes]:
     """Yield every byte string reachable inside a message body.
 
     Integers are included via their big-endian encodings (ciphertext
-    integers, tags, index values); container structure is flattened.  A
-    table of DAS rows held as columns yields what its records would, in
-    their order.  Anything else raises :class:`TypeError`: a leak scan
-    over material it cannot see would pass vacuously.
+    integers, tags, index values); container structure is flattened, a
+    column table's as the pairs it iterates.  Anything else raises
+    :class:`TypeError`: a leak scan over material it cannot see would
+    pass vacuously.
     """
     if body is None or isinstance(body, bool):
-        return
-    if type(body) is EncryptedRows:
-        if body.bodies:
-            wrapped = list(iter_byte_material(body.encapsulation))
-            for etuple_body, index_value in zip(body.bodies, body.index_values):
-                yield from wrapped
-                yield etuple_body
-                yield from iter_byte_material(index_value)
         return
     if isinstance(body, (bytes, bytearray)):
         yield bytes(body)

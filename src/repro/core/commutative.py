@@ -34,6 +34,11 @@ sees the other source's tuple-set ciphertexts or their sizes.
 The mediator is untrusted, so a source keys only a safe-prime modulus
 (:func:`_round_1`): one of :data:`repro.crypto.groups.KNOWN_SAFE_PRIMES`
 by lookup, any other after a full :func:`is_safe_prime` test.
+
+Every message set — M_i, the step-4 exchange, the round-2 set — is a
+:class:`MessageSet` of two columns from the handler that builds it to
+the one that reads it, in process and, decoded, off the wire; only the
+codec knows that it travels as a list of ``tagged-message`` records.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from repro.core.assembly import combine_tuple_sets
 from repro.core.encapsulation import source_session
@@ -105,27 +110,17 @@ class CommutativeConfig:
     group_bits: int = groups.TEST_GROUP_BITS
 
 
-class TaggedMessage(NamedTuple):
-    """``<f_e(h(a)), payload>`` — one element of a message set, as a
-    reader of a :class:`MessageSet` and a decoded frame see it.
-
-    ``tag`` is the group element ``f_e(h(a))`` in round 1 and the
-    exchange, and the 16-byte match digest of ``f_e1(f_e2(h(a)))`` in
-    round 2."""
-
-    tag: int | bytes
-    payload: hybrid.HybridCiphertext | bytes  # ciphertext, or ID token
-
-
 class MessageSet(Sequence):
     """One of Listing 3's message sets — M_i, a step-4 exchange body or a
     round-2 set — as two columns, ``tags`` and ``payloads``.
 
-    It is the list of ``TaggedMessage(tag, payload)`` records it stands
-    for: it iterates, indexes, compares, sizes and encodes on the wire
-    as that list (the codec writes the columns in one loop).  The
-    handlers that build and read it touch only the columns, so no
-    record is built per message between the source and the socket.
+    ``tags[i]`` is the group element ``f_e(h(a))`` in round 1 and the
+    exchange, and the 16-byte match digest of ``f_e1(f_e2(h(a)))`` in
+    round 2; ``payloads[i]`` is the tuple-set ciphertext, or an ID
+    token.  It indexes, iterates and compares as its ``(tag, payload)``
+    pairs.  The handlers that build and read it touch only the columns;
+    only the codec knows that it travels as a list of ``tagged-message``
+    records.
     """
 
     __slots__ = ("tags", "payloads")
@@ -139,10 +134,10 @@ class MessageSet(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return MessageSet(self.tags[index], self.payloads[index])
-        return TaggedMessage(self.tags[index], self.payloads[index])
+        return self.tags[index], self.payloads[index]
 
     def __iter__(self):
-        return map(TaggedMessage, self.tags, self.payloads)
+        return zip(self.tags, self.payloads)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (MessageSet, list, tuple)):
@@ -154,29 +149,15 @@ class MessageSet(Sequence):
 
 
 def _columns(body: Any) -> MessageSet:
-    """A received message set as columns.
-
-    A handler receives a :class:`MessageSet` in process, or the list of
-    ``TaggedMessage`` records a decoded frame holds; anything else — a
-    body that is no sequence, an entry that is no tagged message — is a
-    :class:`ProtocolError`.
-    """
+    """A received message set.  The empty set has no wire type — it
+    travels, and decodes, as ``[]`` — so an empty list or tuple is the
+    empty set; any other body that is no :class:`MessageSet` is a
+    :class:`ProtocolError`."""
     if type(body) is MessageSet:
         return body
-    if not isinstance(body, (list, tuple)):
-        raise ProtocolError(
-            f"message set is a {type(body).__name__}, not a sequence"
-        )
-    for entry in body:
-        if type(entry) is not TaggedMessage:
-            raise ProtocolError(
-                f"message set entry is a {type(entry).__name__}, "
-                "not a tagged message"
-            )
-    return MessageSet(
-        tuple(entry.tag for entry in body),
-        tuple(entry.payload for entry in body),
-    )
+    if type(body) in (list, tuple) and not body:
+        return MessageSet((), ())
+    raise ProtocolError(f"message set is a {type(body).__name__}")
 
 
 def _shuffled_set(tags: Sequence, payloads: Sequence) -> MessageSet:
@@ -460,7 +441,7 @@ def _prepare_source(
 
 
 def _double_encrypt(
-    received: MessageSet | Sequence[TaggedMessage],
+    received: MessageSet,
     key: comm.CommutativeKey,
     engine: CryptoEngine | None = None,
     cache: IndexCache | None = None,
@@ -481,7 +462,6 @@ def _double_encrypt(
         match_slots = _MatchSlots()
     key_digest = _key_digest(key) if cache is not None else b""
     p = key.group.p
-    received = _columns(received)
     tags = received.tags
     doubled = _amortized(
         cache, relation_name, KIND_COMM_DOUBLE, len(tags),
@@ -580,9 +560,10 @@ def _fresh_tokens(count: int) -> tuple[bytes, ...]:
 
 def _round_2(source, sender: str, body: MessageSet) -> Outbound:
     """Steps 5-6: S_i applies its own key on top and returns the set."""
+    received = _columns(body)
     derived = _derived(source)
     doubled = _double_encrypt(
-        body, source.key, source.engine, cache=source.cache,
+        received, source.key, source.engine, cache=source.cache,
         relation_name=source.relation.name,
         match_slots=None if derived is None else derived.match_slots,
     )

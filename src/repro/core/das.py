@@ -25,6 +25,12 @@ translating source, a translating mediator that reads the tables in
 plaintext) and the mixed model of Mykletun/Tsudik [18], whose
 non-sensitive attributes travel in plaintext, are not implemented;
 ``docs/decisions.md`` records why and what would bring one back.
+
+Rows ``<etuple, a^S_join>`` are columns under the source's one
+encapsulation (:class:`EncryptedRows`) in R_i^S, in R_C's two row
+tables and in the hardened frames, in process and, decoded, off the
+wire; only the codec knows that a table travels as a tuple or list of
+``das-tuple`` records.
 """
 
 from __future__ import annotations
@@ -77,28 +83,19 @@ class DASConfig:
             raise ProtocolError(f"unknown partition strategy {self.strategy!r}")
 
 
-@dataclass(frozen=True)
-class EncryptedTuple:
-    """``t^S = <etuple, a^S_join>`` — one row of an encrypted relation,
-    as a record: the form the wire and :class:`EncryptedRows` stand for."""
-
-    etuple: hybrid.HybridCiphertext
-    index_value: int
-
-
 class EncryptedRows(Sequence):
-    """Rows ``<etuple, a^S_join>`` of one source as three columns: the
-    source's one encapsulation, the etuples' DEM bodies and the index
-    values (``None`` for the encapsulation of a table with no rows,
-    which names none).
+    """Rows ``t^S = <etuple, a^S_join>`` of one source as three columns:
+    the source's one encapsulation, the etuples' DEM bodies and the
+    index values (``None`` for the encapsulation of a table with no
+    rows, which names none).
 
-    It is the sequence of :class:`EncryptedTuple` records it stands for —
-    a list, or a tuple where ``container`` says so (R_i^S's own rows):
-    it iterates, indexes, compares, sizes and encodes on the wire as
-    that sequence (the codec writes the columns in one loop).  The
-    handlers that build and read it touch only the columns, so no
-    record and no per-row ciphertext object is built between the
-    source and the socket, nor between the client's inbox and its DEM.
+    It indexes, iterates and compares as its ``(etuple, index_value)``
+    pairs, each etuple a :class:`~repro.crypto.hybrid.HybridCiphertext`
+    built on demand.  The handlers that build and read it touch only the
+    columns, so no per-row object is built between the source and the
+    socket, nor between the client's inbox and its DEM; only the codec
+    knows that it travels as a list — or, where ``container`` says so
+    (R_i^S's own rows), a tuple — of ``das-tuple`` records.
     """
 
     __slots__ = ("encapsulation", "bodies", "index_values", "container")
@@ -126,14 +123,13 @@ class EncryptedRows(Sequence):
                 self.encapsulation, self.bodies[index],
                 self.index_values[index], self.container,
             )
-        return EncryptedTuple(
+        return (
             hybrid.HybridCiphertext(self.encapsulation, self.bodies[index]),
             self.index_values[index],
         )
 
     def __iter__(self):
-        return map(
-            EncryptedTuple,
+        return zip(
             map(partial(hybrid.HybridCiphertext, self.encapsulation), self.bodies),
             self.index_values,
         )
@@ -156,13 +152,12 @@ class EncryptedRows(Sequence):
 
 
 def _rows(body: Any, container: type = list) -> EncryptedRows:
-    """Received rows as columns, in ``container``.
+    """Received rows as :class:`EncryptedRows` in ``container``.
 
-    A handler receives :class:`EncryptedRows` in process, or the list or
-    tuple of :class:`EncryptedTuple` records a decoded frame holds.
-    Anything else — a body that is no sequence, an entry that is no
-    record of bytes under an encapsulation and an int, rows of one table
-    under more than one encapsulation — is a :class:`ProtocolError`.
+    The empty table has no wire type — it travels, and decodes, as
+    ``[]`` or ``()`` — so an empty list or tuple is the empty table; any
+    other body that is no :class:`EncryptedRows` is a
+    :class:`ProtocolError`.
     """
     if type(body) is EncryptedRows:
         if body.container is container:
@@ -170,36 +165,9 @@ def _rows(body: Any, container: type = list) -> EncryptedRows:
         return EncryptedRows(
             body.encapsulation, body.bodies, body.index_values, container
         )
-    if not isinstance(body, (list, tuple)):
-        raise ProtocolError(
-            f"encrypted rows are a {type(body).__name__}, not a sequence"
-        )
-    encapsulation: hybrid.Encapsulation | None = None
-    for row in body:
-        if not (
-            type(row) is EncryptedTuple
-            and type(row.etuple) is hybrid.HybridCiphertext
-            and type(row.etuple.body) is bytes
-            and type(row.index_value) is int
-        ):
-            raise ProtocolError(
-                f"encrypted row is a {type(row).__name__}, not an etuple "
-                "with an index value"
-            )
-        wrapped = row.etuple.wrapped_keys
-        if wrapped is not encapsulation:
-            if encapsulation is None:
-                encapsulation = wrapped
-            elif wrapped.digest() != encapsulation.digest():
-                raise ProtocolError(
-                    "rows of one table reference more than one encapsulation"
-                )
-    return EncryptedRows(
-        encapsulation,
-        tuple(row.etuple.body for row in body),
-        tuple(row.index_value for row in body),
-        container,
-    )
+    if type(body) in (list, tuple) and not body:
+        return EncryptedRows(None, (), (), container)
+    raise ProtocolError(f"encrypted rows are a {type(body).__name__}")
 
 
 @dataclass(frozen=True)
@@ -207,16 +175,12 @@ class EncryptedRelation:
     """``R_i^S``: the DAS-encrypted partial result of one source.
 
     ``rows`` holds the source's one encapsulation, a tuple of DEM bodies
-    and a tuple of index values (:class:`EncryptedRows`); records given
-    instead are taken to columns (:func:`_rows`).
+    and a tuple of index values (:class:`EncryptedRows`, a tuple).
     """
 
     source: str
     relation_name: str
     rows: EncryptedRows
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", _rows(self.rows, tuple))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -250,10 +214,9 @@ class ServerResult:
     row is kept once per side (in order of first appearance among the
     pairs) and the pairs are one packed array of big-endian ``u32``
     ``(i, j)`` row positions, 8 bytes per pair.  Each table is a list
-    of rows held as columns (:class:`EncryptedRows`; records given
-    instead are taken to columns).  The codec and the size estimate read
-    these three fields as they are.  ``positions`` is marked
-    ``structural``: it is layout, not ciphertext material.
+    of rows held as columns (:class:`EncryptedRows`).  The codec and the
+    size estimate read these three fields as they are.  ``positions`` is
+    marked ``structural``: it is layout, not ciphertext material.
     """
 
     rows_1: EncryptedRows
@@ -261,13 +224,11 @@ class ServerResult:
     positions: bytes = field(metadata={"structural": True})
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows_1", _rows(self.rows_1))
-        object.__setattr__(self, "rows_2", _rows(self.rows_2))
         if len(self.positions) % 8:
             raise ProtocolError(
                 "server-result position table is not whole (i, j) pairs"
             )
-        flat = self._flat()
+        flat = struct.unpack(f">{len(self.positions) // 4}I", self.positions)
         if max(flat[0::2], default=-1) >= len(self.rows_1) or (
             max(flat[1::2], default=-1) >= len(self.rows_2)
         ):
@@ -275,24 +236,8 @@ class ServerResult:
                 "server-result position table points past a row table"
             )
 
-    def _flat(self) -> tuple[int, ...]:
-        return struct.unpack(f">{len(self.positions) // 4}I", self.positions)
-
     def __len__(self) -> int:
         return len(self.positions) // 8
-
-    @property
-    def pairs(self) -> tuple[tuple[EncryptedTuple, EncryptedTuple], ...]:
-        """R_C as its pairs of encrypted tuples, each distinct row one
-        record (for tests and analyses; the client reads the tables)."""
-        flat = self._flat()
-        rows_1, rows_2 = list(self.rows_1), list(self.rows_2)
-        return tuple(
-            zip(
-                map(rows_1.__getitem__, flat[0::2]),
-                map(rows_2.__getitem__, flat[1::2]),
-            )
-        )
 
 
 def _partition_domain(
@@ -445,7 +390,7 @@ def _evaluate_server_query(
     in order, each with its partners bucket by bucket in q_S's order;
     a bucket of R2^S enters ``rows_2`` whole, the first time it is named.
     """
-    rows_1, rows_2 = relation_1.rows, relation_2.rows
+    rows_1, rows_2 = _rows(relation_1.rows, tuple), _rows(relation_2.rows, tuple)
     by_index_2: dict[int, list[int]] = {}  # bucket of R2^S -> its positions
     for position, index_2 in enumerate(rows_2.index_values):
         by_index_2.setdefault(index_2, []).append(position)
@@ -546,8 +491,8 @@ def _client_postprocess(
     result_schema = schema_1.join_schema(
         schema_2, f"{schema_1.relation_name}_join_{schema_2.relation_name}"
     )
-    rows_1 = _decrypt_rows(client, schema_1, server_result.rows_1, engine)
-    rows_2 = _decrypt_rows(client, schema_2, server_result.rows_2, engine)
+    rows_1 = _decrypt_rows(client, schema_1, _rows(server_result.rows_1), engine)
+    rows_2 = _decrypt_rows(client, schema_2, _rows(server_result.rows_2), engine)
     position_1 = schema_1.position(attribute)
     position_2 = schema_2.position(attribute)
     extras: dict = {}

@@ -17,7 +17,10 @@ wire: ``start``, handed to each party whose role has an entry for it
 before any message; ``done``, likewise once the queue has drained (a
 step that needs every frame of a channel, because under hardening no
 party knows how many frames another sends); and a message a handler
-addresses to its own party, which continues that party locally.
+addresses to its own party, which continues that party locally.  A
+handler that cannot read a body it was given — a deviating sender's —
+fails the run with a :class:`~repro.errors.ProtocolError`
+(:func:`_run_step`), never an untyped exception.
 """
 
 from __future__ import annotations
@@ -151,11 +154,25 @@ def deliver(
                 queue.append((receiver, target, out_kind, out_body))
 
 
+#: What a handler raises on a body — received, or kept for its ``done``
+#: step — that is not of the shape its listing sends.
+_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+
+
 def _run_step(
     step: Step, party: str, state: Any, sender: str, body: Any,
     result: MediationResult,
 ) -> Outbound:
-    if step.name is None:
-        return step.handler(state, sender, body)
-    with timed(result, party, step.name):
-        return step.handler(state, sender, body)
+    """Run one handler.  A party refuses what it cannot read: a
+    malformed body surfaces as a :class:`ProtocolError` naming the
+    step, as the codec refuses bytes it cannot decode."""
+    try:
+        if step.name is None:
+            return step.handler(state, sender, body)
+        with timed(result, party, step.name):
+            return step.handler(state, sender, body)
+    except _MALFORMED as exc:
+        raise ProtocolError(
+            f"{party} cannot read what {step.handler.__name__} was given: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc

@@ -63,8 +63,8 @@ class CoverTraffic:
         dummy positions must not leak), and partitioned into frames of
         at most ``batch_size`` elements each; a frame body is a plain
         list — or, when nothing is added or shuffled, a slice of
-        ``items`` as given (a list, or a column table that stands for
-        one, so no record is built per item).  Returns the frames in
+        ``items`` as given (a list, or a column table, so no object is
+        built per item).  Returns the frames in
         delivery order; the caller emits each as one message of ``kind``.
         """
         if len(items) > bound:

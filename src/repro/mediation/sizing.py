@@ -21,6 +21,7 @@ import dataclasses
 from collections.abc import Sequence
 from typing import Any
 
+from repro.core.commutative import MessageSet
 from repro.core.das import EncryptedRows
 from repro.crypto.hybrid import CIPHERTEXT_HEADER_BYTES, HybridCiphertext
 from repro.crypto.paillier import PaillierCiphertext
@@ -32,12 +33,6 @@ def _int_size(value: int) -> int:
 
 def estimate_size(body: Any) -> int:
     """Approximate serialized size of a message body in bytes."""
-    from repro.core.commutative import MessageSet
-
-    if type(body) is MessageSet:
-        # The sum over its records, read off the columns.
-        seen: set[int] = set()
-        return _estimate(body.tags, seen) + _estimate(body.payloads, seen)
     return _estimate(body, set())
 
 
@@ -45,10 +40,13 @@ def _estimate(body: Any, seen: set[int]) -> int:
     """``seen`` holds the ids of the encapsulations already counted."""
     if body is None:
         return 0
+    if type(body) is MessageSet:
+        # The sum over its (tag, payload) pairs, read off the columns.
+        return _estimate(body.tags, seen) + _estimate(body.payloads, seen)
     if type(body) is EncryptedRows:
-        # The sum over its records, read off the columns: the shared
-        # encapsulation once, each ciphertext's header and body, each
-        # index value.
+        # The sum over its (etuple, index value) pairs, read off the
+        # columns: the shared encapsulation once, each ciphertext's
+        # header and body, each index value.
         encapsulation = body.encapsulation
         if encapsulation is None or not body.bodies:
             return 0

@@ -89,16 +89,20 @@ class IndexTable:
     attribute: str
     entries: tuple[tuple[Partition, int], ...]
     salt: bytes = field(default=b"", repr=False)
+    #: value -> index value, built from ``entries``.
+    _index_of: dict[Value, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index_values = [index for _, index in self.entries]
         if len(set(index_values)) != len(index_values):
             raise PartitionError("index values must be unique")
-        seen: set[Value] = set()
-        for partition, _ in self.entries:
-            if partition.values & seen:
-                raise PartitionError("partitions must not share active values")
-            seen |= partition.values
+        index_of: dict[Value, int] = {}
+        for partition, index in self.entries:
+            for value in partition.values:
+                if value in index_of:
+                    raise PartitionError("partitions must not share active values")
+                index_of[value] = index
+        object.__setattr__(self, "_index_of", index_of)
 
     @property
     def partitions(self) -> tuple[Partition, ...]:
@@ -106,16 +110,13 @@ class IndexTable:
 
     def index_of(self, value: Value) -> int:
         """Index value of the partition containing ``value``."""
-        for partition, index in self.entries:
-            if value in partition.values:
-                return index
-        raise PartitionError(f"value {value!r} not covered by any partition")
+        try:
+            return self._index_of[value]
+        except KeyError:
+            raise PartitionError(f"value {value!r} not covered by any partition") from None
 
     def covered_values(self) -> frozenset[Value]:
-        result: set[Value] = set()
-        for partition, _ in self.entries:
-            result |= partition.values
-        return frozenset(result)
+        return frozenset(self._index_of)
 
     def overlapping_pairs(
         self, other: "IndexTable"

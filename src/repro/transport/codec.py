@@ -1,7 +1,7 @@
 """Length-prefixed binary codec for protocol messages.
 
 Everything the three delivery protocols put on the bus — ciphertexts,
-encrypted index tables, tagged message sets, encrypted polynomial
+encrypted index tables, message sets, encrypted polynomial
 coefficients, credentials — must survive a real wire.  This module defines:
 
 * a **value codec**: a recursive, type-tagged binary encoding of the
@@ -38,6 +38,14 @@ row once, next to one packed table of row positions
 (:class:`repro.core.das.ServerResult` holds R_C in that form) — which keeps wire
 bytes close to the structural estimates of
 :func:`repro.mediation.sizing.estimate_size`.
+
+**Column tables** — a commutative ``MessageSet`` and a DAS
+``EncryptedRows`` — are the one in-process form of a message set and a
+table of rows.  Only this module knows their record syntax: it writes a
+table from its columns as a list (or tuple) of ``tagged-message`` /
+``das-tuple`` records and reads such a sequence straight back into the
+column type (:func:`_write_columns`, :func:`_read_records`); no type is
+registered under either record name.
 
 The registry is populated lazily on first use so that importing the
 codec does not drag in the whole protocol stack.
@@ -131,16 +139,28 @@ class _Extension(NamedTuple):
 _BY_NAME: dict[bytes, _Extension] = {}
 _BY_CLS: dict[type, _Extension] = {}
 _BOOTSTRAPPED = False
-#: Set by :func:`_bootstrap` for :func:`_write_columns`: the two column
-#: types, the one field type it writes inline besides ints and bytes,
-#: and what every tagged-message record, every das-tuple record and
-#: every hybrid ciphertext start with.
-_MESSAGE_SET: type | None = None
-_ENCRYPTED_ROWS: type | None = None
+#: Set by :func:`_bootstrap` for :func:`_write_columns` and
+#: :func:`_read_records`: the two column types, the one field type they
+#: write inline besides ints and bytes, and what every hybrid
+#: ciphertext starts with.
+_MESSAGE_SET: Any = None
+_ENCRYPTED_ROWS: Any = None
 _HYBRID_CT: type | None = None
-_MESSAGE_HEAD = b""
-_ROW_HEAD = b""
 _CT_HEAD = b""
+
+
+def _record_head(name: bytes) -> bytes:
+    """``EXT``, the name's length, the name and a two-field tuple's head:
+    what every record of a column table starts with on the wire."""
+    return bytes((_T_EXT, len(name))) + name + _HEAD(_T_TUPLE, 2)
+
+
+#: A commutative message set travels as a list of ``tagged-message``
+#: records ``(tag, payload)``, and a table of DAS rows as a list or
+#: tuple of ``das-tuple`` records ``(etuple, index_value)``.  No type
+#: is registered under these names: the records exist only on the wire.
+_MESSAGE_HEAD = _record_head(b"tagged-message")
+_ROW_HEAD = _record_head(b"das-tuple")
 
 
 def _register(
@@ -169,13 +189,13 @@ def _bootstrap() -> None:
         return
     _BOOTSTRAPPED = True
 
-    from repro.core.commutative import MessageSet, TaggedMessage
+    from repro.core.commutative import MessageSet
     from repro.core.das import (
         EncryptedRelation,
         EncryptedRows,
-        EncryptedTuple,
         ServerQuery,
         ServerResult,
+        _rows,
     )
     from repro.crypto.hybrid import Encapsulation, HybridCiphertext
     from repro.crypto.paillier import PaillierCiphertext, PaillierPublicKey
@@ -223,17 +243,20 @@ def _bootstrap() -> None:
         attrgetter("properties", "public_key", "issuer", "signature"),
         lambda t: Credential(*t),
     )
-    _register(
-        "das-tuple",
-        EncryptedTuple,
-        attrgetter("etuple", "index_value"),
-        lambda t: EncryptedTuple(*t),
-    )
+
+    # An empty table has no wire type (it is written as ``()`` or
+    # ``[]``): the records that hold tables take it as the empty table.
+    def relation(source: Any, relation_name: Any, rows: Any) -> Any:
+        return EncryptedRelation(source, relation_name, _rows(rows, tuple))
+
+    def server_result(rows_1: Any, rows_2: Any, positions: Any) -> Any:
+        return ServerResult(_rows(rows_1), _rows(rows_2), positions)
+
     _register(
         "das-relation",
         EncryptedRelation,
         attrgetter("source", "relation_name", "rows"),
-        lambda t: EncryptedRelation(*t),
+        lambda t: relation(*t),
     )
     _register(
         "das-server-query",
@@ -245,23 +268,11 @@ def _bootstrap() -> None:
         "das-server-result",
         ServerResult,
         attrgetter("rows_1", "rows_2", "positions"),
-        lambda t: ServerResult(*t),
+        lambda t: server_result(*t),
     )
-    _register(
-        "tagged-message",
-        TaggedMessage,
-        attrgetter("tag", "payload"),
-        lambda t: TaggedMessage(*t),
-    )
-    # A message set and a table of DAS rows are written from their
-    # columns as the list (or tuple) of tagged-message or das-tuple
-    # records they stand for, and decode as that sequence.
-    global _MESSAGE_SET, _ENCRYPTED_ROWS, _HYBRID_CT
-    global _MESSAGE_HEAD, _ROW_HEAD, _CT_HEAD
+    global _MESSAGE_SET, _ENCRYPTED_ROWS, _HYBRID_CT, _CT_HEAD
     _MESSAGE_SET, _ENCRYPTED_ROWS = MessageSet, EncryptedRows
     _HYBRID_CT = HybridCiphertext
-    _MESSAGE_HEAD = _BY_CLS[TaggedMessage].header + _HEAD(_T_TUPLE, 2)
-    _ROW_HEAD = _BY_CLS[EncryptedTuple].header + _HEAD(_T_TUPLE, 2)
     _CT_HEAD = _BY_CLS[HybridCiphertext].header + _HEAD(_T_TUPLE, 2)
 
 
@@ -518,6 +529,13 @@ def _read(
                 raise _implausible(size, end - pos)
             if size and depth >= MAX_VALUE_DEPTH:
                 raise _too_deep()
+            if size and tag <= _T_TUPLE and data[pos] == _T_EXT and (
+                data.startswith(_ROW_HEAD, pos)
+                or tag == _T_LIST and data.startswith(_MESSAGE_HEAD, pos)
+            ):
+                table, pos = _read_records(data, pos, size, depth, interned, tag)
+                append(table)
+                continue
             items, pos = _read(data, pos, width, depth + 1, interned)
             if tag == _T_LIST:
                 append(items)
@@ -543,6 +561,49 @@ def _read(
         else:
             raise ValueCodecError(f"unknown value tag 0x{tag:02x}")
     return values, pos
+
+
+def _read_records(
+    data: bytes, pos: int, count: int, depth: int, interned: list, tag: int
+) -> tuple[Any, int]:
+    """The mirror of :func:`_write_columns`: the ``count`` records of the
+    list (``tag`` ``_T_LIST``) or tuple ``depth`` levels deep, read
+    straight into the column table they make — ``tagged-message``
+    records a ``MessageSet``, ``das-tuple`` records an ``EncryptedRows``
+    of that container.  A non-record entry, an etuple that is no hybrid
+    ciphertext of ``bytes``, an index value that is no ``int`` and rows
+    under two encapsulations are refused."""
+    if depth + 2 >= MAX_VALUE_DEPTH:  # the records and their field tuples
+        raise _too_deep()
+    head = _ROW_HEAD if data.startswith(_ROW_HEAD, pos) else _MESSAGE_HEAD
+    fields: list = []
+    for _ in range(count):
+        if not data.startswith(head, pos):
+            raise ValueCodecError(
+                f"a table entry is not a {head[2:-5].decode()} record"
+            )
+        pair, pos = _read(data, pos + len(head), 2, depth + 3, interned)
+        fields += pair
+    firsts, seconds = tuple(fields[0::2]), tuple(fields[1::2])
+    if head is _MESSAGE_HEAD:
+        return _MESSAGE_SET(firsts, seconds), pos
+    sealed = getattr(firsts[0], "wrapped_keys", None)
+    for etuple, index_value in zip(firsts, seconds):
+        if not (
+            type(etuple) is _HYBRID_CT and type(etuple.body) is bytes
+            and type(index_value) is int
+        ):
+            raise ValueCodecError(
+                "a das-tuple is not an etuple of bytes and an int index value"
+            )
+        wrapped = etuple.wrapped_keys
+        if wrapped is not sealed and wrapped.digest() != sealed.digest():
+            raise ValueCodecError(
+                "das rows of one table reference more than one encapsulation"
+            )
+    bodies = tuple(etuple.body for etuple in firsts)
+    container = list if tag == _T_LIST else tuple
+    return _ENCRYPTED_ROWS(sealed, bodies, seconds, container), pos
 
 
 def _implausible(count: int, remaining: int) -> ValueCodecError:

@@ -3,7 +3,6 @@
 import gc
 import hashlib
 from itertools import chain
-from operator import attrgetter
 from types import SimpleNamespace
 
 import pytest
@@ -15,7 +14,7 @@ from repro import Federation, reference_join, run_join_query
 from repro.core import commutative
 from repro.core.commutative import (
     MessageSet,
-    TaggedMessage,
+    _columns,
     _Derived,
     _MatchSlots,
     _cached_key,
@@ -24,6 +23,7 @@ from repro.core.commutative import (
     _key_digest,
     _prepare_source,
     _round_1,
+    _round_2,
     _slots,
 )
 from repro.crypto import commutative as comm
@@ -41,6 +41,8 @@ from repro.relational.schema import schema
 from repro.storage import KIND_COMM_DOUBLE, IndexCache, MemoryBackend
 from repro.storage.serialize import serialize_int
 from repro.transport import TcpTransport, codec
+
+from tests.transport import reference_codec as reference
 
 S = schema("R", k="int", p="string")
 R = Relation(S, [(1, "a"), (1, "b"), (2, "c"), (3, "d")])
@@ -68,13 +70,13 @@ class TestPrepareSource:
         _, messages = _prepare_source(
             R, ("k",), group, ideal_hash, [rsa_key.public_key()],
         )
-        assert all(group.contains(m.tag) for m in messages)
+        assert all(group.contains(tag) for tag in messages.tags)
 
     def test_tags_distinct(self, group, ideal_hash, rsa_key):
         _, messages = _prepare_source(
             R, ("k",), group, ideal_hash, [rsa_key.public_key()],
         )
-        assert len({m.tag for m in messages}) == len(messages)
+        assert len(set(messages.tags)) == len(messages)
 
     def test_group_verification_failure(self):
         # Refused before the source's state is touched.
@@ -90,9 +92,7 @@ class TestDoubleEncrypt:
         )
         other_key = comm.generate_key(group)
         doubled = _double_encrypt(messages, other_key)
-        assert {id(m.payload) for m in doubled} == {
-            id(m.payload) for m in messages
-        }
+        assert set(map(id, doubled.payloads)) == set(map(id, messages.payloads))
 
     def test_tags_transformed(self, group, ideal_hash, rsa_key):
         _, messages = _prepare_source(
@@ -100,8 +100,7 @@ class TestDoubleEncrypt:
         )
         other_key = comm.generate_key(group)
         doubled = _double_encrypt(messages, other_key)
-        original_tags = {m.tag for m in messages}
-        assert all(m.tag not in original_tags for m in doubled)
+        assert not set(messages.tags) & set(doubled.tags)
 
 
     def test_non_residue_tag_is_a_typed_error(self, group, ideal_hash, rsa_key):
@@ -111,8 +110,9 @@ class TestDoubleEncrypt:
             R, ("k",), group, ideal_hash, [rsa_key.public_key()],
         )
         non_residue = next(x for x in range(2, 1000) if not group.contains(x))
-        messages = list(messages)
-        messages[1] = TaggedMessage(tag=non_residue, payload=messages[1].payload)
+        tags = list(messages.tags)
+        tags[1] = non_residue
+        messages = MessageSet(tuple(tags), messages.payloads)
         with pytest.raises(ParameterError):
             _double_encrypt(
                 messages, comm.generate_key(group), engine=CryptoEngine()
@@ -129,11 +129,11 @@ class TestRound2Digests:
         other_key = comm.generate_key(group)
         doubled = _double_encrypt(messages, other_key)
         expected = {
-            id(m.payload): match_digest(comm.apply(other_key, m.tag), group.p)
-            for m in messages
+            id(payload): match_digest(comm.apply(other_key, tag), group.p)
+            for tag, payload in messages
         }
-        assert all(type(m.tag) is bytes and len(m.tag) == 16 for m in doubled)
-        assert {id(m.payload): m.tag for m in doubled} == expected
+        assert all(type(tag) is bytes and len(tag) == 16 for tag in doubled.tags)
+        assert {id(payload): tag for tag, payload in doubled} == expected
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -151,18 +151,18 @@ class TestRound2Digests:
         key_1, key_2 = (comm.CommutativeKey(group, e) for e in exponents)
 
         def round_1(key, values):
-            return [
-                TaggedMessage(comm.apply(key, ideal_hash(b"%d" % v)), v)
-                for v in values
-            ]
+            return MessageSet(
+                tuple(comm.apply(key, ideal_hash(b"%d" % v)) for v in values),
+                tuple(values),
+            )
 
         # Each source double-encrypts the other's round-1 set.
         from_2 = round_1(key_2, values_2)
         from_1 = round_1(key_1, values_1)
-        raw_1 = {comm.apply(key_1, m.tag): m.payload for m in from_2}
-        raw_2 = {comm.apply(key_2, m.tag): m.payload for m in from_1}
-        digest_1 = {m.tag: m.payload for m in _double_encrypt(from_2, key_1)}
-        digest_2 = {m.tag: m.payload for m in _double_encrypt(from_1, key_2)}
+        raw_1 = {comm.apply(key_1, tag): value for tag, value in from_2}
+        raw_2 = {comm.apply(key_2, tag): value for tag, value in from_1}
+        digest_1 = dict(_double_encrypt(from_2, key_1))
+        digest_2 = dict(_double_encrypt(from_1, key_2))
 
         raw_pairs = {(a, raw_1[t]) for t, a in raw_2.items() if t in raw_1}
         digest_pairs = {
@@ -202,11 +202,11 @@ class TestRound2Cache:
         entry written by an older build from being misread."""
         key = comm.generate_key(group)
         digest = _key_digest(key)
-        for m in messages:
-            element = comm.apply(key, m.tag)
+        for tag in messages.tags:
+            element = comm.apply(key, tag)
             cache.put(
                 "R", KIND_COMM_DOUBLE,
-                _slots(b"double:", digest, [serialize_int(m.tag)])[0],
+                _slots(b"double:", digest, [serialize_int(tag)])[0],
                 element.to_bytes(16, "big"),
             )
         doubled = _double_encrypt(messages, key, cache=cache, relation_name="R")
@@ -218,7 +218,7 @@ class TestRound2Cache:
     ):
         key = comm.generate_key(group)
         digest = _key_digest(key)
-        slot = _slots(b"match:", digest, [serialize_int(messages[0].tag)])[0]
+        slot = _slots(b"match:", digest, [serialize_int(messages.tags[0])])[0]
         cache.put("R", KIND_COMM_DOUBLE, slot, b"\x00" * 15)
         doubled = _double_encrypt(messages, key, cache=cache, relation_name="R")
         assert sorted(doubled) == sorted(_double_encrypt(messages, key))
@@ -245,21 +245,21 @@ class TestKeySlot:
 
 class TestShuffle:
     def test_preserves_multiset(self):
-        items = [TaggedMessage(tag=i, payload=b"x") for i in range(50)]
+        items = [(i, b"x") for i in range(50)]
         shuffled = _shuffled(items)
-        assert sorted(m.tag for m in shuffled) == list(range(50))
+        assert sorted(tag for tag, _ in shuffled) == list(range(50))
 
     def test_does_not_mutate_input(self):
-        items = [TaggedMessage(tag=i, payload=b"x") for i in range(10)]
+        items = [(i, b"x") for i in range(10)]
         snapshot = list(items)
         _shuffled(items)
         assert items == snapshot
 
     def test_actually_shuffles(self):
-        items = [TaggedMessage(tag=i, payload=b"x") for i in range(64)]
+        items = [(i, b"x") for i in range(64)]
         # The probability all 20 attempts return identity order is ~0.
         assert any(
-            [m.tag for m in _shuffled(items)] != list(range(64))
+            [tag for tag, _ in _shuffled(items)] != list(range(64))
             for _ in range(20)
         )
 
@@ -282,38 +282,45 @@ class TestSlotBytes:
 
 
 class TestMessageSet:
-    """A message set holds two columns but is, everywhere it is read,
-    the list of ``TaggedMessage(tag, payload)`` records it stands for."""
+    """A message set holds two columns and reads, everywhere it is read,
+    as its ``(tag, payload)`` pairs; only the codec writes it as a list
+    of ``tagged-message`` records."""
 
     @pytest.fixture
     def exchange(self):
         tags = (2**2047 + 11, 5, 0, 2**64)
         tokens = tuple(bytes([i]) * 8 for i in range(len(tags)))
-        return MessageSet(tags, tokens), [
-            TaggedMessage(tag, token) for tag, token in zip(tags, tokens)
-        ]
+        return MessageSet(tags, tokens), list(zip(tags, tokens))
 
-    def test_reads_as_its_records(self, exchange):
-        body, records = exchange
-        assert len(body) == len(records)
-        assert list(body) == records
-        assert body[1] == records[1] and body[-1] == records[-1]
-        assert body[1:3] == records[1:3]
-        assert body == records and records == body
+    def test_reads_as_its_pairs(self, exchange):
+        body, pairs = exchange
+        assert len(body) == len(pairs)
+        assert list(body) == pairs
+        assert body[1] == pairs[1] and body[-1] == pairs[-1]
+        assert body[1:3] == pairs[1:3] and type(body[1:3]) is MessageSet
+        assert body == pairs and pairs == body
         assert body == MessageSet(body.tags, body.payloads)
-        assert body != records[:-1]
+        assert body != pairs[:-1]
 
-    def test_wire_bytes_and_sizes_are_the_records(self, exchange):
-        body, records = exchange
-        assert codec.encode_value(body) == codec.encode_value(records)
-        assert codec.decode_value(codec.encode_value(body)) == body
-        assert estimate_size(body) == estimate_size(records)
+    def test_wire_bytes_are_the_records_and_walkers_read_the_pairs(
+        self, exchange
+    ):
+        body, pairs = exchange
+        encoded = codec.encode_value(body)
+        assert encoded == reference.encode_records(
+            reference.MESSAGE_RECORD, pairs
+        )
+        decoded = codec.decode_value(encoded)
+        assert type(decoded) is MessageSet
+        assert (decoded.tags, decoded.payloads) == (body.tags, body.payloads)
+        assert estimate_size(body) == estimate_size(pairs)
+        assert estimate_size({"set": body}) == estimate_size({"set": pairs})
         assert list(iter_byte_material(body)) == list(
-            iter_byte_material(records)
+            iter_byte_material(pairs)
         )
         fragments = ([], [])
         _collect_ciphertext_fragments(body, fragments[0])
-        _collect_ciphertext_fragments(records, fragments[1])
+        _collect_ciphertext_fragments(pairs, fragments[1])
         assert fragments[0] == fragments[1]
 
     def test_the_untimed_exchange_builds_no_record_per_message(self):
@@ -321,7 +328,9 @@ class TestMessageSet:
         objects it allocated are where a garbage collection can start
         inside an untimed step."""
         sets = {
-            source: [TaggedMessage(base + i, b"ct") for i in range(200)]
+            source: MessageSet(
+                tuple(range(base, base + 200)), (b"ct",) * 200
+            )
             for source, base in (("S1", 0), ("S2", 1000))
         }
         mediator = SimpleNamespace()
@@ -334,22 +343,30 @@ class TestMessageSet:
             gc.enable()
         assert allocated < 20
         (_, _, to_1), (_, _, to_2) = outbound
-        assert list(map(attrgetter("tag"), to_1)) == list(map(attrgetter("tag"), sets["S2"]))
-        assert list(map(attrgetter("tag"), to_2)) == list(map(attrgetter("tag"), sets["S1"]))
-        assert [m.payload for m in chain(to_2, to_1)] == list(mediator.tokens)
+        assert to_1.tags == sets["S2"].tags and to_2.tags == sets["S1"].tags
+        assert list(chain(to_2.payloads, to_1.payloads)) == list(mediator.tokens)
 
-    def test_round_2_reads_the_columns(self, group, ideal_hash):
-        key = comm.generate_key(group)
-        records = [
-            TaggedMessage(comm.apply(key, ideal_hash(b"%d" % i)), bytes([i]) * 8)
-            for i in range(6)
-        ]
-        body = MessageSet(
-            tuple(m.tag for m in records), tuple(m.payload for m in records)
-        )
-        assert sorted(_double_encrypt(body, key)) == sorted(
-            _double_encrypt(records, key)
-        )
+    @pytest.mark.parametrize(
+        "body",
+        [[(5, b"token")], ((5, b"token"),), {5: b"token"}, b"set", 7, None],
+        ids=["pairs", "tuple-of-pairs", "dict", "bytes", "int", "none"],
+    )
+    def test_a_body_that_is_no_message_set_is_refused(self, body):
+        with pytest.raises(ProtocolError, match="message set is a"):
+            _round_2(SimpleNamespace(), "mediator", body)
+        with pytest.raises(ProtocolError, match="message set is a"):
+            _exchange(SimpleNamespace(), "S2", {"S1": body, "S2": body})
+
+    def test_the_empty_set_travels_and_decodes_as_an_empty_list(self):
+        """The empty set has no wire type: it is written as ``[]``,
+        decodes as ``[]``, and a handler takes ``[]`` (or ``()``) as the
+        empty set."""
+        empty = MessageSet((), ())
+        assert codec.encode_value(empty) == codec.encode_value([])
+        assert codec.decode_value(codec.encode_value(empty)) == [] == empty
+        for decoded in ([], ()):
+            assert type(_columns(decoded)) is MessageSet
+            assert _columns(decoded) == empty
 
 
 class TestContentMemo:
@@ -465,24 +482,16 @@ class TestContentMemo:
         }
 
 
-class TestNoRecordOnTheWay:
+class TestSetsTravelAsColumns:
     """A warm query carries its message sets as columns from the source
-    that builds them to the socket: the handlers, the bus estimate and
-    the encoder build no ``TaggedMessage``."""
+    that builds them to the socket."""
 
     @pytest.mark.parametrize("carrier", ["bus", "tcp"])
     @pytest.mark.parametrize("hardened", [False, True], ids=["plain", "hardened"])
-    def test_a_warm_query_builds_no_record(
-        self, ca, client, workload, monkeypatch, carrier, hardened
+    def test_a_warm_query_sends_message_sets(
+        self, ca, client, workload, carrier, hardened
     ):
         network = TcpTransport() if carrier == "tcp" else Network()
-        built = []
-        original = TaggedMessage.__new__
-
-        def counted(cls, *args, **kwargs):
-            built.append(cls)
-            return original(cls, *args, **kwargs)
-
         try:
             federation = Federation(
                 ca=ca, network=network, storage=MemoryBackend()
@@ -492,15 +501,12 @@ class TestNoRecordOnTheWay:
             federation.attach_client(client)
             query = "select * from R1 natural join R2"
             expected = encode_relation(reference_join(federation, query))
-            for warm in (False, True):
-                if warm:
-                    monkeypatch.setattr(TaggedMessage, "__new__", counted)
+            for _ in range(2):
                 result = run_join_query(
                     federation, query, protocol="commutative",
                     hardening=hardened or None,
                 )
                 assert encode_relation(result.global_result) == expected
-            assert built == []
             sets = [
                 m.body for m in result.messages
                 if m.kind in ("commutative_m_set", "commutative_exchange",
@@ -508,6 +514,5 @@ class TestNoRecordOnTheWay:
             ]
             assert len(sets) == 6
             assert all(type(body) is MessageSet and body for body in sets)
-            assert len(list(sets[0])) == len(built) > 0  # the count counts
         finally:
             network.close()

@@ -136,7 +136,7 @@ def _no_int(body) -> bool:
     """True if no integer appears anywhere in ``body``."""
     if isinstance(body, int):
         return False
-    if isinstance(body, (list, tuple)):
+    if isinstance(body, (list, tuple, commutative.MessageSet)):
         return all(map(_no_int, body))
     return True
 
@@ -157,8 +157,8 @@ class TestRound2Body:
         for message in doubles:
             assert message.body
             assert all(
-                type(entry.tag) is bytes and len(entry.tag) == 16
-                for entry in message.body
+                type(tag) is bytes and len(tag) == 16
+                for tag in message.body.tags
             )
             assert _no_int(message.body)
 
@@ -170,20 +170,20 @@ class TestRound2Body:
             (
                 "R2",
                 lambda doubled: [
-                    m._replace(tag=int.from_bytes(m.tag, "big")) for m in doubled
+                    (int.from_bytes(tag, "big"), payload)
+                    for tag, payload in doubled
                 ],
                 "not a 16-byte",
             ),
             (
                 "R1",
-                lambda doubled: [m._replace(tag=m.tag[:15]) for m in doubled],
+                lambda doubled: [(tag[:15], payload) for tag, payload in doubled],
                 "not a 16-byte",
             ),
             ("R2", lambda doubled: doubled[1:], "each ID token"),
             (
                 "R1",
-                lambda doubled: [doubled[0]._replace(payload=b"\0" * 8)]
-                + doubled[1:],
+                lambda doubled: [(doubled[0][0], b"\0" * 8)] + doubled[1:],
                 "unknown ID token",
             ),
         ],
@@ -191,24 +191,21 @@ class TestRound2Body:
              "group-element", "short-digest", "dropped-entry",
              "foreign-token"],
     )
-    @pytest.mark.parametrize("shape", ["columns", "records"])
     def test_forged_round_2_body_fails_closed(
         self, make_federation, workload, monkeypatch, relation, forge, reason,
-        shape,
     ):
-        """Each forgery reaches the mediator as a ``MessageSet`` and as
-        the list of records a decoded frame holds."""
+        """Each forgery, a list of ``(tag, payload)`` pairs, reaches the
+        mediator as a ``MessageSet``."""
         genuine = commutative._double_encrypt
 
         def forged(*args, relation_name, **kwargs):
             doubled = genuine(*args, relation_name=relation_name, **kwargs)
             if relation_name != relation:
                 return doubled
-            records = forge(list(doubled))
-            if shape == "records":
-                return records
+            pairs = forge(list(doubled))
             return commutative.MessageSet(
-                tuple(m.tag for m in records), tuple(m.payload for m in records)
+                tuple(tag for tag, _ in pairs),
+                tuple(payload for _, payload in pairs),
             )
 
         monkeypatch.setattr(commutative, "_double_encrypt", forged)
@@ -320,7 +317,7 @@ class TestProtocolShape:
         assert [m.receiver for m in exchanges] == ["S1", "S2"]
         for exchange, relayed in zip(exchanges, (m_sets["S2"], m_sets["S1"])):
             assert exchange.size_bytes == ENVELOPE_BYTES + sum(
-                max(1, (m.tag.bit_length() + 7) // 8) + 8 for m in exchange.body
+                max(1, (tag.bit_length() + 7) // 8) + 8 for tag in exchange.body.tags
             )
             assert exchange.size_bytes < relayed.size_bytes
             assert len(exchange.body) == len(relayed.body)
@@ -342,7 +339,7 @@ class TestProtocolShape:
                 if m.kind == "commutative_exchange"
             ]
             assert len(received) == 1
-            payloads = [message.payload for message in received[0].body]
+            payloads = received[0].body.payloads
             assert payloads
             # Never a HybridCiphertext: an opaque 8-byte token each.
             assert all(

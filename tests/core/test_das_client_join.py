@@ -2,8 +2,8 @@
 
 The client evaluates q_C as a hash join of R_C's two decrypted row
 tables and counts ``false_positives`` as |R_C| minus the pairs joined.
-The oracle here walks R_C pair by pair (the pair list is a view of the
-row tables), decrypts both etuples of every pair, keeps the pairs whose
+The oracle here walks R_C pair by pair (read off the position table),
+decrypts both etuples of every pair, keeps the pairs whose
 join values are equal and counts the rest.  On generated relations both
 must give the same global result and the same ``false_positives``, for
 both partition strategies and for one bucket or more buckets than values.
@@ -37,9 +37,13 @@ rows_strategy = st.lists(
 def oracle(client, server_result: ServerResult) -> tuple:
     """(global result, false positives) by a nested loop over the pairs."""
     rows, false_positives = [], 0
-    for encrypted_1, encrypted_2 in server_result.pairs:
-        row_1 = decode_row(client.decrypt_hybrid(encrypted_1.etuple), S1)
-        row_2 = decode_row(client.decrypt_hybrid(encrypted_2.etuple), S2)
+    flat = struct.unpack(
+        f">{len(server_result.positions) // 4}I", server_result.positions
+    )
+    for i, j in zip(flat[0::2], flat[1::2]):
+        (etuple_1, _), (etuple_2, _) = server_result.rows_1[i], server_result.rows_2[j]
+        row_1 = decode_row(client.decrypt_hybrid(etuple_1), S1)
+        row_2 = decode_row(client.decrypt_hybrid(etuple_2), S2)
         if row_1[0] == row_2[0]:
             rows.append(row_1 + row_2[1:])
         else:

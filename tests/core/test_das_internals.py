@@ -11,7 +11,6 @@ from repro.core.das import (
     DASConfig,
     EncryptedRelation,
     EncryptedRows,
-    EncryptedTuple,
     ServerQuery,
     ServerResult,
     _client_postprocess,
@@ -40,6 +39,8 @@ from repro.storage import (
 )
 from repro.transport import TcpTransport, codec
 
+from tests.transport import reference_codec as reference
+
 
 class TestPartitionDomain:
     DOMAIN = (1, 3, 5, 7, 9, 11)
@@ -61,19 +62,22 @@ class TestServerQueryEvaluation:
     @pytest.fixture(scope="class")
     def encrypted(self, rsa_key):
         keys = [rsa_key.public_key()]
-        sessions = [hybrid.new_session(keys) for _ in range(2)]
 
-        def row(side, index_value, k):
-            return EncryptedTuple(
-                sessions[side].encrypt(encode_row((k, "x", "y"))), index_value
-            )
+        def relation(source, name, rows):
+            """``(index value, k)`` rows under one session of their own."""
+            session = hybrid.new_session(keys)
+            return EncryptedRelation(source, name, EncryptedRows(
+                session.encapsulation,
+                tuple(
+                    session.encrypt(encode_row((k, "x", "y"))).body
+                    for _, k in rows
+                ),
+                tuple(index_value for index_value, _ in rows),
+                tuple,
+            ))
 
-        left = EncryptedRelation(
-            "S1", "R1", (row(0, 10, 1), row(0, 10, 2), row(0, 20, 3))
-        )
-        right = EncryptedRelation(
-            "S2", "R2", (row(1, 100, 1), row(1, 200, 3), row(1, 200, 4))
-        )
+        left = relation("S1", "R1", ((10, 1), (10, 2), (20, 3)))
+        right = relation("S2", "R2", ((100, 1), (200, 3), (200, 4)))
         return left, right
 
     def test_pair_selection(self, encrypted):
@@ -108,12 +112,8 @@ class TestServerQueryEvaluation:
         )
         assert len(once) == 2 * 2 + 1 * 2
         assert repeated == once
-        assert repeated.pairs == once.pairs
-        distinct = {
-            (row_1.etuple.body, row_2.etuple.body)
-            for row_1, row_2 in repeated.pairs
-        }
-        assert len(distinct) == len(repeated)
+        assert pair_bodies(repeated) == pair_bodies(once)
+        assert len(set(pair_bodies(repeated))) == len(repeated)
 
     @pytest.mark.parametrize(
         "pairs",
@@ -136,9 +136,21 @@ class TestServerQueryEvaluation:
 
 
 def bodies(rows) -> list[bytes]:
-    """A table's rows by their DEM bodies: each body has a nonce of its
-    own, so it names its row."""
-    return [row.etuple.body for row in rows]
+    """A table's ``(etuple, index_value)`` rows by their DEM bodies: each
+    body has a nonce of its own, so it names its row."""
+    return [etuple.body for etuple, _ in rows]
+
+
+def pair_bodies(server_result) -> list[tuple[bytes, bytes]]:
+    """R_C's pairs, each by its two rows' DEM bodies, read off the
+    position table."""
+    flat = struct.unpack(
+        f">{len(server_result.positions) // 4}I", server_result.positions
+    )
+    return [
+        (server_result.rows_1.bodies[i], server_result.rows_2.bodies[j])
+        for i, j in zip(flat[0::2], flat[1::2])
+    ]
 
 
 def reference_row_tables(query, relation_1, relation_2):
@@ -150,20 +162,18 @@ def reference_row_tables(query, relation_1, relation_2):
     for index_1, index_2 in query.pairs:
         wanted.setdefault(index_1, {})[index_2] = None
     for row_1 in relation_1.rows:
-        for index_2 in wanted.get(row_1.index_value, ()):
+        for index_2 in wanted.get(row_1[1], ()):
             for row_2 in relation_2.rows:
-                if row_2.index_value == index_2:
+                if row_2[1] == index_2:
                     pairs.append((row_1, row_2))
     tables = []
     for side in (0, 1):
         distinct = {}
         for pair in pairs:
-            distinct.setdefault(
-                pair[side].etuple.body, (len(distinct), pair[side])
-            )
+            distinct.setdefault(pair[side][0].body, (len(distinct), pair[side]))
         tables.append(distinct)
     flat = [
-        tables[side][pair[side].etuple.body][0]
+        tables[side][pair[side][0].body][0]
         for pair in pairs for side in (0, 1)
     ]
     return (
@@ -175,7 +185,7 @@ def reference_row_tables(query, relation_1, relation_2):
 
 class TestServerResultRowTables:
     """R_C is held and travels as two tables of distinct rows plus
-    (i, j) positions; the pair list is only a derived view."""
+    (i, j) positions."""
 
     @pytest.fixture(scope="class")
     def delivered(self, ca, client, skewed_workload):
@@ -201,7 +211,7 @@ class TestServerResultRowTables:
     @staticmethod
     def distinct_ids(server_result, side):
         """The distinct rows one side of R_C's pairs names, by body."""
-        return {pair[side].etuple.body for pair in server_result.pairs}
+        return {pair[side] for pair in pair_bodies(server_result)}
 
     def test_tables_hold_each_row_once_and_positions_rebuild_the_pairs(
         self, delivered
@@ -234,7 +244,7 @@ class TestServerResultRowTables:
                 self.distinct_ids(live, side)
             )
         rows = len(self.distinct_ids(live, 0)) + len(self.distinct_ids(live, 1))
-        one_row = len(codec.encode_value(live.rows_1[0]))
+        one_row = len(codec.encode_value(live.rows_1[:1]))
         assert len(encoded) < rows * one_row + 8 * len(live) + 64
 
     def test_postprocessing_a_decoded_result_decrypts_no_more_than_the_live_one(
@@ -336,15 +346,14 @@ class TestRowsEncodedOnce:
         }
 
 
-class TestNoRecordOnTheWay:
+class TestNoCiphertextPerRow:
     """A DAS query carries R_i^S and R_C as columns from the source that
-    builds them to the socket and on to the client's DEM: no
-    ``EncryptedTuple`` is built, and the one ``HybridCiphertext`` per
-    source is its encrypted index table."""
+    builds them to the socket and on to the client's DEM: the one
+    ``HybridCiphertext`` per source is its encrypted index table."""
 
     @pytest.mark.parametrize("carrier", ["bus", "tcp+sqlite"])
     @pytest.mark.parametrize("hardened", [False, True], ids=["plain", "hardened"])
-    def test_a_query_builds_no_record(
+    def test_a_query_builds_no_ciphertext_per_row(
         self, ca, client, workload, monkeypatch, tmp_path, carrier, hardened
     ):
         if carrier == "bus":
@@ -370,7 +379,6 @@ class TestNoRecordOnTheWay:
             federation.attach_client(client)
             query = "select * from R1 natural join R2"
             expected = encode_relation(reference_join(federation, query))
-            counting(EncryptedTuple)
             counting(hybrid.HybridCiphertext)
             result = run_join_query(
                 federation, query, protocol="das", hardening=hardened or None
@@ -395,70 +403,44 @@ class TestNoRecordOnTheWay:
             assert all(type(table) is EncryptedRows for table in rows)
             assert sum(map(len, rows)) > 0
             built.clear()
-            counting(EncryptedTuple)
+            counting(hybrid.HybridCiphertext)
             assert len(list(rows[0])) == len(built) > 0  # the count counts
         finally:
             network.close()
 
 
-def one_session_rows(rsa_key, count: int, first_index: int = 0):
-    """``count`` records of one source: etuples under one session."""
+def one_session_rows(rsa_key, count: int, first_index: int = 0) -> EncryptedRows:
+    """``count`` rows of one source: etuples under one session."""
     session = hybrid.new_session([rsa_key.public_key()])
-    return [
-        EncryptedTuple(session.encrypt(b"row-%d" % i), first_index + i)
-        for i in range(count)
-    ]
+    return EncryptedRows(
+        session.encapsulation,
+        tuple(session.encrypt(b"row-%d" % i).body for i in range(count)),
+        tuple(range(first_index, first_index + count)),
+    )
 
 
 class TestRowsAsColumns:
     """R_i^S, R_C's tables and the hardened frames are columns under one
-    encapsulation; records in are taken to columns, and anything that is
-    not one source's rows is refused, never read as a row."""
+    encapsulation; a handler refuses any other body, never reading it
+    as rows."""
 
-    def test_records_become_columns_and_still_read_as_records(self, rsa_key):
-        records = one_session_rows(rsa_key, 5, first_index=10)
-        relation = EncryptedRelation("S1", "R1", tuple(records))
-        rows = relation.rows
-        assert type(rows) is EncryptedRows and rows.container is tuple
-        assert rows.encapsulation is records[0].etuple.wrapped_keys
-        assert rows.bodies == tuple(r.etuple.body for r in records)
-        assert rows.index_values == (10, 11, 12, 13, 14)
-        assert list(rows) == records and rows == tuple(records)
-        assert rows[1] == records[1] and rows[1:3] == records[1:3]
-        result = ServerResult(records, records[:2], struct.pack(">2I", 4, 1))
-        assert result.rows_1.container is list
-        assert result.pairs == ((records[4], records[1]),)
+    def test_rows_read_as_their_pairs(self, rsa_key):
+        rows = one_session_rows(rsa_key, 5, first_index=10)
+        pairs = [
+            (hybrid.HybridCiphertext(rows.encapsulation, body), index)
+            for body, index in zip(rows.bodies, rows.index_values)
+        ]
+        assert list(rows) == pairs and rows == tuple(pairs)
+        assert rows[1] == pairs[1] and rows[-1] == pairs[-1]
+        assert rows[1:3] == pairs[1:3] and type(rows[1:3]) is EncryptedRows
+        assert rows.select([4, 1]) == [pairs[4], pairs[1]]
+        result = ServerResult(rows, rows[:2], struct.pack(">2I", 4, 1))
+        assert pair_bodies(result) == [(rows.bodies[4], rows.bodies[1])]
 
-    def test_mixed_encapsulations_are_refused(self, rsa_key):
-        mixed = one_session_rows(rsa_key, 2) + one_session_rows(rsa_key, 2)
-        with pytest.raises(ProtocolError, match="more than one encapsulation"):
-            EncryptedRelation("S1", "R1", tuple(mixed))
-        with pytest.raises(ProtocolError, match="more than one encapsulation"):
-            ServerResult(mixed, mixed[:1], struct.pack(">2I", 0, 0))
-        with pytest.raises(ProtocolError, match="more than one encapsulation"):
-            das._client_hash_join(None, [mixed], (), "k", None, None)
-
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda row: b"not a row",
-            lambda row: (row.etuple, row.index_value),
-            lambda row: EncryptedTuple(b"bare body", row.index_value),
-            lambda row: EncryptedTuple(
-                hybrid.HybridCiphertext(row.etuple.wrapped_keys, 7),
-                row.index_value,
-            ),
-            lambda row: EncryptedTuple(row.etuple, str(row.index_value)),
-        ],
-        ids=["bytes", "pair", "bare-body", "int-body", "str-index"],
-    )
-    def test_malformed_rows_are_refused(self, rsa_key, damage):
-        records = one_session_rows(rsa_key, 3)
-        records[1] = damage(records[1])
-        with pytest.raises(ProtocolError, match="not an etuple"):
-            EncryptedRelation("S1", "R1", tuple(records))
-        with pytest.raises(ProtocolError, match="not an etuple"):
-            das._client_hash_join(None, [records], (), "k", None, None)
+    def test_more_than_two_sessions_are_refused(self, rsa_key):
+        frames = [one_session_rows(rsa_key, 2) for _ in range(3)]
+        with pytest.raises(ProtocolError, match="more than two sessions"):
+            das._client_hash_join(None, frames, (), "k", None, None)
 
     def test_rows_under_no_encapsulation_are_refused(self, client):
         with pytest.raises(ProtocolError, match="no encapsulation"):
@@ -467,44 +449,75 @@ class TestRowsAsColumns:
             client.decrypt_hybrid_bodies(None, [b"body"])
         assert client.decrypt_hybrid_bodies(None, []) == []
 
-    @pytest.mark.parametrize("body", [{"rows": ()}, b"rows", 7, None])
+    @pytest.mark.parametrize(
+        "body", [{"rows": ()}, b"rows", 7, None, [(b"etuple", 7)]],
+        ids=["dict", "bytes", "int", "none", "pairs"],
+    )
     def test_a_body_that_is_no_table_is_refused(self, body):
-        with pytest.raises(ProtocolError, match="not a sequence"):
-            EncryptedRelation("S1", "R1", body)
-        with pytest.raises(ProtocolError, match="not a sequence"):
+        with pytest.raises(ProtocolError, match="encrypted rows are a"):
+            das._rows(body)
+        with pytest.raises(ProtocolError, match="encrypted rows are a"):
             das._client_hash_join(None, [body], (), "k", None, None)
+        codec._bootstrap()
+        # R_i^S whose rows are no table, as the wire would carry it.
+        forged = codec._BY_CLS[EncryptedRelation].header + codec.encode_value(
+            ("S1", "R1", body)
+        )
+        with pytest.raises(CodecError, match="das-relation"):
+            codec.decode_value(forged)
+
+    @pytest.mark.parametrize("empty", [[], ()])
+    def test_an_empty_sequence_is_the_empty_table(self, empty):
+        """The empty table has no wire type: it is written as ``[]`` or
+        ``()``, decodes as that, and a handler — and the decoder, inside
+        R_i^S and R_C — takes it as the empty table."""
+        for container in (list, tuple):
+            rows = das._rows(empty, container)
+            assert type(rows) is EncryptedRows and rows.container is container
+            assert rows.encapsulation is None and len(rows) == 0
+            table = EncryptedRows(None, (), (), container)
+            assert codec.encode_value(table) == codec.encode_value(container())
+        relation = EncryptedRelation("S1", "R1", EncryptedRows(None, (), (), tuple))
+        decoded = codec.decode_value(codec.encode_value(relation))
+        assert decoded == relation
+        assert type(decoded.rows) is EncryptedRows and decoded.rows.container is tuple
+        result = ServerResult(
+            EncryptedRows(None, (), ()), EncryptedRows(None, (), ()), b""
+        )
+        decoded = codec.decode_value(codec.encode_value(result))
+        assert decoded == result
+        assert type(decoded.rows_1) is type(decoded.rows_2) is EncryptedRows
 
     def test_through_the_codec_mixed_rows_never_decode(self, rsa_key):
-        """Records under two sessions, written as the wire writes a
+        """Rows under two sessions, written as the wire writes a
         das-relation: the decoder refuses the payload."""
-        mixed = tuple(one_session_rows(rsa_key, 2) + one_session_rows(rsa_key, 1))
+        mixed = list(one_session_rows(rsa_key, 2)) + list(one_session_rows(rsa_key, 1))
         codec._bootstrap()
         forged = (
             codec._BY_CLS[EncryptedRelation].header
             + codec._HEAD(codec._T_TUPLE, 3)
             + codec.encode_value("S1") + codec.encode_value("R1")
-            + codec.encode_value(mixed)
+            + reference.encode_records(reference.ROW_RECORD, mixed, tuple)
         )
-        with pytest.raises(CodecError, match="das-relation") as refused:
+        with pytest.raises(CodecError, match="more than one encapsulation"):
             codec.decode_value(forged)
-        assert isinstance(refused.value.__cause__, ProtocolError)
 
-    def test_the_bus_estimate_is_the_estimate_of_the_records(self, rsa_key):
-        records = one_session_rows(rsa_key, 6)
-        relation = EncryptedRelation("S1", "R1", tuple(records))
-        table = hybrid.HybridCiphertext(
-            records[0].etuple.wrapped_keys, b"index table"
-        )
+    def test_the_bus_estimate_is_the_estimate_of_the_pairs(self, rsa_key):
+        rows = das._rows(one_session_rows(rsa_key, 6), tuple)
+        relation = EncryptedRelation("S1", "R1", rows)
+        table = hybrid.HybridCiphertext(rows.encapsulation, b"index table")
         assert estimate_size({"relation": relation, "index_table": table}) == (
-            estimate_size({"relation": ("S1", "R1", tuple(records)),
+            estimate_size({"relation": ("S1", "R1", tuple(rows)),
                            "index_table": table})
         )
-        result = ServerResult(records, records[2:], struct.pack(">2I", 5, 0))
-        assert estimate_size(result) == estimate_size(
-            (records, records[2:], result.positions)
+        result = ServerResult(
+            das._rows(rows), das._rows(rows[2:]), struct.pack(">2I", 5, 0)
         )
-        for frame in (relation.rows[:4], relation.rows[4:], relation.rows[:0]):
+        assert estimate_size(result) == estimate_size(
+            (list(rows), list(rows[2:]), result.positions)
+        )
+        for frame in (rows[:4], rows[4:], rows[:0]):
             assert estimate_size(frame) == estimate_size(list(frame))
         assert list(iter_byte_material(relation)) == list(
-            iter_byte_material(("S1", "R1", tuple(records)))
+            iter_byte_material(("S1", "R1", tuple(rows)))
         )

@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import DASConfig, Federation, reference_join, run_join_query
 from repro.core import das
-from repro.crypto import hybrid
 from repro.errors import IntegrityError
 from repro.hardening import MARKER_DUMMY, PaddingPolicy
 from repro.mediation.access_control import allow_all
@@ -89,7 +88,8 @@ def profile(network):
         line = (message.sender, message.receiver, message.kind)
         if message.kind == "das_server_result":
             identifiers = sum(
-                codec.encoded_size(row.index_value) for row in message.body
+                codec.encoded_size(index_value)
+                for index_value in message.body.index_values
             )
             line += (
                 len(message.body),
@@ -171,16 +171,17 @@ class TamperingNetwork(Network):
         return super().send(sender, receiver, kind, body)
 
     def flip(self, frame):
-        plaintexts = self.client.decrypt_hybrid_many([row.etuple for row in frame])
+        plaintexts = self.client.decrypt_hybrid_bodies(
+            frame.encapsulation, frame.bodies
+        )
         for position, plaintext in enumerate(plaintexts):
             if (plaintext[0] == MARKER_DUMMY) == (self.victim == "dummy"):
-                row = frame[position]
-                body = bytearray(row.etuple.body)
+                bodies = list(frame.bodies)
+                body = bytearray(bodies[position])
                 body[len(body) // 2] ^= 0x01
-                frame = list(frame)
-                frame[position] = das.EncryptedTuple(
-                    hybrid.HybridCiphertext(row.etuple.wrapped_keys, bytes(body)),
-                    row.index_value,
+                bodies[position] = bytes(body)
+                frame = das.EncryptedRows(
+                    frame.encapsulation, tuple(bodies), frame.index_values
                 )
                 self.tampered = True
                 break

@@ -45,8 +45,8 @@ def das_encapsulations(result) -> dict[str, set[bytes]]:
         if message.kind != "das_encrypted_partial_result":
             continue
         digests = {
-            row.etuple.wrapped_keys.digest()
-            for row in message.body["relation"].rows
+            etuple.wrapped_keys.digest()
+            for etuple, _ in message.body["relation"].rows
         }
         digests.add(message.body["index_table"].wrapped_keys.digest())
         found[message.sender] = digests
@@ -91,8 +91,8 @@ class TestHardenedDasSharesOneEncapsulationPerSource:
         assert len(frames) > 2
         owners = []
         for frame in frames:
-            digests = {row.etuple.wrapped_keys.digest() for row in frame.body}
-            assert len({len(row.etuple.body) for row in frame.body}) == 1
+            digests = {etuple.wrapped_keys.digest() for etuple, _ in frame.body}
+            assert len({len(etuple.body) for etuple, _ in frame.body}) == 1
             (owner,) = [name for name in sources if sources[name] == digests]
             owners.append(owner)
         # S1's table first, then S2's: frames never mix the two.
@@ -105,7 +105,7 @@ def commutative_encapsulations(result) -> dict[str, set[bytes]]:
     for message in result.messages:
         if message.kind == "commutative_m_set":
             found.setdefault(message.sender, set()).update(
-                tagged.payload.wrapped_keys.digest() for tagged in message.body
+                payload.wrapped_keys.digest() for payload in message.body.payloads
             )
         elif message.kind == "commutative_dummies":
             found.setdefault(message.sender, set()).update(

@@ -46,7 +46,7 @@ def chunk_profile(ca, client, workload) -> list[tuple[int, int]]:
         (
             len(message.body),
             codec.encoded_size(message.body)
-            - sum(codec.encoded_size(row.index_value) for row in message.body),
+            - sum(map(codec.encoded_size, message.body.index_values)),
         )
         for message in federation.network.transcript
         if message.kind == "das_server_result"

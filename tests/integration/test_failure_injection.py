@@ -7,7 +7,7 @@ import pytest
 
 from repro import Federation, run_join_query, setup_client
 from repro.core.commutative import _prepare_source
-from repro.core.das import EncryptedTuple, ServerQuery, _evaluate_server_query
+from repro.core.das import EncryptedRows, ServerQuery, _evaluate_server_query
 from repro.crypto import groups, hybrid
 from repro.crypto.hashes import IdealHash
 from repro.crypto.homomorphic import PaillierScheme
@@ -108,14 +108,14 @@ class TestProtocolMisconfiguration:
         )
         from repro.crypto import commutative as comm
 
-        tags_1 = {comm.apply(state_2.key, m.tag) for m in messages_1}
+        tags_1 = {comm.apply(state_2.key, tag) for tag in messages_1.tags}
         # Double-encrypt relation_2's own values under both keys.
         # With mismatched oracles, no tag can coincide.
         _, messages_2 = _prepare_source(
             workload.relation_2, ("k",), group,
             IdealHash(group.p, tag=b"oracle-B"), keys,
         )
-        tags_2 = {comm.apply(state_2.key, m.tag) for m in messages_2}
+        tags_2 = {comm.apply(state_2.key, tag) for tag in messages_2.tags}
         assert not (tags_1 & tags_2)
 
     def test_pm_key_too_small_for_payload(self, ca, workload):
@@ -221,9 +221,11 @@ class TestDASServerQueryRobustness:
         from repro.relational.encoding import encode_row
 
         session = hybrid.new_session(keys)  # a source's rows share one
-        rows = tuple(
-            EncryptedTuple(session.encrypt(encode_row(row)), index_value=7)
-            for row in workload.relation_1
+        rows = EncryptedRows(
+            session.encapsulation,
+            tuple(session.encrypt(encode_row(row)).body for row in workload.relation_1),
+            (7,) * len(workload.relation_1),
+            tuple,
         )
         relation = EncryptedRelation("S1", "R1", rows)
         empty = _evaluate_server_query(
@@ -234,7 +236,7 @@ class TestDASServerQueryRobustness:
     def test_empty_server_query(self, client, workload):
         from repro.core.das import EncryptedRelation
 
-        relation = EncryptedRelation("S1", "R1", ())
+        relation = EncryptedRelation("S1", "R1", EncryptedRows(None, (), (), tuple))
         assert len(
             _evaluate_server_query(ServerQuery(pairs=()), relation, relation)
         ) == 0

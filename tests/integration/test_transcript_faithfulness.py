@@ -7,7 +7,10 @@ sender, captured at :func:`repro.transport.codec.encode_envelope`,
 
 * the transcript body re-encodes, after the run, to exactly the captured
   bytes — so no driver changed a body after sending it;
-* the transcript body equals what a receiver decodes from those bytes;
+* the transcript body equals what a receiver decodes from those bytes,
+  and holds its column tables (message sets, DAS row tables) in the
+  types the handlers were sent — an empty set or table, which has no
+  wire type, decodes at the top of a body as ``[]`` / ``()``;
 * every artifact computed from the transcript — the run's observables,
   the leakage report and the export's body fingerprints — is the same
   over the live transcript and over one rebuilt from the decoded bytes.
@@ -22,6 +25,8 @@ import pytest
 from repro import DASConfig, Federation, run_join_query
 from repro.analysis.export import export_run
 from repro.analysis.leakage import analyze
+from repro.core.commutative import MessageSet
+from repro.core.das import EncryptedRelation, EncryptedRows, ServerResult
 from repro.mediation.access_control import allow_all
 from repro.mediation.network import Network
 from repro.storage import SQLiteBackend
@@ -59,6 +64,21 @@ def captured(monkeypatch):
 
     monkeypatch.setattr(codec, "encode_envelope", capture)
     return payloads
+
+
+def tables_of(body) -> list[tuple[type, int]]:
+    """The type and length of every column table ``body`` holds, in
+    dicts, sequences, R_i^S and R_C."""
+    if type(body) in (MessageSet, EncryptedRows):
+        return [(type(body), len(body))]
+    if type(body) is EncryptedRelation:
+        return tables_of(body.rows)
+    if type(body) is ServerResult:
+        return tables_of(body.rows_1) + tables_of(body.rows_2)
+    values = body.values() if type(body) is dict else body
+    if type(body) in (dict, list, tuple):
+        return [table for value in values for table in tables_of(value)]
+    return []
 
 
 def replayed(result, bodies: dict[int, object]):
@@ -99,6 +119,7 @@ def test_transcript_is_faithful_to_the_wire(
     assert transcript and sorted(captured) == [m.sequence for m in transcript]
 
     decoded_bodies = {}
+    columns = 0  # column tables sent
     for message in transcript:
         args, kwargs, payload = captured[message.sequence]
         assert args[1:4] == (message.sender, message.receiver, message.kind)
@@ -107,8 +128,14 @@ def test_transcript_is_faithful_to_the_wire(
         assert reencoded == payload, message.summary()
         decoded = codec.decode_envelope(payload)[4]
         assert decoded == message.body, message.summary()
+        if type(message.body) in (MessageSet, EncryptedRows) and not message.body:
+            assert decoded in ([], ()), message.summary()
+        else:
+            assert tables_of(decoded) == tables_of(message.body), message.summary()
+        columns += len(tables_of(message.body))
         decoded_bodies[message.sequence] = decoded
 
+    assert columns > 0 or protocol == "private-matching"
     replay = replayed(result, decoded_bodies)
     assert observables_artifact(result) == observables_artifact(replay)
     assert analyze(replay) == analyze(result)

@@ -231,3 +231,48 @@ class TestIndexTable:
 def table_values(table, index):
     (values,) = [p.values for p, i in table.entries if i == index]
     return values
+
+
+def scanned_index_of(table: IndexTable, value) -> int:
+    """The partition scan ``index_of`` replaced: the oracle."""
+    for partition, index in table.entries:
+        if value in partition.values:
+            return index
+    raise PartitionError(f"value {value!r} not covered by any partition")
+
+
+domains = {
+    "int": st.sets(st.integers(-50, 50), min_size=1, max_size=30),
+    "string": st.sets(st.text("abcxyz", max_size=3), min_size=1, max_size=30),
+    "mixed": st.sets(
+        st.one_of(st.integers(-5, 5), st.text("ab", max_size=2)),
+        min_size=1, max_size=30,
+    ),
+}
+
+
+class TestIndexOfIsOneLookup:
+    """``index_of`` reads the value -> index dict ``__post_init__``
+    builds; it must answer exactly as the partition scan did."""
+
+    @pytest.mark.parametrize("domain", sorted(domains))
+    @pytest.mark.parametrize("strategy", ["equi_depth", "singleton"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_scan_for_every_value(self, domain, strategy, data):
+        values = data.draw(domains[domain])
+        buckets = data.draw(st.integers(1, 8))
+        partitions = (
+            equi_depth(values, buckets) if strategy == "equi_depth"
+            else singleton(values)
+        )
+        table = build_index_table("R.k", partitions, salt=b"s")
+        for value in values:
+            assert table.index_of(value) == scanned_index_of(table, value)
+        assert table.covered_values() == frozenset(values)
+        for uncovered in (99, "zz", -99):
+            if uncovered not in values:
+                with pytest.raises(PartitionError, match="not covered"):
+                    table.index_of(uncovered)
+        # Equality and the bytes see the entries alone.
+        assert IndexTable.from_bytes(table.to_bytes()).entries == table.entries

@@ -10,8 +10,11 @@ equal these, and both to refuse the same damaged streams.
 
 Unlike the kernels it does not bound the depth of the trees it
 encodes; compare the two only on trees within ``MAX_VALUE_DEPTH``.  A
-column table (a ``MessageSet``, a DAS ``EncryptedRows``) it writes by
-iterating the records the table stands for, one value at a time.
+column table (a ``MessageSet``, a DAS ``EncryptedRows``) it writes as
+the wire does, a list (or tuple) of ``tagged-message`` / ``das-tuple``
+records, one record per ``(tag, payload)`` / ``(etuple, index_value)``
+pair it iterates; and it reads such a list back into the column type,
+one value at a time, refusing what the kernel refuses.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Any
 
 from repro.core.commutative import MessageSet
 from repro.core.das import EncryptedRows
+from repro.crypto.hybrid import HybridCiphertext
 from repro.errors import CodecError, ValueCodecError
 from repro.transport import codec
 from repro.transport.codec import (
@@ -42,6 +46,10 @@ from repro.transport.codec import (
     MAX_VALUE_DEPTH,
     _canonical,
 )
+
+#: The record each pair of a column table travels as.
+MESSAGE_RECORD = b"tagged-message"
+ROW_RECORD = b"das-tuple"
 
 
 class Encoder:
@@ -108,11 +116,23 @@ class Encoder:
             self._items(_T_SET, _canonical(value), len(value))
         elif type(value) is frozenset:
             self._items(_T_FROZENSET, _canonical(value), len(value))
-        elif type(value) in (MessageSet, EncryptedRows):
-            # A column table: the list (or tuple) of records it stands for.
-            self._value(getattr(value, "container", list)(value))
+        elif type(value) is MessageSet:
+            self._records(_T_LIST, MESSAGE_RECORD, value)
+        elif type(value) is EncryptedRows:
+            tag = _T_TUPLE if value.container is tuple else _T_LIST
+            self._records(tag, ROW_RECORD, value)
         else:
             self._extension(value)
+
+    def _records(self, tag: int, name: bytes, pairs: Any) -> None:
+        """A column table: one ``name`` record per pair it iterates."""
+        self._tag(tag)
+        self._u32(len(pairs))
+        for pair in pairs:
+            self._tag(_T_EXT)
+            self._chunks.append(bytes((len(name),)))
+            self._chunks.append(name)
+            self._value(tuple(pair))
 
     def _extension(self, value: Any) -> None:
         codec._bootstrap()
@@ -217,10 +237,15 @@ class Decoder:
                 return self._take(self._u32()).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ValueCodecError(f"malformed UTF-8 string: {exc}") from exc
-        if tag == _T_LIST:
-            return [self._value() for _ in range(self._count())]
-        if tag == _T_TUPLE:
-            return tuple(self._value() for _ in range(self._count()))
+        if tag == _T_LIST or tag == _T_TUPLE:
+            count = self._count()
+            for name in (ROW_RECORD, MESSAGE_RECORD):
+                if count and (name is ROW_RECORD or tag == _T_LIST) and (
+                    self._data.startswith(self._head(name), self._offset)
+                ):
+                    return self._table(tag, name, count)
+            items = [self._value() for _ in range(count)]
+            return items if tag == _T_LIST else tuple(items)
         if tag == _T_DICT:
             count = self._count(per_item_bytes=2)
             result = {}
@@ -251,6 +276,51 @@ class Decoder:
                 raise ValueCodecError(f"dangling interning reference {index}")
             return self._interned[index]
         raise ValueCodecError(f"unknown value tag 0x{tag:02x}")
+
+    @staticmethod
+    def _head(name: bytes) -> bytes:
+        return bytes((_T_EXT, len(name))) + name + bytes((_T_TUPLE,)) + (
+            _U32.pack(2)
+        )
+
+    def _table(self, tag: int, name: bytes, count: int) -> Any:
+        """A list (or tuple) of ``name`` records, read as the column type
+        they stand for: each record one level below the sequence, its
+        two fields two levels further down."""
+        pairs = []
+        self._depth += 2
+        try:
+            for _ in range(count):
+                if self._take(len(self._head(name))) != self._head(name):
+                    raise ValueCodecError(
+                        f"a table entry is not a {name.decode()} record"
+                    )
+                pairs.append((self._value(), self._value()))
+        finally:
+            self._depth -= 2
+        if name is MESSAGE_RECORD:
+            return MessageSet(
+                tuple(tag_ for tag_, _ in pairs),
+                tuple(payload for _, payload in pairs),
+            )
+        for etuple, index_value in pairs:
+            if type(etuple) is not HybridCiphertext or (
+                type(etuple.body) is not bytes
+            ):
+                raise ValueCodecError("a das-tuple's etuple is no hybrid ciphertext")
+            if type(index_value) is not int:
+                raise ValueCodecError("a das-tuple's index value is no int")
+            first = pairs[0][0].wrapped_keys
+            if etuple.wrapped_keys.digest() != first.digest():
+                raise ValueCodecError(
+                    "das rows of one table reference more than one encapsulation"
+                )
+        return EncryptedRows(
+            pairs[0][0].wrapped_keys,
+            tuple(etuple.body for etuple, _ in pairs),
+            tuple(index_value for _, index_value in pairs),
+            list if tag == _T_LIST else tuple,
+        )
 
     def _ext(self) -> Any:
         codec._bootstrap()
@@ -287,3 +357,11 @@ def decode_value(data: bytes) -> Any:
         raise
     except Exception as exc:
         raise ValueCodecError(f"undecodable value stream: {exc}") from exc
+
+
+def encode_records(name: bytes, pairs: Any, container: type = list) -> bytes:
+    """The list (or tuple) of ``name`` records holding ``pairs``, as the
+    wire writes a column table — for any pairs, malformed ones too."""
+    encoder = Encoder()
+    encoder._records(_T_TUPLE if container is tuple else _T_LIST, name, pairs)
+    return b"".join(encoder._chunks)

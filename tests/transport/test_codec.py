@@ -7,10 +7,10 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.commutative import TaggedMessage
+from repro.core.commutative import MessageSet
 from repro.core.das import (
     EncryptedRelation,
-    EncryptedTuple,
+    EncryptedRows,
     ServerQuery,
     ServerResult,
 )
@@ -157,19 +157,19 @@ class TestDomainExtensions:
         assert len(keys) == 1
 
     def test_das_structures(self, rsa_key):
-        keys = [rsa_key.public_key()]
-        row = EncryptedTuple(
-            etuple=hybrid.encrypt(keys, b"row"),
-            index_value=42,
+        etuple = hybrid.encrypt([rsa_key.public_key()], b"row")
+        rows = EncryptedRows(etuple.wrapped_keys, (etuple.body,), (42,))
+        relation = EncryptedRelation(
+            source="S1", relation_name="R1",
+            rows=EncryptedRows(etuple.wrapped_keys, (etuple.body,), (42,), tuple),
         )
-        relation = EncryptedRelation(source="S1", relation_name="R1", rows=(row,))
         roundtrip(relation)
         roundtrip(ServerQuery(pairs=((1, 2), (3, 4))))
-        roundtrip(ServerResult([row], [row], struct.pack(">2I", 0, 0)))
+        roundtrip(ServerResult(rows, rows, struct.pack(">2I", 0, 0)))
 
-    #: ``EncryptedTuple(<etuple of b"row">, 42)`` as the wire carried it
-    #: while the record had a third, plaintext-attribute field (always
-    #: ``()``): the das-tuple extension over a three-item tuple.
+    #: The row ``(<etuple of b"row">, 42)`` as the wire carried it while
+    #: the record had a third, plaintext-attribute field (always ``()``):
+    #: the das-tuple record over a three-item tuple.
     THREE_FIELD_DAS_TUPLE = bytes.fromhex(
         "0c096461732d7475706c6508000000030c096879627269642d63740800000002"
         "0c0a6879627269642d6b656d080000000109000000010500000010"
@@ -177,18 +177,24 @@ class TestDomainExtensions:
         + "0500000003726f7703000000012a0800000000"
     )
 
+    #: The head of a one-row list.
+    ONE_ROW = bytes.fromhex("0700000001")
+
     def test_das_tuple_is_etuple_and_index_value(self):
         kem = hybrid.Encapsulation({b"\x11" * 16: b"\x22" * 24})
-        row = EncryptedTuple(hybrid.HybridCiphertext(kem, b"row"), 42)
-        encoded = codec.encode_value(row)
-        assert roundtrip(row) == row
+        rows = EncryptedRows(kem, (b"row",), (42,))
+        encoded = codec.encode_value(rows)
+        assert roundtrip(rows) == rows
         # The same bytes but the field count and the empty third field.
-        assert encoded == (
+        assert encoded == self.ONE_ROW + (
             self.THREE_FIELD_DAS_TUPLE[:15] + b"\x02"
             + self.THREE_FIELD_DAS_TUPLE[16:-5]
         )
         with pytest.raises(ValueCodecError, match="das-tuple"):
-            codec.decode_value(self.THREE_FIELD_DAS_TUPLE)
+            codec.decode_value(self.ONE_ROW + self.THREE_FIELD_DAS_TUPLE)
+        # A record outside a table has no type to decode to.
+        with pytest.raises(ValueCodecError, match="das-tuple"):
+            codec.decode_value(encoded[len(self.ONE_ROW):])
 
     def test_one_field_das_tuple_is_refused(self):
         # The etuple alone: field count 1, index value and third field cut.
@@ -197,26 +203,28 @@ class TestDomainExtensions:
             + self.THREE_FIELD_DAS_TUPLE[16:-11]
         )
         with pytest.raises(ValueCodecError, match="das-tuple"):
-            codec.decode_value(one_field)
+            codec.decode_value(self.ONE_ROW + one_field)
 
     @pytest.mark.parametrize(
         "index_value", [0, 1, -1, 2**31, 2**63 + 5, -(2**70)]
     )
     def test_das_tuple_index_values_round_trip(self, index_value):
         kem = hybrid.Encapsulation({b"\x11" * 16: b"\x22" * 24})
-        row = EncryptedTuple(hybrid.HybridCiphertext(kem, b"row"), index_value)
-        decoded = roundtrip(row)
-        assert decoded == row
-        assert type(decoded.index_value) is int
+        rows = EncryptedRows(kem, (b"row",), (index_value,))
+        decoded = roundtrip(rows)
+        assert decoded.index_values == (index_value,)
+        assert type(decoded.index_values[0]) is int
 
     def test_shared_encapsulation_travels_once(self, rsa_key):
         session = hybrid.new_session([rsa_key.public_key()])
         relation = EncryptedRelation(
             source="S1",
             relation_name="R1",
-            rows=tuple(
-                EncryptedTuple(session.encrypt(b"row-%d" % i), index_value=i)
-                for i in range(50)
+            rows=EncryptedRows(
+                session.encapsulation,
+                tuple(session.encrypt(b"row-%d" % i).body for i in range(50)),
+                tuple(range(50)),
+                tuple,
             ),
         )
         encoded = codec.encode_value(relation)
@@ -224,7 +232,7 @@ class TestDomainExtensions:
         assert len(encoded) < 50 * rsa_key.public_key().modulus_bytes
         decoded = codec.decode_value(encoded)
         assert decoded == relation
-        assert len({id(row.etuple.wrapped_keys) for row in decoded.rows}) == 1
+        assert decoded.rows.encapsulation.digest() == session.encapsulation.digest()
 
     def test_size_estimate_charges_the_ciphertext_header(self, rsa_key):
         """One more ciphertext of a session costs its body plus
@@ -250,12 +258,10 @@ class TestDomainExtensions:
 
     def test_tagged_messages(self, rsa_key):
         keys = [rsa_key.public_key()]
-        roundtrip(
-            [
-                TaggedMessage(tag=12345, payload=hybrid.encrypt(keys, b"x")),
-                TaggedMessage(tag=9, payload=b"id-token"),
-            ]
+        decoded = roundtrip(
+            MessageSet((12345, 9), (hybrid.encrypt(keys, b"x"), b"id-token"))
         )
+        assert type(decoded) is MessageSet
 
     def test_plaintext_carriers_are_refused(self):
         """No protocol sends a relation or an index table in the clear,

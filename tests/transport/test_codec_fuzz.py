@@ -13,6 +13,8 @@ import struct
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core.commutative import MessageSet
+from repro.core.das import EncryptedRelation, EncryptedRows
 from repro.crypto.hybrid import Encapsulation, HybridCiphertext
 from repro.errors import CodecError, FrameCodecError, ValueCodecError
 from repro.transport import codec
@@ -21,12 +23,23 @@ _SHARED = Encapsulation({b"f" * 16: b"w" * 128})
 #: One interned encapsulation, then two references to it.
 SHARED_CIPHERTEXTS = [HybridCiphertext(_SHARED, b"body-%d" % i) for i in range(3)]
 
+#: Column tables, which travel as lists (or a tuple) of records: a
+#: message set with ciphertext and token payloads, and R_i^S.
+COLUMN_TABLES = [
+    MessageSet((1 << 200, 7), (SHARED_CIPHERTEXTS[0], b"token-07")),
+    EncryptedRelation(
+        "S1", "R1",
+        EncryptedRows(_SHARED, (b"row-0", b"row-1"), (3, -4), tuple),
+    ),
+]
+
 #: Representative payload trees the protocols actually ship.
 SAMPLES = [
     {"tags": [b"\x01" * 16, b"\x02" * 16], "count": 2},
     (1, "S1", "mediator", "kind", {"n": 1 << 256}),
     [None, True, -5, 3.25, "unicode ❤", frozenset({("role", "analyst")})],
     SHARED_CIPHERTEXTS,
+    *COLUMN_TABLES,
 ]
 
 #: A valid envelope encoding used as the corruption target.
@@ -129,6 +142,17 @@ class TestInterningReferences:
     @settings(max_examples=300)
     def test_corrupted_shared_stream_is_total(self, position, mask):
         corrupted = bytearray(codec.encode_value(SHARED_CIPHERTEXTS))
+        corrupted[position % len(corrupted)] ^= mask
+        decode_is_total(codec.decode_value, bytes(corrupted))
+
+    @pytest.mark.parametrize("table", COLUMN_TABLES, ids=["set", "rows"])
+    @given(
+        position=st.integers(min_value=0),
+        mask=st.integers(min_value=1, max_value=255),
+    )
+    @settings(max_examples=200)
+    def test_corrupted_column_table_is_total(self, table, position, mask):
+        corrupted = bytearray(codec.encode_value(table))
         corrupted[position % len(corrupted)] ^= mask
         decode_is_total(codec.decode_value, bytes(corrupted))
 

@@ -18,10 +18,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.commutative import TaggedMessage
+from repro.core.commutative import MessageSet
 from repro.core.das import (
     EncryptedRelation,
-    EncryptedTuple,
+    EncryptedRows,
     ServerQuery,
     ServerResult,
 )
@@ -52,24 +52,45 @@ encapsulations = st.one_of(
     ),
 )
 hybrid_cts = st.builds(HybridCiphertext, encapsulations, blobs)
-das_tuples = st.builds(EncryptedTuple, hybrid_cts, ints)
 
 
-def das_tables(min_size: int = 0) -> st.SearchStrategy:
-    """The rows of one source: every etuple under one encapsulation."""
-    return encapsulations.flatmap(
-        lambda encapsulation: st.lists(
-            st.builds(
-                EncryptedTuple,
-                st.builds(HybridCiphertext, st.just(encapsulation), blobs),
-                ints,
-            ),
-            min_size=min_size, max_size=3,
+def das_tables(
+    min_size: int = 0, container: type = list
+) -> st.SearchStrategy:
+    """The rows of one source as columns: every etuple under one
+    encapsulation."""
+    return st.tuples(
+        encapsulations,
+        st.lists(st.tuples(blobs, ints), min_size=min_size, max_size=3),
+    ).map(
+        lambda drawn: EncryptedRows(
+            drawn[0] if drawn[1] else None,
+            tuple(body for body, _ in drawn[1]),
+            tuple(index for _, index in drawn[1]),
+            container,
         )
     )
 
 
-def _server_result(rows_1: list, rows_2: list, positions: list) -> ServerResult:
+#: Message sets of group-element or digest tags next to ciphertexts
+#: under several encapsulations or ID tokens.
+message_sets = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 1 << 2048), blobs),
+        st.one_of(hybrid_cts, blobs),
+    ),
+    max_size=3,
+).map(
+    lambda entries: MessageSet(
+        tuple(tag for tag, _ in entries),
+        tuple(payload for _, payload in entries),
+    )
+)
+
+
+def _server_result(
+    rows_1: EncryptedRows, rows_2: EncryptedRows, positions: list
+) -> ServerResult:
     flat = [n for i, j in positions for n in (i % len(rows_1), j % len(rows_2))]
     return ServerResult(rows_1, rows_2, struct.pack(f">{len(flat)}I", *flat))
 
@@ -91,9 +112,8 @@ EXTENSIONS = {
         st.frozensets(st.tuples(texts, texts), max_size=3), st.just(RSA),
         texts, blobs,
     ),
-    "das-tuple": das_tuples,
     "das-relation": st.builds(
-        EncryptedRelation, texts, texts, das_tables().map(tuple)
+        EncryptedRelation, texts, texts, das_tables(container=tuple)
     ),
     "das-server-query": st.builds(
         ServerQuery, st.lists(st.tuples(ints, ints), max_size=3).map(tuple)
@@ -104,15 +124,16 @@ EXTENSIONS = {
         das_tables(min_size=1),
         st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=6),
     ),
-    "tagged-message": st.builds(
-        TaggedMessage, st.integers(0, 1 << 2048), st.one_of(hybrid_cts, blobs)
-    ),
 }
+
+#: The column tables, which travel as lists (or tuples) of records.
+COLUMN_TABLES = (message_sets, das_tables(), das_tables(container=tuple))
 
 leaves = st.one_of(
     st.none(), st.booleans(), ints, blobs, texts,
     st.floats(allow_nan=False),
     *EXTENSIONS.values(),
+    *COLUMN_TABLES,
 )
 keys = st.one_of(ints, blobs, texts)
 
@@ -131,16 +152,16 @@ def trees(leaf_strategy: st.SearchStrategy, max_leaves: int) -> st.SearchStrateg
     )
 
 
-def hundred_messages(seed: int) -> list[TaggedMessage]:
+def hundred_messages(seed: int) -> MessageSet:
     """A message set M_i of 100 tagged ciphertexts under one session."""
     rng = random.Random(seed)
-    return [
-        TaggedMessage(
-            rng.getrandbits(2048),
-            HybridCiphertext(KEM, rng.randbytes(rng.randrange(16, 80))),
-        )
-        for _ in range(100)
-    ]
+    return MessageSet(
+        tuple(rng.getrandbits(2048) for _ in range(100)),
+        tuple(
+            HybridCiphertext(KEM, rng.randbytes(rng.randrange(16, 80)))
+            for _ in range(100)
+        ),
+    )
 
 
 def assert_same_as_reference(value) -> bytes:
@@ -187,7 +208,8 @@ class TestSameBytesAsTheReference:
         encoded = assert_same_as_reference(messages)
         assert encoded.count(KEM[b"\x01" * 16]) == 1
         decoded = codec.decode_value(encoded)
-        assert len({id(message.payload.wrapped_keys) for message in decoded}) == 1
+        assert type(decoded) is MessageSet
+        assert len({id(payload.wrapped_keys) for payload in decoded.payloads}) == 1
 
     @given(st.lists(EXTENSIONS["paillier-ct"], min_size=2, max_size=8))
     @settings(max_examples=50, deadline=None)
@@ -273,10 +295,15 @@ class TestDepthBound:
             None,
             7,
             [1],
-            TaggedMessage(5, HybridCiphertext(KEM, b"x")),
+            HybridCiphertext(KEM, b"x"),
             [KEM, KEM],  # the second is a reference
+            MessageSet((5,), (HybridCiphertext(KEM, b"x"),)),
+            EncryptedRows(KEM, (b"x", b"y"), (5, 6), tuple),
         ],
-        ids=["none", "int", "list", "extension", "reference"],
+        ids=[
+            "none", "int", "list", "extension", "reference", "message-set",
+            "das-rows",
+        ],
     )
     def test_encoder_and_decoder_draw_the_line_in_one_place(self, levels, leaf):
         value = leaf

@@ -1,14 +1,14 @@
-"""DAS rows on the wire: the records the columns stand for.
+"""DAS rows on the wire: a tuple or list of records.
 
 R_i^S, R_C's two tables and the hardened ``das_server_result`` frames
 travel as :class:`repro.core.das.EncryptedRows` — one encapsulation, a
 column of DEM bodies, a column of index values — and
-``codec._write_columns`` writes them in one loop.  The bytes must be
-those of the tuple (R_i^S) or list (R_C, frames) of ``das-tuple``
-records, as the value-at-a-time reference
-(``tests/transport/reference_codec.py``) writes that sequence; the tree
-must be refused at the depth the record form is refused; and the writer
-must make no Python call per row.
+``codec._write_columns`` writes them in one loop, as the tuple (R_i^S)
+or list (R_C, frames) of ``das-tuple`` records their ``(etuple,
+index_value)`` pairs make.  The bytes must be those the value-at-a-time
+reference (``tests/transport/reference_codec.py``) writes, record by
+record; the tree must be refused at the depth the record form is
+refused; and the writer must make no Python call per row.
 """
 
 import struct
@@ -16,12 +16,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.das import (
-    EncryptedRelation,
-    EncryptedRows,
-    EncryptedTuple,
-    ServerResult,
-)
+from repro.core.das import EncryptedRelation, EncryptedRows, ServerResult
 from repro.crypto.hybrid import HybridCiphertext
 from repro.errors import ValueCodecError
 from repro.transport import codec
@@ -33,7 +28,9 @@ from tests.transport.test_message_set_codec import python_calls
 index_values = st.integers(-(1 << 80), 1 << 80)
 
 
-def tables(min_size: int = 0, max_size: int = 12) -> st.SearchStrategy:
+def tables(
+    min_size: int = 0, max_size: int = 12, container: type = list
+) -> st.SearchStrategy:
     """One source's rows as columns, under one encapsulation."""
     return st.tuples(
         encapsulations,
@@ -44,36 +41,36 @@ def tables(min_size: int = 0, max_size: int = 12) -> st.SearchStrategy:
             drawn[0],
             tuple(body for body, _ in drawn[1]),
             tuple(index for _, index in drawn[1]),
+            container,
         )
     )
 
 
-def records(rows: EncryptedRows) -> list:
-    """The records a table stands for, built by hand."""
-    return [
-        EncryptedTuple(HybridCiphertext(rows.encapsulation, body), index)
-        for body, index in zip(rows.bodies, rows.index_values)
-    ]
+def records(rows: EncryptedRows) -> bytes:
+    """The records a table travels as, written pair by pair."""
+    return reference.encode_records(reference.ROW_RECORD, rows, rows.container)
 
 
 def partial_results(rows: EncryptedRows) -> dict:
     """A ``das_encrypted_partial_result`` body: R_i^S next to its index
     table, which shares the relation's encapsulation."""
     relation = EncryptedRelation("S1", "R1", rows)
+    assert rows.container is tuple
     table = HybridCiphertext(rows.encapsulation or KEM, b"index table")
     return {"relation": relation, "index_table": table}
 
 
 class TestDasRowColumns:
-    @given(tables())
+    @given(tables(container=tuple))
     @settings(max_examples=200, deadline=None)
     def test_r_i_s_has_the_bytes_of_its_tuple_of_records(self, rows):
         body = partial_results(rows)
         relation = body["relation"]
-        assert relation.rows.container is tuple
         assert codec.encode_value(relation) == (
             codec._BY_CLS[EncryptedRelation].header
-            + reference.encode_value(("S1", "R1", tuple(records(rows))))
+            + codec._HEAD(codec._T_TUPLE, 3)
+            + reference.encode_value("S1") + reference.encode_value("R1")
+            + records(rows)
         )
         encoded = codec.encode_value(body)
         assert encoded == reference.encode_value(body)
@@ -88,10 +85,12 @@ class TestDasRowColumns:
         result = ServerResult(one, two, struct.pack(f">{len(flat)}I", *flat))
         encoded = codec.encode_value(result)
         assert encoded == reference.encode_value(result)
-        by_hand = codec._BY_CLS[ServerResult].header + reference.encode_value(
-            (records(one), records(two), result.positions)
+        by_hand = (
+            codec._BY_CLS[ServerResult].header + codec._HEAD(codec._T_TUPLE, 3)
+            + records(one)
         )
-        assert encoded == by_hand
+        assert encoded.startswith(by_hand)
+        assert encoded.endswith(reference.encode_value(result.positions))
         assert codec.decode_value(encoded) == result
 
     @given(tables(), st.integers(1, 5))
@@ -101,29 +100,28 @@ class TestDasRowColumns:
         for frame in frames or [rows]:
             assert type(frame) is EncryptedRows and frame.container is list
             encoded = codec.encode_value(frame)
-            assert encoded == reference.encode_value(records(frame))
-            assert codec.decode_value(encoded) == records(frame)
+            assert encoded == reference.encode_value(frame) == records(frame)
+            assert codec.decode_value(encoded) == frame
 
     @given(st.lists(encapsulations, max_size=3), tables(), tables())
     @settings(max_examples=100, deadline=None)
     def test_interning_runs_across_the_tables_of_a_body(self, first, one, two):
         """Encapsulations interned before a table, by it and by a later
-        table (or ciphertext) are numbered as in the record form."""
-        tail = partial_results(two)
-        encoded = codec.encode_value([first, one, two, one, tail])
-        assert encoded == reference.encode_value(
-            [first, records(one), records(two), records(one), tail]
+        table (or ciphertext) are numbered as the reference numbers
+        them."""
+        tail = partial_results(
+            EncryptedRows(two.encapsulation, two.bodies, two.index_values, tuple)
         )
-        assert codec.decode_value(encoded) == [
-            first, records(one), records(two), records(one), tail
-        ]
+        encoded = codec.encode_value([first, one, two, one, tail])
+        assert encoded == reference.encode_value([first, one, two, one, tail])
+        assert codec.decode_value(encoded) == [first, one, two, one, tail]
 
     @pytest.mark.parametrize("container", [list, tuple])
     def test_the_empty_table(self, container):
         for encapsulation in (KEM, None):
             empty = EncryptedRows(encapsulation, (), (), container)
             assert codec.encode_value(empty) == reference.encode_value(container())
-        relation = EncryptedRelation("S1", "R1", ())
+        relation = EncryptedRelation("S1", "R1", EncryptedRows(None, (), (), tuple))
         assert codec.decode_value(codec.encode_value(relation)) == relation
 
     @pytest.mark.parametrize(
@@ -141,10 +139,9 @@ class TestDasRowColumns:
     )
     def test_refused_at_the_depth_of_the_record_form(self, levels, rows):
         value: object = rows
-        listed: object = rows.container(records(rows))
         for _ in range(levels):
-            value, listed = [value], [listed]
-        written = reference.encode_value(listed)
+            value = [value]
+        written = reference.encode_value(value)
         try:
             codec.decode_value(written)
         except ValueCodecError:
@@ -156,13 +153,13 @@ class TestDasRowColumns:
 
 def test_a_table_costs_no_call_per_row():
     """The column writer makes its calls per table and per encapsulation
-    written in full, none per row (a record costs several)."""
+    written in full, none per row."""
     bodies = tuple(bytes([n]) * 40 for n in range(100))
     codec.encode_value([])  # registry bootstrapped
     calls = []
     for count in (10, 100):
         rows = EncryptedRows(KEM, bodies[:count], tuple(range(count)))
         made, encoded = python_calls(codec.encode_value, rows)
-        assert encoded == codec.encode_value(records(rows))
+        assert encoded == records(rows)
         calls.append(made)
     assert calls[0] == calls[1] < 40

@@ -1,11 +1,12 @@
-"""A commutative ``MessageSet`` on the wire: the list of records it is.
+"""A commutative ``MessageSet`` on the wire: a list of records.
 
 ``repro.transport.codec`` writes a ``MessageSet`` from its two columns
-in one loop (``codec._write_columns``).  Its bytes must be those of
-the list of ``tagged-message`` records the set stands for, as the
-value-at-a-time reference (``tests/transport/reference_codec.py``)
-writes that list; the tree must be refused at the depth the list form
-is refused; and the writer must make no Python call per message.
+in one loop (``codec._write_columns``) as the list of ``tagged-message``
+records its ``(tag, payload)`` pairs make, and reads that list back into
+a ``MessageSet``.  Its bytes must be those the value-at-a-time reference
+(``tests/transport/reference_codec.py``) writes, record by record; the
+tree must be refused at the depth the record list is refused; and the
+writer must make no Python call per message.
 """
 
 import sys
@@ -46,18 +47,15 @@ def message_sets(payloads: st.SearchStrategy) -> st.SearchStrategy:
 any_payloads = st.one_of(blobs, hybrid_cts, trees(leaves, max_leaves=4))
 
 
-def as_columns(records: list) -> MessageSet:
-    return MessageSet(
-        tuple(m.tag for m in records), tuple(m.payload for m in records)
-    )
-
-
 class TestMessageSetColumns:
     @given(message_sets(any_payloads))
     @settings(max_examples=200, deadline=None)
     def test_the_bytes_of_the_list_form(self, messages):
         encoded = codec.encode_value(messages)
-        assert encoded == reference.encode_value(list(messages))
+        assert encoded == reference.encode_value(messages)
+        assert encoded == reference.encode_records(
+            reference.MESSAGE_RECORD, messages
+        )
         assert codec.decode_value(encoded) == list(messages)
 
     @given(
@@ -68,11 +66,10 @@ class TestMessageSetColumns:
     @settings(max_examples=100, deadline=None)
     def test_interning_runs_across_the_sets_of_a_body(self, first, one, two):
         """Encapsulations interned before a set, inside it and in a
-        later set are numbered as in the list form."""
+        later set are numbered as the reference numbers them."""
         encoded = codec.encode_value([first, one, two, one])
-        assert encoded == reference.encode_value(
-            [first, list(one), list(two), list(one)]
-        )
+        assert encoded == reference.encode_value([first, one, two, one])
+        assert codec.decode_value(encoded) == [first, one, two, one]
 
     def test_the_empty_set(self):
         assert codec.encode_value(MessageSet((), ())) == reference.encode_value([])
@@ -94,10 +91,9 @@ class TestMessageSetColumns:
     )
     def test_refused_at_the_depth_of_the_list_form(self, levels, tags, payloads):
         value: object = MessageSet(tags, payloads)
-        listed: object = list(value)
         for _ in range(levels):
-            value, listed = [value], [listed]
-        written = reference.encode_value(listed)
+            value = [value]
+        written = reference.encode_value(value)
         try:
             codec.decode_value(written)
         except ValueCodecError:
@@ -125,14 +121,12 @@ def python_calls(function, *args):
 
 def test_a_message_set_costs_no_call_per_message():
     """The column writer makes its calls per set and per encapsulation
-    written in full, none per message (a record costs four)."""
-    records = hundred_messages(27)
-    codec.encode_value(records[:1])  # registry bootstrapped
+    written in full, none per message."""
+    messages = hundred_messages(27)
+    codec.encode_value(messages[:1])  # registry bootstrapped
     calls = []
     for count in (10, 100):
-        made, encoded = python_calls(
-            codec.encode_value, as_columns(records[:count])
-        )
-        assert encoded == codec.encode_value(records[:count])
+        made, encoded = python_calls(codec.encode_value, messages[:count])
+        assert encoded == reference.encode_value(messages[:count])
         calls.append(made)
     assert calls[0] == calls[1] < 40

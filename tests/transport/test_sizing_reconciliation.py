@@ -17,7 +17,9 @@ If a codec or sizing change moves outside these bounds, either fix the
 regression or re-derive the documented tolerance — consciously.
 """
 
+import struct
 from collections import Counter
+from itertools import cycle
 
 import pytest
 
@@ -132,15 +134,13 @@ def test_high_multiplicity_server_result_is_counted_as_it_travels(ca, client):
     (message,) = [
         m for m in federation.network.transcript if m.kind == "das_server_result"
     ]
-    occurrences = Counter(
-        id(row) for pair in message.body.pairs for row in pair
-    )
+    body = message.body
+    flat = struct.unpack(f">{len(body.positions) // 4}I", body.positions)
+    occurrences = Counter(zip(cycle((1, 2)), flat))  # (side, row position)
+    assert len(occurrences) == len(body.rows_1) + len(body.rows_2)
     assert min(occurrences.values()) >= 10
-    estimate = estimate_size(message.body)
-    actual = codec.encoded_size(message.body)
+    estimate = estimate_size(body)
+    actual = codec.encoded_size(body)
     assert estimate <= actual <= RATIO * estimate + SLACK
-    distinct = {id(row): row for pair in message.body.pairs for row in pair}
     # Rows once (each source's encapsulation once), 8 bytes per pair.
-    assert estimate == (
-        estimate_size(list(distinct.values())) + 8 * len(message.body.pairs)
-    )
+    assert estimate == estimate_size([body.rows_1, body.rows_2]) + 8 * len(body)

@@ -8,17 +8,17 @@ committed file; after an *intended* layout change regenerate it with::
         > tests/transport/fixtures/wire_v2.json
 
 A change to the envelope header bumps ``codec.VERSION``.  A change to
-an extension record's fields keeps it when the decoder refuses the old
-record as a ``ValueCodecError`` (the two-field ``das-tuple`` record is
-pinned that way in ``test_codec.py``).
+an extension's or a table record's fields keeps it when the decoder
+refuses the old record as a ``ValueCodecError`` (the two-field
+``das-tuple`` record is pinned that way in ``test_codec.py``).
 """
 
 import json
 import struct
 from itertools import chain, product
 
-from repro.core.das import EncryptedTuple, ServerResult
-from repro.crypto.hybrid import Encapsulation, HybridCiphertext
+from repro.core.das import EncryptedRows, ServerResult
+from repro.crypto.hybrid import Encapsulation
 from repro.transport import codec
 
 TRACE = ("0123456789abcdef0123456789abcdef", "fedcba9876543210")
@@ -45,14 +45,12 @@ ENVELOPES = {
 def server_result() -> ServerResult:
     """Two rows by three rows, five pairs: every row repeats."""
     kem = Encapsulation({b"\x11" * 16: b"\x22" * 24})
-    rows_1 = [
-        EncryptedTuple(HybridCiphertext(kem, b"left-%d" % i), 100 + i)
-        for i in range(2)
-    ]
-    rows_2 = [
-        EncryptedTuple(HybridCiphertext(kem, b"right-%d" % j), 200 + j)
-        for j in range(3)
-    ]
+    rows_1 = EncryptedRows(
+        kem, tuple(b"left-%d" % i for i in range(2)), (100, 101)
+    )
+    rows_2 = EncryptedRows(
+        kem, tuple(b"right-%d" % j for j in range(3)), (200, 201, 202)
+    )
     positions = [(0, 0), (0, 1), (1, 1), (1, 2), (0, 2)]
     return ServerResult(
         rows_1, rows_2, struct.pack(">10I", *chain.from_iterable(positions))
